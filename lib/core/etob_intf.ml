@@ -37,12 +37,14 @@ type backend = {
   ctx : Engine.ctx;
   listeners : App_msg.t list Listeners.t;
   mutable current : App_msg.t list;
+  mutable last : App_msg.t option;  (* the last message of [current], when known *)
   mutable next_sn : int;
   mutable last_own : App_msg.id option;
 }
 
 let backend ctx =
-  { ctx; listeners = Listeners.create (); current = []; next_sn = 0; last_own = None }
+  { ctx; listeners = Listeners.create (); current = []; last = None; next_sn = 0;
+    last_own = None }
 
 let ctx_of backend = backend.ctx
 let current_of backend = backend.current
@@ -56,21 +58,30 @@ let record_broadcast backend m =
    revision to announce afterwards. *)
 let restore_backend backend ~current ~next_sn ~last_own =
   backend.current <- current;
+  backend.last <- None;
   backend.next_sn <- next_sn;
   backend.last_own <- last_own
 
 let next_sn_of backend = backend.next_sn
 
-let set_delivered backend seq =
+let set_delivered ?last backend seq =
   backend.current <- seq;
+  backend.last <- last;
   backend.ctx.Engine.output (Etob_deliver seq);
   Listeners.fire backend.listeners seq
 
 let alloc_msg backend ?(tag = "") () =
   let sn = backend.next_sn in
   backend.next_sn <- sn + 1;
+  let rec last_of = function
+    | [] -> []
+    | [ m ] -> [ App_msg.id m ]
+    | _ :: rest -> last_of rest
+  in
   let last_delivered =
-    match List.rev backend.current with [] -> [] | m :: _ -> [ App_msg.id m ]
+    match backend.last with
+    | Some m -> [ App_msg.id m ]
+    | None -> last_of backend.current
   in
   let deps =
     match backend.last_own with

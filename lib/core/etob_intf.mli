@@ -29,7 +29,10 @@ val backend : Engine.ctx -> backend
 val ctx_of : backend -> Engine.ctx
 val current_of : backend -> App_msg.t list
 val record_broadcast : backend -> App_msg.t -> unit
-val set_delivered : backend -> App_msg.t list -> unit
+val set_delivered : ?last:App_msg.t -> backend -> App_msg.t list -> unit
+(** Record a new value of [d_i] and fire the listeners.  [last], when the
+    caller knows it, is the sequence's last message: {!alloc_msg} then
+    need not walk the sequence to find it. *)
 
 val restore_backend :
   backend -> current:App_msg.t list -> next_sn:int ->

@@ -8,7 +8,8 @@ open Simulator.Types
 
 type Msg.payload +=
   | Update of Causal_graph.t
-  | Promote_seq of App_msg.t list
+  | Promote_seq of { seq : App_msg.t list; rev : App_msg.t list; len : int }
+      (** [promote_j], also last message first, and its length. *)
 
 type t
 

@@ -169,6 +169,132 @@ let prop_linearize_monotone =
           App_msg.is_prefix prefix seq
           && Causal_graph.is_valid_linearization g ~prefix seq)
 
+(* Differential: the incremental graph against the whole-history oracle
+   (Causal_graph_oracle) on random causal histories, received in random
+   order as single messages and as whole graphs, so that nodes arrive
+   before their dependencies and per-origin runs have gaps. *)
+module Oracle = Causal_graph_oracle
+
+(* Messages with per-origin sequence numbers 0, 1, 2, ... and up to two
+   dependencies on earlier messages, as genuine runs produce. *)
+let history_gen =
+  QCheck.Gen.(
+    let* count = int_range 1 24 in
+    let sns = Array.make 4 0 in
+    let rec build acc i =
+      if i >= count then return (Array.of_list (List.rev acc))
+      else
+        let* origin = int_range 0 3 in
+        let* picks = list_size (int_range 0 2) (int_range 0 (max 0 (i - 1))) in
+        let deps = if i = 0 then [] else List.map (fun j -> App_msg.id (List.nth (List.rev acc) j)) picks in
+        let sn = sns.(origin) in
+        sns.(origin) <- sn + 1;
+        build (App_msg.make ~origin ~sn ~deps () :: acc) (i + 1)
+    in
+    build [] 0)
+
+(* How a graph grows: [`Add i] adds message i, [`Union is] merges a graph
+   built from the messages [is] in that order. *)
+let ops_gen count =
+  QCheck.Gen.(
+    list_size (int_range 1 12)
+      (frequency
+         [ (3, map (fun i -> `Add i) (int_range 0 (count - 1)));
+           (1, map (fun is -> `Union is) (list_size (int_range 0 count) (int_range 0 (count - 1))))
+         ]))
+
+let history_arb =
+  QCheck.make
+    ~print:(fun (msgs, ops, tie) ->
+        Format.asprintf "%a ops=%s tie=%d" App_msg.pp_seq (Array.to_list msgs)
+          (String.concat " "
+             (List.map
+                (function
+                  | `Add i -> string_of_int i
+                  | `Union is -> "U[" ^ String.concat "," (List.map string_of_int is) ^ "]")
+                ops))
+          tie)
+    QCheck.Gen.(
+      let* msgs = history_gen in
+      let* ops = ops_gen (Array.length msgs) in
+      let* tie = int_range 0 2 in
+      return (msgs, ops, tie))
+
+let apply_op msgs (g, og) = function
+  | `Add i -> (Causal_graph.add g msgs.(i), Oracle.add og msgs.(i))
+  | `Union is ->
+    let part = List.map (fun i -> msgs.(i)) is in
+    ( Causal_graph.union g (List.fold_left Causal_graph.add Causal_graph.empty part),
+      Oracle.union og (List.fold_left Oracle.add Oracle.empty part) )
+
+(* The default tie-break, its reverse, and one with ties (by origin only),
+   where the id decides. *)
+let tie_of = function
+  | 0 -> Causal_graph.default_tie_break
+  | 1 -> fun a b -> App_msg.compare b a
+  | _ -> fun a b -> Int.compare a.App_msg.origin b.App_msg.origin
+
+let ids = List.map App_msg.id
+let same_ids a b = List.equal (fun x y -> App_msg.compare_id x y = 0) (ids a) (ids b)
+
+let prop_cg_matches_oracle =
+  QCheck.Test.make ~name:"causal_graph: union, ready and linearize match the oracle"
+    ~count:500 history_arb (fun (msgs, ops, tie) ->
+        let tie_break = tie_of tie in
+        let half = List.filteri (fun i _ -> 2 * i < List.length ops) ops in
+        let _, og_half = List.fold_left (apply_op msgs) (Causal_graph.empty, Oracle.empty) half in
+        let prefix = Oracle.linearize ~tie_break (Oracle.ready og_half) ~prefix:[] in
+        let g, og = List.fold_left (apply_op msgs) (Causal_graph.empty, Oracle.empty) ops in
+        let sorted_edges es = List.sort compare es in
+        same_ids (Causal_graph.messages g) (Oracle.messages og)
+        && Causal_graph.size g = Oracle.size og
+        && same_ids (Causal_graph.messages (Causal_graph.ready g))
+             (Oracle.messages (Oracle.ready og))
+        && Causal_graph.ready_count g = Oracle.size (Oracle.ready og)
+        && sorted_edges (Causal_graph.edges g) = sorted_edges (Oracle.edges og)
+        && same_ids
+             (Causal_graph.linearize ~tie_break (Causal_graph.ready g) ~prefix)
+             (Oracle.linearize ~tie_break (Oracle.ready og) ~prefix)
+        && same_ids
+             (Causal_graph.linearize ~tie_break g ~prefix:[])
+             (Oracle.linearize ~tie_break og ~prefix:[]))
+
+(* UpdatePromote as Algorithm 5 runs it: start from a restored state (a
+   graph and a durable d_i that may hold messages not yet ready), then
+   after every step append [promote_fresh] and compare with re-linearizing
+   the oracle's ready graph from the previous promotion. *)
+let prop_promote_fresh_matches_oracle =
+  QCheck.Test.make
+    ~name:"causal_graph: incremental UpdatePromote matches re-linearizing"
+    ~count:500 history_arb (fun (msgs, ops, tie) ->
+        let tie_break = tie_of tie in
+        let k = Array.length msgs / 3 in
+        let restored = List.init k (fun i -> msgs.(2 * i)) in
+        let delivered = List.init (k / 2) (fun i -> msgs.(i)) in
+        let g0 = List.fold_left Causal_graph.add Causal_graph.empty restored in
+        let og0 = List.fold_left Oracle.add Oracle.empty restored in
+        let ready0 = Causal_graph.ready g0 in
+        let prefix0 = Causal_graph.linearize ~tie_break ready0 ~prefix:delivered in
+        let early =
+          App_msg.ids_of_seq
+            (List.filter (fun m -> not (Causal_graph.mem ready0 (App_msg.id m))) prefix0)
+        in
+        let placed id = App_msg.Id_set.mem id early in
+        same_ids prefix0 (Oracle.linearize ~tie_break (Oracle.ready og0) ~prefix:delivered)
+        && fst
+             (List.fold_left
+                (fun (ok, (g, og, prefix, since)) op ->
+                   let g, og = apply_op msgs (g, og) op in
+                   let prefix' =
+                     prefix @ Causal_graph.promote_fresh ~tie_break g ~since ~placed
+                   in
+                   ( ok
+                     && same_ids prefix'
+                          (Oracle.linearize ~tie_break (Oracle.ready og) ~prefix),
+                     (g, og, prefix', Causal_graph.ready_count g) ))
+                (true, (g0, og0, prefix0, Causal_graph.ready_count g0))
+                ops))
+
 (* ------------------------------------------------------------------ *)
 (* Algorithm 5 end-to-end                                              *)
 (* ------------------------------------------------------------------ *)
@@ -442,6 +568,54 @@ let prop_etob_omega_random_runs =
        Properties.etob_base_ok report
        && report.Properties.causal_order.Properties.ok
        && Properties.etob_convergence_time report <= stabilize + 2 + 4 + 2)
+
+(* The incremental Algorithm 5 against the whole-history one
+   (Etob_omega_oracle): under random adversity plans — crashes, buffering
+   partitions, delay spikes, drops, duplication, Omega flapping — and each
+   seeded mutant, the two traces must be identical, event for event. *)
+let alg5_trace ~oracle ?mutation setup inputs =
+  let omega_of = Harness.Scenario.omega_module setup in
+  let make_node ctx =
+    let omega, omega_node = omega_of ctx in
+    let service, node =
+      if oracle then Etob_omega_oracle.create ?mutation ctx ~omega
+      else
+        let t, node = Etob_omega.create ?mutation ctx ~omega in
+        (Etob_omega.service t, node)
+    in
+    (Engine.stack [ omega_node; node; Harness.Scenario.post_driver service ], ())
+  in
+  let trace, _ = Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs in
+  Format.asprintf "%a" Trace.pp trace
+
+let prop_alg5_matches_oracle =
+  let deadline = 300 in
+  QCheck.Test.make
+    ~name:"algorithm 5: incremental and whole-history runs are trace-identical"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (seed, n, plan, mutation) ->
+           Format.asprintf "seed=%d n=%d mutation=%s plan=%a" seed n
+             (match mutation with None -> "-" | Some m -> Etob_omega.mutation_name m)
+             Harness.Adversity.pp plan)
+       QCheck.Gen.(
+         let* seed = int_range 0 10_000 in
+         let* n = int_range 3 5 in
+         let* plan = Harness.Builder.plan_gen ~n ~deadline in
+         let* mutation = oneofl (None :: List.map Option.some Etob_omega.all_mutations) in
+         return (seed, n, plan, mutation)))
+    (fun (seed, n, plan, mutation) ->
+       let setup =
+         Harness.Adversity.apply plan
+           { (Harness.Scenario.default ~n ~deadline) with
+             seed;
+             delay = Net.uniform ~min:1 ~max:4;
+             omega = oracle ~pre:(Detectors.Omega.Seeded seed) 40 }
+       in
+       let inputs = Harness.Scenario.spread_posts ~n ~count:12 ~from_time:5 ~every:3 in
+       String.equal
+         (alg5_trace ~oracle:false ?mutation setup inputs)
+         (alg5_trace ~oracle:true ?mutation setup inputs))
 
 (* --- Service-level details ------------------------------------------ *)
 
@@ -903,11 +1077,13 @@ let test_checker_agreement_flags_missing () =
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest
       [ prop_linearize_valid; prop_linearize_tie_break_independent;
-        prop_linearize_monotone ]
+        prop_linearize_monotone; prop_cg_matches_oracle;
+        prop_promote_fresh_matches_oracle ]
   in
   let qc_runs = List.map QCheck_alcotest.to_alcotest
       [ prop_ec_omega_any_environment; prop_etob_omega_random_runs;
-        prop_commit_safety_random_crashes; prop_full_stack_chaos ]
+        prop_commit_safety_random_crashes; prop_full_stack_chaos;
+        prop_alg5_matches_oracle ]
   in
   Alcotest.run "ec_core"
     [ ("app_msg",
