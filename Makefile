@@ -31,11 +31,10 @@ lint:
 # crash-recovery, and anti-entropy-under-watchdog with message-losing
 # partitions) clean over the budget; every seeded mutant — the four
 # Algorithm 5 bugs, the skip-log-replay amnesia bug and the skip-digest
-# anti-entropy bug — found, shrunk and replayed from its repro file.
-# One finding additionally roundtrips through the builder-spec text form
-# (DESIGN.md §13): found -> spec file -> parsed -> re-run, with the trace
-# digest required to reproduce byte-for-byte.  Shrunk repro and spec
-# files land in _artifacts/smoke/.
+# anti-entropy bug — found, shrunk and replayed from its builder-spec
+# text (DESIGN.md §13), with the trace digest required to reproduce
+# byte-for-byte.  One finding additionally replays from a binary trace
+# artifact.  Shrunk .spec files land in _artifacts/smoke/.
 smoke:
 	dune exec bin/ecsim.exe -- explore --smoke --plans 500 -j 2 --artifacts _artifacts/smoke
 

@@ -729,33 +729,32 @@ let e16 () =
     max_adversities
     (String.concat "," (List.map string_of_int seeds));
   row "  %-24s %-10s %-14s %-12s" "mutant" "seed" "plans-to-find" "shrunk-size";
-  let target mutation = { Explore.Explorer.default_target with mutation } in
+  let module B = Harness.Builder in
+  let target mutation =
+    { (B.template Harness.Stacks.Algorithm_5) with B.mutation }
+  in
+  let explore t ~seed = B.explore t ~seed ~budget ~max_adversities in
   List.iter
     (fun m ->
        List.iter
          (fun seed ->
-            let e =
-              Explore.Explorer.explore (target (Some m)) ~seed ~budget
-                ~max_adversities ()
-            in
-            match e.Explore.Explorer.found with
+            let t = target (Some m) in
+            let e = explore t ~seed in
+            match e.B.found with
             | None ->
               row "  %-24s %-10d %-14s %-12s" (Etob_omega.mutation_name m)
                 seed "NOT FOUND" "-"
             | Some o ->
-              let shrunk = Explore.Explorer.shrink (target (Some m)) o in
+              let shrunk = B.shrink t o in
               row "  %-24s %-10d %-14d %-12d" (Etob_omega.mutation_name m)
-                seed e.Explore.Explorer.plans_run
-                (Explore.Adversity.size shrunk.Explore.Explorer.plan))
+                seed e.B.plans_run
+                (Harness.Adversity.size shrunk.B.builder.B.plan))
          seeds)
     Etob_omega.all_mutations;
-  let control =
-    Explore.Explorer.explore (target None) ~seed:(List.hd seeds) ~budget
-      ~max_adversities ()
-  in
+  let control = explore (target None) ~seed:(List.hd seeds) in
   row "  %-24s %-10d %-14s %-12s" "(faithful control)" (List.hd seeds)
-    (match control.Explore.Explorer.found with
-     | None -> Printf.sprintf "clean/%d" control.Explore.Explorer.plans_run
+    (match control.B.found with
+     | None -> Printf.sprintf "clean/%d" control.B.plans_run
      | Some _ -> "VIOLATION")
     "-";
   row "  expected: every mutant found within budget; faithful row clean"
@@ -1282,7 +1281,8 @@ let e21 () =
   in
   let config =
     { Campaign.legs =
-        [ { Campaign.name = "alg5"; target = Explore.Explorer.default_target } ];
+        [ { Campaign.name = "alg5";
+            target = Harness.Builder.template Harness.Stacks.Algorithm_5 } ];
       budget = 80;
       seed = 1;
       max_adversities = 3;

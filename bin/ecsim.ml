@@ -11,8 +11,8 @@
    ([--spec FILE], the stable text form of [Harness.Builder]) — into one
    declarative builder value through a single shared decoder, and every
    run goes through [Builder.run]: the same code path as the test suite,
-   the explorer and recorded repro files, so a run is deterministic in
-   its spec. *)
+   exploration and recorded findings, so a run is deterministic in its
+   spec. *)
 
 open Simulator
 open Ec_core
@@ -58,7 +58,7 @@ let scenarios =
            let right = List.filter (fun p -> p >= (n + 1) / 2) (Types.all_procs n) in
            { (Builder.create ~seed ~n ~deadline stack) with
              Builder.plan =
-               [ Explore.Adversity.Partition
+               [ Harness.Adversity.Partition
                    { left; from_time = 5; until_time = heal } ];
              omega =
                Some (oracle ~pre:(Detectors.Omega.Blockwise [ left; right ]) heal)
@@ -73,7 +73,7 @@ let scenarios =
                List.filter_map
                  (fun p ->
                     if p >= 2 then
-                      Some (Explore.Adversity.Crash { proc = p; at = deadline / 4 })
+                      Some (Harness.Adversity.Crash { proc = p; at = deadline / 4 })
                     else None)
                  (Types.all_procs n);
              omega = Some (oracle 0) }) };
@@ -87,7 +87,7 @@ let scenarios =
                 ~n ~deadline stack)
              with
              Builder.plan =
-               [ Explore.Adversity.Crash { proc = 0; at = deadline / 2 } ];
+               [ Harness.Adversity.Crash { proc = 0; at = deadline / 2 } ];
              omega = Some (Harness.Scenario.Elected { initial_timeout = 6 }) })
     };
   ]
@@ -444,16 +444,15 @@ let sweep_cmd =
 
 (* --- explore --- *)
 
-let pp_explore_outcome (o : Explore.Explorer.outcome) =
-  Format.printf "violating plan (%d adversities):@.%a@."
-    (Explore.Adversity.size o.Explore.Explorer.plan)
-    Explore.Adversity.pp o.Explore.Explorer.plan;
-  List.iter
-    (fun v -> Format.printf "  violation: %s@." v)
-    o.Explore.Explorer.violations;
-  Format.printf "engine seed %d, trace digest %s@." o.Explore.Explorer.seed
-    (if o.Explore.Explorer.digest = "" then "(run raised)"
-     else o.Explore.Explorer.digest)
+let pp_outcome (o : Builder.outcome) =
+  let plan = o.Builder.builder.Builder.plan in
+  Format.printf "%s (%d adversities):@.%a@."
+    (if o.Builder.violations = [] then "plan" else "violating plan")
+    (Harness.Adversity.size plan) Harness.Adversity.pp plan;
+  List.iter (fun v -> Format.printf "  violation: %s@." v) o.Builder.violations;
+  Format.printf "engine seed %d, trace digest %s@."
+    (Builder.seed_of o.Builder.builder)
+    (if o.Builder.digest = "" then "(run raised)" else o.Builder.digest)
 
 let mkdirs dir =
   let rec go d =
@@ -464,269 +463,219 @@ let mkdirs dir =
   in
   go dir
 
-(* The acceptance gate, CI-sized: the faithful Algorithm 5 (crash-stop and
-   crash-recovery alike) survives the whole budget clean, and the explorer
-   finds every seeded mutant — protocol bugs and the recovery-path amnesia
-   bug — shrinks the finding to at most 3 adversities, and replays it
-   deterministically through a repro-file roundtrip.  One mutant finding
-   additionally makes the round trip through the builder-spec text form
-   (found -> to_lines -> of_lines -> run), which must reproduce the trace
-   digest byte for byte.  When [artifacts] is set, every shrunk finding
-   (and any unexpected faithful flag) is written there, repro and spec
-   files alike, so CI can upload them on failure. *)
+(* The acceptance gate, CI-sized: the faithful Algorithm 5 (crash-stop,
+   crash-recovery, and anti-entropy under the watchdog) survives the whole
+   budget clean, and exploration finds every seeded mutant — protocol
+   bugs, the recovery-path amnesia bug and the skip-digest bug — shrinks
+   the finding to at most 3 adversities, and replays it from its spec
+   text.  The first finding additionally replays from a binary trace
+   artifact.  When [artifacts] is set, every shrunk finding (and any
+   unexpected faithful flag) is written there as a .spec file, so CI can
+   upload them on failure. *)
 let explore_smoke ~domains ~budget ~seed ~artifacts =
-  let module E = Explore.Explorer in
-  let module R = Explore.Repro in
-  let write_artifact name contents =
+  let artifact name o =
     match artifacts with
     | None -> ()
     | Some dir ->
       mkdirs dir;
       let path = Filename.concat dir name in
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc contents);
+      Builder.write_finding path o;
       Format.printf "  artifact: %s@." path
   in
-  let clean_gate label target =
+  let explore t =
+    Builder.explore ~domains t ~seed ~budget ~max_adversities:4
+  in
+  let clean_gate label t =
     Format.printf "smoke: faithful %s over %d plans...@." label budget;
-    let r = E.explore ~domains target ~seed ~budget ~max_adversities:4 () in
-    match r.E.found with
+    let r = explore t in
+    match r.Builder.found with
     | Some o ->
-      pp_explore_outcome o;
-      write_artifact ("faithful-" ^ label ^ ".repro")
-        (R.to_string (R.of_outcome target o));
+      pp_outcome o;
+      artifact ("faithful-" ^ label ^ ".spec") o;
       Error
         (Printf.sprintf "faithful %s was flagged: explorer or protocol bug"
            label)
     | None ->
-      Format.printf "  clean (%d plans)@." r.E.plans_run;
+      Format.printf "  clean (%d plans)@." r.Builder.plans_run;
       Ok ()
   in
-  let check_mutant name target =
-    let r = E.explore ~domains target ~seed ~budget ~max_adversities:4 () in
-    match r.E.found with
+  let size (o : Builder.outcome) =
+    Harness.Adversity.size o.Builder.builder.Builder.plan
+  in
+  let check_mutant (name, t) =
+    let r = explore t in
+    match r.Builder.found with
     | None ->
       Error
         (Printf.sprintf "mutant %s: no violation within %d plans" name budget)
     | Some o ->
-      let s = E.shrink target o in
+      let s = Builder.shrink t o in
       Format.printf
         "smoke: mutant %-22s found at plan %d, shrunk %d -> %d adversities@."
-        name (r.E.plans_run - 1)
-        (Explore.Adversity.size o.E.plan)
-        (Explore.Adversity.size s.E.plan);
-      write_artifact ("mutant-" ^ name ^ ".repro")
-        (R.to_string (R.of_outcome target s));
-      if Explore.Adversity.size s.E.plan > 3 then
+        name (r.Builder.plans_run - 1) (size o) (size s);
+      artifact ("mutant-" ^ name ^ ".spec") s;
+      if size s > 3 then
         Error
           (Printf.sprintf "mutant %s: shrunk plan still has %d adversities"
-             name
-             (Explore.Adversity.size s.E.plan))
-      else begin
-        (* Repro determinism, through the text roundtrip. *)
-        let repro = R.of_outcome target s in
-        match R.of_string (R.to_string repro) with
-        | Error msg ->
-          Error (Printf.sprintf "mutant %s: repro roundtrip: %s" name msg)
-        | Ok repro ->
-          (match R.replay repro with
-           | Ok _ -> Ok ()
-           | Error msg ->
-             Error (Printf.sprintf "mutant %s: replay: %s" name msg))
-      end
+             name (size s))
+      else
+        Result.map_error
+          (Printf.sprintf "mutant %s: replay: %s" name)
+          (Result.map (fun _ -> s) (Builder.replay (Builder.finding_text s)))
   in
-  (* The builder-spec flow: one finding travels the whole new-format
-     pipeline.  Explore, shrink, serialize the builder to spec text, parse
-     it back, re-run — the violation must survive and the trace digest
-     must match byte for byte.  The spec file lands in the artifact
-     directory beside the repro files. *)
-  let spec_gate () =
-    let mutant = List.hd Etob_omega.all_mutations in
-    let name = Etob_omega.mutation_name mutant in
-    let target = { E.default_target with E.mutation = Some mutant } in
+  (* The binary-artifact leg: the first finding (already replayed from its
+     spec text) is streamed to a framed binary trace with its spec record
+     embedded, and must replay from the artifact alone to the same
+     digest. *)
+  let binary_gate name (s : Builder.outcome) =
     Format.printf "smoke: builder-spec flow (mutant %s)...@." name;
-    let r = E.explore ~domains target ~seed ~budget ~max_adversities:4 () in
-    match r.E.found with
-    | None -> Error "spec flow: mutant not found within the budget"
-    | Some o ->
-      let s = E.shrink target o in
-      let b = E.builder_of target ~seed:s.E.seed s.E.plan in
-      let text =
-        Builder.to_string ~digest:s.E.digest ~violations:s.E.violations b
-      in
-      write_artifact ("spec-flow-" ^ name ^ ".spec") text;
-      (match Builder.of_string text with
-       | Error msg -> Error ("spec flow: parse: " ^ msg)
-       | Ok b' ->
-         let o' = Builder.run ~digest:true ~catch:true b' in
-         if o'.Builder.violations = [] then
-           Error "spec flow: replay lost the violation"
-         else if o'.Builder.digest <> s.E.digest then
-           Error
-             (Printf.sprintf "spec flow: digest mismatch (%s vs %s)"
-                o'.Builder.digest s.E.digest)
-         else begin
-           Format.printf "  spec roundtrip reproduced digest %s@." s.E.digest;
-           (* Binary-artifact leg: stream the same finding to a framed
-              binary trace, embed its spec record, and replay from the
-              artifact alone — the digest must survive the format change. *)
-           let bin_path, keep =
-             match artifacts with
-             | Some dir ->
-               mkdirs dir;
-               ( Filename.concat dir ("spec-flow-" ^ name ^ ".trace.bin"),
-                 true )
-             | None -> (Filename.temp_file "ecsim-smoke" ".trace.bin", false)
-           in
-           let ob =
-             Builder.run ~digest:true ~catch:true
-               { b' with Builder.trace_out = Some (bin_path, Builder.Binary) }
-           in
-           Builder.append_binary_spec bin_path ~digest:ob.Builder.digest
-             ~violations:ob.Builder.violations b';
-           if keep then Format.printf "  artifact: %s@." bin_path;
-           let verdict =
-             match Builder.binary_spec bin_path with
-             | Error msg -> Error ("binary artifact: " ^ msg)
-             | Ok text2 ->
-               (match Builder.of_string text2 with
-                | Error msg -> Error ("binary artifact: parse: " ^ msg)
-                | Ok b2 ->
-                  let o2 = Builder.run ~digest:true ~catch:true b2 in
-                  if o2.Builder.violations = [] then
-                    Error "binary artifact: replay lost the violation"
-                  else if o2.Builder.digest <> s.E.digest then
-                    Error
-                      (Printf.sprintf
-                         "binary artifact: digest mismatch (%s vs %s)"
-                         o2.Builder.digest s.E.digest)
-                  else begin
-                    Format.printf
-                      "  binary artifact reproduced digest %s@." s.E.digest;
-                    Ok ()
-                  end)
-           in
-           if not keep then (try Sys.remove bin_path with Sys_error _ -> ());
-           verdict
-         end)
+    Format.printf "  spec roundtrip reproduced digest %s@." s.Builder.digest;
+    let bin_path, keep =
+      match artifacts with
+      | Some dir ->
+        mkdirs dir;
+        (Filename.concat dir ("spec-flow-" ^ name ^ ".trace.bin"), true)
+      | None -> (Filename.temp_file "ecsim-smoke" ".trace.bin", false)
+    in
+    Builder.write_finding bin_path s;
+    if keep then Format.printf "  artifact: %s@." bin_path;
+    let verdict =
+      match Result.bind (Builder.binary_spec bin_path) Builder.replay with
+      | Error msg -> Error ("binary artifact: " ^ msg)
+      | Ok o ->
+        Format.printf "  binary artifact reproduced digest %s@."
+          o.Builder.digest;
+        Ok ()
+    in
+    if not keep then (try Sys.remove bin_path with Sys_error _ -> ());
+    verdict
   in
+  let ( let* ) = Result.bind in
   let rec all = function
     | [] -> Ok ()
-    | (name, target) :: rest ->
-      (match check_mutant name target with
-       | Ok () -> all rest
-       | Error _ as e -> e)
+    | m :: rest ->
+      let* _ = check_mutant m in
+      all rest
   in
-  let faithful = E.default_target in
-  let recovering = { faithful with E.recovery = true } in
-  let ( let* ) = Result.bind in
+  let alg5 = Harness.Stacks.Algorithm_5 in
+  let faithful = Builder.template alg5 in
   let* () = clean_gate "alg5" faithful in
-  let* () =
-    all
-      (List.map
-         (fun m ->
-            ( Etob_omega.mutation_name m,
-              { faithful with E.mutation = Some m } ))
-         Etob_omega.all_mutations)
+  let etob_mutants =
+    List.map
+      (fun m ->
+         (Etob_omega.mutation_name m, { faithful with Builder.mutation = Some m }))
+      Etob_omega.all_mutations
   in
+  let* first = check_mutant (List.hd etob_mutants) in
+  let* () = all (List.tl etob_mutants) in
   (* Recovery gate: same story under crash-recovery adversities. *)
+  let recovering = Builder.template ~recovery:true alg5 in
   let* () = clean_gate "alg5+recovery" recovering in
   let* () =
     all
       (List.map
          (fun m ->
             ( Recoverable.mutation_name m,
-              { recovering with E.rmutation = Some m } ))
+              { recovering with Builder.rmutation = Some m } ))
          Recoverable.all_mutations)
   in
   (* Partition liveness gate: the anti-entropy stack under the watchdog.
-     Generated plans now include message-LOSING partitions (split-brain,
+     Generated plans include message-LOSING partitions (split-brain,
      minority isolation, one-way links, flapping bridges) that heal far
      past the last post — only the digest exchange can repair them, and
      the watchdog checks that every correct process actually converges.
      The faithful stack must survive clean; the skip-digest mutant (the
      layer that never advertises) must be caught. *)
-  let partitioned = { faithful with E.ae = true; watchdog = true } in
+  let partitioned = Builder.template ~ae:true ~watchdog:true alg5 in
   let* () = clean_gate "alg5+ae+watchdog" partitioned in
   let* () =
     all
       (List.map
          (fun m ->
             ( Anti_entropy.mutation_name m,
-              { partitioned with E.ae_mutation = Some m } ))
+              { partitioned with Builder.ae_mutation = Some m } ))
          Anti_entropy.all_mutations)
   in
-  let* () = spec_gate () in
+  let* () = binary_gate (fst (List.hd etob_mutants)) first in
   print_endline "SMOKE PASSED";
   Ok ()
 
-(* Replay a finding file of any of the three formats.  Legacy repro files
-   go through [Explore.Repro.replay] (which re-derives the target); spec
-   files parse to a builder, re-run, and must reproduce the recorded
-   digest and (when the file records violations) some violation; binary
-   trace artifacts carry their spec text in an embedded record and replay
-   through the same spec path. *)
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let replay_spec_content content =
-  match Builder.of_string content with
-  | Error msg -> `Error (false, "spec parse: " ^ msg)
-  | Ok b ->
-    let o = Builder.run ~digest:true ~catch:true b in
-    List.iter (fun v -> Format.printf "  violation: %s@." v) o.Builder.violations;
-    Format.printf "trace digest %s@." o.Builder.digest;
-    let expects_violation =
-      List.exists
-        (fun l -> String.length (String.trim l) > 10
-                  && String.sub (String.trim l) 0 10 = "violation ")
-        (String.split_on_char '\n' content)
-    in
-    (match Builder.recorded_digest content with
-     | Some d when d <> o.Builder.digest ->
-       `Error
-         ( false,
-           Printf.sprintf "digest mismatch: recorded %s, got %s" d
-             o.Builder.digest )
-     | _ ->
-       if expects_violation && o.Builder.violations = [] then
-         `Error (false, "recorded violation did not reproduce")
-       else begin
-         print_endline "REPLAY REPRODUCED";
-         `Ok ()
-       end)
-
+(* Replay a finding file: spec text, legacy repro text, or a binary trace
+   embedding its spec record — all through [Builder.replay]. *)
 let replay_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> `Error (false, msg)
   | content ->
-    if starts_with ~prefix:"ECTRACE" content then
-      (* A framed binary trace: replay the spec text it embeds. *)
-      (match Builder.binary_spec path with
-       | Error msg -> `Error (false, "binary trace: " ^ msg)
-       | Ok text ->
-         Format.printf "replaying embedded spec of %s@." path;
-         replay_spec_content text)
-    else if starts_with ~prefix:Builder.header content then
-      replay_spec_content content
-    else
-      (match Explore.Repro.read path with
-       | Error msg -> `Error (false, "repro parse: " ^ msg)
-       | Ok r ->
-         (match Explore.Repro.replay r with
-          | Ok o ->
-            pp_explore_outcome o;
-            print_endline "REPLAY REPRODUCED";
-            `Ok ()
-          | Error msg -> `Error (false, "replay: " ^ msg)))
+    let text =
+      if String.starts_with ~prefix:"ECTRACE" content then begin
+        Format.printf "replaying embedded spec of %s@." path;
+        Builder.binary_spec path
+      end
+      else Ok content
+    in
+    (match Result.bind text Builder.replay with
+     | Error msg -> `Error (false, "replay: " ^ msg)
+     | Ok o ->
+       pp_outcome o;
+       print_endline "REPLAY REPRODUCED";
+       `Ok ())
+
+(* A mutant name resolves in the Algorithm-5 namespace first, then the
+   recovery path, then anti-entropy. *)
+let parse_mutant = function
+  | None -> Ok (None, None, None)
+  | Some name ->
+    (match
+       ( Etob_omega.mutation_of_string name,
+         Recoverable.mutation_of_string name,
+         Anti_entropy.mutation_of_string name )
+     with
+     | Some m, _, _ -> Ok (Some m, None, None)
+     | None, Some m, _ -> Ok (None, Some m, None)
+     | None, None, Some m -> Ok (None, None, Some m)
+     | None, None, None ->
+       Error
+         (Printf.sprintf "unknown mutant %s (known: %s)" name
+            (String.concat ", "
+               (List.map Etob_omega.mutation_name Etob_omega.all_mutations
+                @ List.map Recoverable.mutation_name Recoverable.all_mutations
+                @ List.map Anti_entropy.mutation_name
+                    Anti_entropy.all_mutations))))
+
+(* The flags assemble a template: a recovery mutant implies the
+   recovery stack, an anti-entropy mutant the digest layer. *)
+let template_of_flags ~impl_name ~n ~deadline ~posts ~mutant ~recovery ~ae
+    ~watchdog =
+  match List.assoc_opt impl_name impls with
+  | Some (Builder.Etob impl) ->
+    Result.map
+      (fun (mutation, rmutation, ae_mutation) ->
+         let t =
+           Builder.template
+             ?n:(if n = 0 then None else Some n)
+             ~deadline
+             ?posts:(if posts = 0 then None else Some posts)
+             ~recovery:(recovery || Option.is_some rmutation)
+             ~ae:(ae || Option.is_some ae_mutation)
+             ~watchdog impl
+         in
+         { t with Builder.mutation; rmutation; ae_mutation })
+      (parse_mutant mutant)
+  | _ -> Error ("unknown implementation for explore: " ^ impl_name)
+
+let mutant_label (t : Builder.t) =
+  match (t.Builder.mutation, t.Builder.rmutation, t.Builder.ae_mutation) with
+  | Some m, _, _ -> Etob_omega.mutation_name m
+  | None, Some m, _ -> Recoverable.mutation_name m
+  | None, None, Some m -> Anti_entropy.mutation_name m
+  | None, None, None -> "none"
 
 let explore_cmd =
   let doc =
     "Adversarially explore a protocol stack: enumerate bounded adversity \
      plans (crashes, partitions, delay spikes, drops, duplicates, leader \
      flapping), flag property violations, shrink findings to a minimal \
-     plan and write deterministic repro/spec files."
+     plan and write deterministic spec files."
   in
   let plans_arg =
     let doc = "Exploration budget: number of adversity plans to run." in
@@ -771,8 +720,8 @@ let explore_cmd =
   in
   let artifacts_arg =
     let doc =
-      "In smoke mode, write every shrunk finding as a repro/spec file into \
-       this directory (created if needed) so CI can upload them on failure."
+      "In smoke mode, write every shrunk finding as a spec file into this \
+       directory (created if needed) so CI can upload them on failure."
     in
     Arg.(value & opt (some string) None & info [ "artifacts" ] ~docv:"DIR" ~doc)
   in
@@ -785,16 +734,16 @@ let explore_cmd =
   in
   let out_arg =
     let doc =
-      "Write the (shrunk) finding to this file: builder-spec format for a \
-       $(b,.spec) suffix, a framed binary trace (events plus embedded \
-       spec record) for a $(b,.bin) suffix, legacy repro format otherwise."
+      "Write the (shrunk) finding to this file: a framed binary trace \
+       (events plus embedded spec record) for a $(b,.bin) suffix, \
+       builder-spec text otherwise."
     in
     Arg.(value & opt (some string) None & info [ "out"; "o" ] ~docv:"FILE" ~doc)
   in
   let replay_arg =
     let doc =
-      "Replay a repro, spec or binary trace file (format auto-detected) \
-       instead of exploring."
+      "Replay a spec, legacy repro or binary trace file (format \
+       auto-detected) instead of exploring."
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in
@@ -802,151 +751,77 @@ let explore_cmd =
     let doc =
       "Acceptance mode: the faithful Algorithm 5 must survive the budget \
        clean and every seeded mutant must be found, shrunk to <= 3 \
-       adversities and replayed deterministically (one finding also \
-       roundtrips through the builder-spec text form)."
+       adversities and replayed deterministically from its spec text (one \
+       finding also from a binary trace artifact)."
     in
     Arg.(value & flag & info [ "smoke" ] ~doc)
   in
   let explore_spec_arg =
     let doc =
-      "Read the exploration target off a builder spec file: base, stack, \
-       workload, mutations and checkers come from the spec (its plan is \
-       discarded — exploration generates plans); the spec's $(b,budget) \
-       header, when present, overrides $(b,--plans)."
+      "Explore a builder spec file as written: base, stack, workload, \
+       mutations and checkers come from the spec, which must have a shape \
+       the plan generator can be fair to (an ETOB stack, an $(b,auto) \
+       workload, no $(b,omega), $(b,boost) or $(b,service) clause).  Its \
+       plan and seed are replaced per plan index; its $(b,budget) header, \
+       when present, overrides $(b,--plans)."
     in
     Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
   in
   let run impl_name n seed deadline posts plans max_adv mutant recovery ae
       watchdog domains out replay smoke artifacts spec =
-    let module E = Explore.Explorer in
     match replay with
     | Some path -> replay_file path
+    | None when smoke ->
+      (match explore_smoke ~domains ~budget:plans ~seed ~artifacts with
+       | Ok () -> `Ok ()
+       | Error msg -> `Error (false, msg))
     | None ->
-      if smoke then
-        match explore_smoke ~domains ~budget:plans ~seed ~artifacts with
-        | Ok () -> `Ok ()
-        | Error msg -> `Error (false, msg)
-      else begin
-        (* The target: read off a spec file, or assembled from the flag
-           catalogue (a mutant name resolves in the Algorithm-5 namespace
-           first, then recovery-path, then anti-entropy). *)
-        let target_result =
-          match spec with
-          | Some path ->
-            (match Builder.read path with
-             | Error msg -> Error ("spec parse: " ^ msg)
-             | Ok b ->
-               E.target_of b
-               |> Result.map (fun t ->
-                   (t, Option.value b.Builder.budget ~default:plans)))
+      let target =
+        match spec with
+        | Some path ->
+          (match Builder.read path with
+           | Error msg -> Error ("spec parse: " ^ msg)
+           | Ok b ->
+             Result.map
+               (fun t -> (t, Option.value b.Builder.budget ~default:plans))
+               (Builder.explorable b))
+        | None ->
+          Result.map
+            (fun t -> (t, plans))
+            (template_of_flags ~impl_name ~n ~deadline ~posts ~mutant
+               ~recovery ~ae ~watchdog)
+      in
+      (match target with
+       | Error msg -> `Error (false, msg)
+       | Ok (t, plans) ->
+         Format.printf
+           "explore: stack=%s mutant=%s watchdog=%b n=%d plans=%d \
+            max-adversities=%d domains=%d@."
+           (Builder.stack_name t.Builder.stack)
+           (mutant_label t)
+           (List.exists
+              (function Builder.Watchdog _ -> true | _ -> false)
+              t.Builder.checkers)
+           (Builder.n_of t) plans max_adv domains;
+         let r =
+           Builder.explore ~domains t ~seed ~budget:plans
+             ~max_adversities:max_adv
+         in
+         (match r.Builder.found with
           | None ->
-            (match E.impl_of_string impl_name with
-             | None ->
-               Error ("unknown implementation for explore: " ^ impl_name)
-             | Some impl ->
-               (match
-                  Option.map
-                    (fun name ->
-                       match Etob_omega.mutation_of_string name with
-                       | Some m -> `Etob m
-                       | None ->
-                         (match Ec_core.Recoverable.mutation_of_string name with
-                          | Some m -> `Recovery m
-                          | None ->
-                            (match Anti_entropy.mutation_of_string name with
-                             | Some m -> `Ae m
-                             | None -> invalid_arg ("unknown mutant " ^ name))))
-                    mutant
-                with
-                | exception Invalid_argument msg ->
-                  Error
-                    (Printf.sprintf "%s (known: %s)" msg
-                       (String.concat ", "
-                          (List.map Etob_omega.mutation_name
-                             Etob_omega.all_mutations
-                           @ List.map Ec_core.Recoverable.mutation_name
-                               Ec_core.Recoverable.all_mutations
-                           @ List.map Anti_entropy.mutation_name
-                               Anti_entropy.all_mutations)))
-                | parsed ->
-                  let mutation =
-                    match parsed with Some (`Etob m) -> Some m | _ -> None
-                  in
-                  let rmutation =
-                    match parsed with Some (`Recovery m) -> Some m | _ -> None
-                  in
-                  let ae_mutation =
-                    match parsed with Some (`Ae m) -> Some m | _ -> None
-                  in
-                  Ok
-                    ( { E.default_target with
-                        E.impl;
-                        mutation;
-                        rmutation;
-                        ae_mutation;
-                        recovery = recovery || rmutation <> None;
-                        ae = ae || ae_mutation <> None;
-                        watchdog;
-                        n = (if n = 0 then E.default_target.E.n else n);
-                        deadline;
-                        posts =
-                          (if posts = 0 then E.default_target.E.posts
-                           else posts) },
-                      plans )))
-        in
-        match target_result with
-        | Error msg -> `Error (false, msg)
-        | Ok (target, plans) ->
-          Format.printf
-            "explore: impl=%s mutant=%s recovery=%b ae=%b watchdog=%b \
-             n=%d plans=%d max-adversities=%d domains=%d@."
-            (E.impl_name target.E.impl)
-            (match
-               target.E.mutation, target.E.rmutation, target.E.ae_mutation
-             with
-             | Some m, _, _ -> Etob_omega.mutation_name m
-             | None, Some m, _ -> Ec_core.Recoverable.mutation_name m
-             | None, None, Some m -> Anti_entropy.mutation_name m
-             | None, None, None -> "none")
-            target.E.recovery target.E.ae target.E.watchdog target.E.n
-            plans max_adv domains;
-          let r =
-            E.explore ~domains target ~seed ~budget:plans
-              ~max_adversities:max_adv ()
-          in
-          (match r.E.found with
-           | None ->
-             Format.printf "clean: %d plans, no violation@." r.E.plans_run;
-             `Ok ()
-           | Some o ->
-             Format.printf "violation at plan %d; shrinking...@."
-               (r.E.plans_run - 1);
-             let s = E.shrink target o in
-             pp_explore_outcome s;
-             (match out with
-              | Some path ->
-                (if Filename.check_suffix path ".spec" then
-                   Builder.write path ~digest:s.E.digest
-                     ~violations:s.E.violations
-                     (E.builder_of target ~seed:s.E.seed s.E.plan)
-                 else if Filename.check_suffix path ".bin" then begin
-                   (* Binary trace artifact: re-run the shrunk finding
-                      streaming its events, then embed the spec record so
-                      the file replays on its own. *)
-                   let b = E.builder_of target ~seed:s.E.seed s.E.plan in
-                   let o =
-                     Builder.run ~digest:true ~catch:true
-                       { b with Builder.trace_out = Some (path, Builder.Binary) }
-                   in
-                   Builder.append_binary_spec path ~digest:o.Builder.digest
-                     ~violations:s.E.violations b
-                 end
-                 else
-                   Explore.Repro.write path (Explore.Repro.of_outcome target s));
-                Format.printf "finding written to %s@." path
-              | None -> ());
-             `Error (false, "property violations found"))
-      end
+            Format.printf "clean: %d plans, no violation@." r.Builder.plans_run;
+            `Ok ()
+          | Some o ->
+            Format.printf "violation at plan %d; shrinking...@."
+              (r.Builder.plans_run - 1);
+            let s = Builder.shrink t o in
+            pp_outcome s;
+            Option.iter
+              (fun path ->
+                 Builder.write_finding path s;
+                 Format.printf "finding written to %s@." path)
+              out;
+            `Error (false, "property violations found")))
   in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(ret (const run $ impl_arg $ n_arg $ seed_arg $ deadline_arg
@@ -971,7 +846,7 @@ let soak_cmd =
   in
   let legs_arg =
     let doc =
-      "Comma-separated campaign legs (named explorer targets): alg5, \
+      "Comma-separated campaign legs (named exploration templates): alg5, \
        ae-watchdog, ae-watchdog-recovery."
     in
     Arg.(value & opt string "ae-watchdog,ae-watchdog-recovery"

@@ -2,13 +2,13 @@
    adversity plan (plus conditional boosts), detector source, checkers and
    budget — and one interpreter, [run], behind every way this repository
    builds a run.  [Scenario]'s run_* entrypoints are presets over builders,
-   the explorer generates and shrinks builder values, and ecsim decodes its
-   flags (or a --spec file) into one.
+   exploration generates and shrinks plans for a template builder, and
+   ecsim decodes its flags (or a --spec file) into one.
 
    Determinism is the design constraint throughout: a builder made of plain
    data serializes to a stable text form and replays byte-identically, and
    the policy formulas (posting cadence, tau and watchdog bounds,
-   generation clamps) live here so the explorer, the CLI and spec-file
+   generation clamps) live here so exploration, the CLI and spec-file
    replays compute exactly the same numbers. *)
 
 open Simulator
@@ -119,7 +119,7 @@ let of_setup setup stack =
 let default_propose p ~instance = Value.Num ((1000 * p) + instance)
 
 (* ------------------------------------------------------------------ *)
-(* Derived values and policies (the explorer's formulas, verbatim)     *)
+(* Derived values and policies (exploration's formulas)                *)
 (* ------------------------------------------------------------------ *)
 
 let n_of t = match t.base with Decl d -> d.n | Opaque s -> s.Stacks.n
@@ -736,28 +736,276 @@ let to_string ?digest ?violations t =
   String.concat "\n" (to_lines ?digest ?violations t) ^ "\n"
 
 (* ------------------------------------------------------------------ *)
+(* Exploration templates and plan generation                           *)
+(* ------------------------------------------------------------------ *)
+
+(* An exploration target is a builder used as a template: it fixes
+   everything but the plan and the engine seed, which exploration draws
+   per plan index.
+
+   The per-plan tau bound is where the correctness argument lives.  With
+   an oracle that never flaps, every adoption in Algorithm 5 is a
+   same-lineage promote from the one stable leader, so tau = 0 is
+   mandatory whatever else the plan does; with flapping, tau may reach
+   the plan's settle time ([tau_bound]).  The other half is
+   generation-side fairness: every generated plan must be recoverable
+   before the horizon, or a faithful protocol would be flagged.  All such
+   clamps (drop windows closing before the final re-gossip round, spike
+   tails fitting in the horizon, crash counts admitted by the
+   environment) live in [random_spec] / [sanitize], so exploration can
+   trust any plan it draws. *)
+
+(* Algorithm 5 may carry the anti-entropy layer and the crash-recovery
+   wrapper; the quorum baselines run bare. *)
+let etob_stack ~recovery ~ae impl =
+  match impl with
+  | Stacks.Algorithm_5 when recovery -> Recoverable { ae }
+  | Stacks.Algorithm_5 when ae -> Etob_ae
+  | impl -> Etob impl
+
+let template ?(n = 4) ?(deadline = 240) ?(posts = 12)
+    ?(delay = Uniform { min_d = 1; max_d = 3 }) ?(recovery = false)
+    ?(ae = false) ?(watchdog = false) impl =
+  { (create ~delay ~n ~deadline (etob_stack ~recovery ~ae impl)) with
+    workload = Auto_posts { count = posts; stretch = recovery };
+    checkers =
+      Etob_spec Tau_auto :: (if watchdog then [ Watchdog Wd_auto ] else []) }
+
+(* The per-plan stack rule: Algorithm 5 runs as [Recoverable] when the
+   plan holds downtime windows or disk faults (they are only fair against
+   a stack that can replay its stable store), and as the template's own
+   stack otherwise — so dropping the last window while shrinking demotes
+   the run back to crash-stop. *)
+let with_plan ?seed t plan =
+  let t =
+    match seed with
+    | None -> t
+    | Some seed -> { t with base = Decl { (decl_of t) with seed } }
+  in
+  let stack =
+    match t.stack with
+    | Etob Stacks.Algorithm_5 when Adversity.has_recovery plan ->
+      Recoverable { ae = false }
+    | Etob_ae when Adversity.has_recovery plan -> Recoverable { ae = true }
+    | stack -> stack
+  in
+  { t with plan; stack }
+
+let has_watchdog t =
+  List.exists (function Watchdog _ -> true | Etob_spec _ -> false) t.checkers
+
+(* A spec read as a template must have a shape the generator can be fair
+   to; anything else is rejected by clause, never rewritten. *)
+let explorable t =
+  let reject clause why =
+    Error (Printf.sprintf "cannot explore this spec: its %s %s" clause why)
+  in
+  match (t.base, t.stack, t.workload) with
+  | Opaque _, _, _ -> reject "base" "is not declarative"
+  | _, (Etob _ | Etob_ae | Recoverable _), Auto_posts _ ->
+    if Option.is_some t.omega then
+      reject "omega clause" "replaces the stable oracle the tau bound assumes"
+    else if t.boosts <> [] then
+      reject "boost clause" "is outside the generator's fairness clamps"
+    else if Option.is_some t.service then
+      reject "service clause" "has no meaning under exploration"
+    else Ok { t with plan = [] }
+  | _, (Etob _ | Etob_ae | Recoverable _), _ ->
+    reject "workload"
+      "is not auto (the generator clamps windows to its posting rounds)"
+  | _, stack, _ ->
+    reject ("stack " ^ stack_name stack) "is not an ETOB stack"
+
+let max_crashes t =
+  if alg5_based t then n_of t - 1  (* any environment *)
+  else (n_of t - 1) / 2  (* quorum stacks need a correct majority *)
+
+let random_spec t ~rng =
+  let open Adversity in
+  let n = n_of t and d = deadline_of t and base_max = base_max_of t in
+  let window ~latest_until =
+    let latest_until = max 2 latest_until in
+    let from_time = Rng.int rng (latest_until - 1) in
+    let len = 1 + Rng.int rng (max 1 (d / 4)) in
+    (from_time, min latest_until (from_time + len))
+  in
+  let healed_latest = d - slack t - base_max in
+  (* A nonempty proper subset of the processes, drawn uniformly-ish. *)
+  let random_side () =
+    match List.filter (fun _ -> Rng.int rng 2 = 0) (all_procs n) with
+    | [] -> [ 0 ]
+    | l when List.length l = n -> [ 0 ]
+    | l -> l
+  in
+  (* Drops exist only for Algorithm 5, whose full-graph re-gossip makes a
+     closed drop window recoverable; the quorum baselines have no such
+     blanket retransmission.  Recovery adversities exist only for
+     recoverable templates.  Message-LOSING partitions are only fair
+     against Algorithm 5 (re-gossip or anti-entropy recovers the loss; see
+     [lossy_safe_until]) and join the pool only for partition-aware
+     templates (anti-entropy or watchdog), so other templates keep drawing
+     exactly the plans they always did. *)
+  let kind_pool =
+    [ 0; 1; 2; 3; 4 ]
+    @ (if alg5_based t && drop_safe_until t > 2 then [ 5 ] else [])
+    @ (match t.stack with Recoverable _ -> [ 6; 7 ] | _ -> [])
+    @ (if alg5_based t && (ae_used t || has_watchdog t)
+          && lossy_safe_until t > 2
+       then [ 8; 9; 10; 11 ]
+       else [])
+  in
+  match List.nth kind_pool (Rng.int rng (List.length kind_pool)) with
+  | 0 when max_crashes t >= 1 -> Crash { proc = Rng.int rng n; at = Rng.int rng d }
+  | 1 ->
+    let left = random_side () in
+    let from_time, until_time = window ~latest_until:healed_latest in
+    Partition { left; from_time; until_time }
+  | 2 ->
+    let factor = 2 + Rng.int rng 7 in
+    let latest = d - slack t - (base_max * factor) in
+    let from_time, until_time = window ~latest_until:latest in
+    let link =
+      if Rng.int rng 2 = 0 then None
+      else Some (Rng.int rng n, Rng.int rng n)
+    in
+    Delay_spike { link; from_time; until_time; factor }
+  | 3 ->
+    let from_time, until_time = window ~latest_until:healed_latest in
+    Duplicate { from_time; until_time; copies = 1 + Rng.int rng 3 }
+  | 4 ->
+    Omega_flap
+      { until_time = 4 + Rng.int rng (d / 2);
+        period = 1 + Rng.int rng (3 * timer_period_of t) }
+  | 5 ->
+    let from_time, until_time = window ~latest_until:(drop_safe_until t) in
+    Drop { from_time; until_time; pct = 25 * (1 + Rng.int rng 4) }
+  | 6 ->
+    (* The window must close early enough for retransmission to catch the
+       restarted process up before the horizon. *)
+    let at, recover_at = window ~latest_until:healed_latest in
+    Crash_recover { proc = Rng.int rng n; at; recover_at }
+  | 7 ->
+    let kind =
+      match Rng.int rng 3 with
+      | 0 -> Persist.Store.Torn_tail
+      | 1 -> Persist.Store.Lost_suffix (1 + Rng.int rng 4)
+      | _ -> Persist.Store.Corrupt_record
+    in
+    Disk_fault { proc = Rng.int rng n; kind }
+  | 8 ->
+    (* Split-brain: a contiguous run of n/2 processes against the rest. *)
+    let off = Rng.int rng n in
+    let left = List.init (max 1 (n / 2)) (fun i -> (off + i) mod n) in
+    let from_time, until_time = window ~latest_until:(lossy_safe_until t) in
+    Lossy_partition { left; from_time; until_time }
+  | 9 ->
+    (* Minority isolation: one process alone behind the loss. *)
+    let from_time, until_time = window ~latest_until:(lossy_safe_until t) in
+    Lossy_partition { left = [ Rng.int rng n ]; from_time; until_time }
+  | 10 ->
+    let from_time, until_time = window ~latest_until:(lossy_safe_until t) in
+    Oneway_partition { left = random_side (); from_time; until_time }
+  | 11 ->
+    let from_time, until_time = window ~latest_until:(lossy_safe_until t) in
+    Flapping_partition
+      { left = random_side ();
+        from_time;
+        until_time;
+        period = 1 + Rng.int rng (2 * timer_period_of t) }
+  | _ ->
+    (* crash drawn but the environment admits none *)
+    Duplicate { from_time = 0; until_time = base_max; copies = 1 }
+
+(* Enforce plan-level invariants the independent draws cannot see: the
+   crash count stays admitted by the environment (one crash per process),
+   at most one flap survives, permanent crashes and downtime windows never
+   hit the same process, recovery adversities only target Algorithm 5,
+   and a disk fault without a window to apply it at is dead weight. *)
+let sanitize t plan =
+  let crashes = ref 0 and flapped = ref false in
+  let crashed = Hashtbl.create 4 in
+  let windowed = Hashtbl.create 4 in
+  let recovery_ok = alg5_based t in
+  let plan =
+    List.filter
+      (fun spec ->
+         match spec with
+         | Adversity.Crash { proc; _ } ->
+           if Hashtbl.mem crashed proc || Hashtbl.mem windowed proc
+              || !crashes >= max_crashes t
+           then false
+           else begin
+             Hashtbl.add crashed proc ();
+             incr crashes;
+             true
+           end
+         | Adversity.Omega_flap _ ->
+           if !flapped then false
+           else begin
+             flapped := true;
+             true
+           end
+         | Adversity.Crash_recover { proc; _ } ->
+           if (not recovery_ok) || Hashtbl.mem crashed proc
+              || Hashtbl.mem windowed proc
+           then false
+           else begin
+             Hashtbl.add windowed proc ();
+             true
+           end
+         | Adversity.Disk_fault _ -> recovery_ok
+         | _ -> true)
+      plan
+  in
+  let windows = Adversity.recover_procs plan in
+  List.filter
+    (function
+      | Adversity.Disk_fault { proc; _ } -> List.mem proc windows
+      | _ -> true)
+    plan
+
+let random_plan t ~rng ~max_adversities =
+  let k = Rng.int rng (max_adversities + 1) in
+  let rec build i acc =
+    if i = 0 then List.rev acc else build (i - 1) (random_spec t ~rng :: acc)
+  in
+  Adversity.make (sanitize t (build k []))
+
+(* Plan [i] of an exploration: index 0 is always the empty plan (bugs that
+   need no adversity at all should be found — and shrunk — immediately);
+   later indices draw from an index-derived rng, so any plan can be
+   regenerated without replaying the whole search. *)
+let plan_at t ~seed ~max_adversities i =
+  if i = 0 then []
+  else
+    let rng = Rng.create ((seed * 0x1000003) lxor (i * 0x9e3779b9)) in
+    random_plan t ~rng ~max_adversities
+
+(* Each plan runs under its own engine seed [seed + i], so the search
+   also sweeps network randomness. *)
+let plan_builder t ~seed ~max_adversities i =
+  with_plan ~seed:(seed + i) t (plan_at t ~seed ~max_adversities i)
+
+(* ------------------------------------------------------------------ *)
 (* Exploration and shrinking                                           *)
 (* ------------------------------------------------------------------ *)
 
 type exploration = { found : outcome option; plans_run : int; budget : int }
 
-(* Sequential mode stops at the first violation; parallel mode fans chunks
+(* Explore plans [0 .. budget-1] of template [t] ([plan_builder]).
+   Sequential mode stops at the first violation; parallel mode fans chunks
    over domains through [Sweep.map_safe] and stops after the first chunk
    containing one, always reporting the lowest-index violation for
    determinism across domain counts. *)
-let explore ?(domains = 1) ?(on_progress = fun ~plans_run:_ -> ()) ~gen
-    ~budget () =
+let explore ?(domains = 1) t ~seed ~budget ~max_adversities =
+  let gen = plan_builder t ~seed ~max_adversities in
   let finish found plans_run = { found; plans_run; budget } in
   if domains <= 1 then begin
     let rec go i =
       if i >= budget then finish None budget
       else begin
         let o = run ~digest:true ~catch:true (gen i) in
-        if o.violations <> [] then finish (Some o) (i + 1)
-        else begin
-          on_progress ~plans_run:(i + 1);
-          go (i + 1)
-        end
+        if o.violations <> [] then finish (Some o) (i + 1) else go (i + 1)
       end
     in
     go 0
@@ -799,9 +1047,7 @@ let explore ?(domains = 1) ?(on_progress = fun ~plans_run:_ -> ()) ~gen
         in
         match List.find_opt (fun o -> o.violations <> []) outcomes with
         | Some o -> finish (Some o) hi
-        | None ->
-          on_progress ~plans_run:hi;
-          go hi
+        | None -> go hi
       end
     in
     go 0
@@ -810,13 +1056,14 @@ let explore ?(domains = 1) ?(on_progress = fun ~plans_run:_ -> ()) ~gen
 (* Greedy minimization to a local minimum: repeatedly drop whole
    adversities while a violation survives, then substitute each spec's
    weaker variants (re-running removal after every successful weakening).
-   [rebuild] maps the candidate plan back to a builder, so the caller can
-   re-derive plan-dependent choices (e.g. the stack).  Terminates because
-   removal shrinks the plan and every [Adversity.weaken] variant strictly
-   decreases a positive integer measure of its spec. *)
-let shrink ~rebuild (o : outcome) =
+   Candidates are the template's builders ([with_plan], so the stack is
+   re-derived per plan) under the finding's own engine seed.  Terminates
+   because removal shrinks the plan and every [Adversity.weaken] variant
+   strictly decreases a positive integer measure of its spec. *)
+let shrink t (o : outcome) =
+  let seed = seed_of o.builder in
   let try_plan plan =
-    let o' = run ~digest:true ~catch:true (rebuild plan) in
+    let o' = run ~digest:true ~catch:true (with_plan ~seed t plan) in
     if o'.violations <> [] then Some o' else None
   in
   let rec drop_pass o =
@@ -889,10 +1136,11 @@ let parse_plan_section ~count rest =
        | Error msg -> at lineno "%s" msg)
     plan_lines
 
-(* The legacy repro header: the explorer's target fields, mapped onto
-   builder clauses with exactly the explorer's stack-selection and posting
-   policies, so a recorded repro replays byte-identically through the
-   builder path.  The plan is kept verbatim (not normalized). *)
+(* The legacy repro header: the old explorer's target fields, mapped onto
+   builder clauses with the exploration stack rules ([etob_stack], then
+   [with_plan]) and posting policy, so a recorded repro replays
+   byte-identically through the builder path.  The plan is kept verbatim
+   (not normalized). *)
 let parse_legacy rest =
   let impl = ref Stacks.Algorithm_5 in
   let mutation = ref None and rmutation = ref None and ae_mutation = ref None in
@@ -901,28 +1149,25 @@ let parse_legacy rest =
   let base_min = ref 1 and base_max = ref 3 in
   let recovery = ref false and ae = ref false and watchdog = ref false in
   let finish plan =
-    let uses_ae = !impl = Stacks.Algorithm_5 && (!ae || !ae_mutation <> None) in
-    let uses_recovery =
-      !impl = Stacks.Algorithm_5
-      && (!recovery || !rmutation <> None || Adversity.has_recovery plan)
-    in
     let stack =
-      if uses_recovery then Recoverable { ae = uses_ae }
-      else if uses_ae then Etob_ae
-      else Etob !impl
+      etob_stack
+        ~recovery:(!recovery || Option.is_some !rmutation)
+        ~ae:(!ae || Option.is_some !ae_mutation)
+        !impl
     in
-    { (create ~seed:!seed ~timer_period:!timer_period
-         ~delay:(Uniform { min_d = !base_min; max_d = !base_max })
-         ~n:!n ~deadline:!deadline stack)
-      with
-      workload = Auto_posts { count = !posts; stretch = !recovery };
-      plan;
-      mutation = !mutation;
-      rmutation = !rmutation;
-      ae_mutation = !ae_mutation;
-      checkers =
-        Etob_spec Tau_auto :: (if !watchdog then [ Watchdog Wd_auto ] else [])
-    }
+    with_plan
+      { (create ~seed:!seed ~timer_period:!timer_period
+           ~delay:(Uniform { min_d = !base_min; max_d = !base_max })
+           ~n:!n ~deadline:!deadline stack)
+        with
+        workload = Auto_posts { count = !posts; stretch = !recovery };
+        mutation = !mutation;
+        rmutation = !rmutation;
+        ae_mutation = !ae_mutation;
+        checkers =
+          Etob_spec Tau_auto :: (if !watchdog then [ Watchdog Wd_auto ] else [])
+      }
+      plan
   in
   let flag lineno key v r =
     match v with
@@ -1221,6 +1466,32 @@ let recorded_digest s =
        | _ -> None)
     (String.split_on_char '\n' s)
 
+(* The one replay verdict for a recorded finding, whatever its text form:
+   the run must reproduce the recorded digest byte for byte, and a
+   recorded violation must reappear. *)
+let replay text =
+  match of_string text with
+  | Error msg -> Error ("parse: " ^ msg)
+  | Ok b ->
+    let o = run ~digest:true ~catch:true b in
+    let recorded_violation =
+      List.exists
+        (fun line ->
+           match tokens_of line with "violation" :: _ -> true | _ -> false)
+        (String.split_on_char '\n' text)
+    in
+    (match recorded_digest text with
+     | Some d when not (String.equal d o.digest) ->
+       Error
+         (Printf.sprintf "digest mismatch: recorded %s, replayed %s" d
+            o.digest)
+     | _ when recorded_violation && o.violations = [] ->
+       Error "recorded violation did not reproduce"
+     | _ -> Ok o)
+
+let finding_text (o : outcome) =
+  to_string ~digest:o.digest ~violations:o.violations o.builder
+
 let write path ?digest ?violations t =
   Out_channel.with_open_text path (fun oc ->
       Out_channel.output_string oc (to_string ?digest ?violations t))
@@ -1247,6 +1518,19 @@ let append_binary_spec path ?digest ?violations t =
     ~finally:(fun () -> Out_channel.close_noerr oc)
     (fun () -> Out_channel.output_string oc (Persist.Frame.spec_record text))
 
+(* The one finding writer: spec text, or for a [.bin] path a binary trace
+   artifact — the finding re-run streaming its events, with its spec
+   record appended so the file replays on its own. *)
+let write_finding path (o : outcome) =
+  if Filename.check_suffix path ".bin" then begin
+    let b = o.builder in
+    ignore (run ~catch:true { b with trace_out = Some (path, Binary) });
+    append_binary_spec path ~digest:o.digest ~violations:o.violations b
+  end
+  else
+    Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc (finding_text o))
+
 let binary_spec path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
@@ -1262,8 +1546,8 @@ let binary_spec path =
 (* QCheck generators                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Deliberately NOT fairness-clamped (unlike [Explore.Explorer.random_plan],
-   which keeps plans recoverable so liveness checks are meaningful): safety
+(* Deliberately NOT fairness-clamped (unlike [random_plan], which keeps
+   plans recoverable so liveness checks are meaningful): safety
    properties must hold under any plan whatsoever, so these cover the whole
    space — drop windows that never heal, partitions to the horizon,
    flapping forever.  Plan generators normalize through [Adversity.make],

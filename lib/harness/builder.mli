@@ -3,13 +3,13 @@
     {!boost} multipliers), a detector source, {!checker} policies and a
     search budget — and one interpreter, {!run}, behind every way this
     repository builds a run.  {!Scenario}'s [run_*] entrypoints are thin
-    presets over builders, [Explore.Explorer] generates and shrinks builder
-    values, and the [ecsim] subcommands decode their flags (or a
-    [--spec FILE]) into one.
+    presets over builders, exploration generates and shrinks plans for a
+    {!template} builder, and the [ecsim] subcommands decode their flags (or
+    a [--spec FILE]) into one.
 
     Builders made of plain data (a {!Decl} base, no escape hatches) have a
-    stable text form ({!to_lines}/{!of_lines}) that subsumes the explorer's
-    repro headers: {!of_lines} also accepts the legacy
+    stable text form ({!to_lines}/{!of_lines}), the one format findings are
+    written in; {!of_lines} also reads the legacy
     ["ecsim-explore-repro v1"] format, and replaying either through {!run}
     is byte-identical to the original paths (enforced by the differential
     tests in [test/test_builder.ml]). *)
@@ -57,7 +57,7 @@ type workload =
   | Posts of { count : int; from_time : time; every : int }
       (** round-robin {!Stacks.spread_posts} *)
   | Auto_posts of { count : int; stretch : bool }
-      (** the explorer's posting policy: start at {!auto_post_from}, cadence
+      (** exploration's posting policy: start at {!auto_post_from}, cadence
           {!auto_post_every} (stretched across the horizon for recovery
           targets so restarted processes post again) *)
   | Weighted of {
@@ -72,7 +72,7 @@ type workload =
       (** arbitrary engine inputs (escape hatch; not serializable) *)
 
 (** Convergence-tau policy of the ETOB checker: a fixed bound, or the
-    explorer's plan-aware bound ({!tau_bound}). *)
+    plan-aware bound ({!tau_bound}). *)
 type tau_policy = Tau_auto | Tau_fixed of int
 
 type watchdog_policy = Wd_auto | Wd_fixed of { settle : time; bound : int }
@@ -150,7 +150,7 @@ val default_propose : proc_id -> instance:int -> Value.t
 
 (** {2 Derived values and policies}
 
-    The explorer's fairness and bound formulas, keyed on the builder.
+    Exploration's fairness and bound formulas, keyed on the builder.
     All of these require a {!Decl} base (they need the delay bounds as
     data) and raise [Invalid_argument] on an {!Opaque} one. *)
 
@@ -240,26 +240,81 @@ val run : ?digest:bool -> ?catch:bool -> ?guard:(unit -> unit) -> t -> outcome
     the guard's own exception (the soak runner does, to tell a stuck
     run from a crashing one). *)
 
+(** {2 Exploration templates and plan generation}
+
+    An exploration target is a builder used as a {e template}: it fixes
+    everything but the adversity plan and the engine seed, which
+    exploration draws per plan index.  Generation is clamped so a faithful
+    stack can always recover before the horizon (drop windows close before
+    the final re-gossip round, spike tails fit the deadline, crash counts
+    stay admitted by the environment): a flagged run is a real finding,
+    not an artifact of an unfair plan. *)
+
+val template :
+  ?n:int ->
+  ?deadline:time ->
+  ?posts:int ->
+  ?delay:delay_model ->
+  ?recovery:bool ->
+  ?ae:bool ->
+  ?watchdog:bool ->
+  Stacks.etob_impl -> t
+(** The standard template: n=4, deadline 240, 12 {!Auto_posts} (stretched
+    under [recovery]), uniform delays in [1,3], the plan-aware ETOB
+    checker plus the {!Watchdog} under [watchdog].  Algorithm 5 runs under
+    {!Recoverable} with [recovery] and with the anti-entropy layer with
+    [ae]; the other implementations run bare.  Seed mutations by record
+    update. *)
+
+val with_plan : ?seed:int -> t -> Adversity.t -> t
+(** The template's builder for one plan (and engine [seed], if given).
+    The per-plan stack rule: Algorithm 5 runs as {!Recoverable} when the
+    plan holds downtime windows or disk faults. *)
+
+val explorable : t -> (t, string) result
+(** Accept a builder (read from a spec) as a template, with its plan
+    cleared, or reject it with an error naming the clause the generator
+    cannot be fair to: an opaque base, a non-ETOB stack, a workload other
+    than [auto], an [omega], [boost] or [service] clause. *)
+
+val max_crashes : t -> int
+(** Crashes the template's environment admits: n-1 for Algorithm 5,
+    a minority for the quorum baselines. *)
+
+val sanitize : t -> Adversity.t -> Adversity.t
+(** Drop the specs that break plan-level fairness invariants (crash
+    count, one flap, windows vs permanent crashes, recovery adversities
+    only for Algorithm 5, disk faults only with a window). *)
+
+val random_plan : t -> rng:Rng.t -> max_adversities:int -> Adversity.t
+
+val plan_at : t -> seed:int -> max_adversities:int -> int -> Adversity.t
+(** Plan [i] of an exploration; index 0 is always the empty plan, later
+    plans are regenerable from their index alone. *)
+
+val plan_builder : t -> seed:int -> max_adversities:int -> int -> t
+(** The builder plan [i] runs: {!plan_at} under engine seed [seed + i],
+    through {!with_plan}. *)
+
 (** {2 Exploration and shrinking} *)
 
 type exploration = { found : outcome option; plans_run : int; budget : int }
 
 val explore :
   ?domains:int ->
-  ?on_progress:(plans_run:int -> unit) ->
-  gen:(int -> t) ->
-  budget:int -> unit -> exploration
-(** Run builders [gen 0 .. gen (budget-1)] until the first violation.
-    [domains > 1] fans chunks of [4 * domains] over OCaml domains via
-    {!Sweep.map_safe}; the reported finding is the lowest-index violation
+  t -> seed:int -> budget:int -> max_adversities:int -> exploration
+(** Run plans [0 .. budget-1] of template [t] ({!plan_builder}) until the
+    first violation.  [domains > 1] fans chunks of [4 * domains] over
+    OCaml domains via {!Sweep.map_safe} ([plans_run] then counts whole
+    chunks); the reported finding is the lowest-index violation
     regardless of domain count.  Runs use [~digest:true ~catch:true]. *)
 
-val shrink : rebuild:(Adversity.t -> t) -> outcome -> outcome
-(** Greedy plan minimization: drop whole adversities, then substitute
-    {!Adversity.weaken} variants, re-running [rebuild plan] at every step
-    (so the caller decides how a smaller plan maps back to a builder —
-    e.g. the explorer re-derives the stack, since dropping the last
-    downtime window may demote a recoverable run to crash-stop). *)
+val shrink : t -> outcome -> outcome
+(** Greedy minimization of a finding of template [t]: drop whole
+    adversities, then substitute {!Adversity.weaken} variants, re-running
+    [with_plan t] under the finding's engine seed at every step (so
+    dropping the last downtime window demotes a recoverable run to
+    crash-stop).  The result still violates. *)
 
 (** {2 Stable text form} *)
 
@@ -267,9 +322,9 @@ val header : string
 (** ["ecsim-spec v1"]. *)
 
 val legacy_header : string
-(** ["ecsim-explore-repro v1"]; {!of_lines} accepts this too, mapping the
-    repro fields onto builder clauses so legacy files replay
-    byte-identically. *)
+(** ["ecsim-explore-repro v1"], the retired finding format; {!of_lines}
+    still reads it, mapping the repro fields onto builder clauses (through
+    {!with_plan}'s stack rule) so legacy files replay byte-identically. *)
 
 val to_lines : ?digest:string -> ?violations:string list -> t -> string list
 (** Serialize a declarative builder (raises [Invalid_argument] on
@@ -289,6 +344,15 @@ val of_string : string -> (t, string) result
 val recorded_digest : string -> string option
 (** The [digest] header of a spec or repro string, if present. *)
 
+val replay : string -> (outcome, string) result
+(** The replay verdict for a recorded finding in either text form: parse
+    it, run it, and require the recorded digest (when one is recorded)
+    and a violation (when one is recorded). *)
+
+val finding_text : outcome -> string
+(** The outcome's builder as spec text recording its digest and
+    violations: the finding format {!replay} verifies. *)
+
 val write : string -> ?digest:string -> ?violations:string list -> t -> unit
 val read : string -> (t, string) result
 
@@ -304,6 +368,11 @@ val append_binary_spec :
 (** Append one spec record with {!to_string}'s text to an existing binary
     trace file.  Raises [Invalid_argument] like {!to_lines} if the
     builder is not serializable. *)
+
+val write_finding : string -> outcome -> unit
+(** Write a finding: {!finding_text}, or for a [.bin] path a binary trace
+    artifact (the finding re-run with [trace_out], then its spec record
+    appended). *)
 
 val binary_spec : string -> (string, string) result
 (** Read a binary trace file and return its embedded spec text (the last

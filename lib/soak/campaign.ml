@@ -1,8 +1,8 @@
 (* Campaign configuration and state machine (see campaign.mli). *)
 
-module Explorer = Explore.Explorer
+module Builder = Harness.Builder
 
-type leg = { name : string; target : Explorer.target }
+type leg = { name : string; target : Builder.t }
 
 type config = {
   legs : leg list;
@@ -31,14 +31,11 @@ let default_config ?(artifacts = "_artifacts/soak") legs =
    `make soak` recipe (explore --ae --watchdog [--recovery]); alg5 is
    the bare crash-stop stack for quick campaigns. *)
 let catalogue =
-  [ ("alg5", Explorer.default_target);
-    ( "ae-watchdog",
-      { Explorer.default_target with Explorer.ae = true; watchdog = true } );
+  let alg5 = Harness.Stacks.Algorithm_5 in
+  [ ("alg5", Builder.template alg5);
+    ("ae-watchdog", Builder.template ~ae:true ~watchdog:true alg5);
     ( "ae-watchdog-recovery",
-      { Explorer.default_target with
-        Explorer.ae = true;
-        watchdog = true;
-        recovery = true } ) ]
+      Builder.template ~ae:true ~watchdog:true ~recovery:true alg5 ) ]
 
 let leg_of_name name =
   match List.assoc_opt name catalogue with
@@ -102,13 +99,13 @@ let total_jobs c = List.length c.legs * c.budget
 let leg_of_job c job = List.nth c.legs (job / c.budget)
 let plan_index c job = job mod c.budget
 
-(* Plan i runs under engine seed (seed + i): the Explorer.explore
-   pairing, so soak findings replay through explorer repro machinery
-   unchanged. *)
+(* Plan i runs under engine seed (seed + i): [Builder.plan_builder]'s
+   pairing, so a soak job is exactly plan i of exploring its leg's
+   template and its finding replays like any other. *)
 let engine_seed c job = c.seed + plan_index c job
 
 let plan_of_job c job =
-  Explorer.plan_at (leg_of_job c job).target ~seed:c.seed
+  Builder.plan_at (leg_of_job c job).target ~seed:c.seed
     ~max_adversities:c.max_adversities (plan_index c job)
 
 (* ------------------------------------------------------------------ *)

@@ -2,17 +2,18 @@
     entries.
 
     A campaign is [legs × budget] jobs: leg [k]'s job [j] (global index
-    [k * budget + j]) runs plan [j] of that leg's explorer target under
-    engine seed [seed + j] — exactly the plan/seed pairing of
-    [Explorer.explore], so a soak finding replays through the same
-    machinery as an explorer finding.
+    [k * budget + j]) runs plan [j] of that leg's exploration template
+    under engine seed [seed + j] — exactly
+    [Harness.Builder.plan_builder]'s plan/seed pairing, so a soak finding
+    replays like any exploration finding.
 
     {!apply} is the {e only} way campaign state advances, both live (the
     runner applies each entry as it journals it) and on resume (fold
     {!apply} over the decoded journal) — resume-equivalence holds by
     construction rather than by parallel bookkeeping. *)
 
-type leg = { name : string; target : Explore.Explorer.target }
+type leg = { name : string; target : Harness.Builder.t }
+(** A named exploration template ({!Harness.Builder.template}). *)
 
 type config = {
   legs : leg list;
@@ -30,7 +31,7 @@ val default_config : ?artifacts:string -> leg list -> config
 (** Budget 200/leg, seed 1, 4 adversities, 200k events, 10 s per run,
     16 findings, 8 poisoned seeds. *)
 
-val catalogue : (string * Explore.Explorer.target) list
+val catalogue : (string * Harness.Builder.t) list
 (** The named legs [ecsim soak] accepts: [alg5], [ae-watchdog],
     [ae-watchdog-recovery] (the latter two mirroring the retired
     [make soak] recipe). *)

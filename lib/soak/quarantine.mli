@@ -1,7 +1,7 @@
 (** Turning a bad run into a replayable, minimal finding.
 
     A violating (or crashing) run is quarantined rather than fatal: its
-    plan is greedily shrunk with the explorer's shrinker, the shrunk
+    plan is greedily shrunk ({!Harness.Builder.shrink}), the shrunk
     repro is re-run to verify it still violates, and a self-contained
     [.spec] artifact is written so the finding replays with
     [ecsim --replay] long after the campaign is gone.  Every step
@@ -10,7 +10,7 @@
 
 val quarantine :
   artifacts:string ->
-  target:Explore.Explorer.target ->
+  target:Harness.Builder.t ->
   job:int ->
   seed:int ->
   plan:Harness.Adversity.t ->

@@ -9,7 +9,6 @@
    an interrupted-and-resumed campaign records exactly the same entry
    prefix as an uninterrupted one. *)
 
-module Explorer = Explore.Explorer
 module Builder = Harness.Builder
 module Sweep = Harness.Sweep
 module Clock = Harness.Clock
@@ -20,20 +19,20 @@ type attempt = Finished of Builder.outcome | Wedged of string
 
 type exec =
   guard:(unit -> unit) ->
-  Explorer.target ->
+  Builder.t ->
   seed:int ->
   Harness.Adversity.t ->
   attempt
 
 let default_exec ~guard target ~seed plan =
-  let b = Explorer.builder_of target ~seed plan in
+  let b = Builder.with_plan ~seed target plan in
   match Builder.run ~digest:true ~guard b with
   | o -> Finished o
   | exception Stuck reason -> Wedged reason
   | exception e ->
     (* A crashing run is a finding (quarantine path), not an infra
        error; mirror Builder.run ~catch so the violation text matches
-       what the explorer would report. *)
+       what exploration would report. *)
     Finished
       { Builder.builder = b;
         trace = None;
@@ -121,7 +120,7 @@ let run_loop ~domains:d0 ~clock ~exec ~stop_after ~on_progress
     let leg = Campaign.leg_of_job config job in
     let plan = Campaign.plan_of_job config job in
     Builder.to_string
-      (Explorer.builder_of leg.Campaign.target
+      (Builder.with_plan leg.Campaign.target
          ~seed:(Campaign.engine_seed config job)
          plan)
   in

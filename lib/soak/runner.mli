@@ -26,16 +26,18 @@ type attempt =
 
 type exec =
   guard:(unit -> unit) ->
-  Explore.Explorer.target ->
+  Harness.Builder.t ->
   seed:int ->
   Harness.Adversity.t ->
   attempt
-(** How one job is executed.  {!default_exec} interprets the builder;
-    tests inject wedged or crashing executors to exercise the ladder
+(** How one job is executed: the leg's template, the job's engine seed
+    and plan.  {!default_exec} interprets the builder; tests inject
+    wedged or crashing executors to exercise the ladder
     deterministically. *)
 
 val default_exec : exec
-(** [Builder.run ~digest:true ~guard] with exceptions split: {!Stuck}
+(** [Builder.run ~digest:true ~guard] on [Builder.with_plan ~seed
+    template plan], with exceptions split: {!Stuck}
     becomes [Wedged], any other exception becomes a [Finished] outcome
     with an ["exception: ..."] violation (a finding, not an infra
     error). *)

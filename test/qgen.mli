@@ -1,4 +1,4 @@
-(** Shared QCheck arbitraries and shrinkers over simulator and explorer
+(** Shared QCheck arbitraries and shrinkers over simulator and adversity
     domain values: failure-pattern crash lists, adversity plans and base
     delay-model bounds.
 
@@ -7,14 +7,14 @@
     generators stay local.
 
     Plans generated here are deliberately NOT fairness-clamped (unlike
-    [Explore.Explorer.random_plan]): safety properties must hold under any
+    [Harness.Builder.random_plan]): safety properties must hold under any
     plan whatsoever, so these generators cover the whole space.  They are
     [Adversity.make]-normalized, so generated plans equal their own
     text-form roundtrip.  Shrinkers are structural — drop whole elements,
     then substitute the strictly weaker variants of
-    [Explore.Adversity.weaken]. *)
+    [Harness.Adversity.weaken]. *)
 
-open Explore
+open Harness
 
 (** {1 Failure patterns, as crash lists} *)
 

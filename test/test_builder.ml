@@ -165,26 +165,28 @@ let test_legacy_repro_via_builder () =
      | None -> Alcotest.fail "fixture lost its digest header"
      | Some d -> Alcotest.(check string) "digest reproduced" d o.Builder.digest)
 
-(* The same legacy fixture also replays through [Explore.Repro] — the two
-   readers agree on what the file means. *)
+(* The legacy fixture and its spec re-serialization mean the same run:
+   both replay through [Builder.replay] to the recorded digest. *)
 let test_legacy_repro_two_readers_agree () =
-  match Explore.Repro.read "fixtures/legacy_skip_dep.repro" with
-  | Error msg -> Alcotest.failf "repro read: %s" msg
-  | Ok r ->
-    (match Explore.Repro.replay r with
-     | Error msg -> Alcotest.failf "repro replay: %s" msg
-     | Ok outcome ->
-       let content =
-         In_channel.with_open_text "fixtures/legacy_skip_dep.repro"
-           In_channel.input_all
-       in
-       let via_builder =
-         match Builder.of_string content with
-         | Ok b -> (Builder.run ~digest:true b).Builder.digest
-         | Error msg -> Alcotest.failf "builder parse: %s" msg
-       in
-       Alcotest.(check string) "same digest both ways"
-         outcome.Explore.Explorer.digest via_builder)
+  let content =
+    In_channel.with_open_text "fixtures/legacy_skip_dep.repro"
+      In_channel.input_all
+  in
+  let replayed text =
+    match Builder.replay text with
+    | Ok o -> o.Builder.digest
+    | Error msg -> Alcotest.failf "replay: %s" msg
+  in
+  match Builder.of_string content with
+  | Error msg -> Alcotest.failf "legacy parse: %s" msg
+  | Ok b ->
+    let spec =
+      Builder.to_string
+        ?digest:(Builder.recorded_digest content)
+        ~violations:[ "recorded" ] b
+    in
+    Alcotest.(check string) "same digest both ways" (replayed content)
+      (replayed spec)
 
 (* New-format spec files: a handwritten spec parses, runs, serializes
    back to an equal builder (normalization is idempotent). *)

@@ -1,13 +1,15 @@
-(* Tests for the adversarial exploration subsystem: adversity plans and
-   their stable text form, the engine's link-fault injection, the bounded
-   explorer with its greedy shrinker, repro files, and the property-based
-   checks the explorer rests on (causal order under arbitrary adversity,
-   differential agreement across the three ETOB stacks). *)
+(* Tests for adversarial exploration: adversity plans and their stable
+   text form, the engine's link-fault injection, exploration of a builder
+   template with its greedy shrinker, findings as spec text and their
+   replay verdict, and the property-based checks exploration rests on
+   (causal order under arbitrary adversity, differential agreement across
+   the three ETOB stacks). *)
 
 open Simulator
 open Ec_core
-open Explore
 module Scenario = Harness.Scenario
+module Adversity = Harness.Adversity
+module Builder = Harness.Builder
 
 (* ------------------------------------------------------------------ *)
 (* Adversity: text form                                                *)
@@ -132,149 +134,173 @@ let test_compose_faults_drop_wins () =
 (* Explorer                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let target mutation = { Explorer.default_target with Explorer.mutation }
+let alg5 = Builder.template Scenario.Algorithm_5
+let target mutation = { alg5 with Builder.mutation }
+
+let explore ?domains ~budget t =
+  Builder.explore ?domains t ~seed:1 ~budget ~max_adversities:4
+
+let plan_of (o : Builder.outcome) = o.Builder.builder.Builder.plan
 
 let test_explore_faithful_clean () =
-  let e = Explorer.explore (target None) ~seed:1 ~budget:60 ~max_adversities:4 () in
-  (match e.Explorer.found with
+  let e = explore (target None) ~budget:60 in
+  (match e.Builder.found with
    | None -> ()
    | Some o ->
      Alcotest.failf "faithful Algorithm 5 flagged: %s; plan: %s"
-       (String.concat "; " o.Explorer.violations)
-       (String.concat "; " (Adversity.to_lines o.Explorer.plan)));
-  Alcotest.(check int) "whole budget consumed" 60 e.Explorer.plans_run
+       (String.concat "; " o.Builder.violations)
+       (String.concat "; " (Adversity.to_lines (plan_of o))));
+  Alcotest.(check int) "whole budget consumed" 60 e.Builder.plans_run
 
 let test_explore_parallel_matches_sequential () =
   let mutant = target (Some Etob_omega.Skip_dependency_wait) in
-  let run domains =
-    Explorer.explore ~domains mutant ~seed:1 ~budget:120 ~max_adversities:4 ()
-  in
-  match (run 1).Explorer.found, (run 3).Explorer.found with
+  let run domains = explore ~domains mutant ~budget:120 in
+  match (run 1).Builder.found, (run 3).Builder.found with
   | Some a, Some b ->
-    Alcotest.(check int) "same engine seed" a.Explorer.seed b.Explorer.seed;
-    Alcotest.(check bool) "same plan" true (a.Explorer.plan = b.Explorer.plan)
+    Alcotest.(check int) "same engine seed"
+      (Builder.seed_of a.Builder.builder)
+      (Builder.seed_of b.Builder.builder);
+    Alcotest.(check bool) "same plan" true (plan_of a = plan_of b)
   | _ -> Alcotest.fail "mutant not found within budget"
+
+(* Shrink a finding and replay it from its spec text through the one
+   replay verdict: the violation must survive, the plan must be small,
+   and the digest must reproduce. *)
+let shrink_and_replay name t o =
+  let shrunk = Builder.shrink t o in
+  Alcotest.(check bool) (name ^ ": still violates") true
+    (shrunk.Builder.violations <> []);
+  Alcotest.(check bool) (name ^ ": shrunk to <= 3 adversities") true
+    (Adversity.size (plan_of shrunk) <= 3);
+  (match Builder.replay (Builder.finding_text shrunk) with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "%s: replay: %s" name e);
+  shrunk
 
 (* The mutation-test harness: every seeded single-decision bug of
    Algorithm 5 must be caught within a smoke-sized budget, shrink to at
-   most 3 adversities, and leave a repro that replays byte-identically
-   after a text roundtrip. *)
+   most 3 adversities, and leave a finding that replays byte-identically
+   from its spec text. *)
 let test_explore_finds_all_mutants () =
   List.iter
     (fun m ->
        let name = Etob_omega.mutation_name m in
        let t = target (Some m) in
-       let e = Explorer.explore t ~seed:1 ~budget:200 ~max_adversities:4 () in
-       match e.Explorer.found with
+       match (explore t ~budget:200).Builder.found with
        | None -> Alcotest.failf "mutant %s not found within 200 plans" name
-       | Some o ->
-         let shrunk = Explorer.shrink t o in
-         Alcotest.(check bool) (name ^ ": still violates") true
-           (shrunk.Explorer.violations <> []);
-         Alcotest.(check bool) (name ^ ": shrunk to <= 3 adversities") true
-           (Adversity.size shrunk.Explorer.plan <= 3);
-         let repro = Repro.of_outcome t shrunk in
-         (match Repro.of_string (Repro.to_string repro) with
-          | Error e -> Alcotest.failf "%s: repro parse: %s" name e
-          | Ok reread ->
-            (match Repro.replay reread with
-             | Ok _ -> ()
-             | Error e -> Alcotest.failf "%s: replay: %s" name e)))
+       | Some o -> ignore (shrink_and_replay name t o))
     Etob_omega.all_mutations
 
 let test_repro_replay_rejects_wrong_digest () =
   let t = target (Some Etob_omega.Drop_graph_union) in
-  let e = Explorer.explore t ~seed:1 ~budget:200 ~max_adversities:4 () in
-  match e.Explorer.found with
+  match (explore t ~budget:200).Builder.found with
   | None -> Alcotest.fail "mutant not found"
   | Some o ->
-    let repro =
-      { (Repro.of_outcome t o) with Repro.digest = String.make 32 '0' }
+    let text =
+      Builder.to_string ~digest:(String.make 32 '0')
+        ~violations:o.Builder.violations o.Builder.builder
     in
-    (match Repro.replay repro with
+    (match Builder.replay text with
      | Error _ -> ()
      | Ok _ -> Alcotest.fail "digest mismatch must fail the replay")
 
+(* [explore -o F.spec] then [explore --spec F.spec]: the written finding,
+   read back as a template, explores to the same plan index and the same
+   shrunk digest under the same seed and budget. *)
+let test_spec_finding_reexplores () =
+  let t = target (Some Etob_omega.Skip_dependency_wait) in
+  let e = explore t ~budget:200 in
+  match e.Builder.found with
+  | None -> Alcotest.fail "mutant not found"
+  | Some o ->
+    let shrunk = Builder.shrink t o in
+    let path = Filename.temp_file "finding" ".spec" in
+    Builder.write_finding path shrunk;
+    let t' =
+      match Result.bind (Builder.read path) Builder.explorable with
+      | Ok t' -> t'
+      | Error msg -> Alcotest.failf "written finding not explorable: %s" msg
+    in
+    Sys.remove path;
+    let e' = explore t' ~budget:200 in
+    (match e'.Builder.found with
+     | None -> Alcotest.fail "re-exploration lost the finding"
+     | Some o' ->
+       Alcotest.(check int) "same plan index" e.Builder.plans_run
+         e'.Builder.plans_run;
+       Alcotest.(check string) "same digest" o.Builder.digest o'.Builder.digest;
+       Alcotest.(check string) "same shrunk digest" shrunk.Builder.digest
+         (Builder.shrink t' o').Builder.digest)
+
 (* ------------------------------------------------------------------ *)
-(* Recovery: explorer, repro format, parse errors                      *)
+(* Recovery: exploration, legacy repro text, parse errors              *)
 (* ------------------------------------------------------------------ *)
 
 (* The recovery analogue of the mutation-test harness: restarting with
    amnesia must be caught within a smoke-sized budget, shrink small, and
-   leave a replayable repro (whose text form carries the recovery
-   headers). *)
+   leave a replayable finding (whose spec text keeps the recoverable
+   stack and the recovery mutant). *)
 let test_explore_finds_recovery_mutants () =
   List.iter
     (fun m ->
        let name = Recoverable.mutation_name m in
        let t =
-         { Explorer.default_target with
-           Explorer.recovery = true;
-           rmutation = Some m }
+         { (Builder.template ~recovery:true Scenario.Algorithm_5) with
+           Builder.rmutation = Some m }
        in
-       let e = Explorer.explore t ~seed:1 ~budget:200 ~max_adversities:4 () in
-       match e.Explorer.found with
+       match (explore t ~budget:200).Builder.found with
        | None -> Alcotest.failf "mutant %s not found within 200 plans" name
        | Some o ->
-         let shrunk = Explorer.shrink t o in
-         Alcotest.(check bool) (name ^ ": still violates") true
-           (shrunk.Explorer.violations <> []);
-         Alcotest.(check bool) (name ^ ": shrunk to <= 3 adversities") true
-           (Adversity.size shrunk.Explorer.plan <= 3);
-         let repro = Repro.of_outcome t shrunk in
-         (match Repro.of_string (Repro.to_string repro) with
-          | Error e -> Alcotest.failf "%s: repro parse: %s" name e
+         let shrunk = shrink_and_replay name t o in
+         (match Builder.of_string (Builder.finding_text shrunk) with
+          | Error e -> Alcotest.failf "%s: spec parse: %s" name e
           | Ok reread ->
-            Alcotest.(check bool) (name ^ ": recovery header survives") true
-              reread.Repro.target.Explorer.recovery;
-            Alcotest.(check bool) (name ^ ": rmutant header survives") true
-              (reread.Repro.target.Explorer.rmutation = Some m);
-            (match Repro.replay reread with
-             | Ok _ -> ()
-             | Error e -> Alcotest.failf "%s: replay: %s" name e)))
+            Alcotest.(check bool) (name ^ ": recoverable stack survives") true
+              (match reread.Builder.stack with
+               | Builder.Recoverable _ -> true
+               | _ -> false);
+            Alcotest.(check bool) (name ^ ": rmutant survives") true
+              (reread.Builder.rmutation = Some m)))
     Recoverable.all_mutations
 
-(* A faithful run under a recovery plan must stay clean — the explorer's
+(* A faithful run under a recovery plan must stay clean — the generated
    recovery adversities themselves are not violations. *)
 let test_explore_faithful_recovery_clean () =
-  let t = { Explorer.default_target with Explorer.recovery = true } in
-  let e = Explorer.explore t ~seed:1 ~budget:60 ~max_adversities:4 () in
-  match e.Explorer.found with
+  let t = Builder.template ~recovery:true Scenario.Algorithm_5 in
+  match (explore t ~budget:60).Builder.found with
   | None -> ()
   | Some o ->
     Alcotest.failf "faithful recoverable stack flagged: %s; plan: %s"
-      (String.concat "; " o.Explorer.violations)
-      (String.concat "; " (Adversity.to_lines o.Explorer.plan))
+      (String.concat "; " o.Builder.violations)
+      (String.concat "; " (Adversity.to_lines (plan_of o)))
 
-(* Malformed and truncated repro files fail with the offending line
-   named, never an escaping exception. *)
+(* Malformed and truncated legacy repro files fail in [Builder.of_string]
+   with the offending line named, never an escaping exception. *)
 let test_repro_parse_errors_name_the_line () =
-  let t =
-    { Explorer.default_target with
-      Explorer.recovery = true;
-      rmutation = Some Recoverable.Skip_log_replay }
+  let text =
+    String.concat "\n"
+      [ "ecsim-explore-repro v1"; "impl alg5"; "mutant none"; "n 4";
+        "recovery on"; "rmutant skip-log-replay"; "seed 7"; "deadline 240";
+        "timer-period 2"; "posts 12"; "base-min 1"; "base-max 3";
+        "digest " ^ String.make 32 'a';
+        "violation distinct-broadcasts: something"; "plan 2";
+        "crashrec p=1 at=40 until=80"; "disk p=1 kind=torn"; "end" ]
   in
-  let repro =
-    { Repro.target = t;
-      seed = 7;
-      plan =
-        [ Adversity.Crash_recover { proc = 1; at = 40; recover_at = 80 };
-          Adversity.Disk_fault { proc = 1; kind = Persist.Store.Torn_tail } ];
-      digest = String.make 32 'a';
-      violations = [ "distinct-broadcasts: something" ] }
-  in
-  let text = Repro.to_string repro in
-  (* The well-formed file parses back to the same value. *)
-  (match Repro.of_string text with
-   | Ok r ->
-     Alcotest.(check bool) "roundtrip" true
-       (r.Repro.plan = repro.Repro.plan && r.Repro.seed = 7
-        && r.Repro.target.Explorer.recovery
-        && r.Repro.target.Explorer.rmutation
-           = Some Recoverable.Skip_log_replay)
+  (* The well-formed file parses to the recovery builder it describes. *)
+  (match Builder.of_string text with
+   | Ok b ->
+     Alcotest.(check bool) "parsed" true
+       (b.Builder.plan
+        = [ Adversity.Crash_recover { proc = 1; at = 40; recover_at = 80 };
+            Adversity.Disk_fault { proc = 1; kind = Persist.Store.Torn_tail } ]
+        && Builder.seed_of b = 7
+        && b.Builder.stack = Builder.Recoverable { ae = false }
+        && b.Builder.workload
+           = Builder.Auto_posts { count = 12; stretch = true }
+        && b.Builder.rmutation = Some Recoverable.Skip_log_replay)
    | Error e -> Alcotest.failf "well-formed file rejected: %s" e);
   let expect_error label mangled fragment =
-    match Repro.of_string mangled with
+    match Builder.of_string mangled with
     | Ok _ -> Alcotest.failf "%s: accepted" label
     | Error msg ->
       let contains s sub =
@@ -329,10 +355,13 @@ let prop_causal_order_under_any_plan =
     ~count:60
     QCheck.(
       pair (Qgen.plan_arb ~n:4 ~deadline:240) (pair small_nat Qgen.delay_bounds_arb))
-    (fun (plan, (seed, (base_min, base_max))) ->
-       let t = { (target None) with Explorer.base_min; base_max } in
-       let o = Explorer.run_plan t ~seed plan in
-       match o.Explorer.report with
+    (fun (plan, (seed, (min_d, max_d))) ->
+       let t =
+         Builder.template ~delay:(Builder.Uniform { min_d; max_d })
+           Scenario.Algorithm_5
+       in
+       let o = Builder.run ~catch:true (Builder.with_plan ~seed t plan) in
+       match o.Builder.report with
        | None -> false (* the run raised *)
        | Some r ->
          r.Properties.causal_order.Properties.ok
@@ -352,12 +381,14 @@ let prop_recovery_safety_under_any_plan =
       pair
         (Qgen.recovery_plan_arb ~n:4 ~deadline:240)
         (pair small_nat Qgen.delay_bounds_arb))
-    (fun (plan, (seed, (base_min, base_max))) ->
+    (fun (plan, (seed, (min_d, max_d))) ->
        let t =
-         { (target None) with Explorer.recovery = true; base_min; base_max }
+         Builder.template ~recovery:true
+           ~delay:(Builder.Uniform { min_d; max_d })
+           Scenario.Algorithm_5
        in
-       let o = Explorer.run_plan t ~seed plan in
-       match o.Explorer.report with
+       let o = Builder.run ~catch:true (Builder.with_plan ~seed t plan) in
+       match o.Builder.report with
        | None -> false (* the run raised *)
        | Some r ->
          r.Properties.causal_order.Properties.ok
@@ -386,9 +417,9 @@ let impls =
   [ Scenario.Algorithm_5; Scenario.Paxos_baseline; Scenario.Algorithm_1_over_4 ]
 
 let final_run impl ~seed =
-  let t = { Explorer.default_target with Explorer.impl } in
-  let setup = Explorer.base_setup t ~seed in
-  let trace = Scenario.run_etob ~inputs:(Explorer.inputs t) setup impl in
+  let t = Builder.with_plan ~seed (Builder.template impl) [] in
+  let setup = Builder.setup_of t in
+  let trace = Scenario.run_etob ~inputs:(Builder.inputs t) setup impl in
   Properties.etob_run_of_trace setup.Scenario.pattern trace
 
 let sorted_ids run proc =
@@ -402,7 +433,7 @@ let prop_impls_agree_differentially =
     ~count:10 QCheck.small_nat
     (fun seed ->
        let runs = List.map (fun impl -> final_run impl ~seed) impls in
-       let n = Explorer.default_target.Explorer.n in
+       let n = Builder.n_of alg5 in
        List.for_all
          (fun run ->
             List.for_all
@@ -422,11 +453,11 @@ let prop_impls_agree_differentially =
 let test_impls_clean_on_empty_plan () =
   List.iter
     (fun impl ->
-       let t = { Explorer.default_target with Explorer.impl } in
-       let o = Explorer.run_plan t ~seed:1 [] in
+       let t = Builder.template impl in
+       let o = Builder.run ~catch:true (Builder.with_plan ~seed:1 t []) in
        Alcotest.(check (list string))
-         (Explorer.impl_name impl ^ ": clean on the empty plan") []
-         o.Explorer.violations)
+         (Builder.stack_name t.Builder.stack ^ ": clean on the empty plan") []
+         o.Builder.violations)
     impls
 
 (* ------------------------------------------------------------------ *)
@@ -454,7 +485,9 @@ let () =
          Alcotest.test_case "finds all mutants" `Quick
            test_explore_finds_all_mutants;
          Alcotest.test_case "replay rejects wrong digest" `Quick
-           test_repro_replay_rejects_wrong_digest ]);
+           test_repro_replay_rejects_wrong_digest;
+         Alcotest.test_case "spec finding re-explores to itself" `Quick
+           test_spec_finding_reexplores ]);
       ("recovery",
        [ Alcotest.test_case "finds recovery mutants" `Quick
            test_explore_finds_recovery_mutants;

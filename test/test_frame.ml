@@ -414,31 +414,15 @@ let test_binary_artifact_digest_roundtrip () =
    (jsonl-era) pipeline, then replay its binary artifact back to the
    same digest. *)
 let test_shrunk_finding_replays_from_binary () =
-  let n = 4 and deadline = 160 in
-  let mk plan =
-    { (Builder.create ~n ~deadline
-         ~delay:(Builder.Uniform { min_d = 1; max_d = 4 })
-         (Builder.Etob Stacks.Algorithm_5))
-      with Builder.workload = Builder.Auto_posts { count = 6; stretch = false };
-           plan;
-           omega = Some oracle;
-           checkers = [ Builder.Etob_spec Builder.Tau_auto ];
-           mutation = Some Etob_omega.Skip_dependency_wait }
+  let t =
+    { (Builder.template Stacks.Algorithm_5) with
+      Builder.mutation = Some Etob_omega.Skip_dependency_wait }
   in
-  let gen i =
-    (* detlint: allow D1 the state is derived from the fixed seed and the plan index, so every exploration step replays deterministically *)
-    let rand = Random.State.make [| 0x5eed; i |] in
-    mk (QCheck.Gen.generate1 ~rand (Builder.plan_gen ~n ~deadline))
-  in
-  let e = Builder.explore ~gen ~budget:200 () in
+  let e = Builder.explore t ~seed:1 ~budget:200 ~max_adversities:4 in
   match e.Builder.found with
   | None -> Alcotest.fail "seeded mutant not caught within budget"
   | Some o ->
-    let shrunk =
-      Builder.shrink
-        ~rebuild:(fun plan -> { o.Builder.builder with Builder.plan })
-        o
-    in
+    let shrunk = Builder.shrink t o in
     Alcotest.(check bool) "shrunk finding still violates" true
       (shrunk.Builder.violations <> []);
     with_temp_bin (fun path ->

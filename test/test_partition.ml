@@ -6,7 +6,8 @@
 
 open Simulator
 open Ec_core
-open Explore
+module Adversity = Harness.Adversity
+module Builder = Harness.Builder
 
 let rng = Rng.create 3
 
@@ -254,46 +255,42 @@ let test_adversity_settles_at_heal () =
          (Adversity.settle_time ~base_max:3 [ spec ]))
     roundtrip_specs
 
+(* A legacy repro with the partition-aware headers: [Builder.of_string]
+   maps them onto the anti-entropy stack, the watchdog checker and the
+   anti-entropy mutant, keeps the plan, and its spec text is
+   byte-stable. *)
+let legacy_partition_repro ~ae =
+  String.concat "\n"
+    ([ "ecsim-explore-repro v1"; "impl alg5"; "mutant none"; "n 4";
+       "ae " ^ ae; "ae-mutant skip-digest"; "watchdog on"; "seed 46";
+       "deadline 240"; "timer-period 2"; "posts 12"; "base-min 1";
+       "base-max 3"; "digest -";
+       "violation liveness: p3 not converged by 140";
+       Printf.sprintf "plan %d" (List.length roundtrip_specs) ]
+     @ Adversity.to_lines roundtrip_specs
+     @ [ "end" ])
+
 let test_repro_roundtrip_partition_headers () =
-  let target =
-    { Explorer.default_target with
-      Explorer.ae = true;
-      watchdog = true;
-      ae_mutation = Some Anti_entropy.Skip_digest }
-  in
-  let repro =
-    { Repro.target;
-      seed = 46;
-      plan = roundtrip_specs;
-      digest = "";
-      violations = [ "liveness: p3 not converged by 140" ] }
-  in
-  match Repro.of_string (Repro.to_string repro) with
-  | Error msg -> Alcotest.failf "roundtrip parse: %s" msg
-  | Ok r ->
-    Alcotest.(check bool) "ae preserved" true r.Repro.target.Explorer.ae;
+  match Builder.of_string (legacy_partition_repro ~ae:"on") with
+  | Error msg -> Alcotest.failf "legacy parse: %s" msg
+  | Ok b ->
+    Alcotest.(check string) "ae preserved" "alg5+ae"
+      (Builder.stack_name b.Builder.stack);
     Alcotest.(check bool) "watchdog preserved" true
-      r.Repro.target.Explorer.watchdog;
+      (List.mem (Builder.Watchdog Builder.Wd_auto) b.Builder.checkers);
     Alcotest.(check bool) "ae-mutant preserved" true
-      (r.Repro.target.Explorer.ae_mutation = Some Anti_entropy.Skip_digest);
+      (b.Builder.ae_mutation = Some Anti_entropy.Skip_digest);
     Alcotest.(check (list string)) "plan preserved"
-      (Adversity.to_lines repro.Repro.plan)
-      (Adversity.to_lines r.Repro.plan);
-    Alcotest.(check string) "byte-stable text" (Repro.to_string repro)
-      (Repro.to_string r)
+      (Adversity.to_lines roundtrip_specs)
+      (Adversity.to_lines b.Builder.plan);
+    let text = Builder.to_string b in
+    (match Builder.of_string text with
+     | Error msg -> Alcotest.failf "spec parse: %s" msg
+     | Ok b' ->
+       Alcotest.(check string) "byte-stable text" text (Builder.to_string b'))
 
 let test_repro_bad_header_names_line () =
-  let target = { Explorer.default_target with Explorer.ae = true } in
-  let repro =
-    { Repro.target; seed = 1; plan = []; digest = ""; violations = [] }
-  in
-  let mangled =
-    String.concat "\n"
-      (List.map
-         (fun l -> if l = "ae on" then "ae maybe" else l)
-         (String.split_on_char '\n' (Repro.to_string repro)))
-  in
-  match Repro.of_string mangled with
+  match Builder.of_string (legacy_partition_repro ~ae:"maybe") with
   | Ok _ -> Alcotest.fail "mangled ae header parsed"
   | Error msg ->
     let contains_line =
@@ -323,12 +320,13 @@ let prop_safety_under_partition_loss =
       pair
         (Qgen.partition_recovery_plan_arb ~n:4 ~deadline:240)
         (pair small_nat Qgen.delay_bounds_arb))
-    (fun (plan, (seed, (base_min, base_max))) ->
+    (fun (plan, (seed, (min_d, max_d))) ->
        let t =
-         { Explorer.default_target with Explorer.ae = true; base_min; base_max }
+         Builder.template ~ae:true ~delay:(Builder.Uniform { min_d; max_d })
+           Harness.Stacks.Algorithm_5
        in
-       let o = Explorer.run_plan t ~seed plan in
-       match o.Explorer.report with
+       let o = Builder.run ~catch:true (Builder.with_plan ~seed t plan) in
+       match o.Builder.report with
        | None -> false (* the run raised *)
        | Some r ->
          r.Properties.causal_order.Properties.ok

@@ -12,7 +12,6 @@
 module Clock = Harness.Clock
 module Builder = Harness.Builder
 module Sweep = Harness.Sweep
-module Explorer = Explore.Explorer
 module PJ = Persist.Journal
 module SJ = Soak.Journal
 module Campaign = Soak.Campaign
@@ -342,13 +341,14 @@ let test_journal_fixture_bad_crc () =
 (* Campaign: kill-and-resume equivalence                               *)
 (* ------------------------------------------------------------------ *)
 
-let faithful_leg = { Campaign.name = "alg5"; target = Explorer.default_target }
+let alg5 = Builder.template Harness.Stacks.Algorithm_5
+let faithful_leg = { Campaign.name = "alg5"; target = alg5 }
 
 let mutant_leg =
   { Campaign.name = "mutant-drop-union";
     target =
-      { Explorer.default_target with
-        Explorer.mutation = Some Ec_core.Etob_omega.Drop_graph_union } }
+      { alg5 with Builder.mutation = Some Ec_core.Etob_omega.Drop_graph_union }
+  }
 
 let mk_config ~artifacts =
   { Campaign.legs = [ faithful_leg; mutant_leg ];
@@ -683,9 +683,8 @@ let test_sweep_error_context () =
 (* ------------------------------------------------------------------ *)
 
 let crash_run_with_trace fmt path =
-  let target = Explorer.default_target in
-  let plan = Explorer.plan_at target ~seed:3 ~max_adversities:3 1 in
-  let b = Explorer.builder_of target ~seed:3 plan in
+  let plan = Builder.plan_at alg5 ~seed:3 ~max_adversities:3 1 in
+  let b = Builder.with_plan alg5 ~seed:3 plan in
   let b = { b with Builder.trace_out = Some (path, fmt) } in
   let events = ref 0 in
   let guard () =
