@@ -101,35 +101,30 @@ let schedule state ~at event = Pqueue.insert state.queue ~prio:at event
 
 let alive state p = Failures.is_alive state.config.pattern p state.clock
 
+(* Schedule one copy of a sent envelope after its own delay draw. *)
+let deliver state (env : Msg.envelope) =
+  let now = env.sent_at in
+  let delay =
+    Net.delay_of state.delay ~src:env.src ~dst:env.dst ~now ~rng:state.net_rng
+  in
+  schedule state ~at:(now + delay) (Deliver env)
+
+(* One send path: a fault is drawn only when a fault model exists, so a
+   fault-free run consumes [net_rng] exactly as the pre-fault engine. *)
 let make_ctx state p =
   let send dst payload =
     let now = state.clock in
+    let uid = state.next_uid in
+    state.next_uid <- uid + 1;
+    let env = { Msg.src = p; dst; payload; sent_at = now; uid } in
+    state.sink.Sink.on_send env;
     match state.faults with
-    | None ->
-      (* The historical fault-free path, kept byte-identical (same order of
-         randomness draws) so golden traces replay exactly. *)
-      let delay = Net.delay_of state.delay ~src:p ~dst ~now ~rng:state.net_rng in
-      let uid = state.next_uid in
-      state.next_uid <- uid + 1;
-      let env = { Msg.src = p; dst; payload; sent_at = now; uid } in
-      state.sink.Sink.on_send env;
-      schedule state ~at:(now + delay) (Deliver env)
+    | None -> deliver state env
     | Some faults ->
-      let uid = state.next_uid in
-      state.next_uid <- uid + 1;
-      let env = { Msg.src = p; dst; payload; sent_at = now; uid } in
-      state.sink.Sink.on_send env;
-      let deliver_once () =
-        let delay =
-          Net.delay_of state.delay ~src:p ~dst ~now ~rng:state.net_rng
-        in
-        schedule state ~at:(now + delay) (Deliver env)
-      in
       (match Net.fault_of faults ~src:p ~dst ~now ~rng:state.net_rng with
-       | Net.Deliver -> deliver_once ()
+       | Net.Deliver -> deliver state env
        | Net.Drop -> state.sink.Sink.on_drop ~at:now env
-       | Net.Duplicate extra ->
-         for _ = 0 to extra do deliver_once () done)
+       | Net.Duplicate extra -> for _ = 0 to extra do deliver state env done)
   in
   { self = p;
     n = state.config.n;

@@ -5,8 +5,9 @@
    two events scheduled for the same tick are processed in the order they
    were scheduled, so a run is a pure function of the configuration.  The
    (prio, seq) key is identical to the one used by the original persistent
-   implementation (kept as [Pqueue_persistent]), so the two pop in exactly
-   the same order — a differential test in the suite holds us to that.
+   implementation (kept as the test oracle test/pqueue_persistent.ml), so
+   the two pop in exactly the same order — a differential test in the
+   suite holds us to that.
 
    The heap is mutable on purpose: the engine's event loop is the hottest
    path in the system, and the persistent leftist heap allocated a node per

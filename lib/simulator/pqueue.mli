@@ -3,8 +3,8 @@
 
     Elements with equal priorities are returned in insertion (FIFO) order,
     which makes simulation runs fully deterministic.  The pop order is
-    identical to {!Pqueue_persistent}, the original persistent leftist heap
-    retained for differential testing. *)
+    identical to the original persistent leftist heap, retained as a test
+    oracle ([test/pqueue_persistent.ml]) for differential testing. *)
 
 type 'a t
 

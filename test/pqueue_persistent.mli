@@ -1,6 +1,7 @@
 (** The original persistent stable priority queue (leftist heap), retained
     as the reference implementation for differential tests against the
-    mutable {!Pqueue}.  Same (prio, seq) key, same pop order. *)
+    mutable {!Simulator.Pqueue} (test_simulator's differential property).
+    Same (prio, seq) key, same pop order. *)
 
 type 'a t
 
