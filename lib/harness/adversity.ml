@@ -61,11 +61,12 @@ type spec =
 type t = spec list
 
 (* Canonical spec order for [make]: kinds that fold into the same setup
-   field share a rank, so the stable sort never reorders two specs whose
-   relative order matters (delay-model wrappers nest in plan order; fault
-   windows compose in plan order).  Across ranks the folds touch
-   independent setup fields and therefore commute, so sorting cannot
-   change what [apply] builds. *)
+   field share a rank, so the stable sort never reorders two specs of one
+   field (fault windows compose in plan order, and their draws follow it;
+   the delay wrappers no longer depend on order, see [apply], but keep
+   sharing a rank so normalized plans keep their text).  Across ranks the
+   folds touch independent setup fields and therefore commute, so sorting
+   cannot change what [apply] builds. *)
 let rank = function
   | Crash _ -> 0
   | Crash_recover _ -> 1
@@ -153,12 +154,9 @@ let settle_time ~base_max plan =
 let complement ~n left =
   List.filter (fun p -> not (List.mem p left)) (all_procs n)
 
-(* Fold one adversity into a setup.  Order within the plan is irrelevant:
-   crashes commute, delay wrappers compose, fault windows compose through
-   [Net.compose_faults], and at most one flap is meaningful (the generator
-   and the shrinker maintain that invariant; if violated, the last one
-   wins).  [Omega_flap] only affects oracle setups — the heartbeat
-   emulation's flapping is an emergent behaviour, not a config. *)
+(* Fold one adversity into a setup.  [Omega_flap] only affects oracle
+   setups — the heartbeat emulation's flapping is an emergent behaviour,
+   not a config. *)
 let apply_spec (s : Scenario.setup) spec : Scenario.setup =
   match spec with
   | Crash { proc; at } ->
@@ -213,7 +211,19 @@ let apply_spec (s : Scenario.setup) spec : Scenario.setup =
   | Disk_fault _ -> s
     (* acts on the store pool, not the setup; see [disk_faults] *)
 
-let apply plan setup = List.fold_left apply_spec setup plan
+(* Fold a plan into a setup.  Delay spikes fold first, so they scale only
+   the base delay: a spike must not multiply a partition's hold-back
+   [(until - now + d)], wherever the plan lists it.  Beyond that, order
+   within the plan is irrelevant: crashes commute, spikes multiply,
+   partitions add their hold-back to the delay beneath, fault windows
+   compose through [Net.compose_faults], and at most one flap is
+   meaningful (the generator and the shrinker maintain that invariant;
+   if violated, the last one wins). *)
+let apply plan setup =
+  let spikes, rest =
+    List.partition (function Delay_spike _ -> true | _ -> false) plan
+  in
+  List.fold_left apply_spec setup (spikes @ rest)
 
 (* Arm the plan's disk faults on a store pool (in plan order, so several
    faults against one process queue up FIFO, one per crash). *)

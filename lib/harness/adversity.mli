@@ -100,9 +100,11 @@ val settle_time : base_max:int -> t -> time
     this. *)
 
 val apply : t -> Stacks.setup -> Stacks.setup
-(** Fold the plan into a setup.  Plan order is irrelevant: crashes commute,
-    delay wrappers and fault windows compose; of several [Omega_flap]s the
-    last wins ({!make} enforces at most one). *)
+(** Fold the plan into a setup.  Delay spikes fold first, so they scale
+    only the base delay (never a partition's hold-back).  Plan order is
+    irrelevant: crashes commute, delay wrappers and fault windows compose;
+    of several [Omega_flap]s the last wins ({!make} enforces at most
+    one). *)
 
 val weaken : spec -> spec list
 (** Strictly weaker variants, strongest reduction first, for the shrinker.

@@ -63,6 +63,29 @@ let prop_weaken_never_extends_settle =
               (Adversity.weaken spec))
          plan)
 
+(* A delay spike scales only the base delay, whatever its place in the
+   plan: listed after a partition it must not multiply the partition's
+   hold-back.  Both orders of this pair (a soak finding, engine seed 567)
+   give the same run, and that run is clean. *)
+let test_spike_order_irrelevant () =
+  let partition =
+    Adversity.Partition { left = [ 1; 2; 3 ]; from_time = 41; until_time = 92 }
+  in
+  let spike =
+    Adversity.Delay_spike
+      { link = None; from_time = 39; until_time = 42; factor = 6 }
+  in
+  let run plan =
+    Builder.run ~digest:true ~catch:true
+      (Builder.with_plan ~seed:567
+         (Builder.template Scenario.Algorithm_5)
+         plan)
+  in
+  let a = run [ partition; spike ] and b = run [ spike; partition ] in
+  Alcotest.(check string) "same digest" b.Builder.digest a.Builder.digest;
+  Alcotest.(check (list string)) "partition first: clean" [] a.Builder.violations;
+  Alcotest.(check (list string)) "spike first: clean" [] b.Builder.violations
+
 (* ------------------------------------------------------------------ *)
 (* Link faults in the engine                                           *)
 (* ------------------------------------------------------------------ *)
@@ -468,7 +491,9 @@ let () =
     [ ("adversity",
        [ Alcotest.test_case "roundtrip all kinds" `Quick test_adversity_roundtrip;
          Alcotest.test_case "rejects garbage" `Quick test_adversity_rejects_garbage ]
-       @ qc [ prop_adversity_roundtrip; prop_weaken_never_extends_settle ]);
+       @ qc [ prop_adversity_roundtrip; prop_weaken_never_extends_settle ]
+       @ [ Alcotest.test_case "spike order irrelevant" `Quick
+             test_spike_order_irrelevant ]);
       ("faults",
        [ Alcotest.test_case "no_faults is free" `Quick
            test_no_faults_instantiates_to_none;
