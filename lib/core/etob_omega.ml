@@ -35,10 +35,10 @@ type Msg.payload +=
   | Update of Causal_graph.t
   | Promote_seq of { seq : App_msg.t list; rev : App_msg.t list; len : int }
 
-(* Seedable single-decision mutants of the protocol, used by the adversarial
-   explorer (lib/explore) and the mutation-test harness to check that the
-   checker/explorer stack actually detects the class of bug each mutation
-   represents.  [None] is the faithful Algorithm 5. *)
+(* Seedable single-decision mutants of the protocol, used by adversarial
+   exploration (Harness.Builder) and the mutation-test harness to check
+   that the checker/explorer stack actually detects the class of bug each
+   mutation represents.  [None] is the faithful Algorithm 5. *)
 type mutation =
   | Skip_dependency_wait
       (* UpdatePromote linearizes the whole graph instead of its

@@ -809,7 +809,7 @@ let explorable t =
       reject "boost clause" "is outside the generator's fairness clamps"
     else if Option.is_some t.service then
       reject "service clause" "has no meaning under exploration"
-    else Ok { t with plan = [] }
+    else Ok t
   | _, (Etob _ | Etob_ae | Recoverable _), _ ->
     reject "workload"
       "is not auto (the generator clamps windows to its posting rounds)"
@@ -855,7 +855,8 @@ let random_spec t ~rng =
        else [])
   in
   match List.nth kind_pool (Rng.int rng (List.length kind_pool)) with
-  | 0 when max_crashes t >= 1 -> Crash { proc = Rng.int rng n; at = Rng.int rng d }
+  | 0 when max_crashes t >= 1 ->
+    Crash { proc = Rng.int rng n; at = Rng.int rng d }
   | 1 ->
     let left = random_side () in
     let from_time, until_time = window ~latest_until:healed_latest in
@@ -1546,7 +1547,7 @@ let binary_spec path =
 (* QCheck generators                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Deliberately NOT fairness-clamped (unlike [random_plan], which keeps
+(* Deliberately NOT fairness-clamped (unlike [plan_at], which keeps
    plans recoverable so liveness checks are meaningful): safety
    properties must hold under any plan whatsoever, so these cover the whole
    space — drop windows that never heal, partitions to the horizon,

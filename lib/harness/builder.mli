@@ -272,29 +272,20 @@ val with_plan : ?seed:int -> t -> Adversity.t -> t
     plan holds downtime windows or disk faults. *)
 
 val explorable : t -> (t, string) result
-(** Accept a builder (read from a spec) as a template, with its plan
-    cleared, or reject it with an error naming the clause the generator
-    cannot be fair to: an opaque base, a non-ETOB stack, a workload other
-    than [auto], an [omega], [boost] or [service] clause. *)
-
-val max_crashes : t -> int
-(** Crashes the template's environment admits: n-1 for Algorithm 5,
-    a minority for the quorum baselines. *)
-
-val sanitize : t -> Adversity.t -> Adversity.t
-(** Drop the specs that break plan-level fairness invariants (crash
-    count, one flap, windows vs permanent crashes, recovery adversities
-    only for Algorithm 5, disk faults only with a window). *)
-
-val random_plan : t -> rng:Rng.t -> max_adversities:int -> Adversity.t
+(** Accept a builder (read from a spec) as a template — exploration
+    replaces its plan and seed per plan index — or reject it with an
+    error naming the clause the generator cannot be fair to: an opaque
+    base, a non-ETOB stack, a workload other than [auto], an [omega],
+    [boost] or [service] clause. *)
 
 val plan_at : t -> seed:int -> max_adversities:int -> int -> Adversity.t
-(** Plan [i] of an exploration; index 0 is always the empty plan, later
-    plans are regenerable from their index alone. *)
-
-val plan_builder : t -> seed:int -> max_adversities:int -> int -> t
-(** The builder plan [i] runs: {!plan_at} under engine seed [seed + i],
-    through {!with_plan}. *)
+(** Plan [i] of exploring template [t] from [seed]: index 0 is always the
+    empty plan, later plans are drawn from an index-derived rng (so they
+    are regenerable from their index alone) and sanitized: the crash
+    count stays admitted by the environment, at most one flap survives,
+    windows and permanent crashes never share a process, recovery
+    adversities only reach Algorithm 5.  Plan [i] runs under engine seed
+    [seed + i]. *)
 
 (** {2 Exploration and shrinking} *)
 
@@ -303,8 +294,9 @@ type exploration = { found : outcome option; plans_run : int; budget : int }
 val explore :
   ?domains:int ->
   t -> seed:int -> budget:int -> max_adversities:int -> exploration
-(** Run plans [0 .. budget-1] of template [t] ({!plan_builder}) until the
-    first violation.  [domains > 1] fans chunks of [4 * domains] over
+(** Run plans [0 .. budget-1] of template [t] ({!plan_at}, each through
+    {!with_plan} under engine seed [seed + i]) until the first
+    violation.  [domains > 1] fans chunks of [4 * domains] over
     OCaml domains via {!Sweep.map_safe} ([plans_run] then counts whole
     chunks); the reported finding is the lowest-index violation
     regardless of domain count.  Runs use [~digest:true ~catch:true]. *)

@@ -44,6 +44,6 @@ val of_trace :
   settle:time -> bound:int -> Failures.pattern -> Trace.t -> verdict
 
 val violations : verdict -> string list
-(** Explorer-style violation lines; empty iff converged. *)
+(** Violation lines in the checkers' format; empty iff converged. *)
 
 val pp : Format.formatter -> verdict -> unit

@@ -99,7 +99,7 @@ let total_jobs c = List.length c.legs * c.budget
 let leg_of_job c job = List.nth c.legs (job / c.budget)
 let plan_index c job = job mod c.budget
 
-(* Plan i runs under engine seed (seed + i): [Builder.plan_builder]'s
+(* Plan i runs under engine seed (seed + i): [Builder.explore]'s
    pairing, so a soak job is exactly plan i of exploring its leg's
    template and its finding replays like any other. *)
 let engine_seed c job = c.seed + plan_index c job

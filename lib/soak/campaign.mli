@@ -3,9 +3,9 @@
 
     A campaign is [legs × budget] jobs: leg [k]'s job [j] (global index
     [k * budget + j]) runs plan [j] of that leg's exploration template
-    under engine seed [seed + j] — exactly
-    [Harness.Builder.plan_builder]'s plan/seed pairing, so a soak finding
-    replays like any exploration finding.
+    under engine seed [seed + j] — exactly [Harness.Builder.explore]'s
+    plan/seed pairing, so a soak finding replays like any exploration
+    finding.
 
     {!apply} is the {e only} way campaign state advances, both live (the
     runner applies each entry as it journals it) and on resume (fold

@@ -8,7 +8,7 @@
    keeps only the simulator-level generators local.
 
    Plans generated here are deliberately NOT fairness-clamped (unlike
-   [Harness.Builder.random_plan], which keeps plans recoverable so that
+   [Harness.Builder.plan_at], which keeps plans recoverable so that
    liveness checks are meaningful): safety properties must hold under any
    plan whatsoever, so these generators cover the whole space — drop
    windows that never heal, partitions to the horizon, flapping forever.

@@ -7,7 +7,7 @@
     generators stay local.
 
     Plans generated here are deliberately NOT fairness-clamped (unlike
-    [Harness.Builder.random_plan]): safety properties must hold under any
+    [Harness.Builder.plan_at]): safety properties must hold under any
     plan whatsoever, so these generators cover the whole space.  They are
     [Adversity.make]-normalized, so generated plans equal their own
     text-form roundtrip.  Shrinkers are structural — drop whole elements,
