@@ -31,7 +31,7 @@ type scenario = {
 }
 
 let oracle ?(pre = Detectors.Omega.Self_trust) stabilize_at =
-  Harness.Scenario.Oracle { stabilize_at; pre }
+  Harness.Stacks.Oracle { stabilize_at; pre }
 
 let scenarios =
   [ { sc_name = "stable";
@@ -88,16 +88,16 @@ let scenarios =
              with
              Builder.plan =
                [ Harness.Adversity.Crash { proc = 0; at = deadline / 2 } ];
-             omega = Some (Harness.Scenario.Elected { initial_timeout = 6 }) })
+             omega = Some (Harness.Stacks.Elected { initial_timeout = 6 }) })
     };
   ]
 
 let find_scenario name = List.find_opt (fun s -> s.sc_name = name) scenarios
 
 let impls =
-  [ ("alg5", Builder.Etob Harness.Scenario.Algorithm_5);
-    ("paxos", Builder.Etob Harness.Scenario.Paxos_baseline);
-    ("alg1", Builder.Etob Harness.Scenario.Algorithm_1_over_4);
+  [ ("alg5", Builder.Etob Harness.Stacks.Algorithm_5);
+    ("paxos", Builder.Etob Harness.Stacks.Paxos_baseline);
+    ("alg1", Builder.Etob Harness.Stacks.Algorithm_1_over_4);
     ("gossip", Builder.Gossip) ]
 
 (* ------------------------------------------------------------------ *)
@@ -212,11 +212,7 @@ let builder_term =
         $ deadline_arg $ posts_arg)
 
 (* Rebase a decoded builder onto another engine seed (sweep). *)
-let with_seed b seed =
-  match b.Builder.base with
-  | Builder.Decl d -> { b with Builder.base = Builder.Decl { d with Builder.seed } }
-  | Builder.Opaque s ->
-    { b with Builder.base = Builder.Opaque { s with Harness.Scenario.seed } }
+let with_seed b seed = { b with Builder.base = { b.Builder.base with seed } }
 
 (* ------------------------------------------------------------------ *)
 (* Commands                                                            *)
@@ -228,9 +224,9 @@ let print_report setup trace ~verbose =
     List.iter (fun e -> Format.printf "%a@." Trace.pp_entry e) (Trace.entries trace);
     print_endline "--- end trace ---"
   end;
-  let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.etob_report run in
-  Format.printf "pattern: %a@." Failures.pp setup.Harness.Scenario.pattern;
+  Format.printf "pattern: %a@." Failures.pp setup.Harness.Stacks.pattern;
   Format.printf "messages sent: %d, delivered: %d, dropped: %d@."
     (Trace.sent trace) (Trace.delivered trace) (Trace.dropped trace);
   List.iter
@@ -238,9 +234,9 @@ let print_report setup trace ~verbose =
        Format.printf "final d_p%d (%d msgs): %a@." p
          (List.length (Properties.final_d run p))
          App_msg.pp_seq (Properties.final_d run p))
-    (Failures.correct setup.Harness.Scenario.pattern);
+    (Failures.correct setup.Harness.Stacks.pattern);
   Format.printf "%a@." Properties.pp_etob_report report;
-  (match Harness.Scenario.omega_stabilization setup with
+  (match Harness.Stacks.omega_stabilization setup with
    | Some tau -> Format.printf "tau_Omega=%d, measured convergence tau=%d@." tau
                    (Properties.etob_convergence_time report)
    | None -> Format.printf "measured convergence tau=%d@."
@@ -255,7 +251,7 @@ let execute_report b ~verbose ~timeline =
   let o = Builder.run ~digest:true b in
   let trace = match o.Builder.trace with Some t -> t | None -> assert false in
   if timeline then
-    print_string (Harness.Timeline.render ~pattern:setup.Harness.Scenario.pattern trace);
+    print_string (Harness.Timeline.render ~pattern:setup.Harness.Stacks.pattern trace);
   let report = print_report setup trace ~verbose in
   List.iter (fun v -> Format.printf "spec violation: %s@." v) o.Builder.violations;
   Format.printf "trace digest %s@." o.Builder.digest;
@@ -272,11 +268,11 @@ let list_cmd =
     List.iter (fun (name, stack) ->
         Printf.printf "  %-12s %s\n" name
           (match stack with
-           | Builder.Etob Harness.Scenario.Algorithm_5 ->
+           | Builder.Etob Harness.Stacks.Algorithm_5 ->
              "ETOB directly from Omega (Algorithm 5)"
-           | Builder.Etob Harness.Scenario.Paxos_baseline ->
+           | Builder.Etob Harness.Stacks.Paxos_baseline ->
              "strong TOB from repeated consensus"
-           | Builder.Etob Harness.Scenario.Algorithm_1_over_4 ->
+           | Builder.Etob Harness.Stacks.Algorithm_1_over_4 ->
              "ETOB through the EC transformation (Algorithms 1 + 4)"
            | _ ->
              "leaderless gossip ordering (no Omega; the negative baseline)"))
@@ -372,8 +368,8 @@ let sweep_cmd =
     match builder with
     | Error msg -> `Error (false, msg)
     | Ok b ->
-      let n = Builder.n_of b in
-      let base_seed = Builder.seed_of b in
+      let n = b.Builder.base.n in
+      let base_seed = b.Builder.base.seed in
       let domains =
         if domains > 0 then domains else Harness.Sweep.default_domains ()
       in
@@ -388,7 +384,7 @@ let sweep_cmd =
             sink = Some (Sink.tee (Sink.recorder trace) (Sink.counters_sink c)) }
         in
         ignore (Builder.run b);
-        let pattern = (Builder.setup_of b).Harness.Scenario.pattern in
+        let pattern = (Builder.setup_of b).Harness.Stacks.pattern in
         let run = Properties.etob_run_of_trace pattern trace in
         let report = Properties.etob_report run in
         { sw_ok =
@@ -451,7 +447,7 @@ let pp_outcome (o : Builder.outcome) =
     (Harness.Adversity.size plan) Harness.Adversity.pp plan;
   List.iter (fun v -> Format.printf "  violation: %s@." v) o.Builder.violations;
   Format.printf "engine seed %d, trace digest %s@."
-    (Builder.seed_of o.Builder.builder)
+    o.Builder.builder.base.seed
     (if o.Builder.digest = "" then "(run raised)" else o.Builder.digest)
 
 let mkdirs dir =
@@ -802,7 +798,7 @@ let explore_cmd =
            (List.exists
               (function Builder.Watchdog _ -> true | _ -> false)
               t.Builder.checkers)
-           (Builder.n_of t) plans max_adv domains;
+           t.Builder.base.n plans max_adv domains;
          let r =
            Builder.explore ~domains t ~seed ~budget:plans
              ~max_adversities:max_adv
@@ -1049,11 +1045,11 @@ let service_cmd =
     List.concat_map
       (fun spec ->
         let setup =
-          { (Harness.Scenario.default ~n:3 ~deadline:120) with
-            Harness.Scenario.seed = seed }
+          { (Harness.Stacks.default ~n:3 ~deadline:120) with
+            Harness.Stacks.seed = seed }
         in
         let go () =
-          Service.Runner.run ~setup ~spec ~impl:Harness.Scenario.Algorithm_5
+          Service.Runner.run ~setup ~spec ~impl:Harness.Stacks.Algorithm_5
         in
         let a = go () in
         let b = go () in

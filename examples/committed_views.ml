@@ -22,15 +22,15 @@ let () =
   print_endline "committed_views: speculative vs committed reads across a partition";
   let spec = { Net.blocks; from_time = 5; until_time = heal } in
   let setup =
-    { (Harness.Scenario.default ~n:5 ~deadline:150) with
+    { (Harness.Stacks.default ~n:5 ~deadline:150) with
       delay = Net.partitioned spec ~base:(Net.constant 1);
-      omega = Harness.Scenario.Oracle
+      omega = Harness.Stacks.Oracle
           { stabilize_at = heal; pre = Detectors.Omega.Blockwise blocks } }
   in
   (* Probe the two views at chosen instants via handles collected here. *)
   let probes : (int * int * string * string) list ref = ref [] in
   let make_node ctx =
-    let omega, omega_node = Harness.Scenario.omega_module setup ctx in
+    let omega, omega_node = Harness.Stacks.omega_module setup ctx in
     let etob, etob_node = Ec_core.Etob_omega.create ctx ~omega in
     let service = Ec_core.Etob_omega.service etob in
     let replica, replica_node =
@@ -56,7 +56,7 @@ let () =
       (120, 0, Io.String_input "probe"); (120, 3, Io.String_input "probe") ]
   in
   let trace, replicas =
-    Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+    Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
   in
   List.iter
     (fun (t, p, speculative, committed) ->
@@ -70,7 +70,7 @@ let () =
          (Dual.speculative_digest r) (Dual.committed_digest r))
     replicas;
   Format.printf "@.committed view monotone everywhere: %b@."
-    (Committed_replica.committed_monotone setup.Harness.Scenario.pattern trace);
+    (Committed_replica.committed_monotone setup.Harness.Stacks.pattern trace);
   print_endline "";
   print_endline "During the partition (t=45), p3's speculative view already shows";
   print_endline "its local draft while its committed view withholds it: nothing is";

@@ -18,16 +18,16 @@ let () =
   let n = 5 in
   let pattern = Failures.of_crashes ~n [ (0, 70) ] in
   let setup =
-    { (Harness.Scenario.default ~n ~deadline:300) with
+    { (Harness.Stacks.default ~n ~deadline:300) with
       pattern;
       delay = Net.uniform ~min:1 ~max:3;
       (* A real leader election: p0 leads until it crashes at t=70, then the
          survivors elect p1. *)
-      omega = Harness.Scenario.Elected { initial_timeout = 6 } }
+      omega = Harness.Stacks.Elected { initial_timeout = 6 } }
   in
   let make_node ctx =
     let proto_node, etob =
-      Harness.Scenario.etob_node setup Harness.Scenario.Algorithm_5 ctx
+      Harness.Stacks.etob_node setup Harness.Stacks.Algorithm_5 ctx
     in
     let replica, replica_node = Kv_replica.create ctx ~etob in
     (Engine.stack [ proto_node; replica_node ], replica)
@@ -41,7 +41,7 @@ let () =
       put 120 4 "cart" "4-items" ]
   in
   let trace, replicas =
-    Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+    Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
   in
   print_endline "final replica states:";
   Array.iteri

@@ -21,16 +21,16 @@ let heal = 60
 
 let setup () =
   let spec = { Net.blocks; from_time = 5; until_time = heal } in
-  { (Harness.Scenario.default ~n:5 ~deadline:180) with
+  { (Harness.Stacks.default ~n:5 ~deadline:180) with
     delay = Net.partitioned spec ~base:(Net.constant 1);
-    omega = Harness.Scenario.Oracle
+    omega = Harness.Stacks.Oracle
         { stabilize_at = heal; pre = Detectors.Omega.Blockwise blocks } }
 
 let inputs =
-  [ (10, 0, Harness.Scenario.Post "maj-write-1");
-    (15, 3, Harness.Scenario.Post "min-write-1");
-    (25, 1, Harness.Scenario.Post "maj-write-2");
-    (30, 4, Harness.Scenario.Post "min-write-2") ]
+  [ (10, 0, Harness.Stacks.Post "maj-write-1");
+    (15, 3, Harness.Stacks.Post "min-write-1");
+    (25, 1, Harness.Stacks.Post "maj-write-2");
+    (30, 4, Harness.Stacks.Post "min-write-2") ]
 
 let describe name trace pattern =
   let run = Properties.etob_run_of_trace pattern trace in
@@ -52,11 +52,11 @@ let describe name trace pattern =
 let () =
   print_endline "partition demo: 5 processes, minority block {p3,p4}, heal at t=60";
   let s = setup () in
-  let etob_trace = Harness.Scenario.run_etob ~inputs s Harness.Scenario.Algorithm_5 in
-  describe "ETOB (Algorithm 5)" etob_trace s.Harness.Scenario.pattern;
+  let etob_trace = Harness.Stacks.run_etob ~inputs s Harness.Stacks.Algorithm_5 in
+  describe "ETOB (Algorithm 5)" etob_trace s.Harness.Stacks.pattern;
   let s = setup () in
-  let paxos_trace = Harness.Scenario.run_etob ~inputs s Harness.Scenario.Paxos_baseline in
-  describe "strong TOB (Paxos baseline)" paxos_trace s.Harness.Scenario.pattern;
+  let paxos_trace = Harness.Stacks.run_etob ~inputs s Harness.Stacks.Paxos_baseline in
+  describe "strong TOB (Paxos baseline)" paxos_trace s.Harness.Stacks.pattern;
   print_endline "";
   print_endline "Note how at t=50 the ETOB minority side has delivered its own";
   print_endline "writes (availability under partition), while under Paxos the";

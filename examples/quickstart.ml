@@ -19,14 +19,14 @@ let () =
      stable deployment.  Swap in `Elected { initial_timeout = 6 }` to run
      the heartbeat-based leader election instead. *)
   let setup =
-    { (Harness.Scenario.default ~n ~deadline:100) with
-      omega = Harness.Scenario.Oracle { stabilize_at = 0;
+    { (Harness.Stacks.default ~n ~deadline:100) with
+      omega = Harness.Stacks.Oracle { stabilize_at = 0;
                                         pre = Detectors.Omega.Self_trust } }
   in
   (* Each process: the ETOB protocol plus a counter replica on top. *)
   let make_node ctx =
     let proto_node, etob =
-      Harness.Scenario.etob_node setup Harness.Scenario.Algorithm_5 ctx
+      Harness.Stacks.etob_node setup Harness.Stacks.Algorithm_5 ctx
     in
     let replica, replica_node = Counter_replica.create ctx ~etob in
     (Engine.stack [ proto_node; replica_node ], replica)
@@ -38,7 +38,7 @@ let () =
       (12, 2, Replica.Submit (Command.incr 35)) ]
   in
   let trace, replicas =
-    Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+    Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
   in
   Array.iteri
     (fun p replica ->
@@ -47,7 +47,7 @@ let () =
          (List.length (Counter_replica.log replica)))
     replicas;
   (* And the formal view: the run satisfies the ETOB specification. *)
-  let report = Harness.Scenario.etob_report setup trace in
+  let report = Harness.Stacks.etob_report setup trace in
   Format.printf "  broadcast layer: %a@." Ec_core.Properties.pp_etob_report report;
   if Ec_core.Properties.is_strong_tob report then
     print_endline "  (omega was stable from the start, so the run is even strong TOB)"

@@ -16,7 +16,7 @@
     (not through {!Retransmit} links — anti-entropy {e is} its own
     retransmission mechanism) and integrates through a [learn] callback,
     so it wires identically under the crash-stop stack
-    ([Harness.Scenario.run_etob_ae]) and inside {!Recoverable}. *)
+    ([Harness.Stacks.run_etob_ae]) and inside {!Recoverable}. *)
 
 open Simulator
 open Simulator.Types

@@ -14,7 +14,6 @@
 
 open Simulator
 open Simulator.Types
-module Scenario = Stacks
 
 type spec =
   | Crash of { proc : proc_id; at : time }
@@ -157,7 +156,7 @@ let complement ~n left =
 (* Fold one adversity into a setup.  [Omega_flap] only affects oracle
    setups — the heartbeat emulation's flapping is an emergent behaviour,
    not a config. *)
-let apply_spec (s : Scenario.setup) spec : Scenario.setup =
+let apply_spec (s : Stacks.setup) spec : Stacks.setup =
   match spec with
   | Crash { proc; at } ->
     { s with pattern = Failures.crash_at s.pattern proc at }
@@ -199,13 +198,13 @@ let apply_spec (s : Scenario.setup) spec : Scenario.setup =
           [ s.faults; Net.duplicate_window ~from_time ~until_time copies ] }
   | Omega_flap { until_time; period } ->
     (match s.omega with
-     | Scenario.Oracle _ ->
+     | Stacks.Oracle _ ->
        { s with
          omega =
-           Scenario.Oracle
+           Stacks.Oracle
              { stabilize_at = until_time;
                pre = Detectors.Omega.Rotating period } }
-     | Scenario.Elected _ -> s)
+     | Stacks.Elected _ -> s)
   | Crash_recover { proc; at; recover_at } ->
     { s with pattern = Failures.crash_recover_at s.pattern proc ~at ~recover_at }
   | Disk_fault _ -> s

@@ -1,9 +1,9 @@
 (* Declarative test builder: one immutable value composing stack, workload,
    adversity plan (plus conditional boosts), detector source, checkers and
-   budget — and one interpreter, [run], behind every way this repository
-   builds a run.  [Scenario]'s run_* entrypoints are presets over builders,
-   exploration generates and shrinks plans for a template builder, and
-   ecsim decodes its flags (or a --spec file) into one.
+   budget — and one interpreter, [run], which wires the stack through
+   [Stacks].  Exploration generates and shrinks plans for a template
+   builder, and ecsim decodes its flags (or a --spec file) into one; runs
+   a builder cannot describe are hand-wired with [Stacks] directly.
 
    Determinism is the design constraint throughout: a builder made of plain
    data serializes to a stable text form and replays byte-identically, and
@@ -17,15 +17,13 @@ open Ec_core
 
 type delay_model = Constant of int | Uniform of { min_d : int; max_d : int }
 
-type decl_base = {
+type base = {
   n : int;
   seed : int;
   deadline : time;
   timer_period : int;
   delay : delay_model;
 }
-
-type base = Decl of decl_base | Opaque of Stacks.setup
 
 type stack =
   | Etob of Stacks.etob_impl
@@ -51,7 +49,6 @@ type workload =
       mix : (string * int) list;
     }
   | Explicit of (time * proc_id * string) list
-  | Raw of (time * proc_id * Io.input) list
 
 type tau_policy = Tau_auto | Tau_fixed of int
 type watchdog_policy = Wd_auto | Wd_fixed of { settle : time; bound : int }
@@ -81,17 +78,15 @@ type t = {
   rconfig : Recoverable.config option;
   ae_config : Anti_entropy.config option;
   commits : bool option;
-  stores : Persist.Store.t array option;
   sink : Sink.t option;
   trace_out : (string * trace_format) option;
-  propose : (proc_id -> instance:int -> Value.t) option;
   max_instance : int;
   service : Service_spec.t option;
 }
 
 let create ?(seed = 42) ?(timer_period = 2) ?(delay = Constant 1) ~n ~deadline
     stack =
-  { base = Decl { n; seed; deadline; timer_period; delay };
+  { base = { n; seed; deadline; timer_period; delay };
     stack;
     workload = No_posts;
     plan = [];
@@ -105,16 +100,10 @@ let create ?(seed = 42) ?(timer_period = 2) ?(delay = Constant 1) ~n ~deadline
     rconfig = None;
     ae_config = None;
     commits = None;
-    stores = None;
     sink = None;
     trace_out = None;
-    propose = None;
     max_instance = 0;
     service = None }
-
-let of_setup setup stack =
-  { (create ~n:setup.Stacks.n ~deadline:setup.Stacks.deadline stack) with
-    base = Opaque setup }
 
 let default_propose p ~instance = Value.Num ((1000 * p) + instance)
 
@@ -122,25 +111,8 @@ let default_propose p ~instance = Value.Num ((1000 * p) + instance)
 (* Derived values and policies (exploration's formulas)                *)
 (* ------------------------------------------------------------------ *)
 
-let n_of t = match t.base with Decl d -> d.n | Opaque s -> s.Stacks.n
-let seed_of t = match t.base with Decl d -> d.seed | Opaque s -> s.Stacks.seed
-
-let deadline_of t =
-  match t.base with Decl d -> d.deadline | Opaque s -> s.Stacks.deadline
-
-let timer_period_of t =
-  match t.base with
-  | Decl d -> d.timer_period
-  | Opaque s -> s.Stacks.timer_period
-
-let decl_of t =
-  match t.base with
-  | Decl d -> d
-  | Opaque _ ->
-    invalid_arg "Builder: this policy needs a declarative (Decl) base"
-
 let base_max_of t =
-  match (decl_of t).delay with
+  match t.base.delay with
   | Constant d -> d
   | Uniform { max_d; _ } -> max_d
 
@@ -150,7 +122,7 @@ let auto_post_every_base = 3
 (* Recovery headroom granted on top of a plan's settle time: a few promote
    rounds plus message flushes.  Deliberately generous — the bound only
    needs to separate "converged late" from "never converged". *)
-let slack t = (8 * timer_period_of t) + (6 * base_max_of t) + 10
+let slack t = (8 * t.base.timer_period) + (6 * base_max_of t) + 10
 
 (* The workload's post count, for the policy formulas below. *)
 let post_count t =
@@ -159,7 +131,6 @@ let post_count t =
     count
   | No_posts -> 0
   | Explicit posts -> List.length posts
-  | Raw inputs -> List.length inputs
 
 (* Stretched cadence for recovery targets: a process restarted by a mid-run
    downtime window still posts afterwards — the amnesia mutant only reuses
@@ -170,14 +141,14 @@ let auto_post_every t =
   in
   if stretch then
     max auto_post_every_base
-      ((deadline_of t - auto_post_from - slack t) / max 1 (post_count t))
+      ((t.base.deadline - auto_post_from - slack t) / max 1 (post_count t))
   else auto_post_every_base
 
 (* Start of the final full posting round: from here on every correct
    process posts (and re-gossips its whole causality graph) at least
    once. *)
 let drop_safe_until t =
-  auto_post_from + (max 0 (post_count t - n_of t) * auto_post_every t)
+  auto_post_from + (max 0 (post_count t - t.base.n) * auto_post_every t)
 
 let last_post t =
   match t.workload with
@@ -190,7 +161,6 @@ let last_post t =
     from_time + (max 0 (count - 1) * every) + jitter
   | Explicit posts ->
     List.fold_left (fun acc (tm, _, _) -> max acc tm) 0 posts
-  | Raw inputs -> List.fold_left (fun acc (tm, _, _) -> max acc tm) 0 inputs
 
 let ae_used t =
   match t.stack with
@@ -202,11 +172,11 @@ let ae_used t =
 let ae_catchup t =
   let ae = Option.value t.ae_config ~default:Anti_entropy.default_config in
   ((ae.Anti_entropy.every + ae.Anti_entropy.max_backoff + 2)
-   * timer_period_of t)
+   * t.base.timer_period)
   + (2 * base_max_of t)
 
 let lossy_safe_until t =
-  if ae_used t then deadline_of t - slack t - ae_catchup t
+  if ae_used t then t.base.deadline - slack t - ae_catchup t
   else drop_safe_until t
 
 let alg5_based t =
@@ -272,7 +242,7 @@ let weighted_posts ~n ~seed ~count ~from_time ~every ~jitter ~mix =
   List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) posts
 
 let inputs t =
-  let n = n_of t in
+  let n = t.base.n in
   match t.workload with
   | No_posts -> []
   | Posts { count; from_time; every } ->
@@ -281,10 +251,9 @@ let inputs t =
     Stacks.spread_posts ~n ~count ~from_time:auto_post_from
       ~every:(auto_post_every t)
   | Weighted { count; from_time; every; jitter; mix } ->
-    weighted_posts ~n ~seed:(seed_of t) ~count ~from_time ~every ~jitter ~mix
+    weighted_posts ~n ~seed:t.base.seed ~count ~from_time ~every ~jitter ~mix
   | Explicit posts ->
     List.map (fun (tm, p, tag) -> (tm, p, Stacks.Post tag)) posts
-  | Raw raw -> raw
 
 (* ------------------------------------------------------------------ *)
 (* Setup construction (base, clauses, plan, boosts)                    *)
@@ -354,17 +323,15 @@ let apply_plan t s =
   end
 
 let setup_of t =
+  let { n; seed; deadline; timer_period; delay } = t.base in
   let s =
-    match t.base with
-    | Opaque s -> s
-    | Decl { n; seed; deadline; timer_period; delay } ->
-      { (Stacks.default ~n ~deadline) with
-        Stacks.seed;
-        timer_period;
-        delay =
-          (match delay with
-           | Constant d -> Net.constant d
-           | Uniform { min_d; max_d } -> Net.uniform ~min:min_d ~max:max_d) }
+    { (Stacks.default ~n ~deadline) with
+      Stacks.seed;
+      timer_period;
+      delay =
+        (match delay with
+         | Constant d -> Net.constant d
+         | Uniform { min_d; max_d } -> Net.uniform ~min:min_d ~max:max_d) }
   in
   let s = match t.omega with None -> s | Some omega -> { s with Stacks.omega } in
   let s =
@@ -376,21 +343,13 @@ let setup_of t =
 (* Running                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type handles =
-  | No_handles
-  | Ae_handles of (Etob_omega.t * Anti_entropy.t) array
-  | Recoverable_handles of Recoverable.t array * Persist.Store.t array
-
 type outcome = {
   builder : t;
   trace : Trace.t option;
   report : Properties.etob_report option;
   violations : string list;
   digest : string;
-  handles : handles;
 }
-
-let propose_of t = Option.value t.propose ~default:default_propose
 
 let run ?(digest = false) ?(catch = false) ?guard t =
   let orig = t in
@@ -400,57 +359,38 @@ let run ?(digest = false) ?(catch = false) ?guard t =
   let attempt t capture () =
     let setup = setup_of t in
     let inputs = inputs t in
-    let trace, handles =
+    let propose_value = default_propose and max_instance = t.max_instance in
+    let trace =
       match t.stack with
-      | Etob impl ->
-        (Stacks.run_etob ~inputs ?mutation:t.mutation setup impl, No_handles)
+      | Etob impl -> Stacks.run_etob ~inputs ?mutation:t.mutation setup impl
       | Etob_ae ->
-        let trace, hs =
-          Stacks.run_etob_ae ~inputs ?mutation:t.mutation
-            ?ae_config:t.ae_config ?ae_mutation:t.ae_mutation setup
-        in
-        (trace, Ae_handles hs)
+        fst
+          (Stacks.run_etob_ae ~inputs ?mutation:t.mutation
+             ?ae_config:t.ae_config ?ae_mutation:t.ae_mutation setup)
       | Recoverable { ae } ->
-        let stores =
-          match t.stores with
-          | Some stores -> stores
-          | None -> Persist.Store.pool ~n:setup.Stacks.n
-        in
+        let stores = Persist.Store.pool ~n:setup.Stacks.n in
         Adversity.arm_disk_faults t.plan stores;
         let ae_cfg =
           if ae then
             Some (Option.value t.ae_config ~default:Anti_entropy.default_config)
           else None
         in
-        let trace, hs, stores =
+        let trace, _, _ =
           Stacks.run_recoverable ~inputs ?rconfig:t.rconfig
             ?mutation:t.rmutation ?etob_mutation:t.mutation ?commits:t.commits
             ?ae:ae_cfg ?ae_mutation:t.ae_mutation ~stores setup
         in
-        (trace, Recoverable_handles (hs, stores))
-      | Etob_commits ->
-        (Stacks.run_etob_with_commits ~inputs setup, No_handles)
-      | Gossip -> (Stacks.run_gossip_order ~inputs setup, No_handles)
-      | Ec ->
-        ( Stacks.run_ec_omega ~inputs setup ~propose_value:(propose_of t)
-            ~max_instance:t.max_instance,
-          No_handles )
+        trace
+      | Etob_commits -> Stacks.run_etob_with_commits ~inputs setup
+      | Gossip -> Stacks.run_gossip_order ~inputs setup
+      | Ec -> Stacks.run_ec_omega ~inputs setup ~propose_value ~max_instance
       | Ec_lifted ->
-        ( Stacks.run_ec_lifted ~inputs setup ~propose_value:(propose_of t)
-            ~max_instance:t.max_instance,
-          No_handles )
+        Stacks.run_ec_lifted ~inputs setup ~propose_value ~max_instance
       | Ec_via_etob impl ->
-        ( Stacks.run_ec_via_etob ~inputs setup impl
-            ~propose_value:(propose_of t) ~max_instance:t.max_instance,
-          No_handles )
-      | Eic ->
-        ( Stacks.run_eic_over_ec ~inputs setup ~propose_value:(propose_of t)
-            ~max_instance:t.max_instance,
-          No_handles )
+        Stacks.run_ec_via_etob ~inputs setup impl ~propose_value ~max_instance
+      | Eic -> Stacks.run_eic_over_ec ~inputs setup ~propose_value ~max_instance
       | Ec_via_eic ->
-        ( Stacks.run_ec_via_eic ~inputs setup ~propose_value:(propose_of t)
-            ~max_instance:t.max_instance,
-          No_handles )
+        Stacks.run_ec_via_eic ~inputs setup ~propose_value ~max_instance
     in
     let trace = match capture with Some c -> c | None -> trace in
     let report, violations =
@@ -489,8 +429,7 @@ let run ?(digest = false) ?(catch = false) ?guard t =
       trace = Some trace;
       report;
       violations;
-      digest = dg;
-      handles }
+      digest = dg }
   in
   (* The trace-file escape hatch and the guard hook share one pattern:
      tee the extra sinks (and the caller's own, if any) with a capturing
@@ -508,7 +447,7 @@ let run ?(digest = false) ?(catch = false) ?guard t =
       (match guard with
        | None -> attempt t None ()
        | Some _ ->
-         let capture = Trace.create ~n:(n_of t) in
+         let capture = Trace.create ~n:t.base.n in
          let sink = guarded (Sink.recorder capture) in
          let sink =
            match t.sink with
@@ -517,7 +456,7 @@ let run ?(digest = false) ?(catch = false) ?guard t =
          in
          attempt { t with sink = Some sink } (Some capture) ())
     | Some (path, format) ->
-      let capture = Trace.create ~n:(n_of t) in
+      let capture = Trace.create ~n:t.base.n in
       let with_file =
         match format with
         | Jsonl -> Sink.with_jsonl path
@@ -545,8 +484,7 @@ let run ?(digest = false) ?(catch = false) ?guard t =
         trace = None;
         report = None;
         violations = [ "exception: " ^ Printexc.to_string e ];
-        digest = "";
-        handles = No_handles }
+        digest = "" }
 
 (* ------------------------------------------------------------------ *)
 (* Stable text form                                                    *)
@@ -660,7 +598,6 @@ let workload_lines = function
     :: List.map
       (fun (tm, p, tag) -> Printf.sprintf "post %d %d %s" tm p tag)
       posts
-  | Raw _ -> invalid_arg "Builder.to_lines: Raw workloads are not serializable"
 
 let checker_line = function
   | Etob_spec Tau_auto -> "check etob tau=auto"
@@ -670,19 +607,10 @@ let checker_line = function
     Printf.sprintf "check watchdog settle=%d bound=%d" settle bound
 
 let to_lines ?digest ?(violations = []) t =
-  let d =
-    match t.base with
-    | Decl d -> d
-    | Opaque _ -> invalid_arg "Builder.to_lines: opaque bases are not serializable"
-  in
-  (match (t.rconfig, t.ae_config, t.commits) with
-   | None, None, None -> ()
-   | _ ->
-     invalid_arg "Builder.to_lines: config escape hatches are not serializable");
-  (match (t.stores, t.sink, t.propose, t.trace_out) with
-   | None, None, None, None -> ()
-   | _ ->
-     invalid_arg "Builder.to_lines: handle escape hatches are not serializable");
+  let d = t.base in
+  (match (t.rconfig, t.ae_config, t.commits, t.sink, t.trace_out) with
+   | None, None, None, None, None -> ()
+   | _ -> invalid_arg "Builder.to_lines: escape hatches are not serializable");
   [ header;
     "stack " ^ stack_name t.stack;
     Printf.sprintf "n %d" d.n;
@@ -778,9 +706,7 @@ let template ?(n = 4) ?(deadline = 240) ?(posts = 12)
    the run back to crash-stop. *)
 let with_plan ?seed t plan =
   let t =
-    match seed with
-    | None -> t
-    | Some seed -> { t with base = Decl { (decl_of t) with seed } }
+    match seed with None -> t | Some seed -> { t with base = { t.base with seed } }
   in
   let stack =
     match t.stack with
@@ -800,9 +726,8 @@ let explorable t =
   let reject clause why =
     Error (Printf.sprintf "cannot explore this spec: its %s %s" clause why)
   in
-  match (t.base, t.stack, t.workload) with
-  | Opaque _, _, _ -> reject "base" "is not declarative"
-  | _, (Etob _ | Etob_ae | Recoverable _), Auto_posts _ ->
+  match (t.stack, t.workload) with
+  | (Etob _ | Etob_ae | Recoverable _), Auto_posts _ ->
     if Option.is_some t.omega then
       reject "omega clause" "replaces the stable oracle the tau bound assumes"
     else if t.boosts <> [] then
@@ -810,19 +735,19 @@ let explorable t =
     else if Option.is_some t.service then
       reject "service clause" "has no meaning under exploration"
     else Ok t
-  | _, (Etob _ | Etob_ae | Recoverable _), _ ->
+  | (Etob _ | Etob_ae | Recoverable _), _ ->
     reject "workload"
       "is not auto (the generator clamps windows to its posting rounds)"
-  | _, stack, _ ->
+  | stack, _ ->
     reject ("stack " ^ stack_name stack) "is not an ETOB stack"
 
 let max_crashes t =
-  if alg5_based t then n_of t - 1  (* any environment *)
-  else (n_of t - 1) / 2  (* quorum stacks need a correct majority *)
+  if alg5_based t then t.base.n - 1  (* any environment *)
+  else (t.base.n - 1) / 2  (* quorum stacks need a correct majority *)
 
 let random_spec t ~rng =
   let open Adversity in
-  let n = n_of t and d = deadline_of t and base_max = base_max_of t in
+  let n = t.base.n and d = t.base.deadline and base_max = base_max_of t in
   let window ~latest_until =
     let latest_until = max 2 latest_until in
     let from_time = Rng.int rng (latest_until - 1) in
@@ -876,7 +801,7 @@ let random_spec t ~rng =
   | 4 ->
     Omega_flap
       { until_time = 4 + Rng.int rng (d / 2);
-        period = 1 + Rng.int rng (3 * timer_period_of t) }
+        period = 1 + Rng.int rng (3 * t.base.timer_period) }
   | 5 ->
     let from_time, until_time = window ~latest_until:(drop_safe_until t) in
     Drop { from_time; until_time; pct = 25 * (1 + Rng.int rng 4) }
@@ -912,7 +837,7 @@ let random_spec t ~rng =
       { left = random_side ();
         from_time;
         until_time;
-        period = 1 + Rng.int rng (2 * timer_period_of t) }
+        period = 1 + Rng.int rng (2 * t.base.timer_period) }
   | _ ->
     (* crash drawn but the environment admits none *)
     Duplicate { from_time = 0; until_time = base_max; copies = 1 }
@@ -1020,8 +945,8 @@ let explore ?(domains = 1) t ~seed ~budget ~max_adversities =
         let idxs = List.init (hi - i) (fun j -> i + j) in
         (* The sweep context attaches the failing plan's spec text to the
            error payload, so an uncaught worker exception is reproducible
-           without re-running the exploration (builders with opaque
-           clauses have no text form; name the index instead). *)
+           without re-running the exploration (builders with escape
+           hatches have no text form; name the index instead). *)
         let context ~seed:idx =
           match to_lines (gen idx) with
           | lines -> String.concat "\n" lines
@@ -1042,8 +967,7 @@ let explore ?(domains = 1) t ~seed ~budget ~max_adversities =
                    trace = None;
                    report = None;
                    violations = [ "exception: " ^ e ];
-                   digest = "";
-                   handles = No_handles })
+                   digest = "" })
             results
         in
         match List.find_opt (fun o -> o.violations <> []) outcomes with
@@ -1062,7 +986,7 @@ let explore ?(domains = 1) t ~seed ~budget ~max_adversities =
    because removal shrinks the plan and every [Adversity.weaken] variant
    strictly decreases a positive integer measure of its spec. *)
 let shrink t (o : outcome) =
-  let seed = seed_of o.builder in
+  let seed = o.builder.base.seed in
   let try_plan plan =
     let o' = run ~digest:true ~catch:true (with_plan ~seed t plan) in
     if o'.violations <> [] then Some o' else None
@@ -1240,11 +1164,7 @@ let parse_legacy rest =
 
 let parse_new rest =
   let t = ref (create ~n:4 ~deadline:240 (Etob Stacks.Algorithm_5)) in
-  let set_decl f =
-    match !t.base with
-    | Decl d -> t := { !t with base = Decl (f d) }
-    | Opaque _ -> assert false
-  in
+  let set_base f = t := { !t with base = f !t.base } in
   let checkers = ref [] and boosts = ref [] and posts = ref [] in
   let explicit = ref false in
   let finish plan =
@@ -1277,22 +1197,22 @@ let parse_new rest =
           | Some stack -> t := { !t with stack }
           | None -> at lineno "unknown stack %S" name);
          headers rest
-       | "n" :: [ v ] -> set_decl (fun d -> { d with n = int v }); headers rest
+       | "n" :: [ v ] -> set_base (fun d -> { d with n = int v }); headers rest
        | "seed" :: [ v ] ->
-         set_decl (fun d -> { d with seed = int v });
+         set_base (fun d -> { d with seed = int v });
          headers rest
        | "deadline" :: [ v ] ->
-         set_decl (fun d -> { d with deadline = int v });
+         set_base (fun d -> { d with deadline = int v });
          headers rest
        | "timer-period" :: [ v ] ->
-         set_decl (fun d -> { d with timer_period = int v });
+         set_base (fun d -> { d with timer_period = int v });
          headers rest
        | "delay" :: "constant" :: [ v ] ->
-         set_decl (fun d -> { d with delay = Constant (int v) });
+         set_base (fun d -> { d with delay = Constant (int v) });
          headers rest
        | "delay" :: "uniform" :: fields ->
          let kv = kv_fields fields in
-         set_decl (fun d ->
+         set_base (fun d ->
              { d with
                delay =
                  Uniform { min_d = kv_int kv "min"; max_d = kv_int kv "max" } });

@@ -1,15 +1,16 @@
 (** Declarative test builder: one immutable value that composes a protocol
     {!stack}, a {!workload}, an {!Adversity.t} plan (plus conditional
     {!boost} multipliers), a detector source, {!checker} policies and a
-    search budget — and one interpreter, {!run}, behind every way this
-    repository builds a run.  {!Scenario}'s [run_*] entrypoints are thin
-    presets over builders, exploration generates and shrinks plans for a
+    search budget — and one interpreter, {!run}, which wires the stack
+    through {!Stacks}.  Exploration generates and shrinks plans for a
     {!template} builder, and the [ecsim] subcommands decode their flags (or
-    a [--spec FILE]) into one.
+    a [--spec FILE]) into one.  Runs a builder cannot describe (hand-built
+    failure patterns, raw engine inputs, protocol handles) are hand-wired
+    with {!Stacks} directly.
 
-    Builders made of plain data (a {!Decl} base, no escape hatches) have a
-    stable text form ({!to_lines}/{!of_lines}), the one format findings are
-    written in; {!of_lines} also reads the legacy
+    Builders without escape hatches (a [sink], a [trace_out] file, a
+    config record) have a stable text form ({!to_lines}/{!of_lines}), the
+    one format findings are written in; {!of_lines} also reads the legacy
     ["ecsim-explore-repro v1"] format, and replaying either through {!run}
     is byte-identical to the original paths (enforced by the differential
     tests in [test/test_builder.ml]). *)
@@ -23,17 +24,14 @@ open Ec_core
     survive serialization byte-exactly). *)
 type delay_model = Constant of int | Uniform of { min_d : int; max_d : int }
 
-type decl_base = {
+(** The base scenario. *)
+type base = {
   n : int;
   seed : int;
   deadline : time;
   timer_period : int;
   delay : delay_model;
 }
-
-(** The declarative base scenario, or an arbitrary prebuilt setup (escape
-    hatch for the {!Scenario} shims; not serializable). *)
-type base = Decl of decl_base | Opaque of Stacks.setup
 
 (** Which protocol stack the run drives; mirrors the [Stacks.run_*]
     catalogue. *)
@@ -68,8 +66,6 @@ type workload =
       mix : (string * int) list;  (** weighted tag mix, smooth round-robin *)
     }
   | Explicit of (time * proc_id * string) list  (** explicit [Post] tags *)
-  | Raw of (time * proc_id * Io.input) list
-      (** arbitrary engine inputs (escape hatch; not serializable) *)
 
 (** Convergence-tau policy of the ETOB checker: a fixed bound, or the
     plan-aware bound ({!tau_bound}). *)
@@ -112,19 +108,20 @@ type t = {
   mutation : Etob_omega.mutation option;
   rmutation : Recoverable.mutation option;
   ae_mutation : Anti_entropy.mutation option;
-  (* Escape hatches: all [None] for declarative builders. *)
+  (* Escape hatches: all [None] for serializable builders.  Nothing in
+     this repository sets [rconfig], [ae_config] or [commits] any more;
+     [bench/perf] still reads them. *)
   rconfig : Recoverable.config option;
   ae_config : Anti_entropy.config option;
   commits : bool option;  (** Recoverable commit-prefix toggle *)
-  stores : Persist.Store.t array option;
   sink : Sink.t option;
   trace_out : (string * trace_format) option;
       (** stream the run's events to a trace file (path, format); the
           outcome still carries the full trace (a capturing recorder is
           teed in), so checkers and digests are unaffected *)
-  propose : (proc_id -> instance:int -> Value.t) option;
-      (** EC-stack proposer; [None] = {!default_propose} *)
-  max_instance : int;  (** EC-stack instance horizon (0 = drive nothing) *)
+  max_instance : int;
+      (** EC-stack instance horizon (0 = drive nothing); the stacks propose
+          {!default_propose} *)
   service : Service_spec.t option;
       (** closed-loop client population riding this stack — carried and
           serialized here (one [service ...] spec line), interpreted by
@@ -140,23 +137,12 @@ val create :
     timer period 2, constant unit delays, no workload, no plan, no
     checkers. *)
 
-val of_setup : Stacks.setup -> stack -> t
-(** Wrap a prebuilt setup ({!Opaque} base); used by the {!Scenario}
-    shims.  Not serializable. *)
-
 val default_propose : proc_id -> instance:int -> Value.t
-(** [Num (1000*p + instance)]: the deterministic proposer EC stacks use
-    when [propose] is [None]. *)
+(** [Num (1000*p + instance)]: the deterministic proposer of EC stacks. *)
 
 (** {2 Derived values and policies}
 
-    Exploration's fairness and bound formulas, keyed on the builder.
-    All of these require a {!Decl} base (they need the delay bounds as
-    data) and raise [Invalid_argument] on an {!Opaque} one. *)
-
-val n_of : t -> int
-val seed_of : t -> int
-val deadline_of : t -> time
+    Exploration's fairness and bound formulas, keyed on the builder. *)
 
 val base_max_of : t -> int
 (** The base delay model's largest delay. *)
@@ -178,7 +164,7 @@ val slack : t -> int
 (** Recovery headroom granted on top of a plan's settle time. *)
 
 val inputs : t -> (time * proc_id * Io.input) list
-(** Materialize the workload (any workload, including [Raw]). *)
+(** Materialize the workload as engine inputs. *)
 
 val last_post : t -> time
 (** When the workload ends; convergence cannot precede it. *)
@@ -210,11 +196,6 @@ val setup_of : t -> Stacks.setup
 
 (** {2 Running} *)
 
-type handles =
-  | No_handles
-  | Ae_handles of (Etob_omega.t * Anti_entropy.t) array
-  | Recoverable_handles of Recoverable.t array * Persist.Store.t array
-
 type outcome = {
   builder : t;
   trace : Trace.t option;  (** [None] iff the run raised under [~catch] *)
@@ -222,7 +203,6 @@ type outcome = {
       (** computed iff the builder has checkers and the run completed *)
   violations : string list;  (** [[]] = clean *)
   digest : string;  (** trace digest (hex) iff [~digest]; [""] otherwise *)
-  handles : handles;
 }
 
 val run : ?digest:bool -> ?catch:bool -> ?guard:(unit -> unit) -> t -> outcome
@@ -274,8 +254,8 @@ val with_plan : ?seed:int -> t -> Adversity.t -> t
 val explorable : t -> (t, string) result
 (** Accept a builder (read from a spec) as a template — exploration
     replaces its plan and seed per plan index — or reject it with an
-    error naming the clause the generator cannot be fair to: an opaque
-    base, a non-ETOB stack, a workload other than [auto], an [omega],
+    error naming the clause the generator cannot be fair to: a non-ETOB
+    stack, a workload other than [auto], an [omega],
     [boost] or [service] clause. *)
 
 val plan_at : t -> seed:int -> max_adversities:int -> int -> Adversity.t
@@ -319,10 +299,9 @@ val legacy_header : string
     {!with_plan}'s stack rule) so legacy files replay byte-identically. *)
 
 val to_lines : ?digest:string -> ?violations:string list -> t -> string list
-(** Serialize a declarative builder (raises [Invalid_argument] on
-    {!Opaque} bases, [Raw] workloads or any escape hatch).  [digest] and
-    [violations] are recorded for humans and {!recorded_digest};
-    {!of_lines} ignores them otherwise. *)
+(** Serialize a builder (raises [Invalid_argument] on any escape hatch).
+    [digest] and [violations] are recorded for humans and
+    {!recorded_digest}; {!of_lines} ignores them otherwise. *)
 
 val to_string : ?digest:string -> ?violations:string list -> t -> string
 

@@ -1,8 +1,9 @@
-(* Raw stack wiring: protocols, detectors, workloads and the engine, glued
-   together process by process.  This is the bottom layer of the harness —
-   [Builder] composes these runners declaratively, and [Scenario] re-exports
-   them (implemented through the builder) as the stable public entrypoints.
-   Nothing here knows about adversity plans or spec files. *)
+(* Hand-wired stacks: protocols, detectors, workloads and the engine, glued
+   together process by process.  The one API for runs a declarative
+   [Builder.t] cannot describe (a hand-built failure pattern or sink, raw
+   engine inputs, protocol handles back from the run), and the layer
+   [Builder.run] dispatches to.  Nothing here knows about adversity plans
+   or spec files. *)
 
 open Simulator
 open Simulator.Types
@@ -96,35 +97,38 @@ let spread_posts ~n ~count ~from_time ~every =
 
 type etob_impl = Algorithm_5 | Paxos_baseline | Algorithm_1_over_4
 
-(* Build one process of the chosen ETOB implementation; returns the node
-   and the ETOB service handle.  [mutation] seeds a bug into Algorithm 5
-   (ignored by the other stacks — the mutation harness targets Algorithm 5
+(* One process's ETOB implementation over [omega]: its service handle and
+   protocol component.  [mutation] seeds a bug into Algorithm 5 (ignored
+   by the other stacks — the mutation harness targets Algorithm 5
    only). *)
+let etob_impl_node ?mutation impl ctx ~omega =
+  match impl with
+  | Algorithm_5 ->
+    let t, node = Etob_omega.create ?mutation ctx ~omega in
+    (Etob_omega.service t, node)
+  | Paxos_baseline ->
+    let t, node = Consensus.Paxos_tob.create ctx ~omega in
+    (Consensus.Paxos_tob.service t, node)
+  | Algorithm_1_over_4 ->
+    let ec, ec_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
+    let t, node = Ec_to_etob.create ctx ~ec:(Ec_omega.service ec) in
+    (Ec_to_etob.service t, Engine.combine ec_node node)
+
+(* Build one process of the chosen ETOB implementation; returns the node
+   and the ETOB service handle. *)
 let etob_node ?mutation setup impl =
   let omega_of = omega_module setup in
   fun ctx ->
     let omega, omega_node = omega_of ctx in
-    let service, proto_node =
-      match impl with
-      | Algorithm_5 ->
-        let t, node = Etob_omega.create ?mutation ctx ~omega in
-        (Etob_omega.service t, node)
-      | Paxos_baseline ->
-        let t, node = Consensus.Paxos_tob.create ctx ~omega in
-        (Consensus.Paxos_tob.service t, node)
-      | Algorithm_1_over_4 ->
-        let ec, ec_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
-        let t, node = Ec_to_etob.create ctx ~ec:(Ec_omega.service ec) in
-        (Ec_to_etob.service t, Engine.combine ec_node node)
-    in
+    let service, proto_node = etob_impl_node ?mutation impl ctx ~omega in
     (Engine.stack [ omega_node; proto_node; post_driver service ], service)
 
+(* Run [make_node] on every process and keep only the trace. *)
+let run_trace setup ~inputs make_node =
+  fst (Engine.run_with (engine_config setup) ~make_node ~inputs)
+
 let run_etob ?(inputs = []) ?mutation setup impl =
-  let trace, _ =
-    Engine.run_with (engine_config setup)
-      ~make_node:(etob_node ?mutation setup impl) ~inputs
-  in
-  trace
+  run_trace setup ~inputs (etob_node ?mutation setup impl)
 
 let etob_report setup trace =
   Properties.etob_report (Properties.etob_run_of_trace setup.pattern trace)
@@ -193,139 +197,97 @@ let run_recoverable ?(inputs = []) ?rconfig ?mutation ?etob_mutation ?commits
 
 (* The leaderless gossip-ordering baseline: no Omega anywhere. *)
 let run_gossip_order ?(inputs = []) setup =
-  let make_node ctx =
-    let t, node = Gossip_order.create ctx in
-    (Engine.combine node (post_driver (Gossip_order.service t)), ())
-  in
-  let trace, _ = Engine.run_with (engine_config setup) ~make_node ~inputs in
-  trace
+  run_trace setup ~inputs (fun ctx ->
+      let t, node = Gossip_order.create ctx in
+      (Engine.combine node (post_driver (Gossip_order.service t)), ()))
 
 (* Algorithm 5 plus the Section 7 committed-prefix indication component. *)
 let run_etob_with_commits ?(inputs = []) setup =
   let omega_of = omega_module setup in
-  let make_node ctx =
-    let omega, omega_node = omega_of ctx in
-    let t, etob_node = Etob_omega.create ctx ~omega in
-    let service = Etob_omega.service t in
-    let _, commit_node =
-      Commit_prefix.create ctx ~omega ~etob:service
-        ~promotion:(fun () -> Etob_omega.promotion t)
-    in
-    (Engine.stack [ omega_node; etob_node; commit_node; post_driver service ], ())
-  in
-  let trace, _ = Engine.run_with (engine_config setup) ~make_node ~inputs in
-  trace
+  run_trace setup ~inputs (fun ctx ->
+      let omega, omega_node = omega_of ctx in
+      let t, etob_node = Etob_omega.create ctx ~omega in
+      let service = Etob_omega.service t in
+      let _, commit_node =
+        Commit_prefix.create ctx ~omega ~etob:service
+          ~promotion:(fun () -> Etob_omega.promotion t)
+      in
+      (Engine.stack [ omega_node; etob_node; commit_node; post_driver service ], ()))
+
+(* The EC stacks: [layers ctx ~omega] builds the protocol layers under test
+   and returns their EC service, which the self-driving proposer drives. *)
+let run_ec_driven ~inputs setup ~propose_value ~max_instance layers =
+  let omega_of = omega_module setup in
+  run_trace setup ~inputs (fun ctx ->
+      let omega, omega_node = omega_of ctx in
+      let service, nodes = layers ctx ~omega in
+      let _, driver_node =
+        Ec_driver.attach service
+          ~propose_value:(propose_value ctx.Engine.self) ~max_instance
+      in
+      (Engine.stack ((omega_node :: nodes) @ [ driver_node ]), ()))
 
 (* Bare EC (Algorithm 4) with the self-driving proposer. *)
 let run_ec_omega ?(inputs = []) setup ~propose_value ~max_instance =
-  let omega_of = omega_module setup in
-  let make_node ctx =
-    let omega, omega_node = omega_of ctx in
-    let ec, ec_node = Ec_omega.create ctx ~omega in
-    let _, driver_node =
-      Ec_driver.attach (Ec_omega.service ec)
-        ~propose_value:(propose_value ctx.Engine.self) ~max_instance
-    in
-    (Engine.stack [ omega_node; ec_node; driver_node ], ())
-  in
-  let trace, _ = Engine.run_with (engine_config setup) ~make_node ~inputs in
-  trace
+  run_ec_driven ~inputs setup ~propose_value ~max_instance (fun ctx ~omega ->
+      let ec, ec_node = Ec_omega.create ctx ~omega in
+      (Ec_omega.service ec, [ ec_node ]))
 
 (* Multivalued EC through the binary lift over binary Algorithm 4. *)
 let run_ec_lifted ?(inputs = []) setup ~propose_value ~max_instance =
-  let omega_of = omega_module setup in
-  let make_node ctx =
-    let omega, omega_node = omega_of ctx in
-    let binary, binary_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
-    let lift, lift_node = Binary_lift.create ctx ~binary:(Ec_omega.service binary) in
-    let _, driver_node =
-      Ec_driver.attach (Binary_lift.service lift)
-        ~propose_value:(propose_value ctx.Engine.self) ~max_instance
-    in
-    (Engine.stack [ omega_node; binary_node; lift_node; driver_node ], ())
-  in
-  let trace, _ = Engine.run_with (engine_config setup) ~make_node ~inputs in
-  trace
+  run_ec_driven ~inputs setup ~propose_value ~max_instance (fun ctx ~omega ->
+      let binary, binary_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
+      let lift, lift_node =
+        Binary_lift.create ctx ~binary:(Ec_omega.service binary)
+      in
+      (Binary_lift.service lift, [ binary_node; lift_node ]))
 
 (* EC obtained through Algorithm 2 over an ETOB implementation. *)
 let run_ec_via_etob ?(inputs = []) setup impl ~propose_value ~max_instance =
-  let omega_of = omega_module setup in
-  let make_node ctx =
-    let omega, omega_node = omega_of ctx in
-    let etob_service, etob_node =
-      match impl with
-      | Algorithm_5 ->
-        let t, node = Etob_omega.create ctx ~omega in
-        (Etob_omega.service t, node)
-      | Paxos_baseline ->
-        let t, node = Consensus.Paxos_tob.create ctx ~omega in
-        (Consensus.Paxos_tob.service t, node)
-      | Algorithm_1_over_4 ->
-        let ec, ec_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
-        let t, node = Ec_to_etob.create ctx ~ec:(Ec_omega.service ec) in
-        (Ec_to_etob.service t, Engine.combine ec_node node)
-    in
-    let ec, ec_node = Etob_to_ec.create ctx ~etob:etob_service in
-    let _, driver_node =
-      Ec_driver.attach (Etob_to_ec.service ec)
-        ~propose_value:(propose_value ctx.Engine.self) ~max_instance
-    in
-    (Engine.stack [ omega_node; etob_node; ec_node; driver_node ], ())
-  in
-  let trace, _ = Engine.run_with (engine_config setup) ~make_node ~inputs in
-  trace
+  run_ec_driven ~inputs setup ~propose_value ~max_instance (fun ctx ~omega ->
+      let etob_service, etob_node = etob_impl_node impl ctx ~omega in
+      let ec, ec_node = Etob_to_ec.create ctx ~etob:etob_service in
+      (Etob_to_ec.service ec, [ etob_node; ec_node ]))
 
 (* EIC obtained through Algorithm 6 over Algorithm 4, driven like EC. *)
 let run_eic_over_ec ?(inputs = []) setup ~propose_value ~max_instance =
   let omega_of = omega_module setup in
-  let make_node ctx =
-    let omega, omega_node = omega_of ctx in
-    let ec, ec_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
-    let eic, eic_node = Ec_to_eic.create ctx ~ec:(Ec_omega.service ec) in
-    let eic_service = Ec_to_eic.service eic in
-    (* Drive the EIC usage assumption: propose instance l+1 after the first
-       response to instance l. *)
-    let proposed = ref 0 in
-    let responded = Hashtbl.create 16 in
-    let propose_next () =
-      let next = !proposed + 1 in
-      if next <= max_instance then begin
-        proposed := next;
-        eic_service.Eic_intf.propose ~instance:next
-          (propose_value ctx.Engine.self ~instance:next)
-      end
-    in
-    eic_service.Eic_intf.on_decide (fun (d : Eic_intf.decision) ->
-        if not (Hashtbl.mem responded d.Eic_intf.instance) then begin
-          Hashtbl.add responded d.Eic_intf.instance ();
-          if d.Eic_intf.instance = !proposed then propose_next ()
-        end);
-    let driver =
-      { Engine.on_message = (fun ~src:_ _ -> ());
-        on_timer = (fun () -> if !proposed = 0 then propose_next ());
-        on_input = (fun _ -> ()) }
-    in
-    (Engine.stack [ omega_node; ec_node; eic_node; driver ], ())
-  in
-  let trace, _ = Engine.run_with (engine_config setup) ~make_node ~inputs in
-  trace
+  run_trace setup ~inputs (fun ctx ->
+      let omega, omega_node = omega_of ctx in
+      let ec, ec_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
+      let eic, eic_node = Ec_to_eic.create ctx ~ec:(Ec_omega.service ec) in
+      let eic_service = Ec_to_eic.service eic in
+      (* Drive the EIC usage assumption: propose instance l+1 after the
+         first response to instance l. *)
+      let proposed = ref 0 in
+      let responded = Hashtbl.create 16 in
+      let propose_next () =
+        let next = !proposed + 1 in
+        if next <= max_instance then begin
+          proposed := next;
+          eic_service.Eic_intf.propose ~instance:next
+            (propose_value ctx.Engine.self ~instance:next)
+        end
+      in
+      eic_service.Eic_intf.on_decide (fun (d : Eic_intf.decision) ->
+          if not (Hashtbl.mem responded d.Eic_intf.instance) then begin
+            Hashtbl.add responded d.Eic_intf.instance ();
+            if d.Eic_intf.instance = !proposed then propose_next ()
+          end);
+      let driver =
+        { Engine.on_message = (fun ~src:_ _ -> ());
+          on_timer = (fun () -> if !proposed = 0 then propose_next ());
+          on_input = (fun _ -> ()) }
+      in
+      (Engine.stack [ omega_node; ec_node; eic_node; driver ], ()))
 
 (* EC recovered through Algorithm 7 over (Algorithm 6 over Algorithm 4). *)
 let run_ec_via_eic ?(inputs = []) setup ~propose_value ~max_instance =
-  let omega_of = omega_module setup in
-  let make_node ctx =
-    let omega, omega_node = omega_of ctx in
-    let ec0, ec0_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
-    let eic, eic_node = Ec_to_eic.create ctx ~ec:(Ec_omega.service ec0) in
-    let ec, ec_node = Eic_to_ec.create ctx ~eic:(Ec_to_eic.service eic) in
-    let _, driver_node =
-      Ec_driver.attach (Eic_to_ec.service ec)
-        ~propose_value:(propose_value ctx.Engine.self) ~max_instance
-    in
-    (Engine.stack [ omega_node; ec0_node; eic_node; ec_node; driver_node ], ())
-  in
-  let trace, _ = Engine.run_with (engine_config setup) ~make_node ~inputs in
-  trace
+  run_ec_driven ~inputs setup ~propose_value ~max_instance (fun ctx ~omega ->
+      let ec0, ec0_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
+      let eic, eic_node = Ec_to_eic.create ctx ~ec:(Ec_omega.service ec0) in
+      let ec, ec_node = Eic_to_ec.create ctx ~eic:(Ec_to_eic.service eic) in
+      (Eic_to_ec.service ec, [ ec0_node; eic_node; ec_node ]))
 
 let () =
   Io.register_input_pp (fun ppf -> function

@@ -1,9 +1,11 @@
-(** Raw stack wiring: protocols, detectors, workloads and the engine, glued
-    together process by process.  The bottom layer of the harness:
-    {!Builder} composes these runners declaratively and {!Scenario}
-    re-exports them as the stable public entrypoints.  Tests normally go
-    through those layers; this one exists so the builder has something
-    lower-level than itself to call. *)
+(** Hand-wired stacks: protocols, detectors, workloads and the engine,
+    glued together process by process.  The one API for runs that need
+    more than a declarative {!Builder.t} can say: a hand-built failure
+    pattern or sink, raw engine inputs, or the protocol handles a run
+    returns (anti-entropy stats, recovery handles and stores).
+    {!Builder.run} dispatches to the [run_*] functions below, so a builder
+    and a hand-wired setup that denote the same run produce the same
+    trace. *)
 
 open Simulator
 open Simulator.Types

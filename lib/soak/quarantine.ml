@@ -8,8 +8,7 @@ let quarantine ~artifacts ~target ~job ~seed ~plan ~violations ~digest =
       trace = None;
       report = None;
       violations;
-      digest;
-      handles = Builder.No_handles }
+      digest }
   in
   (* The shrinker re-runs candidate plans with exceptions folded into
      violations, so it minimizes crashing runs too; its own failure

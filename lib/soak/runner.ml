@@ -38,8 +38,7 @@ let default_exec ~guard target ~seed plan =
         trace = None;
         report = None;
         violations = [ "exception: " ^ Printexc.to_string e ];
-        digest = "";
-        handles = Builder.No_handles }
+        digest = "" }
 
 type outcome = { state : Campaign.state; journal : string }
 

@@ -1,8 +1,9 @@
 (* The builder refactor's contract, tested three ways:
 
    - differential: running a declarative builder is byte-identical to the
-     raw [Stacks.run_*] wiring it replaced — on the committed golden
-     traces and on the anti-entropy and crash-recovery stacks;
+     hand-wired [Stacks.run_*] calls — on the committed golden traces, on
+     the anti-entropy and crash-recovery stacks and under an elected
+     Omega;
    - text form: [of_lines (to_lines b) = b] over generated builders, and
      a committed pre-refactor repro file replays through
      [Builder.of_string] to its recorded digest;
@@ -121,22 +122,29 @@ let test_recoverable_differential () =
   in
   Alcotest.(check string) "recoverable stack digest" direct (run_digest decl)
 
-(* The facade keeps its word: Scenario.run_etob (now a builder preset
-   inside) still equals the raw Stacks path on a non-trivial setup. *)
-let test_scenario_facade_differential () =
-  let setup =
-    { (Stacks.default ~n:4 ~deadline:200) with
-      seed = 11;
-      delay = Net.uniform ~min:1 ~max:5;
-      omega = Stacks.Elected { initial_timeout = 5 } }
+(* The builder's [omega] clause: an elected-leader builder run matches
+   [Stacks.run_etob] on the same hand-built setup. *)
+let test_omega_clause_differential () =
+  let decl =
+    { (Builder.create ~seed:11 ~n:4 ~deadline:200
+         ~delay:(Builder.Uniform { min_d = 1; max_d = 5 })
+         (Builder.Etob Stacks.Algorithm_5))
+      with
+      Builder.workload = Builder.Posts { count = 8; from_time = 5; every = 4 };
+      omega = Some (Stacks.Elected { initial_timeout = 5 })
+    }
   in
-  let inputs = Stacks.spread_posts ~n:4 ~count:8 ~from_time:5 ~every:4 in
-  let via_scenario =
-    Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5
+  let direct =
+    let setup =
+      { (Stacks.default ~n:4 ~deadline:200) with
+        seed = 11;
+        delay = Net.uniform ~min:1 ~max:5;
+        omega = Stacks.Elected { initial_timeout = 5 } }
+    in
+    let inputs = Stacks.spread_posts ~n:4 ~count:8 ~from_time:5 ~every:4 in
+    digest_of_trace (Stacks.run_etob ~inputs setup Stacks.Algorithm_5)
   in
-  let via_stacks = Stacks.run_etob ~inputs setup Stacks.Algorithm_5 in
-  Alcotest.(check string) "facade digest"
-    (digest_of_trace via_stacks) (digest_of_trace via_scenario)
+  Alcotest.(check string) "omega clause digest" direct (run_digest decl)
 
 (* ------------------------------------------------------------------ *)
 (* Text form                                                           *)
@@ -274,7 +282,7 @@ let () =
          Alcotest.test_case "recoverable stack" `Quick
            test_recoverable_differential;
          Alcotest.test_case "scenario facade" `Quick
-           test_scenario_facade_differential ]);
+           test_omega_clause_differential ]);
       ("text form",
        [ Alcotest.test_case "legacy repro via builder" `Quick
            test_legacy_repro_via_builder;

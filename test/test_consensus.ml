@@ -7,15 +7,15 @@ open Simulator
 open Ec_core
 
 let oracle ?(pre = Detectors.Omega.Self_trust) stabilize_at =
-  Harness.Scenario.Oracle { stabilize_at; pre }
+  Harness.Stacks.Oracle { stabilize_at; pre }
 
 let run_paxos ?(inputs = []) setup =
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Paxos_baseline in
-  (Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace, trace)
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Paxos_baseline in
+  (Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace, trace)
 
 let test_paxos_strong_tob_failure_free () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:200) with omega = oracle 0 } in
-  let inputs = Harness.Scenario.spread_posts ~n:3 ~count:9 ~from_time:10 ~every:4 in
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:200) with omega = oracle 0 } in
+  let inputs = Harness.Stacks.spread_posts ~n:3 ~count:9 ~from_time:10 ~every:4 in
   let run, _ = run_paxos ~inputs setup in
   let report = Properties.etob_report run in
   Alcotest.(check bool)
@@ -27,13 +27,13 @@ let test_paxos_survives_leader_crash () =
   (* The leader crashes mid-run; Omega repoints to p1 and the new leader
      recovers in-flight slots through the prepare phase. *)
   let pattern = Failures.of_crashes ~n:3 [ (0, 40) ] in
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:400) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:400) with
                 pattern;
                 omega = oracle ~pre:(Detectors.Omega.Fixed 0) 60 } in
   let inputs =
-    [ (10, 1, Harness.Scenario.Post "pre-crash");
-      (80, 1, Harness.Scenario.Post "post-crash");
-      (100, 2, Harness.Scenario.Post "late") ]
+    [ (10, 1, Harness.Stacks.Post "pre-crash");
+      (80, 1, Harness.Stacks.Post "post-crash");
+      (100, 2, Harness.Stacks.Post "late") ]
   in
   let run, _ = run_paxos ~inputs setup in
   let report = Properties.etob_report run in
@@ -45,12 +45,12 @@ let test_paxos_blocks_without_majority () =
   (* 3 of 5 crash: requests sent after the crash point are never delivered.
      This is the paper's availability gap: Sigma (quorums) is needed. *)
   let pattern = Failures.of_crashes ~n:5 [ (2, 30); (3, 30); (4, 30) ] in
-  let setup = { (Harness.Scenario.default ~n:5 ~deadline:300) with
+  let setup = { (Harness.Stacks.default ~n:5 ~deadline:300) with
                 pattern; omega = oracle 0 } in
   let inputs =
-    [ (10, 0, Harness.Scenario.Post "early");
-      (50, 0, Harness.Scenario.Post "blocked-1");
-      (90, 1, Harness.Scenario.Post "blocked-2") ]
+    [ (10, 0, Harness.Stacks.Post "early");
+      (50, 0, Harness.Stacks.Post "blocked-1");
+      (90, 1, Harness.Stacks.Post "blocked-2") ]
   in
   let run, _ = run_paxos ~inputs setup in
   let tags = List.map (fun m -> m.App_msg.tag) (Properties.final_d run 0) in
@@ -61,12 +61,12 @@ let test_paxos_three_step_latency () =
   (* Steady state: request -> Accept -> Accepted = three communication
      steps (plus at most one timer period of batching at the leader). *)
   let delta = 3 in
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:200) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:200) with
                 delay = Net.constant delta; omega = oracle 0; timer_period = 1 } in
   let post_at = 100 in
   let inputs =
-    [ (20, 0, Harness.Scenario.Post "warmup");
-      (post_at, 1, Harness.Scenario.Post "probe") ]
+    [ (20, 0, Harness.Stacks.Post "warmup");
+      (post_at, 1, Harness.Stacks.Post "probe") ]
   in
   let run, trace = run_paxos ~inputs setup in
   let probe =
@@ -88,7 +88,7 @@ let test_paxos_three_step_latency () =
          (Printf.sprintf "latency %d within [3D, 3D + timer]" latency)
          true
          (latency >= 3 * delta
-          && latency <= (3 * delta) + setup.Harness.Scenario.timer_period + 1))
+          && latency <= (3 * delta) + setup.Harness.Stacks.timer_period + 1))
 
 let test_paxos_majority_side_live_under_partition () =
   (* During a partition with a competing minority-side campaigner, the
@@ -96,11 +96,11 @@ let test_paxos_majority_side_live_under_partition () =
      race: a leader must not adopt a ballot already preempted locally). *)
   let blocks = [ [ 0; 1; 2 ]; [ 3; 4 ] ] in
   let spec = { Net.blocks; from_time = 5; until_time = 100 } in
-  let setup = { (Harness.Scenario.default ~n:5 ~deadline:300) with
+  let setup = { (Harness.Stacks.default ~n:5 ~deadline:300) with
                 delay = Net.partitioned spec ~base:(Net.constant 1);
-                omega = Harness.Scenario.Oracle
+                omega = Harness.Stacks.Oracle
                     { stabilize_at = 100; pre = Detectors.Omega.Blockwise blocks } } in
-  let inputs = [ (10, 0, Harness.Scenario.Post "maj") ] in
+  let inputs = [ (10, 0, Harness.Stacks.Post "maj") ] in
   let run, _ = run_paxos ~inputs setup in
   (* The majority side delivers its write well before the heal. *)
   let d_mid = Properties.d_at run 0 50 in
@@ -109,9 +109,9 @@ let test_paxos_majority_side_live_under_partition () =
 let test_paxos_leader_change_no_duplication () =
   (* A request caught across a leader change may be proposed in two slots;
      delivery must still be exactly-once. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:400) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:400) with
                 omega = oracle ~pre:(Detectors.Omega.Rotating 15) 100 } in
-  let inputs = Harness.Scenario.spread_posts ~n:3 ~count:9 ~from_time:5 ~every:8 in
+  let inputs = Harness.Stacks.spread_posts ~n:3 ~count:9 ~from_time:5 ~every:8 in
   let run, _ = run_paxos ~inputs setup in
   let report = Properties.etob_report run in
   Alcotest.(check bool) "no duplication" true
@@ -132,11 +132,11 @@ let prop_paxos_safety_random_runs =
        let rng = Rng.create seed in
        let n = 3 + Rng.int rng 3 in
        let pattern = Failures.random ~rng ~n ~max_faulty:(n - 1) ~horizon:60 in
-       let setup = { (Harness.Scenario.default ~n ~deadline:300) with
+       let setup = { (Harness.Stacks.default ~n ~deadline:300) with
                      pattern; seed;
                      delay = Net.uniform ~min:1 ~max:5;
                      omega = oracle ~pre:(Detectors.Omega.Seeded seed) 70 } in
-       let inputs = Harness.Scenario.spread_posts ~n ~count:6 ~from_time:5 ~every:6 in
+       let inputs = Harness.Stacks.spread_posts ~n ~count:6 ~from_time:5 ~every:6 in
        let run, _ = run_paxos ~inputs setup in
        let report = Properties.etob_report run in
        report.Properties.no_duplication.Properties.ok

@@ -336,11 +336,11 @@ let test_etob_to_ec_tag_rejects_garbage () =
     [ ""; "ec2"; "ec2:x:f:true"; "other:1:n:3"; "ec2:1:bogus" ]
 
 (* ------------------------------------------------------------------ *)
-(* Scenario-based suites (through the shared harness)                  *)
+(* Hand-wired stack suites (through Harness.Stacks)                    *)
 (* ------------------------------------------------------------------ *)
 
 let oracle ?(pre = Detectors.Omega.Self_trust) stabilize_at =
-  Harness.Scenario.Oracle { stabilize_at; pre }
+  Harness.Stacks.Oracle { stabilize_at; pre }
 
 let num_values self ~instance = Value.Num ((self * 100) + instance)
 let flag_values self ~instance = Value.Flag ((self + instance) mod 2 = 0)
@@ -348,11 +348,11 @@ let flag_values self ~instance = Value.Flag ((self + instance) mod 2 = 0)
 (* --- Algorithm 4 (EC from Omega) ---------------------------------- *)
 
 let test_ec_omega_stable_leader () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:150) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:150) with
                 omega = oracle 0 } in
-  let trace = Harness.Scenario.run_ec_omega setup ~propose_value:num_values
+  let trace = Harness.Stacks.run_ec_omega setup ~propose_value:num_values
       ~max_instance:8 in
-  let run = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.ec_report run ~instances:8 in
   check_verdict "integrity" report.Properties.integrity;
   check_verdict "validity" report.Properties.ec_validity;
@@ -364,11 +364,11 @@ let test_ec_omega_late_stabilization () =
   (* The drivers run through roughly one instance per tick, so the instance
      count must comfortably outlast tau_Omega for post-stabilization
      instances to exist. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:400) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:400) with
                 omega = oracle ~pre:Detectors.Omega.Self_trust 40 } in
-  let trace = Harness.Scenario.run_ec_omega setup ~propose_value:num_values
+  let trace = Harness.Stacks.run_ec_omega setup ~propose_value:num_values
       ~max_instance:60 in
-  let run = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.ec_report run ~instances:60 in
   Alcotest.(check bool) "all clauses with eventual agreement" true
     (Properties.ec_ok ~agreement_by:60 report);
@@ -379,9 +379,9 @@ let test_ec_omega_late_stabilization () =
 let test_ec_omega_no_majority () =
   (* The paper's headline: Algorithm 4 needs NO correct majority. *)
   let pattern = Failures.of_crashes ~n:5 [ (2, 40); (3, 40); (4, 40) ] in
-  let setup = { (Harness.Scenario.default ~n:5 ~deadline:400) with
+  let setup = { (Harness.Stacks.default ~n:5 ~deadline:400) with
                 pattern; omega = oracle 0 } in
-  let trace = Harness.Scenario.run_ec_omega setup ~propose_value:num_values
+  let trace = Harness.Stacks.run_ec_omega setup ~propose_value:num_values
       ~max_instance:10 in
   let run = Properties.ec_run_of_trace pattern trace in
   let report = Properties.ec_report run ~instances:10 in
@@ -390,11 +390,11 @@ let test_ec_omega_no_majority () =
     (Properties.ec_ok ~agreement_by:10 report)
 
 let test_ec_omega_rotating_prefix () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:300) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:300) with
                 omega = oracle ~pre:(Detectors.Omega.Rotating 6) 50 } in
-  let trace = Harness.Scenario.run_ec_omega setup ~propose_value:flag_values
+  let trace = Harness.Stacks.run_ec_omega setup ~propose_value:flag_values
       ~max_instance:10 in
-  let run = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.ec_report run ~instances:10 in
   Alcotest.(check bool) "EC under rotating prefix" true
     (Properties.ec_ok ~agreement_by:10 report)
@@ -403,20 +403,20 @@ let test_minimum_system_size () =
   (* The paper's model starts at n = 2: both algorithms must work there,
      including with one of the two processes crashing (no majority left). *)
   let pattern = Failures.of_crashes ~n:2 [ (1, 40) ] in
-  let setup = { (Harness.Scenario.default ~n:2 ~deadline:300) with
+  let setup = { (Harness.Stacks.default ~n:2 ~deadline:300) with
                 pattern; omega = oracle 0 } in
-  let trace = Harness.Scenario.run_ec_omega setup ~propose_value:num_values
+  let trace = Harness.Stacks.run_ec_omega setup ~propose_value:num_values
       ~max_instance:8 in
   let run = Properties.ec_run_of_trace pattern trace in
   Alcotest.(check bool) "EC at n=2 with a crash" true
     (Properties.ec_ok ~agreement_by:8 (Properties.ec_report run ~instances:8));
-  let setup = { (Harness.Scenario.default ~n:2 ~deadline:300) with
+  let setup = { (Harness.Stacks.default ~n:2 ~deadline:300) with
                 pattern; omega = oracle 0 } in
   let inputs =
-    [ (10, 0, Harness.Scenario.Post "both-alive");
-      (100, 0, Harness.Scenario.Post "solo") ]
+    [ (10, 0, Harness.Stacks.Post "both-alive");
+      (100, 0, Harness.Stacks.Post "solo") ]
   in
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
   let run = Properties.etob_run_of_trace pattern trace in
   Alcotest.(check bool) "ETOB at n=2 with a crash" true
     (Properties.etob_base_ok (Properties.etob_report run));
@@ -431,11 +431,11 @@ let prop_ec_omega_any_environment =
        let n = 2 + Rng.int rng 4 in
        (* ANY environment: up to n-1 crashes, all before time 50. *)
        let pattern = Failures.random ~rng ~n ~max_faulty:(n - 1) ~horizon:50 in
-       let setup = { (Harness.Scenario.default ~n ~deadline:600) with
+       let setup = { (Harness.Stacks.default ~n ~deadline:600) with
                      pattern; seed;
                      delay = Net.uniform ~min:1 ~max:3;
                      omega = oracle ~pre:(Detectors.Omega.Seeded seed) 60 } in
-       let trace = Harness.Scenario.run_ec_omega setup ~propose_value:num_values
+       let trace = Harness.Stacks.run_ec_omega setup ~propose_value:num_values
            ~max_instance:50 in
        let run = Properties.ec_run_of_trace pattern trace in
        Properties.ec_ok ~agreement_by:50 (Properties.ec_report run ~instances:50))
@@ -445,11 +445,11 @@ let prop_ec_omega_any_environment =
 let test_etob_omega_strong_tob_with_stable_omega () =
   (* Claim (P2) of Section 5: with Omega stable from the start, Algorithm 5
      implements full (strong) total order broadcast. *)
-  let setup = { (Harness.Scenario.default ~n:4 ~deadline:200) with
+  let setup = { (Harness.Stacks.default ~n:4 ~deadline:200) with
                 omega = oracle 0; delay = Net.uniform ~min:1 ~max:4 } in
-  let inputs = Harness.Scenario.spread_posts ~n:4 ~count:10 ~from_time:5 ~every:3 in
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
-  let report = Harness.Scenario.etob_report setup trace in
+  let inputs = Harness.Stacks.spread_posts ~n:4 ~count:10 ~from_time:5 ~every:3 in
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
+  let report = Harness.Stacks.etob_report setup trace in
   Alcotest.(check bool)
     (Format.asprintf "strong TOB: %a" Properties.pp_etob_report report)
     true (Properties.is_strong_tob report);
@@ -458,7 +458,7 @@ let test_etob_omega_strong_tob_with_stable_omega () =
 let partition_setup ~n ~heal =
   let blocks = [ [ 0; 1; 2 ]; [ 3; 4 ] ] in
   let spec = { Net.blocks; from_time = 5; until_time = heal } in
-  { (Harness.Scenario.default ~n ~deadline:(heal * 3)) with
+  { (Harness.Stacks.default ~n ~deadline:(heal * 3)) with
     delay = Net.partitioned spec ~base:(Net.constant 1);
     omega = oracle ~pre:(Detectors.Omega.Blockwise blocks) heal }
 
@@ -468,15 +468,15 @@ let test_etob_omega_partition_convergence () =
      must hold throughout, including DURING the partition (claim P3). *)
   let heal = 60 in
   let setup = partition_setup ~n:5 ~heal in
-  let inputs = Harness.Scenario.spread_posts ~n:5 ~count:15 ~from_time:8 ~every:3 in
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
-  let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+  let inputs = Harness.Stacks.spread_posts ~n:5 ~count:15 ~from_time:8 ~every:3 in
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
+  let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.etob_report run in
   Alcotest.(check bool) "base properties" true (Properties.etob_base_ok report);
   check_verdict "causal order during partition" report.Properties.causal_order;
   check_verdict "dependencies present" (Properties.check_deps_present run);
   (* Lemma 3's bound: convergence by tau_Omega + Delta_t + Delta_c. *)
-  let bound = heal + setup.Harness.Scenario.timer_period + 1 + 2 in
+  let bound = heal + setup.Harness.Stacks.timer_period + 1 + 2 in
   let tau = Properties.etob_convergence_time report in
   Alcotest.(check bool)
     (Printf.sprintf "tau=%d <= bound=%d" tau bound) true (tau <= bound);
@@ -488,14 +488,14 @@ let test_etob_omega_no_majority () =
   (* Availability without a correct majority: 3 of 5 processes crash, and
      the survivors keep broadcasting and stably delivering. *)
   let pattern = Failures.of_crashes ~n:5 [ (2, 20); (3, 20); (4, 20) ] in
-  let setup = { (Harness.Scenario.default ~n:5 ~deadline:200) with
+  let setup = { (Harness.Stacks.default ~n:5 ~deadline:200) with
                 pattern; omega = oracle 0 } in
   let inputs =
-    [ (10, 0, Harness.Scenario.Post "before");
-      (40, 1, Harness.Scenario.Post "after-crashes");
-      (60, 0, Harness.Scenario.Post "late") ]
+    [ (10, 0, Harness.Stacks.Post "before");
+      (40, 1, Harness.Stacks.Post "after-crashes");
+      (60, 0, Harness.Stacks.Post "late") ]
   in
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
   let run = Properties.etob_run_of_trace pattern trace in
   let report = Properties.etob_report run in
   Alcotest.(check bool) "base properties" true (Properties.etob_base_ok report);
@@ -508,12 +508,12 @@ let test_etob_omega_two_step_latency () =
      leader in Delta and the promote reaches everyone in another Delta (plus
      at most one timer period of batching at the leader). *)
   let delta = 3 in
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:120) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:120) with
                 delay = Net.constant delta; omega = oracle 0; timer_period = 1 } in
   let post_at = 50 in
-  let inputs = [ (post_at, 1, Harness.Scenario.Post "probe") ] in
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
-  let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+  let inputs = [ (post_at, 1, Harness.Stacks.Post "probe") ] in
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
+  let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
   let probe =
     List.find_map
       (fun (_, _, o) ->
@@ -535,16 +535,16 @@ let test_etob_omega_two_step_latency () =
          (Printf.sprintf "latency %d within [2D, 2D + timer]" latency)
          true
          (latency >= 2 * delta
-          && latency <= (2 * delta) + setup.Harness.Scenario.timer_period + 1))
+          && latency <= (2 * delta) + setup.Harness.Stacks.timer_period + 1))
 
 let test_etob_omega_with_elected_omega () =
   (* The full system: Algorithm 5 over the heartbeat-based Omega emulation
      rather than the oracle. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:250) with
-                omega = Harness.Scenario.Elected { initial_timeout = 6 } } in
-  let inputs = Harness.Scenario.spread_posts ~n:3 ~count:6 ~from_time:30 ~every:5 in
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
-  let report = Harness.Scenario.etob_report setup trace in
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:250) with
+                omega = Harness.Stacks.Elected { initial_timeout = 6 } } in
+  let inputs = Harness.Stacks.spread_posts ~n:3 ~count:6 ~from_time:30 ~every:5 in
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
+  let report = Harness.Stacks.etob_report setup trace in
   Alcotest.(check bool) "base properties over elected omega" true
     (Properties.etob_base_ok report);
   check_verdict "causal order" report.Properties.causal_order
@@ -557,12 +557,12 @@ let prop_etob_omega_random_runs =
        let n = 3 + Rng.int rng 3 in
        let pattern = Failures.random ~rng ~n ~max_faulty:(n - 1) ~horizon:40 in
        let stabilize = 50 + Rng.int rng 30 in
-       let setup = { (Harness.Scenario.default ~n ~deadline:400) with
+       let setup = { (Harness.Stacks.default ~n ~deadline:400) with
                      pattern; seed;
                      delay = Net.uniform ~min:1 ~max:4;
                      omega = oracle ~pre:(Detectors.Omega.Seeded seed) stabilize } in
-       let inputs = Harness.Scenario.spread_posts ~n ~count:8 ~from_time:5 ~every:4 in
-       let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
+       let inputs = Harness.Stacks.spread_posts ~n ~count:8 ~from_time:5 ~every:4 in
+       let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
        let run = Properties.etob_run_of_trace pattern trace in
        let report = Properties.etob_report run in
        Properties.etob_base_ok report
@@ -574,7 +574,7 @@ let prop_etob_omega_random_runs =
    partitions, delay spikes, drops, duplication, Omega flapping — and each
    seeded mutant, the two traces must be identical, event for event. *)
 let alg5_trace ~oracle ?mutation setup inputs =
-  let omega_of = Harness.Scenario.omega_module setup in
+  let omega_of = Harness.Stacks.omega_module setup in
   let make_node ctx =
     let omega, omega_node = omega_of ctx in
     let service, node =
@@ -583,9 +583,9 @@ let alg5_trace ~oracle ?mutation setup inputs =
         let t, node = Etob_omega.create ?mutation ctx ~omega in
         (Etob_omega.service t, node)
     in
-    (Engine.stack [ omega_node; node; Harness.Scenario.post_driver service ], ())
+    (Engine.stack [ omega_node; node; Harness.Stacks.post_driver service ], ())
   in
-  let trace, _ = Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs in
+  let trace, _ = Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs in
   Format.asprintf "%a" Trace.pp trace
 
 let prop_alg5_matches_oracle =
@@ -607,12 +607,12 @@ let prop_alg5_matches_oracle =
     (fun (seed, n, plan, mutation) ->
        let setup =
          Harness.Adversity.apply plan
-           { (Harness.Scenario.default ~n ~deadline) with
+           { (Harness.Stacks.default ~n ~deadline) with
              seed;
              delay = Net.uniform ~min:1 ~max:4;
              omega = oracle ~pre:(Detectors.Omega.Seeded seed) 40 }
        in
-       let inputs = Harness.Scenario.spread_posts ~n ~count:12 ~from_time:5 ~every:3 in
+       let inputs = Harness.Stacks.spread_posts ~n ~count:12 ~from_time:5 ~every:3 in
        String.equal
          (alg5_trace ~oracle:false ?mutation setup inputs)
          (alg5_trace ~oracle:true ?mutation setup inputs))
@@ -622,22 +622,22 @@ let prop_alg5_matches_oracle =
 let test_fresh_msg_causal_deps () =
   (* fresh_msg must declare genuine happens-before predecessors: the last
      own broadcast and the last delivered message. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:120) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:120) with
                 omega = oracle 0 } in
-  let omega_of = Harness.Scenario.omega_module setup in
+  let omega_of = Harness.Stacks.omega_module setup in
   let make_node ctx =
     let omega, omega_node = omega_of ctx in
     let t, node = Etob_omega.create ctx ~omega in
     let service = Etob_omega.service t in
-    (Engine.stack [ omega_node; node; Harness.Scenario.post_driver service ],
+    (Engine.stack [ omega_node; node; Harness.Stacks.post_driver service ],
      service)
   in
   let inputs =
-    [ (5, 0, Harness.Scenario.Post "first");
-      (40, 0, Harness.Scenario.Post "second");
-      (60, 1, Harness.Scenario.Post "reply") ]
+    [ (5, 0, Harness.Stacks.Post "first");
+      (40, 0, Harness.Stacks.Post "second");
+      (60, 1, Harness.Stacks.Post "reply") ]
   in
-  let trace, _ = Engine.run_with (Harness.Scenario.engine_config setup)
+  let trace, _ = Engine.run_with (Harness.Stacks.engine_config setup)
       ~make_node ~inputs in
   let broadcasts =
     List.filter_map
@@ -660,9 +660,9 @@ let test_fresh_msg_causal_deps () =
 let test_eic_input_driven () =
   (* The EIC abstraction driven through engine inputs rather than the
      harness driver: one instance proposed externally at each process. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:200) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:200) with
                 omega = oracle 0 } in
-  let omega_of = Harness.Scenario.omega_module setup in
+  let omega_of = Harness.Stacks.omega_module setup in
   let make_node ctx =
     let omega, omega_node = omega_of ctx in
     let ec, ec_node = Ec_omega.create ~layer:"ec-inner" ctx ~omega in
@@ -676,9 +676,9 @@ let test_eic_input_driven () =
                                                   value = Value.Num (p * 7) }))
       [ 0; 1; 2 ]
   in
-  let trace, _ = Engine.run_with (Harness.Scenario.engine_config setup)
+  let trace, _ = Engine.run_with (Harness.Stacks.engine_config setup)
       ~make_node ~inputs in
-  let run = Properties.eic_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.eic_run_of_trace setup.Harness.Stacks.pattern trace in
   check_verdict "termination" (Properties.check_eic_termination run ~instances:1);
   check_verdict "validity" (Properties.check_eic_validity run);
   check_verdict "agreement" (Properties.check_eic_agreement run)
@@ -686,11 +686,11 @@ let test_eic_input_driven () =
 (* --- The binary-to-multivalued lift ([23] in the paper) ------------- *)
 
 let test_binary_lift_stable_leader () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:400) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:400) with
                 omega = oracle 0 } in
-  let trace = Harness.Scenario.run_ec_lifted setup ~propose_value:num_values
+  let trace = Harness.Stacks.run_ec_lifted setup ~propose_value:num_values
       ~max_instance:6 in
-  let run = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.ec_report run ~instances:6 in
   check_verdict "integrity" report.Properties.integrity;
   check_verdict "validity" report.Properties.ec_validity;
@@ -703,11 +703,11 @@ let test_binary_lift_stable_leader () =
   Alcotest.(check int) "six instances decided" 6 (List.length distinct)
 
 let test_binary_lift_late_stabilization () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:800) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:800) with
                 omega = oracle ~pre:Detectors.Omega.Self_trust 40 } in
-  let trace = Harness.Scenario.run_ec_lifted setup ~propose_value:num_values
+  let trace = Harness.Stacks.run_ec_lifted setup ~propose_value:num_values
       ~max_instance:20 in
-  let run = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.ec_report run ~instances:20 in
   Alcotest.(check bool)
     (Format.asprintf "lift with eventual agreement: %a" Properties.pp_ec_report report)
@@ -715,9 +715,9 @@ let test_binary_lift_late_stabilization () =
 
 let test_binary_lift_with_crash () =
   let pattern = Failures.of_crashes ~n:3 [ (2, 30) ] in
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:800) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:800) with
                 pattern; omega = oracle 0 } in
-  let trace = Harness.Scenario.run_ec_lifted setup ~propose_value:num_values
+  let trace = Harness.Stacks.run_ec_lifted setup ~propose_value:num_values
       ~max_instance:8 in
   let run = Properties.ec_run_of_trace pattern trace in
   let report = Properties.ec_report run ~instances:8 in
@@ -728,13 +728,13 @@ let test_binary_lift_with_crash () =
 (* --- Theorem 1: the transformations ------------------------------- *)
 
 let test_alg1_over_alg4_is_etob () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:400) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:400) with
                 omega = oracle 30 } in
-  let inputs = Harness.Scenario.spread_posts ~n:3 ~count:9 ~from_time:5 ~every:4 in
+  let inputs = Harness.Stacks.spread_posts ~n:3 ~count:9 ~from_time:5 ~every:4 in
   let trace =
-    Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_1_over_4
+    Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_1_over_4
   in
-  let run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.etob_report run in
   Alcotest.(check bool)
     (Format.asprintf "T_EC->ETOB: %a" Properties.pp_etob_report report)
@@ -743,13 +743,13 @@ let test_alg1_over_alg4_is_etob () =
     (Properties.etob_convergence_time report <= 60)
 
 let test_alg2_over_alg5_is_ec () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:500) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:500) with
                 omega = oracle 30 } in
   let trace =
-    Harness.Scenario.run_ec_via_etob setup Harness.Scenario.Algorithm_5
+    Harness.Stacks.run_ec_via_etob setup Harness.Stacks.Algorithm_5
       ~propose_value:flag_values ~max_instance:8
   in
-  let run = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.ec_report run ~instances:8 in
   Alcotest.(check bool)
     (Format.asprintf "T_ETOB->EC: %a" Properties.pp_ec_report report)
@@ -758,13 +758,13 @@ let test_alg2_over_alg5_is_ec () =
 let test_alg2_over_paxos_is_consensus () =
   (* Over the strong baseline, the transformation yields agreement from the
      very first instance: it is (non-eventual) repeated consensus. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:600) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:600) with
                 omega = oracle 0; timer_period = 3 } in
   let trace =
-    Harness.Scenario.run_ec_via_etob setup Harness.Scenario.Paxos_baseline
+    Harness.Stacks.run_ec_via_etob setup Harness.Stacks.Paxos_baseline
       ~propose_value:flag_values ~max_instance:5
   in
-  let run = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.ec_report run ~instances:5 in
   Alcotest.(check bool) "all clauses" true (Properties.ec_ok report);
   Alcotest.(check int) "agreement from instance 1" 1 report.Properties.agreement_index
@@ -772,11 +772,11 @@ let test_alg2_over_paxos_is_consensus () =
 (* --- Appendix A: EIC ----------------------------------------------- *)
 
 let test_alg6_gives_eic () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:400) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:400) with
                 omega = oracle ~pre:Detectors.Omega.Self_trust 40 } in
-  let trace = Harness.Scenario.run_eic_over_ec setup ~propose_value:flag_values
+  let trace = Harness.Stacks.run_eic_over_ec setup ~propose_value:flag_values
       ~max_instance:50 in
-  let run = Properties.eic_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.eic_run_of_trace setup.Harness.Stacks.pattern trace in
   check_verdict "eic termination" (Properties.check_eic_termination run ~instances:50);
   check_verdict "eic validity" (Properties.check_eic_validity run);
   check_verdict "eic agreement" (Properties.check_eic_agreement run);
@@ -788,21 +788,21 @@ let test_alg6_gives_eic () =
 let test_alg6_revokes_under_disagreement () =
   (* With a long self-trust prefix, early EIC instances genuinely get
      revoked; the point of Appendix A is that this is allowed. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:500) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:500) with
                 omega = oracle ~pre:Detectors.Omega.Self_trust 30 } in
-  let trace = Harness.Scenario.run_eic_over_ec setup ~propose_value:num_values
+  let trace = Harness.Stacks.run_eic_over_ec setup ~propose_value:num_values
       ~max_instance:60 in
-  let run = Properties.eic_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.eic_run_of_trace setup.Harness.Stacks.pattern trace in
   Alcotest.(check bool) "revocations occurred" true
     (Properties.eic_revocation_count run > 0);
   check_verdict "eic agreement still holds" (Properties.check_eic_agreement run)
 
 let test_alg7_over_alg6_is_ec () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:500) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:500) with
                 omega = oracle 40 } in
-  let trace = Harness.Scenario.run_ec_via_eic setup ~propose_value:flag_values
+  let trace = Harness.Stacks.run_ec_via_eic setup ~propose_value:flag_values
       ~max_instance:60 in
-  let run = Properties.ec_run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Properties.ec_run_of_trace setup.Harness.Stacks.pattern trace in
   let report = Properties.ec_report run ~instances:60 in
   Alcotest.(check bool)
     (Format.asprintf "T_EIC->EC: %a" Properties.pp_ec_report report)
@@ -817,8 +817,8 @@ let concurrent_pairs ~until ~every =
   List.concat
     (List.init (until / every) (fun i ->
          let t = 10 + (i * every) in
-         [ (t, 0, Harness.Scenario.Post (Printf.sprintf "a%d" i));
-           (t, 2, Harness.Scenario.Post (Printf.sprintf "b%d" i)) ]))
+         [ (t, 0, Harness.Stacks.Post (Printf.sprintf "a%d" i));
+           (t, 2, Harness.Stacks.Post (Printf.sprintf "b%d" i)) ]))
 
 let test_gossip_baseline_converges_but_never_stabilizes () =
   let workload_end = 200 in
@@ -827,10 +827,10 @@ let test_gossip_baseline_converges_but_never_stabilizes () =
   (* The gossip baseline: correct base properties, convergence after
      quiescence, but stability violations track the workload, not any
      environment constant. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:300) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:300) with
                 delay; omega = oracle 0 } in
-  let gossip_trace = Harness.Scenario.run_gossip_order ~inputs setup in
-  let gossip_run = Properties.etob_run_of_trace setup.Harness.Scenario.pattern gossip_trace in
+  let gossip_trace = Harness.Stacks.run_gossip_order ~inputs setup in
+  let gossip_run = Properties.etob_run_of_trace setup.Harness.Stacks.pattern gossip_trace in
   let gossip_report = Properties.etob_report gossip_run in
   Alcotest.(check bool) "gossip base properties" true
     (Properties.etob_base_ok gossip_report);
@@ -841,10 +841,10 @@ let test_gossip_baseline_converges_but_never_stabilizes () =
     true
     (gossip_report.Properties.tau_stability > workload_end / 2);
   (* Algorithm 5 on the same workload: tau bounded by the environment. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:300) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:300) with
                 delay; omega = oracle 0 } in
-  let etob_trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
-  let etob_report = Harness.Scenario.etob_report setup etob_trace in
+  let etob_trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
+  let etob_report = Harness.Stacks.etob_report setup etob_trace in
   Alcotest.(check bool) "algorithm 5 is strong TOB on the same workload" true
     (Properties.is_strong_tob etob_report)
 
@@ -853,11 +853,11 @@ let test_gossip_baseline_converges_but_never_stabilizes () =
 let test_commit_prefix_stable_period () =
   (* Under a stable leader with a correct majority, every broadcast is
      eventually committed, and commitments are never rolled back. *)
-  let setup = { (Harness.Scenario.default ~n:5 ~deadline:200) with
+  let setup = { (Harness.Stacks.default ~n:5 ~deadline:200) with
                 omega = oracle 0 } in
-  let inputs = Harness.Scenario.spread_posts ~n:5 ~count:10 ~from_time:8 ~every:4 in
-  let trace = Harness.Scenario.run_etob_with_commits ~inputs setup in
-  let pattern = setup.Harness.Scenario.pattern in
+  let inputs = Harness.Stacks.spread_posts ~n:5 ~count:10 ~from_time:8 ~every:4 in
+  let trace = Harness.Stacks.run_etob_with_commits ~inputs setup in
+  let pattern = setup.Harness.Stacks.pattern in
   let commits = Properties.commit_run_of_trace pattern trace in
   let etob = Properties.etob_run_of_trace pattern trace in
   check_verdict "commit stability" (Properties.check_commit_stability commits);
@@ -871,11 +871,11 @@ let test_commit_prefix_stable_period () =
 let test_commit_prefix_latency_after_delivery () =
   (* A commitment needs one more round trip than stable delivery: the
      acknowledgments and the mark. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:200) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:200) with
                 delay = Net.constant 2; omega = oracle 0; timer_period = 1 } in
-  let inputs = [ (50, 1, Harness.Scenario.Post "probe") ] in
-  let trace = Harness.Scenario.run_etob_with_commits ~inputs setup in
-  let pattern = setup.Harness.Scenario.pattern in
+  let inputs = [ (50, 1, Harness.Stacks.Post "probe") ] in
+  let trace = Harness.Stacks.run_etob_with_commits ~inputs setup in
+  let pattern = setup.Harness.Stacks.pattern in
   let commits = Properties.commit_run_of_trace pattern trace in
   let etob = Properties.etob_run_of_trace pattern trace in
   let m =
@@ -893,7 +893,7 @@ let test_commit_prefix_latency_after_delivery () =
       (Printf.sprintf "commit (%d) after delivery (%d)" commit deliver)
       true (commit >= deliver);
     Alcotest.(check bool) "within two extra round trips" true
-      (commit - deliver <= 4 * 2 + 2 * setup.Harness.Scenario.timer_period)
+      (commit - deliver <= 4 * 2 + 2 * setup.Harness.Stacks.timer_period)
   | None, _ -> Alcotest.fail "probe never stably delivered"
   | _, None -> Alcotest.fail "probe never committed"
 
@@ -901,14 +901,14 @@ let test_commit_prefix_abstains_without_majority () =
   (* With only a minority alive, deliveries continue (eventual consistency)
      but nothing new commits: exactly the paper's stable-period caveat. *)
   let pattern = Failures.of_crashes ~n:5 [ (2, 30); (3, 30); (4, 30) ] in
-  let setup = { (Harness.Scenario.default ~n:5 ~deadline:300) with
+  let setup = { (Harness.Stacks.default ~n:5 ~deadline:300) with
                 pattern; omega = oracle 0 } in
   let inputs =
-    [ (10, 0, Harness.Scenario.Post "early");
-      (60, 0, Harness.Scenario.Post "uncommittable-1");
-      (90, 1, Harness.Scenario.Post "uncommittable-2") ]
+    [ (10, 0, Harness.Stacks.Post "early");
+      (60, 0, Harness.Stacks.Post "uncommittable-1");
+      (90, 1, Harness.Stacks.Post "uncommittable-2") ]
   in
-  let trace = Harness.Scenario.run_etob_with_commits ~inputs setup in
+  let trace = Harness.Stacks.run_etob_with_commits ~inputs setup in
   let commits = Properties.commit_run_of_trace pattern trace in
   let etob = Properties.etob_run_of_trace pattern trace in
   check_verdict "commit stability" (Properties.check_commit_stability commits);
@@ -924,11 +924,11 @@ let test_commit_prefix_partition_commits_majority_side_only () =
   let heal = 60 in
   let setup = partition_setup ~n:5 ~heal in
   let inputs =
-    [ (10, 0, Harness.Scenario.Post "maj");
-      (12, 3, Harness.Scenario.Post "min") ]
+    [ (10, 0, Harness.Stacks.Post "maj");
+      (12, 3, Harness.Stacks.Post "min") ]
   in
-  let trace = Harness.Scenario.run_etob_with_commits ~inputs setup in
-  let pattern = setup.Harness.Scenario.pattern in
+  let trace = Harness.Stacks.run_etob_with_commits ~inputs setup in
+  let pattern = setup.Harness.Stacks.pattern in
   let commits = Properties.commit_run_of_trace pattern trace in
   let etob = Properties.etob_run_of_trace pattern trace in
   check_verdict "commit stability" (Properties.check_commit_stability commits);
@@ -967,12 +967,12 @@ let prop_commit_safety_random_crashes =
        let rng = Rng.create seed in
        let n = 3 + Rng.int rng 3 in
        let pattern = Failures.random ~rng ~n ~max_faulty:(n - 1) ~horizon:80 in
-       let setup = { (Harness.Scenario.default ~n ~deadline:300) with
+       let setup = { (Harness.Stacks.default ~n ~deadline:300) with
                      pattern; seed;
                      delay = Net.uniform ~min:1 ~max:3;
                      omega = oracle 0 } in
-       let inputs = Harness.Scenario.spread_posts ~n ~count:8 ~from_time:5 ~every:6 in
-       let trace = Harness.Scenario.run_etob_with_commits ~inputs setup in
+       let inputs = Harness.Stacks.spread_posts ~n ~count:8 ~from_time:5 ~every:6 in
+       let trace = Harness.Stacks.run_etob_with_commits ~inputs setup in
        let commits = Properties.commit_run_of_trace pattern trace in
        let etob = Properties.etob_run_of_trace pattern trace in
        (Properties.check_commit_stability commits).Properties.ok
@@ -987,12 +987,12 @@ let prop_full_stack_chaos =
        let rng = Rng.create seed in
        let n = 3 + Rng.int rng 3 in
        let pattern = Failures.random ~rng ~n ~max_faulty:(n - 1) ~horizon:100 in
-       let setup = { (Harness.Scenario.default ~n ~deadline:600) with
+       let setup = { (Harness.Stacks.default ~n ~deadline:600) with
                      pattern; seed;
                      delay = Net.uniform ~min:1 ~max:4;
-                     omega = Harness.Scenario.Elected { initial_timeout = 8 } } in
-       let inputs = Harness.Scenario.spread_posts ~n ~count:8 ~from_time:5 ~every:8 in
-       let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
+                     omega = Harness.Stacks.Elected { initial_timeout = 8 } } in
+       let inputs = Harness.Stacks.spread_posts ~n ~count:8 ~from_time:5 ~every:8 in
+       let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
        let run = Properties.etob_run_of_trace pattern trace in
        let report = Properties.etob_report run in
        Properties.etob_base_ok report

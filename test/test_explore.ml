@@ -7,7 +7,7 @@
 
 open Simulator
 open Ec_core
-module Scenario = Harness.Scenario
+module Stacks = Harness.Stacks
 module Adversity = Harness.Adversity
 module Builder = Harness.Builder
 
@@ -78,7 +78,7 @@ let test_spike_order_irrelevant () =
   let run plan =
     Builder.run ~digest:true ~catch:true
       (Builder.with_plan ~seed:567
-         (Builder.template Scenario.Algorithm_5)
+         (Builder.template Stacks.Algorithm_5)
          plan)
   in
   let a = run [ partition; spike ] and b = run [ spike; partition ] in
@@ -91,15 +91,15 @@ let test_spike_order_irrelevant () =
 (* ------------------------------------------------------------------ *)
 
 let fault_setup faults =
-  { (Scenario.default ~n:3 ~deadline:100) with
+  { (Stacks.default ~n:3 ~deadline:100) with
     faults;
     delay = Net.uniform ~min:1 ~max:3 }
 
-let fault_inputs = Scenario.spread_posts ~n:3 ~count:6 ~from_time:8 ~every:3
+let fault_inputs = Stacks.spread_posts ~n:3 ~count:6 ~from_time:8 ~every:3
 
 let run_with_faults faults =
-  Scenario.run_etob ~inputs:fault_inputs (fault_setup faults)
-    Scenario.Algorithm_5
+  Stacks.run_etob ~inputs:fault_inputs (fault_setup faults)
+    Stacks.Algorithm_5
 
 let test_no_faults_instantiates_to_none () =
   (match Net.instantiate_faults Net.no_faults with
@@ -157,7 +157,7 @@ let test_compose_faults_drop_wins () =
 (* Explorer                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let alg5 = Builder.template Scenario.Algorithm_5
+let alg5 = Builder.template Stacks.Algorithm_5
 let target mutation = { alg5 with Builder.mutation }
 
 let explore ?domains ~budget t =
@@ -181,8 +181,8 @@ let test_explore_parallel_matches_sequential () =
   match (run 1).Builder.found, (run 3).Builder.found with
   | Some a, Some b ->
     Alcotest.(check int) "same engine seed"
-      (Builder.seed_of a.Builder.builder)
-      (Builder.seed_of b.Builder.builder);
+      a.Builder.builder.base.seed
+      b.Builder.builder.base.seed;
     Alcotest.(check bool) "same plan" true (plan_of a = plan_of b)
   | _ -> Alcotest.fail "mutant not found within budget"
 
@@ -268,7 +268,7 @@ let test_explore_finds_recovery_mutants () =
     (fun m ->
        let name = Recoverable.mutation_name m in
        let t =
-         { (Builder.template ~recovery:true Scenario.Algorithm_5) with
+         { (Builder.template ~recovery:true Stacks.Algorithm_5) with
            Builder.rmutation = Some m }
        in
        match (explore t ~budget:200).Builder.found with
@@ -289,7 +289,7 @@ let test_explore_finds_recovery_mutants () =
 (* A faithful run under a recovery plan must stay clean — the generated
    recovery adversities themselves are not violations. *)
 let test_explore_faithful_recovery_clean () =
-  let t = Builder.template ~recovery:true Scenario.Algorithm_5 in
+  let t = Builder.template ~recovery:true Stacks.Algorithm_5 in
   match (explore t ~budget:60).Builder.found with
   | None -> ()
   | Some o ->
@@ -316,7 +316,7 @@ let test_repro_parse_errors_name_the_line () =
        (b.Builder.plan
         = [ Adversity.Crash_recover { proc = 1; at = 40; recover_at = 80 };
             Adversity.Disk_fault { proc = 1; kind = Persist.Store.Torn_tail } ]
-        && Builder.seed_of b = 7
+        && b.Builder.base.seed = 7
         && b.Builder.stack = Builder.Recoverable { ae = false }
         && b.Builder.workload
            = Builder.Auto_posts { count = 12; stretch = true }
@@ -381,7 +381,7 @@ let prop_causal_order_under_any_plan =
     (fun (plan, (seed, (min_d, max_d))) ->
        let t =
          Builder.template ~delay:(Builder.Uniform { min_d; max_d })
-           Scenario.Algorithm_5
+           Stacks.Algorithm_5
        in
        let o = Builder.run ~catch:true (Builder.with_plan ~seed t plan) in
        match o.Builder.report with
@@ -408,7 +408,7 @@ let prop_recovery_safety_under_any_plan =
        let t =
          Builder.template ~recovery:true
            ~delay:(Builder.Uniform { min_d; max_d })
-           Scenario.Algorithm_5
+           Stacks.Algorithm_5
        in
        let o = Builder.run ~catch:true (Builder.with_plan ~seed t plan) in
        match o.Builder.report with
@@ -437,13 +437,13 @@ let prop_random_pattern_within_contract =
 (* ------------------------------------------------------------------ *)
 
 let impls =
-  [ Scenario.Algorithm_5; Scenario.Paxos_baseline; Scenario.Algorithm_1_over_4 ]
+  [ Stacks.Algorithm_5; Stacks.Paxos_baseline; Stacks.Algorithm_1_over_4 ]
 
 let final_run impl ~seed =
   let t = Builder.with_plan ~seed (Builder.template impl) [] in
   let setup = Builder.setup_of t in
-  let trace = Scenario.run_etob ~inputs:(Builder.inputs t) setup impl in
-  Properties.etob_run_of_trace setup.Scenario.pattern trace
+  let trace = Stacks.run_etob ~inputs:(Builder.inputs t) setup impl in
+  Properties.etob_run_of_trace setup.Stacks.pattern trace
 
 let sorted_ids run proc =
   List.sort compare (List.map App_msg.id (Properties.final_d run proc))
@@ -456,7 +456,7 @@ let prop_impls_agree_differentially =
     ~count:10 QCheck.small_nat
     (fun seed ->
        let runs = List.map (fun impl -> final_run impl ~seed) impls in
-       let n = Builder.n_of alg5 in
+       let n = alg5.Builder.base.n in
        List.for_all
          (fun run ->
             List.for_all

@@ -1,5 +1,6 @@
-(* Tests for the scenario harness and its statistics helpers: the shared
-   wiring used by every other suite deserves its own checks. *)
+(* Tests for the hand-wired stacks ([Harness.Stacks]) and the statistics
+   helpers: the shared wiring used by every other suite deserves its own
+   checks. *)
 
 open Simulator
 open Ec_core
@@ -41,66 +42,66 @@ let prop_stats_bounds =
          && s.min <= s.p50 && s.p50 <= s.p95 && s.p95 <= s.max)
 
 (* ------------------------------------------------------------------ *)
-(* Scenario harness                                                    *)
+(* Hand-wired stacks                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_spread_posts_shape () =
-  let posts = Harness.Scenario.spread_posts ~n:3 ~count:7 ~from_time:10 ~every:5 in
+  let posts = Harness.Stacks.spread_posts ~n:3 ~count:7 ~from_time:10 ~every:5 in
   Alcotest.(check int) "count" 7 (List.length posts);
   List.iteri
     (fun i (t, p, input) ->
        Alcotest.(check int) "time" (10 + (i * 5)) t;
        Alcotest.(check int) "round robin" (i mod 3) p;
        match input with
-       | Harness.Scenario.Post _ -> ()
+       | Harness.Stacks.Post _ -> ()
        | _ -> Alcotest.fail "not a post")
     posts
 
 let test_engine_config_reflects_setup () =
-  let setup = { (Harness.Scenario.default ~n:4 ~deadline:99) with
+  let setup = { (Harness.Stacks.default ~n:4 ~deadline:99) with
                 seed = 7; timer_period = 5 } in
-  let config = Harness.Scenario.engine_config setup in
+  let config = Harness.Stacks.engine_config setup in
   Alcotest.(check int) "n" 4 config.Engine.n;
   Alcotest.(check int) "deadline" 99 config.Engine.deadline;
   Alcotest.(check int) "seed" 7 config.Engine.seed;
   Alcotest.(check int) "timer" 5 config.Engine.timer_period
 
 let test_omega_stabilization_reporting () =
-  let s_oracle = { (Harness.Scenario.default ~n:3 ~deadline:10) with
-                   omega = Harness.Scenario.Oracle
+  let s_oracle = { (Harness.Stacks.default ~n:3 ~deadline:10) with
+                   omega = Harness.Stacks.Oracle
                        { stabilize_at = 17; pre = Detectors.Omega.Self_trust } } in
   let s_elected = { s_oracle with
-                    omega = Harness.Scenario.Elected { initial_timeout = 4 } } in
+                    omega = Harness.Stacks.Elected { initial_timeout = 4 } } in
   Alcotest.(check (option int)) "oracle" (Some 17)
-    (Harness.Scenario.omega_stabilization s_oracle);
+    (Harness.Stacks.omega_stabilization s_oracle);
   Alcotest.(check (option int)) "elected" None
-    (Harness.Scenario.omega_stabilization s_elected)
+    (Harness.Stacks.omega_stabilization s_elected)
 
 (* The three ETOB stacks are interchangeable behind the same service: the
    same workload passes the same base checks on each. *)
 let test_all_impls_same_interface () =
   List.iter
     (fun impl ->
-       let setup = { (Harness.Scenario.default ~n:3 ~deadline:300) with
-                     omega = Harness.Scenario.Oracle
+       let setup = { (Harness.Stacks.default ~n:3 ~deadline:300) with
+                     omega = Harness.Stacks.Oracle
                          { stabilize_at = 0; pre = Detectors.Omega.Self_trust } } in
-       let inputs = Harness.Scenario.spread_posts ~n:3 ~count:6 ~from_time:5 ~every:4 in
-       let trace = Harness.Scenario.run_etob ~inputs setup impl in
-       let report = Harness.Scenario.etob_report setup trace in
+       let inputs = Harness.Stacks.spread_posts ~n:3 ~count:6 ~from_time:5 ~every:4 in
+       let trace = Harness.Stacks.run_etob ~inputs setup impl in
+       let report = Harness.Stacks.etob_report setup trace in
        Alcotest.(check bool) "base ok" true (Properties.etob_base_ok report))
-    [ Harness.Scenario.Algorithm_5; Harness.Scenario.Paxos_baseline;
-      Harness.Scenario.Algorithm_1_over_4 ]
+    [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline;
+      Harness.Stacks.Algorithm_1_over_4 ]
 
 (* Determinism across the whole harness: identical setups, identical
    traces. *)
 let test_harness_deterministic () =
   let mk () =
-    let setup = { (Harness.Scenario.default ~n:4 ~deadline:200) with
+    let setup = { (Harness.Stacks.default ~n:4 ~deadline:200) with
                   seed = 11;
                   delay = Net.uniform ~min:1 ~max:5;
-                  omega = Harness.Scenario.Elected { initial_timeout = 5 } } in
-    let inputs = Harness.Scenario.spread_posts ~n:4 ~count:8 ~from_time:5 ~every:4 in
-    Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5
+                  omega = Harness.Stacks.Elected { initial_timeout = 5 } } in
+    let inputs = Harness.Stacks.spread_posts ~n:4 ~count:8 ~from_time:5 ~every:4 in
+    Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5
   in
   let t1 = mk () and t2 = mk () in
   Alcotest.(check int) "same sends" (Trace.sent t1) (Trace.sent t2);
@@ -115,10 +116,10 @@ let test_harness_deterministic () =
    byte-for-byte trace the persistent-heap engine produced.  The golden
    file was generated with the pre-refactor engine and committed. *)
 let test_golden_trace_byte_identical () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:120) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:120) with
                 delay = Net.uniform ~min:1 ~max:4 } in
-  let inputs = Harness.Scenario.spread_posts ~n:3 ~count:6 ~from_time:8 ~every:5 in
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
+  let inputs = Harness.Stacks.spread_posts ~n:3 ~count:6 ~from_time:8 ~every:5 in
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
   let got = Format.asprintf "%a" Trace.pp trace in
   let golden =
     In_channel.with_open_bin "golden_stable_trace.txt" In_channel.input_all
@@ -142,9 +143,9 @@ let test_golden_trace_byte_identical () =
 (* ------------------------------------------------------------------ *)
 
 let sweep_run ~seed =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:150) with seed } in
-  let inputs = Harness.Scenario.spread_posts ~n:3 ~count:4 ~from_time:5 ~every:4 in
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:150) with seed } in
+  let inputs = Harness.Stacks.spread_posts ~n:3 ~count:4 ~from_time:5 ~every:4 in
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
   (Trace.sent trace, Trace.delivered trace, Trace.steps trace)
 
 (* Domain count must not change results: same seeds, same values, same
@@ -225,12 +226,12 @@ let test_timeline_renders () =
   (* The crash sits inside the active window (the rendered horizon is the
      last recorded event), so blanked cells follow it. *)
   let pattern = Failures.of_crashes ~n:3 [ (2, 30) ] in
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:200) with
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:200) with
                 pattern;
-                omega = Harness.Scenario.Oracle
+                omega = Harness.Stacks.Oracle
                     { stabilize_at = 0; pre = Detectors.Omega.Self_trust } } in
-  let inputs = Harness.Scenario.spread_posts ~n:3 ~count:4 ~from_time:10 ~every:10 in
-  let trace = Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5 in
+  let inputs = Harness.Stacks.spread_posts ~n:3 ~count:4 ~from_time:10 ~every:10 in
+  let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
   let rendered = Harness.Timeline.render ~width:40 ~pattern trace in
   let lines = String.split_on_char '\n' rendered in
   (* Header + 3 lanes + legend (+ trailing empty). *)
@@ -252,16 +253,16 @@ let test_timeline_renders () =
    byte-for-byte (captured before the recovery runtime landed). *)
 let test_golden_crash_trace_byte_identical () =
   let setup =
-    { (Harness.Scenario.default ~n:4 ~deadline:160) with
+    { (Harness.Stacks.default ~n:4 ~deadline:160) with
       seed = 13;
       delay = Net.uniform ~min:1 ~max:4;
       pattern = Failures.of_crashes ~n:4 [ (3, 40) ] }
   in
   let inputs =
-    Harness.Scenario.spread_posts ~n:4 ~count:8 ~from_time:6 ~every:6
+    Harness.Stacks.spread_posts ~n:4 ~count:8 ~from_time:6 ~every:6
   in
   let trace =
-    Harness.Scenario.run_etob ~inputs setup Harness.Scenario.Algorithm_5
+    Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5
   in
   let got = Format.asprintf "%a" Trace.pp trace in
   let golden =
@@ -279,20 +280,20 @@ let test_golden_crash_trace_byte_identical () =
   end
 
 let recovery_setup =
-  { (Harness.Scenario.default ~n:4 ~deadline:300) with
+  { (Harness.Stacks.default ~n:4 ~deadline:300) with
     seed = 3;
     delay = Net.uniform ~min:1 ~max:3;
     pattern =
       Failures.crash_recover_at (Failures.none ~n:4) 1 ~at:60 ~recover_at:140 }
 
 let recovery_inputs =
-  Harness.Scenario.spread_posts ~n:4 ~count:12 ~from_time:8 ~every:20
+  Harness.Stacks.spread_posts ~n:4 ~count:12 ~from_time:8 ~every:20
 
 let test_recoverable_clean_recovery () =
   let trace, handles, stores =
-    Harness.Scenario.run_recoverable ~inputs:recovery_inputs recovery_setup
+    Harness.Stacks.run_recoverable ~inputs:recovery_inputs recovery_setup
   in
-  let report = Harness.Scenario.etob_report recovery_setup trace in
+  let report = Harness.Stacks.etob_report recovery_setup trace in
   Alcotest.(check bool) "base ETOB properties hold" true
     (Properties.etob_base_ok report);
   Alcotest.(check bool) "no sequence number reused" true
@@ -309,7 +310,7 @@ let test_recoverable_clean_recovery () =
 let test_recoverable_deterministic () =
   let show () =
     let trace, _, _ =
-      Harness.Scenario.run_recoverable ~inputs:recovery_inputs recovery_setup
+      Harness.Stacks.run_recoverable ~inputs:recovery_inputs recovery_setup
     in
     Format.asprintf "%a" Trace.pp trace
   in
@@ -317,10 +318,10 @@ let test_recoverable_deterministic () =
 
 let test_recoverable_amnesia_caught () =
   let trace, _, _ =
-    Harness.Scenario.run_recoverable ~inputs:recovery_inputs
+    Harness.Stacks.run_recoverable ~inputs:recovery_inputs
       ~mutation:Recoverable.Skip_log_replay recovery_setup
   in
-  let report = Harness.Scenario.etob_report recovery_setup trace in
+  let report = Harness.Stacks.etob_report recovery_setup trace in
   Alcotest.(check bool) "skipping the replay reuses sequence numbers" false
     report.Properties.distinct_broadcasts.Properties.ok
 
@@ -332,9 +333,9 @@ let test_recoverable_no_window_clean () =
     { recovery_setup with pattern = Failures.none ~n:4 }
   in
   let trace, handles, _ =
-    Harness.Scenario.run_recoverable ~inputs:recovery_inputs setup
+    Harness.Stacks.run_recoverable ~inputs:recovery_inputs setup
   in
-  let report = Harness.Scenario.etob_report setup trace in
+  let report = Harness.Stacks.etob_report setup trace in
   Alcotest.(check bool) "clean" true (Properties.etob_base_ok report);
   Alcotest.(check bool) "nobody restarted" false
     (Array.exists Recoverable.was_restarted handles)

@@ -137,27 +137,27 @@ let posts = 12
 let last_post = 8 + ((posts - 1) * 8)
 
 let partition_setup () =
-  { (Harness.Scenario.default ~n ~deadline) with
-    Harness.Scenario.delay = Net.uniform ~min:1 ~max:3;
+  { (Harness.Stacks.default ~n ~deadline) with
+    Harness.Stacks.delay = Net.uniform ~min:1 ~max:3;
     faults =
       Net.lossy_partition
         { Net.blocks = [ [ 0; 1; 2 ]; [ 3 ] ];
           from_time = cut_from;
           until_time = cut_until };
-    omega = Harness.Scenario.Oracle { stabilize_at = 0; pre = Detectors.Omega.Self_trust } }
+    omega = Harness.Stacks.Oracle { stabilize_at = 0; pre = Detectors.Omega.Self_trust } }
 
 let run_partitioned ?ae_mutation ?(mode = Anti_entropy.Digest) () =
   let setup = partition_setup () in
   let inputs =
-    Harness.Scenario.spread_posts ~n ~count:posts ~from_time:8 ~every:8
+    Harness.Stacks.spread_posts ~n ~count:posts ~from_time:8 ~every:8
   in
   let trace, handles =
-    Harness.Scenario.run_etob_ae ~inputs
+    Harness.Stacks.run_etob_ae ~inputs
       ~ae_config:{ Anti_entropy.default_config with Anti_entropy.mode }
       ?ae_mutation setup
   in
   let run =
-    Properties.etob_run_of_trace setup.Harness.Scenario.pattern trace
+    Properties.etob_run_of_trace setup.Harness.Stacks.pattern trace
   in
   (run, handles)
 

@@ -107,40 +107,40 @@ module Counter_replica = Replica.Make (Machines.Counter)
 module Kv_replica = Replica.Make (Machines.Kv)
 
 let oracle ?(pre = Detectors.Omega.Self_trust) stabilize_at =
-  Harness.Scenario.Oracle { stabilize_at; pre }
+  Harness.Stacks.Oracle { stabilize_at; pre }
 
 (* Build replica nodes over the chosen broadcast implementation. *)
 let run_replicas (type s) (module M : Machines.MACHINE with type state = s)
     ?(inputs = []) setup impl =
   let module R = Replica.Make (M) in
   let make_node ctx =
-    let proto_node, service = Harness.Scenario.etob_node setup impl ctx in
+    let proto_node, service = Harness.Stacks.etob_node setup impl ctx in
     let replica, replica_node = R.create ctx ~etob:service in
     (Engine.stack [ proto_node; replica_node ], replica)
   in
   let trace, replicas =
-    Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+    Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
   in
   (trace, Array.map R.digest replicas)
 
 let submit t p c = (t, p, Replica.Submit c)
 
 let test_counter_replicas_converge () =
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:120) with omega = oracle 0 } in
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:120) with omega = oracle 0 } in
   let inputs =
     [ submit 5 0 (Command.incr 3); submit 8 1 (Command.incr 4);
       submit 12 2 (Command.incr (-1)) ]
   in
   let trace, digests = run_replicas (module Machines.Counter) ~inputs setup
-      Harness.Scenario.Algorithm_5 in
+      Harness.Stacks.Algorithm_5 in
   Array.iter (fun d -> Alcotest.(check string) "sum is 6" "6" d) digests;
-  let run = Convergence.run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Convergence.run_of_trace setup.Harness.Stacks.pattern trace in
   Alcotest.(check bool) "converged" true (Convergence.converged run)
 
 let partition_setup ~n ~heal =
   let blocks = [ [ 0; 1; 2 ]; [ 3; 4 ] ] in
   let spec = { Net.blocks; from_time = 5; until_time = heal } in
-  { (Harness.Scenario.default ~n ~deadline:(heal * 3)) with
+  { (Harness.Stacks.default ~n ~deadline:(heal * 3)) with
     delay = Net.partitioned spec ~base:(Net.constant 1);
     omega = oracle ~pre:(Detectors.Omega.Blockwise blocks) heal }
 
@@ -157,10 +157,10 @@ let test_kv_replicas_eventually_consistent_across_partition () =
       submit 22 4 (Command.put "w" "2") ]
   in
   let trace, digests = run_replicas (module Machines.Kv) ~inputs setup
-      Harness.Scenario.Algorithm_5 in
+      Harness.Stacks.Algorithm_5 in
   let expected = "w=2,x=left,y=right,z=1" in
   Array.iter (fun d -> Alcotest.(check string) "final state" expected d) digests;
-  let run = Convergence.run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Convergence.run_of_trace setup.Harness.Stacks.pattern trace in
   Alcotest.(check bool) "diverged during partition" true
     (Convergence.divergence_ticks ~from_time:10 run > 0);
   Alcotest.(check bool) "converged after heal" true
@@ -168,15 +168,15 @@ let test_kv_replicas_eventually_consistent_across_partition () =
 
 let test_replica_over_paxos_never_rolls_back () =
   (* The same replica code over the strong baseline: zero rollbacks. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:200) with omega = oracle 0 } in
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:200) with omega = oracle 0 } in
   let inputs =
     [ submit 10 0 (Command.put "a" "1"); submit 20 1 (Command.put "b" "2");
       submit 30 2 (Command.del "a") ]
   in
   let trace, digests = run_replicas (module Machines.Kv) ~inputs setup
-      Harness.Scenario.Paxos_baseline in
+      Harness.Stacks.Paxos_baseline in
   Array.iter (fun d -> Alcotest.(check string) "final" "b=2" d) digests;
-  let run = Convergence.run_of_trace setup.Harness.Scenario.pattern trace in
+  let run = Convergence.run_of_trace setup.Harness.Stacks.pattern trace in
   Alcotest.(check int) "no rollbacks" 0 (Convergence.total_rollbacks run)
 
 let test_replica_over_etob_rolls_back_during_disagreement () =
@@ -190,8 +190,8 @@ let test_replica_over_etob_rolls_back_during_disagreement () =
       submit 12 3 (Command.put "x" "right") ]
   in
   let trace, _ = run_replicas (module Machines.Kv) ~inputs setup
-      Harness.Scenario.Algorithm_5 in
-  let run = Convergence.run_of_trace setup.Harness.Scenario.pattern trace in
+      Harness.Stacks.Algorithm_5 in
+  let run = Convergence.run_of_trace setup.Harness.Stacks.pattern trace in
   Alcotest.(check bool) "converged" true (Convergence.converged run);
   (* Both writes hit the same key from the two sides: once sides merge, the
      side whose order loses must revise. *)
@@ -202,14 +202,14 @@ let test_replicas_survive_minority () =
   (* 3 of 5 crash; the ETOB-backed service keeps accepting and applying
      writes on the surviving minority. *)
   let pattern = Failures.of_crashes ~n:5 [ (2, 25); (3, 25); (4, 25) ] in
-  let setup = { (Harness.Scenario.default ~n:5 ~deadline:200) with
+  let setup = { (Harness.Stacks.default ~n:5 ~deadline:200) with
                 pattern; omega = oracle 0 } in
   let inputs =
     [ submit 10 0 (Command.incr 1); submit 40 1 (Command.incr 10);
       submit 60 0 (Command.incr 100) ]
   in
   let trace, digests = run_replicas (module Machines.Counter) ~inputs setup
-      Harness.Scenario.Algorithm_5 in
+      Harness.Stacks.Algorithm_5 in
   List.iter
     (fun p -> Alcotest.(check string) "survivor state" "111" digests.(p))
     (Failures.correct pattern);
@@ -224,7 +224,7 @@ module Dual_kv = Committed_replica.Make (Machines.Kv)
 
 let run_dual_kv ?(inputs = []) setup =
   let make_node ctx =
-    let omega, omega_node = Harness.Scenario.omega_module setup ctx in
+    let omega, omega_node = Harness.Stacks.omega_module setup ctx in
     let etob, etob_node = Ec_core.Etob_omega.create ctx ~omega in
     let service = Ec_core.Etob_omega.service etob in
     let replica, replica_node =
@@ -233,10 +233,10 @@ let run_dual_kv ?(inputs = []) setup =
     in
     (Engine.stack [ omega_node; etob_node; replica_node ], replica)
   in
-  Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+  Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
 
 let test_dual_views_agree_in_stable_period () =
-  let setup = { (Harness.Scenario.default ~n:5 ~deadline:200) with omega = oracle 0 } in
+  let setup = { (Harness.Stacks.default ~n:5 ~deadline:200) with omega = oracle 0 } in
   let inputs =
     [ submit 10 0 (Command.put "a" "1"); submit 20 1 (Command.put "b" "2") ]
   in
@@ -248,7 +248,7 @@ let test_dual_views_agree_in_stable_period () =
          (Dual_kv.committed_digest r))
     replicas;
   Alcotest.(check bool) "committed monotone" true
-    (Committed_replica.committed_monotone setup.Harness.Scenario.pattern trace)
+    (Committed_replica.committed_monotone setup.Harness.Stacks.pattern trace)
 
 let test_dual_views_split_during_partition () =
   (* During the partition the minority side speculates on its own writes
@@ -266,15 +266,15 @@ let test_dual_views_split_during_partition () =
          (Dual_kv.speculative_digest r))
     replicas;
   Alcotest.(check bool) "committed never rolled back" true
-    (Committed_replica.committed_monotone setup.Harness.Scenario.pattern trace);
+    (Committed_replica.committed_monotone setup.Harness.Stacks.pattern trace);
   (* Speculative rollbacks did happen (the losing side revised). *)
-  let conv = Convergence.run_of_trace setup.Harness.Scenario.pattern trace in
+  let conv = Convergence.run_of_trace setup.Harness.Stacks.pattern trace in
   Alcotest.(check bool) "speculative rollbacks occurred" true
     (Convergence.total_rollbacks conv > 0)
 
 let test_dual_views_committed_stalls_without_majority () =
   let pattern = Failures.of_crashes ~n:5 [ (2, 30); (3, 30); (4, 30) ] in
-  let setup = { (Harness.Scenario.default ~n:5 ~deadline:300) with
+  let setup = { (Harness.Stacks.default ~n:5 ~deadline:300) with
                 pattern; omega = oracle 0 } in
   let inputs =
     [ submit 10 0 (Command.put "a" "1"); submit 80 1 (Command.put "b" "2") ]
@@ -293,14 +293,14 @@ let test_dual_views_committed_stalls_without_majority () =
 let test_replica_ignores_foreign_traffic () =
   (* Non-command messages share the broadcast layer (e.g. Algorithm 2's
      consensus tags); replicas must skip them without desynchronizing. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:120) with omega = oracle 0 } in
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:120) with omega = oracle 0 } in
   let inputs =
     [ submit 5 0 (Command.incr 2);
-      (8, 1, Harness.Scenario.Post "not-a-command");
+      (8, 1, Harness.Stacks.Post "not-a-command");
       submit 12 2 (Command.incr 5) ]
   in
   let _, digests = run_replicas (module Machines.Counter) ~inputs setup
-      Harness.Scenario.Algorithm_5 in
+      Harness.Stacks.Algorithm_5 in
   Array.iter (fun d -> Alcotest.(check string) "foreign tags skipped" "7" d) digests
 
 (* ------------------------------------------------------------------ *)
@@ -309,7 +309,7 @@ let test_replica_ignores_foreign_traffic () =
 
 let run_sessions ?(inputs = []) setup =
   let make_node ctx =
-    let omega, omega_node = Harness.Scenario.omega_module setup ctx in
+    let omega, omega_node = Harness.Stacks.omega_module setup ctx in
     let etob, etob_node = Ec_core.Etob_omega.create ctx ~omega in
     let service = Ec_core.Etob_omega.service etob in
     let replica, replica_node =
@@ -331,7 +331,7 @@ let run_sessions ?(inputs = []) setup =
     (Engine.stack [ omega_node; etob_node; replica_node; session_node ], ())
   in
   let trace, _ =
-    Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+    Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
   in
   trace
 
@@ -345,7 +345,7 @@ let session_steps ~procs ~from_time ~until ~every =
 let test_sessions_clean_in_stable_period () =
   (* Reads spaced beyond the write round trip: both views give full session
      guarantees under a stable leader. *)
-  let setup = { (Harness.Scenario.default ~n:3 ~deadline:200) with omega = oracle 0 } in
+  let setup = { (Harness.Stacks.default ~n:3 ~deadline:200) with omega = oracle 0 } in
   let inputs = session_steps ~procs:[ 0; 1; 2 ] ~from_time:20 ~until:180 ~every:12 in
   let trace = run_sessions ~inputs setup in
   List.iter
@@ -398,12 +398,12 @@ let test_sessions_split_across_partition () =
    correct handoff and flag a naive restart, not silently pass. *)
 let run_migrated_session ~resume_at =
   let setup =
-    { (Harness.Scenario.default ~n:3 ~deadline:220) with
+    { (Harness.Stacks.default ~n:3 ~deadline:220) with
       omega = oracle 0;
       pattern = Failures.crash_at (Failures.none ~n:3) 0 80 }
   in
   let make_node ctx =
-    let omega, omega_node = Harness.Scenario.omega_module setup ctx in
+    let omega, omega_node = Harness.Stacks.omega_module setup ctx in
     let etob, etob_node = Ec_core.Etob_omega.create ctx ~omega in
     let service = Ec_core.Etob_omega.service etob in
     let replica, replica_node =
@@ -439,7 +439,7 @@ let run_migrated_session ~resume_at =
   in
   let inputs = steps 0 ~from_time:20 ~until:80 @ steps 1 ~from_time:100 ~until:200 in
   let trace, _ =
-    Engine.run_with (Harness.Scenario.engine_config setup) ~make_node ~inputs
+    Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs
   in
   Session.tally_of_trace trace ~session:7 ~view:"speculative"
 

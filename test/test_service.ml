@@ -74,7 +74,7 @@ let test_sampled_specs_deterministic () =
 
 let base_builder () =
   Builder.create ~seed:7 ~n:3 ~deadline:120
-    (Builder.Etob Harness.Scenario.Algorithm_5)
+    (Builder.Etob Harness.Stacks.Algorithm_5)
 
 let test_builder_service_roundtrip () =
   let spec = { Spec.default with Spec.clients = 2; skew_pct = 80 } in
@@ -196,7 +196,7 @@ let test_metrics_windows_and_probe () =
 (* ------------------------------------------------------------------ *)
 
 let ff_setup ?(seed = 11) ?(n = 3) ?(deadline = 150) () =
-  { (Harness.Scenario.default ~n ~deadline) with Harness.Scenario.seed = seed }
+  { (Harness.Stacks.default ~n ~deadline) with Harness.Stacks.seed = seed }
 
 let ff_spec = { Spec.default with Spec.clients = 3; req_deadline = 20 }
 
@@ -210,12 +210,12 @@ let test_failure_free_all_ok () =
       Alcotest.(check int) "no migrations" 0 r.Service.Metrics.migrations;
       Alcotest.(check int) "no breaker trips" 0 r.Service.Metrics.breaker_opens;
       Alcotest.(check bool) "dedup holds" true o.Service.Runner.dedup_ok)
-    [ Harness.Scenario.Algorithm_5; Harness.Scenario.Paxos_baseline ]
+    [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
 
 let test_run_deterministic () =
   let go () =
     Service.Runner.run ~setup:(ff_setup ()) ~spec:ff_spec
-      ~impl:Harness.Scenario.Algorithm_5
+      ~impl:Harness.Stacks.Algorithm_5
   in
   let a = go () in
   let b = go () in
@@ -223,7 +223,7 @@ let test_run_deterministic () =
     a.Service.Runner.digest b.Service.Runner.digest;
   let c =
     Service.Runner.run ~setup:(ff_setup ~seed:12 ()) ~spec:ff_spec
-      ~impl:Harness.Scenario.Algorithm_5
+      ~impl:Harness.Stacks.Algorithm_5
   in
   Alcotest.(check bool) "different seed, different trace" true
     (a.Service.Runner.digest <> c.Service.Runner.digest)
@@ -231,11 +231,11 @@ let test_run_deterministic () =
 let test_crash_triggers_migration () =
   let setup =
     { (ff_setup ~deadline:220 ()) with
-      Harness.Scenario.pattern = Failures.crash_at (Failures.none ~n:3) 1 60 }
+      Harness.Stacks.pattern = Failures.crash_at (Failures.none ~n:3) 1 60 }
   in
   let spec = { ff_spec with Spec.req_deadline = 10; migrate_after = 2 } in
   let o =
-    Service.Runner.run ~setup ~spec ~impl:Harness.Scenario.Algorithm_5
+    Service.Runner.run ~setup ~spec ~impl:Harness.Stacks.Algorithm_5
   in
   let r = o.Service.Runner.report in
   Alcotest.(check bool) "the pinned client migrated" true
@@ -269,7 +269,7 @@ let test_admission_control_sheds () =
       breaker_k = 6;
       breaker_cooldown = 40 }
   in
-  let o = Service.Runner.run ~setup ~spec ~impl:Harness.Scenario.Algorithm_5 in
+  let o = Service.Runner.run ~setup ~spec ~impl:Harness.Stacks.Algorithm_5 in
   let r = o.Service.Runner.report in
   Alcotest.(check bool) "overload sheds load" true (r.Service.Metrics.sheds > 0);
   Alcotest.(check bool) "shed output recorded" true
@@ -283,7 +283,7 @@ let test_admission_control_sheds () =
 let test_runner_rejects_alg_1_over_4 () =
   match
     Service.Runner.run ~setup:(ff_setup ()) ~spec:ff_spec
-      ~impl:Harness.Scenario.Algorithm_1_over_4
+      ~impl:Harness.Stacks.Algorithm_1_over_4
   with
   | _ -> Alcotest.fail "Algorithm_1_over_4 accepted"
   | exception Invalid_argument _ -> ()
