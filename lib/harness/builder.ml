@@ -322,17 +322,17 @@ let apply_plan t s =
       s t.plan
   end
 
+let base_setup { n; seed; deadline; timer_period; delay } =
+  { (Stacks.default ~n ~deadline) with
+    Stacks.seed;
+    timer_period;
+    delay =
+      (match delay with
+       | Constant d -> Net.constant d
+       | Uniform { min_d; max_d } -> Net.uniform ~min:min_d ~max:max_d) }
+
 let setup_of t =
-  let { n; seed; deadline; timer_period; delay } = t.base in
-  let s =
-    { (Stacks.default ~n ~deadline) with
-      Stacks.seed;
-      timer_period;
-      delay =
-        (match delay with
-         | Constant d -> Net.constant d
-         | Uniform { min_d; max_d } -> Net.uniform ~min:min_d ~max:max_d) }
-  in
+  let s = base_setup t.base in
   let s = match t.omega with None -> s | Some omega -> { s with Stacks.omega } in
   let s =
     match t.sink with None -> s | Some sink -> { s with Stacks.sink = Some sink }
@@ -706,7 +706,9 @@ let template ?(n = 4) ?(deadline = 240) ?(posts = 12)
    the run back to crash-stop. *)
 let with_plan ?seed t plan =
   let t =
-    match seed with None -> t | Some seed -> { t with base = { t.base with seed } }
+    match seed with
+    | None -> t
+    | Some seed -> { t with base = { t.base with seed } }
   in
   let stack =
     match t.stack with
@@ -1057,9 +1059,74 @@ let parse_plan_section ~count rest =
   List.map
     (fun (lineno, l) ->
        match Adversity.of_line l with
-       | Ok spec -> spec
+       | Ok spec -> (lineno, spec)
        | Error msg -> at lineno "%s" msg)
     plan_lines
+
+(* Value bounds, checked once a reader has the whole builder.  A value the
+   run's constructors reject would otherwise raise deep inside the run, so
+   the check calls those same constructors (the engine's config check,
+   [Failures], [Net]'s delay and fault models, the Omega oracle) and names
+   the line that set the value; the bounds only the running engine or
+   election would hit (post times, post counts, the election timeout) are
+   stated here.  Base fields are checked one at a time over [create]'s
+   defaults, so each error lands on its own line; the other clauses are
+   then checked against the valid base.  [lines] maps a clause keyword to
+   the line that last set it; a clause no line set holds its default,
+   which is in range. *)
+let check_bounds t ~lines ~posts ~plan =
+  let checking lineno f =
+    match f () with
+    | () -> ()
+    | exception Invalid_argument msg -> at lineno "%s" msg
+  in
+  let clause key f =
+    Option.iter (fun lineno -> checking lineno f) (List.assoc_opt key lines)
+  in
+  let base b = Engine.check_config (Stacks.engine_config (base_setup b)) in
+  let d = (create ~n:4 ~deadline:240 Gossip).base in
+  clause "n" (fun () -> base { d with n = t.base.n });
+  clause "deadline" (fun () -> base { d with deadline = t.base.deadline });
+  clause "timer-period" (fun () ->
+      base { d with timer_period = t.base.timer_period });
+  clause "delay" (fun () -> base { d with delay = t.base.delay });
+  (* [Stacks.omega_module] builds an oracle eagerly, checking its bounds. *)
+  let omega s =
+    let (_ : Engine.ctx -> _) = Stacks.omega_module s in
+    ()
+  in
+  let s = setup_of { t with plan = []; boosts = [] } in
+  clause "omega" (fun () ->
+      match t.omega with
+      | Some (Stacks.Elected { initial_timeout }) when initial_timeout < 1 ->
+        invalid_arg "omega elected: timeout must be >= 1"
+      | _ -> omega s);
+  List.iter
+    (fun (lineno, (tm, p, _)) ->
+       checking lineno (fun () ->
+           if tm < 0 then
+             invalid_arg (Printf.sprintf "post at negative time %d" tm);
+           if not (is_valid_proc ~n:t.base.n p) then
+             invalid_arg (Printf.sprintf "post by unknown process %d" p)))
+    posts;
+  clause "workload" (fun () ->
+      let nonneg field v =
+        if v < 0 then
+          invalid_arg
+            (Printf.sprintf "workload: %s must be >= 0, got %d" field v)
+      in
+      match t.workload with
+      | Posts { count; from_time; every }
+      | Weighted { count; from_time; every; _ } ->
+        nonneg "count" count;
+        nonneg "from" from_time;
+        nonneg "every" every
+      | Auto_posts { count; _ } -> nonneg "count" count
+      | No_posts | Explicit _ -> ());
+  List.iter
+    (fun (lineno, spec) ->
+       checking lineno (fun () -> omega (Adversity.apply [ spec ] s)))
+    plan
 
 (* The legacy repro header: the old explorer's target fields, mapped onto
    builder clauses with the exploration stack rules ([etob_stack], then
@@ -1073,6 +1140,7 @@ let parse_legacy rest =
   let timer_period = ref 2 and posts = ref 12 in
   let base_min = ref 1 and base_max = ref 3 in
   let recovery = ref false and ae = ref false and watchdog = ref false in
+  let lines = ref [] in
   let finish plan =
     let stack =
       etob_stack
@@ -1080,19 +1148,23 @@ let parse_legacy rest =
         ~ae:(!ae || Option.is_some !ae_mutation)
         !impl
     in
-    with_plan
-      { (create ~seed:!seed ~timer_period:!timer_period
-           ~delay:(Uniform { min_d = !base_min; max_d = !base_max })
-           ~n:!n ~deadline:!deadline stack)
-        with
-        workload = Auto_posts { count = !posts; stretch = !recovery };
-        mutation = !mutation;
-        rmutation = !rmutation;
-        ae_mutation = !ae_mutation;
-        checkers =
-          Etob_spec Tau_auto :: (if !watchdog then [ Watchdog Wd_auto ] else [])
-      }
-      plan
+    let t =
+      with_plan
+        { (create ~seed:!seed ~timer_period:!timer_period
+             ~delay:(Uniform { min_d = !base_min; max_d = !base_max })
+             ~n:!n ~deadline:!deadline stack)
+          with
+          workload = Auto_posts { count = !posts; stretch = !recovery };
+          mutation = !mutation;
+          rmutation = !rmutation;
+          ae_mutation = !ae_mutation;
+          checkers =
+            Etob_spec Tau_auto
+            :: (if !watchdog then [ Watchdog Wd_auto ] else []) }
+        (List.map snd plan)
+    in
+    check_bounds t ~lines:!lines ~posts:[] ~plan;
+    t
   in
   let flag lineno key v r =
     match v with
@@ -1116,6 +1188,15 @@ let parse_legacy rest =
         | Some i -> i
         | None -> at lineno "expected an integer, got %S" v
       in
+      (* base-min and base-max set the delay together: an out-of-range
+         pair names the later of the two lines. *)
+      let clause =
+        match key with
+        | "base-min" | "base-max" -> "delay"
+        | "posts" -> "workload"
+        | key -> key
+      in
+      lines := (clause, lineno) :: !lines;
       (match key with
        | "impl" ->
          (match
@@ -1166,16 +1247,20 @@ let parse_new rest =
   let t = ref (create ~n:4 ~deadline:240 (Etob Stacks.Algorithm_5)) in
   let set_base f = t := { !t with base = f !t.base } in
   let checkers = ref [] and boosts = ref [] and posts = ref [] in
-  let explicit = ref false in
+  let explicit = ref false and lines = ref [] in
   let finish plan =
     let workload =
-      if !explicit then Explicit (List.rev !posts) else !t.workload
+      if !explicit then Explicit (List.rev_map snd !posts) else !t.workload
     in
-    { !t with
-      workload;
-      plan = Adversity.make plan;
-      checkers = List.rev !checkers;
-      boosts = List.rev !boosts }
+    let t =
+      { !t with
+        workload;
+        plan = Adversity.make (List.map snd plan);
+        checkers = List.rev !checkers;
+        boosts = List.rev !boosts }
+    in
+    check_bounds t ~lines:!lines ~posts:(List.rev !posts) ~plan;
+    t
   in
   let rec headers = function
     | [] -> parse_fail "missing plan section (file truncated?)"
@@ -1190,7 +1275,11 @@ let parse_new rest =
         | Some v -> int v
         | None -> at lineno "missing field %s" k
       in
-      (match tokens_of line with
+      let tokens = tokens_of line in
+      (match tokens with
+       | key :: _ -> lines := (key, lineno) :: !lines
+       | [] -> ());
+      (match tokens with
        | [] -> headers rest
        | "stack" :: [ name ] ->
          (match stack_of_name name with
@@ -1297,7 +1386,8 @@ let parse_new rest =
          explicit := true;
          headers rest
        | "post" :: tm :: p :: tag_words when !explicit ->
-         posts := (int tm, int p, String.concat " " tag_words) :: !posts;
+         let post = (int tm, int p, String.concat " " tag_words) in
+         posts := (lineno, post) :: !posts;
          headers rest
        | "service" :: fields ->
          (match Service_spec.of_fields (kv_fields fields) with

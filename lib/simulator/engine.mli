@@ -56,6 +56,11 @@ type config = {
 val default_config : n:int -> deadline:time -> config
 (** Failure-free, unit delays, timer period 2, seed 42, recording sink. *)
 
+val check_config : config -> unit
+(** The bounds {!run} enforces on a config: n >= 2, a failure pattern of
+    size n, timer period >= 1, deadline >= 1.  Raises [Invalid_argument]
+    naming the first one violated. *)
+
 val run :
   config ->
   make_node:(ctx -> node) ->

@@ -254,19 +254,59 @@ let contains_substring s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
-(* Whole-spec parse errors name the offending line number. *)
+(* Whole-spec parse errors name the offending line number: syntax errors,
+   and values that parse but that the run's constructors reject.  Each
+   case replaces one line of a valid spec (or legacy repro) text. *)
 let test_of_lines_names_line () =
-  let text =
-    String.concat "\n"
-      [ "ecsim-spec v1"; "stack alg5"; "n 4"; "seed 5"; "deadline 200";
-        "timer-period 2"; "delay constant 1"; "workload none"; "plan 1";
-        "drop from=1 until=9"; "end" ]
+  let spec =
+    [ "ecsim-spec v1"; "stack alg5"; "n 4"; "seed 5"; "deadline 200";
+      "timer-period 2"; "delay constant 1"; "omega oracle stable=0 pre=self";
+      "workload none"; "plan 1"; "crash p=1 at=30"; "end" ]
+  and legacy =
+    [ "ecsim-explore-repro v1"; "impl alg5"; "n 4"; "seed 5"; "deadline 200";
+      "timer-period 2"; "posts 12"; "base-min 1"; "base-max 3"; "plan 1";
+      "crash p=1 at=30"; "end" ]
   in
-  match Builder.of_string text with
-  | Ok _ -> Alcotest.fail "malformed plan line parsed"
-  | Error msg ->
-    Alcotest.(check bool) "error names line 10" true
-      (contains_substring msg "line 10")
+  let parse lines = Builder.of_string (String.concat "\n" lines) in
+  List.iter
+    (fun (name, lines) ->
+       match parse lines with
+       | Ok _ -> ()
+       | Error msg -> Alcotest.failf "%s base text rejected: %s" name msg)
+    [ ("spec", spec); ("legacy", legacy) ];
+  let cases =
+    [ (spec, 11, "drop from=1 until=9");  (* missing pct *)
+      (spec, 3, "n 1");
+      (spec, 6, "timer-period 0");
+      (spec, 5, "deadline 0");
+      (spec, 7, "delay constant 0");
+      (spec, 7, "delay uniform min=5 max=1");
+      (spec, 9, "workload auto count=-3");
+      (spec, 9, "workload posts count=4 from=-5 every=2");
+      (spec, 11, "crash p=9 at=30");
+      (spec, 11, "crashrec p=9 at=30 until=40");
+      (spec, 11, "spike link=all from=1 until=9 factor=0");
+      (spec, 11, "drop from=1 until=9 pct=150");
+      (spec, 11, "dup from=1 until=9 copies=-1");
+      (spec, 11, "flap until=9 period=0");
+      (spec, 8, "omega oracle stable=0 pre=fixed:9");
+      (spec, 8, "omega elected timeout=0");
+      (legacy, 3, "n 1");
+      (legacy, 6, "timer-period 0");
+      (legacy, 7, "posts -3");
+      (legacy, 9, "base-max 0");
+      (legacy, 11, "crash p=9 at=30") ]
+  in
+  List.iter
+    (fun (lines, lineno, line) ->
+       let lines = List.mapi (fun i l -> if i + 1 = lineno then line else l) lines in
+       match parse lines with
+       | Ok _ -> Alcotest.failf "%S parsed" line
+       | Error msg ->
+         let expected = Printf.sprintf "line %d:" lineno in
+         if not (contains_substring msg expected) then
+           Alcotest.failf "%S: error %S does not name %s" line msg expected)
+    cases
 
 (* ------------------------------------------------------------------ *)
 
