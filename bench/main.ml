@@ -14,6 +14,18 @@ let section id title =
 
 let row fmt = Printf.printf (fmt ^^ "\n%!")
 
+(* Write an experiment's machine-readable record to bench/BENCH_<name>.json
+   (./BENCH_<name>.json when run from outside the repository root). *)
+let write_bench_json name json =
+  let file = "BENCH_" ^ name ^ ".json" in
+  let path =
+    if Sys.file_exists "bench" && Sys.is_directory "bench"
+    then Filename.concat "bench" file
+    else file
+  in
+  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
+  row "  wrote %s" path
+
 let oracle ?(pre = Detectors.Omega.Self_trust) stabilize_at =
   Harness.Stacks.Oracle { stabilize_at; pre }
 
@@ -704,13 +716,7 @@ let e15 () =
             rows))
       (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_sweep.json"
-    else "BENCH_sweep.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_bench_json "sweep" json
 
 (* ------------------------------------------------------------------ *)
 (* E16: adversarial explorer — detection budget per seeded mutant      *)
@@ -855,13 +861,7 @@ let e17 () =
       (String.concat ",\n" json_rows)
       (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_recovery.json"
-    else "BENCH_recovery.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_bench_json "recovery" json
 
 (* ------------------------------------------------------------------ *)
 (* E18: lossy-partition heal — anti-entropy digest vs flood            *)
@@ -958,13 +958,7 @@ let e18 () =
       (String.concat ",\n" [ d_json; f_json ])
       (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_partition.json"
-    else "BENCH_partition.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_bench_json "partition" json
 
 (* ------------------------------------------------------------------ *)
 (* E19: detlint hygiene gate — scan speed and cleanliness              *)
@@ -1017,13 +1011,7 @@ let e19 () =
          \"within_budget\": true,\n  %s\n}\n"
         result.Lint.Driver.files findings allowed elapsed budget (gc_fields ())
     in
-    let path =
-      if Sys.file_exists "bench" && Sys.is_directory "bench"
-      then Filename.concat "bench" "BENCH_lint.json"
-      else "BENCH_lint.json"
-    in
-    Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-    row "  wrote %s" path
+    write_bench_json "lint" json
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1238,13 +1226,7 @@ let e20a () =
       jsonl_bytes bin_bytes ser_speedup n_records (rec_rate md5_rate)
       (rec_rate crc_rate) wal_speedup (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_trace.json"
-    else "BENCH_trace.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_bench_json "trace" json
 
 (* ------------------------------------------------------------------ *)
 (* E21: crash-safe soak campaign — journal overhead + resume speedup   *)
@@ -1362,13 +1344,7 @@ let e21 () =
       total run_ms jobs_per_s journal_bytes bytes_per_job resume_ms replay_ms
       replay_speedup (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_soak.json"
-    else "BENCH_soak.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path;
+  write_bench_json "soak" json;
   Sys.remove journal;
   Sys.remove half_journal
 
@@ -1421,14 +1397,7 @@ let e22 () =
     result.Service.Experiment.gates;
   row "  expected: ETOB serves the minority through speculative degradation;";
   row "  Paxos writes die without a majority.  All four gates are enforced.";
-  let json = Service.Experiment.to_json result in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_service.json"
-    else "BENCH_service.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path;
+  write_bench_json "service" (Service.Experiment.to_json result);
   if not result.Service.Experiment.pass then
     failwith "E22: a service-layer gate failed (see the table above)"
 
@@ -1526,13 +1495,7 @@ let e23 () =
                  name steps minor major b)
             rows))
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_alloc.json"
-    else "BENCH_alloc.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_bench_json "alloc" json
 
 (* ------------------------------------------------------------------ *)
 (* E25: Algorithm 5's step cost against history length (gate enforced) *)
@@ -1622,13 +1585,7 @@ let e25 () =
             rows))
       growth (ns_large /. ns_small) (gc_fields ())
   in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" "BENCH_scale.json"
-    else "BENCH_scale.json"
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+  write_bench_json "scale" json
 
 (* ------------------------------------------------------------------ *)
 
