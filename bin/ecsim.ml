@@ -20,7 +20,7 @@ open Cmdliner
 module Builder = Harness.Builder
 
 (* ------------------------------------------------------------------ *)
-(* Scenario catalogue (declarative presets over the builder)           *)
+(* The --scenario catalogue (declarative presets over the builder)    *)
 (* ------------------------------------------------------------------ *)
 
 type scenario = {

@@ -21,7 +21,7 @@ let () =
   let setup =
     { (Harness.Stacks.default ~n ~deadline:100) with
       omega = Harness.Stacks.Oracle { stabilize_at = 0;
-                                        pre = Detectors.Omega.Self_trust } }
+                                      pre = Detectors.Omega.Self_trust } }
   in
   (* Each process: the ETOB protocol plus a counter replica on top. *)
   let make_node ctx =

@@ -108,9 +108,9 @@ type t = {
   mutation : Etob_omega.mutation option;
   rmutation : Recoverable.mutation option;
   ae_mutation : Anti_entropy.mutation option;
-  (* Escape hatches: all [None] for serializable builders.  Nothing in
-     this repository sets [rconfig], [ae_config] or [commits] any more;
-     [bench/perf] still reads them. *)
+  (* Escape hatches: all [None] for serializable builders.  Nothing sets
+     [rconfig], [ae_config] or [commits]; they stay because [bench/perf]
+     reads them. *)
   rconfig : Recoverable.config option;
   ae_config : Anti_entropy.config option;
   commits : bool option;  (** Recoverable commit-prefix toggle *)

@@ -212,7 +212,8 @@ let run_etob_with_commits ?(inputs = []) setup =
         Commit_prefix.create ctx ~omega ~etob:service
           ~promotion:(fun () -> Etob_omega.promotion t)
       in
-      (Engine.stack [ omega_node; etob_node; commit_node; post_driver service ], ()))
+      let nodes = [ omega_node; etob_node; commit_node; post_driver service ] in
+      (Engine.stack nodes, ()))
 
 (* The EC stacks: [layers ctx ~omega] builds the protocol layers under test
    and returns their EC service, which the self-driving proposer drives. *)
