@@ -105,6 +105,7 @@ let create ?(seed = 42) ?(timer_period = 2) ?(delay = Constant 1) ~n ~deadline
     max_instance = 0;
     service = None }
 
+(* The EC stacks' deterministic proposer. *)
 let default_propose p ~instance = Value.Num ((1000 * p) + instance)
 
 (* ------------------------------------------------------------------ *)

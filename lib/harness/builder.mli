@@ -120,8 +120,8 @@ type t = {
           outcome still carries the full trace (a capturing recorder is
           teed in), so checkers and digests are unaffected *)
   max_instance : int;
-      (** EC-stack instance horizon (0 = drive nothing); the stacks propose
-          {!default_propose} *)
+      (** EC-stack instance horizon (0 = drive nothing); process [p]
+          proposes [Num (1000*p + instance)] *)
   service : Service_spec.t option;
       (** closed-loop client population riding this stack — carried and
           serialized here (one [service ...] spec line), interpreted by
@@ -136,9 +136,6 @@ val create :
 (** A declarative builder over {!Stacks.default}'s conventions: seed 42,
     timer period 2, constant unit delays, no workload, no plan, no
     checkers. *)
-
-val default_propose : proc_id -> instance:int -> Value.t
-(** [Num (1000*p + instance)]: the deterministic proposer of EC stacks. *)
 
 (** {2 Derived values and policies}
 
