@@ -299,7 +299,9 @@ let test_of_lines_names_line () =
   in
   List.iter
     (fun (lines, lineno, line) ->
-       let lines = List.mapi (fun i l -> if i + 1 = lineno then line else l) lines in
+       let lines =
+         List.mapi (fun i l -> if i + 1 = lineno then line else l) lines
+       in
        match parse lines with
        | Ok _ -> Alcotest.failf "%S parsed" line
        | Error msg ->
