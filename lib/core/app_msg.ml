@@ -32,13 +32,68 @@ let id m = (m.origin, m.sn)
 let compare a b = compare_id (id a) (id b)
 let equal a b = compare a b = 0
 
-let pp_id ppf (p, sn) = Fmt.pf ppf "%a#%d" pp_proc p sn
+(* Printers.  A message prints as "p<origin>#<sn>", followed by
+   "{<-<dep>,<dep>...}" when it has dependencies, with a break hint
+   ([pp_print_space]) after each comma; a sequence is "[m;m...]" with no
+   hints of its own.  Trace digests print every revision of every d_i,
+   so the text between two hints is written into a buffer, digits
+   included, and handed to Format as one string: Format lays out a run of
+   strings by its total length alone, so the output is the one printing
+   each piece separately would give, at any margin and in any box. *)
+
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n = if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n
+
+(* Same text as [pp_proc p] then "#<sn>". *)
+let add_id b p sn =
+  Buffer.add_char b 'p';
+  add_int b p;
+  Buffer.add_char b '#';
+  add_int b sn
+
+let flush ppf b =
+  Format.pp_print_string ppf (Buffer.contents b);
+  Buffer.clear b
+
+let add_msg ppf b m =
+  add_id b m.origin m.sn;
+  match m.deps with
+  | [] -> ()
+  | (p, sn) :: deps ->
+    Buffer.add_string b "{<-";
+    add_id b p sn;
+    List.iter
+      (fun (p, sn) ->
+         Buffer.add_char b ',';
+         flush ppf b;
+         Format.pp_print_space ppf ();
+         add_id b p sn)
+      deps;
+    Buffer.add_char b '}'
+
+let pp_id ppf (p, sn) =
+  let b = Buffer.create 16 in
+  add_id b p sn;
+  flush ppf b
 
 let pp ppf m =
-  if m.deps = [] then Fmt.pf ppf "%a" pp_id (id m)
-  else Fmt.pf ppf "%a{<-%a}" pp_id (id m) (Fmt.list ~sep:Fmt.comma pp_id) m.deps
+  let b = Buffer.create 32 in
+  add_msg ppf b m;
+  flush ppf b
 
-let pp_seq ppf ms = Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any ";") pp) ms
+let pp_seq ppf ms =
+  let b = Buffer.create 256 in
+  Buffer.add_char b '[';
+  List.iteri
+    (fun i m ->
+       if i > 0 then Buffer.add_char b ';';
+       add_msg ppf b m)
+    ms;
+  Buffer.add_char b ']';
+  flush ppf b
 
 module Id_set = Set.Make (struct
     type nonrec t = id

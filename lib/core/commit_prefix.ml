@@ -50,25 +50,32 @@ type t = {
   majority : int;
   acked : int array;  (* per process, length of our prefix it last acked *)
   mutable committed : App_msg.t list;
+  mutable committed_length : int;  (* [List.length committed] *)
   mutable marks_sent : int;
 }
 
 let committed t = t.committed
+let committed_length t = t.committed_length
 
-let record t seq =
+let record t seq ~length =
   t.committed <- seq;
+  t.committed_length <- length;
   t.ctx.Engine.output (Committed seq)
 
 (* Leader side: the k-th largest acknowledged length (k = majority) is the
-   committed watermark. *)
+   committed watermark.  Acks are never withdrawn, so after a change of
+   promotion the watermark can exceed it; the prefix taken is then the
+   whole promotion. *)
 let try_commit t =
-  t.acked.(t.ctx.Engine.self) <- List.length (t.promotion ());
+  let promotion = t.promotion () in
+  let promotion_length = List.length promotion in
+  t.acked.(t.ctx.Engine.self) <- promotion_length;
   let lengths = Array.copy t.acked in
   Array.sort (fun a b -> Int.compare b a) lengths;
   let watermark = lengths.(t.majority - 1) in
-  if watermark > List.length t.committed then begin
-    let seq = List.filteri (fun i _ -> i < watermark) (t.promotion ()) in
-    record t seq;
+  if watermark > t.committed_length then begin
+    let seq = List.filteri (fun i _ -> i < watermark) promotion in
+    record t seq ~length:(min watermark promotion_length);
     t.marks_sent <- t.marks_sent + 1;
     t.ctx.Engine.broadcast (Commit_mark { seq })
   end
@@ -79,6 +86,7 @@ let create (ctx : Engine.ctx) ~omega ~etob ~promotion =
       majority = (ctx.Engine.n / 2) + 1;
       acked = Array.make ctx.Engine.n 0;
       committed = [];
+      committed_length = 0;
       marks_sent = 0 }
   in
   (* Acknowledge every adoption to the process we currently trust. *)
@@ -96,9 +104,9 @@ let create (ctx : Engine.ctx) ~omega ~etob ~promotion =
         t.acked.(src) <- max t.acked.(src) (List.length seq);
         try_commit t
       end
-    | Commit_mark { seq } ->
-      if omega () = src && List.length seq > List.length t.committed then
-        record t seq
+    | Commit_mark { seq } when omega () = src ->
+      let length = List.length seq in
+      if length > t.committed_length then record t seq ~length
     | _ -> ()
   in
   let on_timer () = if omega () = ctx.Engine.self then try_commit t in
@@ -108,7 +116,7 @@ let create (ctx : Engine.ctx) ~omega ~etob ~promotion =
    it.  Commitments are externally visible promises ("not subject to
    further changes"), so the recoverable wrapper logs them with a sync
    barrier and the restored announcement extends the pre-crash one. *)
-let restore t seq = if seq <> [] then record t seq
+let restore t seq = if seq <> [] then record t seq ~length:(List.length seq)
 
 let marks_sent t = t.marks_sent
 

@@ -29,6 +29,9 @@ val create :
 val committed : t -> App_msg.t list
 (** The longest locally known committed prefix. *)
 
+val committed_length : t -> int
+(** [List.length (committed t)], kept as the prefix grows. *)
+
 val restore : t -> App_msg.t list -> unit
 (** Crash-recovery: reinstate a durably logged commitment and re-announce
     it (no-op for the empty prefix).  Used by {!Recoverable}. *)

@@ -421,16 +421,11 @@ let run ?(digest = false) ?(catch = false) ?guard t =
         (Some report, violations)
       end
     in
-    let dg =
-      if digest then
-        Digest.to_hex (Digest.string (Format.asprintf "%a" Trace.pp trace))
-      else ""
-    in
     { builder = orig;
       trace = Some trace;
       report;
       violations;
-      digest = dg }
+      digest = (if digest then Trace.digest trace else "") }
   in
   (* The trace-file escape hatch and the guard hook share one pattern:
      tee the extra sinks (and the caller's own, if any) with a capturing

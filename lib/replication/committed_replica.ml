@@ -19,32 +19,26 @@ type Io.output +=
   | Applied_committed of { machine : string; count : int; digest : string }
 
 module Make (M : Machines.MACHINE) = struct
+  module Speculative = Replica.Make (M)
+  module Fold = Replica.Fold (M)
+
   type t = {
     ctx : Engine.ctx;
-    speculative : Replica.Make(M).t;
-    mutable committed_state : M.state;
-    mutable committed_log : Command.t list;
+    speculative : Speculative.t;
+    committed : Fold.t;  (* of the committed prefix *)
   }
 
-  module Speculative = Replica.Make (M)
-
-  let decode_log seq =
-    List.filter_map (fun m -> Command.of_tag m.Ec_core.App_msg.tag) seq
-
   let on_committed t seq =
-    let log = decode_log seq in
-    let state = List.fold_left M.apply M.init log in
-    t.committed_state <- state;
-    t.committed_log <- log;
+    Fold.update t.committed seq;
     t.ctx.Engine.output
       (Applied_committed
-         { machine = M.name; count = List.length log; digest = M.digest state })
+         { machine = M.name;
+           count = Fold.count t.committed;
+           digest = M.digest (Fold.state t.committed) })
 
   let create (ctx : Engine.ctx) ~etob ~omega ~promotion =
     let speculative, spec_node = Speculative.create ctx ~etob in
-    let t =
-      { ctx; speculative; committed_state = M.init; committed_log = [] }
-    in
+    let t = { ctx; speculative; committed = Fold.create () } in
     let commit, commit_node =
       Ec_core.Commit_prefix.create ctx ~omega ~etob ~promotion
     in
@@ -52,31 +46,26 @@ module Make (M : Machines.MACHINE) = struct
        through a polling wrapper on the timer (commit growth is only
        observable through its state). *)
     let last_len = ref 0 in
+    let watch () =
+      let len = Ec_core.Commit_prefix.committed_length commit in
+      if len > !last_len then begin
+        last_len := len;
+        on_committed t (Ec_core.Commit_prefix.committed commit)
+      end
+    in
     let watcher =
       { Engine.idle_node with
-        on_timer =
-          (fun () ->
-             let seq = Ec_core.Commit_prefix.committed commit in
-             if List.length seq > !last_len then begin
-               last_len := List.length seq;
-               on_committed t seq
-             end);
-        on_message =
-          (fun ~src:_ _ ->
-             let seq = Ec_core.Commit_prefix.committed commit in
-             if List.length seq > !last_len then begin
-               last_len := List.length seq;
-               on_committed t seq
-             end) }
+        on_timer = watch;
+        on_message = (fun ~src:_ _ -> watch ()) }
     in
     (t, Engine.stack [ spec_node; commit_node; watcher ])
 
   let submit t command = Speculative.submit t.speculative command
   let speculative_state t = Speculative.state t.speculative
   let speculative_digest t = Speculative.digest t.speculative
-  let committed_state t = t.committed_state
-  let committed_digest t = M.digest t.committed_state
-  let committed_log t = t.committed_log
+  let committed_state t = Fold.state t.committed
+  let committed_digest t = M.digest (Fold.state t.committed)
+  let committed_log t = Fold.log t.committed
   let speculative_log t = Speculative.log t.speculative
 end
 

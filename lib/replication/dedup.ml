@@ -66,4 +66,5 @@ module Make (M : Machines.MACHINE) = struct
   let inner state = state.inner
   let applied state = state.applied
   let suppressed state = state.suppressed
+  let has state ~client ~rid = Rid_set.mem (client, rid) state.seen
 end

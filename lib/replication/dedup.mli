@@ -27,6 +27,10 @@ module Make (M : Machines.MACHINE) : sig
 
   val suppressed : state -> int
   (** Duplicate provenance-carrying writes dropped at apply time. *)
+
+  val has : state -> client:int -> rid:int -> bool
+  (** Whether the folded sequence holds a write with this [(client, rid)]:
+      the seen-set holds exactly those ids, duplicates included. *)
 end
 (** [Make (M)] is [M] behind the first-occurrence filter: duplicates of a
     [(client, rid)] write are dropped at apply time and counted instead of

@@ -53,9 +53,6 @@ type outcome = {
 
 let find_in map key = Machines.String_map.find_opt key map
 
-let log_has log ~client ~rid =
-  List.exists (fun c -> Command.rid_of c = Some (client, rid)) log
-
 (* Extend the replica-side crash/recovery schedule over the widened
    process space; clients never fail. *)
 let widen_pattern base ~r ~n_total =
@@ -136,10 +133,10 @@ let replica_node setup impl (spec : Harness.Service_spec.t) ctx =
               (fun key -> find_in (Dkv.inner (Committed.committed_state rep)) key);
             weak_has =
               (fun ~client ~rid ->
-                log_has (Committed.speculative_log rep) ~client ~rid);
+                Dkv.has (Committed.speculative_state rep) ~client ~rid);
             strong_has =
               (fun ~client ~rid ->
-                log_has (Committed.committed_log rep) ~client ~rid);
+                Dkv.has (Committed.committed_state rep) ~client ~rid);
             submit = Committed.submit rep }
       in
       ([ etob_node; rep_node ], view, views)
@@ -160,8 +157,8 @@ let replica_node setup impl (spec : Harness.Service_spec.t) ctx =
         Endpoint.
           { weak_find = (fun key -> find_in (Dkv.inner (Plain.state rep)) key);
             strong_find = (fun key -> find_in (Dkv.inner (Plain.state rep)) key);
-            weak_has = (fun ~client ~rid -> log_has (Plain.log rep) ~client ~rid);
-            strong_has = (fun ~client ~rid -> log_has (Plain.log rep) ~client ~rid);
+            weak_has = (fun ~client ~rid -> Dkv.has (Plain.state rep) ~client ~rid);
+            strong_has = (fun ~client ~rid -> Dkv.has (Plain.state rep) ~client ~rid);
             submit = Plain.submit rep }
       in
       ([ paxos_node; rep_node ], view, views)
@@ -205,7 +202,7 @@ let run ~setup ~spec ~impl =
   in
   let horizon = (setup : Harness.Stacks.setup).deadline in
   { trace;
-    digest = Digest.to_hex (Digest.string (Format.asprintf "%a" Trace.pp trace));
+    digest = Trace.digest trace;
     report = Metrics.of_trace ~spec ~horizon trace;
     replicas = r;
     clients = spec.clients;

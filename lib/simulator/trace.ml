@@ -75,3 +75,5 @@ let pp_entry ppf = function
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@,(sent=%d delivered=%d dropped=%d steps=%d end=%d)@]"
     (Fmt.list pp_entry) (entries t) t.sent t.delivered t.dropped t.steps t.last_time
+
+let digest t = Digest.to_hex (Digest.string (Format.asprintf "%a" pp t))

@@ -45,3 +45,6 @@ val last_time : t -> time
 
 val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit
+
+val digest : t -> string
+(** MD5 hex of the {!pp} text: the determinism digest of a run. *)

@@ -15,9 +15,6 @@ module Builder = Harness.Builder
 module Adversity = Harness.Adversity
 module Stacks = Harness.Stacks
 
-let digest_of_trace trace =
-  Digest.to_hex (Digest.string (Format.asprintf "%a" Trace.pp trace))
-
 let run_digest b =
   let o = Builder.run ~digest:true b in
   o.Builder.digest
@@ -90,7 +87,7 @@ let test_ae_differential () =
     in
     let inputs = Stacks.spread_posts ~n:4 ~count:8 ~from_time:8 ~every:6 in
     let trace, _ = Stacks.run_etob_ae ~inputs setup in
-    digest_of_trace trace
+    Trace.digest trace
   in
   Alcotest.(check string) "ae stack digest" direct (run_digest decl)
 
@@ -118,7 +115,7 @@ let test_recoverable_differential () =
     in
     let inputs = Stacks.spread_posts ~n:4 ~count:12 ~from_time:8 ~every:20 in
     let trace, _, _ = Stacks.run_recoverable ~inputs setup in
-    digest_of_trace trace
+    Trace.digest trace
   in
   Alcotest.(check string) "recoverable stack digest" direct (run_digest decl)
 
@@ -142,7 +139,7 @@ let test_omega_clause_differential () =
         omega = Stacks.Elected { initial_timeout = 5 } }
     in
     let inputs = Stacks.spread_posts ~n:4 ~count:8 ~from_time:5 ~every:4 in
-    digest_of_trace (Stacks.run_etob ~inputs setup Stacks.Algorithm_5)
+    Trace.digest (Stacks.run_etob ~inputs setup Stacks.Algorithm_5)
   in
   Alcotest.(check string) "omega clause digest" direct (run_digest decl)
 

@@ -48,6 +48,70 @@ let test_app_msg_prefix () =
   Alcotest.(check bool) "not prefix" false (App_msg.is_prefix [ b ] [ a; b ]);
   Alcotest.(check bool) "longer" false (App_msg.is_prefix [ a; b ] [ a ])
 
+(* Printers against the Fmt-based oracle (App_msg_pp_oracle): same bytes
+   where the repository prints messages, which is inside Trace.pp's
+   vertical box after an entry prefix, and at top level (jsonl and binary
+   sink text, error messages), at a narrow, the default and a wide
+   margin, so that every break hint is exercised both taken and not. *)
+module Pp_oracle = App_msg_pp_oracle
+
+let render ~margin print =
+  let b = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer b in
+  Format.pp_set_margin ppf margin;
+  print ppf;
+  Format.pp_print_flush ppf ();
+  Buffer.contents b
+
+let renderings pp v =
+  List.concat_map
+    (fun margin ->
+       [ render ~margin (fun ppf ->
+             Format.fprintf ppf "@[<v>[  12] p3 -> d_i:=%a@,[ 345] p1 -> %a@,end@]"
+               pp v pp v);
+         render ~margin (fun ppf -> Format.fprintf ppf "committed:%a" pp v) ])
+    [ 10; 78; 200 ]
+
+let big_id_gen = QCheck.Gen.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
+
+let printable_msg_gen =
+  QCheck.Gen.(
+    let* origin, sn = big_id_gen in
+    let* deps = list_size (int_range 0 4) big_id_gen in
+    return (App_msg.make ~origin ~sn ~deps ()))
+
+let printer_input_arb =
+  QCheck.make
+    ~print:(fun (m, ms) -> Format.asprintf "%a %a" Pp_oracle.pp m Pp_oracle.pp_seq ms)
+    QCheck.Gen.(pair printable_msg_gen (list_size (int_range 0 12) printable_msg_gen))
+
+let printers_agree (pp, pp_seq) (m, ms) =
+  List.equal String.equal (renderings pp m) (renderings Pp_oracle.pp m)
+  && List.equal String.equal (renderings pp_seq ms) (renderings Pp_oracle.pp_seq ms)
+
+let prop_printers_match_oracle =
+  QCheck.Test.make ~name:"app_msg: printers match the Fmt oracle byte for byte"
+    ~count:500 printer_input_arb
+    (printers_agree (App_msg.pp, App_msg.pp_seq))
+
+(* Negative control: the oracle with the break hint moved before the comma
+   of the dependency list.  The text is the same when no line wraps, so
+   only the break structure can tell them apart; the property must. *)
+let planted_pp ppf (m : App_msg.t) =
+  let sep ppf () = Format.pp_print_space ppf (); Format.pp_print_string ppf "," in
+  if m.deps = [] then Pp_oracle.pp_id ppf (App_msg.id m)
+  else
+    Fmt.pf ppf "%a{<-%a}" Pp_oracle.pp_id (App_msg.id m)
+      (Fmt.list ~sep Pp_oracle.pp_id) m.deps
+
+let planted_pp_seq ppf ms = Fmt.pf ppf "[%a]" (Fmt.list ~sep:(Fmt.any ";") planted_pp) ms
+
+let prop_planted_break_caught =
+  QCheck.Test.make_neg
+    ~name:"app_msg: a moved break hint fails the printer property" ~count:500
+    printer_input_arb
+    (printers_agree (planted_pp, planted_pp_seq))
+
 (* ------------------------------------------------------------------ *)
 (* Value                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -1088,7 +1152,9 @@ let () =
   Alcotest.run "ec_core"
     [ ("app_msg",
        [ Alcotest.test_case "identity" `Quick test_app_msg_identity;
-         Alcotest.test_case "prefix" `Quick test_app_msg_prefix ]);
+         Alcotest.test_case "prefix" `Quick test_app_msg_prefix ]
+       @ List.map QCheck_alcotest.to_alcotest
+           [ prop_printers_match_oracle; prop_planted_break_caught ]);
       ("value",
        [ Alcotest.test_case "tag roundtrip" `Quick test_value_tag_roundtrip;
          Alcotest.test_case "tag rejects seq" `Quick test_value_tag_rejects_seq;

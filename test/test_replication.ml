@@ -304,6 +304,210 @@ let test_replica_ignores_foreign_traffic () =
   Array.iter (fun d -> Alcotest.(check string) "foreign tags skipped" "7" d) digests
 
 (* ------------------------------------------------------------------ *)
+(* Incremental fold vs the whole refold                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [Replica] and [Committed_replica] re-apply only what a revision
+   changed; the oracle (Replica_fold_oracle) re-decodes and re-folds the
+   whole sequence.  Random revision scripts drive both views of a
+   committed replica and a plain replica through a fake ETOB backend:
+   delivered sequences go to the speculative views, and the same
+   sequence goes out as the leader's commit mark, which the committed
+   view takes whenever it is longer than the last one. *)
+module Fold_oracle = Replica_fold_oracle
+module Dkv = Dedup.Make (Machines.Kv)
+
+(* A pool of messages: every command kind, writes whose (client, rid)
+   repeat, and tags that do not decode.  Each has a twin with the same
+   id and another tag, as a replica restarted without durable state
+   reuses its ids. *)
+let fold_tag_gen =
+  QCheck.Gen.(
+    let key = map (Printf.sprintf "k%d") (int_range 0 3) in
+    let value = map (Printf.sprintf "v%d") (int_range 0 9) in
+    frequency
+      [ ( 4,
+          map3
+            (fun client rid (k, v) -> Command.to_tag (Command.wput ~client ~rid k v))
+            (int_range 0 2) (int_range 0 3) (pair key value) );
+        (2, map2 (fun k v -> Command.to_tag (Command.put k v)) key value);
+        (1, map (fun k -> Command.to_tag (Command.del k)) key);
+        (1, map (fun x -> Command.to_tag (Command.enqueue x)) value);
+        (1, return (Command.to_tag Command.dequeue));
+        (1, map (fun n -> Command.to_tag (Command.incr n)) (int_range (-3) 3));
+        (2, oneofl [ ""; "bogus"; "incr:x"; "wput:1:2:k"; "put:a"; "wput:-1:0:k:v" ])
+      ])
+
+let pool_size = 16
+
+type revision =
+  | Extend of int list  (** append pool messages *)
+  | Truncate of int  (** keep a prefix *)
+  | Replace of int * int list  (** keep a prefix, append pool messages *)
+  | Reorder of int  (** reverse the suffix from a position *)
+  | Reuse_id of int  (** swap a position for its twin *)
+  | Redeliver  (** the same list again *)
+
+let revision_gen =
+  QCheck.Gen.(
+    let picks = list_size (int_range 0 4) (int_range 0 (pool_size - 1)) in
+    frequency
+      [ (3, map (fun is -> Extend is) picks);
+        (1, map (fun k -> Truncate k) (int_range 0 12));
+        (2, map2 (fun k is -> Replace (k, is)) (int_range 0 12) picks);
+        (1, map (fun k -> Reorder k) (int_range 0 12));
+        (1, map (fun k -> Reuse_id k) (int_range 0 12));
+        (1, return Redeliver) ])
+
+let pp_revision ppf = function
+  | Extend is -> Fmt.pf ppf "extend %a" Fmt.(Dump.list int) is
+  | Truncate k -> Fmt.pf ppf "truncate %d" k
+  | Replace (k, is) -> Fmt.pf ppf "replace %d %a" k Fmt.(Dump.list int) is
+  | Reorder k -> Fmt.pf ppf "reorder %d" k
+  | Reuse_id k -> Fmt.pf ppf "reuse-id %d" k
+  | Redeliver -> Fmt.string ppf "redeliver"
+
+let script_arb =
+  let tags pool = Array.map (fun m -> m.Ec_core.App_msg.tag) pool in
+  QCheck.make
+    ~print:(fun ((pool, twins), script) ->
+        Format.asprintf "pool %a@.twins %a@.script %a"
+          Fmt.(Dump.array Dump.string) (tags pool)
+          Fmt.(Dump.array Dump.string) (tags twins)
+          Fmt.(Dump.list pp_revision) script)
+    QCheck.Gen.(
+      let messages =
+        map
+          (fun tags ->
+             Array.of_list
+               (List.mapi
+                  (fun i tag ->
+                     Ec_core.App_msg.make ~origin:(i mod 3) ~sn:(i / 3) ~tag ())
+                  tags))
+          (list_repeat pool_size fold_tag_gen)
+      in
+      let* pools = pair messages messages in
+      let* script = list_size (int_range 1 20) revision_gen in
+      return (pools, script))
+
+let revise (pool, twins) seq revision =
+  let prefix k = List.filteri (fun i _ -> i < k) seq in
+  let picked = List.map (fun i -> pool.(i)) in
+  let twin (m : Ec_core.App_msg.t) =
+    let i = (3 * m.sn) + m.origin in
+    if String.equal m.tag pool.(i).Ec_core.App_msg.tag then twins.(i) else pool.(i)
+  in
+  match revision with
+  | Extend is -> seq @ picked is
+  | Truncate k -> prefix k
+  | Replace (k, is) -> prefix k @ picked is
+  | Reorder k -> prefix k @ List.rev (List.filteri (fun i _ -> i >= k) seq)
+  | Reuse_id k -> List.mapi (fun i m -> if i = k then twin m else m) seq
+  | Redeliver -> seq
+
+(* A process context that only records the outputs it is given. *)
+let recording_ctx () =
+  let outputs = ref [] in
+  let ctx =
+    { Engine.self = 0; n = 3; now = (fun () -> 0);
+      send = (fun _ _ -> ()); broadcast = (fun _ -> ());
+      output = (fun o -> outputs := o :: !outputs);
+      rng = Rng.create 1 }
+  in
+  (ctx, outputs)
+
+let latest f outputs = List.find_map f !outputs
+
+let fold_matches_refold (type s) (module M : Machines.MACHINE with type state = s)
+    ~(has : (s -> client:int -> rid:int -> bool) option) (pools, script) =
+  let module Plain = Replica.Make (M) in
+  let module Dual = Committed_replica.Make (M) in
+  let leader = 1 in
+  let plain_ctx, plain_out = recording_ctx () in
+  let plain_backend = Ec_core.Etob_intf.backend plain_ctx in
+  let plain, _ =
+    Plain.create plain_ctx
+      ~etob:(Ec_core.Etob_intf.service_of plain_backend ~broadcast:ignore)
+  in
+  let dual_ctx, dual_out = recording_ctx () in
+  let dual_backend = Ec_core.Etob_intf.backend dual_ctx in
+  let dual, dual_node =
+    Dual.create dual_ctx
+      ~etob:(Ec_core.Etob_intf.service_of dual_backend ~broadcast:ignore)
+      ~omega:(fun () -> leader) ~promotion:(fun () -> [])
+  in
+  (* One view against the refold of [seq]: its log and digest, the count
+     and digest of the last output it recorded, and the seen-set. *)
+  let view_ok seq ~log ~state ~last_output =
+    let state', log' = Fold_oracle.refold (module M) seq in
+    let digest' = M.digest state' in
+    List.equal Command.equal log log'
+    && String.equal (M.digest state) digest'
+    && (match last_output with
+        | Some (count, digest) ->
+          count = List.length log' && String.equal digest digest'
+        | None -> seq = [])
+    && (match has with
+        | None -> true
+        | Some has ->
+          List.for_all
+            (fun (client, rid) ->
+               Bool.equal (has state ~client ~rid)
+                 (List.exists (fun c -> Command.rid_of c = Some (client, rid)) log'))
+            (List.concat_map (fun c -> List.init 5 (fun r -> (c, r))) [ 0; 1; 2; 3 ]))
+  in
+  let applied = function
+    | Replica.Applied { count; digest; _ } -> Some (count, digest)
+    | _ -> None
+  in
+  let step seq revision =
+    let seq = revise pools seq revision in
+    Ec_core.Etob_intf.set_delivered plain_backend seq;
+    Ec_core.Etob_intf.set_delivered dual_backend seq;
+    dual_node.Engine.on_message ~src:leader (Ec_core.Commit_prefix.Commit_mark { seq });
+    let committed =
+      Option.value ~default:[]
+        (latest
+           (function Ec_core.Commit_prefix.Committed s -> Some s | _ -> None)
+           dual_out)
+    in
+    let ok =
+      view_ok seq ~log:(Plain.log plain) ~state:(Plain.state plain)
+        ~last_output:(latest applied plain_out)
+      && view_ok seq ~log:(Dual.speculative_log dual)
+           ~state:(Dual.speculative_state dual) ~last_output:(latest applied dual_out)
+      && view_ok committed ~log:(Dual.committed_log dual)
+           ~state:(Dual.committed_state dual)
+           ~last_output:
+             (latest
+                (function
+                  | Committed_replica.Applied_committed { count; digest; _ } ->
+                    Some (count, digest)
+                  | _ -> None)
+                dual_out)
+    in
+    (seq, ok)
+  in
+  let rec go seq = function
+    | [] -> true
+    | revision :: rest ->
+      let seq, ok = step seq revision in
+      ok && go seq rest
+  in
+  go [] script
+
+let prop_fold_dedup_kv =
+  QCheck.Test.make
+    ~name:"replica fold: dedup kv matches the whole refold, has = log scan"
+    ~count:300 script_arb
+    (fold_matches_refold (module Dkv) ~has:(Some Dkv.has))
+
+let prop_fold_fifo =
+  QCheck.Test.make ~name:"replica fold: fifo matches the whole refold" ~count:300
+    script_arb
+    (fold_matches_refold (module Machines.Fifo) ~has:None)
+
+(* ------------------------------------------------------------------ *)
 (* Session guarantees                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -495,6 +699,8 @@ let () =
            test_dual_views_split_during_partition;
          Alcotest.test_case "committed stalls without majority" `Quick
            test_dual_views_committed_stalls_without_majority ]);
+      ("fold",
+       List.map QCheck_alcotest.to_alcotest [ prop_fold_dedup_kv; prop_fold_fifo ]);
       ("sessions",
        [ Alcotest.test_case "clean in stable period" `Quick
            test_sessions_clean_in_stable_period;
