@@ -134,11 +134,10 @@ let decode ~spec ~scenario_name ~impl_name ~n ~seed ~deadline ~posts =
 
 let spec_arg =
   let doc =
-    "Load the run from a builder spec file ($(b,ecsim-spec v1), or a legacy \
-     $(b,ecsim-explore-repro v1) file).  The spec carries its own base, \
-     stack, workload and adversity plan, so it overrides \
-     $(b,--scenario)/$(b,--impl)/$(b,-n)/$(b,--seed)/$(b,--deadline)/\
-     $(b,--posts)."
+    "Load the run from a builder spec file ($(b,ecsim-spec v1)).  The spec \
+     carries its own base, stack, workload and adversity plan, so it \
+     overrides $(b,--scenario)/$(b,--impl)/$(b,-n)/$(b,--seed)/\
+     $(b,--deadline)/$(b,--posts)."
   in
   Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
 
@@ -596,8 +595,8 @@ let explore_smoke ~domains ~budget ~seed ~artifacts =
   print_endline "SMOKE PASSED";
   Ok ()
 
-(* Replay a finding file: spec text, legacy repro text, or a binary trace
-   embedding its spec record — all through [Builder.replay]. *)
+(* Replay a finding file: spec text, or a binary trace embedding its spec
+   record — both through [Builder.replay]. *)
 let replay_file path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> `Error (false, msg)
@@ -738,8 +737,8 @@ let explore_cmd =
   in
   let replay_arg =
     let doc =
-      "Replay a spec, legacy repro or binary trace file (format \
-       auto-detected) instead of exploring."
+      "Replay a spec or binary trace file (format auto-detected) instead \
+       of exploring."
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
   in

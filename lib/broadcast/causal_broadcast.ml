@@ -21,7 +21,6 @@ type t = {
   rb : Reliable_broadcast.t;
   mutable clock : Vector_clock.t;
   mutable holdback : pending list;
-  mutable delivered_count : int;
 }
 
 (* m is deliverable at state V iff vc.(origin) = V.(origin) + 1 and
@@ -45,7 +44,6 @@ let create (ctx : Engine.ctx) ~deliver =
       (* detlint: allow D5 removes exactly the cell find_opt returned; structural <> would also drop distinct holdback entries that happen to be equal *)
       t.holdback <- List.filter (fun q -> q != p) t.holdback;
       t.clock <- Vector_clock.tick t.clock p.p_origin;
-      t.delivered_count <- t.delivered_count + 1;
       deliver ~origin:p.p_origin ~vc:p.p_vc p.p_inner;
       flush t
   in
@@ -60,8 +58,7 @@ let create (ctx : Engine.ctx) ~deliver =
   let t =
     { ctx; rb;
       clock = Vector_clock.zero ~n:ctx.Engine.n;
-      holdback = [];
-      delivered_count = 0 }
+      holdback = [] }
   in
   holder := Some t;
   (t, rb_node)
@@ -69,10 +66,6 @@ let create (ctx : Engine.ctx) ~deliver =
 let broadcast t inner =
   let vc = Vector_clock.tick t.clock t.ctx.Engine.self in
   Reliable_broadcast.broadcast t.rb (Cb { origin = t.ctx.Engine.self; vc; inner })
-
-let clock t = t.clock
-let delivered_count t = t.delivered_count
-let pending_count t = List.length t.holdback
 
 let () =
   Msg.register_payload_pp (fun ppf -> function

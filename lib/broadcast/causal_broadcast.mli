@@ -16,10 +16,3 @@ val create :
     causality; the delivered [vc] is the broadcast's timestamp. *)
 
 val broadcast : t -> Msg.payload -> unit
-
-val clock : t -> Vector_clock.t
-(** Current delivered-state vector clock. *)
-
-val delivered_count : t -> int
-val pending_count : t -> int
-(** Messages currently held back waiting for causal predecessors. *)

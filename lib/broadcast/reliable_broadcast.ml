@@ -16,16 +16,14 @@ type t = {
   ctx : Engine.ctx;
   mutable next_sn : int;
   seen : (proc_id * int, unit) Hashtbl.t;
-  mutable delivered_count : int;
 }
 
 let create (ctx : Engine.ctx) ~deliver =
-  let t = { ctx; next_sn = 0; seen = Hashtbl.create 64; delivered_count = 0 } in
+  let t = { ctx; next_sn = 0; seen = Hashtbl.create 64 } in
   let handle ~relay origin sn inner =
     if not (Hashtbl.mem t.seen (origin, sn)) then begin
       Hashtbl.add t.seen (origin, sn) ();
       if relay then ctx.Engine.broadcast (Rb { origin; sn; inner });
-      t.delivered_count <- t.delivered_count + 1;
       deliver ~origin ~sn inner
     end
   in
@@ -41,8 +39,6 @@ let broadcast t inner =
   let sn = t.next_sn in
   t.next_sn <- sn + 1;
   t.ctx.Engine.broadcast (Rb { origin = t.ctx.Engine.self; sn; inner })
-
-let delivered_count t = t.delivered_count
 
 let () =
   Msg.register_payload_pp (fun ppf -> function

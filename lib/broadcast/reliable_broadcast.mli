@@ -17,5 +17,3 @@ val create :
     broadcaster's own messages. *)
 
 val broadcast : t -> Msg.payload -> unit
-
-val delivered_count : t -> int

@@ -42,13 +42,6 @@ let equal a b = leq a b && leq b a
 let lt a b = leq a b && not (equal a b)
 let concurrent a b = (not (leq a b)) && not (leq b a)
 
-(* An arbitrary total order extending nothing in particular — lexicographic —
-   used only for deterministic tie-breaking in tests. *)
-let compare_lex a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Vector_clock.compare_lex: size mismatch";
-  List.compare Int.compare (Array.to_list a) (Array.to_list b)
-
 let sum t = Array.fold_left ( + ) 0 t
 
 let to_list = Array.to_list

@@ -23,10 +23,6 @@ val lt : t -> t -> bool
 val concurrent : t -> t -> bool
 (** Neither [leq a b] nor [leq b a]. *)
 
-val compare_lex : t -> t -> int
-(** A total order extending equality, for deterministic tie-breaks only — it
-    does {e not} extend the causal order. *)
-
 val sum : t -> int
 val to_list : t -> int list
 val of_list : int list -> t

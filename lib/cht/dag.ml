@@ -109,9 +109,6 @@ let has_edge t u v =
     (u.v_proc = v.v_proc && u.v_index < v.v_index)
     || u.v_time + t.gossip <= v.v_time
 
-let succs t u =
-  List.filter (fun v -> has_edge t u v) (vertices t)
-
 (* Renumber ids to array positions and per-process sample indices to 1..k,
    so a filtered DAG is again a well-formed DAG; explicit edges (if any)
    are remapped and restricted to the kept vertices. *)
@@ -242,9 +239,3 @@ let check_fairness t ~rounds ~period =
        in
        last_sample >= horizon - period)
     (Failures.correct t.pattern)
-
-let pp_vertex ppf v =
-  Fmt.pf ppf "[%a,%a,%d]@%d" pp_proc v.v_proc Fd_value.pp v.v_value v.v_index v.v_time
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list pp_vertex) (vertices t)

@@ -40,9 +40,6 @@ val vertex : t -> int -> vertex
 val size : t -> int
 val pattern : t -> Failures.pattern
 
-val has_edge : t -> vertex -> vertex -> bool
-val succs : t -> vertex -> vertex list
-
 val prefix : t -> horizon:time -> t
 (** The DAG visible by [horizon]: the local DAG [G_p(t)]. *)
 
@@ -60,6 +57,3 @@ val check_sampling : t -> sampler:(proc_id -> time -> Fd_value.t) -> bool
 val check_order : t -> bool
 val check_transitive : t -> bool
 val check_fairness : t -> rounds:int -> period:int -> bool
-
-val pp_vertex : Format.formatter -> vertex -> unit
-val pp : Format.formatter -> t -> unit

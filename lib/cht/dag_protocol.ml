@@ -43,11 +43,10 @@ type t = {
   sample : unit -> Fd_value.t;
   mutable vertices : vertex_info Vmap.t;
   mutable next_index : int;
-  mutable merges : int;
 }
 
 let create (ctx : Engine.ctx) ~sample =
-  let t = { ctx; sample; vertices = Vmap.empty; next_index = 1; merges = 0 } in
+  let t = { ctx; sample; vertices = Vmap.empty; next_index = 1 } in
   let on_timer () =
     (* Query the detector, add the vertex with edges from everything known,
        broadcast the whole DAG. *)
@@ -63,7 +62,6 @@ let create (ctx : Engine.ctx) ~sample =
   let on_message ~src:_ payload =
     match payload with
     | Dag_gossip graph ->
-      t.merges <- t.merges + 1;
       List.iter
         (fun (key, info) ->
            if not (Vmap.mem key t.vertices) then
@@ -74,9 +72,6 @@ let create (ctx : Engine.ctx) ~sample =
   (t, { Engine.on_message; on_timer; on_input = (fun _ -> ()) })
 
 let size t = Vmap.cardinal t.vertices
-let merges t = t.merges
-
-let mem t key = Vmap.mem key t.vertices
 
 (* Direct + derived reachability: u -> v iff u is in v's predecessor set,
    or they share a creator with u earlier (property 2), or transitively.

@@ -20,10 +20,6 @@ val create :
 val size : t -> int
 (** Vertices currently in the local DAG. *)
 
-val merges : t -> int
-val mem : t -> vkey -> bool
-val has_edge : t -> vkey -> vkey -> bool
-
 val export : t -> pattern:Failures.pattern -> Dag.t
 (** The local DAG [G_p(t)] in the form the simulation tree and extraction
     consume (explicit edges). *)

@@ -32,7 +32,3 @@ let trusted ~n ~self = function
       if p >= n then self else if List.mem p suspects then find (p + 1) else p
     in
     find 0
-
-let pp ppf = function
-  | Leader p -> Fmt.pf ppf "lead:%a" pp_proc p
-  | Suspects ps -> Fmt.pf ppf "susp:{%a}" (Fmt.list ~sep:Fmt.comma pp_proc) ps

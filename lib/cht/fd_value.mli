@@ -10,11 +10,8 @@ type t =
 val leader : proc_id -> t
 val suspects : proc_id list -> t
 
-val compare : t -> t -> int
 val equal : t -> t -> bool
 
 val trusted : n:int -> self:proc_id -> t -> proc_id
 (** The process this value designates as leader ("trust the smallest
     unsuspected" for suspicion lists). *)
-
-val pp : Format.formatter -> t -> unit

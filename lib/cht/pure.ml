@@ -16,11 +16,6 @@ open Simulator.Types
 
 type pmsg = Promote of { value : bool; instance : int }
 
-let pp_pmsg ppf (Promote { value; instance }) =
-  Fmt.pf ppf "promote(%b,%d)" value instance
-
-let compare_pmsg (Promote a) (Promote b) = compare (a.instance, a.value) (b.instance, b.value)
-
 (* One decision: (instance, value) returned by the stepping process. *)
 type decision = int * bool
 

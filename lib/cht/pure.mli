@@ -5,9 +5,6 @@ open Simulator.Types
 
 type pmsg = Promote of { value : bool; instance : int }
 
-val pp_pmsg : Format.formatter -> pmsg -> unit
-val compare_pmsg : pmsg -> pmsg -> int
-
 type decision = int * bool
 
 type 'state algo = {

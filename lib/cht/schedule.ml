@@ -73,11 +73,3 @@ let conflicting config ~instance = List.length (values_for config ~instance) > 1
 (* The run contains a response to proposeEC_{k-1} (k-enabledness). *)
 let enabled config ~instance =
   instance = 1 || List.exists (fun (_, l, _) -> l = instance - 1) config.decisions
-
-let pp_step ~dag ppf step =
-  let v = Dag.vertex dag step.s_vertex in
-  Fmt.pf ppf "(%a,%a,%a%a)" pp_proc v.Dag.v_proc
-    (Fmt.option ~none:(Fmt.any "lambda") (Fmt.pair ~sep:(Fmt.any ":") pp_proc Pure.pp_pmsg))
-    step.s_recv Fd_value.pp v.Dag.v_value
-    (Fmt.option (fun ppf (l, b) -> Fmt.pf ppf ",invoke%d(%b)" l b))
-    step.s_invoke

@@ -30,5 +30,3 @@ val apply : dag:Dag.t -> 'state Pure.algo -> 'state config -> step -> 'state con
 val values_for : 'state config -> instance:int -> bool list
 val conflicting : 'state config -> instance:int -> bool
 val enabled : 'state config -> instance:int -> bool
-
-val pp_step : dag:Dag.t -> Format.formatter -> step -> unit

@@ -76,7 +76,6 @@ let create ?(allow_lambda = false) ~dag ~algo ~width () =
 
 let size t = t.count
 let children t id = t.children.(id)
-let parent t id = match t.nodes.(id) with p, _, _ -> p
 let step t id = match t.nodes.(id) with _, s, _ -> s
 let depth t id = match t.nodes.(id) with _, _, d -> d
 let config t id = t.configs.(id)
@@ -176,7 +175,3 @@ let is_bivalent tag = List.mem false tag.tg_values && List.mem true tag.tg_value
 let is_univalent tag v =
   (match tag.tg_values with [ x ] -> Bool.equal x v | _ -> false)
   && not tag.tg_invalid
-
-let pp_tag ppf tag =
-  Fmt.pf ppf "{%a%s}" (Fmt.list ~sep:Fmt.comma Fmt.bool) tag.tg_values
-    (if tag.tg_invalid then ",bot" else "")

@@ -15,14 +15,10 @@ val expand : 'state t -> max_depth:int -> max_nodes:int -> unit
 
 val size : 'state t -> int
 val children : 'state t -> int -> int list
-val parent : 'state t -> int -> int option
 val step : 'state t -> int -> Schedule.step option
 val depth : 'state t -> int -> int
 val config : 'state t -> int -> 'state Schedule.config
 val dag : 'state t -> Dag.t
-
-val extension_steps : 'state t -> int -> Schedule.step list
-(** The one-step extensions the expansion would create for a node. *)
 
 type tag = { tg_values : bool list; tg_invalid : bool }
 
@@ -32,4 +28,3 @@ val tags : 'state t -> instance:int -> tag array
 
 val is_bivalent : tag -> bool
 val is_univalent : tag -> bool -> bool
-val pp_tag : Format.formatter -> tag -> unit

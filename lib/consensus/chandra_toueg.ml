@@ -58,9 +58,6 @@ type t = {
 
 let coordinator t round = round mod t.ctx.Engine.n
 
-let decided t = t.decided
-let round t = t.round
-
 let decide t value =
   if t.decided = None then begin
     t.decided <- Some value;

@@ -21,7 +21,3 @@ val create :
   Engine.ctx -> suspects:(unit -> proc_id list) -> t * Engine.node
 (** [suspects] is the process's local [<>S] module (see
     {!Detectors.Suspicions.es_module_of}). *)
-
-val decided : t -> Ec_core.Value.t option
-val round : t -> int
-(** The current asynchronous round (diagnostics). *)

@@ -242,10 +242,6 @@ let create (c : Engine.ctx) ~omega =
 
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
 
-let is_leading t = t.leading
-let chosen_slots t = Hashtbl.length t.chosen
-let pending_count t = Msg_set.cardinal t.pending
-
 let () =
   Msg.register_payload_pp (fun ppf -> function
     | Req m -> Fmt.pf ppf "req(%a)" App_msg.pp m; true

@@ -24,7 +24,3 @@ type t
 val create : Engine.ctx -> omega:(unit -> proc_id) -> t * Engine.node
 
 val service : t -> Ec_core.Etob_intf.service
-
-val is_leading : t -> bool
-val chosen_slots : t -> int
-val pending_count : t -> int

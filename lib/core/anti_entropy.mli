@@ -79,5 +79,4 @@ val create :
     (already filtered against [graph]) — for Algorithm 5 this is
     {!Etob_omega.learn}.  Stack the node beside the protocol's. *)
 
-val summarize : Causal_graph.t -> summary
 val stats : t -> stats

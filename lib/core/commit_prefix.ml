@@ -51,7 +51,6 @@ type t = {
   acked : int array;  (* per process, length of our prefix it last acked *)
   mutable committed : App_msg.t list;
   mutable committed_length : int;  (* [List.length committed] *)
-  mutable marks_sent : int;
 }
 
 let committed t = t.committed
@@ -76,7 +75,6 @@ let try_commit t =
   if watermark > t.committed_length then begin
     let seq = List.filteri (fun i _ -> i < watermark) promotion in
     record t seq ~length:(min watermark promotion_length);
-    t.marks_sent <- t.marks_sent + 1;
     t.ctx.Engine.broadcast (Commit_mark { seq })
   end
 
@@ -86,8 +84,7 @@ let create (ctx : Engine.ctx) ~omega ~etob ~promotion =
       majority = (ctx.Engine.n / 2) + 1;
       acked = Array.make ctx.Engine.n 0;
       committed = [];
-      committed_length = 0;
-      marks_sent = 0 }
+      committed_length = 0 }
   in
   (* Acknowledge every adoption to the process we currently trust. *)
   etob.Etob_intf.on_deliver (fun seq ->
@@ -117,8 +114,6 @@ let create (ctx : Engine.ctx) ~omega ~etob ~promotion =
    further changes"), so the recoverable wrapper logs them with a sync
    barrier and the restored announcement extends the pre-crash one. *)
 let restore t seq = if seq <> [] then record t seq ~length:(List.length seq)
-
-let marks_sent t = t.marks_sent
 
 let () =
   Msg.register_payload_pp (fun ppf -> function

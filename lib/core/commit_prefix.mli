@@ -35,5 +35,3 @@ val committed_length : t -> int
 val restore : t -> App_msg.t list -> unit
 (** Crash-recovery: reinstate a durably logged commitment and re-announce
     it (no-op for the empty prefix).  Used by {!Recoverable}. *)
-
-val marks_sent : t -> int

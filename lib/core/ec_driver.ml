@@ -35,5 +35,3 @@ let attach service ~propose_value ~max_instance =
       on_input = (fun _ -> ()) }
   in
   (t, node)
-
-let proposed_up_to t = t.proposed_up_to

@@ -10,5 +10,3 @@ val attach :
   propose_value:(instance:int -> Value.t) ->
   max_instance:int ->
   t * Engine.node
-
-val proposed_up_to : t -> int

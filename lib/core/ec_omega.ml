@@ -64,8 +64,6 @@ let create ?layer (ctx : Engine.ctx) ~omega =
 
 let service t = Ec_intf.service_of t.backend ~propose:(fun ~instance v -> propose t ~instance v)
 
-let current_instance t = t.count
-
 let () =
   Msg.register_payload_pp (fun ppf -> function
     | Promote_ec { value; instance } ->

@@ -14,6 +14,3 @@ val create :
     {!Detectors.Omega.module_of} or {!Detectors.Omega_election.leader}). *)
 
 val service : t -> Ec_intf.service
-
-val current_instance : t -> int
-(** The paper's [count_i]: index of the last instance invoked here. *)

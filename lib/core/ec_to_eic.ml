@@ -55,5 +55,3 @@ let create (ctx : Engine.ctx) ~ec =
   (t, node)
 
 let service t = Eic_intf.service_of t.backend ~propose:(fun ~instance v -> propose t ~instance v)
-
-let decision_sequence t = t.decision

@@ -7,6 +7,3 @@ type t
 
 val create : Engine.ctx -> ec:Ec_intf.service -> t * Engine.node
 val service : t -> Eic_intf.service
-
-val decision_sequence : t -> Value.t list
-(** The paper's [decision_i]. *)

@@ -62,9 +62,6 @@ let create (ctx : Engine.ctx) ~ec =
 
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
 
-let pending_count t = Msg_set.cardinal t.to_deliver
-let instance t = t.count
-
 let () =
   Msg.register_payload_pp (fun ppf -> function
     | Push m -> Fmt.pf ppf "push(%a)" App_msg.pp m; true

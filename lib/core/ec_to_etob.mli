@@ -12,9 +12,3 @@ val create : Engine.ctx -> ec:Ec_intf.service -> t * Engine.node
     returned node together with the EC implementation's node. *)
 
 val service : t -> Etob_intf.service
-
-val pending_count : t -> int
-(** |toDeliver_i \ d_i| upper bound: messages received so far. *)
-
-val instance : t -> int
-(** The paper's [count_i]: current EC instance. *)

@@ -31,8 +31,6 @@ type backend = {
 
 let backend ctx = { ctx; listeners = Listeners.create (); decisions = [] }
 
-let ctx_of backend = backend.ctx
-
 let record_proposal backend ~instance value =
   backend.ctx.Engine.output (Proposed_eic { instance; value })
 
@@ -41,10 +39,6 @@ let record_decision backend ~instance value =
   backend.decisions <- d :: backend.decisions;
   backend.ctx.Engine.output (Decide_eic { instance; value });
   Listeners.fire backend.listeners d
-
-(* The current (i.e. last) response for an instance, if any. *)
-let last_decision backend ~instance =
-  List.find_opt (fun d -> d.instance = instance) backend.decisions
 
 let service_of backend ~propose =
   { propose;

@@ -24,8 +24,6 @@ type service = {
 type backend
 
 val backend : Engine.ctx -> backend
-val ctx_of : backend -> Engine.ctx
 val record_proposal : backend -> instance:int -> Value.t -> unit
 val record_decision : backend -> instance:int -> Value.t -> unit
-val last_decision : backend -> instance:int -> decision option
 val service_of : backend -> propose:(instance:int -> Value.t -> unit) -> service

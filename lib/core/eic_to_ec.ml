@@ -36,5 +36,3 @@ let create ?layer (ctx : Engine.ctx) ~eic =
   (t, node)
 
 let service t = Ec_intf.service_of t.backend ~propose:(fun ~instance v -> propose t ~instance v)
-
-let instance t = t.count

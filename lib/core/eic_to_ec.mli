@@ -8,6 +8,3 @@ type t
 val create :
   ?layer:string -> Engine.ctx -> eic:Eic_intf.service -> t * Engine.node
 val service : t -> Ec_intf.service
-
-val instance : t -> int
-(** The paper's [count_i]. *)

@@ -62,8 +62,6 @@ let restore_backend backend ~current ~next_sn ~last_own =
   backend.next_sn <- next_sn;
   backend.last_own <- last_own
 
-let next_sn_of backend = backend.next_sn
-
 let set_delivered ?last backend seq =
   backend.current <- seq;
   backend.last <- last;

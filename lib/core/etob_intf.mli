@@ -31,8 +31,8 @@ val current_of : backend -> App_msg.t list
 val record_broadcast : backend -> App_msg.t -> unit
 val set_delivered : ?last:App_msg.t -> backend -> App_msg.t list -> unit
 (** Record a new value of [d_i] and fire the listeners.  [last], when the
-    caller knows it, is the sequence's last message: {!alloc_msg} then
-    need not walk the sequence to find it. *)
+    caller knows it, is the sequence's last message: allocating the next
+    message then need not walk the sequence to find it. *)
 
 val restore_backend :
   backend -> current:App_msg.t list -> next_sn:int ->
@@ -41,6 +41,4 @@ val restore_backend :
     recorded and no listener fires.  Used by the crash-recovery wrapper
     ({!Recoverable}); the caller announces the restored [d_i] itself. *)
 
-val next_sn_of : backend -> int
-val alloc_msg : backend -> ?tag:string -> unit -> App_msg.t
 val service_of : backend -> broadcast:(App_msg.t -> unit) -> service

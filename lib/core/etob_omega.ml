@@ -85,9 +85,6 @@ type t = {
      empty.  They must not be appended again once they become ready. *)
   mutable delivered_rev : App_msg.t list;  (* d_i, last message first *)
   mutable delivered_len : int;
-  mutable updates_handled : int;
-  mutable promotes_sent : int;
-  mutable promotes_adopted : int;
 }
 
 let broadcast t m =
@@ -208,10 +205,7 @@ let create ?(tie_break = Causal_graph.default_tie_break) ?(stale_guard = true)
       since = 0;
       early = App_msg.Id_set.empty;
       delivered_rev = [];
-      delivered_len = 0;
-      updates_handled = 0;
-      promotes_sent = 0;
-      promotes_adopted = 0 }
+      delivered_len = 0 }
   in
   let on_message ~src payload =
     match payload with
@@ -219,8 +213,7 @@ let create ?(tie_break = Causal_graph.default_tie_break) ?(stale_guard = true)
       (match t.mutation with
        | Some Drop_graph_union -> t.cg <- cg_j
        | _ -> t.cg <- Causal_graph.union t.cg cg_j);
-      update_promote t;
-      t.updates_handled <- t.updates_handled + 1
+      update_promote t
     | Promote_seq { seq; rev; len } ->
       (* Adopt only from the currently trusted leader, and ignore stale
          promotions: UpdatePromote makes one leader's promotions totally
@@ -232,18 +225,13 @@ let create ?(tie_break = Causal_graph.default_tie_break) ?(stale_guard = true)
       if omega () = src
       && not (same_as_delivered t ~seq ~rev ~len)
       && not (t.stale_guard && older_than_delivered t ~seq ~rev ~len)
-      then begin
-        t.promotes_adopted <- t.promotes_adopted + 1;
-        deliver t ~seq ~rev ~len
-      end
+      then deliver t ~seq ~rev ~len
     | _ -> ()
   in
   let on_timer () =
-    if omega () = ctx.Engine.self then begin
-      t.promotes_sent <- t.promotes_sent + 1;
+    if omega () = ctx.Engine.self then
       ctx.Engine.broadcast
         (Promote_seq { seq = promotion t; rev = t.promote_rev; len = t.promote_len })
-    end
   in
   let on_input = function
     | Etob_intf.Broadcast_etob m -> broadcast t m
@@ -284,7 +272,6 @@ let restore t ~msgs ~delivered =
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
 
 let graph t = t.cg
-let stats t = (t.updates_handled, t.promotes_sent, t.promotes_adopted)
 
 let () =
   Msg.register_payload_pp (fun ppf -> function

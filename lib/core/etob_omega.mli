@@ -67,6 +67,3 @@ val graph : t -> Causal_graph.t
 
 val promotion : t -> App_msg.t list
 (** The current promotion sequence [promote_i]. *)
-
-val stats : t -> int * int * int
-(** (updates handled, promotes sent, promotes adopted). *)

@@ -65,5 +65,3 @@ let create ?layer (ctx : Engine.ctx) ~etob =
   (t, node)
 
 let service t = Ec_intf.service_of t.backend ~propose:(fun ~instance v -> propose t ~instance v)
-
-let instance t = t.count

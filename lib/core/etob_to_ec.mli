@@ -13,9 +13,6 @@ val create :
 
 val service : t -> Ec_intf.service
 
-val instance : t -> int
-(** The paper's [count_i]. *)
-
 (**/**)
 
 val tag_of : instance:int -> Value.t -> string

@@ -60,8 +60,6 @@ let create ?(tie_break = Causal_graph.default_tie_break) (ctx : Engine.ctx) =
 
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
 
-let graph t = t.cg
-
 let () =
   Msg.register_payload_pp (fun ppf -> function
     | Gossip_graph cg -> Fmt.pf ppf "gossip(%a)" Causal_graph.pp cg; true

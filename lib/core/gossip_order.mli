@@ -13,4 +13,3 @@ val create :
   ?tie_break:(App_msg.t -> App_msg.t -> int) -> Engine.ctx -> t * Engine.node
 
 val service : t -> Etob_intf.service
-val graph : t -> Causal_graph.t

@@ -14,14 +14,7 @@ open Simulator.Types
 
 type verdict = { ok : bool; violations : string list }
 
-let pass = { ok = true; violations = [] }
-
-let fail violations = { ok = false; violations }
-
 let of_violations violations = { ok = violations = []; violations }
-
-let combine verdicts =
-  of_violations (List.concat_map (fun v -> v.violations) verdicts)
 
 let pp_verdict ppf v =
   if v.ok then Fmt.string ppf "ok"
@@ -72,8 +65,6 @@ let correct_procs run = Failures.correct run.e_pattern
 let revisions run p = run.e_snapshots.(p)
 
 let broadcasts run = run.e_broadcasts
-
-let horizon run = run.e_horizon
 
 let broadcast_time run m =
   List.find_map

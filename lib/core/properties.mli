@@ -12,12 +12,6 @@ open Simulator.Types
 
 type verdict = { ok : bool; violations : string list }
 
-val pass : verdict
-val fail : string list -> verdict
-val of_violations : string list -> verdict
-val combine : verdict list -> verdict
-val pp_verdict : Format.formatter -> verdict -> unit
-
 (** {2 ETOB runs} *)
 
 type etob_run
@@ -26,7 +20,6 @@ val etob_run_of_trace : Failures.pattern -> Trace.t -> etob_run
 
 val final_d : etob_run -> proc_id -> App_msg.t list
 val d_at : etob_run -> proc_id -> time -> App_msg.t list
-val broadcast_time : etob_run -> App_msg.t -> time option
 
 val revisions : etob_run -> proc_id -> (time * App_msg.t list) list
 (** The chronological revisions of [d_p] — what the liveness watchdog
@@ -35,13 +28,7 @@ val revisions : etob_run -> proc_id -> (time * App_msg.t list) list
 val broadcasts : etob_run -> (time * proc_id * App_msg.t) list
 (** Every broadcastETOB event of the run, chronological. *)
 
-val horizon : etob_run -> time
-(** The run horizon (time of the last trace event). *)
-
 val correct_procs : etob_run -> proc_id list
-
-val check_validity : etob_run -> verdict
-(** TOB-Validity. *)
 
 val check_no_creation : etob_run -> verdict
 val check_no_duplication : etob_run -> verdict
@@ -59,12 +46,6 @@ val check_causal_order : etob_run -> verdict
 val check_deps_present : etob_run -> verdict
 (** Stronger, Algorithm-5-specific property: a delivered message's causal
     dependencies are themselves delivered. *)
-
-val check_distinct_broadcasts : etob_run -> verdict
-(** The paper's standing assumption that broadcast messages are distinct,
-    made checkable: no (origin, sn) id is broadcast twice.  A process that
-    recovers from a crash with amnesia (lost allocation state) is exactly
-    what breaks it. *)
 
 val orders_agree : App_msg.t list -> App_msg.t list -> bool
 (** Common messages of the two sequences appear in the same relative order. *)
@@ -133,14 +114,6 @@ type ec_run
 val ec_run_of_trace : ?layer:string -> Failures.pattern -> Trace.t -> ec_run
 (** Extract the EC history of one layer (default {!Ec_intf.default_layer}). *)
 
-val check_ec_integrity : ec_run -> verdict
-val check_ec_validity : ec_run -> verdict
-val check_ec_termination : ec_run -> instances:int -> verdict
-
-val ec_agreement_index : ec_run -> int
-(** Measured EC-Agreement index k: all decisions agree from instance k on;
-    [1] means agreement throughout. *)
-
 val decided_instances : ec_run -> int list
 
 type ec_report = {
@@ -159,8 +132,6 @@ val pp_ec_report : Format.formatter -> ec_report -> unit
 type eic_run
 
 val eic_run_of_trace : Failures.pattern -> Trace.t -> eic_run
-
-val eic_final_response : eic_run -> proc_id -> int -> Value.t option
 
 val eic_integrity_index : eic_run -> int
 (** Measured EIC-Integrity index k: no double response for instances >= k. *)

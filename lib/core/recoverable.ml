@@ -141,8 +141,6 @@ type t = {
   mutable replayed_msgs : int;
 }
 
-let etob t = t.etob
-let commit_state t = t.commit
 let retransmitted t = Retransmit.retransmitted t.link
 let was_restarted t = t.restarted
 let replayed_msgs t = t.replayed_msgs

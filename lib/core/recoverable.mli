@@ -67,9 +67,6 @@ val create :
     bug in the wrapped protocol; [mutation] seeds a bug in the recovery
     path itself; [ae_mutation] seeds one in the anti-entropy layer. *)
 
-val etob : t -> Etob_omega.t
-val commit_state : t -> Commit_prefix.t option
-
 val retransmitted : t -> int
 (** Frames re-sent by the link layer of this incarnation. *)
 

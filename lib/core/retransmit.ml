@@ -53,7 +53,6 @@ let create ?(config = default_config) ~epoch (ctx : Engine.ctx) =
     seen = Array.make ctx.Engine.n Int_set.empty;
     retransmitted = 0 }
 
-let epoch t = t.epoch
 let retransmitted t = t.retransmitted
 
 let send t dst payload =

@@ -27,9 +27,6 @@ type config = {
   max_backoff : int;  (** retransmission backoff cap, in ticks *)
 }
 
-val default_config : config
-(** [{ ack_timeout = 4; max_backoff = 32 }]. *)
-
 type t
 
 val create : ?config:config -> epoch:int -> Engine.ctx -> t
@@ -58,6 +55,5 @@ val ack : t -> src:proc_id -> epoch:int -> seq:int -> unit
     Acks carrying a different epoch (addressed to an earlier incarnation)
     are ignored. *)
 
-val epoch : t -> int
 val retransmitted : t -> int
 (** Frames re-sent by this incarnation's link layer. *)

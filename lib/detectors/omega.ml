@@ -38,7 +38,6 @@ let make ?(pre = Self_trust) pattern ~stabilize_at =
   { pattern; stabilize_at; pre; leader }
 
 let leader t = t.leader
-let stabilization_time t = t.stabilize_at
 
 (* A cheap deterministic hash for the Seeded pre-behaviour. *)
 let mix seed self now =
@@ -72,6 +71,3 @@ let query t ~self ~now =
 (* Capture the oracle as a per-process closure over the engine clock; this is
    how protocol nodes consult their local failure-detector module. *)
 let module_of t (ctx : Engine.ctx) () = query t ~self:ctx.self ~now:(ctx.now ())
-
-let pp ppf t =
-  Fmt.pf ppf "Omega(leader=%a, stabilize_at=%d)" pp_proc t.leader t.stabilize_at

@@ -35,14 +35,9 @@ val make : ?pre:pre_behaviour -> Failures.pattern -> stabilize_at:time -> t
 val leader : t -> proc_id
 (** The eventual leader (smallest-id correct process). *)
 
-val stabilization_time : t -> time
-(** The paper's tau_Omega for this history. *)
-
 val query : t -> self:proc_id -> now:time -> proc_id
 (** The value output by the Omega module of [self] at time [now]. *)
 
 val module_of : t -> Engine.ctx -> unit -> proc_id
 (** [module_of t ctx] is the local failure-detector module of process
     [ctx.self]: a closure protocols query once per step. *)
-
-val pp : Format.formatter -> t -> unit

@@ -35,9 +35,6 @@ let leader t =
   in
   find 0
 
-let suspects t =
-  List.filter (fun p -> t.suspected.(p)) (all_procs t.ctx.Engine.n)
-
 let false_suspicions t = t.false_suspicions
 
 let create (ctx : Engine.ctx) ~initial_timeout =

@@ -31,8 +31,6 @@ val create : Engine.ctx -> initial_timeout:int -> t * Engine.node
 val leader : t -> proc_id
 (** The smallest currently unsuspected process (self if all suspected). *)
 
-val suspects : t -> proc_id list
-
 val false_suspicions : t -> int
 (** How many times a suspicion was retracted (each retraction doubles the
     per-process timeout). *)

@@ -30,8 +30,6 @@ let make pattern ~stabilize_at =
   | None -> invalid_arg "Sigma.make: no correct process in pattern"
   | Some anchor -> { pattern; stabilize_at; anchor }
 
-let anchor t = t.anchor
-
 let query t ~self ~now =
   if now >= t.stabilize_at then Failures.correct t.pattern
   else begin
@@ -44,8 +42,3 @@ let query t ~self ~now =
     let padded = List.init width (fun i -> (start + i) mod n) in
     List.sort_uniq compare (t.anchor :: padded)
   end
-
-let module_of t (ctx : Engine.ctx) () = query t ~self:ctx.self ~now:(ctx.now ())
-
-let pp ppf t =
-  Fmt.pf ppf "Sigma(anchor=%a, stabilize_at=%d)" pp_proc t.anchor t.stabilize_at

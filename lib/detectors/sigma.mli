@@ -19,13 +19,5 @@ type t
 val make : Failures.pattern -> stabilize_at:time -> t
 (** Raises [Invalid_argument] if the pattern has no correct process. *)
 
-val anchor : t -> proc_id
-(** The correct process contained in every quorum this history ever
-    outputs (the witness of the intersection property). *)
-
 val query : t -> self:proc_id -> now:time -> proc_id list
 (** The quorum output at [self] at time [now]; sorted, duplicate-free. *)
-
-val module_of : t -> Engine.ctx -> unit -> proc_id list
-
-val pp : Format.formatter -> t -> unit

@@ -93,8 +93,6 @@ let query_es t ~self ~now =
     List.filter (fun q -> q <> self && mix t.es_seed self now q mod 3 = 0)
       (all_procs n)
 
-let ep_module_of t (ctx : Engine.ctx) () = query_ep t ~self:ctx.self ~now:(ctx.now ())
-let p_module_of t (ctx : Engine.ctx) () = query_p t ~self:ctx.self ~now:(ctx.now ())
 let es_module_of t (ctx : Engine.ctx) () = query_es t ~self:ctx.self ~now:(ctx.now ())
 
 (* Omega is weaker than <>P: trust the smallest unsuspected process.  After

@@ -32,8 +32,6 @@ val eventually_strong :
 val es_anchor : eventually_strong -> proc_id
 val query_es : eventually_strong -> self:proc_id -> now:time -> proc_id list
 
-val ep_module_of : eventually_perfect -> Engine.ctx -> unit -> proc_id list
-val p_module_of : perfect -> Engine.ctx -> unit -> proc_id list
 val es_module_of : eventually_strong -> Engine.ctx -> unit -> proc_id list
 
 val omega_from_ep : eventually_perfect -> self:proc_id -> now:time -> proc_id

@@ -112,9 +112,6 @@ let has_partition_loss =
       | Lossy_partition _ | Oneway_partition _ | Flapping_partition _ -> true
       | _ -> false)
 
-let crash_procs plan =
-  List.filter_map (function Crash { proc; _ } -> Some proc | _ -> None) plan
-
 let recover_procs plan =
   List.filter_map
     (function Crash_recover { proc; _ } -> Some proc | _ -> None)
@@ -340,6 +337,39 @@ exception Parse of string
 
 let parse_fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt
 
+(* The [key=value] fields of a line tail.  A bare token, a key outside
+   [keys] and a repeated key are errors, so a typo never parses as the
+   field's default. *)
+let kv_fields ?keys tokens =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | tok :: rest ->
+      (match String.index_opt tok '=' with
+       | None -> Error (Printf.sprintf "field %S is not key=value" tok)
+       | Some i ->
+         let k = String.sub tok 0 i in
+         if List.mem_assoc k acc then
+           Error (Printf.sprintf "repeated field %s" k)
+         else if not (Option.fold ~none:true ~some:(List.mem k) keys) then
+           Error (Printf.sprintf "unknown field %s" k)
+         else
+           go ((k, String.sub tok (i + 1) (String.length tok - i - 1)) :: acc)
+             rest)
+  in
+  go [] tokens
+
+let keys_of_kind = function
+  | "crash" -> [ "p"; "at" ]
+  | "partition" | "lossy" | "oneway" -> [ "left"; "from"; "until" ]
+  | "flapping" -> [ "left"; "from"; "until"; "period" ]
+  | "spike" -> [ "link"; "from"; "until"; "factor" ]
+  | "drop" -> [ "from"; "until"; "pct" ]
+  | "dup" -> [ "from"; "until"; "copies" ]
+  | "flap" -> [ "until"; "period" ]
+  | "crashrec" -> [ "p"; "at"; "until" ]
+  | "disk" -> [ "p"; "kind" ]
+  | k -> parse_fail "unknown adversity kind %S" k
+
 let spec_of_line_exn line =
   let tokens =
     List.filter (( <> ) "") (String.split_on_char ' ' (String.trim line))
@@ -348,29 +378,22 @@ let spec_of_line_exn line =
   | [] -> parse_fail "empty adversity line"
   | kind :: fields ->
     let kv =
-      List.filter_map
-        (fun f ->
-           match String.index_opt f '=' with
-           | None -> None
-           | Some i ->
-             Some
-               ( String.sub f 0 i,
-                 String.sub f (i + 1) (String.length f - i - 1) ))
-        fields
+      match kv_fields ~keys:(keys_of_kind kind) fields with
+      | Ok kv -> kv
+      | Error msg -> parse_fail "%s in %S" msg line
     in
     let str k =
       match List.assoc_opt k kv with
       | Some v -> v
       | None -> parse_fail "missing field %s in %S" k line
     in
-    let int k =
-      match int_of_string_opt (str k) with
+    let int_of k v =
+      match int_of_string_opt v with
       | Some v -> v
-      | None -> parse_fail "field %s is not an integer in %S" k line
+      | None -> parse_fail "field %s: %S is not an integer in %S" k v line
     in
-    let procs k =
-      List.filter_map int_of_string_opt (String.split_on_char ',' (str k))
-    in
+    let int k = int_of k (str k) in
+    let procs k = List.map (int_of k) (String.split_on_char ',' (str k)) in
     (match kind with
      | "crash" -> Crash { proc = int "p"; at = int "at" }
      | "partition" ->
@@ -424,7 +447,7 @@ let spec_of_line_exn line =
        (match Persist.Store.fault_of_string (str "kind") with
         | Some kind -> Disk_fault { proc = int "p"; kind }
         | None -> parse_fail "unknown disk fault kind %S in %S" (str "kind") line)
-     | k -> parse_fail "unknown adversity kind %S" k)
+     | _ -> assert false (* [keys_of_kind] rejected it *))
 
 let of_line line =
   match spec_of_line_exn line with

@@ -85,9 +85,7 @@ val has_partition_loss : t -> bool
 (** The plan can silently lose messages (a lossy, one-way or flapping
     partition), so convergence needs post-heal re-gossip or anti-entropy. *)
 
-val crash_procs : t -> proc_id list
 val recover_procs : t -> proc_id list
-val disk_faults : t -> (proc_id * Persist.Store.fault) list
 
 val arm_disk_faults : t -> Persist.Store.t array -> unit
 (** Arm the plan's disk faults on a store pool, in plan order (several
@@ -111,7 +109,6 @@ val weaken : spec -> spec list
     Weakening never moves an adversity later into the run, so its settle
     time only shrinks.  [[]] when the spec is atomic (e.g. a crash). *)
 
-val pp_spec : Format.formatter -> spec -> unit
 val pp : Format.formatter -> t -> unit
 
 val to_line : spec -> string
@@ -119,9 +116,16 @@ val to_line : spec -> string
 
 val to_lines : t -> string list
 
+val kv_fields :
+  ?keys:string list -> string list -> ((string * string) list, string) result
+(** The [key=value] fields of a spec line's tail, in order.  [Error] on a
+    token without [=], a repeated key, or (given [keys]) a key outside
+    [keys].  Every [key=value] reader of spec text goes through it. *)
+
 val of_line : string -> (spec, string) result
 (** Parse one spec line; [Error] names the offending field and quotes the
-    line.  Does not normalize (repro files replay their plan verbatim). *)
+    line.  Rejects what {!kv_fields} rejects and a process id that is not
+    an integer.  Does not normalize. *)
 
 val of_lines : string list -> (t, string) result
 (** Parse a whole plan and {!make}-normalize it. *)

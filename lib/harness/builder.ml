@@ -278,8 +278,7 @@ let boost_factor t =
 
 (* With boosts, the plan's drop windows are split at the partition-window
    boundaries and every segment that starts inside an open partition gets
-   the boosted rate.  Without boosts this is exactly [Adversity.apply], so
-   legacy plans stay byte-identical. *)
+   the boosted rate.  Without boosts this is exactly [Adversity.apply]. *)
 let apply_plan t s =
   if t.boosts = [] then Adversity.apply t.plan s
   else begin
@@ -487,7 +486,6 @@ let run ?(digest = false) ?(catch = false) ?guard t =
 (* ------------------------------------------------------------------ *)
 
 let header = "ecsim-spec v1"
-let legacy_header = "ecsim-explore-repro v1"
 
 let stack_name = function
   | Etob Stacks.Algorithm_5 -> "alg5"
@@ -1024,21 +1022,10 @@ exception Parse of string
 let parse_fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt
 let at lineno fmt = Printf.ksprintf (fun m -> parse_fail "line %d: %s" lineno m) fmt
 
-(* Key=value fields of a line tail, repro-file style. *)
-let kv_fields fields =
-  List.filter_map
-    (fun f ->
-       match String.index_opt f '=' with
-       | None -> None
-       | Some i ->
-         Some
-           (String.sub f 0 i, String.sub f (i + 1) (String.length f - i - 1)))
-    fields
-
 let tokens_of line =
   List.filter (( <> ) "") (String.split_on_char ' ' (String.trim line))
 
-(* Shared by both parsers: take [count] plan lines, expect "end". *)
+(* Take [count] plan lines, expect "end". *)
 let parse_plan_section ~count rest =
   let rec take k acc = function
     | rest when k = 0 -> (List.rev acc, rest)
@@ -1124,122 +1111,7 @@ let check_bounds t ~lines ~posts ~plan =
        checking lineno (fun () -> omega (Adversity.apply [ spec ] s)))
     plan
 
-(* The legacy repro header: the old explorer's target fields, mapped onto
-   builder clauses with the exploration stack rules ([etob_stack], then
-   [with_plan]) and posting policy, so a recorded repro replays
-   byte-identically through the builder path.  The plan is kept verbatim
-   (not normalized). *)
-let parse_legacy rest =
-  let impl = ref Stacks.Algorithm_5 in
-  let mutation = ref None and rmutation = ref None and ae_mutation = ref None in
-  let n = ref 4 and seed = ref 0 and deadline = ref 240 in
-  let timer_period = ref 2 and posts = ref 12 in
-  let base_min = ref 1 and base_max = ref 3 in
-  let recovery = ref false and ae = ref false and watchdog = ref false in
-  let lines = ref [] in
-  let finish plan =
-    let stack =
-      etob_stack
-        ~recovery:(!recovery || Option.is_some !rmutation)
-        ~ae:(!ae || Option.is_some !ae_mutation)
-        !impl
-    in
-    let t =
-      with_plan
-        { (create ~seed:!seed ~timer_period:!timer_period
-             ~delay:(Uniform { min_d = !base_min; max_d = !base_max })
-             ~n:!n ~deadline:!deadline stack)
-          with
-          workload = Auto_posts { count = !posts; stretch = !recovery };
-          mutation = !mutation;
-          rmutation = !rmutation;
-          ae_mutation = !ae_mutation;
-          checkers =
-            Etob_spec Tau_auto
-            :: (if !watchdog then [ Watchdog Wd_auto ] else []) }
-        (List.map snd plan)
-    in
-    check_bounds t ~lines:!lines ~posts:[] ~plan;
-    t
-  in
-  let flag lineno key v r =
-    match v with
-    | "on" | "true" -> r := true
-    | "off" | "false" -> r := false
-    | _ -> at lineno "%s must be on or off, got %S" key v
-  in
-  let rec headers = function
-    | [] -> parse_fail "missing plan section (file truncated?)"
-    | (lineno, line) :: rest ->
-      let key, v =
-        match String.index_opt line ' ' with
-        | None -> (line, "")
-        | Some i ->
-          ( String.sub line 0 i,
-            String.trim (String.sub line (i + 1) (String.length line - i - 1))
-          )
-      in
-      let int v =
-        match int_of_string_opt v with
-        | Some i -> i
-        | None -> at lineno "expected an integer, got %S" v
-      in
-      (* base-min and base-max set the delay together: an out-of-range
-         pair names the later of the two lines. *)
-      let clause =
-        match key with
-        | "base-min" | "base-max" -> "delay"
-        | "posts" -> "workload"
-        | key -> key
-      in
-      lines := (clause, lineno) :: !lines;
-      (match key with
-       | "impl" ->
-         (match
-            (match v with
-             | "alg5" -> Some Stacks.Algorithm_5
-             | "paxos" -> Some Stacks.Paxos_baseline
-             | "alg1" -> Some Stacks.Algorithm_1_over_4
-             | _ -> None)
-          with
-          | Some i -> impl := i
-          | None -> at lineno "unknown impl %S" v);
-         headers rest
-       | "mutant" ->
-         (if v <> "none" then
-            match Etob_omega.mutation_of_string v with
-            | Some m -> mutation := Some m
-            | None -> at lineno "unknown mutant %S" v);
-         headers rest
-       | "rmutant" ->
-         (if v <> "none" then
-            match Recoverable.mutation_of_string v with
-            | Some m -> rmutation := Some m
-            | None -> at lineno "unknown recovery mutant %S" v);
-         headers rest
-       | "ae-mutant" ->
-         (if v <> "none" then
-            match Anti_entropy.mutation_of_string v with
-            | Some m -> ae_mutation := Some m
-            | None -> at lineno "unknown anti-entropy mutant %S" v);
-         headers rest
-       | "recovery" -> flag lineno key v recovery; headers rest
-       | "ae" -> flag lineno key v ae; headers rest
-       | "watchdog" -> flag lineno key v watchdog; headers rest
-       | "n" -> n := int v; headers rest
-       | "seed" -> seed := int v; headers rest
-       | "deadline" -> deadline := int v; headers rest
-       | "timer-period" -> timer_period := int v; headers rest
-       | "posts" -> posts := int v; headers rest
-       | "base-min" -> base_min := int v; headers rest
-       | "base-max" -> base_max := int v; headers rest
-       | "digest" | "violation" -> headers rest
-       | "plan" -> finish (parse_plan_section ~count:(int v) rest)
-       | k -> at lineno "unknown header %S" k)
-  in
-  headers rest
-
-let parse_new rest =
+let parse_spec rest =
   let t = ref (create ~n:4 ~deadline:240 (Etob Stacks.Algorithm_5)) in
   let set_base f = t := { !t with base = f !t.base } in
   let checkers = ref [] and boosts = ref [] and posts = ref [] in
@@ -1265,6 +1137,11 @@ let parse_new rest =
         match int_of_string_opt v with
         | Some i -> i
         | None -> at lineno "expected an integer, got %S" v
+      in
+      let kv ?keys fields =
+        match Adversity.kv_fields ?keys fields with
+        | Ok kv -> kv
+        | Error msg -> at lineno "%s" msg
       in
       let kv_int kv k =
         match List.assoc_opt k kv with
@@ -1296,14 +1173,14 @@ let parse_new rest =
          set_base (fun d -> { d with delay = Constant (int v) });
          headers rest
        | "delay" :: "uniform" :: fields ->
-         let kv = kv_fields fields in
+         let kv = kv ~keys:[ "min"; "max" ] fields in
          set_base (fun d ->
              { d with
                delay =
                  Uniform { min_d = kv_int kv "min"; max_d = kv_int kv "max" } });
          headers rest
        | "omega" :: "oracle" :: fields ->
-         let kv = kv_fields fields in
+         let kv = kv ~keys:[ "stable"; "pre" ] fields in
          let pre =
            match List.assoc_opt "pre" kv with
            | None -> Detectors.Omega.Self_trust
@@ -1319,7 +1196,7 @@ let parse_new rest =
            };
          headers rest
        | "omega" :: "elected" :: fields ->
-         let kv = kv_fields fields in
+         let kv = kv ~keys:[ "timeout" ] fields in
          t :=
            { !t with
              omega =
@@ -1330,7 +1207,7 @@ let parse_new rest =
          t := { !t with workload = No_posts };
          headers rest
        | "workload" :: "posts" :: fields ->
-         let kv = kv_fields fields in
+         let kv = kv ~keys:[ "count"; "from"; "every" ] fields in
          t :=
            { !t with
              workload =
@@ -1340,7 +1217,7 @@ let parse_new rest =
                    every = kv_int kv "every" } };
          headers rest
        | "workload" :: "auto" :: fields ->
-         let kv = kv_fields fields in
+         let kv = kv ~keys:[ "count"; "stretch" ] fields in
          let stretch =
            match List.assoc_opt "stretch" kv with
            | Some "on" | Some "true" -> true
@@ -1352,7 +1229,9 @@ let parse_new rest =
              workload = Auto_posts { count = kv_int kv "count"; stretch } };
          headers rest
        | "workload" :: "weighted" :: fields ->
-         let kv = kv_fields fields in
+         let kv =
+           kv ~keys:[ "count"; "from"; "every"; "jitter"; "mix" ] fields
+         in
          let mix =
            match List.assoc_opt "mix" kv with
            | None -> at lineno "missing field mix"
@@ -1386,7 +1265,7 @@ let parse_new rest =
          posts := (lineno, post) :: !posts;
          headers rest
        | "service" :: fields ->
-         (match Service_spec.of_fields (kv_fields fields) with
+         (match Service_spec.of_fields (kv fields) with
           | Ok s -> t := { !t with service = Some s }
           | Error msg -> at lineno "service: %s" msg);
          headers rest
@@ -1409,13 +1288,13 @@ let parse_new rest =
             | None -> at lineno "unknown anti-entropy mutant %S" v);
          headers rest
        | "boost" :: "drop-while-partitioned" :: fields ->
-         let kv = kv_fields fields in
+         let kv = kv ~keys:[ "factor" ] fields in
          boosts :=
            Drop_boost_while_partitioned { factor = kv_int kv "factor" }
            :: !boosts;
          headers rest
        | "check" :: "etob" :: fields ->
-         let kv = kv_fields fields in
+         let kv = kv ~keys:[ "tau" ] fields in
          let policy =
            match List.assoc_opt "tau" kv with
            | Some "auto" | None -> Tau_auto
@@ -1427,7 +1306,7 @@ let parse_new rest =
          checkers := Watchdog Wd_auto :: !checkers;
          headers rest
        | "check" :: "watchdog" :: fields ->
-         let kv = kv_fields fields in
+         let kv = kv ~keys:[ "settle"; "bound" ] fields in
          checkers :=
            Watchdog
              (Wd_fixed
@@ -1454,11 +1333,9 @@ let of_lines lines =
   in
   let parse () =
     match lines with
-    | (_, h) :: rest when h = header -> parse_new rest
-    | (_, h) :: rest when h = legacy_header -> parse_legacy rest
+    | (_, h) :: rest when h = header -> parse_spec rest
     | (lineno, l) :: _ ->
-      parse_fail "line %d: not a %s or %s file (found %S)" lineno header
-        legacy_header l
+      parse_fail "line %d: not a %s file (found %S)" lineno header l
     | [] -> parse_fail "empty file: not a %s file" header
   in
   match parse () with t -> Ok t | exception Parse msg -> Error msg

@@ -10,10 +10,9 @@
 
     Builders without escape hatches (a [sink], a [trace_out] file, a
     config record) have a stable text form ({!to_lines}/{!of_lines}), the
-    one format findings are written in; {!of_lines} also reads the legacy
-    ["ecsim-explore-repro v1"] format, and replaying either through {!run}
-    is byte-identical to the original paths (enforced by the differential
-    tests in [test/test_builder.ml]). *)
+    one format findings are written in; running a builder through {!run}
+    is byte-identical to the hand-wired paths (enforced by the
+    differential tests in [test/test_builder.ml]). *)
 
 open Simulator
 open Simulator.Types
@@ -55,9 +54,9 @@ type workload =
   | Posts of { count : int; from_time : time; every : int }
       (** round-robin {!Stacks.spread_posts} *)
   | Auto_posts of { count : int; stretch : bool }
-      (** exploration's posting policy: start at {!auto_post_from}, cadence
-          {!auto_post_every} (stretched across the horizon for recovery
-          targets so restarted processes post again) *)
+      (** exploration's posting policy: from tick 8, every 3 ticks
+          (stretched across the horizon for recovery targets so restarted
+          processes post again) *)
   | Weighted of {
       count : int;
       from_time : time;
@@ -141,42 +140,11 @@ val create :
 
     Exploration's fairness and bound formulas, keyed on the builder. *)
 
-val base_max_of : t -> int
-(** The base delay model's largest delay. *)
-
-val auto_post_from : int
-(** First posting time of {!Auto_posts} workloads (8). *)
-
-val post_count : t -> int
-(** How many messages the workload posts. *)
-
 val stack_name : stack -> string
 (** The stack's stable spec-file name (["alg5"], ["recoverable+ae"], ...). *)
 
-val auto_post_every : t -> int
-(** {!Auto_posts} cadence: 3, stretched across the horizon when
-    [stretch]. *)
-
-val slack : t -> int
-(** Recovery headroom granted on top of a plan's settle time. *)
-
 val inputs : t -> (time * proc_id * Io.input) list
 (** Materialize the workload as engine inputs. *)
-
-val last_post : t -> time
-(** When the workload ends; convergence cannot precede it. *)
-
-val drop_safe_until : t -> time
-(** Start of the final full posting round of an {!Auto_posts} workload. *)
-
-val ae_used : t -> bool
-(** The stack includes the anti-entropy layer. *)
-
-val ae_catchup : t -> int
-(** Worst-case post-heal catch-up time of the digest exchange. *)
-
-val lossy_safe_until : t -> time
-(** Latest admissible heal time for message-losing partition windows. *)
 
 val tau_bound : t -> time
 (** The plan-aware convergence bound ({!Tau_auto}): [0] for Algorithm-5
@@ -290,11 +258,6 @@ val shrink : t -> outcome -> outcome
 val header : string
 (** ["ecsim-spec v1"]. *)
 
-val legacy_header : string
-(** ["ecsim-explore-repro v1"], the retired finding format; {!of_lines}
-    still reads it, mapping the repro fields onto builder clauses (through
-    {!with_plan}'s stack rule) so legacy files replay byte-identically. *)
-
 val to_lines : ?digest:string -> ?violations:string list -> t -> string list
 (** Serialize a builder (raises [Invalid_argument] on any escape hatch).
     [digest] and [violations] are recorded for humans and
@@ -303,19 +266,19 @@ val to_lines : ?digest:string -> ?violations:string list -> t -> string list
 val to_string : ?digest:string -> ?violations:string list -> t -> string
 
 val of_lines : string list -> (t, string) result
-(** Parse either text form; every error names the offending line.  New
-    -format plans are normalized ({!Adversity.make}); legacy repro plans
-    are kept verbatim. *)
+(** Parse spec text; every error names the offending line, including a
+    bare token, an unknown or repeated key ({!Adversity.kv_fields}).
+    Plans are normalized ({!Adversity.make}). *)
 
 val of_string : string -> (t, string) result
 
 val recorded_digest : string -> string option
-(** The [digest] header of a spec or repro string, if present. *)
+(** The [digest] line of a spec string, if present. *)
 
 val replay : string -> (outcome, string) result
-(** The replay verdict for a recorded finding in either text form: parse
-    it, run it, and require the recorded digest (when one is recorded)
-    and a violation (when one is recorded). *)
+(** The replay verdict for a recorded finding: parse its spec text, run
+    it, and require the recorded digest (when one is recorded) and a
+    violation (when one is recorded). *)
 
 val finding_text : outcome -> string
 (** The outcome's builder as spec text recording its digest and

@@ -165,8 +165,6 @@ let of_fields fields =
   | Error _ as e -> e
   | Ok t -> validate t
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 (* ------------------------------------------------------------------ *)
 (* QCheck generators (test/qgen re-exports these)                      *)
 (* ------------------------------------------------------------------ *)

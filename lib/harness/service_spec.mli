@@ -48,13 +48,8 @@ val of_fields : (string * string) list -> (t, string) result
 (** Fold [k=v] fields over {!default}; [Error] names the offending field.
     The caller (Builder) prefixes the line number. *)
 
-val arrival_to_string : arrival -> string
-val arrival_of_string : string -> arrival option
-val pp : Format.formatter -> t -> unit
-
 val arrival_gen : arrival QCheck.Gen.t
 val gen : t QCheck.Gen.t
 (** Always-valid specs over the small ranges the smoke gate exercises. *)
 
-val shrink : t QCheck.Shrink.t
 val arbitrary : t QCheck.arbitrary

@@ -10,28 +10,22 @@ type t = {
   p95 : int;
 }
 
-let percentile sorted p =
-  match sorted with
-  | [] -> invalid_arg "Stats.percentile: empty"
-  | _ ->
-    let len = List.length sorted in
-    let rank = int_of_float (ceil (p *. float_of_int len)) - 1 in
-    List.nth sorted (max 0 (min (len - 1) rank))
-
 let of_list samples =
   match samples with
   | [] -> None
   | _ ->
-    let sorted = List.sort compare samples in
-    let count = List.length samples in
+    let sorted = Array.of_list samples in
+    Array.sort Int.compare sorted;
+    let count = Array.length sorted in
     let sum = List.fold_left ( + ) 0 samples in
+    let pct permille = Simulator.Sink.nearest_rank sorted ~permille in
     Some
       { count;
         mean = float_of_int sum /. float_of_int count;
-        min = List.hd sorted;
-        max = List.nth sorted (count - 1);
-        p50 = percentile sorted 0.5;
-        p95 = percentile sorted 0.95 }
+        min = sorted.(0);
+        max = sorted.(count - 1);
+        p50 = pct 500;
+        p95 = pct 950 }
 
 let pp ppf t =
   Fmt.pf ppf "n=%d mean=%.1f min=%d p50=%d p95=%d max=%d" t.count t.mean t.min

@@ -10,10 +10,7 @@ type t = {
 }
 
 val of_list : int list -> t option
-(** [None] on an empty sample list. *)
-
-val percentile : int list -> float -> int
-(** [percentile sorted p] with [sorted] ascending and [p] in (0, 1].
-    Raises [Invalid_argument] on an empty list. *)
+(** [None] on an empty sample list.  [p50] and [p95] are nearest-rank
+    quantiles ({!Simulator.Sink.nearest_rank}). *)
 
 val pp : Format.formatter -> t -> unit

@@ -109,9 +109,6 @@ let check ~settle ~bound run =
     Converged { at }
   else Stalled { deadline; laggards = late }
 
-let of_trace ~settle ~bound pattern trace =
-  check ~settle ~bound (Properties.etob_run_of_trace pattern trace)
-
 let violations = function
   | Converged _ -> []
   | Stalled { deadline; laggards } ->

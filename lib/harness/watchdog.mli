@@ -11,7 +11,6 @@
     caller), or the run is a liveness violation with a per-process
     diagnosis of who stalled where. *)
 
-open Simulator
 open Simulator.Types
 open Ec_core
 
@@ -28,20 +27,10 @@ type verdict =
       (** every correct process stably covered the target by [at] *)
   | Stalled of { deadline : time; laggards : laggard list }
 
-val target : Properties.etob_run -> App_msg.Id_set.t
-(** The converged state: the union, over correct processes, of everything
-    finally delivered and everything broadcast.  Broadcasts are included
-    because a lossy partition can swallow a correct poster's message
-    before {e any} process delivers it — the one stall a final-d union
-    could not see. *)
-
 val check : settle:time -> bound:int -> Properties.etob_run -> verdict
 (** A process reaches the target at its first d-revision from which its
     id-set covers the target for the rest of the run; every correct
     process must reach it by [settle + bound]. *)
-
-val of_trace :
-  settle:time -> bound:int -> Failures.pattern -> Trace.t -> verdict
 
 val violations : verdict -> string list
 (** Violation lines in the checkers' format; empty iff converged. *)

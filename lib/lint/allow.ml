@@ -116,5 +116,3 @@ let permits t rule ~line =
   match List.find_opt matches t with
   | None -> None
   | Some e -> Some e.a_reason
-
-let entries t = List.map (fun e -> (e.a_line, e.a_rule, e.a_reason)) t

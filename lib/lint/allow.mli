@@ -14,6 +14,3 @@ val scan : file:string -> string -> (t, string) result
 (* [permits t rule ~line] is the justification if an entry covers a
    finding of [rule] at [line]. *)
 val permits : t -> Finding.rule -> line:int -> string option
-
-(* All entries, as (line, rule, reason), for reporting. *)
-val entries : t -> (int * Finding.rule * string) list

@@ -42,19 +42,6 @@ let rule_of_id = function
   | "A5" -> Some A5
   | _ -> None
 
-let rule_summary = function
-  | D1 -> "unseeded randomness: Random.* outside lib/simulator/rng.ml"
-  | D2 -> "wall-clock leakage: Sys.time / Unix.gettimeofday / Unix.time outside bench/"
-  | D3 -> "unordered Hashtbl iteration without a sortedness justification"
-  | D4 -> "polymorphic compare/equality/hash at protocol types"
-  | D5 -> "Marshal or physical equality (== / !=) outside lib/persist"
-  | D6 -> "library module without a sealed .mli interface"
-  | A1 -> "heap allocation reachable from a hot-path function"
-  | A2 -> "call from hot code into a function of unknown allocation behavior"
-  | A3 -> "polymorphic comparison/hash call that forces boxing in hot code"
-  | A4 -> "Obj.* unsafe escape that blinds the allocation analysis"
-  | A5 -> "growable structure (Buffer/Hashtbl/Queue/Stack) mutated in hot code"
-
 type t = { rule : rule; file : string; line : int; col : int; message : string }
 
 let make ~rule ~file ~line ~col message = { rule; file; line; col; message }

@@ -17,7 +17,6 @@ type rule =
 val all_rules : rule list
 val rule_id : rule -> string
 val rule_of_id : string -> rule option
-val rule_summary : rule -> string
 
 type t = {
   rule : rule;

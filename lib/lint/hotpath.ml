@@ -22,9 +22,12 @@ let attribute_name = "alloc.zero"
    dune wrapping separator normalized: unit "Simulator__Pqueue" binding
    "insert" is "Simulator.Pqueue.insert". *)
 let default_registry =
-  [ (* event-queue operations: one insert + one pop per simulated event *)
+  [ (* event-queue operations: one insert, then one read of the head and
+       one removal per simulated event *)
     "Simulator.Pqueue.insert";
-    "Simulator.Pqueue.pop";
+    "Simulator.Pqueue.min_prio";
+    "Simulator.Pqueue.min_value";
+    "Simulator.Pqueue.remove_min";
     (* the engine's per-event dispatch step *)
     "Simulator.Engine.dispatch";
     (* observer fan-out: fired on every protocol-visible event *)

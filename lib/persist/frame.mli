@@ -66,8 +66,6 @@ val json_escape : string -> string
 val header : string
 (** The 8-byte file header: magic "ECTRACE" plus the format version. *)
 
-val version : int
-
 type item = Spec of string | Event of event
 
 val event_record : event -> string

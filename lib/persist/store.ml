@@ -65,8 +65,6 @@ let fault_of_string s =
         | _ -> None)
      | _ -> None)
 
-let pp_fault ppf f = Fmt.string ppf (fault_to_string f)
-
 type checksum = Md5 | Crc32
 
 let checksum_name = function Md5 -> "md5" | Crc32 -> "crc32"
@@ -117,8 +115,6 @@ let create ?(checksum = Crc32) () =
     corrupt_detected = 0 }
 
 let pool ~n = Array.init n (fun _ -> create ())
-
-let checksum t = t.checksum
 
 let encode t payload =
   match t.checksum with
@@ -245,7 +241,3 @@ let stats t =
     restarts = t.restarts;
     records_lost = t.records_lost;
     corrupt_detected = t.corrupt_detected }
-
-let pp_stats ppf (s : stats) =
-  Fmt.pf ppf "appends=%d syncs=%d snapshots=%d restarts=%d lost=%d corrupt=%d"
-    s.appends s.syncs s.snapshots s.restarts s.records_lost s.corrupt_detected

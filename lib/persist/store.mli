@@ -26,8 +26,6 @@ type checksum = Md5 | Crc32
 
 val checksum_name : checksum -> string
 
-val checksum : t -> checksum
-
 type fault =
   | Torn_tail  (** the newest dirty record was half-written at the crash *)
   | Lost_suffix of int  (** the newest k dirty records never hit the disk *)
@@ -40,7 +38,6 @@ val fault_to_string : fault -> string
     adversity plans and repro files. *)
 
 val fault_of_string : string -> fault option
-val pp_fault : Format.formatter -> fault -> unit
 
 val create : ?checksum:checksum -> unit -> t
 (** An empty store: no snapshot, empty log, nothing armed.  [checksum]
@@ -93,4 +90,3 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_stats : Format.formatter -> stats -> unit

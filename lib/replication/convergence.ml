@@ -38,9 +38,6 @@ let digest_at run p t =
 let final_digest run p =
   match List.rev run.r_series.(p) with [] -> "<initial>" | (_, _, d) :: _ -> d
 
-let final_count run p =
-  match List.rev run.r_series.(p) with [] -> 0 | (_, c, _) :: _ -> c
-
 (* All correct replicas end the run in the same state. *)
 let converged run =
   match Failures.correct run.r_pattern with

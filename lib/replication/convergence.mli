@@ -9,10 +9,6 @@ type run
 
 val run_of_trace : Failures.pattern -> Trace.t -> run
 
-val digest_at : run -> proc_id -> time -> string
-val final_digest : run -> proc_id -> string
-val final_count : run -> proc_id -> int
-
 val converged : run -> bool
 (** All correct replicas end the run in the same state. *)
 
@@ -22,8 +18,5 @@ val convergence_time : run -> time
 
 val divergence_ticks : ?from_time:time -> run -> int
 (** Ticks during which some pair of correct replicas disagreed. *)
-
-val rollback_count : run -> proc_id -> int
-(** Non-monotonic revisions of the applied log visible at one replica. *)
 
 val total_rollbacks : run -> int

@@ -255,7 +255,3 @@ let create ctx ~spec ~replicas ~index =
         on_input = (fun _ -> ()) }
   in
   (t, node)
-
-let pin t = t.pin
-let requests_started t = t.rid_next
-let breaker_open t = match t.breaker with Closed -> false | _ -> true

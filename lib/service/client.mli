@@ -7,7 +7,6 @@
     randomness from the per-process {!Simulator.Rng}. *)
 
 open Simulator
-open Simulator.Types
 
 type t
 
@@ -20,9 +19,3 @@ val create :
 (** [index] is the client's rank in the population (pins it to replica
     [index mod replicas]); [ctx.self] is its process id and request
     provenance. *)
-
-val pin : t -> proc_id
-(** The replica this client currently sends to. *)
-
-val requests_started : t -> int
-val breaker_open : t -> bool

@@ -39,7 +39,6 @@ type t = {
   views : views;
   mutable pending : watch list;  (** in arrival order *)
   mutable submitted : (proc_id * int) list;  (** rids this endpoint put in *)
-  mutable sheds : int;
 }
 
 let visible t ~strong ~client ~rid =
@@ -78,7 +77,6 @@ let handle_write t ~client ~rid ~strong ~key ~value =
         t.pending
   end
   else if List.length t.pending >= t.spec.queue_limit then begin
-    t.sheds <- t.sheds + 1;
     t.ctx.output (Wire.Shed { endpoint = t.ctx.self });
     t.ctx.send client
       (Wire.Reply { rid; ok = false; overloaded = true; strong; value = None })
@@ -106,7 +104,7 @@ let handle_request t ~client ~rid ~strong ~op =
   | Write { key; value } -> handle_write t ~client ~rid ~strong ~key ~value
 
 let create ctx ~spec ~views =
-  let t = { ctx; spec; views; pending = []; submitted = []; sheds = 0 } in
+  let t = { ctx; spec; views; pending = []; submitted = [] } in
   let node =
     Engine.
       { on_message =
@@ -125,4 +123,3 @@ let create ctx ~spec ~views =
   (t, node)
 
 let pending_count t = List.length t.pending
-let shed_count t = t.sheds

@@ -27,5 +27,3 @@ val create :
 
 val pending_count : t -> int
 (** Currently watched writes (the admission queue depth). *)
-
-val shed_count : t -> int

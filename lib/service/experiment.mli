@@ -34,7 +34,6 @@ val setup : seed:int -> Harness.Stacks.setup
     replica 1 crashing at 200, blockwise oracle Omega. *)
 
 val minority : Simulator.Types.proc_id list
-val max_amplification : float
 
 val run : ?seed:int -> unit -> t
 

@@ -17,7 +17,6 @@ module Dkv : sig
   include Machines.MACHINE
 
   val inner : state -> Machines.Kv.state
-  val applied : state -> int
   val suppressed : state -> int
 end
 (** The served machine: Kv behind first-occurrence dedup. *)

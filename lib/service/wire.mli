@@ -50,5 +50,3 @@ type Io.output +=
           command for this rid — the replica-side dedup observable. *)
   | Migrated of { client : proc_id; from_endpoint : proc_id; to_endpoint : proc_id }
   | Breaker of { client : proc_id; opened : bool }
-
-val pp_op : Format.formatter -> op -> unit

@@ -260,10 +260,10 @@ let run_with config ~make_node ~inputs =
        schedule state ~at:t (External_input (p, input)))
     inputs;
   (* The event loop proper: peek, deadline-check, remove, dispatch.
-     Reading the head with min_prio/min_value + remove_min (instead of
-     [pop]) keeps the steady state free of option/pair allocation; an
-     event beyond the deadline simply stays queued, which is observably
-     identical to the historical pop-then-discard. *)
+     Reading the head with min_prio/min_value + remove_min keeps the
+     steady state free of option/pair allocation; an event beyond the
+     deadline simply stays queued, which is observably identical to
+     popping and discarding it. *)
   let rec loop () =
     if not (Pqueue.is_empty state.queue) then begin
       let at = Pqueue.min_prio state.queue in

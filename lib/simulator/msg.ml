@@ -28,7 +28,3 @@ let pp_payload ppf p =
     | h :: rest -> if h ppf p then () else try_hooks rest
   in
   try_hooks !pp_payload_hook
-
-let pp_envelope ppf e =
-  Fmt.pf ppf "#%d %a->%a @%d %a" e.uid pp_proc e.src pp_proc e.dst e.sent_at
-    pp_payload e.payload

@@ -22,4 +22,3 @@ val register_payload_pp : (Format.formatter -> payload -> bool) -> unit
     it handled the value. *)
 
 val pp_payload : Format.formatter -> payload -> unit
-val pp_envelope : Format.formatter -> envelope -> unit

@@ -22,7 +22,6 @@ type model =
   | Stateless of delay_fn
   | Per_run of (unit -> delay_fn)
 
-let of_fn f = Stateless f
 let per_run mk = Per_run mk
 
 let instantiate = function Stateless f -> f | Per_run mk -> mk ()
@@ -64,8 +63,6 @@ let block_index blocks p =
     | b :: rest -> if List.mem p b then Some i else find (i + 1) rest
   in
   find 0 blocks
-
-let block_of spec p = block_index spec.blocks p
 
 let same_block_of blocks p q =
   match block_index blocks p, block_index blocks q with

@@ -19,9 +19,6 @@ type delay_fn = src:proc_id -> dst:proc_id -> now:time -> rng:Rng.t -> int
 type model
 (** A delay model specification, as carried by run configurations. *)
 
-val of_fn : delay_fn -> model
-(** A stateless custom model, shared across runs. *)
-
 val per_run : (unit -> delay_fn) -> model
 (** A stateful custom model; the thunk runs once per [Engine.run]. *)
 
@@ -45,9 +42,6 @@ type partition_spec = {
 }
 (** A partition into [blocks] during [\[from_time, until_time)). *)
 
-val block_of : partition_spec -> proc_id -> int option
-val same_block : partition_spec -> proc_id -> proc_id -> bool
-
 val partitioned : partition_spec -> base:model -> model
 (** Cross-block messages sent during the partition are delivered only after
     it heals (plus their base delay); nothing is lost. *)
@@ -66,7 +60,7 @@ val repeating_windows :
 (** The alternating schedule that starts down (cut) at [from_time] for
     [down] ticks, heals for [up] ticks, and repeats until [until_time]
     (the last window is clipped to it): the flapping-bridge shape, usable
-    with both {!partitioned_windows} and {!lossy_partition_windows}. *)
+    with {!partitioned_windows} and with a lossy cut. *)
 
 val slow_period :
   from_time:time -> until_time:time -> factor:int -> base:model -> model
@@ -144,11 +138,6 @@ val lossy_partition : partition_spec -> fault_model
     anti-entropy layer of [Ec_core.Anti_entropy]).  Deterministic; no
     randomness is consumed. *)
 
-val lossy_partition_windows :
-  blocks:proc_id list list -> windows:(time * time) list -> fault_model
-(** {!lossy_partition} over a multi-window schedule (see
-    {!partitioned_windows} for the window discipline). *)
-
 val oneway_partition :
   from_block:proc_id list -> from_time:time -> until_time:time -> fault_model
 (** An asymmetric partition: during the window, sends {e from} a member of
@@ -162,7 +151,7 @@ val flapping_partition :
   from_time:time -> until_time:time -> period:int -> fault_model
 (** A flapping lossy partition: cut for [period] ticks, healed for
     [period] ticks, repeating over the window
-    ({!repeating_windows} + {!lossy_partition_windows}). *)
+    ({!repeating_windows} of {!lossy_partition} cuts). *)
 
 val compose_faults : fault_model list -> fault_model
 (** Combine fault models: any [Drop] wins, [Duplicate] extras add up.

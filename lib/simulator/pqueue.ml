@@ -76,10 +76,9 @@ let insert t ~prio value =
   t.size <- t.size + 1;
   sift_up t i
 
-(* Zero-allocation min access: the engine's event loop reads the head
-   with [min_prio]/[min_value] and discards it with [remove_min], so the
-   steady-state pop path builds no option or tuple.  [pop] below remains
-   the convenient interface for non-hot callers. *)
+(* Zero-allocation min access, the one pop path: the engine's event loop
+   reads the head with [min_prio]/[min_value] and discards it with
+   [remove_min], so the steady-state pop builds no option or tuple. *)
 
 let[@alloc.zero] min_prio t =
   (* detlint: allow A1 empty-queue misuse raises on the error path only; the engine checks is_empty first *)
@@ -104,26 +103,6 @@ let[@alloc.zero] remove_min t =
     sift_down t 0
   end
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let prio = t.prios.(0) and value = t.values.(0) in
-    remove_min t;
-    (* detlint: allow A1 legacy interface allocates its option-of-pair result; the engine loop uses min_prio/min_value/remove_min instead *)
-    Some (prio, value)
-  end
-
-let peek_prio t =
-  (* detlint: allow A1 option result; hot callers read min_prio after is_empty *)
-  if t.size = 0 then None else Some t.prios.(0)
-
-let fold f acc t =
-  let acc = ref acc in
-  for i = 0 to t.size - 1 do
-    acc := f !acc t.prios.(i) t.values.(i)
-  done;
-  !acc
-
 (* Non-destructive: drains a structural copy. *)
 let to_sorted_list t =
   let copy =
@@ -134,8 +113,11 @@ let to_sorted_list t =
       next_seq = t.next_seq }
   in
   let rec drain acc =
-    match pop copy with
-    | None -> List.rev acc
-    | Some pv -> drain (pv :: acc)
+    if is_empty copy then List.rev acc
+    else begin
+      let pv = (min_prio copy, min_value copy) in
+      remove_min copy;
+      drain (pv :: acc)
+    end
   in
   drain []

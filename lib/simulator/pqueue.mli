@@ -18,10 +18,11 @@ val size : 'a t -> int
 val insert : 'a t -> prio:int -> 'a -> unit
 (** [insert t ~prio v] adds [v] with priority [prio] (smaller pops first). *)
 
-val pop : 'a t -> (int * 'a) option
-(** [pop t] removes and returns the minimum-priority element, FIFO among
-    ties, or [None] if the queue is empty.  Allocates the result pair;
-    the engine's event loop uses the zero-allocation triple below. *)
+(** {2 Popping}
+
+    The one pop path: read the head with {!min_prio} and {!min_value},
+    then discard it with {!remove_min}.  Elements pop in priority order,
+    FIFO among ties. *)
 
 val min_prio : 'a t -> int
 (** Priority of the next element to pop.  Zero-allocation; raises
@@ -35,12 +36,6 @@ val remove_min : 'a t -> unit
 (** Discard the minimum element ([min_prio]/[min_value] read it first).
     Zero-allocation; raises [Invalid_argument] on an empty queue. *)
 
-val peek_prio : 'a t -> int option
-(** Priority of the next element to pop, if any. *)
-
-val fold : ('acc -> int -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
-(** Fold over all elements in unspecified order. *)
-
 val to_sorted_list : 'a t -> (int * 'a) list
-(** All elements in pop order, without disturbing the queue.  O(n log n);
-    intended for tests. *)
+(** All elements in pop order, without disturbing the queue: drains a copy
+    through the pop path.  O(n log n); intended for tests. *)

@@ -46,21 +46,9 @@ let in_range t ~min ~max =
   if max < min then invalid_arg "Rng.in_range: max < min";
   min + int t (max - min + 1)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
-let float t =
-  (* 53 random bits mapped into [0, 1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
-  float_of_int bits /. 9007199254740992.0
-
 let split t =
   let seed = Int64.to_int (next_int64 t) in
   { state = Int64.of_int seed }
-
-let pick t xs =
-  match xs with
-  | [] -> invalid_arg "Rng.pick: empty list"
-  | xs -> List.nth xs (int t (List.length xs))
 
 let shuffle t xs =
   let arr = Array.of_list xs in

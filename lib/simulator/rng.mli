@@ -9,12 +9,6 @@ type t
 val create : int -> t
 (** [create seed] is a fresh generator; equal seeds give equal streams. *)
 
-val next_int64 : t -> int64
-(** The next raw 64-bit value of the stream. *)
-
-val next_nonneg : t -> int
-(** The next non-negative [int] (63 random bits). *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] if
     [bound <= 0]. *)
@@ -22,16 +16,9 @@ val int : t -> int -> int
 val in_range : t -> min:int -> max:int -> int
 (** [in_range t ~min ~max] is uniform in [\[min, max\]] (inclusive). *)
 
-val bool : t -> bool
-val float : t -> float
-(** [float t] is uniform in [\[0, 1)]. *)
-
 val split : t -> t
 (** [split t] is a new generator whose stream is statistically independent of
     the remainder of [t]'s stream. *)
-
-val pick : t -> 'a list -> 'a
-(** Uniformly pick an element of a non-empty list. *)
 
 val shuffle : t -> 'a list -> 'a list
 (** Fisher–Yates shuffle. *)

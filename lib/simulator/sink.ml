@@ -105,40 +105,31 @@ type counters = {
   mutable delivered : int;
   mutable dropped : int;
   mutable steps : int;
-  mutable inputs : int;
   mutable outputs : int;
-  mutable last_time : time;
   latency : samples array;  (* indexed by destination process *)
 }
 
 let counters ~n =
-  { n; sent = 0; delivered = 0; dropped = 0; steps = 0; inputs = 0;
-    outputs = 0; last_time = 0;
+  { n; sent = 0; delivered = 0; dropped = 0; steps = 0; outputs = 0;
     latency = Array.init n (fun _ -> samples_create ()) }
 
 let counters_sink c =
-  { on_input = (fun ~at ~proc:_ _ ->
-        c.inputs <- c.inputs + 1;
-        if at > c.last_time then c.last_time <- at);
-    on_output = (fun ~at ~proc:_ _ ->
-        c.outputs <- c.outputs + 1;
-        if at > c.last_time then c.last_time <- at);
+  { on_input = (fun ~at:_ ~proc:_ _ -> ());
+    on_output = (fun ~at:_ ~proc:_ _ -> c.outputs <- c.outputs + 1);
     on_send = (fun _ -> c.sent <- c.sent + 1);
     on_deliver = (fun ~at env ->
         c.delivered <- c.delivered + 1;
         samples_push c.latency.(env.Msg.dst) (at - env.Msg.sent_at));
     on_drop = (fun ~at:_ _ -> c.dropped <- c.dropped + 1);
     on_step = (fun ~at:_ ~proc:_ -> c.steps <- c.steps + 1);
-    on_crash = (fun ~at ~proc:_ -> if at > c.last_time then c.last_time <- at);
-    on_recover = (fun ~at ~proc:_ -> if at > c.last_time then c.last_time <- at) }
+    on_crash = (fun ~at:_ ~proc:_ -> ());
+    on_recover = (fun ~at:_ ~proc:_ -> ()) }
 
 let sent c = c.sent
 let delivered c = c.delivered
 let dropped c = c.dropped
 let steps c = c.steps
-let inputs c = c.inputs
 let outputs c = c.outputs
-let last_time c = c.last_time
 
 let latencies c p = Array.sub c.latency.(p).buf 0 c.latency.(p).len
 
@@ -176,7 +167,6 @@ let summarize a =
   end
 
 let latency_summary c p = summarize (latencies c p)
-let total_latency_summary c = summarize (all_latencies c)
 
 let pp_latency_summary ppf s =
   Fmt.pf ppf "n=%d p50=%d p95=%d p99=%d p999=%d max=%d" s.count s.p50 s.p95

@@ -52,9 +52,7 @@ val sent : counters -> int
 val delivered : counters -> int
 val dropped : counters -> int
 val steps : counters -> int
-val inputs : counters -> int
 val outputs : counters -> int
-val last_time : counters -> time
 
 val latencies : counters -> proc_id -> int array
 (** Send-to-deliver latencies, in ticks, of messages delivered to [p], in
@@ -77,7 +75,6 @@ val summarize : int array -> latency_summary option
     empty.  Every quantile is a member of the sample. *)
 
 val latency_summary : counters -> proc_id -> latency_summary option
-val total_latency_summary : counters -> latency_summary option
 val pp_latency_summary : Format.formatter -> latency_summary -> unit
 
 (** {2 JSONL streaming sink} *)

@@ -40,7 +40,6 @@ let count_delivered t = t.delivered <- t.delivered + 1
 let count_dropped t = t.dropped <- t.dropped + 1
 let count_step t = t.steps <- t.steps + 1
 
-let n t = t.n
 let entries t = List.rev t.rev_entries
 let sent t = t.sent
 let delivered t = t.delivered

@@ -22,7 +22,6 @@ val count_delivered : t -> unit
 val count_dropped : t -> unit
 val count_step : t -> unit
 
-val n : t -> int
 val entries : t -> entry list
 (** All entries in chronological order. *)
 

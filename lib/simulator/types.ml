@@ -8,7 +8,6 @@ type proc_id = int
 type time = int
 
 let pp_proc ppf p = Fmt.pf ppf "p%d" p
-let pp_time ppf t = Fmt.pf ppf "t=%d" t
 
 (* [all_procs n] is the list [0; 1; ...; n-1]. *)
 let all_procs n = List.init n (fun i -> i)

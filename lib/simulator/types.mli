@@ -11,7 +11,6 @@ type time = int
 (** A tick of the discrete global clock. *)
 
 val pp_proc : Format.formatter -> proc_id -> unit
-val pp_time : Format.formatter -> time -> unit
 
 val all_procs : int -> proc_id list
 (** [all_procs n] is [[0; 1; ...; n-1]]. *)

@@ -31,11 +31,6 @@ val default_config : ?artifacts:string -> leg list -> config
 (** Budget 200/leg, seed 1, 4 adversities, 200k events, 10 s per run,
     16 findings, 8 poisoned seeds. *)
 
-val catalogue : (string * Harness.Builder.t) list
-(** The named legs [ecsim soak] accepts: [alg5], [ae-watchdog],
-    [ae-watchdog-recovery] (the latter two mirroring the retired
-    [make soak] recipe). *)
-
 val leg_of_name : string -> (leg, string) result
 
 val config_entry : config -> Journal.entry
@@ -43,7 +38,7 @@ val config_entry : config -> Journal.entry
 
 val config_of_journal : Journal.config -> (config, string) result
 (** Rebuild a runnable config from a journaled one, resolving leg names
-    through {!catalogue} — the [--resume FILE] path. *)
+    through {!leg_of_name} — the [--resume FILE] path. *)
 
 val check_config : config -> Journal.config -> (unit, string) result
 (** Validate that a journaled config matches [config] (legs, budget,
@@ -54,7 +49,6 @@ val check_config : config -> Journal.config -> (unit, string) result
 
 val total_jobs : config -> int
 val leg_of_job : config -> int -> leg
-val plan_index : config -> int -> int
 val engine_seed : config -> int -> int
 val plan_of_job : config -> int -> Harness.Adversity.t
 

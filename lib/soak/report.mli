@@ -14,10 +14,6 @@ type verdict =
 val verdict : Campaign.state -> verdict
 val exit_code : verdict -> int
 
-val per_leg : Campaign.config -> Campaign.state -> (string * int * int * int) list
-(** Per-leg coverage counters [(name, clean, findings, poisoned)], in
-    campaign leg order. *)
-
 val pp : Campaign.config -> Format.formatter -> Campaign.state -> unit
 (** Human summary: totals, per-leg coverage, findings with artifacts,
     poisoned seeds, degradation rungs, coverage digest. *)

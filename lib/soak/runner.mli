@@ -84,4 +84,4 @@ val resume :
   unit ->
   (outcome, string) result
 (** The [--resume FILE] path: the config is read from the journal
-    itself, legs resolved through {!Campaign.catalogue}. *)
+    itself, legs resolved by name ({!Campaign.leg_of_name}). *)

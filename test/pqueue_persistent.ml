@@ -11,12 +11,9 @@ type 'a heap =
   | Empty
   | Node of { rank : int; prio : int; seq : int; value : 'a; left : 'a heap; right : 'a heap }
 
-type 'a t = { heap : 'a heap; next_seq : int; size : int }
+type 'a t = { heap : 'a heap; next_seq : int }
 
-let empty = { heap = Empty; next_seq = 0; size = 0 }
-
-let is_empty t = t.size = 0
-let size t = t.size
+let empty = { heap = Empty; next_seq = 0 }
 
 let rank = function Empty -> 0 | Node { rank; _ } -> rank
 
@@ -37,23 +34,13 @@ let rec merge h1 h2 =
 
 let insert t ~prio value =
   let node = make_node prio t.next_seq value Empty Empty in
-  { heap = merge t.heap node; next_seq = t.next_seq + 1; size = t.size + 1 }
+  { heap = merge t.heap node; next_seq = t.next_seq + 1 }
 
 let pop t =
   match t.heap with
   | Empty -> None
   | Node { prio; value; left; right; _ } ->
-    Some ((prio, value), { t with heap = merge left right; size = t.size - 1 })
-
-let peek_prio t =
-  match t.heap with Empty -> None | Node { prio; _ } -> Some prio
-
-let rec fold_heap f acc = function
-  | Empty -> acc
-  | Node { prio; value; left; right; _ } ->
-    fold_heap f (fold_heap f (f acc prio value) left) right
-
-let fold f acc t = fold_heap f acc t.heap
+    Some ((prio, value), { t with heap = merge left right })
 
 let to_sorted_list t =
   let rec drain acc t =

@@ -5,8 +5,8 @@
      the anti-entropy and crash-recovery stacks and under an elected
      Omega;
    - text form: [of_lines (to_lines b) = b] over generated builders, and
-     a committed pre-refactor repro file replays through
-     [Builder.of_string] to its recorded digest;
+     a committed finding replays through [Builder.of_string] to its
+     recorded digest;
    - parse errors: every adversity spec shape rejects malformed lines
      with an error naming the offence. *)
 
@@ -154,15 +154,17 @@ let prop_spec_roundtrip =
         | Ok b' -> b' = b
         | Error msg -> QCheck.Test.fail_reportf "parse failed: %s" msg)
 
-(* A committed pre-refactor explorer repro file replays through the
-   builder path to its recorded digest and still shows the violation. *)
-let test_legacy_repro_via_builder () =
-  let content =
-    In_channel.with_open_text "fixtures/legacy_skip_dep.repro"
-      In_channel.input_all
-  in
+(* A committed finding (the skip-dependency-wait mutant, first recorded by
+   the pre-builder explorer) replays through the builder path to its
+   recorded digest and still shows the violation. *)
+let finding_fixture () =
+  In_channel.with_open_text "fixtures/skip_dep_finding.spec"
+    In_channel.input_all
+
+let test_finding_fixture_replays () =
+  let content = finding_fixture () in
   match Builder.of_string content with
-  | Error msg -> Alcotest.failf "legacy parse: %s" msg
+  | Error msg -> Alcotest.failf "fixture parse: %s" msg
   | Ok b ->
     let o = Builder.run ~digest:true b in
     Alcotest.(check bool) "violation reproduced" true (o.Builder.violations <> []);
@@ -170,28 +172,15 @@ let test_legacy_repro_via_builder () =
      | None -> Alcotest.fail "fixture lost its digest header"
      | Some d -> Alcotest.(check string) "digest reproduced" d o.Builder.digest)
 
-(* The legacy fixture and its spec re-serialization mean the same run:
-   both replay through [Builder.replay] to the recorded digest. *)
-let test_legacy_repro_two_readers_agree () =
-  let content =
-    In_channel.with_open_text "fixtures/legacy_skip_dep.repro"
-      In_channel.input_all
-  in
-  let replayed text =
-    match Builder.replay text with
-    | Ok o -> o.Builder.digest
-    | Error msg -> Alcotest.failf "replay: %s" msg
-  in
-  match Builder.of_string content with
-  | Error msg -> Alcotest.failf "legacy parse: %s" msg
-  | Ok b ->
-    let spec =
-      Builder.to_string
-        ?digest:(Builder.recorded_digest content)
-        ~violations:[ "recorded" ] b
-    in
-    Alcotest.(check string) "same digest both ways" (replayed content)
-      (replayed spec)
+(* The fixture is exactly what the finding writer records for its own
+   replay: parse, run and [finding_text] give it back byte for byte. *)
+let test_finding_fixture_fixed_point () =
+  let content = finding_fixture () in
+  match Builder.replay content with
+  | Error msg -> Alcotest.failf "replay: %s" msg
+  | Ok o ->
+    Alcotest.(check string) "finding_text of the replay" content
+      (Builder.finding_text o)
 
 (* New-format spec files: a handwritten spec parses, runs, serializes
    back to an equal builder (normalization is idempotent). *)
@@ -235,7 +224,11 @@ let test_of_line_errors () =
       ("flap", "flap until=9");                 (* missing period *)
       ("crashrec", "crashrec p=1 at=50 until=40"); (* inverted window *)
       ("disk", "disk p=1 kind=gremlins");       (* unknown fault kind *)
-      ("unknown kind", "meteor p=1 at=3") ]
+      ("unknown kind", "meteor p=1 at=3");
+      ("bare token", "crash p=1 at=30 junk");
+      ("unknown key", "partition left=0 from=20 until=40 untill=90");
+      ("repeated key", "drop from=1 until=9 pct=5 pct=6");
+      ("non-integer id", "partition left=0,x from=20 until=40") ]
   in
   List.iter
     (fun (shape, line) ->
@@ -252,59 +245,64 @@ let contains_substring s sub =
   go 0
 
 (* Whole-spec parse errors name the offending line number: syntax errors,
-   and values that parse but that the run's constructors reject.  Each
-   case replaces one line of a valid spec (or legacy repro) text. *)
+   typos that would otherwise parse as a default, and values that parse
+   but that the run's constructors reject.  Each case replaces one line of
+   a valid spec text. *)
 let test_of_lines_names_line () =
   let spec =
     [ "ecsim-spec v1"; "stack alg5"; "n 4"; "seed 5"; "deadline 200";
       "timer-period 2"; "delay constant 1"; "omega oracle stable=0 pre=self";
       "workload none"; "plan 1"; "crash p=1 at=30"; "end" ]
-  and legacy =
-    [ "ecsim-explore-repro v1"; "impl alg5"; "n 4"; "seed 5"; "deadline 200";
-      "timer-period 2"; "posts 12"; "base-min 1"; "base-max 3"; "plan 1";
-      "crash p=1 at=30"; "end" ]
   in
   let parse lines = Builder.of_string (String.concat "\n" lines) in
-  List.iter
-    (fun (name, lines) ->
-       match parse lines with
-       | Ok _ -> ()
-       | Error msg -> Alcotest.failf "%s base text rejected: %s" name msg)
-    [ ("spec", spec); ("legacy", legacy) ];
+  let names_line lineno lines =
+    match parse lines with
+    | Ok _ -> Alcotest.failf "%S parsed" (List.nth lines (lineno - 1))
+    | Error msg ->
+      let expected = Printf.sprintf "line %d:" lineno in
+      if not (contains_substring msg expected) then
+        Alcotest.failf "error %S does not name %s" msg expected
+  in
+  (match parse spec with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.failf "base text rejected: %s" msg);
+  (* Five typos at once: the first one, on line 7, is reported. *)
+  names_line 7
+    [ "ecsim-spec v1"; "stack alg5"; "n 4"; "seed 5"; "deadline 200";
+      "timer-period 2"; "delay uniform min=1 max=3 mni=9";
+      "workload auto count=6 strech=on"; "check etob tua=0"; "plan 2";
+      "crash p=1 at=30 junk";
+      "partition left=0,x from=20 until=40 untill=90"; "end" ];
   let cases =
-    [ (spec, 11, "drop from=1 until=9");  (* missing pct *)
-      (spec, 3, "n 1");
-      (spec, 6, "timer-period 0");
-      (spec, 5, "deadline 0");
-      (spec, 7, "delay constant 0");
-      (spec, 7, "delay uniform min=5 max=1");
-      (spec, 9, "workload auto count=-3");
-      (spec, 9, "workload posts count=4 from=-5 every=2");
-      (spec, 11, "crash p=9 at=30");
-      (spec, 11, "crashrec p=9 at=30 until=40");
-      (spec, 11, "spike link=all from=1 until=9 factor=0");
-      (spec, 11, "drop from=1 until=9 pct=150");
-      (spec, 11, "dup from=1 until=9 copies=-1");
-      (spec, 11, "flap until=9 period=0");
-      (spec, 8, "omega oracle stable=0 pre=fixed:9");
-      (spec, 8, "omega elected timeout=0");
-      (legacy, 3, "n 1");
-      (legacy, 6, "timer-period 0");
-      (legacy, 7, "posts -3");
-      (legacy, 9, "base-max 0");
-      (legacy, 11, "crash p=9 at=30") ]
+    [ (11, "drop from=1 until=9");  (* missing pct *)
+      (3, "n 1");
+      (6, "timer-period 0");
+      (5, "deadline 0");
+      (7, "delay constant 0");
+      (7, "delay uniform min=5 max=1");
+      (9, "workload auto count=-3");
+      (9, "workload posts count=4 from=-5 every=2");
+      (11, "crash p=9 at=30");
+      (11, "crashrec p=9 at=30 until=40");
+      (11, "spike link=all from=1 until=9 factor=0");
+      (11, "drop from=1 until=9 pct=150");
+      (11, "dup from=1 until=9 copies=-1");
+      (11, "flap until=9 period=0");
+      (8, "omega oracle stable=0 pre=fixed:9");
+      (8, "omega elected timeout=0");
+      (7, "delay uniform min=1 max=3 mni=9");
+      (9, "workload auto count=6 strech=on");
+      (8, "check etob tua=0");
+      (11, "crash p=1 at=30 junk");
+      (11, "partition left=0,x from=20 until=40 untill=90");
+      (11, "partition left=0,x from=20 until=40");
+      (7, "delay uniform min=1 max=3 min=2");
+      (8, "omega oracle stable=0 pre=self now") ]
   in
   List.iter
-    (fun (lines, lineno, line) ->
-       let lines =
-         List.mapi (fun i l -> if i + 1 = lineno then line else l) lines
-       in
-       match parse lines with
-       | Ok _ -> Alcotest.failf "%S parsed" line
-       | Error msg ->
-         let expected = Printf.sprintf "line %d:" lineno in
-         if not (contains_substring msg expected) then
-           Alcotest.failf "%S: error %S does not name %s" line msg expected)
+    (fun (lineno, line) ->
+       names_line lineno
+         (List.mapi (fun i l -> if i + 1 = lineno then line else l) spec))
     cases
 
 (* ------------------------------------------------------------------ *)
@@ -323,10 +321,10 @@ let () =
          Alcotest.test_case "scenario facade" `Quick
            test_omega_clause_differential ]);
       ("text form",
-       [ Alcotest.test_case "legacy repro via builder" `Quick
-           test_legacy_repro_via_builder;
-         Alcotest.test_case "legacy repro: two readers agree" `Quick
-           test_legacy_repro_two_readers_agree;
+       [ Alcotest.test_case "finding fixture replays" `Quick
+           test_finding_fixture_replays;
+         Alcotest.test_case "finding fixture is a fixed point" `Quick
+           test_finding_fixture_fixed_point;
          Alcotest.test_case "spec text idempotent" `Quick
            test_spec_text_idempotent ]
        @ qc [ prop_spec_roundtrip ]);

@@ -256,7 +256,7 @@ let test_spec_finding_reexplores () =
          (Builder.shrink t' o').Builder.digest)
 
 (* ------------------------------------------------------------------ *)
-(* Recovery: exploration, legacy repro text, parse errors              *)
+(* Recovery: exploration, spec text, parse errors                      *)
 (* ------------------------------------------------------------------ *)
 
 (* The recovery analogue of the mutation-test harness: restarting with
@@ -297,15 +297,15 @@ let test_explore_faithful_recovery_clean () =
       (String.concat "; " o.Builder.violations)
       (String.concat "; " (Adversity.to_lines (plan_of o)))
 
-(* Malformed and truncated legacy repro files fail in [Builder.of_string]
+(* Malformed and truncated recovery findings fail in [Builder.of_string]
    with the offending line named, never an escaping exception. *)
 let test_repro_parse_errors_name_the_line () =
   let text =
     String.concat "\n"
-      [ "ecsim-explore-repro v1"; "impl alg5"; "mutant none"; "n 4";
-        "recovery on"; "rmutant skip-log-replay"; "seed 7"; "deadline 240";
-        "timer-period 2"; "posts 12"; "base-min 1"; "base-max 3";
-        "digest " ^ String.make 32 'a';
+      [ "ecsim-spec v1"; "stack recoverable"; "n 4"; "seed 7";
+        "deadline 240"; "timer-period 2"; "delay uniform min=1 max=3";
+        "workload auto count=12 stretch=on"; "rmutant skip-log-replay";
+        "check etob tau=auto"; "digest " ^ String.make 32 'a';
         "violation distinct-broadcasts: something"; "plan 2";
         "crashrec p=1 at=40 until=80"; "disk p=1 kind=torn"; "end" ]
   in
@@ -337,13 +337,16 @@ let test_repro_parse_errors_name_the_line () =
   in
   expect_error "empty file" "" "empty file";
   expect_error "wrong header" "not a repro\nimpl alg5\n" "line 1";
+  (* The retired pre-builder finding format is no longer read. *)
+  expect_error "retired header"
+    "ecsim-explore-repro v1\nimpl alg5\nplan 0\nend\n" "line 1";
   let lines = String.split_on_char '\n' text in
   let mangle i f =
     String.concat "\n" (List.mapi (fun j l -> if j = i then f l else l) lines)
   in
-  (* Line 4 is "n 4": break its integer and expect the line number. *)
-  expect_error "bad integer" (mangle 3 (fun _ -> "n four")) "line 4";
-  expect_error "unknown header" (mangle 6 (fun _ -> "meteor 9")) "line 7";
+  (* Line 3 is "n 4": break its integer and expect the line number. *)
+  expect_error "bad integer" (mangle 2 (fun _ -> "n four")) "line 3";
+  expect_error "unknown line" (mangle 6 (fun _ -> "meteor 9")) "line 7";
   (* Claim more plan lines than the file holds. *)
   expect_error "truncated plan"
     (String.concat "\n"

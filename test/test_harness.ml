@@ -22,11 +22,18 @@ let test_stats_basic () =
 let test_stats_empty () =
   Alcotest.(check bool) "empty" true (Harness.Stats.of_list [] = None)
 
+(* [Stats.of_list]'s quantiles are [Sink.nearest_rank]'s. *)
 let test_stats_percentile_edges () =
-  let sorted = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ] in
-  Alcotest.(check int) "p10" 1 (Harness.Stats.percentile sorted 0.1);
-  Alcotest.(check int) "p95" 10 (Harness.Stats.percentile sorted 0.95);
-  Alcotest.(check int) "p100" 10 (Harness.Stats.percentile sorted 1.0)
+  let sorted = [| 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 |] in
+  let pct permille = Sink.nearest_rank sorted ~permille in
+  Alcotest.(check int) "p10" 1 (pct 100);
+  Alcotest.(check int) "p95" 10 (pct 950);
+  Alcotest.(check int) "p100" 10 (pct 1000);
+  match Harness.Stats.of_list (Array.to_list sorted) with
+  | None -> Alcotest.fail "stats"
+  | Some s ->
+    Alcotest.(check int) "of_list p50" (pct 500) s.Harness.Stats.p50;
+    Alcotest.(check int) "of_list p95" (pct 950) s.Harness.Stats.p95
 
 let prop_stats_bounds =
   QCheck.Test.make ~name:"stats: mean and percentiles within [min, max]"

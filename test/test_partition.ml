@@ -1,6 +1,6 @@
 (* Partition-hardening tests: lossy/one-way/flapping fault models, the
    multi-window partition schedules, the anti-entropy catch-up layer, the
-   convergence watchdog and the partition-aware repro headers — plus the
+   convergence watchdog and the partition-aware spec clauses — plus the
    QCheck safety property over arbitrary message-losing schedules composed
    with crash-recovery plans. *)
 
@@ -255,24 +255,24 @@ let test_adversity_settles_at_heal () =
          (Adversity.settle_time ~base_max:3 [ spec ]))
     roundtrip_specs
 
-(* A legacy repro with the partition-aware headers: [Builder.of_string]
-   maps them onto the anti-entropy stack, the watchdog checker and the
+(* A partition finding with the partition-aware clauses: [Builder.of_string]
+   reads the anti-entropy stack, the watchdog checker and the
    anti-entropy mutant, keeps the plan, and its spec text is
    byte-stable. *)
-let legacy_partition_repro ~ae =
+let partition_repro ~stack =
   String.concat "\n"
-    ([ "ecsim-explore-repro v1"; "impl alg5"; "mutant none"; "n 4";
-       "ae " ^ ae; "ae-mutant skip-digest"; "watchdog on"; "seed 46";
-       "deadline 240"; "timer-period 2"; "posts 12"; "base-min 1";
-       "base-max 3"; "digest -";
+    ([ "ecsim-spec v1"; "stack " ^ stack; "n 4"; "seed 46"; "deadline 240";
+       "timer-period 2"; "delay uniform min=1 max=3";
+       "workload auto count=12 stretch=off"; "ae-mutant skip-digest";
+       "check etob tau=auto"; "check watchdog auto"; "digest -";
        "violation liveness: p3 not converged by 140";
        Printf.sprintf "plan %d" (List.length roundtrip_specs) ]
      @ Adversity.to_lines roundtrip_specs
      @ [ "end" ])
 
 let test_repro_roundtrip_partition_headers () =
-  match Builder.of_string (legacy_partition_repro ~ae:"on") with
-  | Error msg -> Alcotest.failf "legacy parse: %s" msg
+  match Builder.of_string (partition_repro ~stack:"alg5+ae") with
+  | Error msg -> Alcotest.failf "spec parse: %s" msg
   | Ok b ->
     Alcotest.(check string) "ae preserved" "alg5+ae"
       (Builder.stack_name b.Builder.stack);
@@ -290,8 +290,8 @@ let test_repro_roundtrip_partition_headers () =
        Alcotest.(check string) "byte-stable text" text (Builder.to_string b'))
 
 let test_repro_bad_header_names_line () =
-  match Builder.of_string (legacy_partition_repro ~ae:"maybe") with
-  | Ok _ -> Alcotest.fail "mangled ae header parsed"
+  match Builder.of_string (partition_repro ~stack:"alg5+maybe") with
+  | Ok _ -> Alcotest.fail "mangled stack line parsed"
   | Error msg ->
     let contains_line =
       let len = String.length msg in

@@ -27,7 +27,8 @@ let test_pqueue_fifo_among_ties () =
 let test_pqueue_size_and_peek () =
   let q = of_items [ (5, "x"); (2, "y") ] in
   Alcotest.(check int) "size" 2 (Pqueue.size q);
-  Alcotest.(check (option int)) "peek" (Some 2) (Pqueue.peek_prio q);
+  Alcotest.(check int) "min_prio" 2 (Pqueue.min_prio q);
+  Alcotest.(check string) "min_value" "y" (Pqueue.min_value q);
   Alcotest.(check bool) "not empty" false (Pqueue.is_empty q);
   Alcotest.(check (list (pair int string))) "to_sorted_list is non-destructive"
     (Pqueue.to_sorted_list q) (Pqueue.to_sorted_list q);
@@ -37,7 +38,8 @@ let test_pqueue_size_and_peek () =
    (prio, pop_now) commands: insert prio, then pop whenever pop_now. *)
 let interleave_gen = QCheck.(list (pair (int_bound 50) bool))
 
-(* Drive the mutable heap through an interleaving; values carry the
+(* Drive the mutable heap through an interleaving, popping the way the
+   engine loop does (min_prio, min_value, remove_min); values carry the
    insertion sequence number so stability is observable. *)
 let run_mutable cmds =
   let q = Pqueue.create () in
@@ -45,15 +47,12 @@ let run_mutable cmds =
   List.iteri
     (fun seq (prio, pop_now) ->
        Pqueue.insert q ~prio seq;
-       if pop_now then
-         match Pqueue.pop q with
-         | Some (p, s) -> pops := (p, s) :: !pops
-         | None -> ())
+       if pop_now then begin
+         pops := (Pqueue.min_prio q, Pqueue.min_value q) :: !pops;
+         Pqueue.remove_min q
+       end)
     cmds;
-  let rec drain acc =
-    match Pqueue.pop q with None -> List.rev acc | Some pv -> drain (pv :: acc)
-  in
-  List.rev !pops @ drain []
+  List.rev !pops @ Pqueue.to_sorted_list q
 
 let run_persistent cmds =
   let q = ref Pqueue_persistent.empty in
