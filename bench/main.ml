@@ -531,14 +531,14 @@ let e12 () =
   List.iter
     (fun (lname, delay) ->
        List.iter
-         (fun (gname, stale_guard) ->
+         (fun (gname, mutation) ->
             (* Stateful models (fifo) re-instantiate per run on their own. *)
             let setup = { (Harness.Stacks.default ~n:4 ~deadline:300) with
                           delay; omega = oracle 0 } in
             let omega_of = Harness.Stacks.omega_module setup in
             let make_node ctx =
               let omega, omega_node = omega_of ctx in
-              let t, node = Etob_omega.create ~stale_guard ctx ~omega in
+              let t, node = Etob_omega.create ?mutation ctx ~omega in
               (Engine.stack [ omega_node; node;
                               Harness.Stacks.post_driver (Etob_omega.service t) ], ())
             in
@@ -552,7 +552,7 @@ let e12 () =
             row "  %-16s %-10s %-14s %-14s" lname gname
               (bool_mark (Properties.is_strong_tob report))
               (bool_mark (Properties.etob_base_ok report)))
-         [ ("on", true); ("off", false) ])
+         [ ("on", None); ("off", Some Etob_omega.Disable_stale_guard) ])
     [ ("reordering", Net.uniform ~min:1 ~max:7);
       ("fifo", Net.fifo ~base:(Net.uniform ~min:1 ~max:7)) ];
   row "  expected: correct under every ablation; the emulated omega adds its";

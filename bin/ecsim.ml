@@ -373,16 +373,15 @@ let sweep_cmd =
         if domains > 0 then domains else Harness.Sweep.default_domains ()
       in
       let run_one ~seed =
-        (* Observe the run twice over: a full trace for the property
-           checkers plus counters for the latency histograms. *)
-        let trace = Trace.create ~n in
+        (* The outcome's trace feeds the property checkers; a counters sink
+           beside it feeds the latency histograms. *)
         let c = Sink.counters ~n in
         let b =
           { (with_seed b seed) with
             Builder.checkers = [];
-            sink = Some (Sink.tee (Sink.recorder trace) (Sink.counters_sink c)) }
+            sink = Some (Sink.counters_sink c) }
         in
-        ignore (Builder.run b);
+        let trace = Option.get (Builder.run b).Builder.trace in
         let pattern = (Builder.setup_of b).Harness.Stacks.pattern in
         let run = Properties.etob_run_of_trace pattern trace in
         let report = Properties.etob_report run in
@@ -755,10 +754,10 @@ let explore_cmd =
     let doc =
       "Explore a builder spec file as written: base, stack, workload, \
        mutations and checkers come from the spec, which must have a shape \
-       the plan generator can be fair to (an ETOB stack, an $(b,auto) \
-       workload, no $(b,omega), $(b,boost) or $(b,service) clause).  Its \
-       plan and seed are replaced per plan index; its $(b,budget) header, \
-       when present, overrides $(b,--plans)."
+       the plan generator can be fair to (an ETOB stack, not \
+       $(b,gossip); an $(b,auto) workload; no $(b,omega) or $(b,service) \
+       clause).  Its plan and seed are replaced per plan index; its \
+       $(b,budget) header, when present, overrides $(b,--plans)."
     in
     Arg.(value & opt (some string) None & info [ "spec" ] ~docv:"FILE" ~doc)
   in

@@ -71,7 +71,6 @@ type t = {
   backend : Etob_intf.backend;
   omega : unit -> proc_id;
   tie_break : App_msg.t -> App_msg.t -> int;
-  stale_guard : bool;
   mutation : mutation option;
   mutable cg : Causal_graph.t;      (* CG_i *)
   mutable promote_rev : App_msg.t list;  (* promote_i, last message first *)
@@ -185,17 +184,15 @@ let learn t msgs =
   t.cg <- List.fold_left Causal_graph.add t.cg msgs;
   update_promote t
 
-let create ?(tie_break = Causal_graph.default_tie_break) ?(stale_guard = true)
-    ?mutation (ctx : Engine.ctx) ~omega =
+let create ?(tie_break = Causal_graph.default_tie_break) ?mutation
+    (ctx : Engine.ctx) ~omega =
   let stale_guard =
-    stale_guard
-    && (match mutation with Some Disable_stale_guard -> false | _ -> true)
+    match mutation with Some Disable_stale_guard -> false | _ -> true
   in
   let t =
     { backend = Etob_intf.backend ctx;
       omega;
       tie_break;
-      stale_guard;
       mutation;
       cg = Causal_graph.empty;
       promote_rev = [];
@@ -224,7 +221,7 @@ let create ?(tie_break = Causal_graph.default_tie_break) ?(stale_guard = true)
          backwards even under a stable leader, violating claim (P2). *)
       if omega () = src
       && not (same_as_delivered t ~seq ~rev ~len)
-      && not (t.stale_guard && older_than_delivered t ~seq ~rev ~len)
+      && not (stale_guard && older_than_delivered t ~seq ~rev ~len)
       then deliver t ~seq ~rev ~len
     | _ -> ()
   in

@@ -35,17 +35,16 @@ val mutation_of_string : string -> mutation option
 
 val create :
   ?tie_break:(App_msg.t -> App_msg.t -> int) ->
-  ?stale_guard:bool ->
   ?mutation:mutation ->
   Engine.ctx ->
   omega:(unit -> proc_id) ->
   t * Engine.node
 (** [tie_break] selects among the valid UpdatePromote linearizations; any
-    choice is correct (ablated in the benchmarks).  [stale_guard] (default
-    true) ignores a promote that is a proper prefix of the current output —
-    an older promotion reordered by the (non-FIFO) links; disabling it is
-    only for the ablation that shows claim (P2) needs it.  [mutation]
-    installs one seeded bug (see {!mutation}). *)
+    choice is correct (ablated in the benchmarks).  [mutation] installs one
+    seeded bug (see {!mutation}).  The stale guard ignores a promote that
+    is a proper prefix of the current output — an older promotion
+    reordered by the (non-FIFO) links; only {!Disable_stale_guard} turns
+    it off, as the ablation that shows claim (P2) needs it does. *)
 
 val restore : t -> msgs:App_msg.t list -> delivered:App_msg.t list -> unit
 (** Crash-recovery entry point, called from the engine's restart hook by

@@ -1,9 +1,9 @@
 (* Declarative test builder: one immutable value composing stack, workload,
-   adversity plan (plus conditional boosts), detector source, checkers and
-   budget — and one interpreter, [run], which wires the stack through
-   [Stacks].  Exploration generates and shrinks plans for a template
-   builder, and ecsim decodes its flags (or a --spec file) into one; runs
-   a builder cannot describe are hand-wired with [Stacks] directly.
+   adversity plan, detector source, checkers and budget — and one
+   interpreter, [run], which wires the stack through [Stacks].  Exploration
+   generates and shrinks plans for a template builder, and ecsim decodes
+   its flags (or a --spec file) into one; runs a builder cannot describe
+   are hand-wired with [Stacks] directly.
 
    Determinism is the design constraint throughout: a builder made of plain
    data serializes to a stable text form and replays byte-identically, and
@@ -29,31 +29,16 @@ type stack =
   | Etob of Stacks.etob_impl
   | Etob_ae
   | Recoverable of { ae : bool }
-  | Etob_commits
   | Gossip
-  | Ec
-  | Ec_lifted
-  | Ec_via_etob of Stacks.etob_impl
-  | Eic
-  | Ec_via_eic
 
 type workload =
   | No_posts
   | Posts of { count : int; from_time : time; every : int }
   | Auto_posts of { count : int; stretch : bool }
-  | Weighted of {
-      count : int;
-      from_time : time;
-      every : int;
-      jitter : int;
-      mix : (string * int) list;
-    }
-  | Explicit of (time * proc_id * string) list
 
 type tau_policy = Tau_auto | Tau_fixed of int
 type watchdog_policy = Wd_auto | Wd_fixed of { settle : time; bound : int }
 type checker = Etob_spec of tau_policy | Watchdog of watchdog_policy
-type boost = Drop_boost_while_partitioned of { factor : int }
 type trace_format = Jsonl | Binary
 
 let trace_format_name = function Jsonl -> "jsonl" | Binary -> "bin"
@@ -68,7 +53,6 @@ type t = {
   stack : stack;
   workload : workload;
   plan : Adversity.t;
-  boosts : boost list;
   omega : Stacks.omega_source option;
   checkers : checker list;
   budget : int option;
@@ -80,7 +64,6 @@ type t = {
   commits : bool option;
   sink : Sink.t option;
   trace_out : (string * trace_format) option;
-  max_instance : int;
   service : Service_spec.t option;
 }
 
@@ -90,7 +73,6 @@ let create ?(seed = 42) ?(timer_period = 2) ?(delay = Constant 1) ~n ~deadline
     stack;
     workload = No_posts;
     plan = [];
-    boosts = [];
     omega = None;
     checkers = [];
     budget = None;
@@ -102,11 +84,7 @@ let create ?(seed = 42) ?(timer_period = 2) ?(delay = Constant 1) ~n ~deadline
     commits = None;
     sink = None;
     trace_out = None;
-    max_instance = 0;
     service = None }
-
-(* The EC stacks' deterministic proposer. *)
-let default_propose p ~instance = Value.Num ((1000 * p) + instance)
 
 (* ------------------------------------------------------------------ *)
 (* Derived values and policies (exploration's formulas)                *)
@@ -128,10 +106,8 @@ let slack t = (8 * t.base.timer_period) + (6 * base_max_of t) + 10
 (* The workload's post count, for the policy formulas below. *)
 let post_count t =
   match t.workload with
-  | Auto_posts { count; _ } | Posts { count; _ } | Weighted { count; _ } ->
-    count
+  | Auto_posts { count; _ } | Posts { count; _ } -> count
   | No_posts -> 0
-  | Explicit posts -> List.length posts
 
 (* Stretched cadence for recovery targets: a process restarted by a mid-run
    downtime window still posts afterwards — the amnesia mutant only reuses
@@ -158,10 +134,6 @@ let last_post t =
     auto_post_from + (max 0 (count - 1) * auto_post_every t)
   | Posts { count; from_time; every } ->
     from_time + (max 0 (count - 1) * every)
-  | Weighted { count; from_time; every; jitter; _ } ->
-    from_time + (max 0 (count - 1) * every) + jitter
-  | Explicit posts ->
-    List.fold_left (fun acc (tm, _, _) -> max acc tm) 0 posts
 
 let ae_used t =
   match t.stack with
@@ -216,32 +188,6 @@ let watchdog_bound t =
 (* Workload materialization                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Smooth weighted round-robin over the mix: deterministic, no randomness,
-   the classic "add weights, take the max, subtract the total" scheduler.
-   Arrival jitter draws from a seed-derived stream so reruns are stable. *)
-let weighted_posts ~n ~seed ~count ~from_time ~every ~jitter ~mix =
-  let mix = match mix with [] -> [ ("m", 1) ] | mix -> mix in
-  let weights = Array.of_list (List.map snd mix) in
-  let names = Array.of_list (List.map fst mix) in
-  let total = Array.fold_left ( + ) 0 weights in
-  let current = Array.make (Array.length weights) 0 in
-  let rng = Rng.create (seed lxor 0x5eed) in
-  let posts =
-    List.init count (fun i ->
-        Array.iteri (fun j w -> current.(j) <- current.(j) + w) weights;
-        let best = ref 0 in
-        Array.iteri
-          (fun j c -> if c > current.(!best) then best := j)
-          current;
-        current.(!best) <- current.(!best) - total;
-        let tm =
-          from_time + (i * every)
-          + (if jitter > 0 then Rng.int rng (jitter + 1) else 0)
-        in
-        (tm, i mod n, Stacks.Post (Printf.sprintf "%s%d" names.(!best) i)))
-  in
-  List.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) posts
-
 let inputs t =
   let n = t.base.n in
   match t.workload with
@@ -251,76 +197,10 @@ let inputs t =
   | Auto_posts { count; _ } ->
     Stacks.spread_posts ~n ~count ~from_time:auto_post_from
       ~every:(auto_post_every t)
-  | Weighted { count; from_time; every; jitter; mix } ->
-    weighted_posts ~n ~seed:t.base.seed ~count ~from_time ~every ~jitter ~mix
-  | Explicit posts ->
-    List.map (fun (tm, p, tag) -> (tm, p, Stacks.Post tag)) posts
 
 (* ------------------------------------------------------------------ *)
-(* Setup construction (base, clauses, plan, boosts)                    *)
+(* Setup construction (base, clauses, plan)                            *)
 (* ------------------------------------------------------------------ *)
-
-let partition_windows plan =
-  List.filter_map
-    (function
-      | Adversity.Partition { from_time; until_time; _ }
-      | Adversity.Lossy_partition { from_time; until_time; _ }
-      | Adversity.Oneway_partition { from_time; until_time; _ }
-      | Adversity.Flapping_partition { from_time; until_time; _ } ->
-        Some (from_time, until_time)
-      | _ -> None)
-    plan
-
-let boost_factor t =
-  List.fold_left
-    (fun acc (Drop_boost_while_partitioned { factor }) -> acc * max 1 factor)
-    1 t.boosts
-
-(* With boosts, the plan's drop windows are split at the partition-window
-   boundaries and every segment that starts inside an open partition gets
-   the boosted rate.  Without boosts this is exactly [Adversity.apply]. *)
-let apply_plan t s =
-  if t.boosts = [] then Adversity.apply t.plan s
-  else begin
-    let factor = boost_factor t in
-    let windows = partition_windows t.plan in
-    let without_drops =
-      List.filter (function Adversity.Drop _ -> false | _ -> true) t.plan
-    in
-    let s = Adversity.apply without_drops s in
-    let in_partition tm = List.exists (fun (f, u) -> f <= tm && tm < u) windows in
-    List.fold_left
-      (fun s spec ->
-         match spec with
-         | Adversity.Drop { from_time; until_time; pct } ->
-           let cuts =
-             List.sort_uniq Int.compare
-               (from_time :: until_time
-                :: List.concat_map
-                  (fun (a, b) ->
-                     List.filter
-                       (fun c -> from_time < c && c < until_time)
-                       [ a; b ])
-                  windows)
-           in
-           let rec segments = function
-             | a :: (b :: _ as rest) -> (a, b) :: segments rest
-             | _ -> []
-           in
-           List.fold_left
-             (fun s (a, b) ->
-                let pct' =
-                  if in_partition a then min 100 (pct * factor) else pct
-                in
-                { s with
-                  Stacks.faults =
-                    Net.compose_faults
-                      [ s.Stacks.faults;
-                        Net.drop_window ~from_time:a ~until_time:b pct' ] })
-             s (segments cuts)
-         | _ -> s)
-      s t.plan
-  end
 
 let base_setup { n; seed; deadline; timer_period; delay } =
   { (Stacks.default ~n ~deadline) with
@@ -337,7 +217,7 @@ let setup_of t =
   let s =
     match t.sink with None -> s | Some sink -> { s with Stacks.sink = Some sink }
   in
-  apply_plan t s
+  Adversity.apply t.plan s
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -356,10 +236,9 @@ let run ?(digest = false) ?(catch = false) ?guard t =
   (* [attempt t capture] runs the (possibly sink-augmented) builder [t];
      when a [capture] trace is teed in through the sink, it supersedes the
      engine's own (then empty) trace for checkers and digests. *)
-  let attempt t capture () =
+  let attempt t capture =
     let setup = setup_of t in
     let inputs = inputs t in
-    let propose_value = default_propose and max_instance = t.max_instance in
     let trace =
       match t.stack with
       | Etob impl -> Stacks.run_etob ~inputs ?mutation:t.mutation setup impl
@@ -381,16 +260,7 @@ let run ?(digest = false) ?(catch = false) ?guard t =
             ?ae:ae_cfg ?ae_mutation:t.ae_mutation ~stores setup
         in
         trace
-      | Etob_commits -> Stacks.run_etob_with_commits ~inputs setup
       | Gossip -> Stacks.run_gossip_order ~inputs setup
-      | Ec -> Stacks.run_ec_omega ~inputs setup ~propose_value ~max_instance
-      | Ec_lifted ->
-        Stacks.run_ec_lifted ~inputs setup ~propose_value ~max_instance
-      | Ec_via_etob impl ->
-        Stacks.run_ec_via_etob ~inputs setup impl ~propose_value ~max_instance
-      | Eic -> Stacks.run_eic_over_ec ~inputs setup ~propose_value ~max_instance
-      | Ec_via_eic ->
-        Stacks.run_ec_via_eic ~inputs setup ~propose_value ~max_instance
     in
     let trace = match capture with Some c -> c | None -> trace in
     let report, violations =
@@ -426,47 +296,37 @@ let run ?(digest = false) ?(catch = false) ?guard t =
       violations;
       digest = (if digest then Trace.digest trace else "") }
   in
-  (* The trace-file escape hatch and the guard hook share one pattern:
-     tee the extra sinks (and the caller's own, if any) with a capturing
-     recorder, so the outcome still carries the full trace for checkers
-     and digests (an engine given an explicit sink returns an empty
-     trace).  The guard fires first, before any recording work, so a
-     deadline or event-budget breach raises out of a wedged run at the
-     earliest observable point. *)
-  let guarded sink =
-    match guard with None -> sink | Some g -> Sink.tee (Sink.on_every g) sink
-  in
+  (* The guard, the trace-file escape hatch and the caller's own sink share
+     one path: tee them with a capturing recorder, in the order guard,
+     recorder, file, caller sink, so the outcome still carries the full
+     trace for checkers and digests (an engine handed a sink of its own
+     returns an empty trace).  The guard fires first, before any recording
+     work, so a deadline or event-budget breach raises out of a wedged run
+     at the earliest observable point. *)
   let go () =
-    match t.trace_out with
-    | None ->
-      (match guard with
-       | None -> attempt t None ()
-       | Some _ ->
-         let capture = Trace.create ~n:t.base.n in
-         let sink = guarded (Sink.recorder capture) in
-         let sink =
-           match t.sink with
-           | None -> sink
-           | Some user -> Sink.tee sink user
-         in
-         attempt { t with sink = Some sink } (Some capture) ())
-    | Some (path, format) ->
+    match (guard, t.trace_out, t.sink) with
+    | None, None, None -> attempt t None
+    | _ ->
       let capture = Trace.create ~n:t.base.n in
-      let with_file =
-        match format with
-        | Jsonl -> Sink.with_jsonl path
-        | Binary -> Sink.with_binary path
+      let with_file f =
+        match t.trace_out with
+        | None -> f None
+        | Some (path, Jsonl) -> Sink.with_jsonl path (fun s -> f (Some s))
+        | Some (path, Binary) -> Sink.with_binary path (fun s -> f (Some s))
       in
-      with_file (fun file_sink ->
-          let sink = guarded (Sink.tee (Sink.recorder capture) file_sink) in
+      with_file (fun file ->
+          let first =
+            match guard with
+            | None -> Sink.recorder capture
+            | Some g -> Sink.tee (Sink.on_every g) (Sink.recorder capture)
+          in
           let sink =
-            match t.sink with
-            | None -> sink
-            | Some user -> Sink.tee sink user
+            List.fold_left Sink.tee first
+              (Option.to_list file @ Option.to_list t.sink)
           in
           attempt
             { t with trace_out = None; sink = Some sink }
-            (Some capture) ())
+            (Some capture))
   in
   if not catch then go ()
   else
@@ -494,15 +354,7 @@ let stack_name = function
   | Etob_ae -> "alg5+ae"
   | Recoverable { ae = false } -> "recoverable"
   | Recoverable { ae = true } -> "recoverable+ae"
-  | Etob_commits -> "alg5+commits"
   | Gossip -> "gossip"
-  | Ec -> "ec"
-  | Ec_lifted -> "ec-lifted"
-  | Ec_via_etob Stacks.Algorithm_5 -> "ec-via-alg5"
-  | Ec_via_etob Stacks.Paxos_baseline -> "ec-via-paxos"
-  | Ec_via_etob Stacks.Algorithm_1_over_4 -> "ec-via-alg1"
-  | Eic -> "eic"
-  | Ec_via_eic -> "ec-via-eic"
 
 let stack_of_name = function
   | "alg5" -> Some (Etob Stacks.Algorithm_5)
@@ -511,15 +363,7 @@ let stack_of_name = function
   | "alg5+ae" -> Some Etob_ae
   | "recoverable" -> Some (Recoverable { ae = false })
   | "recoverable+ae" -> Some (Recoverable { ae = true })
-  | "alg5+commits" -> Some Etob_commits
   | "gossip" -> Some Gossip
-  | "ec" -> Some Ec
-  | "ec-lifted" -> Some Ec_lifted
-  | "ec-via-alg5" -> Some (Ec_via_etob Stacks.Algorithm_5)
-  | "ec-via-paxos" -> Some (Ec_via_etob Stacks.Paxos_baseline)
-  | "ec-via-alg1" -> Some (Ec_via_etob Stacks.Algorithm_1_over_4)
-  | "eic" -> Some Eic
-  | "ec-via-eic" -> Some Ec_via_eic
   | _ -> None
 
 let pre_to_string = function
@@ -566,32 +410,14 @@ let one_line s =
        (String.split_on_char ' '
           (String.map (function '\n' | '\t' | '\r' -> ' ' | c -> c) s)))
 
-let mix_ok (name, _) =
-  name <> ""
-  && String.for_all
-       (fun c -> c <> ',' && c <> ':' && c <> ' ' && c <> '=')
-       name
-
-let workload_lines = function
-  | No_posts -> [ "workload none" ]
+let workload_line = function
+  | No_posts -> "workload none"
   | Posts { count; from_time; every } ->
-    [ Printf.sprintf "workload posts count=%d from=%d every=%d" count
-        from_time every ]
+    Printf.sprintf "workload posts count=%d from=%d every=%d" count from_time
+      every
   | Auto_posts { count; stretch } ->
-    [ Printf.sprintf "workload auto count=%d stretch=%s" count
-        (if stretch then "on" else "off") ]
-  | Weighted { count; from_time; every; jitter; mix } ->
-    if not (List.for_all mix_ok mix) then
-      invalid_arg "Builder.to_lines: weighted mix names must be plain words";
-    [ Printf.sprintf "workload weighted count=%d from=%d every=%d jitter=%d mix=%s"
-        count from_time every jitter
-        (String.concat ","
-           (List.map (fun (name, w) -> Printf.sprintf "%s:%d" name w) mix)) ]
-  | Explicit posts ->
-    "workload explicit"
-    :: List.map
-      (fun (tm, p, tag) -> Printf.sprintf "post %d %d %s" tm p tag)
-      posts
+    Printf.sprintf "workload auto count=%d stretch=%s" count
+      (if stretch then "on" else "off")
 
 let checker_line = function
   | Etob_spec Tau_auto -> "check etob tau=auto"
@@ -622,7 +448,7 @@ let to_lines ?digest ?(violations = []) t =
            (pre_to_string pre) ]
      | Some (Stacks.Elected { initial_timeout }) ->
        [ Printf.sprintf "omega elected timeout=%d" initial_timeout ])
-  @ workload_lines t.workload
+  @ [ workload_line t.workload ]
   @ (match t.service with
      | None -> []
      | Some s -> [ "service " ^ Service_spec.to_string s ])
@@ -635,14 +461,7 @@ let to_lines ?digest ?(violations = []) t =
   @ (match t.ae_mutation with
      | None -> []
      | Some m -> [ "ae-mutant " ^ Anti_entropy.mutation_name m ])
-  @ List.map
-    (fun (Drop_boost_while_partitioned { factor }) ->
-       Printf.sprintf "boost drop-while-partitioned factor=%d" factor)
-    t.boosts
   @ List.map checker_line t.checkers
-  @ (if t.max_instance > 0 then
-       [ Printf.sprintf "max-instance %d" t.max_instance ]
-     else [])
   @ (match t.budget with
      | None -> []
      | Some b -> [ Printf.sprintf "budget %d" b ])
@@ -726,8 +545,6 @@ let explorable t =
   | (Etob _ | Etob_ae | Recoverable _), Auto_posts _ ->
     if Option.is_some t.omega then
       reject "omega clause" "replaces the stable oracle the tau bound assumes"
-    else if t.boosts <> [] then
-      reject "boost clause" "is outside the generator's fairness clamps"
     else if Option.is_some t.service then
       reject "service clause" "has no meaning under exploration"
     else Ok t
@@ -1051,13 +868,13 @@ let parse_plan_section ~count rest =
    the check calls those same constructors (the engine's config check,
    [Failures], [Net]'s delay and fault models, the Omega oracle) and names
    the line that set the value; the bounds only the running engine or
-   election would hit (post times, post counts, the election timeout) are
+   election would hit (post counts and cadence, the election timeout) are
    stated here.  Base fields are checked one at a time over [create]'s
    defaults, so each error lands on its own line; the other clauses are
    then checked against the valid base.  [lines] maps a clause keyword to
    the line that last set it; a clause no line set holds its default,
    which is in range. *)
-let check_bounds t ~lines ~posts ~plan =
+let check_bounds t ~lines ~plan =
   let checking lineno f =
     match f () with
     | () -> ()
@@ -1078,20 +895,12 @@ let check_bounds t ~lines ~posts ~plan =
     let (_ : Engine.ctx -> _) = Stacks.omega_module s in
     ()
   in
-  let s = setup_of { t with plan = []; boosts = [] } in
+  let s = setup_of { t with plan = [] } in
   clause "omega" (fun () ->
       match t.omega with
       | Some (Stacks.Elected { initial_timeout }) when initial_timeout < 1 ->
         invalid_arg "omega elected: timeout must be >= 1"
       | _ -> omega s);
-  List.iter
-    (fun (lineno, (tm, p, _)) ->
-       checking lineno (fun () ->
-           if tm < 0 then
-             invalid_arg (Printf.sprintf "post at negative time %d" tm);
-           if not (is_valid_proc ~n:t.base.n p) then
-             invalid_arg (Printf.sprintf "post by unknown process %d" p)))
-    posts;
   clause "workload" (fun () ->
       let nonneg field v =
         if v < 0 then
@@ -1099,13 +908,12 @@ let check_bounds t ~lines ~posts ~plan =
             (Printf.sprintf "workload: %s must be >= 0, got %d" field v)
       in
       match t.workload with
-      | Posts { count; from_time; every }
-      | Weighted { count; from_time; every; _ } ->
+      | Posts { count; from_time; every } ->
         nonneg "count" count;
         nonneg "from" from_time;
         nonneg "every" every
       | Auto_posts { count; _ } -> nonneg "count" count
-      | No_posts | Explicit _ -> ());
+      | No_posts -> ());
   List.iter
     (fun (lineno, spec) ->
        checking lineno (fun () -> omega (Adversity.apply [ spec ] s)))
@@ -1114,20 +922,14 @@ let check_bounds t ~lines ~posts ~plan =
 let parse_spec rest =
   let t = ref (create ~n:4 ~deadline:240 (Etob Stacks.Algorithm_5)) in
   let set_base f = t := { !t with base = f !t.base } in
-  let checkers = ref [] and boosts = ref [] and posts = ref [] in
-  let explicit = ref false and lines = ref [] in
+  let checkers = ref [] and lines = ref [] in
   let finish plan =
-    let workload =
-      if !explicit then Explicit (List.rev_map snd !posts) else !t.workload
-    in
     let t =
       { !t with
-        workload;
         plan = Adversity.make (List.map snd plan);
-        checkers = List.rev !checkers;
-        boosts = List.rev !boosts }
+        checkers = List.rev !checkers }
     in
-    check_bounds t ~lines:!lines ~posts:(List.rev !posts) ~plan;
+    check_bounds t ~lines:!lines ~plan;
     t
   in
   let rec headers = function
@@ -1228,42 +1030,6 @@ let parse_spec rest =
            { !t with
              workload = Auto_posts { count = kv_int kv "count"; stretch } };
          headers rest
-       | "workload" :: "weighted" :: fields ->
-         let kv =
-           kv ~keys:[ "count"; "from"; "every"; "jitter"; "mix" ] fields
-         in
-         let mix =
-           match List.assoc_opt "mix" kv with
-           | None -> at lineno "missing field mix"
-           | Some m ->
-             List.map
-               (fun entry ->
-                  match String.index_opt entry ':' with
-                  | None -> at lineno "bad mix entry %S" entry
-                  | Some i ->
-                    ( String.sub entry 0 i,
-                      int
-                        (String.sub entry (i + 1)
-                           (String.length entry - i - 1)) ))
-               (String.split_on_char ',' m)
-         in
-         t :=
-           { !t with
-             workload =
-               Weighted
-                 { count = kv_int kv "count";
-                   from_time = kv_int kv "from";
-                   every = kv_int kv "every";
-                   jitter = kv_int kv "jitter";
-                   mix } };
-         headers rest
-       | [ "workload"; "explicit" ] ->
-         explicit := true;
-         headers rest
-       | "post" :: tm :: p :: tag_words when !explicit ->
-         let post = (int tm, int p, String.concat " " tag_words) in
-         posts := (lineno, post) :: !posts;
-         headers rest
        | "service" :: fields ->
          (match Service_spec.of_fields (kv fields) with
           | Ok s -> t := { !t with service = Some s }
@@ -1287,12 +1053,6 @@ let parse_spec rest =
             | Some m -> t := { !t with ae_mutation = Some m }
             | None -> at lineno "unknown anti-entropy mutant %S" v);
          headers rest
-       | "boost" :: "drop-while-partitioned" :: fields ->
-         let kv = kv ~keys:[ "factor" ] fields in
-         boosts :=
-           Drop_boost_while_partitioned { factor = kv_int kv "factor" }
-           :: !boosts;
-         headers rest
        | "check" :: "etob" :: fields ->
          let kv = kv ~keys:[ "tau" ] fields in
          let policy =
@@ -1312,9 +1072,6 @@ let parse_spec rest =
              (Wd_fixed
                 { settle = kv_int kv "settle"; bound = kv_int kv "bound" })
            :: !checkers;
-         headers rest
-       | "max-instance" :: [ v ] ->
-         t := { !t with max_instance = int v };
          headers rest
        | "budget" :: [ v ] ->
          t := { !t with budget = Some (int v) };
@@ -1596,17 +1353,7 @@ let arbitrary =
            return (Posts { count; from_time; every }));
           (let* count = int_range 1 20 in
            let* stretch = bool in
-           return (Auto_posts { count; stretch }));
-          (let* count = int_range 1 12 in
-           let* every = int_range 1 8 in
-           let* jitter = int_range 0 3 in
-           return
-             (Weighted
-                { count;
-                  from_time = 8;
-                  every;
-                  jitter;
-                  mix = [ ("a", 3); ("b", 1) ] })) ]
+           return (Auto_posts { count; stretch })) ]
     in
     let* plan = plan_gen ~n ~deadline in
     let* checkers =
@@ -1615,9 +1362,6 @@ let arbitrary =
           [ Etob_spec Tau_auto ];
           [ Etob_spec Tau_auto; Watchdog Wd_auto ];
           [ Etob_spec (Tau_fixed 40) ] ]
-    in
-    let* boosts =
-      oneofl [ []; [ Drop_boost_while_partitioned { factor = 2 } ] ]
     in
     let* mutation =
       oneofl (None :: List.map Option.some Etob_omega.all_mutations)
@@ -1642,7 +1386,6 @@ let arbitrary =
         workload;
         plan;
         checkers;
-        boosts;
         mutation;
         omega;
         budget;

@@ -1,12 +1,14 @@
 (** Declarative test builder: one immutable value that composes a protocol
-    {!stack}, a {!workload}, an {!Adversity.t} plan (plus conditional
-    {!boost} multipliers), a detector source, {!checker} policies and a
-    search budget — and one interpreter, {!run}, which wires the stack
-    through {!Stacks}.  Exploration generates and shrinks plans for a
-    {!template} builder, and the [ecsim] subcommands decode their flags (or
-    a [--spec FILE]) into one.  Runs a builder cannot describe (hand-built
-    failure patterns, raw engine inputs, protocol handles) are hand-wired
-    with {!Stacks} directly.
+    {!stack}, a {!workload}, an {!Adversity.t} plan, a detector source,
+    {!checker} policies and a search budget — and one interpreter, {!run},
+    which wires the stack through {!Stacks}.  Exploration generates and
+    shrinks plans for a {!template} builder, and the [ecsim] subcommands
+    decode their flags (or a [--spec FILE]) into one.  The builder
+    describes only the runs something drives through it: the ETOB stacks
+    that exploration, soak, the CLI and the perf ledger run, and the
+    gossip baseline.  Everything else (the EC-family transformations,
+    commit indications, hand-built failure patterns, raw engine inputs,
+    protocol handles) is hand-wired with {!Stacks} directly.
 
     Builders without escape hatches (a [sink], a [trace_out] file, a
     config record) have a stable text form ({!to_lines}/{!of_lines}), the
@@ -32,21 +34,15 @@ type base = {
   delay : delay_model;
 }
 
-(** Which protocol stack the run drives; mirrors the [Stacks.run_*]
-    catalogue. *)
+(** Which protocol stack the run drives, through its [Stacks.run_*]
+    entry point. *)
 type stack =
   | Etob of Stacks.etob_impl  (** bare ETOB: Algorithm 5 / Paxos / 1-over-4 *)
   | Etob_ae  (** Algorithm 5 + anti-entropy digest exchange *)
   | Recoverable of { ae : bool }
       (** Algorithm 5 under the crash-recovery wrapper, optionally with
           anti-entropy *)
-  | Etob_commits  (** Algorithm 5 + Section 7 committed-prefix indications *)
   | Gossip  (** the leaderless negative baseline *)
-  | Ec  (** bare Algorithm 4 with the self-driving proposer *)
-  | Ec_lifted  (** multivalued EC through the binary lift *)
-  | Ec_via_etob of Stacks.etob_impl  (** Algorithm 2 over an ETOB stack *)
-  | Eic  (** Algorithm 6 over Algorithm 4 *)
-  | Ec_via_eic  (** Algorithm 7 over (6 over 4) *)
 
 (** The workload: what gets posted, by whom, when. *)
 type workload =
@@ -57,14 +53,6 @@ type workload =
       (** exploration's posting policy: from tick 8, every 3 ticks
           (stretched across the horizon for recovery targets so restarted
           processes post again) *)
-  | Weighted of {
-      count : int;
-      from_time : time;
-      every : int;
-      jitter : int;  (** deterministic per-post arrival jitter in [0,jitter] *)
-      mix : (string * int) list;  (** weighted tag mix, smooth round-robin *)
-    }
-  | Explicit of (time * proc_id * string) list  (** explicit [Post] tags *)
 
 (** Convergence-tau policy of the ETOB checker: a fixed bound, or the
     plan-aware bound ({!tau_bound}). *)
@@ -75,14 +63,6 @@ type watchdog_policy = Wd_auto | Wd_fixed of { settle : time; bound : int }
 (** Checkers evaluated by {!run}, in order; their messages concatenate
     into the outcome's [violations]. *)
 type checker = Etob_spec of tau_policy | Watchdog of watchdog_policy
-
-(** Conditional adversity multipliers keyed on system state. *)
-type boost =
-  | Drop_boost_while_partitioned of { factor : int }
-      (** While any partition window of the plan (buffering or lossy) is
-          open, every [Drop] window's percentage is multiplied by [factor]
-          (capped at 100): drop windows are split at partition boundaries
-          and each segment gets its effective rate. *)
 
 (** On-disk trace formats: jsonl ([Sink.jsonl], one JSON object per line)
     or the framed binary codec ([Sink.binary] over [Persist.Frame]). *)
@@ -98,7 +78,6 @@ type t = {
   stack : stack;
   workload : workload;
   plan : Adversity.t;
-  boosts : boost list;
   omega : Stacks.omega_source option;
       (** [None] = the base's detector (oracle stable from 0 unless the
           plan flaps it) *)
@@ -118,9 +97,6 @@ type t = {
       (** stream the run's events to a trace file (path, format); the
           outcome still carries the full trace (a capturing recorder is
           teed in), so checkers and digests are unaffected *)
-  max_instance : int;
-      (** EC-stack instance horizon (0 = drive nothing); process [p]
-          proposes [Num (1000*p + instance)] *)
   service : Service_spec.t option;
       (** closed-loop client population riding this stack — carried and
           serialized here (one [service ...] spec line), interpreted by
@@ -157,7 +133,7 @@ val watchdog_bound : t -> int
 
 val setup_of : t -> Stacks.setup
 (** The engine setup this builder denotes: base, then the [omega]/[sink]
-    clauses, then the plan ({!Adversity.apply}), then the boosts. *)
+    clauses, then the plan ({!Adversity.apply}). *)
 
 (** {2 Running} *)
 
@@ -175,7 +151,9 @@ val run : ?digest:bool -> ?catch:bool -> ?guard:(unit -> unit) -> t -> outcome
     the stack, evaluate the checkers in order.  Deterministic: equal
     builders give byte-identical runs.  [digest] (default false) records
     the trace digest; [catch] (default false) turns a raising run into an
-    ["exception: ..."] violation instead of propagating.  [guard] is
+    ["exception: ..."] violation instead of propagating.  A [sink] or
+    [trace_out] on the builder observes the run (after the capturing
+    recorder) without changing the outcome.  [guard] is
     called once per engine-observable event ({!Sink.on_every}), before
     any recording — a soak watchdog raises from it to abort a wedged run
     (event budget, wall-clock deadline); the guard never changes what a
@@ -219,9 +197,9 @@ val with_plan : ?seed:int -> t -> Adversity.t -> t
 val explorable : t -> (t, string) result
 (** Accept a builder (read from a spec) as a template — exploration
     replaces its plan and seed per plan index — or reject it with an
-    error naming the clause the generator cannot be fair to: a non-ETOB
-    stack, a workload other than [auto], an [omega],
-    [boost] or [service] clause. *)
+    error naming the clause the generator cannot be fair to: the
+    [gossip] stack (the one non-ETOB stack), a workload other than
+    [auto], an [omega] or a [service] clause. *)
 
 val plan_at : t -> seed:int -> max_adversities:int -> int -> Adversity.t
 (** Plan [i] of exploring template [t] from [seed]: index 0 is always the
@@ -336,5 +314,5 @@ val partition_recovery_plan_arb :
   n:int -> deadline:int -> Adversity.t QCheck.arbitrary
 
 val arbitrary : t QCheck.arbitrary
-(** Serializable declarative builders (ETOB-family stacks, data workloads,
+(** Serializable declarative builders (every stack, every workload,
     normalized plans, policy checkers); shrinks by shrinking the plan. *)

@@ -3,12 +3,15 @@
    - differential: running a declarative builder is byte-identical to the
      hand-wired [Stacks.run_*] calls — on the committed golden traces, on
      the anti-entropy and crash-recovery stacks and under an elected
-     Omega;
+     Omega — and a caller's own sink leaves the outcome unchanged;
    - text form: [of_lines (to_lines b) = b] over generated builders, and
      a committed finding replays through [Builder.of_string] to its
      recorded digest;
    - parse errors: every adversity spec shape rejects malformed lines
-     with an error naming the offence. *)
+     with an error naming the offence, and so does every clause outside
+     the spec language;
+   - templates: [Builder.explorable] rejects a spec by the clause the
+     plan generator cannot be fair to. *)
 
 open Simulator
 module Builder = Harness.Builder
@@ -182,6 +185,23 @@ let test_finding_fixture_fixed_point () =
     Alcotest.(check string) "finding_text of the replay" content
       (Builder.finding_text o)
 
+(* A caller's sink observes the run without emptying its outcome: the
+   committed finding, run with [Sink.null] as the builder's sink, still
+   shows the plain run's violations and digest. *)
+let test_caller_sink_keeps_outcome () =
+  match Builder.of_string (finding_fixture ()) with
+  | Error msg -> Alcotest.failf "fixture parse: %s" msg
+  | Ok b ->
+    let plain = Builder.run ~digest:true b in
+    let sunk =
+      Builder.run ~digest:true { b with Builder.sink = Some Sink.null }
+    in
+    Alcotest.(check bool) "plain run violates" true
+      (plain.Builder.violations <> []);
+    Alcotest.(check (list string)) "violations" plain.Builder.violations
+      sunk.Builder.violations;
+    Alcotest.(check string) "digest" plain.Builder.digest sunk.Builder.digest
+
 (* New-format spec files: a handwritten spec parses, runs, serializes
    back to an equal builder (normalization is idempotent). *)
 let test_spec_text_idempotent () =
@@ -297,13 +317,56 @@ let test_of_lines_names_line () =
       (11, "partition left=0,x from=20 until=40 untill=90");
       (11, "partition left=0,x from=20 until=40");
       (7, "delay uniform min=1 max=3 min=2");
-      (8, "omega oracle stable=0 pre=self now") ]
+      (8, "omega oracle stable=0 pre=self now");
+      (* Clauses outside the spec language: stacks that only
+         [Harness.Stacks] runs (EC family, commit indications), weighted
+         and explicit workloads, adversity boosts, an EC instance
+         horizon. *)
+      (2, "stack ec");
+      (2, "stack alg5+commits");
+      (9, "workload weighted count=4 from=8 every=2 jitter=0 mix=a:1");
+      (9, "workload explicit");
+      (8, "boost drop-while-partitioned factor=2");
+      (8, "max-instance 3") ]
   in
   List.iter
     (fun (lineno, line) ->
        names_line lineno
          (List.mapi (fun i l -> if i + 1 = lineno then line else l) spec))
     cases
+
+(* ------------------------------------------------------------------ *)
+(* Templates: what exploration accepts                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A spec read as an exploration template is accepted as written or
+   rejected by the clause the plan generator cannot be fair to. *)
+let test_explorable_names_clause () =
+  let header =
+    [ "ecsim-spec v1"; "n 4"; "seed 1"; "deadline 240"; "timer-period 2";
+      "delay uniform min=1 max=3" ]
+  and tail = [ "check etob tau=auto"; "plan 0"; "end" ] in
+  let auto = "workload auto count=12 stretch=off" in
+  let explorable lines =
+    match Builder.of_string (String.concat "\n" (header @ lines @ tail)) with
+    | Error msg -> Alcotest.failf "spec parse: %s" msg
+    | Ok b -> Builder.explorable b
+  in
+  (match explorable [ "stack alg5"; auto ] with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.failf "template rejected: %s" msg);
+  List.iter
+    (fun (clause, lines) ->
+       match explorable lines with
+       | Ok _ -> Alcotest.failf "spec with its %s explored" clause
+       | Error msg ->
+         if not (contains_substring msg clause) then
+           Alcotest.failf "error %S does not name %S" msg clause)
+    [ ("omega clause",
+       [ "stack alg5"; "omega oracle stable=0 pre=self"; auto ]);
+      ("service clause", [ "stack alg5"; auto; "service clients=2" ]);
+      ("workload", [ "stack alg5"; "workload posts count=8 from=8 every=6" ]);
+      ("stack gossip", [ "stack gossip"; auto ]) ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -319,7 +382,9 @@ let () =
          Alcotest.test_case "recoverable stack" `Quick
            test_recoverable_differential;
          Alcotest.test_case "scenario facade" `Quick
-           test_omega_clause_differential ]);
+           test_omega_clause_differential;
+         Alcotest.test_case "caller sink keeps the outcome" `Quick
+           test_caller_sink_keeps_outcome ]);
       ("text form",
        [ Alcotest.test_case "finding fixture replays" `Quick
            test_finding_fixture_replays;
@@ -332,4 +397,7 @@ let () =
        [ Alcotest.test_case "of_line rejects each shape" `Quick
            test_of_line_errors;
          Alcotest.test_case "of_lines names the line" `Quick
-           test_of_lines_names_line ]) ]
+           test_of_lines_names_line ]);
+      ("templates",
+       [ Alcotest.test_case "explorable names the clause" `Quick
+           test_explorable_names_clause ]) ]
