@@ -721,8 +721,8 @@ let explore_cmd =
   in
   let domains_arg =
     let doc =
-      "Worker domains; 1 explores sequentially with early exit, more fans \
-       plan chunks over domains via the sweep layer."
+      "Worker domains: plans run in chunks of 4 per domain via the sweep \
+       layer.  The finding and its plan index do not depend on it."
     in
     Arg.(value & opt int 1 & info [ "domains"; "j" ] ~docv:"D" ~doc)
   in
@@ -903,32 +903,18 @@ let soak_cmd =
     let on_progress ~done_ ~total =
       Format.printf "soak: %d/%d jobs@." done_ total
     in
-    let finish config (o : Soak.Runner.outcome) =
-      Format.printf "%a" (Soak.Report.pp config) o.Soak.Runner.state;
-      Format.printf "journal: %s@." o.Soak.Runner.journal;
-      match Soak.Report.exit_code (Soak.Report.verdict o.Soak.Runner.state) with
+    let finish { Soak.Runner.config; state; journal } =
+      Format.printf "%a" (Soak.Report.pp config) state;
+      Format.printf "journal: %s@." journal;
+      match Soak.Report.exit_code (Soak.Report.verdict state) with
       | 0 -> `Ok ()
       | code -> Stdlib.exit code
     in
     match resume with
     | Some journal ->
-      (match Persist.Journal.read journal with
+      (match Soak.Runner.resume ?domains ~on_progress ~journal () with
        | Error e -> `Error (false, e)
-       | Ok { Persist.Journal.records = first :: _; _ } ->
-         (match Soak.Journal.decode first with
-          | Ok (Soak.Journal.Config jc) ->
-            (match Soak.Campaign.config_of_journal jc with
-             | Error e -> `Error (false, e)
-             | Ok config ->
-               (match
-                  Soak.Runner.resume ?domains ~on_progress ~journal ()
-                with
-                | Error e -> `Error (false, e)
-                | Ok o -> finish config o))
-          | Ok _ | Error _ ->
-            `Error (false, journal ^ ": does not start with a config record"))
-       | Ok { Persist.Journal.records = []; _ } ->
-         `Error (false, journal ^ ": empty journal"))
+       | Ok o -> finish o)
     | None ->
       let leg_results =
         List.map Soak.Campaign.leg_of_name
@@ -962,7 +948,7 @@ let soak_cmd =
            let journal = Filename.concat artifacts "campaign.journal" in
            match Soak.Runner.start ?domains ~on_progress ~journal config with
            | Error e -> `Error (false, e)
-           | Ok o -> finish config o
+           | Ok o -> finish o
          end)
   in
   Cmd.v (Cmd.info "soak" ~doc)

@@ -57,44 +57,6 @@ let query_p t ~self:_ ~now =
        | Some tc -> now >= tc + t.p_lag)
     (all_procs (Failures.n t.p_pattern))
 
-(* The eventually strong detector <>S: strong completeness (every faulty
-   process is eventually suspected by every correct one) plus eventual WEAK
-   accuracy (SOME correct process is eventually never suspected by any
-   correct process).  Unlike <>P, correct processes other than the anchor
-   may stay wrongly suspected forever — which is exactly what makes <>S the
-   weakest class for consensus with a majority (Chandra-Toueg). *)
-type eventually_strong = {
-  es_pattern : Failures.pattern;
-  es_stabilize_at : time;
-  es_seed : int;
-  es_anchor : proc_id;
-}
-
-let eventually_strong ?(seed = 13) pattern ~stabilize_at =
-  match Failures.min_correct pattern with
-  | None -> invalid_arg "Suspicions.eventually_strong: no correct process"
-  | Some anchor ->
-    { es_pattern = pattern; es_stabilize_at = stabilize_at; es_seed = seed;
-      es_anchor = anchor }
-
-let es_anchor t = t.es_anchor
-
-let query_es t ~self ~now =
-  let n = Failures.n t.es_pattern in
-  if now >= t.es_stabilize_at then
-    List.filter
-      (fun q ->
-         Failures.is_faulty t.es_pattern q
-         (* Permanent false suspicions of non-anchor correct processes,
-            stable in time so the output converges. *)
-         || (q <> t.es_anchor && q <> self && mix t.es_seed self 0 q mod 3 = 0))
-      (all_procs n)
-  else
-    List.filter (fun q -> q <> self && mix t.es_seed self now q mod 3 = 0)
-      (all_procs n)
-
-let es_module_of t (ctx : Engine.ctx) () = query_es t ~self:ctx.self ~now:(ctx.now ())
-
 (* Omega is weaker than <>P: trust the smallest unsuspected process.  After
    <>P stabilizes, every correct process trusts the smallest correct one. *)
 let omega_from_ep t ~self ~now =

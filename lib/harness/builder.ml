@@ -729,67 +729,57 @@ let plan_builder t ~seed ~max_adversities i =
 (* Exploration and shrinking                                           *)
 (* ------------------------------------------------------------------ *)
 
-type exploration = { found : outcome option; plans_run : int; budget : int }
+type exploration = { found : outcome option; plans_run : int }
 
-(* Explore plans [0 .. budget-1] of template [t] ([plan_builder]).
-   Sequential mode stops at the first violation; parallel mode fans chunks
-   over domains through [Sweep.map_safe] and stops after the first chunk
-   containing one, always reporting the lowest-index violation for
-   determinism across domain counts. *)
+(* Explore plans [0 .. budget-1] of template [t] ([plan_builder]) in
+   chunks of [4 * domains] fanned over domains through [Sweep.map_safe]
+   (which runs inline at one domain).  The search stops after the first
+   chunk containing a violation and reports the lowest-index one, with
+   [plans_run] its index + 1, so the result is independent of the domain
+   count. *)
 let explore ?(domains = 1) t ~seed ~budget ~max_adversities =
   let gen = plan_builder t ~seed ~max_adversities in
-  let finish found plans_run = { found; plans_run; budget } in
-  if domains <= 1 then begin
-    let rec go i =
-      if i >= budget then finish None budget
-      else begin
-        let o = run ~digest:true ~catch:true (gen i) in
-        if o.violations <> [] then finish (Some o) (i + 1) else go (i + 1)
-      end
-    in
-    go 0
-  end
-  else begin
-    let chunk = domains * 4 in
-    let rec go i =
-      if i >= budget then finish None budget
-      else begin
-        let hi = min budget (i + chunk) in
-        let idxs = List.init (hi - i) (fun j -> i + j) in
-        (* The sweep context attaches the failing plan's spec text to the
-           error payload, so an uncaught worker exception is reproducible
-           without re-running the exploration (builders with escape
-           hatches have no text form; name the index instead). *)
-        let context ~seed:idx =
-          match to_lines (gen idx) with
-          | lines -> String.concat "\n" lines
-          | exception Invalid_argument _ ->
-            Printf.sprintf "<plan %d: no spec form>" idx
-        in
-        let results =
-          Sweep.map_safe ~domains ~context ~seeds:idxs (fun ~seed:idx ->
-              run ~digest:true ~catch:true (gen idx))
-        in
-        let outcomes =
-          List.map
-            (fun (r : _ Sweep.result) ->
-               match r.Sweep.value with
-               | Ok o -> o
-               | Error e ->
-                 { builder = gen r.Sweep.seed;
-                   trace = None;
-                   report = None;
-                   violations = [ "exception: " ^ e ];
-                   digest = "" })
-            results
-        in
-        match List.find_opt (fun o -> o.violations <> []) outcomes with
-        | Some o -> finish (Some o) hi
-        | None -> go hi
-      end
-    in
-    go 0
-  end
+  let chunk = max 1 domains * 4 in
+  (* The sweep context attaches the failing plan's spec text to the error
+     payload, so an uncaught worker exception is reproducible without
+     re-running the exploration (builders with escape hatches have no
+     text form; name the index instead). *)
+  let context ~seed:idx =
+    match to_lines (gen idx) with
+    | lines -> String.concat "\n" lines
+    | exception Invalid_argument _ ->
+      Printf.sprintf "<plan %d: no spec form>" idx
+  in
+  let outcome (r : _ Sweep.result) =
+    match r.Sweep.value with
+    | Ok o -> o
+    | Error e ->
+      { builder = gen r.Sweep.seed;
+        trace = None;
+        report = None;
+        violations = [ "exception: " ^ e ];
+        digest = "" }
+  in
+  let rec go i =
+    if i >= budget then { found = None; plans_run = budget }
+    else begin
+      let hi = min budget (i + chunk) in
+      let results =
+        Sweep.map_safe ~domains ~context ~seeds:(List.init (hi - i) (( + ) i))
+          (fun ~seed:idx -> run ~digest:true ~catch:true (gen idx))
+      in
+      match
+        List.find_map
+          (fun r ->
+             let o = outcome r in
+             if o.violations <> [] then Some (r.Sweep.seed, o) else None)
+          results
+      with
+      | Some (idx, o) -> { found = Some o; plans_run = idx + 1 }
+      | None -> go hi
+    end
+  in
+  go 0
 
 (* Greedy minimization to a local minimum: repeatedly drop whole
    adversities while a violation survives, then substitute each spec's

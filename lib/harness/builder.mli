@@ -212,17 +212,17 @@ val plan_at : t -> seed:int -> max_adversities:int -> int -> Adversity.t
 
 (** {2 Exploration and shrinking} *)
 
-type exploration = { found : outcome option; plans_run : int; budget : int }
+type exploration = { found : outcome option; plans_run : int }
 
 val explore :
   ?domains:int ->
   t -> seed:int -> budget:int -> max_adversities:int -> exploration
 (** Run plans [0 .. budget-1] of template [t] ({!plan_at}, each through
     {!with_plan} under engine seed [seed + i]) until the first
-    violation.  [domains > 1] fans chunks of [4 * domains] over
-    OCaml domains via {!Sweep.map_safe} ([plans_run] then counts whole
-    chunks); the reported finding is the lowest-index violation
-    regardless of domain count.  Runs use [~digest:true ~catch:true]. *)
+    violation, in chunks of [4 * domains] fanned over OCaml domains via
+    {!Sweep.map_safe}.  The reported finding is the lowest-index
+    violation and [plans_run] is its index + 1 ([budget] when clean),
+    whatever the domain count.  Runs use [~digest:true ~catch:true]. *)
 
 val shrink : t -> outcome -> outcome
 (** Greedy minimization of a finding of template [t]: drop whole

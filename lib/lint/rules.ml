@@ -41,7 +41,7 @@ let is_rng_module ctx = seg_pair ctx.segs "simulator" "rng.ml"
 let in_bench ctx = List.mem "bench" ctx.segs
 
 (* D4 scope: the directories whose values cross the wire or feed traces. *)
-let protocol_dirs = [ "core"; "broadcast"; "consensus"; "cht" ]
+let protocol_dirs = [ "core"; "consensus"; "cht" ]
 
 let in_protocol ctx =
   ctx.strict

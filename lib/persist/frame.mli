@@ -55,11 +55,11 @@ type event =
           non-negative. *)
 
 val event_to_jsonl : event -> string
-(** The jsonl line for an event, byte-identical to what [Sink.jsonl]
-    emits for the same event (no trailing newline). *)
+(** The jsonl line for an event (no trailing newline): the one renderer
+    behind [Sink.jsonl] and {!to_jsonl}. *)
 
 val json_escape : string -> string
-(** The jsonl string escaper shared with [Sink.jsonl]. *)
+(** The jsonl string escaper behind {!event_to_jsonl}. *)
 
 (** {2 Trace files} *)
 

@@ -173,62 +173,14 @@ let pp_latency_summary ppf s =
     s.p99 s.p999 s.max
 
 (* ------------------------------------------------------------------ *)
-(* JSONL streaming sink                                                *)
+(* Event streams: jsonl and framed binary                              *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape = Persist.Frame.json_escape
-
-(* One JSON object per event line.  Message payloads stay opaque to the
-   simulator, so envelopes are identified by (uid, src, dst, times); inputs
-   and outputs are rendered through their registered printers. *)
-let jsonl ~emit =
-  let line fmt = Printf.ksprintf emit fmt in
-  { on_input = (fun ~at ~proc i ->
-        line {|{"ev":"input","t":%d,"proc":%d,"v":"%s"}|} at proc
-          (json_escape (Format.asprintf "%a" Io.pp_input i)));
-    on_output = (fun ~at ~proc o ->
-        line {|{"ev":"output","t":%d,"proc":%d,"v":"%s"}|} at proc
-          (json_escape (Format.asprintf "%a" Io.pp_output o)));
-    on_send = (fun env ->
-        line {|{"ev":"send","t":%d,"src":%d,"dst":%d,"uid":%d}|}
-          env.Msg.sent_at env.Msg.src env.Msg.dst env.Msg.uid);
-    on_deliver = (fun ~at env ->
-        line {|{"ev":"deliver","t":%d,"src":%d,"dst":%d,"uid":%d,"lat":%d}|}
-          at env.Msg.src env.Msg.dst env.Msg.uid (at - env.Msg.sent_at));
-    on_drop = (fun ~at env ->
-        line {|{"ev":"drop","t":%d,"src":%d,"dst":%d,"uid":%d}|}
-          at env.Msg.src env.Msg.dst env.Msg.uid);
-    on_step = (fun ~at:_ ~proc:_ -> ());
-    on_crash = (fun ~at ~proc ->
-        line {|{"ev":"crash","t":%d,"proc":%d}|} at proc);
-    on_recover = (fun ~at ~proc ->
-        line {|{"ev":"recover","t":%d,"proc":%d}|} at proc) }
-
-(* Exception-safe file-backed jsonl sink: the channel is flushed and
-   closed even when the run raises mid-sweep. *)
-let with_jsonl path f =
-  let oc = Out_channel.open_text path in
-  Fun.protect
-    ~finally:(fun () ->
-        (try Out_channel.flush oc with Sys_error _ -> ());
-        Out_channel.close_noerr oc)
-    (fun () ->
-       f (jsonl ~emit:(fun s ->
-           Out_channel.output_string oc s;
-           Out_channel.output_char oc '\n')))
-
-(* ------------------------------------------------------------------ *)
-(* Binary framed sink                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The binary counterpart of [jsonl]: the same event vocabulary encoded
-   as [Persist.Frame] event records (one framed record per [emit] call,
-   no separators).  Inputs and outputs are rendered through the same
-   registered printers, so decoding a binary stream and exporting it with
-   [Frame.to_jsonl] reproduces the jsonl stream byte for byte — the
-   differential test battery holds the two formats to that contract. *)
-let binary ~emit =
-  let ev e = emit (Persist.Frame.event_record e) in
+(* Both streaming sinks turn every event into one [Persist.Frame.event]
+   and differ only in its rendering.  Message payloads stay opaque to the
+   simulator, so envelopes are identified by (uid, src, dst, times);
+   inputs and outputs are rendered through their registered printers. *)
+let frame_events ev =
   { on_input = (fun ~at ~proc i ->
         ev (Persist.Frame.Input
               { t = at; proc; v = Format.asprintf "%a" Io.pp_input i }));
@@ -250,6 +202,29 @@ let binary ~emit =
     on_step = (fun ~at:_ ~proc:_ -> ());
     on_crash = (fun ~at ~proc -> ev (Persist.Frame.Crash { t = at; proc }));
     on_recover = (fun ~at ~proc -> ev (Persist.Frame.Recover { t = at; proc })) }
+
+let json_escape = Persist.Frame.json_escape
+
+let jsonl ~emit = frame_events (fun e -> emit (Persist.Frame.event_to_jsonl e))
+
+(* Exception-safe file-backed jsonl sink: the channel is flushed and
+   closed even when the run raises mid-sweep. *)
+let with_jsonl path f =
+  let oc = Out_channel.open_text path in
+  Fun.protect
+    ~finally:(fun () ->
+        (try Out_channel.flush oc with Sys_error _ -> ());
+        Out_channel.close_noerr oc)
+    (fun () ->
+       f (jsonl ~emit:(fun s ->
+           Out_channel.output_string oc s;
+           Out_channel.output_char oc '\n')))
+
+(* The binary counterpart of [jsonl]: one framed [Persist.Frame] event
+   record per [emit] call, no separators.  Decoding a binary stream and
+   exporting it with [Frame.to_jsonl] reproduces the jsonl stream byte
+   for byte. *)
+let binary ~emit = frame_events (fun e -> emit (Persist.Frame.event_record e))
 
 (* File-backed binary sink: writes the format header, then one framed
    record per event; bracket-style like [with_jsonl]. *)

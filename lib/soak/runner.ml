@@ -40,7 +40,11 @@ let default_exec ~guard target ~seed plan =
         violations = [ "exception: " ^ Printexc.to_string e ];
         digest = "" }
 
-type outcome = { state : Campaign.state; journal : string }
+type outcome = {
+  config : Campaign.config;
+  state : Campaign.state;
+  journal : string;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Guard                                                               *)
@@ -207,9 +211,9 @@ let run_loop ~domains:d0 ~clock ~exec ~stop_after ~on_progress
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let finish writer journal state =
+let finish writer journal config state =
   Persist.Journal.close writer;
-  Ok { state; journal }
+  Ok { config; state; journal }
 
 let start ?domains ?clock ?(exec = default_exec) ?stop_after
     ?(on_progress = fun ~done_:_ ~total:_ -> ()) ~journal config =
@@ -227,7 +231,7 @@ let start ?domains ?clock ?(exec = default_exec) ?stop_after
       run_loop ~domains ~clock ~exec ~stop_after ~on_progress config writer
         (Campaign.initial config)
     in
-    finish writer journal state
+    finish writer journal config state
 
 let resume_with ?domains ?clock ?(exec = default_exec) ?stop_after
     ?(on_progress = fun ~done_:_ ~total:_ -> ()) ~journal config =
@@ -267,7 +271,7 @@ let resume_with ?domains ?clock ?(exec = default_exec) ?stop_after
                run_loop ~domains ~clock ~exec ~stop_after ~on_progress config
                  writer state
              in
-             finish writer journal state)
+             finish writer journal config state)
         | _ ->
           Persist.Journal.close writer;
           Error "journal does not start with a config record"))

@@ -42,8 +42,13 @@ val default_exec : exec
     with an ["exception: ..."] violation (a finding, not an infra
     error). *)
 
-type outcome = { state : Campaign.state; journal : string }
-(** Final campaign state plus the journal path it was written to. *)
+type outcome = {
+  config : Campaign.config;
+      (** what the campaign ran under; for {!resume}, decoded from the
+          journal *)
+  state : Campaign.state;  (** final campaign state *)
+  journal : string;  (** the journal path it was written to *)
+}
 
 val start :
   ?domains:int ->

@@ -144,125 +144,8 @@ let prop_paxos_safety_random_runs =
        && report.Properties.tau_stability = 0
        && report.Properties.tau_total_order = 0)
 
-(* ------------------------------------------------------------------ *)
-(* Chandra-Toueg consensus over <>S                                    *)
-(* ------------------------------------------------------------------ *)
-
-let run_ct ?(n = 5) ?(seed = 3) ?(deadline = 400) ?(delay = Net.constant 1)
-    ?pattern ?(es_stabilize = 0) ~proposals () =
-  let pattern = match pattern with Some p -> p | None -> Failures.none ~n in
-  let es = Detectors.Suspicions.eventually_strong pattern ~stabilize_at:es_stabilize in
-  let config = { (Engine.default_config ~n ~deadline) with pattern; seed; delay } in
-  let make_node ctx =
-    let t, node =
-      Consensus.Chandra_toueg.create ctx
-        ~suspects:(Detectors.Suspicions.es_module_of es ctx)
-    in
-    (node, t)
-  in
-  let inputs =
-    List.mapi (fun p v -> (2, p, Consensus.Chandra_toueg.Ct_propose (Value.Num v)))
-      proposals
-  in
-  let trace, states = Engine.run_with config ~make_node ~inputs in
-  (pattern, trace, states)
-
-let ct_decisions trace =
-  List.filter_map
-    (fun (t, p, o) ->
-       match o with
-       | Consensus.Chandra_toueg.Ct_decided v -> Some (t, p, v)
-       | _ -> None)
-    (Trace.outputs trace)
-
-let check_ct_run ~proposals (pattern, trace, _) =
-  let decisions = ct_decisions trace in
-  (* Termination: every correct process decides exactly once. *)
-  List.iter
-    (fun p ->
-       Alcotest.(check int)
-         (Printf.sprintf "p%d decides once" p) 1
-         (List.length (List.filter (fun (_, q, _) -> q = p) decisions)))
-    (Failures.correct pattern);
-  (* Agreement + validity. *)
-  match decisions with
-  | [] -> Alcotest.fail "no decisions"
-  | (_, _, v) :: rest ->
-    List.iter
-      (fun (_, _, v') ->
-         Alcotest.(check bool) "agreement" true (Value.equal v v'))
-      rest;
-    Alcotest.(check bool) "validity" true
-      (List.exists (fun x -> Value.equal (Value.Num x) v) proposals)
-
-let test_ct_failure_free () =
-  let proposals = [ 10; 20; 30; 40; 50 ] in
-  check_ct_run ~proposals (run_ct ~proposals ())
-
-let test_ct_noisy_prefix () =
-  let proposals = [ 1; 2; 3; 4; 5 ] in
-  check_ct_run ~proposals
-    (run_ct ~es_stabilize:60 ~deadline:800 ~delay:(Net.uniform ~min:1 ~max:4)
-       ~proposals ())
-
-let test_ct_coordinator_crash () =
-  (* Round 0's coordinator (p0) crashes before proposing widely; suspicion
-     moves everyone on and a later coordinator decides. *)
-  let pattern = Failures.of_crashes ~n:5 [ (0, 4) ] in
-  let proposals = [ 7; 8; 9; 10; 11 ] in
-  let pattern', trace, _ =
-    run_ct ~pattern ~es_stabilize:30 ~deadline:800 ~proposals ()
-  in
-  check_ct_run ~proposals (pattern', trace, [||]);
-  (* The decided value came from a surviving proposer or p0's estimate --
-     either is valid; what matters is that a decision happened at all. *)
-  Alcotest.(check bool) "decisions exist" true (ct_decisions trace <> [])
-
-let test_ct_initial_stamp_regression () =
-  (* Regression (qcheck seed 83): with initial estimates stamped 0 instead
-     of -1, a round-1 coordinator could not distinguish a locked round-0
-     value from fresh estimates and proposed a conflicting value.  This
-     exact configuration decided two different values. *)
-  let rng = Rng.create 83 in
-  let n = 3 + (2 * Rng.int rng 2) in
-  let pattern = Failures.random ~rng ~n ~max_faulty:((n - 1) / 2) ~horizon:40 in
-  let proposals = List.init n (fun i -> i * 11) in
-  check_ct_run ~proposals
-    (run_ct ~n ~seed:83 ~pattern ~es_stabilize:60 ~deadline:1000
-       ~delay:(Net.uniform ~min:1 ~max:3) ~proposals ())
-
-let test_ct_blocks_without_majority () =
-  let pattern = Failures.of_crashes ~n:5 [ (1, 1); (2, 1); (3, 1) ] in
-  let _, trace, _ =
-    run_ct ~pattern ~es_stabilize:20 ~deadline:400
-      ~proposals:[ 1; 2; 3; 4; 5 ] ()
-  in
-  Alcotest.(check (list (triple int int (Alcotest.testable Value.pp Value.equal))))
-    "no decisions without a majority" [] (ct_decisions trace)
-
-let prop_ct_safety_and_termination =
-  QCheck.Test.make ~name:"chandra-toueg: consensus with majority (random runs)"
-    ~count:20 QCheck.small_int
-    (fun seed ->
-       let rng = Rng.create seed in
-       let n = 3 + (2 * Rng.int rng 2) in  (* 3 or 5 *)
-       let max_faulty = (n - 1) / 2 in
-       let pattern = Failures.random ~rng ~n ~max_faulty ~horizon:40 in
-       let proposals = List.init n (fun i -> i * 11) in
-       let pattern, trace, _ =
-         run_ct ~n ~seed ~pattern ~es_stabilize:60 ~deadline:1000
-           ~delay:(Net.uniform ~min:1 ~max:3) ~proposals ()
-       in
-       let decisions = ct_decisions trace in
-       let values = List.sort_uniq Value.compare (List.map (fun (_, _, v) -> v) decisions) in
-       List.length values = 1
-       && List.for_all
-         (fun p -> List.exists (fun (_, q, _) -> q = p) decisions)
-         (Failures.correct pattern))
-
 let () =
-  let qc = List.map QCheck_alcotest.to_alcotest
-      [ prop_paxos_safety_random_runs; prop_ct_safety_and_termination ] in
+  let qc = List.map QCheck_alcotest.to_alcotest [ prop_paxos_safety_random_runs ] in
   Alcotest.run "consensus"
     [ ("paxos_tob",
        [ Alcotest.test_case "strong TOB failure-free" `Quick
@@ -276,13 +159,5 @@ let () =
          Alcotest.test_case "three-step latency" `Quick test_paxos_three_step_latency;
          Alcotest.test_case "leader change, no duplication" `Quick
            test_paxos_leader_change_no_duplication ]);
-      ("chandra_toueg",
-       [ Alcotest.test_case "failure-free" `Quick test_ct_failure_free;
-         Alcotest.test_case "noisy <>S prefix" `Quick test_ct_noisy_prefix;
-         Alcotest.test_case "coordinator crash" `Quick test_ct_coordinator_crash;
-         Alcotest.test_case "initial-stamp regression (seed 83)" `Quick
-           test_ct_initial_stamp_regression;
-         Alcotest.test_case "blocks without majority" `Quick
-           test_ct_blocks_without_majority ]);
       ("safety", qc);
     ]

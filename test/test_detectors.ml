@@ -136,26 +136,6 @@ let test_p_strong_accuracy () =
   Alcotest.(check (list int)) "after lag" [ 1 ]
     (Detectors.Suspicions.query_p p_det ~self:0 ~now:13)
 
-let test_es_spec () =
-  (* <>S: strong completeness + eventual weak accuracy, while other correct
-     processes may stay suspected forever — the difference from <>P. *)
-  let pattern = Failures.of_crashes ~n:5 [ (4, 6) ] in
-  let es = Detectors.Suspicions.eventually_strong pattern ~stabilize_at:25 in
-  let anchor = Detectors.Suspicions.es_anchor es in
-  Alcotest.(check bool) "anchor correct" true (Failures.is_correct pattern anchor);
-  List.iter
-    (fun p ->
-       List.iter
-         (fun now ->
-            let suspects = Detectors.Suspicions.query_es es ~self:p ~now in
-            Alcotest.(check bool) "completeness" true (List.mem 4 suspects);
-            Alcotest.(check bool) "weak accuracy" false (List.mem anchor suspects);
-            (* Output is stable after stabilization. *)
-            Alcotest.(check (list int)) "stable" suspects
-              (Detectors.Suspicions.query_es es ~self:p ~now:(now + 50)))
-         [ 25; 40; 100 ])
-    (Failures.correct pattern)
-
 let test_omega_from_ep () =
   let pattern = Failures.of_crashes ~n:3 [ (0, 4) ] in
   let ep = Detectors.Suspicions.eventually_perfect pattern ~stabilize_at:20 in
@@ -246,7 +226,6 @@ let () =
       ("suspicions",
        [ Alcotest.test_case "<>P eventually exact" `Quick test_ep_eventually_exact;
          Alcotest.test_case "P strong accuracy" `Quick test_p_strong_accuracy;
-         Alcotest.test_case "<>S spec" `Quick test_es_spec;
          Alcotest.test_case "omega from <>P" `Quick test_omega_from_ep ]);
       ("election",
        [ Alcotest.test_case "failure-free" `Quick test_election_failure_free;

@@ -178,12 +178,15 @@ let test_explore_faithful_clean () =
 let test_explore_parallel_matches_sequential () =
   let mutant = target (Some Etob_omega.Skip_dependency_wait) in
   let run domains = explore ~domains mutant ~budget:120 in
-  match (run 1).Builder.found, (run 3).Builder.found with
+  let seq = run 1 and par = run 3 in
+  match seq.Builder.found, par.Builder.found with
   | Some a, Some b ->
     Alcotest.(check int) "same engine seed"
       a.Builder.builder.base.seed
       b.Builder.builder.base.seed;
-    Alcotest.(check bool) "same plan" true (plan_of a = plan_of b)
+    Alcotest.(check bool) "same plan" true (plan_of a = plan_of b);
+    Alcotest.(check int) "same plan index" seq.Builder.plans_run
+      par.Builder.plans_run
   | _ -> Alcotest.fail "mutant not found within budget"
 
 (* Shrink a finding and replay it from its spec text through the one
