@@ -116,7 +116,8 @@ let workload_of ~n ~deadline ~posts =
 
 (* Decode one builder from either a spec file (which wins outright — it
    carries its own base, stack, workload and plan) or the scenario/impl
-   flag catalogue.  Every run-shaped subcommand goes through here. *)
+   flag catalogue, whose values get the bounds a spec file's get.  Every
+   run-shaped subcommand goes through here. *)
 let decode ~spec ~scenario_name ~impl_name ~n ~seed ~deadline ~posts =
   match spec with
   | Some path -> Builder.read path
@@ -126,7 +127,7 @@ let decode ~spec ~scenario_name ~impl_name ~n ~seed ~deadline ~posts =
      | _, None -> Error ("unknown implementation " ^ impl_name)
      | Some sc, Some stack ->
        let n = if n = 0 then sc.sc_default_n else n in
-       Ok
+       Builder.validate
          { (sc.sc_build ~n ~seed ~deadline stack) with
            Builder.workload = workload_of ~n ~deadline ~posts })
 
@@ -636,25 +637,24 @@ let parse_mutant = function
                 @ List.map Anti_entropy.mutation_name
                     Anti_entropy.all_mutations))))
 
-(* The flags assemble a template: a recovery mutant implies the
-   recovery stack, an anti-entropy mutant the digest layer. *)
+(* The flags assemble a template, bounds-checked like spec text: a
+   recovery mutant implies the recovery stack, an anti-entropy mutant the
+   digest layer. *)
 let template_of_flags ~impl_name ~n ~deadline ~posts ~mutant ~recovery ~ae
     ~watchdog =
   match List.assoc_opt impl_name impls with
   | Some (Builder.Etob impl) ->
-    Result.map
-      (fun (mutation, rmutation, ae_mutation) ->
-         let t =
-           Builder.template
-             ?n:(if n = 0 then None else Some n)
-             ~deadline
-             ?posts:(if posts = 0 then None else Some posts)
-             ~recovery:(recovery || Option.is_some rmutation)
-             ~ae:(ae || Option.is_some ae_mutation)
-             ~watchdog impl
-         in
-         { t with Builder.mutation; rmutation; ae_mutation })
-      (parse_mutant mutant)
+    Result.bind (parse_mutant mutant) (fun (mutation, rmutation, ae_mutation) ->
+        let t =
+          Builder.template
+            ?n:(if n = 0 then None else Some n)
+            ~deadline
+            ?posts:(if posts = 0 then None else Some posts)
+            ~recovery:(recovery || Option.is_some rmutation)
+            ~ae:(ae || Option.is_some ae_mutation)
+            ~watchdog impl
+        in
+        Builder.validate { t with Builder.mutation; rmutation; ae_mutation })
   | _ -> Error ("unknown implementation for explore: " ^ impl_name)
 
 let mutant_label (t : Builder.t) =
@@ -1085,7 +1085,13 @@ let cht_cmd =
   let doc = "Run the CHT reduction: emulate Omega from an EC black box." in
   let crash_arg =
     let doc = "Crash specification, e.g. 1:14 (process 1 crashes at time 14)." in
-    Arg.(value & opt (some string) None & info [ "crash" ] ~docv:"P:T" ~doc)
+    let parse s =
+      match List.map int_of_string_opt (String.split_on_char ':' s) with
+      | [ Some p; Some t ] when p >= 0 && t >= 0 -> Ok (p, t)
+      | _ -> Error (`Msg (Printf.sprintf "invalid crash %S, expected P:T" s))
+    in
+    let crash = Arg.conv (parse, fun ppf (p, t) -> Format.fprintf ppf "%d:%d" p t) in
+    Arg.(value & opt (some crash) None & info [ "crash" ] ~docv:"P:T" ~doc)
   in
   let rounds_arg =
     let doc = "Number of emulation rounds." in
@@ -1095,18 +1101,7 @@ let cht_cmd =
     let doc = "Number of processes (2 or 3; the tree grows fast)." in
     Arg.(value & opt int 2 & info [ "n" ] ~docv:"N" ~doc)
   in
-  let run n crash rounds =
-    let pattern =
-      match crash with
-      | None -> Failures.none ~n
-      | Some spec ->
-        (match String.split_on_char ':' spec with
-         | [ p; t ] ->
-           (match int_of_string_opt p, int_of_string_opt t with
-            | Some p, Some t -> Failures.of_crashes ~n [ (p, t) ]
-            | _ -> Failures.none ~n)
-         | _ -> Failures.none ~n)
-    in
+  let emulate ~n ~rounds pattern =
     let omega =
       Detectors.Omega.make ~pre:(Detectors.Omega.Fixed (n - 1)) pattern
         ~stabilize_at:18
@@ -1130,6 +1125,16 @@ let cht_cmd =
         (if Failures.is_correct pattern leader then "correct" else "FAULTY");
       `Ok ()
     | None -> `Error (false, "did not stabilize within the emulated rounds")
+  in
+  let run n crash rounds =
+    match Failures.of_crashes ~n (Option.to_list crash) with
+    | pattern -> emulate ~n ~rounds pattern
+    | exception Invalid_argument msg ->
+      let crash =
+        Option.fold crash ~none:""
+          ~some:(fun (p, t) -> Printf.sprintf " --crash %d:%d" p t)
+      in
+      `Error (false, Printf.sprintf "-n %d%s: %s" n crash msg)
   in
   Cmd.v (Cmd.info "cht" ~doc) Term.(ret (const run $ n_arg $ crash_arg $ rounds_arg))
 

@@ -39,14 +39,13 @@ module Vmap = Map.Make (struct
   end)
 
 type t = {
-  ctx : Engine.ctx;
   sample : unit -> Fd_value.t;
   mutable vertices : vertex_info Vmap.t;
   mutable next_index : int;
 }
 
 let create (ctx : Engine.ctx) ~sample =
-  let t = { ctx; sample; vertices = Vmap.empty; next_index = 1 } in
+  let t = { sample; vertices = Vmap.empty; next_index = 1 } in
   let on_timer () =
     (* Query the detector, add the vertex with edges from everything known,
        broadcast the whole DAG. *)

@@ -89,7 +89,8 @@ let rec try_deliver t =
       t.delivered_ids <-
         List.fold_left (fun acc m -> App_msg.Id_set.add (App_msg.id m) acc)
           t.delivered_ids fresh;
-      Etob_intf.set_delivered t.backend (Etob_intf.current_of t.backend @ fresh)
+      Etob_intf.set_delivered t.backend
+        (Dseq.append (Etob_intf.current_of t.backend) fresh)
     end;
     try_deliver t
 

@@ -34,31 +34,25 @@
    under minority. *)
 
 open Simulator
-open Simulator.Types
 
 type Msg.payload +=
-  | Commit_ack of { seq : App_msg.t list }
-  | Commit_mark of { seq : App_msg.t list }
+  | Commit_ack of { seq : Dseq.t }
+  | Commit_mark of { seq : Dseq.t }
 
-type Io.output += Committed of App_msg.t list
+type Io.output += Committed of Dseq.t
 
 type t = {
   ctx : Engine.ctx;
-  omega : unit -> proc_id;
-  etob : Etob_intf.service;
-  promotion : unit -> App_msg.t list;  (* the leader-side sequence we certify *)
+  promotion : unit -> Dseq.t;  (* the leader-side sequence we certify *)
   majority : int;
   acked : int array;  (* per process, length of our prefix it last acked *)
-  mutable committed : App_msg.t list;
-  mutable committed_length : int;  (* [List.length committed] *)
+  mutable committed : Dseq.t;
 }
 
 let committed t = t.committed
-let committed_length t = t.committed_length
 
-let record t seq ~length =
+let record t seq =
   t.committed <- seq;
-  t.committed_length <- length;
   t.ctx.Engine.output (Committed seq)
 
 (* Leader side: the k-th largest acknowledged length (k = majority) is the
@@ -67,24 +61,22 @@ let record t seq ~length =
    whole promotion. *)
 let try_commit t =
   let promotion = t.promotion () in
-  let promotion_length = List.length promotion in
-  t.acked.(t.ctx.Engine.self) <- promotion_length;
+  t.acked.(t.ctx.Engine.self) <- Dseq.length promotion;
   let lengths = Array.copy t.acked in
   Array.sort (fun a b -> Int.compare b a) lengths;
   let watermark = lengths.(t.majority - 1) in
-  if watermark > t.committed_length then begin
-    let seq = List.filteri (fun i _ -> i < watermark) promotion in
-    record t seq ~length:(min watermark promotion_length);
+  if watermark > Dseq.length t.committed then begin
+    let seq = Dseq.prefix promotion watermark in
+    record t seq;
     t.ctx.Engine.broadcast (Commit_mark { seq })
   end
 
 let create (ctx : Engine.ctx) ~omega ~etob ~promotion =
   let t =
-    { ctx; omega; etob; promotion;
+    { ctx; promotion;
       majority = (ctx.Engine.n / 2) + 1;
       acked = Array.make ctx.Engine.n 0;
-      committed = [];
-      committed_length = 0 }
+      committed = Dseq.empty }
   in
   (* Acknowledge every adoption to the process we currently trust. *)
   etob.Etob_intf.on_deliver (fun seq ->
@@ -97,13 +89,12 @@ let create (ctx : Engine.ctx) ~omega ~etob ~promotion =
       (* Count the ack only while we trust ourselves and the acked sequence
          is (still) a prefix of our promotion: acknowledgments for another
          leader's sequence do not certify ours. *)
-      if omega () = ctx.Engine.self && App_msg.is_prefix seq (t.promotion ()) then begin
-        t.acked.(src) <- max t.acked.(src) (List.length seq);
+      if omega () = ctx.Engine.self && Dseq.is_prefix seq (t.promotion ()) then begin
+        t.acked.(src) <- max t.acked.(src) (Dseq.length seq);
         try_commit t
       end
     | Commit_mark { seq } when omega () = src ->
-      let length = List.length seq in
-      if length > t.committed_length then record t seq ~length
+      if Dseq.length seq > Dseq.length t.committed then record t seq
     | _ -> ()
   in
   let on_timer () = if omega () = ctx.Engine.self then try_commit t in
@@ -113,13 +104,13 @@ let create (ctx : Engine.ctx) ~omega ~etob ~promotion =
    it.  Commitments are externally visible promises ("not subject to
    further changes"), so the recoverable wrapper logs them with a sync
    barrier and the restored announcement extends the pre-crash one. *)
-let restore t seq = if seq <> [] then record t seq ~length:(List.length seq)
+let restore t seq = if Dseq.length seq > 0 then record t seq
 
 let () =
   Msg.register_payload_pp (fun ppf -> function
-    | Commit_ack { seq } -> Fmt.pf ppf "commit-ack(%a)" App_msg.pp_seq seq; true
-    | Commit_mark { seq } -> Fmt.pf ppf "commit-mark(%a)" App_msg.pp_seq seq; true
+    | Commit_ack { seq } -> Fmt.pf ppf "commit-ack(%a)" Dseq.pp seq; true
+    | Commit_mark { seq } -> Fmt.pf ppf "commit-mark(%a)" Dseq.pp seq; true
     | _ -> false);
   Io.register_output_pp (fun ppf -> function
-    | Committed seq -> Fmt.pf ppf "committed:%a" App_msg.pp_seq seq; true
+    | Committed seq -> Fmt.pf ppf "committed:%a" Dseq.pp seq; true
     | _ -> false)

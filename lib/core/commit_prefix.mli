@@ -7,10 +7,10 @@ open Simulator
 open Simulator.Types
 
 type Msg.payload +=
-  | Commit_ack of { seq : App_msg.t list }
-  | Commit_mark of { seq : App_msg.t list }
+  | Commit_ack of { seq : Dseq.t }
+  | Commit_mark of { seq : Dseq.t }
 
-type Io.output += Committed of App_msg.t list
+type Io.output += Committed of Dseq.t
 (** Recorded whenever the locally known committed prefix grows. *)
 
 type t
@@ -19,19 +19,16 @@ val create :
   Engine.ctx ->
   omega:(unit -> proc_id) ->
   etob:Etob_intf.service ->
-  promotion:(unit -> App_msg.t list) ->
+  promotion:(unit -> Dseq.t) ->
   t * Engine.node
 (** Stack onto an Algorithm-5 process.  [promotion] exposes the local
     promotion sequence (see {!Etob_omega.promotion}); only a process that
     currently trusts itself certifies commitments, from a majority of
     current acknowledgments of its own prefixes. *)
 
-val committed : t -> App_msg.t list
+val committed : t -> Dseq.t
 (** The longest locally known committed prefix. *)
 
-val committed_length : t -> int
-(** [List.length (committed t)], kept as the prefix grows. *)
-
-val restore : t -> App_msg.t list -> unit
+val restore : t -> Dseq.t -> unit
 (** Crash-recovery: reinstate a durably logged commitment and re-announce
     it (no-op for the empty prefix).  Used by {!Recoverable}. *)

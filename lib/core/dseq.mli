@@ -1,0 +1,30 @@
+(** The type of [d_i] and [promote_i]: a persistent sequence of messages
+    that carries its length.  Appending shares the old sequence, so
+    revisions that extend one another share their prefix physically.  The
+    in-order list is built on first read and kept.  Equality and the
+    prefix test compare messages by id ({!App_msg.equal}). *)
+
+type t
+
+val empty : t
+val of_list : App_msg.t list -> t
+
+val to_list : t -> App_msg.t list
+(** O(length) on the first read, then free. *)
+
+val length : t -> int
+val last : t -> App_msg.t option
+
+val append : t -> App_msg.t list -> t
+(** [append s ms] is [s] followed by [ms], in O(|ms|). *)
+
+val prefix : t -> int -> t
+(** The first [min k (length s)] messages of [s], sharing them. *)
+
+val is_prefix : t -> t -> bool
+(** [is_prefix a b]: [a] is a prefix of [b]. *)
+
+val equal : t -> t -> bool
+
+val pp : Format.formatter -> t -> unit
+(** As {!App_msg.pp_seq} prints {!to_list}. *)

@@ -33,7 +33,6 @@ type service = {
   propose : instance:int -> Value.t -> unit;
   (* Register an observer of decisions; fires once per decided instance. *)
   on_decide : (decision -> unit) -> unit;
-  decided : unit -> decision list;  (* all decisions so far, latest first *)
 }
 
 (* Shared plumbing for EC implementations: records the proposal/decision
@@ -42,7 +41,7 @@ type backend = {
   ctx : Engine.ctx;
   layer : string;
   listeners : decision Listeners.t;
-  mutable decisions : decision list;
+  mutable decisions : decision list;  (* all decisions so far, latest first *)
 }
 
 let backend ?(layer = default_layer) ctx =
@@ -63,9 +62,7 @@ let has_decided backend ~instance =
   List.exists (fun d -> d.instance = instance) backend.decisions
 
 let service_of backend ~propose =
-  { propose;
-    on_decide = Listeners.register backend.listeners;
-    decided = (fun () -> backend.decisions) }
+  { propose; on_decide = Listeners.register backend.listeners }
 
 let () =
   Io.register_input_pp (fun ppf -> function

@@ -21,7 +21,6 @@ val default_layer : string
 type service = {
   propose : instance:int -> Value.t -> unit;
   on_decide : (decision -> unit) -> unit;
-  decided : unit -> decision list;
 }
 (** The handle protocols stack on: propose and observe decisions. *)
 

@@ -24,14 +24,14 @@ type t = {
 (* NewBatch(d_i, toDeliver_i): the received messages missing from d_i, as a
    deterministic sequence. *)
 let new_batch t =
-  let in_d = App_msg.ids_of_seq (Etob_intf.current_of t.backend) in
+  let in_d = App_msg.ids_of_seq (Dseq.to_list (Etob_intf.current_of t.backend)) in
   Msg_set.elements
     (Msg_set.filter (fun m -> not (App_msg.Id_set.mem (App_msg.id m) in_d)) t.to_deliver)
 
 let propose_next t =
   t.count <- t.count + 1;
   t.ec.Ec_intf.propose ~instance:t.count
-    (Value.Seq (Etob_intf.current_of t.backend @ new_batch t))
+    (Value.Seq (Dseq.to_list (Etob_intf.current_of t.backend) @ new_batch t))
 
 let broadcast t m =
   Etob_intf.record_broadcast t.backend m;
@@ -42,7 +42,7 @@ let create (ctx : Engine.ctx) ~ec =
   ec.Ec_intf.on_decide (fun d ->
       if d.Ec_intf.instance = t.count then begin
         (match d.Ec_intf.value with
-         | Value.Seq seq -> Etob_intf.set_delivered t.backend seq
+         | Value.Seq seq -> Etob_intf.set_delivered t.backend (Dseq.of_list seq)
          | Value.Flag _ | Value.Num _ | Value.Vec _ ->
            (* EC-Validity rules this out: only sequences are proposed. *)
            invalid_arg "Ec_to_etob: non-sequence value decided");

@@ -20,30 +20,25 @@ type decision = { instance : int; value : Value.t }
 type service = {
   propose : instance:int -> Value.t -> unit;
   on_decide : (decision -> unit) -> unit;
-  decided : unit -> decision list;  (* all responses, latest first *)
 }
 
 type backend = {
   ctx : Engine.ctx;
   listeners : decision Listeners.t;
-  mutable decisions : decision list;
 }
 
-let backend ctx = { ctx; listeners = Listeners.create (); decisions = [] }
+let backend ctx = { ctx; listeners = Listeners.create () }
 
 let record_proposal backend ~instance value =
   backend.ctx.Engine.output (Proposed_eic { instance; value })
 
 let record_decision backend ~instance value =
   let d = { instance; value } in
-  backend.decisions <- d :: backend.decisions;
   backend.ctx.Engine.output (Decide_eic { instance; value });
   Listeners.fire backend.listeners d
 
 let service_of backend ~propose =
-  { propose;
-    on_decide = Listeners.register backend.listeners;
-    decided = (fun () -> backend.decisions) }
+  { propose; on_decide = Listeners.register backend.listeners }
 
 let () =
   Io.register_input_pp (fun ppf -> function

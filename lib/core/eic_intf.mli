@@ -16,7 +16,6 @@ type decision = { instance : int; value : Value.t }
 type service = {
   propose : instance:int -> Value.t -> unit;
   on_decide : (decision -> unit) -> unit;
-  decided : unit -> decision list;
 }
 
 (** {2 Implementation plumbing} *)

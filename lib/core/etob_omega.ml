@@ -20,20 +20,16 @@
    Each step costs what is new, not the whole history (see Causal_graph):
    UnionCG visits only the sender's messages this process lacks, and
    UpdatePromote appends just the nodes that became ready since its last
-   call.  promote_i is kept last-message-first, so extending it shares the
-   old sequence, and is turned into a list in order only when it is read
-   (the leader's timer, [promotion]) after a change.  A promote carries its
-   length and its last-message-first form, so the adoption checks compare
-   lengths first and then, for one leader's promotions, only the length
-   difference.  Turning promote_i into a list in order stays O(|promote_i|)
-   per change: the trace records every revision of d_i whole. *)
+   call.  promote_i and d_i are [Dseq.t]s: extending promote_i shares the
+   old sequence, a promote carries it as it is, and an adopted one becomes
+   d_i, so the adoption checks compare lengths first and then, for one
+   leader's promotions, only the length difference. *)
 
 open Simulator
-open Simulator.Types
 
 type Msg.payload +=
   | Update of Causal_graph.t
-  | Promote_seq of { seq : App_msg.t list; rev : App_msg.t list; len : int }
+  | Promote_seq of Dseq.t
 
 (* Seedable single-decision mutants of the protocol, used by adversarial
    exploration (Harness.Builder) and the mutation-test harness to check
@@ -69,21 +65,15 @@ let mutation_of_string s =
 
 type t = {
   backend : Etob_intf.backend;
-  omega : unit -> proc_id;
   tie_break : App_msg.t -> App_msg.t -> int;
   mutation : mutation option;
   mutable cg : Causal_graph.t;      (* CG_i *)
-  mutable promote_rev : App_msg.t list;  (* promote_i, last message first *)
-  mutable promote_len : int;
-  mutable promote : App_msg.t list;  (* promote_i in order, when [in_order] *)
-  mutable in_order : bool;
+  mutable promote : Dseq.t;  (* promote_i *)
   mutable since : int;  (* ready nodes of CG_i that promote_i has placed *)
   mutable early : App_msg.Id_set.t;
   (* Ids placed in promote_i before they were ready nodes of CG_i: only a
      restored d_i does that (see [restore]), so this is almost always
      empty.  They must not be appended again once they become ready. *)
-  mutable delivered_rev : App_msg.t list;  (* d_i, last message first *)
-  mutable delivered_len : int;
 }
 
 let broadcast t m =
@@ -93,19 +83,11 @@ let broadcast t m =
   t.cg <- Causal_graph.add t.cg m;
   (Etob_intf.ctx_of t.backend).Engine.broadcast (Update t.cg)
 
-let promotion t =
-  if not t.in_order then begin
-    t.promote <- List.rev t.promote_rev;
-    t.in_order <- true
-  end;
-  t.promote
+let promotion t = t.promote
 
 (* Replace promote_i by a sequence computed from scratch. *)
 let set_promotion t seq =
-  t.promote <- seq;
-  t.in_order <- true;
-  t.promote_rev <- List.rev seq;
-  t.promote_len <- List.length seq;
+  t.promote <- Dseq.of_list seq;
   t.since <- Causal_graph.ready_count t.cg
 
 (* UpdatePromote: extend the promotion sequence to a causal linearization
@@ -129,12 +111,7 @@ let update_promote t =
         ~placed:(fun id -> App_msg.Id_set.mem id t.early)
     in
     t.since <- Causal_graph.ready_count t.cg;
-    List.iter
-      (fun m ->
-         t.promote_rev <- m :: t.promote_rev;
-         t.promote_len <- t.promote_len + 1;
-         t.in_order <- false)
-      fresh
+    t.promote <- Dseq.append t.promote fresh
   | Some (Skip_dependency_wait | Forget_promote_prefix | Drop_graph_union) ->
     let promotable =
       match t.mutation with
@@ -144,37 +121,9 @@ let update_promote t =
     let prefix =
       match t.mutation with
       | Some Forget_promote_prefix -> []
-      | _ -> promotion t
+      | _ -> Dseq.to_list t.promote
     in
     set_promotion t (Causal_graph.linearize ~tie_break:t.tie_break promotable ~prefix)
-
-(* The adoption tests compare promote_j with d_i.  Lengths decide most
-   cases.  Otherwise the last-message-first forms decide the usual ones
-   cheaply: a leader's promotions share their tails, so an older one is
-   found by dropping the length difference from the newer, and a resent
-   one is the same list.  Sharing is only a shortcut — lists that are not
-   physically equal are compared element by element. *)
-let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: l -> drop (k - 1) l
-
-(* d_i = promote_j *)
-let same_as_delivered t ~seq ~rev ~len =
-  len = t.delivered_len
-  (* detlint: allow D5 sharing is only a shortcut: unshared lists are compared element by element *)
-  && (rev == t.delivered_rev
-      || List.equal App_msg.equal seq (Etob_intf.current_of t.backend))
-
-(* The stale guard's test: promote_j is a proper prefix of d_i. *)
-let older_than_delivered t ~seq ~rev ~len =
-  len < t.delivered_len
-  (* detlint: allow D5 sharing is only a shortcut: unshared lists are compared element by element *)
-  && (drop (t.delivered_len - len) t.delivered_rev == rev
-      || App_msg.is_prefix seq (Etob_intf.current_of t.backend))
-
-let deliver t ~seq ~rev ~len =
-  t.delivered_rev <- rev;
-  t.delivered_len <- len;
-  let last = match rev with m :: _ -> Some m | [] -> None in
-  Etob_intf.set_delivered ?last t.backend seq
 
 (* Anti-entropy entry point (see Anti_entropy): merge a batch of messages
    learnt out-of-band — a digest-exchange delta, not an update(CG_j) — into
@@ -191,18 +140,12 @@ let create ?(tie_break = Causal_graph.default_tie_break) ?mutation
   in
   let t =
     { backend = Etob_intf.backend ctx;
-      omega;
       tie_break;
       mutation;
       cg = Causal_graph.empty;
-      promote_rev = [];
-      promote_len = 0;
-      promote = [];
-      in_order = true;
+      promote = Dseq.empty;
       since = 0;
-      early = App_msg.Id_set.empty;
-      delivered_rev = [];
-      delivered_len = 0 }
+      early = App_msg.Id_set.empty }
   in
   let on_message ~src payload =
     match payload with
@@ -211,7 +154,7 @@ let create ?(tie_break = Causal_graph.default_tie_break) ?mutation
        | Some Drop_graph_union -> t.cg <- cg_j
        | _ -> t.cg <- Causal_graph.union t.cg cg_j);
       update_promote t
-    | Promote_seq { seq; rev; len } ->
+    | Promote_seq seq ->
       (* Adopt only from the currently trusted leader, and ignore stale
          promotions: UpdatePromote makes one leader's promotions totally
          ordered by the prefix relation, so an incoming sequence that is a
@@ -219,16 +162,15 @@ let create ?(tie_break = Causal_graph.default_tie_break) ?mutation
          out of order (the links of Section 2 are reliable but not FIFO).
          Without this guard a reordered pair of promotes would revise d_i
          backwards even under a stable leader, violating claim (P2). *)
+      let delivered = Etob_intf.current_of t.backend in
       if omega () = src
-      && not (same_as_delivered t ~seq ~rev ~len)
-      && not (stale_guard && older_than_delivered t ~seq ~rev ~len)
-      then deliver t ~seq ~rev ~len
+      && not (Dseq.equal seq delivered)
+      && not (stale_guard && Dseq.is_prefix seq delivered)
+      then Etob_intf.set_delivered t.backend seq
     | _ -> ()
   in
   let on_timer () =
-    if omega () = ctx.Engine.self then
-      ctx.Engine.broadcast
-        (Promote_seq { seq = promotion t; rev = t.promote_rev; len = t.promote_len })
+    if omega () = ctx.Engine.self then ctx.Engine.broadcast (Promote_seq t.promote)
   in
   let on_input = function
     | Etob_intf.Broadcast_etob m -> broadcast t m
@@ -263,8 +205,8 @@ let restore t ~msgs ~delivered =
   let last_own =
     if next_sn = 0 then None else Some (self, next_sn - 1)
   in
-  Etob_intf.restore_backend t.backend ~current:delivered ~next_sn ~last_own;
-  deliver t ~seq:delivered ~rev:(List.rev delivered) ~len:(List.length delivered)
+  Etob_intf.restore_backend t.backend ~next_sn ~last_own;
+  Etob_intf.set_delivered t.backend (Dseq.of_list delivered)
 
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
 
@@ -273,5 +215,5 @@ let graph t = t.cg
 let () =
   Msg.register_payload_pp (fun ppf -> function
     | Update cg -> Fmt.pf ppf "update(%a)" Causal_graph.pp cg; true
-    | Promote_seq { seq; _ } -> Fmt.pf ppf "promote(%a)" App_msg.pp_seq seq; true
+    | Promote_seq seq -> Fmt.pf ppf "promote(%a)" Dseq.pp seq; true
     | _ -> false)

@@ -8,8 +8,7 @@ open Simulator.Types
 
 type Msg.payload +=
   | Update of Causal_graph.t
-  | Promote_seq of { seq : App_msg.t list; rev : App_msg.t list; len : int }
-      (** [promote_j], also last message first, and its length. *)
+  | Promote_seq of Dseq.t  (** [promote_j] *)
 
 type t
 
@@ -64,5 +63,5 @@ val service : t -> Etob_intf.service
 val graph : t -> Causal_graph.t
 (** The current causality graph [CG_i]. *)
 
-val promotion : t -> App_msg.t list
+val promotion : t -> Dseq.t
 (** The current promotion sequence [promote_i]. *)

@@ -34,7 +34,7 @@ let first t instance =
        | Some (l, v) when l = instance -> Some v
        | Some _ | None -> scan rest)
   in
-  scan (t.etob.Etob_intf.current ())
+  scan (Dseq.to_list (t.etob.Etob_intf.current ()))
 
 let try_decide t =
   if t.count > 0 && not (Ec_intf.has_decided t.backend ~instance:t.count) then

@@ -27,8 +27,8 @@ type t = {
 }
 
 let output t =
-  let seq = Causal_graph.linearize ~tie_break:t.tie_break t.cg ~prefix:[] in
-  if seq <> Etob_intf.current_of t.backend then
+  let seq = Dseq.of_list (Causal_graph.linearize ~tie_break:t.tie_break t.cg ~prefix:[]) in
+  if not (Dseq.equal seq (Etob_intf.current_of t.backend)) then
     Etob_intf.set_delivered t.backend seq
 
 let broadcast t m =

@@ -26,7 +26,6 @@ let pp_verdict ppf v =
 
 type etob_run = {
   e_pattern : Failures.pattern;
-  e_horizon : time;
   (* Every broadcastETOB(m) event: (time, broadcaster, m). *)
   e_broadcasts : (time * proc_id * App_msg.t) list;
   (* Per process, the chronological revisions of d_i: (time, sequence). *)
@@ -41,11 +40,11 @@ let etob_run_of_trace pattern trace =
     (fun (t, p, o) ->
        match o with
        | Etob_intf.Etob_broadcast m -> broadcasts := (t, p, m) :: !broadcasts
-       | Etob_intf.Etob_deliver seq -> snapshots.(p) <- (t, seq) :: snapshots.(p)
+       | Etob_intf.Etob_deliver seq ->
+         snapshots.(p) <- (t, Dseq.to_list seq) :: snapshots.(p)
        | _ -> ())
     (Trace.outputs trace);
   { e_pattern = pattern;
-    e_horizon = Trace.last_time trace;
     e_broadcasts = List.rev !broadcasts;
     e_snapshots = Array.map List.rev snapshots }
 
@@ -403,7 +402,7 @@ let commit_run_of_trace pattern trace =
   List.iter
     (fun (t, p, o) ->
        match o with
-       | Commit_prefix.Committed seq -> series.(p) <- (t, seq) :: series.(p)
+       | Commit_prefix.Committed seq -> series.(p) <- (t, Dseq.to_list seq) :: series.(p)
        | _ -> ())
     (Trace.outputs trace);
   { m_pattern = pattern; m_series = Array.map List.rev series }
@@ -466,7 +465,6 @@ let committed_count run p = List.length (final_committed run p)
 
 type ec_run = {
   c_pattern : Failures.pattern;
-  c_horizon : time;
   c_proposals : (time * proc_id * int * Value.t) list;
   c_decisions : (time * proc_id * int * Value.t) list;
 }
@@ -483,7 +481,6 @@ let ec_run_of_trace ?(layer = Ec_intf.default_layer) pattern trace =
        | _ -> ())
     (Trace.outputs trace);
   { c_pattern = pattern;
-    c_horizon = Trace.last_time trace;
     c_proposals = List.rev !proposals;
     c_decisions = List.rev !decisions }
 

@@ -133,12 +133,9 @@ let replay (opening : Persist.Store.opening) =
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  etob : Etob_omega.t;
   link : Retransmit.t;
-  store : Persist.Store.t;
-  commit : Commit_prefix.t option;
   restarted : bool;  (* this incarnation came from a post-crash open *)
-  mutable replayed_msgs : int;
+  replayed_msgs : int;
 }
 
 let retransmitted t = Retransmit.retransmitted t.link
@@ -189,10 +186,7 @@ let create ?(config = default_config) ?mutation ?etob_mutation
     else None
   in
   let t =
-    { etob = etob_t;
-      link;
-      store;
-      commit = None;  (* patched below *)
+    { link;
       restarted = opening.Persist.Store.restarted;
       replayed_msgs =
         (match restored with
@@ -207,15 +201,10 @@ let create ?(config = default_config) ?mutation ?etob_mutation
           ~promotion:(fun () -> Etob_omega.promotion etob_t)
       in
       (match restored with
-       | Some acc -> Commit_prefix.restore ct acc.r_committed
+       | Some acc -> Commit_prefix.restore ct (Dseq.of_list acc.r_committed)
        | None -> ());
       Some (ct, cnode)
     end
-  in
-  let t =
-    match commit_parts with
-    | Some (ct, _) -> { t with commit = Some ct }
-    | None -> t
   in
   let log_append line =
     Persist.Store.append store line;
@@ -225,7 +214,7 @@ let create ?(config = default_config) ?mutation ?etob_mutation
      barrier (see the header comment).  Registered after the restore so
      the replayed revision is not immediately re-appended. *)
   inner_service.Etob_intf.on_deliver
-    (fun seq -> log_append ("d " ^ App_msg.seq_to_wire seq));
+    (fun seq -> log_append ("d " ^ App_msg.seq_to_wire (Dseq.to_list seq)));
   let log_msg m =
     if not (App_msg.Id_set.mem (App_msg.id m) !logged) then begin
       logged := App_msg.Id_set.add (App_msg.id m) !logged;
@@ -243,13 +232,13 @@ let create ?(config = default_config) ?mutation ?etob_mutation
     ref (match restored with None -> 0 | Some acc -> List.length acc.r_committed)
   in
   let log_commit_growth () =
-    match t.commit with
+    match commit_parts with
     | None -> ()
-    | Some ct ->
+    | Some (ct, _) ->
       let c = Commit_prefix.committed ct in
-      if List.length c > !last_committed_len then begin
-        last_committed_len := List.length c;
-        log_append ("c " ^ App_msg.seq_to_wire c);
+      if Dseq.length c > !last_committed_len then begin
+        last_committed_len := Dseq.length c;
+        log_append ("c " ^ App_msg.seq_to_wire (Dseq.to_list c));
         Persist.Store.sync store
       end
   in
@@ -259,9 +248,11 @@ let create ?(config = default_config) ?mutation ?etob_mutation
       let lines =
         List.map (fun m -> "m " ^ App_msg.to_wire m)
           (Causal_graph.messages (Etob_omega.graph etob_t))
-        @ [ "d " ^ App_msg.seq_to_wire (inner_service.Etob_intf.current ()) ]
-        @ (match t.commit with
-           | Some ct -> [ "c " ^ App_msg.seq_to_wire (Commit_prefix.committed ct) ]
+        @ [ "d "
+            ^ App_msg.seq_to_wire (Dseq.to_list (inner_service.Etob_intf.current ())) ]
+        @ (match commit_parts with
+           | Some (ct, _) ->
+             [ "c " ^ App_msg.seq_to_wire (Dseq.to_list (Commit_prefix.committed ct)) ]
            | None -> [])
       in
       Persist.Store.install_snapshot store (String.concat "\n" lines)

@@ -860,19 +860,19 @@ let parse_plan_section ~count rest =
    the line that set the value; the bounds only the running engine or
    election would hit (post counts and cadence, the election timeout) are
    stated here.  Base fields are checked one at a time over [create]'s
-   defaults, so each error lands on its own line; the other clauses are
-   then checked against the valid base.  [lines] maps a clause keyword to
-   the line that last set it; a clause no line set holds its default,
-   which is in range. *)
-let check_bounds t ~lines ~plan =
-  let checking lineno f =
+   defaults, so each error lands on its own clause; the other clauses are
+   then checked against the valid base.  [where] names the place that
+   set a clause keyword for the error message — its line in spec text,
+   the clause itself for a builder assembled from flags — and is [None]
+   for a clause nothing set, which holds its default and is in range.
+   [plan] pairs each adversity with its place the same way. *)
+let check_bounds t ~where ~plan =
+  let checking place f =
     match f () with
     | () -> ()
-    | exception Invalid_argument msg -> at lineno "%s" msg
+    | exception Invalid_argument msg -> parse_fail "%s: %s" place msg
   in
-  let clause key f =
-    Option.iter (fun lineno -> checking lineno f) (List.assoc_opt key lines)
-  in
+  let clause key f = Option.iter (fun place -> checking place f) (where key) in
   let base b = Engine.check_config (Stacks.engine_config (base_setup b)) in
   let d = (create ~n:4 ~deadline:240 Gossip).base in
   clause "n" (fun () -> base { d with n = t.base.n });
@@ -905,8 +905,8 @@ let check_bounds t ~lines ~plan =
       | Auto_posts { count; _ } -> nonneg "count" count
       | No_posts -> ());
   List.iter
-    (fun (lineno, spec) ->
-       checking lineno (fun () -> omega (Adversity.apply [ spec ] s)))
+    (fun (place, spec) ->
+       checking place (fun () -> omega (Adversity.apply [ spec ] s)))
     plan
 
 let parse_spec rest =
@@ -919,7 +919,10 @@ let parse_spec rest =
         plan = Adversity.make (List.map snd plan);
         checkers = List.rev !checkers }
     in
-    check_bounds t ~lines:!lines ~plan;
+    let line lineno = Printf.sprintf "line %d" lineno in
+    check_bounds t
+      ~where:(fun key -> Option.map line (List.assoc_opt key !lines))
+      ~plan:(List.map (fun (lineno, spec) -> (line lineno, spec)) plan);
     t
   in
   let rec headers = function
@@ -1088,6 +1091,22 @@ let of_lines lines =
   match parse () with t -> Ok t | exception Parse msg -> Error msg
 
 let of_string s = of_lines (String.split_on_char '\n' s)
+
+(* A builder assembled in code has no lines: each error names the clause
+   as spec text would write it, e.g. "n 1: Failures.none: need n >= 2". *)
+let validate t =
+  let lines = to_lines t in
+  let where key =
+    List.find_opt
+      (fun l -> match tokens_of l with k :: _ -> String.equal k key | [] -> false)
+      lines
+  in
+  match
+    check_bounds t ~where
+      ~plan:(List.map (fun spec -> (Adversity.to_line spec, spec)) t.plan)
+  with
+  | () -> Ok t
+  | exception Parse msg -> Error msg
 
 let recorded_digest s =
   List.find_map

@@ -250,6 +250,12 @@ val of_lines : string list -> (t, string) result
 
 val of_string : string -> (t, string) result
 
+val validate : t -> (t, string) result
+(** The value bounds {!of_lines} checks, for a builder assembled in code
+    (from command-line flags, say): [Error] names the clause as spec text
+    writes it and why its value is out of range.  Raises
+    [Invalid_argument] on an escape hatch, as {!to_lines} does. *)
+
 val recorded_digest : string -> string option
 (** The [digest] line of a spec string, if present. *)
 

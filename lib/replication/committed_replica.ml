@@ -47,7 +47,7 @@ module Make (M : Machines.MACHINE) = struct
        observable through its state). *)
     let last_len = ref 0 in
     let watch () =
-      let len = Ec_core.Commit_prefix.committed_length commit in
+      let len = Ec_core.Dseq.length (Ec_core.Commit_prefix.committed commit) in
       if len > !last_len then begin
         last_len := len;
         on_committed t (Ec_core.Commit_prefix.committed commit)

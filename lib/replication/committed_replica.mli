@@ -16,7 +16,7 @@ module Make (M : Machines.MACHINE) : sig
     Engine.ctx ->
     etob:Ec_core.Etob_intf.service ->
     omega:(unit -> proc_id) ->
-    promotion:(unit -> Ec_core.App_msg.t list) ->
+    promotion:(unit -> Ec_core.Dseq.t) ->
     t * Engine.node
   (** Stack onto an Algorithm-5 process (needs its promotion sequence for
       the commit component, see {!Ec_core.Etob_omega.promotion}). *)

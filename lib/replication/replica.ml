@@ -70,7 +70,7 @@ module Fold (M : Machines.MACHINE) = struct
         shared (i + 1) rest
       | rest -> (i, rest)
     in
-    match shared 0 seq with
+    match shared 0 (Ec_core.Dseq.to_list seq) with
     | kept, [] when kept = t.len -> ()  (* the same sequence again *)
     | kept, fresh ->
       t.len <- kept;

@@ -21,7 +21,7 @@ module Fold (M : Machines.MACHINE) : sig
   val create : unit -> t
   (** The fold of the empty sequence. *)
 
-  val update : t -> Ec_core.App_msg.t list -> unit
+  val update : t -> Ec_core.Dseq.t -> unit
   (** Fold a new value of the sequence.  Tags that do not decode
       ({!Command.of_tag} = [None]) are skipped, as no command. *)
 

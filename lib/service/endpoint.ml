@@ -121,5 +121,3 @@ let create ctx ~spec ~views =
       }
   in
   (t, node)
-
-let pending_count t = List.length t.pending

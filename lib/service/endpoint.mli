@@ -24,6 +24,3 @@ type t
 
 val create :
   Engine.ctx -> spec:Harness.Service_spec.t -> views:views -> t * Engine.node
-
-val pending_count : t -> int
-(** Currently watched writes (the admission queue depth). *)

@@ -28,11 +28,8 @@ module Committed = Committed_replica.Make (Dkv)
 module Plain = Replica.Make (Dkv)
 
 type replica_view = {
-  rv_weak_digest : unit -> string;
-  rv_strong_digest : unit -> string;
   rv_log : unit -> Command.t list;
   rv_state : unit -> Dkv.state;
-  rv_pending : unit -> int;
 }
 
 type handle = Replica_handle of replica_view | Client_handle of Client.t
@@ -42,13 +39,10 @@ type outcome = {
   digest : string;
   report : Metrics.t;
   replicas : int;
-  clients : int;
   horizon : time;
   dedup_ok : bool;
   duplicates_delivered : int;
   suppressed : int;
-  weak_digests : string list;
-  strong_digests : string list;
 }
 
 let find_in map key = Machines.String_map.find_opt key map
@@ -119,11 +113,8 @@ let replica_node setup impl (spec : Harness.Service_spec.t) ctx =
           ~promotion:(fun () -> Ec_core.Etob_omega.promotion etob)
       in
       let view =
-        { rv_weak_digest = (fun () -> Committed.speculative_digest rep);
-          rv_strong_digest = (fun () -> Committed.committed_digest rep);
-          rv_log = (fun () -> Committed.speculative_log rep);
-          rv_state = (fun () -> Committed.speculative_state rep);
-          rv_pending = (fun () -> 0) }
+        { rv_log = (fun () -> Committed.speculative_log rep);
+          rv_state = (fun () -> Committed.speculative_state rep) }
       in
       let views =
         Endpoint.
@@ -147,11 +138,7 @@ let replica_node setup impl (spec : Harness.Service_spec.t) ctx =
       in
       (* One applied log: the strong and weak views coincide. *)
       let view =
-        { rv_weak_digest = (fun () -> Plain.digest rep);
-          rv_strong_digest = (fun () -> Plain.digest rep);
-          rv_log = (fun () -> Plain.log rep);
-          rv_state = (fun () -> Plain.state rep);
-          rv_pending = (fun () -> 0) }
+        { rv_log = (fun () -> Plain.log rep); rv_state = (fun () -> Plain.state rep) }
       in
       let views =
         Endpoint.
@@ -167,8 +154,7 @@ let replica_node setup impl (spec : Harness.Service_spec.t) ctx =
         "Service.Runner: the service layer runs over Algorithm 5 or the Paxos \
          baseline"
   in
-  let ep, ep_node = Endpoint.create ctx ~spec ~views in
-  let view = { view with rv_pending = (fun () -> Endpoint.pending_count ep) } in
+  let _, ep_node = Endpoint.create ctx ~spec ~views in
   (* Endpoint last: its polls must see this step's deliveries. *)
   (Engine.stack ((omega_node :: protocol_nodes) @ [ ep_node ]), Replica_handle view)
 
@@ -205,15 +191,12 @@ let run ~setup ~spec ~impl =
     digest = Trace.digest trace;
     report = Metrics.of_trace ~spec ~horizon trace;
     replicas = r;
-    clients = spec.clients;
     horizon;
     dedup_ok = List.for_all dedup_check views;
     duplicates_delivered =
       List.fold_left (fun acc v -> acc + Dedup.duplicates (v.rv_log ())) 0 views;
     suppressed =
-      List.fold_left (fun acc v -> acc + Dkv.suppressed (v.rv_state ())) 0 views;
-    weak_digests = List.map (fun v -> v.rv_weak_digest ()) views;
-    strong_digests = List.map (fun v -> v.rv_strong_digest ()) views }
+      List.fold_left (fun acc v -> acc + Dkv.suppressed (v.rv_state ())) 0 views }
 
 let run_builder b =
   match (b : Harness.Builder.t).service with

@@ -26,7 +26,6 @@ type outcome = {
   digest : string;  (** md5 of the printed trace — the determinism digest *)
   report : Metrics.t;
   replicas : int;
-  clients : int;
   horizon : time;
   dedup_ok : bool;
       (** every replica's machine state equals a replay of its raw log
@@ -34,8 +33,6 @@ type outcome = {
           counts *)
   duplicates_delivered : int;  (** duplicate deliveries across replica logs *)
   suppressed : int;  (** duplicates the machines dropped at apply time *)
-  weak_digests : string list;  (** final speculative digest per replica *)
-  strong_digests : string list;  (** final committed digest per replica *)
 }
 
 val run :

@@ -100,7 +100,6 @@ let samples_push s x =
   s.len <- s.len + 1
 
 type counters = {
-  n : int;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -110,7 +109,7 @@ type counters = {
 }
 
 let counters ~n =
-  { n; sent = 0; delivered = 0; dropped = 0; steps = 0; outputs = 0;
+  { sent = 0; delivered = 0; dropped = 0; steps = 0; outputs = 0;
     latency = Array.init n (fun _ -> samples_create ()) }
 
 let counters_sink c =

@@ -53,11 +53,11 @@ let create ?mutation (ctx : Engine.ctx) ~omega =
        | _ -> t.cg <- Cg.union t.cg cg_j);
       update_promote t
     | Oracle_promote promote_j ->
+      let delivered = Dseq.to_list (Etob_intf.current_of t.backend) in
       if omega () = src
-      && promote_j <> Etob_intf.current_of t.backend
-      && not (stale_guard
-              && App_msg.is_prefix promote_j (Etob_intf.current_of t.backend))
-      then Etob_intf.set_delivered t.backend promote_j
+      && promote_j <> delivered
+      && not (stale_guard && App_msg.is_prefix promote_j delivered)
+      then Etob_intf.set_delivered t.backend (Dseq.of_list promote_j)
     | _ -> ()
   in
   let on_timer () =

@@ -9,7 +9,8 @@
      recorded digest;
    - parse errors: every adversity spec shape rejects malformed lines
      with an error naming the offence, and so does every clause outside
-     the spec language;
+     the spec language; a builder assembled in code gets the same value
+     bounds from [Builder.validate];
    - templates: [Builder.explorable] rejects a spec by the clause the
      plan generator cannot be fair to. *)
 
@@ -264,6 +265,29 @@ let contains_substring s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* A builder assembled in code, as ecsim assembles one from its flags,
+   gets the bounds spec text gets; with no line to name, the error names
+   the clause as spec text writes it. *)
+let test_validate_names_clause () =
+  let b = Builder.create ~n:4 ~deadline:200 (Builder.Etob Stacks.Algorithm_5) in
+  (match Builder.validate b with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.failf "valid builder rejected: %s" msg);
+  List.iter
+    (fun (b, clause) ->
+       match Builder.validate b with
+       | Ok _ -> Alcotest.failf "%s accepted" clause
+       | Error msg ->
+         if not (contains_substring msg (clause ^ ":")) then
+           Alcotest.failf "error %S does not name %s" msg clause)
+    [ ({ b with base = { b.base with n = 1 } }, "n 1");
+      ({ b with base = { b.base with deadline = 0 } }, "deadline 0");
+      ({ b with base = { b.base with timer_period = 0 } }, "timer-period 0");
+      ( { b with workload = Builder.Auto_posts { count = -3; stretch = false } },
+        "workload auto count=-3 stretch=off" );
+      ( { b with plan = [ Adversity.Crash { proc = 9; at = 30 } ] },
+        "crash p=9 at=30" ) ]
+
 (* Whole-spec parse errors name the offending line number: syntax errors,
    typos that would otherwise parse as a default, and values that parse
    but that the run's constructors reject.  Each case replaces one line of
@@ -397,7 +421,9 @@ let () =
        [ Alcotest.test_case "of_line rejects each shape" `Quick
            test_of_line_errors;
          Alcotest.test_case "of_lines names the line" `Quick
-           test_of_lines_names_line ]);
+           test_of_lines_names_line;
+         Alcotest.test_case "validate names the clause" `Quick
+           test_validate_names_clause ]);
       ("templates",
        [ Alcotest.test_case "explorable names the clause" `Quick
            test_explorable_names_clause ]) ]

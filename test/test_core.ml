@@ -113,6 +113,87 @@ let prop_planted_break_caught =
     (printers_agree (planted_pp, planted_pp_seq))
 
 (* ------------------------------------------------------------------ *)
+(* Dseq against lists                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Random scripts derive sequences from earlier ones — appending pool
+   messages, taking prefixes, rebuilding from the list, reading — so some
+   pairs share their tails and some were built separately.  Each
+   sequence must agree with its list model, and each pair must compare
+   as the two lists do. *)
+type dseq_op =
+  | Append of int * int list
+  | Prefix of int * int
+  | Rebuild of int
+  | Read of int
+
+let dseq_pool = Array.init 5 (fun i -> msg (i mod 2) (i / 2))
+
+let pp_dseq_op ppf = function
+  | Append (i, picks) -> Fmt.pf ppf "append %d %a" i Fmt.(Dump.list int) picks
+  | Prefix (i, k) -> Fmt.pf ppf "prefix %d %d" i k
+  | Rebuild i -> Fmt.pf ppf "rebuild %d" i
+  | Read i -> Fmt.pf ppf "read %d" i
+
+let dseq_script_arb =
+  let op =
+    QCheck.Gen.(
+      let slot = int_bound 1000 in
+      frequency
+        [ ( 4,
+            map2
+              (fun i picks -> Append (i, picks))
+              slot
+              (list_size (int_range 0 3) (int_bound (Array.length dseq_pool - 1))) );
+          (2, map2 (fun i k -> Prefix (i, k)) slot (int_range (-1) 12));
+          (2, map (fun i -> Rebuild i) slot);
+          (2, map (fun i -> Read i) slot) ])
+  in
+  QCheck.make
+    ~print:(Format.asprintf "%a" Fmt.(Dump.list pp_dseq_op))
+    QCheck.Gen.(list_size (int_range 1 30) op)
+
+let prop_dseq_matches_lists =
+  QCheck.Test.make ~name:"dseq: to_list, length, last, is_prefix and equal match lists"
+    ~count:500 dseq_script_arb
+    (fun script ->
+       let same_list = List.equal App_msg.equal in
+       let slots = ref [ (Dseq.empty, []) ] and reads_ok = ref true in
+       let pick i = List.nth !slots (i mod List.length !slots) in
+       let add slot = slots := !slots @ [ slot ] in
+       List.iter
+         (function
+           | Append (i, picks) ->
+             let s, l = pick i in
+             let ms = List.map (fun j -> dseq_pool.(j)) picks in
+             add (Dseq.append s ms, l @ ms)
+           | Prefix (i, k) ->
+             let s, l = pick i in
+             add (Dseq.prefix s k, List.filteri (fun j _ -> j < k) l)
+           | Rebuild i ->
+             let _, l = pick i in
+             add (Dseq.of_list l, l)
+           | Read i ->
+             let s, l = pick i in
+             reads_ok := !reads_ok && same_list (Dseq.to_list s) l)
+         script;
+       let agrees (s, l) =
+         same_list (Dseq.to_list s) l
+         && Dseq.length s = List.length l
+         && Option.equal App_msg.equal (Dseq.last s)
+              (match List.rev l with m :: _ -> Some m | [] -> None)
+       in
+       let pairs_agree (a, la) =
+         List.for_all
+           (fun (b, lb) ->
+              Bool.equal (Dseq.is_prefix a b) (App_msg.is_prefix la lb)
+              && Bool.equal (Dseq.equal a b) (same_list la lb))
+           !slots
+       in
+       (* Pairs first, so some sequences are compared before any read. *)
+       List.for_all pairs_agree !slots && List.for_all agrees !slots && !reads_ok)
+
+(* ------------------------------------------------------------------ *)
 (* Value                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -1075,7 +1156,8 @@ let synthetic_trace entries broadcasts ~n =
     (fun (t, p, m) -> Trace.record_output trace ~time:t ~proc:p (Etob_intf.Etob_broadcast m))
     broadcasts;
   List.iter
-    (fun (t, p, seq) -> Trace.record_output trace ~time:t ~proc:p (Etob_intf.Etob_deliver seq))
+    (fun (t, p, seq) ->
+       Trace.record_output trace ~time:t ~proc:p (Etob_intf.Etob_deliver (Dseq.of_list seq)))
     entries;
   trace
 
@@ -1155,6 +1237,7 @@ let () =
          Alcotest.test_case "prefix" `Quick test_app_msg_prefix ]
        @ List.map QCheck_alcotest.to_alcotest
            [ prop_printers_match_oracle; prop_planted_break_caught ]);
+      ("dseq", [ QCheck_alcotest.to_alcotest prop_dseq_matches_lists ]);
       ("value",
        [ Alcotest.test_case "tag roundtrip" `Quick test_value_tag_roundtrip;
          Alcotest.test_case "tag rejects seq" `Quick test_value_tag_rejects_seq;

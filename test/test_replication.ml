@@ -434,7 +434,7 @@ let fold_matches_refold (type s) (module M : Machines.MACHINE with type state = 
   let dual, dual_node =
     Dual.create dual_ctx
       ~etob:(Ec_core.Etob_intf.service_of dual_backend ~broadcast:ignore)
-      ~omega:(fun () -> leader) ~promotion:(fun () -> [])
+      ~omega:(fun () -> leader) ~promotion:(fun () -> Ec_core.Dseq.empty)
   in
   (* One view against the refold of [seq]: its log and digest, the count
      and digest of the last output it recorded, and the seen-set. *)
@@ -462,13 +462,17 @@ let fold_matches_refold (type s) (module M : Machines.MACHINE with type state = 
   in
   let step seq revision =
     let seq = revise pools seq revision in
-    Ec_core.Etob_intf.set_delivered plain_backend seq;
-    Ec_core.Etob_intf.set_delivered dual_backend seq;
-    dual_node.Engine.on_message ~src:leader (Ec_core.Commit_prefix.Commit_mark { seq });
+    let d = Ec_core.Dseq.of_list seq in
+    Ec_core.Etob_intf.set_delivered plain_backend d;
+    Ec_core.Etob_intf.set_delivered dual_backend d;
+    dual_node.Engine.on_message ~src:leader
+      (Ec_core.Commit_prefix.Commit_mark { seq = d });
     let committed =
       Option.value ~default:[]
         (latest
-           (function Ec_core.Commit_prefix.Committed s -> Some s | _ -> None)
+           (function
+             | Ec_core.Commit_prefix.Committed s -> Some (Ec_core.Dseq.to_list s)
+             | _ -> None)
            dual_out)
     in
     let ok =
