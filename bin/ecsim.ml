@@ -172,30 +172,12 @@ let verbose_arg =
 
 let trace_out_arg =
   let doc =
-    "Stream the run's event trace to this file ($(b,jsonl) or the framed \
-     binary format; see $(b,--trace-format)).  A binary trace additionally \
-     embeds the run's spec record, so it replays with \
-     $(b,ecsim explore --replay FILE)."
+    "Stream the run's event trace to this file: the framed, CRC-checksummed \
+     binary format if its name ends in $(b,.bin), otherwise $(b,jsonl) (one \
+     JSON object per event line).  A binary trace additionally embeds the \
+     run's spec record, so it replays with $(b,ecsim explore --replay FILE)."
   in
   Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
-let trace_format_arg =
-  let doc =
-    "Trace file format: $(b,jsonl) (one JSON object per event line) or \
-     $(b,bin) (framed binary, CRC-checksummed).  Defaults by suffix of \
-     $(b,--trace-out): $(b,.bin) means binary, anything else jsonl."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-format" ] ~docv:"FMT" ~doc)
-
-(* Suffix detection: [--trace-format] wins when given; otherwise ".bin"
-   selects the binary codec. *)
-let resolve_trace_format ~path = function
-  | Some name ->
-    (match Builder.trace_format_of_name name with
-     | Some f -> Ok f
-     | None -> Error ("unknown trace format " ^ name ^ " (jsonl or bin)"))
-  | None ->
-    Ok (if Filename.check_suffix path ".bin" then Builder.Binary else Builder.Jsonl)
 
 let timeline_arg =
   let doc = "Print an ASCII timeline of the run." in
@@ -284,37 +266,35 @@ let list_cmd =
 
 let run_cmd =
   let doc = "Run a scenario (or a spec file) and print the delivered sequences and the property report." in
-  let run builder verbose timeline trace_out trace_format =
+  let run builder verbose timeline trace_out =
     match builder with
     | Error msg -> `Error (false, msg)
     | Ok b ->
       (match trace_out with
-       | None -> ignore (execute_report b ~verbose ~timeline); `Ok ()
+       | None -> ignore (execute_report b ~verbose ~timeline)
        | Some path ->
-         (match resolve_trace_format ~path trace_format with
-          | Error msg -> `Error (false, msg)
-          | Ok format ->
-            let b_run = { b with Builder.trace_out = Some (path, format) } in
-            let _, o = execute_report b_run ~verbose ~timeline in
-            (* A binary trace becomes a self-contained replay unit by
-               appending the run's spec record — when the builder is
-               declarative enough to have one. *)
-            (match format with
-             | Builder.Binary ->
-               (try
-                  Builder.append_binary_spec path ~digest:o.Builder.digest
-                    ~violations:o.Builder.violations b
-                with Invalid_argument _ ->
-                  Format.printf
-                    "note: run not serializable; %s has no spec record@." path)
-             | Builder.Jsonl -> ());
-            Format.printf "trace written to %s (%s)@." path
-              (Builder.trace_format_name format);
-            `Ok ()))
+         let binary = Filename.check_suffix path ".bin" in
+         let format = if binary then Builder.Binary else Builder.Jsonl in
+         let _, o =
+           execute_report { b with Builder.trace_out = Some (path, format) }
+             ~verbose ~timeline
+         in
+         (* A binary trace becomes a self-contained replay unit by
+            appending the run's spec record — when the builder is
+            declarative enough to have one. *)
+         if binary then begin
+           try
+             Builder.append_binary_spec path ~digest:o.Builder.digest
+               ~violations:o.Builder.violations b
+           with Invalid_argument _ ->
+             Format.printf "note: run not serializable; %s has no spec record@." path
+         end;
+         Format.printf "trace written to %s (%s)@." path
+           (if binary then "bin" else "jsonl"));
+      `Ok ()
   in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(ret (const run $ builder_term $ verbose_arg $ timeline_arg
-               $ trace_out_arg $ trace_format_arg))
+    Term.(ret (const run $ builder_term $ verbose_arg $ timeline_arg $ trace_out_arg))
 
 (* --- check --- *)
 

@@ -70,7 +70,7 @@ let () =
          (Dual.speculative_digest r) (Dual.committed_digest r))
     replicas;
   Format.printf "@.committed view monotone everywhere: %b@."
-    (Committed_replica.committed_monotone setup.Harness.Stacks.pattern trace);
+    (Committed_replica.committed_monotone trace);
   print_endline "";
   print_endline "During the partition (t=45), p3's speculative view already shows";
   print_endline "its local draft while its committed view withholds it: nothing is";

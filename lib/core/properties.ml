@@ -20,36 +20,46 @@ let pp_verdict ppf v =
   if v.ok then Fmt.string ppf "ok"
   else Fmt.pf ppf "@[<v>FAIL:@,%a@]" (Fmt.list Fmt.string) v.violations
 
+let str fmt = Format.asprintf fmt
+
 (* ------------------------------------------------------------------ *)
-(* ETOB runs                                                           *)
+(* Sequence histories: d_i (Section 3), committed prefixes (Section 7) *)
 (* ------------------------------------------------------------------ *)
 
-type etob_run = {
-  e_pattern : Failures.pattern;
-  (* Every broadcastETOB(m) event: (time, broadcaster, m). *)
-  e_broadcasts : (time * proc_id * App_msg.t) list;
-  (* Per process, the chronological revisions of d_i: (time, sequence). *)
-  e_snapshots : (time * App_msg.t list) list array;
+type seq_history = {
+  s_pattern : Failures.pattern;
+  (* Every broadcastETOB(m) event: (time, broadcaster, m).  Empty in a
+     committed-prefix history. *)
+  s_broadcasts : (time * proc_id * App_msg.t) list;
+  (* Per process, the chronological revisions: (time, sequence). *)
+  s_revisions : (time * App_msg.t list) list array;
 }
 
 let etob_run_of_trace pattern trace =
-  let n = Failures.n pattern in
-  let broadcasts = ref [] in
-  let snapshots = Array.make n [] in
-  List.iter
-    (fun (t, p, o) ->
-       match o with
-       | Etob_intf.Etob_broadcast m -> broadcasts := (t, p, m) :: !broadcasts
-       | Etob_intf.Etob_deliver seq ->
-         snapshots.(p) <- (t, Dseq.to_list seq) :: snapshots.(p)
-       | _ -> ())
-    (Trace.outputs trace);
-  { e_pattern = pattern;
-    e_broadcasts = List.rev !broadcasts;
-    e_snapshots = Array.map List.rev snapshots }
+  { s_pattern = pattern;
+    s_broadcasts =
+      List.filter_map
+        (function
+          | t, p, Etob_intf.Etob_broadcast m -> Some (t, p, m)
+          | _ -> None)
+        (Trace.outputs trace);
+    s_revisions =
+      Trace.series trace (function
+        | Etob_intf.Etob_deliver seq -> Some (Dseq.to_list seq)
+        | _ -> None) }
 
-let final_d run p =
-  match run.e_snapshots.(p) with [] -> [] | l -> snd (List.nth l (List.length l - 1))
+let commit_run_of_trace pattern trace =
+  { s_pattern = pattern;
+    s_broadcasts = [];
+    s_revisions =
+      Trace.series trace (function
+        | Commit_prefix.Committed seq -> Some (Dseq.to_list seq)
+        | _ -> None) }
+
+(* The last revision (initially the empty sequence). *)
+let final run p = List.fold_left (fun _ (_, seq) -> seq) [] run.s_revisions.(p)
+
+let final_d = final
 
 (* d_p(t): the last revision at or before t (initially the empty sequence). *)
 let d_at run p t =
@@ -57,20 +67,44 @@ let d_at run p t =
     | [] -> best
     | (t', seq) :: rest -> if t' <= t then scan seq rest else best
   in
-  scan [] run.e_snapshots.(p)
+  scan [] run.s_revisions.(p)
 
-let correct_procs run = Failures.correct run.e_pattern
+let correct_procs run = Failures.correct run.s_pattern
 
-let revisions run p = run.e_snapshots.(p)
+let revisions run p = run.s_revisions.(p)
 
-let broadcasts run = run.e_broadcasts
+let broadcasts run = run.s_broadcasts
 
 let broadcast_time run m =
   List.find_map
     (fun (t, _, m') -> if App_msg.equal m m' then Some t else None)
-    run.e_broadcasts
+    run.s_broadcasts
 
-let str fmt = Format.asprintf fmt
+(* The times at which p's revision does not extend the one before it. *)
+let rollbacks run p =
+  let rec scan prev acc = function
+    | [] -> List.rev acc
+    | (t, seq) :: rest ->
+      scan seq (if App_msg.is_prefix prev seq then acc else t :: acc) rest
+  in
+  scan [] [] run.s_revisions.(p)
+
+(* The latest of [per_proc p] over the correct processes; None if some
+   correct process has none. *)
+let latest_over_correct run per_proc =
+  List.fold_left
+    (fun acc p -> Option.bind acc (fun a -> Option.map (max a) (per_proc p)))
+    (Some 0) (correct_procs run)
+
+(* [check add p t seq] is called on every revision, by process and then
+   time, and [add]s its violations in order. *)
+let scan_revisions run check =
+  let violations = ref [] in
+  let add v = violations := v :: !violations in
+  Array.iteri
+    (fun p revs -> List.iter (fun (t, seq) -> check add p t seq) revs)
+    run.s_revisions;
+  of_violations (List.rev !violations)
 
 (* TOB-Validity: a correct broadcaster eventually stably delivers its own
    message (finite-run form: it is in the broadcaster's final d). *)
@@ -78,55 +112,38 @@ let check_validity run =
   of_violations
     (List.filter_map
        (fun (t, p, m) ->
-          if Failures.is_correct run.e_pattern p
+          if Failures.is_correct run.s_pattern p
           && not (List.exists (App_msg.equal m) (final_d run p))
           then Some (str "validity: %a broadcast by %a at %d missing from its final d"
                        App_msg.pp m pp_proc p t)
           else None)
-       run.e_broadcasts)
+       run.s_broadcasts)
 
 (* TOB-No-creation: every delivered message was broadcast no later than its
    delivery.  (Same-tick is allowed: a broadcaster may output its own
    message within the very step that broadcasts it, and the discrete clock
    cannot order events inside one step.) *)
 let check_no_creation run =
-  let violations = ref [] in
-  Array.iteri
-    (fun p revs ->
-       List.iter
-         (fun (t, seq) ->
-            List.iter
-              (fun m ->
-                 match broadcast_time run m with
-                 | Some tb when tb <= t -> ()
-                 | Some tb ->
-                   violations :=
-                     str "no-creation: %a in d_%a at %d but broadcast at %d"
-                       App_msg.pp m pp_proc p t tb :: !violations
-                 | None ->
-                   violations :=
-                     str "no-creation: %a in d_%a at %d was never broadcast"
-                       App_msg.pp m pp_proc p t :: !violations)
-              seq)
-         revs)
-    run.e_snapshots;
-  of_violations (List.rev !violations)
+  scan_revisions run (fun add p t seq ->
+      List.iter
+        (fun m ->
+           match broadcast_time run m with
+           | Some tb when tb <= t -> ()
+           | Some tb ->
+             add (str "no-creation: %a in d_%a at %d but broadcast at %d"
+                    App_msg.pp m pp_proc p t tb)
+           | None ->
+             add (str "no-creation: %a in d_%a at %d was never broadcast"
+                    App_msg.pp m pp_proc p t))
+        seq)
 
 (* TOB-No-duplication: no message appears twice in any d_i(t). *)
 let check_no_duplication run =
-  let violations = ref [] in
-  Array.iteri
-    (fun p revs ->
-       List.iter
-         (fun (t, seq) ->
-            let ids = List.map App_msg.id seq in
-            if List.length (List.sort_uniq App_msg.compare_id ids) <> List.length ids then
-              violations :=
-                str "no-duplication: duplicate in d_%a at %d: %a" pp_proc p t
-                  App_msg.pp_seq seq :: !violations)
-         revs)
-    run.e_snapshots;
-  of_violations (List.rev !violations)
+  scan_revisions run (fun add p t seq ->
+      let ids = List.map App_msg.id seq in
+      if List.length (List.sort_uniq App_msg.compare_id ids) <> List.length ids then
+        add (str "no-duplication: duplicate in d_%a at %d: %a" pp_proc p t
+               App_msg.pp_seq seq))
 
 (* TOB-Agreement (finite-run form): a message in the final d of one correct
    process is in the final d of every correct process. *)
@@ -152,18 +169,9 @@ let check_agreement run =
    correct process, every revision at time >= tau extends (has as a prefix)
    the previous revision.  0 means the run satisfies strong TOB-Stability. *)
 let stability_time run =
-  let tau = ref 0 in
-  List.iter
-    (fun p ->
-       let rec scan prev = function
-         | [] -> ()
-         | (t, seq) :: rest ->
-           if not (App_msg.is_prefix prev seq) then tau := max !tau t;
-           scan seq rest
-       in
-       scan [] run.e_snapshots.(p))
-    (correct_procs run);
-  !tau
+  List.fold_left
+    (fun tau p -> List.fold_left max tau (rollbacks run p))
+    0 (correct_procs run)
 
 (* Relative order of the common messages of two sequences agrees. *)
 let orders_agree seq_a seq_b =
@@ -188,7 +196,7 @@ let orders_agree seq_a seq_b =
 let total_order_time run =
   let times =
     List.sort_uniq Int.compare
-      (Array.to_list run.e_snapshots |> List.concat_map (List.map fst))
+      (Array.to_list run.s_revisions |> List.concat_map (List.map fst))
   in
   let correct = correct_procs run in
   let consistent_at t =
@@ -206,51 +214,35 @@ let total_order_time run =
    present appears earlier.  The paper requires this at ALL times for
    Algorithm 5 — no tau. *)
 let check_causal_order run =
-  let violations = ref [] in
-  Array.iteri
-    (fun p revs ->
-       List.iter
-         (fun (t, seq) ->
-            let indexed = List.mapi (fun i m -> (App_msg.id m, i)) seq in
-            List.iteri
-              (fun i m ->
-                 List.iter
-                   (fun dep ->
-                      match List.assoc_opt dep indexed with
-                      | Some j when j < i -> ()
-                      | Some _ ->
-                        violations :=
-                          str "causal-order: dep %a after %a in d_%a at %d"
-                            App_msg.pp_id dep App_msg.pp m pp_proc p t :: !violations
-                      | None -> () (* dependency not delivered: order vacuous *))
-                   m.App_msg.deps)
-              seq)
-         revs)
-    run.e_snapshots;
-  of_violations (List.rev !violations)
+  scan_revisions run (fun add p t seq ->
+      let indexed = List.mapi (fun i m -> (App_msg.id m, i)) seq in
+      List.iteri
+        (fun i m ->
+           List.iter
+             (fun dep ->
+                match List.assoc_opt dep indexed with
+                | Some j when j < i -> ()
+                | Some _ ->
+                  add (str "causal-order: dep %a after %a in d_%a at %d"
+                         App_msg.pp_id dep App_msg.pp m pp_proc p t)
+                | None -> () (* dependency not delivered: order vacuous *))
+             m.App_msg.deps)
+        seq)
 
 (* Algorithm 5 additionally delivers dependencies before dependents; checking
    presence is a stronger, implementation-specific property. *)
 let check_deps_present run =
-  let violations = ref [] in
-  Array.iteri
-    (fun p revs ->
-       List.iter
-         (fun (t, seq) ->
-            let ids = App_msg.ids_of_seq seq in
-            List.iter
-              (fun m ->
-                 List.iter
-                   (fun dep ->
-                      if not (App_msg.Id_set.mem dep ids) then
-                        violations :=
-                          str "deps-present: dep %a of %a missing from d_%a at %d"
-                            App_msg.pp_id dep App_msg.pp m pp_proc p t :: !violations)
-                   m.App_msg.deps)
-              seq)
-         revs)
-    run.e_snapshots;
-  of_violations (List.rev !violations)
+  scan_revisions run (fun add p t seq ->
+      let ids = App_msg.ids_of_seq seq in
+      List.iter
+        (fun m ->
+           List.iter
+             (fun dep ->
+                if not (App_msg.Id_set.mem dep ids) then
+                  add (str "deps-present: dep %a of %a missing from d_%a at %d"
+                         App_msg.pp_id dep App_msg.pp m pp_proc p t))
+             m.App_msg.deps)
+        seq)
 
 (* The paper assumes broadcast messages are distinct; the (origin, sn)
    identification realizes the assumption as long as no process ever
@@ -272,7 +264,7 @@ let check_distinct_broadcasts run =
            str "distinct-broadcasts: id %a broadcast by %a at %d and again \
                 by %a at %d (sequence number reused)"
              App_msg.pp_id id pp_proc p0 t0 pp_proc p t :: !violations)
-    run.e_broadcasts;
+    run.s_broadcasts;
   of_violations (List.rev !violations)
 
 type etob_report = {
@@ -296,6 +288,15 @@ let etob_report run =
     tau_stability = stability_time run;
     tau_total_order = total_order_time run }
 
+(* A report's six verdicts, each with the name it is printed under. *)
+let named_verdicts r =
+  [ ("validity", r.validity);
+    ("no-creation", r.no_creation);
+    ("no-duplication", r.no_duplication);
+    ("agreement", r.agreement);
+    ("causal-order", r.causal_order);
+    ("distinct-broadcasts", r.distinct_broadcasts) ]
+
 let etob_base_ok r =
   r.validity.ok && r.no_creation.ok && r.no_duplication.ok && r.agreement.ok
 
@@ -311,14 +312,6 @@ let etob_convergence_time r = max r.tau_stability r.tau_total_order
    stability/total-order must hold), or the plan's settle time plus slack
    otherwise.  [None] skips the tau check (eventual-only mode). *)
 let etob_violations ?tau_bound r =
-  let verdicts =
-    [ ("validity", r.validity);
-      ("no-creation", r.no_creation);
-      ("no-duplication", r.no_duplication);
-      ("agreement", r.agreement);
-      ("causal-order", r.causal_order);
-      ("distinct-broadcasts", r.distinct_broadcasts) ]
-  in
   let base =
     (* Some checkers already lead their messages with their own name. *)
     let tag name msg =
@@ -330,7 +323,7 @@ let etob_violations ?tau_bound r =
     in
     List.concat_map
       (fun (name, v) -> List.map (tag name) v.violations)
-      verdicts
+      (named_verdicts r)
   in
   let tau =
     match tau_bound with
@@ -347,13 +340,9 @@ let etob_violations ?tau_bound r =
   base @ tau
 
 let pp_etob_report ppf r =
-  Fmt.pf ppf
-    "@[<v>validity: %a@,no-creation: %a@,no-duplication: %a@,agreement: %a@,\
-     causal-order: %a@,distinct-broadcasts: %a@,\
-     tau(stability)=%d tau(total-order)=%d@]"
-    pp_verdict r.validity pp_verdict r.no_creation pp_verdict r.no_duplication
-    pp_verdict r.agreement pp_verdict r.causal_order
-    pp_verdict r.distinct_broadcasts r.tau_stability r.tau_total_order
+  Fmt.pf ppf "@[<v>%a@,tau(stability)=%d tau(total-order)=%d@]"
+    (Fmt.list (fun ppf (name, v) -> Fmt.pf ppf "%s: %a" name pp_verdict v))
+    (named_verdicts r) r.tau_stability r.tau_total_order
 
 (* The time by which every correct process has stably delivered m: the
    earliest t such that m is in d_p(t') for every correct p and t' >= t.
@@ -371,7 +360,7 @@ let stable_delivery_time run m =
       | (t, seq) :: rest ->
         if List.exists (App_msg.equal m) seq then Some t else first_present rest
     in
-    match first_present run.e_snapshots.(p), last_absent None run.e_snapshots.(p) with
+    match first_present run.s_revisions.(p), last_absent None run.s_revisions.(p) with
     | None, _ -> None
     | Some tp, None -> Some tp
     | Some tp, Some ta ->
@@ -381,53 +370,22 @@ let stable_delivery_time run m =
         List.find_map
           (fun (t, seq) ->
              if t > ta && List.exists (App_msg.equal m) seq then Some t else None)
-          run.e_snapshots.(p)
+          run.s_revisions.(p)
   in
-  let correct = correct_procs run in
-  let times = List.map per_proc correct in
-  if List.exists (fun t -> t = None) times then None
-  else Some (List.fold_left (fun acc t -> max acc (Option.get t)) 0 times)
+  latest_over_correct run per_proc
 
-(* ------------------------------------------------------------------ *)
-(* Committed-prefix runs (Section 7 extension)                         *)
-(* ------------------------------------------------------------------ *)
-
-type commit_run = {
-  m_pattern : Failures.pattern;
-  m_series : (time * App_msg.t list) list array;  (* chronological per proc *)
-}
-
-let commit_run_of_trace pattern trace =
-  let series = Array.make (Failures.n pattern) [] in
-  List.iter
-    (fun (t, p, o) ->
-       match o with
-       | Commit_prefix.Committed seq -> series.(p) <- (t, Dseq.to_list seq) :: series.(p)
-       | _ -> ())
-    (Trace.outputs trace);
-  { m_pattern = pattern; m_series = Array.map List.rev series }
-
-(* The defining property of the indication: a committed prefix is never
-   rolled back — every announcement extends the previous one. *)
+(* The defining property of the commit indication: a committed prefix is
+   never rolled back — every announcement extends the previous one. *)
 let check_commit_stability run =
-  let violations = ref [] in
-  Array.iteri
-    (fun p entries ->
-       let rec scan prev = function
-         | [] -> ()
-         | (t, seq) :: rest ->
-           if not (App_msg.is_prefix prev seq) then
-             violations :=
-               str "commit-stability: commitment at %a revised at %d" pp_proc p t
-               :: !violations;
-           scan seq rest
-       in
-       scan [] entries)
-    run.m_series;
-  of_violations (List.rev !violations)
+  of_violations
+    (List.concat_map
+       (fun p ->
+          List.map
+            (fun t -> str "commit-stability: commitment at %a revised at %d" pp_proc p t)
+            (rollbacks run p))
+       (all_procs (Array.length run.s_revisions)))
 
-let final_committed run p =
-  match List.rev run.m_series.(p) with [] -> [] | (_, seq) :: _ -> seq
+let final_committed = final
 
 (* Committed prefixes must be prefixes of what is eventually delivered. *)
 let check_commit_consistent run etob =
@@ -442,47 +400,102 @@ let check_commit_consistent run etob =
                 str "commit-consistency: %a's committed prefix is not a prefix of \
                      final d_%a" pp_proc p pp_proc q :: !violations)
          (correct_procs etob))
-    (Failures.correct run.m_pattern);
+    (correct_procs run);
   of_violations (List.rev !violations)
 
 (* The time by which every correct process knows m committed; None if some
    correct process never learns it. *)
 let commit_time run m =
-  let per_proc p =
-    List.find_map
-      (fun (t, seq) -> if List.exists (App_msg.equal m) seq then Some t else None)
-      run.m_series.(p)
-  in
-  let times = List.map per_proc (Failures.correct run.m_pattern) in
-  if List.exists (fun t -> t = None) times then None
-  else Some (List.fold_left (fun acc t -> max acc (Option.get t)) 0 times)
+  latest_over_correct run (fun p ->
+      List.find_map
+        (fun (t, seq) -> if List.exists (App_msg.equal m) seq then Some t else None)
+        run.s_revisions.(p))
 
 let committed_count run p = List.length (final_committed run p)
 
 (* ------------------------------------------------------------------ *)
-(* EC runs                                                             *)
+(* Decision histories: EC, and EIC (Appendix A)                        *)
 (* ------------------------------------------------------------------ *)
 
-type ec_run = {
-  c_pattern : Failures.pattern;
-  c_proposals : (time * proc_id * int * Value.t) list;
-  c_decisions : (time * proc_id * int * Value.t) list;
+(* EC and EIC read the same history and differ only in what they require
+   of it: agreement, or eventual integrity. *)
+type decision_history = {
+  d_pattern : Failures.pattern;
+  (* Chronological (time, process, instance, value) entries. *)
+  d_proposals : (time * proc_id * int * Value.t) list;
+  d_decisions : (time * proc_id * int * Value.t) list;
 }
 
+let decisions_of_trace pattern trace ~proposed ~decided =
+  let outputs = Trace.outputs trace in
+  let pick keep =
+    List.filter_map
+      (fun (t, p, o) -> Option.map (fun (l, v) -> (t, p, l, v)) (keep o))
+      outputs
+  in
+  { d_pattern = pattern; d_proposals = pick proposed; d_decisions = pick decided }
+
 let ec_run_of_trace ?(layer = Ec_intf.default_layer) pattern trace =
-  let proposals = ref [] and decisions = ref [] in
+  decisions_of_trace pattern trace
+    ~proposed:(function
+      | Ec_intf.Proposed_ec { layer = l; instance; value } when l = layer ->
+        Some (instance, value)
+      | _ -> None)
+    ~decided:(function
+      | Ec_intf.Decide_ec { layer = l; instance; value } when l = layer ->
+        Some (instance, value)
+      | _ -> None)
+
+let eic_run_of_trace pattern trace =
+  decisions_of_trace pattern trace
+    ~proposed:(function
+      | Eic_intf.Proposed_eic { instance; value } -> Some (instance, value)
+      | _ -> None)
+    ~decided:(function
+      | Eic_intf.Decide_eic { instance; value } -> Some (instance, value)
+      | _ -> None)
+
+let decided_instances run =
+  List.sort_uniq Int.compare (List.map (fun (_, _, l, _) -> l) run.d_decisions)
+
+(* How many times each process responded to each instance. *)
+let response_counts run =
+  let counts = Hashtbl.create 64 in
   List.iter
-    (fun (t, p, o) ->
-       match o with
-       | Ec_intf.Proposed_ec { layer = l; instance; value } when l = layer ->
-         proposals := (t, p, instance, value) :: !proposals
-       | Ec_intf.Decide_ec { layer = l; instance; value } when l = layer ->
-         decisions := (t, p, instance, value) :: !decisions
-       | _ -> ())
-    (Trace.outputs trace);
-  { c_pattern = pattern;
-    c_proposals = List.rev !proposals;
-    c_decisions = List.rev !decisions }
+    (fun (_, p, l, _) ->
+       let c = Option.value ~default:0 (Hashtbl.find_opt counts (p, l)) in
+       Hashtbl.replace counts (p, l) (c + 1))
+    run.d_decisions;
+  counts
+
+(* Validity: every response value was proposed to the same instance.
+   [prop] names the property ("ec"/"eic") and [verb] the response. *)
+let check_proposed ~prop ~verb run =
+  of_violations
+    (List.filter_map
+       (fun (t, p, l, v) ->
+          let proposed =
+            List.exists (fun (_, _, l', v') -> l = l' && Value.equal v v')
+              run.d_proposals
+          in
+          if proposed then None
+          else Some (str "%s-validity: %a %s %a for instance %d at %d, never proposed"
+                       prop pp_proc p verb Value.pp v l t))
+       run.d_decisions)
+
+(* Termination (finite-run form): every correct process responded at least
+   once to every instance in [1, instances]. *)
+let check_responded ~prop ~verb run ~instances =
+  let violations = ref [] in
+  List.iter
+    (fun p ->
+       for l = 1 to instances do
+         if not (List.exists (fun (_, p', l', _) -> p' = p && l' = l) run.d_decisions)
+         then violations := str "%s-termination: %a never %s instance %d"
+             prop pp_proc p verb l :: !violations
+       done)
+    (Failures.correct run.d_pattern);
+  of_violations (List.rev !violations)
 
 (* EC-Integrity: no process responds twice to the same instance. *)
 let check_ec_integrity run =
@@ -494,39 +507,7 @@ let check_ec_integrity run =
          violations := str "ec-integrity: %a decided instance %d twice (at %d)"
              pp_proc p l t :: !violations
        else Hashtbl.add seen (p, l) ())
-    run.c_decisions;
-  of_violations (List.rev !violations)
-
-(* EC-Validity: every decided value was proposed to the same instance. *)
-let check_ec_validity run =
-  of_violations
-    (List.filter_map
-       (fun (t, p, l, v) ->
-          let proposed =
-            List.exists (fun (_, _, l', v') -> l = l' && Value.equal v v')
-              run.c_proposals
-          in
-          if proposed then None
-          else Some (str "ec-validity: %a decided %a for instance %d at %d, never proposed"
-                       pp_proc p Value.pp v l t))
-       run.c_decisions)
-
-(* EC-Termination (finite-run form): every correct process decided every
-   instance in [1, instances]. *)
-let check_ec_termination run ~instances =
-  let violations = ref [] in
-  List.iter
-    (fun p ->
-       let rec each l =
-         if l <= instances then begin
-           if not (List.exists (fun (_, p', l', _) -> p' = p && l' = l) run.c_decisions)
-           then violations := str "ec-termination: %a never decided instance %d"
-               pp_proc p l :: !violations;
-           each (l + 1)
-         end
-       in
-       each 1)
-    (Failures.correct run.c_pattern);
+    run.d_decisions;
   of_violations (List.rev !violations)
 
 (* The measured EC-Agreement index: the smallest k such that all decisions
@@ -535,19 +516,14 @@ let ec_agreement_index run =
   let disagreeing l =
     let values =
       List.filter_map (fun (_, _, l', v) -> if l = l' then Some v else None)
-        run.c_decisions
+        run.d_decisions
     in
     match values with
     | [] -> false
     | v :: rest -> List.exists (fun v' -> not (Value.equal v v')) rest
   in
-  let instances =
-    List.sort_uniq Int.compare (List.map (fun (_, _, l, _) -> l) run.c_decisions)
-  in
-  List.fold_left (fun k l -> if disagreeing l then max k (l + 1) else k) 1 instances
-
-let decided_instances run =
-  List.sort_uniq Int.compare (List.map (fun (_, _, l, _) -> l) run.c_decisions)
+  List.fold_left (fun k l -> if disagreeing l then max k (l + 1) else k) 1
+    (decided_instances run)
 
 type ec_report = {
   integrity : verdict;
@@ -558,8 +534,8 @@ type ec_report = {
 
 let ec_report run ~instances =
   { integrity = check_ec_integrity run;
-    ec_validity = check_ec_validity run;
-    termination = check_ec_termination run ~instances;
+    ec_validity = check_proposed ~prop:"ec" ~verb:"decided" run;
+    termination = check_responded ~prop:"ec" ~verb:"decided" run ~instances;
     agreement_index = ec_agreement_index run }
 
 let ec_ok ?(agreement_by = max_int) r =
@@ -571,66 +547,27 @@ let pp_ec_report ppf r =
     pp_verdict r.integrity pp_verdict r.ec_validity pp_verdict r.termination
     r.agreement_index
 
-(* ------------------------------------------------------------------ *)
-(* EIC runs (Appendix A)                                               *)
-(* ------------------------------------------------------------------ *)
-
-type eic_run = {
-  i_pattern : Failures.pattern;
-  i_proposals : (time * proc_id * int * Value.t) list;
-  i_decisions : (time * proc_id * int * Value.t) list;  (* chronological *)
-}
-
-let eic_run_of_trace pattern trace =
-  let proposals = ref [] and decisions = ref [] in
-  List.iter
-    (fun (t, p, o) ->
-       match o with
-       | Eic_intf.Proposed_eic { instance; value } ->
-         proposals := (t, p, instance, value) :: !proposals
-       | Eic_intf.Decide_eic { instance; value } ->
-         decisions := (t, p, instance, value) :: !decisions
-       | _ -> ())
-    (Trace.outputs trace);
-  { i_pattern = pattern;
-    i_proposals = List.rev !proposals;
-    i_decisions = List.rev !decisions }
-
 (* The final (= last) response of p to instance l, if any. *)
 let eic_final_response run p l =
   List.fold_left
     (fun acc (_, p', l', v) -> if p = p' && l = l' then Some v else acc)
-    None run.i_decisions
+    None run.d_decisions
 
 (* The measured EIC-Integrity index: smallest k such that no process
    responds twice to any instance >= k. *)
 let eic_integrity_index run =
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun (_, p, l, _) ->
-       let c = Option.value ~default:0 (Hashtbl.find_opt counts (p, l)) in
-       Hashtbl.replace counts (p, l) (c + 1))
-    run.i_decisions;
   (* detlint: sorted — max over bindings is order-insensitive *)
-  Hashtbl.fold (fun (_, l) c k -> if c > 1 then max k (l + 1) else k) counts 1
+  Hashtbl.fold (fun (_, l) c k -> if c > 1 then max k (l + 1) else k)
+    (response_counts run) 1
 
 let eic_revocation_count run =
-  let counts = Hashtbl.create 64 in
-  List.iter
-    (fun (_, p, l, _) ->
-       let c = Option.value ~default:0 (Hashtbl.find_opt counts (p, l)) in
-       Hashtbl.replace counts (p, l) (c + 1))
-    run.i_decisions;
   (* detlint: sorted — sum over bindings is order-insensitive *)
-  Hashtbl.fold (fun _ c acc -> acc + max 0 (c - 1)) counts 0
+  Hashtbl.fold (fun _ c acc -> acc + max 0 (c - 1)) (response_counts run) 0
 
 (* EIC-Agreement (finite-run form): the final responses of correct processes
    agree on every instance they have all responded to. *)
 let check_eic_agreement run =
-  let correct = Failures.correct run.i_pattern in
-  let instances =
-    List.sort_uniq Int.compare (List.map (fun (_, _, l, _) -> l) run.i_decisions)
-  in
+  let correct = Failures.correct run.d_pattern in
   let violations = ref [] in
   List.iter
     (fun l ->
@@ -642,37 +579,10 @@ let check_eic_agreement run =
            then violations := str "eic-agreement: final responses differ for instance %d" l
                :: !violations
          | _ -> ())
-    instances;
+    (decided_instances run);
   of_violations (List.rev !violations)
 
-(* EIC-Validity: every response value was proposed to the same instance. *)
-let check_eic_validity run =
-  of_violations
-    (List.filter_map
-       (fun (t, p, l, v) ->
-          let proposed =
-            List.exists (fun (_, _, l', v') -> l = l' && Value.equal v v')
-              run.i_proposals
-          in
-          if proposed then None
-          else Some (str "eic-validity: %a responded %a for instance %d at %d, never proposed"
-                       pp_proc p Value.pp v l t))
-       run.i_decisions)
+let check_eic_validity run = check_proposed ~prop:"eic" ~verb:"responded" run
 
-(* EIC-Termination: every correct process responded at least once to every
-   instance in [1, instances]. *)
 let check_eic_termination run ~instances =
-  let violations = ref [] in
-  List.iter
-    (fun p ->
-       let rec each l =
-         if l <= instances then begin
-           if eic_final_response run p l = None then
-             violations := str "eic-termination: %a never responded to instance %d"
-                 pp_proc p l :: !violations;
-           each (l + 1)
-         end
-       in
-       each 1)
-    (Failures.correct run.i_pattern);
-  of_violations (List.rev !violations)
+  check_responded ~prop:"eic" ~verb:"responded to" run ~instances

@@ -12,38 +12,49 @@ open Simulator.Types
 
 type verdict = { ok : bool; violations : string list }
 
+(** {2 Sequence histories}
+
+    ETOB's [d_i] (Section 3) and the committed prefix (Section 7) are both
+    sequences that get revised; one history type holds either. *)
+
+type seq_history
+(** Per process, the chronological revisions of one sequence output, with
+    the run's failure pattern and, for an ETOB run, its broadcasts. *)
+
+val etob_run_of_trace : Failures.pattern -> Trace.t -> seq_history
+(** The revisions of [d_i] and every broadcastETOB event. *)
+
+val commit_run_of_trace : Failures.pattern -> Trace.t -> seq_history
+(** The revisions of the committed prefix (no broadcasts). *)
+
 (** {2 ETOB runs} *)
 
-type etob_run
+val final_d : seq_history -> proc_id -> App_msg.t list
+val d_at : seq_history -> proc_id -> time -> App_msg.t list
 
-val etob_run_of_trace : Failures.pattern -> Trace.t -> etob_run
-
-val final_d : etob_run -> proc_id -> App_msg.t list
-val d_at : etob_run -> proc_id -> time -> App_msg.t list
-
-val revisions : etob_run -> proc_id -> (time * App_msg.t list) list
+val revisions : seq_history -> proc_id -> (time * App_msg.t list) list
 (** The chronological revisions of [d_p] — what the liveness watchdog
     ({!Harness.Watchdog}) scans for convergence progress. *)
 
-val broadcasts : etob_run -> (time * proc_id * App_msg.t) list
+val broadcasts : seq_history -> (time * proc_id * App_msg.t) list
 (** Every broadcastETOB event of the run, chronological. *)
 
-val correct_procs : etob_run -> proc_id list
+val correct_procs : seq_history -> proc_id list
 
-val check_no_creation : etob_run -> verdict
-val check_no_duplication : etob_run -> verdict
-val check_agreement : etob_run -> verdict
+val check_no_creation : seq_history -> verdict
+val check_no_duplication : seq_history -> verdict
+val check_agreement : seq_history -> verdict
 
-val stability_time : etob_run -> time
+val stability_time : seq_history -> time
 (** Measured ETOB-Stability tau; [0] means strong TOB-Stability. *)
 
-val total_order_time : etob_run -> time
+val total_order_time : seq_history -> time
 (** Measured ETOB-Total-order tau; [0] means strong TOB-Total-order. *)
 
-val check_causal_order : etob_run -> verdict
+val check_causal_order : seq_history -> verdict
 (** TOB-Causal-Order, required at {e all} times. *)
 
-val check_deps_present : etob_run -> verdict
+val check_deps_present : seq_history -> verdict
 (** Stronger, Algorithm-5-specific property: a delivered message's causal
     dependencies are themselves delivered. *)
 
@@ -61,7 +72,7 @@ type etob_report = {
   tau_total_order : time;
 }
 
-val etob_report : etob_run -> etob_report
+val etob_report : seq_history -> etob_report
 
 val etob_base_ok : etob_report -> bool
 (** The paper's four base TOB properties (validity, no-creation,
@@ -83,38 +94,41 @@ val etob_violations : ?tau_bound:time -> etob_report -> string list
 val etob_convergence_time : etob_report -> time
 val pp_etob_report : Format.formatter -> etob_report -> unit
 
-val stable_delivery_time : etob_run -> App_msg.t -> time option
+val stable_delivery_time : seq_history -> App_msg.t -> time option
 (** The time by which every correct process has stably delivered [m]. *)
 
-(** {2 Committed-prefix runs (Section 7 extension)} *)
+(** {2 Committed prefixes (Section 7 extension)} *)
 
-type commit_run
-
-val commit_run_of_trace : Failures.pattern -> Trace.t -> commit_run
-
-val check_commit_stability : commit_run -> verdict
+val check_commit_stability : seq_history -> verdict
 (** A committed prefix is never rolled back: every announcement extends the
     previous one at the same process. *)
 
-val final_committed : commit_run -> proc_id -> App_msg.t list
+val final_committed : seq_history -> proc_id -> App_msg.t list
 
-val check_commit_consistent : commit_run -> etob_run -> verdict
-(** Every committed prefix is a prefix of what every correct process
-    eventually delivers. *)
+val check_commit_consistent : seq_history -> seq_history -> verdict
+(** [check_commit_consistent commits etob]: every committed prefix is a
+    prefix of what every correct process eventually delivers. *)
 
-val commit_time : commit_run -> App_msg.t -> time option
+val commit_time : seq_history -> App_msg.t -> time option
 (** The time by which every correct process knows [m] committed. *)
 
-val committed_count : commit_run -> proc_id -> int
+val committed_count : seq_history -> proc_id -> int
 
-(** {2 EC runs} *)
+(** {2 Decision histories}
 
-type ec_run
+    EC and EIC (Appendix A) read the same proposal/response history and
+    differ only in agreement versus eventual integrity. *)
 
-val ec_run_of_trace : ?layer:string -> Failures.pattern -> Trace.t -> ec_run
+type decision_history
+
+val ec_run_of_trace : ?layer:string -> Failures.pattern -> Trace.t -> decision_history
 (** Extract the EC history of one layer (default {!Ec_intf.default_layer}). *)
 
-val decided_instances : ec_run -> int list
+val eic_run_of_trace : Failures.pattern -> Trace.t -> decision_history
+
+val decided_instances : decision_history -> int list
+
+(** {2 EC} *)
 
 type ec_report = {
   integrity : verdict;
@@ -123,23 +137,19 @@ type ec_report = {
   agreement_index : int;
 }
 
-val ec_report : ec_run -> instances:int -> ec_report
+val ec_report : decision_history -> instances:int -> ec_report
 val ec_ok : ?agreement_by:int -> ec_report -> bool
 val pp_ec_report : Format.formatter -> ec_report -> unit
 
-(** {2 EIC runs (Appendix A)} *)
+(** {2 EIC (Appendix A)} *)
 
-type eic_run
-
-val eic_run_of_trace : Failures.pattern -> Trace.t -> eic_run
-
-val eic_integrity_index : eic_run -> int
+val eic_integrity_index : decision_history -> int
 (** Measured EIC-Integrity index k: no double response for instances >= k. *)
 
-val eic_revocation_count : eic_run -> int
+val eic_revocation_count : decision_history -> int
 (** Total number of revocations (extra responses) in the run — EIC allows
     finitely many. *)
 
-val check_eic_agreement : eic_run -> verdict
-val check_eic_validity : eic_run -> verdict
-val check_eic_termination : eic_run -> instances:int -> verdict
+val check_eic_agreement : decision_history -> verdict
+val check_eic_validity : decision_history -> verdict
+val check_eic_termination : decision_history -> instances:int -> verdict

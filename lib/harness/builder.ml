@@ -41,13 +41,6 @@ type watchdog_policy = Wd_auto | Wd_fixed of { settle : time; bound : int }
 type checker = Etob_spec of tau_policy | Watchdog of watchdog_policy
 type trace_format = Jsonl | Binary
 
-let trace_format_name = function Jsonl -> "jsonl" | Binary -> "bin"
-
-let trace_format_of_name = function
-  | "jsonl" -> Some Jsonl
-  | "bin" -> Some Binary
-  | _ -> None
-
 type t = {
   base : base;
   stack : stack;

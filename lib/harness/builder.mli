@@ -68,11 +68,6 @@ type checker = Etob_spec of tau_policy | Watchdog of watchdog_policy
     or the framed binary codec ([Sink.binary] over [Persist.Frame]). *)
 type trace_format = Jsonl | Binary
 
-val trace_format_name : trace_format -> string
-(** "jsonl" / "bin" — the [--trace-format] vocabulary. *)
-
-val trace_format_of_name : string -> trace_format option
-
 type t = {
   base : base;
   stack : stack;

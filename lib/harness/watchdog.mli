@@ -27,7 +27,7 @@ type verdict =
       (** every correct process stably covered the target by [at] *)
   | Stalled of { deadline : time; laggards : laggard list }
 
-val check : settle:time -> bound:int -> Properties.etob_run -> verdict
+val check : settle:time -> bound:int -> Properties.seq_history -> verdict
 (** A process reaches the target at its first d-revision from which its
     id-set covers the target for the rest of the run; every correct
     process must reach it by [settle + bound]. *)

@@ -69,28 +69,19 @@ module Make (M : Machines.MACHINE) = struct
   let speculative_log t = Speculative.log t.speculative
 end
 
-(* Trace analysis: the committed view must be monotone (never rolled back)
-   and must lag the speculative view of the same process. *)
-let committed_series pattern trace =
-  let series = Array.make (Simulator.Failures.n pattern) [] in
-  List.iter
-    (fun (t, p, o) ->
-       match o with
-       | Applied_committed { count; digest; _ } ->
-         series.(p) <- (t, count, digest) :: series.(p)
-       | _ -> ())
-    (Simulator.Trace.outputs trace);
-  Array.map List.rev series
-
-let committed_monotone pattern trace =
+(* Trace analysis: the committed view must be monotone (never rolled
+   back). *)
+let committed_monotone trace =
   Array.for_all
-    (fun entries ->
+    (fun counts ->
        let rec scan prev = function
          | [] -> true
-         | (_, count, _) :: rest -> count >= prev && scan count rest
+         | (_, count) :: rest -> count >= prev && scan count rest
        in
-       scan 0 entries)
-    (committed_series pattern trace)
+       scan 0 counts)
+    (Trace.series trace (function
+       | Applied_committed { count; _ } -> Some count
+       | _ -> None))
 
 let () =
   Io.register_output_pp (fun ppf -> function

@@ -30,6 +30,6 @@ module Make (M : Machines.MACHINE) : sig
   val committed_log : t -> Command.t list
 end
 
-val committed_monotone : Failures.pattern -> Trace.t -> bool
+val committed_monotone : Trace.t -> bool
 (** The committed view's applied-command count never decreases at any
     process: committed reads are never rolled back. *)

@@ -11,32 +11,27 @@ open Simulator.Types
 type run = {
   r_pattern : Failures.pattern;
   r_horizon : time;
-  (* Per process, chronological (time, command count, digest). *)
-  r_series : (time * int * string) list array;
+  (* Per process, chronological (time, (command count, digest)). *)
+  r_series : (time * (int * string)) list array;
 }
 
 let run_of_trace pattern trace =
-  let series = Array.make (Failures.n pattern) [] in
-  List.iter
-    (fun (t, p, o) ->
-       match o with
-       | Replica.Applied { count; digest; _ } ->
-         series.(p) <- (t, count, digest) :: series.(p)
-       | _ -> ())
-    (Trace.outputs trace);
   { r_pattern = pattern;
     r_horizon = Trace.last_time trace;
-    r_series = Array.map List.rev series }
+    r_series =
+      Trace.series trace (function
+        | Replica.Applied { count; digest; _ } -> Some (count, digest)
+        | _ -> None) }
 
 let digest_at run p t =
   let rec scan best = function
     | [] -> best
-    | (t', _, d) :: rest -> if t' <= t then scan d rest else best
+    | (t', (_, d)) :: rest -> if t' <= t then scan d rest else best
   in
   scan "<initial>" run.r_series.(p)
 
 let final_digest run p =
-  match List.rev run.r_series.(p) with [] -> "<initial>" | (_, _, d) :: _ -> d
+  List.fold_left (fun _ (_, (_, d)) -> d) "<initial>" run.r_series.(p)
 
 (* All correct replicas end the run in the same state. *)
 let converged run =
@@ -51,7 +46,7 @@ let convergence_time run =
   let correct = Failures.correct run.r_pattern in
   let times =
     List.sort_uniq compare
-      (Array.to_list run.r_series |> List.concat_map (List.map (fun (t, _, _) -> t)))
+      (Array.to_list run.r_series |> List.concat_map (List.map fst))
   in
   let agree_at t =
     match correct with
@@ -82,7 +77,7 @@ let divergence_ticks ?(from_time = 0) run =
 let rollback_count run p =
   let rec scan acc prev = function
     | [] -> acc
-    | (_, c, d) :: rest ->
+    | (_, (c, d)) :: rest ->
       (match prev with
        | Some (c0, d0) when c < c0 || (c = c0 && d <> d0) ->
          scan (acc + 1) (Some (c, d)) rest

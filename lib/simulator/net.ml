@@ -39,13 +39,6 @@ let uniform ~min ~max =
   if min < 1 || max < min then invalid_arg "Net.uniform: need 1 <= min <= max";
   Stateless (fun ~src:_ ~dst:_ ~now:_ ~rng -> Rng.in_range rng ~min ~max)
 
-(* Local delivery (self messages) in one tick, remote per [remote]. *)
-let local_fast ~remote =
-  lift
-    (fun remote ~src ~dst ~now ~rng ->
-       if src = dst then 1 else remote ~src ~dst ~now ~rng)
-    remote
-
 (* A partition separates the processes into blocks during [from, until).
    Messages crossing blocks during the partition are delayed until just
    after the partition heals (plus their base delay), which models a
@@ -83,12 +76,8 @@ let partitioned spec ~base =
        else d)
     base
 
-(* Multi-window partition schedules.  A schedule is a list of disjoint
-   [(from, until)] windows in increasing order; during each window,
-   cross-block messages are buffered until that window's own heal time
-   (plus their base delay) — the single-window [partitioned] semantics
-   repeated.  A one-window schedule computes exactly the same delays as
-   [partitioned], so existing callers stay byte-identical. *)
+(* Multi-window schedules: a list of disjoint [(from, until)] windows in
+   increasing order, as the lossy and flapping partitions cut. *)
 let check_schedule ~name windows =
   let rec go prev = function
     | [] -> ()
@@ -104,16 +93,6 @@ let window_closing windows now =
   List.find_map
     (fun (f, u) -> if now >= f && now < u then Some u else None)
     windows
-
-let partitioned_windows ~blocks ~windows ~base =
-  check_schedule ~name:"Net.partitioned_windows" windows;
-  lift
-    (fun base ~src ~dst ~now ~rng ->
-       let d = base ~src ~dst ~now ~rng in
-       match window_closing windows now with
-       | Some heal when not (same_block_of blocks src dst) -> heal - now + d
-       | _ -> d)
-    base
 
 (* Alternating up/down windows: the partition is down (cut) for [down]
    ticks, then up (healed) for [up] ticks, starting down at [from_time],
@@ -132,17 +111,6 @@ let repeating_windows ~from_time ~until_time ~down ~up =
   in
   go from_time []
 
-(* An asynchrony burst: during [from, until), delays are inflated by
-   [factor].  Used to exercise the "no bound on delay between steps"
-   clause without a structured partition. *)
-let slow_period ~from_time ~until_time ~factor ~base =
-  if factor < 1 then invalid_arg "Net.slow_period: factor must be >= 1";
-  lift
-    (fun base ~src ~dst ~now ~rng ->
-       let d = base ~src ~dst ~now ~rng in
-       if now >= from_time && now < until_time then d * factor else d)
-    base
-
 let in_window ~from_time ~until_time now = now >= from_time && now < until_time
 
 (* [only = None] means every link; otherwise only the listed directed
@@ -150,10 +118,11 @@ let in_window ~from_time ~until_time now = now >= from_time && now < until_time
 let on_link only src dst =
   match only with None -> true | Some links -> List.mem (src, dst) links
 
-(* Per-link asynchrony burst: like [slow_period] but confined to chosen
-   directed links, so an adversary can slow exactly one channel (e.g. the
-   leader's promotes to one follower) while the rest of the network stays
-   fast. *)
+(* An asynchrony burst: during [from, until), delays are inflated by
+   [factor], which exercises the "no bound on delay between steps" clause
+   without a structured partition.  [only] confines it to chosen directed
+   links, so an adversary can slow exactly one channel (e.g. the leader's
+   promotes to one follower) while the rest of the network stays fast. *)
 let slow_links ?only ~from_time ~until_time ~factor base =
   if factor < 1 then invalid_arg "Net.slow_links: factor must be >= 1";
   if until_time < from_time then invalid_arg "Net.slow_links: until < from";

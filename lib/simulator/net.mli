@@ -32,9 +32,6 @@ val constant : int -> model
 val uniform : min:int -> max:int -> model
 (** Uniformly random delay in [\[min, max\]], [1 <= min <= max]. *)
 
-val local_fast : remote:model -> model
-(** Self-addressed messages take one tick; others follow [remote]. *)
-
 type partition_spec = {
   blocks : proc_id list list;
   from_time : time;
@@ -46,31 +43,19 @@ val partitioned : partition_spec -> base:model -> model
 (** Cross-block messages sent during the partition are delivered only after
     it heals (plus their base delay); nothing is lost. *)
 
-val partitioned_windows :
-  blocks:proc_id list list -> windows:(time * time) list -> base:model -> model
-(** Multi-window generalization of {!partitioned}: [windows] is a list of
-    disjoint [(from, until)] spans in increasing order, and cross-block
-    messages sent inside a window are buffered until that window's own
-    heal time.  A one-window schedule computes exactly the delays of
-    {!partitioned}, so single-window callers stay byte-identical.  Raises
-    [Invalid_argument] on overlapping, decreasing or inverted windows. *)
-
 val repeating_windows :
   from_time:time -> until_time:time -> down:int -> up:int -> (time * time) list
 (** The alternating schedule that starts down (cut) at [from_time] for
     [down] ticks, heals for [up] ticks, and repeats until [until_time]
-    (the last window is clipped to it): the flapping-bridge shape, usable
-    with {!partitioned_windows} and with a lossy cut. *)
-
-val slow_period :
-  from_time:time -> until_time:time -> factor:int -> base:model -> model
-(** Inflate delays by [factor] during a window — an asynchrony burst. *)
+    (the last window is clipped to it): the flapping-bridge shape of
+    {!flapping_partition}'s lossy cuts. *)
 
 val slow_links :
   ?only:(proc_id * proc_id) list ->
   from_time:time -> until_time:time -> factor:int -> model -> model
-(** Like {!slow_period} but confined to the listed directed links
-    ([only = None] affects every link): a per-link delay spike. *)
+(** Inflate the delay of each message sent during
+    [\[from_time, until_time)) by [factor] — an asynchrony burst — on the
+    listed directed links ([only = None] affects every link). *)
 
 val partial_synchrony : gst:time -> bound:int -> chaos_max:int -> model
 (** Dwork–Lynch–Stockmeyer partial synchrony: chaotic delays up to

@@ -57,13 +57,19 @@ let inputs t =
     (function In { t; proc; input } -> Some (t, proc, input) | Out _ -> None)
     (entries t)
 
-let outputs_of t p =
-  List.filter_map (fun (time, proc, o) -> if proc = p then Some (time, o) else None)
-    (outputs t)
-
-let inputs_of t p =
-  List.filter_map (fun (time, proc, i) -> if proc = p then Some (time, i) else None)
-    (inputs t)
+(* Consing while walking the newest-first entries leaves each process's
+   values oldest-first. *)
+let series t keep =
+  let per_proc = Array.make t.n [] in
+  List.iter
+    (function
+      | Out { t = time; proc; output } ->
+        (match keep output with
+         | Some v -> per_proc.(proc) <- (time, v) :: per_proc.(proc)
+         | None -> ())
+      | In _ -> ())
+    t.rev_entries;
+  per_proc
 
 let pp_entry ppf = function
   | In { t; proc; input } ->

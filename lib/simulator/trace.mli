@@ -27,8 +27,12 @@ val entries : t -> entry list
 
 val outputs : t -> (time * proc_id * Io.output) list
 val inputs : t -> (time * proc_id * Io.input) list
-val outputs_of : t -> proc_id -> (time * Io.output) list
-val inputs_of : t -> proc_id -> (time * Io.input) list
+
+val series : t -> (Io.output -> 'a option) -> (time * 'a) list array
+(** [series t keep] is, per process, the chronological values [keep]
+    returns for that process's outputs, each with its time; outputs [keep]
+    maps to [None] are skipped.  The array has one cell per process of the
+    run ([create]'s [n]).  [keep] is applied newest output first. *)
 
 val sent : t -> int
 (** Total messages sent. *)

@@ -112,9 +112,10 @@ let plan_of_job c job =
 (* State                                                               *)
 (* ------------------------------------------------------------------ *)
 
+type recorded = Unrecorded | Clean_run | Found of Journal.entry | Sacrificed
+
 type state = {
-  processed : int list;
-  processed_set : bool array;
+  jobs : recorded array;
   clean : int;
   findings : Journal.entry list;
   unshrunk : int;
@@ -126,8 +127,7 @@ type state = {
 }
 
 let initial c =
-  { processed = [];
-    processed_set = Array.make (max 1 (total_jobs c)) false;
+  { jobs = Array.make (max 1 (total_jobs c)) Unrecorded;
     clean = 0;
     findings = [];
     unshrunk = 0;
@@ -137,10 +137,10 @@ let initial c =
     aborted = None;
     digest_lines = [] }
 
-let record s job =
-  let set = Array.copy s.processed_set in
-  if job >= 0 && job < Array.length set then set.(job) <- true;
-  { s with processed = job :: s.processed; processed_set = set }
+let record s job r =
+  let jobs = Array.copy s.jobs in
+  if job >= 0 && job < Array.length jobs then jobs.(job) <- r;
+  { s with jobs }
 
 let with_digest s e =
   match Journal.digest_line e with
@@ -152,14 +152,15 @@ let apply s e =
   match e with
   | Journal.Config _ | Journal.Checkpoint _ -> s
   | Journal.Run { job; _ } ->
-    { (record s job) with clean = s.clean + 1; streak = 0 }
+    { (record s job Clean_run) with clean = s.clean + 1; streak = 0 }
   | Journal.Finding { job; shrunk_ok; _ } ->
-    { (record s job) with
+    { (record s job (Found e)) with
       findings = e :: s.findings;
       unshrunk = (s.unshrunk + if shrunk_ok then 0 else 1);
       streak = 0 }
   | Journal.Poisoned { job; _ } ->
-    { (record s job) with poisoned = s.poisoned + 1; streak = s.streak + 1 }
+    { (record s job Sacrificed) with
+      poisoned = s.poisoned + 1; streak = s.streak + 1 }
   | Journal.Degrade { domains; reason } ->
     if domains = 0 then { s with aborted = Some reason }
     else { s with halvings = s.halvings + 1; streak = 0 }
@@ -167,25 +168,15 @@ let apply s e =
 let replay c entries = List.fold_left apply (initial c) entries
 
 let pending c s =
-  let total = total_jobs c in
-  let rec go job acc =
-    if job < 0 then acc
-    else
-      go (job - 1)
-        (if job < Array.length s.processed_set && s.processed_set.(job) then
-           acc
-         else job :: acc)
-  in
-  go (total - 1) []
+  List.filter
+    (fun job -> match s.jobs.(job) with Unrecorded -> true | _ -> false)
+    (List.init (total_jobs c) Fun.id)
 
 let coverage_digest s =
   let lines = List.sort String.compare s.digest_lines in
   Digest.to_hex (Digest.string (String.concat "\n" lines))
 
-let job_of_finding = function
-  | Journal.Finding { job; _ } -> job
-  | _ -> max_int
-
 let finding_list s =
-  List.sort (fun a b -> Int.compare (job_of_finding a) (job_of_finding b))
-    s.findings
+  Array.fold_right
+    (fun r acc -> match r with Found e -> e :: acc | _ -> acc)
+    s.jobs []

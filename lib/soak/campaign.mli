@@ -54,9 +54,15 @@ val plan_of_job : config -> int -> Harness.Adversity.t
 
 (** {2 State} *)
 
+(** What recorded a job. *)
+type recorded =
+  | Unrecorded
+  | Clean_run  (** a [Run] entry *)
+  | Found of Journal.entry  (** its [Finding] entry *)
+  | Sacrificed  (** a [Poisoned] entry *)
+
 type state = {
-  processed : int list;  (** recorded jobs, descending (head = latest) *)
-  processed_set : bool array;  (** indexed by job *)
+  jobs : recorded array;  (** indexed by job *)
   clean : int;
   findings : Journal.entry list;  (** [Finding] entries, reverse order *)
   unshrunk : int;  (** findings whose shrunk repro failed to replay *)

@@ -20,29 +20,21 @@ let exit_code = function
   | Findings _ -> 1
   | Unshrinkable _ | Aborted _ -> 2
 
-let leg_index (config : Campaign.config) job = job / config.Campaign.budget
-
 let per_leg (config : Campaign.config) (s : Campaign.state) =
   let n = List.length config.Campaign.legs in
   let clean = Array.make n 0 and found = Array.make n 0
   and poisoned = Array.make n 0 in
-  List.iter
-    (fun line ->
-       (* digest lines are canonical: "run J ...", "finding J ...",
-          "poisoned J ..." *)
-       match String.split_on_char ' ' line with
-       | kind :: job :: _ ->
-         (match int_of_string_opt job with
-          | Some job when leg_index config job < n ->
-            let k = leg_index config job in
-            (match kind with
-             | "run" -> clean.(k) <- clean.(k) + 1
-             | "finding" -> found.(k) <- found.(k) + 1
-             | "poisoned" -> poisoned.(k) <- poisoned.(k) + 1
-             | _ -> ())
-          | _ -> ())
-       | _ -> ())
-    s.Campaign.digest_lines;
+  let bump counts job =
+    let k = job / config.Campaign.budget in
+    counts.(k) <- counts.(k) + 1
+  in
+  Array.iteri
+    (fun job -> function
+       | Campaign.Unrecorded -> ()
+       | Campaign.Clean_run -> bump clean job
+       | Campaign.Found _ -> bump found job
+       | Campaign.Sacrificed -> bump poisoned job)
+    s.Campaign.jobs;
   List.mapi
     (fun k (leg : Campaign.leg) ->
        (leg.Campaign.name, clean.(k), found.(k), poisoned.(k)))

@@ -1148,18 +1148,19 @@ let prop_full_stack_chaos =
 
 (* --- Property-checker self-tests ----------------------------------- *)
 
+let outputs_trace ~n outputs =
+  let trace = Trace.create ~n in
+  List.iter (fun (t, p, o) -> Trace.record_output trace ~time:t ~proc:p o) outputs;
+  trace
+
 (* Build a synthetic trace of ETOB outputs and check the checkers see what
    they should. *)
 let synthetic_trace entries broadcasts ~n =
-  let trace = Trace.create ~n in
-  List.iter
-    (fun (t, p, m) -> Trace.record_output trace ~time:t ~proc:p (Etob_intf.Etob_broadcast m))
-    broadcasts;
-  List.iter
-    (fun (t, p, seq) ->
-       Trace.record_output trace ~time:t ~proc:p (Etob_intf.Etob_deliver (Dseq.of_list seq)))
-    entries;
-  trace
+  outputs_trace ~n
+    (List.map (fun (t, p, m) -> (t, p, Etob_intf.Etob_broadcast m)) broadcasts
+     @ List.map
+         (fun (t, p, seq) -> (t, p, Etob_intf.Etob_deliver (Dseq.of_list seq)))
+         entries)
 
 let test_checker_flags_duplication () =
   let m = msg 0 0 in
@@ -1219,6 +1220,107 @@ let test_checker_agreement_flags_missing () =
   let run = Properties.etob_run_of_trace (Failures.none ~n:2) trace in
   Alcotest.(check bool) "flagged: p1 never delivers" false
     (Properties.check_agreement run).Properties.ok
+
+(* Findings, the smoke output and the explorer print the checkers'
+   messages, so the tests below pin them byte for byte. *)
+let check_violations name expected (v : Properties.verdict) =
+  Alcotest.(check (list string)) name expected v.Properties.violations
+
+let test_checker_commit_stability_message () =
+  let a = msg 0 0 and b = msg 1 0 in
+  let committed t p seq = (t, p, Commit_prefix.Committed (Dseq.of_list seq)) in
+  let trace =
+    outputs_trace ~n:2
+      [ committed 5 0 [ a ]; committed 8 1 [ a ]; committed 10 0 [ b ];
+        committed 12 0 [ b; a ]; committed 14 1 [ b ] ]
+  in
+  let commits = Properties.commit_run_of_trace (Failures.none ~n:2) trace in
+  check_violations "rolled back"
+    [ "commit-stability: commitment at p0 revised at 10";
+      "commit-stability: commitment at p1 revised at 14" ]
+    (Properties.check_commit_stability commits);
+  Alcotest.(check int) "final committed" 2 (Properties.committed_count commits 0)
+
+let test_checker_ec_report_messages () =
+  let layer = Ec_intf.default_layer in
+  let proposed t p instance v =
+    (t, p, Ec_intf.Proposed_ec { layer; instance; value = Value.Num v })
+  and decided ?(layer = layer) t p instance v =
+    (t, p, Ec_intf.Decide_ec { layer; instance; value = Value.Num v })
+  in
+  let trace =
+    outputs_trace ~n:2
+      [ proposed 1 0 1 7; decided 5 0 1 7; decided 6 1 1 9; decided 7 0 1 7;
+        decided 8 1 2 7; decided ~layer:"other" 9 0 2 7 ]
+  in
+  let run = Properties.ec_run_of_trace (Failures.none ~n:2) trace in
+  let report = Properties.ec_report run ~instances:2 in
+  check_violations "integrity"
+    [ "ec-integrity: p0 decided instance 1 twice (at 7)" ]
+    report.Properties.integrity;
+  check_violations "validity"
+    [ "ec-validity: p1 decided 9 for instance 1 at 6, never proposed";
+      "ec-validity: p1 decided 7 for instance 2 at 8, never proposed" ]
+    report.Properties.ec_validity;
+  check_violations "termination"
+    [ "ec-termination: p0 never decided instance 2" ]
+    report.Properties.termination;
+  Alcotest.(check int) "agreement index" 2 report.Properties.agreement_index;
+  Alcotest.(check (list int)) "instances" [ 1; 2 ] (Properties.decided_instances run)
+
+let test_checker_eic_messages () =
+  let proposed t p instance v =
+    (t, p, Eic_intf.Proposed_eic { instance; value = Value.Num v })
+  and responded t p instance v =
+    (t, p, Eic_intf.Decide_eic { instance; value = Value.Num v })
+  in
+  let trace =
+    outputs_trace ~n:2
+      [ proposed 1 0 1 7; proposed 1 1 1 8; responded 5 0 1 7; responded 6 1 1 8;
+        responded 7 1 1 9; responded 8 0 2 7 ]
+  in
+  let run = Properties.eic_run_of_trace (Failures.none ~n:2) trace in
+  check_violations "validity"
+    [ "eic-validity: p1 responded 9 for instance 1 at 7, never proposed";
+      "eic-validity: p0 responded 7 for instance 2 at 8, never proposed" ]
+    (Properties.check_eic_validity run);
+  check_violations "termination"
+    [ "eic-termination: p1 never responded to instance 2" ]
+    (Properties.check_eic_termination run ~instances:2);
+  check_violations "agreement"
+    [ "eic-agreement: final responses differ for instance 1" ]
+    (Properties.check_eic_agreement run);
+  Alcotest.(check int) "revocations" 1 (Properties.eic_revocation_count run);
+  Alcotest.(check int) "integrity index" 2 (Properties.eic_integrity_index run)
+
+let test_checker_report_text () =
+  let a = msg 0 0 in
+  let b = msg 1 0 ~deps:[ App_msg.id a ] in
+  let trace =
+    synthetic_trace
+      [ (5, 0, [ a ]); (6, 1, [ a; a ]); (8, 0, [ b; a ]) ]
+      [ (1, 0, a); (2, 1, b) ] ~n:2
+  in
+  let report =
+    Properties.etob_report (Properties.etob_run_of_trace (Failures.none ~n:2) trace)
+  in
+  let validity = "validity: p1#0{<-p0#0} broadcast by p1 at 2 missing from its final d"
+  and duplication = "no-duplication: duplicate in d_p1 at 6: [p0#0;p0#0]"
+  and agreement = "agreement: p1#0{<-p0#0} in final d_p0 but not in final d_p1"
+  and causal = "causal-order: dep p0#0 after p1#0{<-p0#0} in d_p0 at 8" in
+  Alcotest.(check string) "pp_etob_report"
+    (String.concat "\n"
+       [ "validity: FAIL:"; "          " ^ validity;
+         "no-creation: ok";
+         "no-duplication: FAIL:"; "                " ^ duplication;
+         "agreement: FAIL:"; "           " ^ agreement;
+         "causal-order: FAIL:"; "              " ^ causal;
+         "distinct-broadcasts: ok";
+         "tau(stability)=8 tau(total-order)=0" ])
+    (Format.asprintf "%a" Properties.pp_etob_report report);
+  Alcotest.(check (list string)) "etob_violations"
+    [ validity; duplication; agreement; causal; "tau-stability: tau=8 exceeds bound 0" ]
+    (Properties.etob_violations ~tau_bound:0 report)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest
@@ -1312,6 +1414,12 @@ let () =
            test_checker_measures_total_order_tau;
          Alcotest.test_case "orders_agree" `Quick test_checker_orders_agree;
          Alcotest.test_case "agreement flags missing" `Quick
-           test_checker_agreement_flags_missing ]);
+           test_checker_agreement_flags_missing;
+         Alcotest.test_case "commit-stability message" `Quick
+           test_checker_commit_stability_message;
+         Alcotest.test_case "ec report messages" `Quick
+           test_checker_ec_report_messages;
+         Alcotest.test_case "eic messages" `Quick test_checker_eic_messages;
+         Alcotest.test_case "report text" `Quick test_checker_report_text ]);
       ("random runs", qc_runs);
     ]

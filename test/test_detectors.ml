@@ -192,7 +192,7 @@ let test_election_recovers_from_slow_period () =
   (* A long slow period causes false suspicions; the adaptive timeout must
      rehabilitate the leader afterwards. *)
   let delay =
-    Net.slow_period ~from_time:30 ~until_time:60 ~factor:12 ~base:(Net.constant 1)
+    Net.slow_links ~from_time:30 ~until_time:60 ~factor:12 (Net.constant 1)
   in
   let pattern, elections = run_election ~delay ~deadline:300 () in
   List.iter

@@ -78,48 +78,6 @@ let test_repeating_windows_shape () =
     [ (10, 15); (20, 23) ]
     (Net.repeating_windows ~from_time:10 ~until_time:23 ~down:5 ~up:5)
 
-(* A one-window schedule must compute exactly the delays of [partitioned]:
-   same results from the same rng stream, over a grid of sends. *)
-let test_single_window_matches_partitioned () =
-  let spec =
-    { Net.blocks = [ [ 0; 1 ]; [ 2 ] ]; from_time = 10; until_time = 30 }
-  in
-  let base = Net.uniform ~min:1 ~max:5 in
-  let d1 = Net.instantiate (Net.partitioned spec ~base) in
-  let d2 =
-    Net.instantiate
-      (Net.partitioned_windows ~blocks:spec.Net.blocks
-         ~windows:[ (spec.Net.from_time, spec.Net.until_time) ]
-         ~base)
-  in
-  let r1 = Rng.create 11 and r2 = Rng.create 11 in
-  for now = 0 to 40 do
-    List.iter
-      (fun (src, dst) ->
-         Alcotest.(check int)
-           (Printf.sprintf "delay %d->%d at %d" src dst now)
-           (Net.delay_of d1 ~src ~dst ~now ~rng:r1)
-           (Net.delay_of d2 ~src ~dst ~now ~rng:r2))
-      [ (0, 1); (0, 2); (2, 0); (1, 2) ]
-  done
-
-let test_window_schedule_rejected () =
-  let rejects windows =
-    match
-      Net.instantiate
-        (Net.partitioned_windows ~blocks:[ [ 0 ]; [ 1 ] ] ~windows
-           ~base:(Net.constant 1))
-    with
-    | exception Invalid_argument _ -> true
-    | d ->
-      (match Net.delay_of d ~src:0 ~dst:1 ~now:0 ~rng with
-       | exception Invalid_argument _ -> true
-       | _ -> false)
-  in
-  Alcotest.(check bool) "overlapping" true (rejects [ (10, 20); (15, 25) ]);
-  Alcotest.(check bool) "decreasing" true (rejects [ (20, 25); (10, 15) ]);
-  Alcotest.(check bool) "inverted" true (rejects [ (20, 10) ])
-
 (* ------------------------------------------------------------------ *)
 (* Anti-entropy catch-up and the convergence watchdog                  *)
 (* ------------------------------------------------------------------ *)
@@ -347,11 +305,7 @@ let () =
            test_oneway_drops_one_direction;
          Alcotest.test_case "flapping alternates" `Quick test_flapping_alternates;
          Alcotest.test_case "repeating_windows shape" `Quick
-           test_repeating_windows_shape;
-         Alcotest.test_case "single window = partitioned" `Quick
-           test_single_window_matches_partitioned;
-         Alcotest.test_case "bad window schedules rejected" `Quick
-           test_window_schedule_rejected ]);
+           test_repeating_windows_shape ]);
       ("anti-entropy",
        [ Alcotest.test_case "digest heals a lossy partition" `Quick
            test_ae_heals_lossy_partition;

@@ -248,7 +248,7 @@ let test_dual_views_agree_in_stable_period () =
          (Dual_kv.committed_digest r))
     replicas;
   Alcotest.(check bool) "committed monotone" true
-    (Committed_replica.committed_monotone setup.Harness.Stacks.pattern trace)
+    (Committed_replica.committed_monotone trace)
 
 let test_dual_views_split_during_partition () =
   (* During the partition the minority side speculates on its own writes
@@ -266,7 +266,7 @@ let test_dual_views_split_during_partition () =
          (Dual_kv.speculative_digest r))
     replicas;
   Alcotest.(check bool) "committed never rolled back" true
-    (Committed_replica.committed_monotone setup.Harness.Stacks.pattern trace);
+    (Committed_replica.committed_monotone trace);
   (* Speculative rollbacks did happen (the losing side revised). *)
   let conv = Convergence.run_of_trace setup.Harness.Stacks.pattern trace in
   Alcotest.(check bool) "speculative rollbacks occurred" true

@@ -302,7 +302,7 @@ let test_net_partition_delays_cross_block () =
 let test_net_slow_period () =
   let d =
     Net.instantiate
-      (Net.slow_period ~from_time:10 ~until_time:20 ~factor:5 ~base:(Net.constant 2))
+      (Net.slow_links ~from_time:10 ~until_time:20 ~factor:5 (Net.constant 2))
   in
   Alcotest.(check int) "inside" 10 (Net.delay_of d ~src:0 ~dst:1 ~now:12 ~rng);
   Alcotest.(check int) "outside" 2 (Net.delay_of d ~src:0 ~dst:1 ~now:25 ~rng)
@@ -340,11 +340,6 @@ let test_net_fifo_instances_independent () =
   let d2 = Net.instantiate model in
   Alcotest.(check int) "fresh instance unclamped" 5
     (Net.delay_of d2 ~src:0 ~dst:1 ~now:4 ~rng)
-
-let test_net_local_fast () =
-  let d = Net.instantiate (Net.local_fast ~remote:(Net.constant 7)) in
-  Alcotest.(check int) "self" 1 (Net.delay_of d ~src:2 ~dst:2 ~now:0 ~rng);
-  Alcotest.(check int) "remote" 7 (Net.delay_of d ~src:2 ~dst:0 ~now:0 ~rng)
 
 (* ------------------------------------------------------------------ *)
 (* Engine                                                              *)
@@ -779,16 +774,22 @@ let test_trace_accessors () =
   Trace.record_input trace ~time:3 ~proc:0 (Io.String_input "in");
   Trace.record_output trace ~time:5 ~proc:1 (Io.String_output "out");
   Trace.record_output trace ~time:7 ~proc:0 (Io.String_output "out2");
-  Alcotest.(check int) "entries" 3 (List.length (Trace.entries trace));
-  Alcotest.(check int) "outputs" 2 (List.length (Trace.outputs trace));
+  Trace.record_output trace ~time:9 ~proc:0 (Io.String_output "skip");
+  Trace.record_output trace ~time:11 ~proc:0 (Io.String_output "out3");
+  Alcotest.(check int) "entries" 5 (List.length (Trace.entries trace));
+  Alcotest.(check int) "outputs" 4 (List.length (Trace.outputs trace));
   Alcotest.(check int) "inputs" 1 (List.length (Trace.inputs trace));
-  Alcotest.(check int) "outputs_of p0" 1 (List.length (Trace.outputs_of trace 0));
-  Alcotest.(check int) "inputs_of p0" 1 (List.length (Trace.inputs_of trace 0));
-  Alcotest.(check int) "inputs_of p1" 0 (List.length (Trace.inputs_of trace 1));
-  Alcotest.(check int) "last_time" 7 (Trace.last_time trace);
+  (* Per process, chronological, only what the classifier keeps. *)
+  Alcotest.(check (array (list (pair int string)))) "series"
+    [| [ (7, "out2"); (11, "out3") ]; [ (5, "out") ] |]
+    (Trace.series trace (function
+       | Io.String_output s when s <> "skip" -> Some s
+       | _ -> None));
+  Alcotest.(check int) "last_time" 11 (Trace.last_time trace);
   (* Entries come back chronologically. *)
   match Trace.entries trace with
-  | [ Trace.In { t = 3; _ }; Trace.Out { t = 5; _ }; Trace.Out { t = 7; _ } ] -> ()
+  | [ Trace.In { t = 3; _ }; Trace.Out { t = 5; _ }; Trace.Out { t = 7; _ };
+      Trace.Out { t = 9; _ }; Trace.Out { t = 11; _ } ] -> ()
   | _ -> Alcotest.fail "entry order"
 
 let test_trace_counters () =
@@ -893,8 +894,7 @@ let () =
          Alcotest.test_case "fifo no overtaking" `Quick test_net_fifo_no_overtaking;
          Alcotest.test_case "fifo per link" `Quick test_net_fifo_per_link;
          Alcotest.test_case "fifo instances independent" `Quick
-           test_net_fifo_instances_independent;
-         Alcotest.test_case "local fast" `Quick test_net_local_fast ]);
+           test_net_fifo_instances_independent ]);
       ("engine",
        [ Alcotest.test_case "delivers everything" `Quick test_engine_delivers_everything;
          Alcotest.test_case "deterministic" `Quick test_engine_deterministic;
