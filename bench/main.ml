@@ -1424,10 +1424,9 @@ let e22 () =
 let e23 () =
   section "E23" "per-event allocation: minor-heap bytes per engine step";
   let n = 3 and seeds = [ 2; 3; 4; 5 ] in
-  (* Measured exactly (Gc.minor_words): ~96 B/step (Alg. 5), ~375 B/step
-     (Paxos, fewer steps to amortize over).  The budget gives the worst
-     row ~2.7x headroom; a hot-path allocation regression multiplies the
-     rate. *)
+  (* Measured exactly (Gc.minor_words): ~93 B/step (Alg. 5), ~40 B/step
+     (Paxos).  The budget gives the worst row ~11x headroom; a hot-path
+     allocation regression multiplies the rate. *)
   let budget_bytes = 1024.0 in
   let word_bytes = float_of_int (Sys.word_size / 8) in
   let run_once impl seed =
@@ -1498,32 +1497,37 @@ let e23 () =
   write_bench_json "alloc" json
 
 (* ------------------------------------------------------------------ *)
-(* E25: Algorithm 5's step cost against history length (gate enforced) *)
+(* E25: step cost against history length, per stack (gates enforced)   *)
 (* ------------------------------------------------------------------ *)
 
-(* Algorithm 5 under a stable leader, the E24 alg5-long spec (n=5,
+(* Each stack under a stable leader, the E24 alg5-long spec (n=5,
    uniform 1-4 tick links, timer period 2, one post every 4 ticks) at
-   10^2, 10^3 and 10^4 broadcasts.  Each update merges and promotes only
+   10^2, 10^3 and 10^4 broadcasts.  Algorithm 5 merges and promotes only
    what is new (Causal_graph), and a revision of promote_i or d_i shares
-   the one before it (Dseq), so the CPU time and the minor-heap bytes per
-   automaton step should not grow with the history.  The run uses the
-   counters sink, so memory does not hold the trace.  Gates: the cost per
-   step at 10^3 is within [flat_factor] of the cost at 10^2 and at 10^4
-   within [wide_factor], and the bytes per step at 10^3 and 10^4 stay
-   within E23's budget.  The factors leave room for the log factor of the
-   persistent maps, for cache misses over a heap ten and a hundred times
-   larger and for run-to-run noise (1.6-2.1x at 10^3 and 2.0-2.4x at 10^4
-   measured on a 2-vCPU host), while work that grows with the history
-   fails them: merging whole graphs on every update grows 15x over the
-   first decade, and copying d_i into an in-order list on every change of
-   the leader's promotion cost 8.5-8.9x and 4,866 B/step at 10^4.  Emits
+   the one before it (Dseq).  The Paxos baseline keeps its chosen ids
+   incrementally and prunes its pending requests, votes and delivered
+   slots at choice (DESIGN.md §20).  So the CPU time and the minor-heap
+   bytes per automaton step should not grow with the history.  The run
+   uses the counters sink, so memory does not hold the trace.  Gates, per
+   stack: the cost per step at 10^3 is within [flat_factor] of the cost
+   at 10^2 and at 10^4 within [wide_factor], and the bytes per step at
+   10^3 and 10^4 stay within E23's budget.  The factors leave room for
+   the log factor of the persistent maps, for cache misses over a heap
+   ten and a hundred times larger and for run-to-run noise (on a 2-vCPU
+   host, 1.6-2.1x at 10^3 and 2.0-2.4x at 10^4 for Algorithm 5, 1.4-1.8x
+   and 1.7-2.2x for Paxos), while work that grows with the history fails
+   them: merging whole graphs on every update grows 15x over the first
+   decade; copying d_i into an in-order list on every change of the
+   leader's promotion cost 8.5-8.9x and 4,866 B/step at 10^4; rebuilding
+   Paxos's chosen ids and filtering every request ever received on each
+   leader timer cost 3.5x and 5,670 B/step at 10^3.  Emits
    machine-readable BENCH_scale.json. *)
 let e25 () =
-  section "E25" "Algorithm 5 step cost vs history length (gate enforced)";
+  section "E25" "step cost vs history length, Algorithm 5 and Paxos (gates enforced)";
   gc_mark ();
   let n = 5 and flat_factor = 3.0 and wide_factor = 4.0 and budget_bytes = 1024.0 in
   let word_bytes = float_of_int (Sys.word_size / 8) in
-  let run_once count =
+  let run_once impl count =
     let c = Sink.counters ~n in
     let setup =
       { (Harness.Stacks.default ~n ~deadline:((4 * count) + 205)) with
@@ -1531,67 +1535,78 @@ let e25 () =
         sink = Some (Sink.counters_sink c) }
     in
     let inputs = Harness.Stacks.spread_posts ~n ~count ~from_time:5 ~every:4 in
-    ignore (Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5);
+    ignore (Harness.Stacks.run_etob ~inputs setup impl);
     Sink.steps c
   in
   (* Repeat small sizes so every row covers a few hundred thousand steps. *)
-  let measure (count, repeats) =
-    ignore (run_once count);
+  let measure impl (count, repeats) =
+    ignore (run_once impl count);
     (* Gc.minor_words is exact; quick_stat's count moves in whole minor heaps. *)
     let w0 = Gc.minor_words () in
     let t0 = Sys.time () in
     let steps = ref 0 in
     for _ = 1 to repeats do
-      steps := !steps + run_once count
+      steps := !steps + run_once impl count
     done;
     let cpu = Sys.time () -. t0 in
     let words = Gc.minor_words () -. w0 in
     let steps = !steps in
     let ns = cpu *. 1e9 /. float_of_int steps in
     let bytes = words *. word_bytes /. float_of_int steps in
-    row "  %-12d %-8d %-12d %-12.0f %-12.0f" count repeats steps ns bytes;
+    row "  %-16s %-12d %-8d %-12d %-12.0f %-12.0f" (impl_name impl) count repeats
+      steps ns bytes;
     (count, repeats, steps, ns, bytes)
   in
-  row "  n=%d, uniform 1-4 tick links, timer period 2, one post per 4 ticks" n;
-  row "  %-12s %-8s %-12s %-12s %-12s" "broadcasts" "runs" "steps" "ns/step" "bytes/step";
-  let rows = List.map measure [ (100, 100); (1_000, 10); (10_000, 1) ] in
-  let at count = List.find (fun (c, _, _, _, _) -> c = count) rows in
-  let _, _, _, ns_small, _ = at 100 and _, _, _, ns_mid, bytes_mid = at 1_000 in
-  let _, _, _, ns_large, bytes_large = at 10_000 in
-  let growth = ns_mid /. ns_small and wide_growth = ns_large /. ns_small in
-  row "  ns/step at 10^3 / 10^2: %.2f (gate <= %.1f); at 10^4 / 10^2: %.2f (gate <= %.1f)"
-    growth flat_factor wide_growth wide_factor;
-  row "  bytes/step at 10^3: %.0f, at 10^4: %.0f (gate <= %.0f, E23's budget)" bytes_mid
-    bytes_large budget_bytes;
-  let gate label factor growth bytes =
+  let gate impl label factor growth bytes =
     if growth > factor then
       failwith
         (Printf.sprintf
-           "E25: step cost grows %.2fx from 10^2 to %s broadcasts (gate %.1fx)" growth
-           label factor);
+           "E25: %s step cost grows %.2fx from 10^2 to %s broadcasts (gate %.1fx)"
+           (impl_name impl) growth label factor);
     if bytes > budget_bytes then
       failwith
-        (Printf.sprintf "E25: %.0f bytes/step at %s broadcasts (budget %.0f)" bytes label
-           budget_bytes)
+        (Printf.sprintf "E25: %s at %.0f bytes/step at %s broadcasts (budget %.0f)"
+           (impl_name impl) bytes label budget_bytes)
   in
-  gate "10^3" flat_factor growth bytes_mid;
-  gate "10^4" wide_factor wide_growth bytes_large;
-  let json =
+  let stack impl =
+    let rows = List.map (measure impl) [ (100, 100); (1_000, 10); (10_000, 1) ] in
+    let at count = List.find (fun (c, _, _, _, _) -> c = count) rows in
+    let _, _, _, ns_small, _ = at 100 and _, _, _, ns_mid, bytes_mid = at 1_000 in
+    let _, _, _, ns_large, bytes_large = at 10_000 in
+    let growth = ns_mid /. ns_small and wide_growth = ns_large /. ns_small in
+    row "  %s: ns/step at 10^3 / 10^2: %.2f (gate <= %.1f); at 10^4 / 10^2: %.2f \
+         (gate <= %.1f)"
+      (impl_name impl) growth flat_factor wide_growth wide_factor;
+    row "  %s: bytes/step at 10^3: %.0f, at 10^4: %.0f (gate <= %.0f, E23's budget)"
+      (impl_name impl) bytes_mid bytes_large budget_bytes;
+    gate impl "10^3" flat_factor growth bytes_mid;
+    gate impl "10^4" wide_factor wide_growth bytes_large;
     Printf.sprintf
-      "{\n  \"experiment\": \"E25\",\n  \"n\": %d,\n  \"flat_factor\": %.1f,\n  \
-       \"wide_factor\": %.1f,\n  \"budget_bytes_per_step\": %.0f,\n  \
-       \"rows\": [\n%s\n  ],\n  \
-       \"growth_1e3_over_1e2\": %.3f,\n  \"growth_1e4_over_1e2\": %.3f,\n  %s\n}\n"
-      n flat_factor wide_factor budget_bytes
+      "    {\"impl\": \"%s\",\n     \"rows\": [\n%s\n     ],\n     \
+       \"growth_1e3_over_1e2\": %.3f, \"growth_1e4_over_1e2\": %.3f}"
+      (Harness.Builder.stack_name (Harness.Builder.Etob impl))
       (String.concat ",\n"
          (List.map
             (fun (count, repeats, steps, ns, bytes) ->
                Printf.sprintf
-                 "    {\"broadcasts\": %d, \"runs\": %d, \"steps\": %d, \
+                 "       {\"broadcasts\": %d, \"runs\": %d, \"steps\": %d, \
                   \"ns_per_step\": %.0f, \"bytes_per_step\": %.0f}"
                  count repeats steps ns bytes)
             rows))
-      growth wide_growth (gc_fields ())
+      growth wide_growth
+  in
+  row "  n=%d, uniform 1-4 tick links, timer period 2, one post per 4 ticks" n;
+  row "  %-16s %-12s %-8s %-12s %-12s %-12s" "implementation" "broadcasts" "runs"
+    "steps" "ns/step" "bytes/step";
+  let stacks =
+    List.map stack [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
+  in
+  let json =
+    Printf.sprintf
+      "{\n  \"experiment\": \"E25\",\n  \"n\": %d,\n  \"flat_factor\": %.1f,\n  \
+       \"wide_factor\": %.1f,\n  \"budget_bytes_per_step\": %.0f,\n  \
+       \"stacks\": [\n%s\n  ],\n  %s\n}\n"
+      n flat_factor wide_factor budget_bytes (String.concat ",\n" stacks) (gc_fields ())
   in
   write_bench_json "scale" json
 

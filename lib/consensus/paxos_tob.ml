@@ -42,10 +42,12 @@ type t = {
   mutable promises : (proc_id * (int * int * App_msg.t list) list) list;
   mutable next_slot : int;
   mutable in_flight : int option;
-  mutable pending : Msg_set.t;
+  mutable pending : Msg_set.t;  (* received, not yet chosen *)
   (* Learner state. *)
-  votes : (int * int, Int_set.t * App_msg.t list) Hashtbl.t;  (* slot,ballot -> voters,batch *)
-  chosen : (int, App_msg.t list) Hashtbl.t;
+  votes : (int, (int * (Int_set.t * App_msg.t list)) list) Hashtbl.t;
+      (* undecided slot -> ballot -> voters, batch *)
+  chosen : (int, App_msg.t list) Hashtbl.t;  (* chosen, not yet delivered *)
+  mutable chosen_ids : App_msg.Id_set.t;  (* ids of every chosen batch *)
   mutable delivered_upto : int;  (* next slot to deliver *)
   mutable delivered_ids : App_msg.Id_set.t;
 }
@@ -67,12 +69,7 @@ let sorted_bindings tbl =
   Hashtbl.fold (fun slot v acc -> (slot, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let chosen_ids t =
-  (* detlint: sorted — set union is order-insensitive *)
-  Hashtbl.fold
-    (fun _ batch acc ->
-       List.fold_left (fun acc m -> App_msg.Id_set.add (App_msg.id m) acc) acc batch)
-    t.chosen App_msg.Id_set.empty
+let is_chosen t slot = slot < t.delivered_upto || Hashtbl.mem t.chosen slot
 
 (* Deliver every contiguously chosen slot, skipping messages already
    delivered through an earlier slot (a message can be re-proposed across a
@@ -81,6 +78,7 @@ let rec try_deliver t =
   match Hashtbl.find_opt t.chosen t.delivered_upto with
   | None -> ()
   | Some batch ->
+    Hashtbl.remove t.chosen t.delivered_upto;
     t.delivered_upto <- t.delivered_upto + 1;
     let fresh =
       List.filter (fun m -> not (App_msg.Id_set.mem (App_msg.id m) t.delivered_ids)) batch
@@ -94,18 +92,33 @@ let rec try_deliver t =
     end;
     try_deliver t
 
+(* Votes for a chosen slot change nothing, so they are not kept.  At
+   choice the slot's votes go, its ids join [chosen_ids] and its messages
+   leave [pending]. *)
 let record_vote t ~voter ~ballot ~slot ~batch =
-  let key = (slot, ballot) in
-  let voters, batch =
-    match Hashtbl.find_opt t.votes key with
-    | None -> (Int_set.singleton voter, batch)
-    | Some (vs, b) -> (Int_set.add voter vs, b)
-  in
-  Hashtbl.replace t.votes key (voters, batch);
-  if Int_set.cardinal voters >= t.majority && not (Hashtbl.mem t.chosen slot) then begin
-    Hashtbl.replace t.chosen slot batch;
-    if Option.equal Int.equal t.in_flight (Some slot) then t.in_flight <- None;
-    try_deliver t
+  if not (is_chosen t slot) then begin
+    let mine, others =
+      List.partition (fun (b, _) -> Int.equal b ballot)
+        (Option.value (Hashtbl.find_opt t.votes slot) ~default:[])
+    in
+    let voters, batch =
+      match mine with
+      | [] -> (Int_set.singleton voter, batch)
+      | (_, (vs, b)) :: _ -> (Int_set.add voter vs, b)
+    in
+    if Int_set.cardinal voters < t.majority then
+      Hashtbl.replace t.votes slot ((ballot, (voters, batch)) :: others)
+    else begin
+      Hashtbl.remove t.votes slot;
+      Hashtbl.replace t.chosen slot batch;
+      List.iter
+        (fun m ->
+           t.chosen_ids <- App_msg.Id_set.add (App_msg.id m) t.chosen_ids;
+           t.pending <- Msg_set.remove m t.pending)
+        batch;
+      if Option.equal Int.equal t.in_flight (Some slot) then t.in_flight <- None;
+      try_deliver t
+    end
   end
 
 let send_accept t ~slot ~batch =
@@ -149,19 +162,14 @@ let step_down t =
   t.campaigning <- false;
   t.in_flight <- None
 
+(* [pending] holds exactly the requests no chosen batch carries, so the
+   fresh batch is all of it, in id order. *)
 let propose_fresh t =
-  let already = chosen_ids t in
-  let fresh =
-    Msg_set.elements
-      (Msg_set.filter
-         (fun m -> not (App_msg.Id_set.mem (App_msg.id m) already))
-         t.pending)
-  in
-  if fresh <> [] then begin
+  if not (Msg_set.is_empty t.pending) then begin
     let slot = t.next_slot in
     t.next_slot <- slot + 1;
     t.in_flight <- Some slot;
-    send_accept t ~slot ~batch:fresh
+    send_accept t ~slot ~batch:(Msg_set.elements t.pending)
   end
 
 let on_timer t =
@@ -180,7 +188,9 @@ let broadcast t m =
 
 let on_message t ~src payload =
   match payload with
-  | Req m -> t.pending <- Msg_set.add m t.pending
+  | Req m ->
+    if not (App_msg.Id_set.mem (App_msg.id m) t.chosen_ids) then
+      t.pending <- Msg_set.add m t.pending
   | Prepare { ballot } ->
     if ballot > t.promised then begin
       t.promised <- ballot;
@@ -227,8 +237,9 @@ let create (c : Engine.ctx) ~omega =
       next_slot = 0;
       in_flight = None;
       pending = Msg_set.empty;
-      votes = Hashtbl.create 64;
-      chosen = Hashtbl.create 32;
+      votes = Hashtbl.create 8;
+      chosen = Hashtbl.create 8;
+      chosen_ids = App_msg.Id_set.empty;
       delivered_upto = 0;
       delivered_ids = App_msg.Id_set.empty }
   in

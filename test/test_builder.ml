@@ -67,6 +67,36 @@ let test_golden_crash_via_builder () =
   in
   Alcotest.(check bool) "golden crash trace byte-identical" true (got = golden)
 
+(* The Paxos golden.  The initial leader p0 crashes at 15 while Omega
+   flaps, so each later leader re-proposes the slots its promise quorum
+   accepted.  The spike on link p1 -> p3 delivers p1's requests to p3
+   after their slots are chosen, and p3 leads later: without it, 1-4 tick
+   links almost never deliver a request that late.  The duplicate window
+   repeats requests and votes. *)
+let test_golden_paxos_via_builder () =
+  let b =
+    { (Builder.create ~n:5 ~deadline:240
+         ~delay:(Builder.Uniform { min_d = 1; max_d = 4 })
+         (Builder.Etob Stacks.Paxos_baseline))
+      with
+      Builder.workload = Builder.Posts { count = 10; from_time = 6; every = 6 };
+      plan =
+        Adversity.make
+          [ Adversity.Crash { proc = 0; at = 15 };
+            Adversity.Delay_spike
+              { link = Some (1, 3); from_time = 20; until_time = 60; factor = 8 };
+            Adversity.Duplicate { from_time = 20; until_time = 80; copies = 1 };
+            Adversity.Omega_flap { until_time = 100; period = 20 } ]
+    }
+  in
+  let o = Builder.run b in
+  let trace = Option.get o.Builder.trace in
+  let got = Format.asprintf "%a" Trace.pp trace in
+  let golden =
+    In_channel.with_open_bin "golden_paxos_trace.txt" In_channel.input_all
+  in
+  Alcotest.(check bool) "golden paxos trace byte-identical" true (got = golden)
+
 (* Anti-entropy stack under a lossy partition: [Builder.run] on [Etob_ae]
    vs calling [Stacks.run_etob_ae] on the applied setup directly. *)
 let test_ae_differential () =
@@ -402,6 +432,8 @@ let () =
            test_golden_stable_via_builder;
          Alcotest.test_case "golden crash via builder" `Quick
            test_golden_crash_via_builder;
+         Alcotest.test_case "golden paxos via builder" `Quick
+           test_golden_paxos_via_builder;
          Alcotest.test_case "ae stack" `Quick test_ae_differential;
          Alcotest.test_case "recoverable stack" `Quick
            test_recoverable_differential;

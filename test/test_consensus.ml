@@ -144,8 +144,56 @@ let prop_paxos_safety_random_runs =
        && report.Properties.tau_stability = 0
        && report.Properties.tau_total_order = 0)
 
+(* The incremental baseline against the whole-history one
+   (Paxos_tob_oracle): under random adversity plans — crashes, buffering
+   and lossy partitions, delay spikes, drops, duplication, Omega flapping —
+   the two traces must be identical, event for event. *)
+let paxos_trace ~oracle setup inputs =
+  let trace =
+    if not oracle then
+      Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Paxos_baseline
+    else
+      let omega_of = Harness.Stacks.omega_module setup in
+      let make_node ctx =
+        let omega, omega_node = omega_of ctx in
+        let t, node = Paxos_tob_oracle.create ctx ~omega in
+        let service = Paxos_tob_oracle.service t in
+        (Engine.stack [ omega_node; node; Harness.Stacks.post_driver service ], ())
+      in
+      fst (Engine.run_with (Harness.Stacks.engine_config setup) ~make_node ~inputs)
+  in
+  Format.asprintf "%a" Trace.pp trace
+
+let prop_paxos_matches_oracle =
+  let deadline = 300 in
+  QCheck.Test.make
+    ~name:"paxos: incremental and whole-history runs are trace-identical"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (seed, n, plan) ->
+           Format.asprintf "seed=%d n=%d plan=%a" seed n Harness.Adversity.pp plan)
+       QCheck.Gen.(
+         let* seed = int_range 0 10_000 in
+         let* n = int_range 3 5 in
+         let* plan = Harness.Builder.plan_gen ~n ~deadline in
+         return (seed, n, plan)))
+    (fun (seed, n, plan) ->
+       let setup =
+         Harness.Adversity.apply plan
+           { (Harness.Stacks.default ~n ~deadline) with
+             seed;
+             delay = Net.uniform ~min:1 ~max:4;
+             omega = oracle ~pre:(Detectors.Omega.Seeded seed) 40 }
+       in
+       let inputs = Harness.Stacks.spread_posts ~n ~count:12 ~from_time:5 ~every:3 in
+       String.equal (paxos_trace ~oracle:false setup inputs)
+         (paxos_trace ~oracle:true setup inputs))
+
 let () =
-  let qc = List.map QCheck_alcotest.to_alcotest [ prop_paxos_safety_random_runs ] in
+  let qc =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_paxos_safety_random_runs; prop_paxos_matches_oracle ]
+  in
   Alcotest.run "consensus"
     [ ("paxos_tob",
        [ Alcotest.test_case "strong TOB failure-free" `Quick
