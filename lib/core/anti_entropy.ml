@@ -72,9 +72,9 @@ type t = {
   graph : unit -> Causal_graph.t;
   learn : App_msg.t list -> unit;
   mutable rounds : int;
-  (* Per peer: fingerprint of the last delta sent, the round from which an
+  (* Per peer: the ids of the last delta sent, the round from which an
      identical delta may be re-sent, and the current backoff (rounds). *)
-  last_key : string array;
+  last_sent : App_msg.id list array;
   ok_round : int array;
   backoff : int array;
   mutable s_digests : int;
@@ -131,13 +131,6 @@ let missing_for t summary =
   List.filter (fun m -> not (covers summary m))
     (Causal_graph.messages (t.graph ()))
 
-let key_of msgs =
-  Digest.string
-    (String.concat ";"
-       (List.map
-          (fun m -> Printf.sprintf "%d.%d" m.App_msg.origin m.App_msg.sn)
-          msgs))
-
 let send_delta t dst missing =
   t.s_deltas <- t.s_deltas + 1;
   t.s_delta_msgs <- t.s_delta_msgs + List.length missing;
@@ -148,14 +141,15 @@ let on_digest t ~src summary =
     match missing_for t summary with
     | [] ->
       (* Peer is caught up (with us): forget the backoff state. *)
-      t.last_key.(src) <- "";
+      t.last_sent.(src) <- [];
       t.backoff.(src) <- 1
     | missing ->
-      let key = key_of missing in
-      if key <> t.last_key.(src) then begin
+      let ids = List.map App_msg.id missing in
+      let same_id a b = App_msg.compare_id a b = 0 in
+      if not (List.equal same_id ids t.last_sent.(src)) then begin
         (* The peer's need changed (it progressed, or we learned more):
            answer immediately and restart the backoff. *)
-        t.last_key.(src) <- key;
+        t.last_sent.(src) <- ids;
         t.backoff.(src) <- 1;
         t.ok_round.(src) <- t.rounds + 1;
         send_delta t src missing
@@ -191,7 +185,7 @@ let create ?(config = default_config) ?mutation (ctx : Engine.ctx) ~graph
       graph;
       learn;
       rounds = 0;
-      last_key = Array.make ctx.Engine.n "";
+      last_sent = Array.make ctx.Engine.n [];
       ok_round = Array.make ctx.Engine.n 0;
       backoff = Array.make ctx.Engine.n 1;
       s_digests = 0;

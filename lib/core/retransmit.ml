@@ -21,8 +21,6 @@ type config = {
   max_backoff : int;  (** retransmission backoff cap, in ticks *)
 }
 
-let default_config = { ack_timeout = 4; max_backoff = 32 }
-
 module Int_map = Map.Make (Int)
 module Int_set = Set.Make (Int)
 
@@ -43,7 +41,7 @@ type t = {
   mutable retransmitted : int;
 }
 
-let create ?(config = default_config) ~epoch (ctx : Engine.ctx) =
+let create ~config ~epoch (ctx : Engine.ctx) =
   { ctx;
     cfg = config;
     epoch;

@@ -29,9 +29,11 @@ type config = {
 
 type t
 
-val create : ?config:config -> epoch:int -> Engine.ctx -> t
+val create : config:config -> epoch:int -> Engine.ctx -> t
 (** One link layer for one process incarnation; [epoch] is its restart
-    count (0 for a never-restarted process). *)
+    count (0 for a never-restarted process).  The timeouts come from the
+    owner's configuration ({!Recoverable.default_config} holds the
+    defaults). *)
 
 val send : t -> proc_id -> Msg.payload -> unit
 (** Frame [payload], send it, and retransmit until acknowledged. *)

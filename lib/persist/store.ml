@@ -17,34 +17,22 @@
    - [Corrupt_record]: the oldest dirty record was written but damaged on
      the medium; the checksum detects it on replay.
 
-   Every record carries a real checksum, verified on [open_]; replay
-   stops at the first record that fails verification, so a damaged record
-   also hides everything logged after it — exactly the contract of a real
-   WAL reader.  [install_snapshot] models the usual
+   Every record is stored as its [Frame.frame] encoding
+   ([len][crc32][payload]) and verified on [open_] by a whole-frame parse:
+   length intact, CRC matches, no trailing bytes.  Replay stops at the
+   first record that fails verification, so a damaged record also hides
+   everything logged after it — exactly the contract of a real WAL
+   reader.  [install_snapshot] models the usual
    write-new-file-then-rename protocol: it is atomic, durable, and
-   truncates the log; the snapshot bytes are checksummed like any record
-   and verified on every open.
+   truncates the log; the snapshot is framed like any record and verified
+   on every open.
 
-   Checksum schemes.  The default is [Crc32]: the record is stored as its
-   [Frame.frame] encoding — [len][crc32][payload] — and verification is a
-   whole-frame parse (length intact, CRC matches, no trailing bytes), one
-   table lookup per byte with no per-record allocation beyond the frame
-   itself.  [Md5] is the legacy scheme (payload stored raw beside its
-   16-byte MD5) kept so the benchmark can measure old-vs-new on the same
-   fault battery; both schemes expose identical decoded-level semantics —
-   same surviving records, same stats — under every fault.  (One
-   documented corner: a torn *empty* record is detectable under Crc32,
-   whose 8-byte frame tears visibly, but vacuously verifies under Md5,
-   where half of an empty payload is still the empty payload.  The
-   protocols never log empty records.)
-
-   Faults damage the stored bytes — the frame under Crc32, the raw
-   payload under Md5 — and are armed ahead of time ([arm_fault]) and
-   applied, one per crash in arming order, when the store is re-opened
-   after a crash.  Nothing reads the store between the crash and the
-   restart, so applying the damage lazily at re-open is observationally
-   equivalent to applying it at the crash instant, and keeps the store
-   independent of the engine's clock. *)
+   Faults damage the stored frames.  They are armed ahead of time
+   ([arm_fault]) and applied, one per crash in arming order, when the
+   store is re-opened after a crash.  Nothing reads the store between the
+   crash and the restart, so applying the damage lazily at re-open is
+   observationally equivalent to applying it at the crash instant, and
+   keeps the store independent of the engine's clock. *)
 
 type fault = Torn_tail | Lost_suffix of int | Corrupt_record
 
@@ -65,15 +53,6 @@ let fault_of_string s =
         | _ -> None)
      | _ -> None)
 
-type checksum = Md5 | Crc32
-
-let checksum_name = function Md5 -> "md5" | Crc32 -> "crc32"
-
-(* [stored] is what sits on the simulated medium and is what faults
-   damage; [check] is the side checksum for Md5 (empty under Crc32, where
-   the frame embeds its own CRC). *)
-type record = { mutable stored : string; check : string }
-
 type stats = {
   appends : int;
   syncs : int;
@@ -83,12 +62,13 @@ type stats = {
   corrupt_detected : int;
 }
 
+(* Records and the snapshot are kept as their frames: the bytes on the
+   simulated medium, which faults damage. *)
 type t = {
-  checksum : checksum;
-  mutable log : record list;  (* newest first *)
+  mutable log : string list;  (* newest first *)
   mutable log_len : int;
   mutable synced : int;  (* count of records covered by the last barrier *)
-  mutable snapshot : record option;
+  mutable snapshot : string option;
   mutable opened : bool;  (* an incarnation is running and has not closed *)
   mutable armed : fault list;  (* FIFO: one applied per crash *)
   mutable appends : int;
@@ -99,9 +79,8 @@ type t = {
   mutable corrupt_detected : int;
 }
 
-let create ?(checksum = Crc32) () =
-  { checksum;
-    log = [];
+let create () =
+  { log = [];
     log_len = 0;
     synced = 0;
     snapshot = None;
@@ -116,23 +95,15 @@ let create ?(checksum = Crc32) () =
 
 let pool ~n = Array.init n (fun _ -> create ())
 
-let encode t payload =
-  match t.checksum with
-  | Crc32 -> { stored = Frame.frame payload; check = "" }
-  | Md5 -> { stored = payload; check = Digest.string payload }
-
-(* Decode and verify one stored record; [None] means the checksum caught
-   damage (or, under Crc32, the frame no longer parses cleanly). *)
-let verify t r =
-  match t.checksum with
-  | Md5 -> if String.equal (Digest.string r.stored) r.check then Some r.stored else None
-  | Crc32 ->
-    (match Frame.read_frame r.stored 0 with
-     | Ok (payload, next) when next = String.length r.stored -> Some payload
-     | Ok _ | Error _ -> None)
+(* Decode and verify one stored frame; [None] means it no longer parses
+   cleanly: torn, damaged, or followed by trailing bytes. *)
+let verify frame =
+  match Frame.read_frame frame 0 with
+  | Ok (payload, next) when next = String.length frame -> Some payload
+  | Ok _ | Error _ -> None
 
 let append t payload =
-  t.log <- encode t payload :: t.log;
+  t.log <- Frame.frame payload :: t.log;
   t.log_len <- t.log_len + 1;
   t.appends <- t.appends + 1
 
@@ -141,7 +112,7 @@ let sync t =
   t.syncs <- t.syncs + 1
 
 let install_snapshot t payload =
-  t.snapshot <- Some (encode t payload);
+  t.snapshot <- Some (Frame.frame payload);
   t.log <- [];
   t.log_len <- 0;
   t.synced <- 0;
@@ -151,34 +122,34 @@ let arm_fault t fault = t.armed <- t.armed @ [ fault ]
 
 let log_length t = t.log_len
 
+let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l)
+
 (* Damage the dirty tail according to one armed fault.  [t.log] is newest
    first, so the dirty records are the first [log_len - synced]. *)
 let apply_fault t fault =
   let dirty = t.log_len - t.synced in
   match fault with
   | Torn_tail ->
-    if dirty > 0 then begin
-      (match t.log with
-       | r :: _ ->
-         r.stored <- String.sub r.stored 0 (String.length r.stored / 2)
-       | [] -> assert false)
-    end
+    (match t.log with
+     | frame :: older when dirty > 0 ->
+       t.log <- String.sub frame 0 (String.length frame / 2) :: older
+     | _ -> ())
   | Lost_suffix k ->
     let k = min k dirty in
-    let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
     t.log <- drop k t.log;
     t.log_len <- t.log_len - k;
     t.records_lost <- t.records_lost + k
   | Corrupt_record ->
-    if dirty > 0 then begin
-      (* The oldest dirty record: maximal damage that a checksum still
-         detects, since replay stops there and loses the whole tail. *)
-      let oldest_dirty = List.nth t.log (dirty - 1) in
-      let b = Bytes.of_string oldest_dirty.stored in
-      if Bytes.length b > 0 then
-        Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x5a));
-      oldest_dirty.stored <- Bytes.to_string b
-    end
+    (* The oldest dirty record: maximal damage that a checksum still
+       detects, since replay stops there and loses the whole tail. *)
+    let flip_first j c =
+      if j = 0 then Char.chr (Char.code c lxor 0x5a) else c
+    in
+    t.log <-
+      List.mapi
+        (fun i frame ->
+           if i = dirty - 1 then String.mapi flip_first frame else frame)
+        t.log
 
 type opening = {
   snapshot : string option;
@@ -204,8 +175,8 @@ let open_ t =
   let snapshot =
     match t.snapshot with
     | None -> None
-    | Some r ->
-      (match verify t r with
+    | Some frame ->
+      (match verify frame with
        | Some payload -> Some payload
        | None ->
          t.corrupt_detected <- t.corrupt_detected + 1;
@@ -215,8 +186,8 @@ let open_ t =
   (* Verify checksums oldest-to-newest; stop at the first bad record. *)
   let rec verified acc = function
     | [] -> List.rev acc
-    | r :: rest ->
-      (match verify t r with
+    | frame :: rest ->
+      (match verify frame with
        | Some payload -> verified (payload :: acc) rest
        | None ->
          t.corrupt_detected <- t.corrupt_detected + 1;
@@ -227,10 +198,11 @@ let open_ t =
   (* Truncate the log to the verified prefix, as a real recovery pass
      would: the damaged tail is gone for every later incarnation too (and
      is not double-counted in the stats). *)
-  if List.length records <> t.log_len then begin
-    t.log <- List.rev_map (encode t) records;
-    t.log_len <- List.length records;
-    t.synced <- min t.synced t.log_len
+  let kept = List.length records in
+  if kept <> t.log_len then begin
+    t.log <- drop (t.log_len - kept) t.log;
+    t.log_len <- kept;
+    t.synced <- min t.synced kept
   end;
   { snapshot; records; restarted }
 

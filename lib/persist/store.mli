@@ -8,23 +8,15 @@
 
     Durability model: everything appended before the last {!sync} barrier
     survives any crash undamaged.  Records appended after the barrier form
-    the dirty tail, which injected disk faults can tear, lose or corrupt;
-    every record carries a checksum verified on {!open_}, and replay stops
-    at the first record that fails verification.  {!install_snapshot}
-    models write-then-rename: atomic, durable, truncates the log; the
-    snapshot is checksummed like any record and verified on every open.
-
-    Records are checksummed with one of two schemes: the default
-    {!Crc32}, which stores each record as its [Frame.frame] encoding
-    ([len][crc32][payload], incremental CRC, no hashing allocation), or
-    the legacy {!Md5} kept so benchmarks can measure old-vs-new.  Both
-    expose identical decoded-level fault semantics. *)
+    the dirty tail, which injected disk faults can tear, lose or corrupt.
+    Every record is stored as its [Frame.frame] encoding
+    ([len][crc32][payload]), verified on {!open_} by a whole-frame parse,
+    and replay stops at the first record that fails verification.
+    {!install_snapshot} models write-then-rename: atomic, durable,
+    truncates the log; the snapshot is framed like any record and verified
+    on every open. *)
 
 type t
-
-type checksum = Md5 | Crc32
-
-val checksum_name : checksum -> string
 
 type fault =
   | Torn_tail  (** the newest dirty record was half-written at the crash *)
@@ -39,15 +31,14 @@ val fault_to_string : fault -> string
 
 val fault_of_string : string -> fault option
 
-val create : ?checksum:checksum -> unit -> t
-(** An empty store: no snapshot, empty log, nothing armed.  [checksum]
-    defaults to {!Crc32}. *)
+val create : unit -> t
+(** An empty store: no snapshot, empty log, nothing armed. *)
 
 val pool : n:int -> t array
 (** One store per process. *)
 
 val append : t -> string -> unit
-(** Append one opaque record to the log (checksummed, not yet durable). *)
+(** Append one opaque record to the log (framed, not yet durable). *)
 
 val sync : t -> unit
 (** Durability barrier: every record appended so far survives any later

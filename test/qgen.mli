@@ -94,9 +94,9 @@ val frame_event_gen : Persist.Frame.event QCheck.Gen.t
 val frame_events_gen : Persist.Frame.event list QCheck.Gen.t
 val frame_events_arb : Persist.Frame.event list QCheck.arbitrary
 
-(** Non-empty WAL payloads over arbitrary bytes, in the size range
-    protocols actually log (1-60 bytes; the empty record is excluded —
-    see the documented torn-empty corner in [Persist.Store]). *)
+(** WAL payloads over arbitrary bytes, in the size range protocols
+    actually log (0-60 bytes; the empty record's frame tears and corrupts
+    visibly, so it is drawn too). *)
 val wal_payload_gen : string QCheck.Gen.t
 
 val wal_payloads_gen : string list QCheck.Gen.t

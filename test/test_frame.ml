@@ -18,10 +18,10 @@
      positioned errors.  The fixtures were written by an independent
      generator (scripts/make_trace_fixtures.py), so they also
      cross-validate the format against a second implementation.
-   - The WAL differential: under every disk fault, the legacy Md5 store
-     and the framed Crc32 store recover the identical decoded state
-     (records, snapshot, loss/detection counters) — the checksum swap is
-     invisible above the byte layer.
+   - The WAL durability model: under every disk fault, the store
+     recovers exactly what its contract says survives (snapshot,
+     records, loss/detection counters), stated independently as a
+     model of the synced prefix and the damaged dirty tail.
    - A binary `.trace.bin` artifact (event stream + embedded spec
      record) is a self-contained replay unit: a finding explored and
      shrunk under the ordinary pipeline replays from its binary artifact
@@ -285,7 +285,7 @@ let test_fixture_bad_version () =
     "unsupported format version 2 (expected 1)"
 
 (* ------------------------------------------------------------------ *)
-(* WAL differential: Md5 vs Crc32 under every disk fault               *)
+(* WAL durability model under every disk fault                         *)
 (* ------------------------------------------------------------------ *)
 
 let wal_case_arb =
@@ -307,8 +307,8 @@ let wal_case_arb =
       in
       return (payloads, snapshot, sync_at, fault))
 
-let replay checksum (payloads, snapshot, sync_at, fault) =
-  let s = Store.create ~checksum () in
+let replay (payloads, snapshot, sync_at, fault) =
+  let s = Store.create () in
   ignore (Store.open_ s);
   Option.iter (Store.install_snapshot s) snapshot;
   List.iteri
@@ -322,57 +322,52 @@ let replay checksum (payloads, snapshot, sync_at, fault) =
   ( o.Store.snapshot, o.Store.records,
     st.Store.records_lost, st.Store.corrupt_detected )
 
-let wal_differential_test =
+(* What the contract says survives one crash with one armed fault: the
+   snapshot and the synced records always; of the dirty tail, a torn
+   write costs its newest record, a lost suffix its newest k, and a
+   corrupt record (the oldest dirty one) hides the whole tail. *)
+let durable_model (payloads, snapshot, sync_at, fault) =
+  let dirty = List.length payloads - (sync_at + 1) in
+  let lost, detected =
+    if dirty = 0 then (0, 0)
+    else
+      match fault with
+      | Store.Torn_tail -> (1, 1)
+      | Store.Lost_suffix k -> (min k dirty, 0)
+      | Store.Corrupt_record -> (dirty, 1)
+  in
+  let kept = List.length payloads - lost in
+  (snapshot, List.filteri (fun i _ -> i < kept) payloads, lost, detected)
+
+let wal_model_test =
   QCheck.Test.make ~count:500
-    ~name:"store: Md5 and Crc32 recover identical decoded state"
+    ~name:"store: recovers what the durability model says survives"
     wal_case_arb
-    (fun case ->
-       let md5 = replay Store.Md5 case
-       and crc = replay Store.Crc32 case in
-       let (snapshot, records, _, _) = crc in
-       let (payloads, snap_in, _, _) = case in
-       (* identical across schemes... *)
-       md5 = crc
-       (* ...and structurally sane: the snapshot round-trips and the
-          recovered log is a prefix of what was appended. *)
-       && snapshot = snap_in
-       && List.length records <= List.length payloads
-       && List.for_all2 String.equal records
-            (List.filteri (fun i _ -> i < List.length records) payloads))
+    (fun case -> replay case = durable_model case)
 
 let wal_roundtrip_test =
   QCheck.Test.make ~count:300
     ~name:"store: faultless crash replays every byte-arbitrary record"
     Qgen.wal_payloads_arb
     (fun payloads ->
-       List.for_all
-         (fun checksum ->
-            let s = Store.create ~checksum () in
-            ignore (Store.open_ s);
-            List.iter (Store.append s) payloads;
-            let o = Store.open_ s in
-            o.Store.records = payloads)
-         [ Store.Md5; Store.Crc32 ])
+       let s = Store.create () in
+       ignore (Store.open_ s);
+       List.iter (Store.append s) payloads;
+       let o = Store.open_ s in
+       o.Store.records = payloads)
 
 let test_snapshot_checksummed () =
-  List.iter
-    (fun checksum ->
-       let s = Store.create ~checksum () in
-       ignore (Store.open_ s);
-       Store.install_snapshot s "state \x00\xff bytes";
-       Store.append s "after";
-       Store.arm_fault s Store.Torn_tail;
-       let o = Store.open_ s in
-       Alcotest.(check (option string))
-         (Store.checksum_name checksum ^ ": snapshot survives intact")
-         (Some "state \x00\xff bytes") o.Store.snapshot;
-       Alcotest.(check (list string))
-         (Store.checksum_name checksum ^ ": torn dirty record discarded")
-         [] o.Store.records;
-       Alcotest.(check int)
-         (Store.checksum_name checksum ^ ": tear detected")
-         1 (Store.stats s).Store.corrupt_detected)
-    [ Store.Md5; Store.Crc32 ]
+  let s = Store.create () in
+  ignore (Store.open_ s);
+  Store.install_snapshot s "state \x00\xff bytes";
+  Store.append s "after";
+  Store.arm_fault s Store.Torn_tail;
+  let o = Store.open_ s in
+  Alcotest.(check (option string)) "snapshot survives intact"
+    (Some "state \x00\xff bytes") o.Store.snapshot;
+  Alcotest.(check (list string)) "torn dirty record discarded" []
+    o.Store.records;
+  Alcotest.(check int) "tear detected" 1 (Store.stats s).Store.corrupt_detected
 
 (* ------------------------------------------------------------------ *)
 (* Binary artifacts are self-contained replay units                    *)
@@ -464,7 +459,7 @@ let () =
           Alcotest.test_case "unknown version" `Quick test_fixture_bad_version
         ] );
       ( "wal",
-        [ QCheck_alcotest.to_alcotest wal_differential_test;
+        [ QCheck_alcotest.to_alcotest wal_model_test;
           QCheck_alcotest.to_alcotest wal_roundtrip_test;
           Alcotest.test_case "snapshot checksummed" `Quick
             test_snapshot_checksummed ] );

@@ -347,6 +347,47 @@ let test_recoverable_no_window_clean () =
   Alcotest.(check bool) "nobody restarted" false
     (Array.exists Recoverable.was_restarted handles)
 
+(* The commit branch: committed prefixes are logged with a sync barrier
+   and restored on restart.  On E17's long-window setup (seed 42), p1's
+   first commitment after its restart must be its last one before the
+   crash, re-announced at the restart instant.  Stability and consistency
+   alone would also pass if the restore were skipped (p1 then re-learns
+   its commitments from the leader a little later), so the
+   re-announcement is what is asserted. *)
+let test_recoverable_commits_restored () =
+  let setup =
+    { (Harness.Stacks.default ~n:4 ~deadline:300) with
+      delay = Net.uniform ~min:1 ~max:3;
+      pattern = recovery_setup.Harness.Stacks.pattern }
+  in
+  let trace, _, _ =
+    Harness.Stacks.run_recoverable ~inputs:recovery_inputs ~commits:true setup
+  in
+  let ids c = List.map App_msg.id (Dseq.to_list c) in
+  let p1 =
+    (Trace.series trace (function
+         | Commit_prefix.Committed c -> Some c
+         | _ -> None)).(1)
+  in
+  let before_crash =
+    match List.rev (List.filter (fun (t, _) -> t < 60) p1) with
+    | (_, c) :: _ -> c
+    | [] -> Alcotest.fail "p1 committed nothing before its crash"
+  in
+  (match List.find_opt (fun (t, _) -> t >= 140) p1 with
+   | None -> Alcotest.fail "p1 committed nothing after its restart"
+   | Some (t, c) ->
+     Alcotest.(check int) "re-announced at the restart" 140 t;
+     Alcotest.(check (list (pair int int))) "the pre-crash commitment"
+       (ids before_crash) (ids c));
+  let pattern = setup.Harness.Stacks.pattern in
+  let commits = Properties.commit_run_of_trace pattern trace in
+  Alcotest.(check (list string)) "commit stability" []
+    (Properties.check_commit_stability commits).Properties.violations;
+  Alcotest.(check (list string)) "commit consistency" []
+    (Properties.check_commit_consistent commits
+       (Properties.etob_run_of_trace pattern trace)).Properties.violations
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest [ prop_stats_bounds ] in
   Alcotest.run "harness"
@@ -386,5 +427,7 @@ let () =
          Alcotest.test_case "amnesia caught" `Quick
            test_recoverable_amnesia_caught;
          Alcotest.test_case "no window stays clean" `Quick
-           test_recoverable_no_window_clean ]);
+           test_recoverable_no_window_clean;
+         Alcotest.test_case "commitments restored on restart" `Quick
+           test_recoverable_commits_restored ]);
     ]
