@@ -1551,22 +1551,38 @@ let e23 () =
    decade; copying d_i into an in-order list on every change of the
    leader's promotion cost 8.5-8.9x and 4,866 B/step at 10^4; rebuilding
    Paxos's chosen ids and filtering every request ever received on each
-   leader timer cost 3.5x and 5,670 B/step at 10^3.  Emits
-   machine-readable BENCH_scale.json. *)
+   leader timer cost 3.5x and 5,670 B/step at 10^3.
+
+   Digest rows, one per stack at 10^3 broadcasts: the run records its
+   trace, and [Trace.digest]'s CPU time is reported as a ratio to that
+   run's CPU time, each the best of three.  Gate: the ratio stays within
+   [digest_bound].  Writing each revision of d_i as its predecessor's
+   text plus what is new (DESIGN.md §21) measured 7.4-9.6x for Algorithm
+   5 and 5.0-8.8x for Paxos on a 2-vCPU host, the spread mostly the
+   run's (26-45 ms); laying out every revision whole through Format
+   measured 30-45x and 23-27x.  About half of the digest is MD5 over the
+   52 MB (Algorithm 5) and 39 MB (Paxos) of text, and most of the rest
+   is fresh memory for the buffer: the text still holds every revision
+   whole until the digest stops printing revisions (ROADMAP item 3).
+   Emits machine-readable BENCH_scale.json, written before the digest
+   gate is enforced so that a failing verdict is recorded. *)
 let e25 () =
   section "E25" "step cost vs history length, Algorithm 5 and Paxos (gates enforced)";
   gc_mark ();
   let n = 5 and flat_factor = 3.0 and wide_factor = 4.0 and budget_bytes = 1024.0 in
+  let digest_bound = 15.0 in
   let word_bytes = float_of_int (Sys.word_size / 8) in
+  let setup_for ?sink count =
+    { (Harness.Stacks.default ~n ~deadline:((4 * count) + 205)) with
+      delay = Net.uniform ~min:1 ~max:4; timer_period = 2; omega = oracle 0; sink }
+  in
+  let run_etob ?sink impl count =
+    let inputs = Harness.Stacks.spread_posts ~n ~count ~from_time:5 ~every:4 in
+    Harness.Stacks.run_etob ~inputs (setup_for ?sink count) impl
+  in
   let run_once impl count =
     let c = Sink.counters ~n in
-    let setup =
-      { (Harness.Stacks.default ~n ~deadline:((4 * count) + 205)) with
-        delay = Net.uniform ~min:1 ~max:4; timer_period = 2; omega = oracle 0;
-        sink = Some (Sink.counters_sink c) }
-    in
-    let inputs = Harness.Stacks.spread_posts ~n ~count ~from_time:5 ~every:4 in
-    ignore (Harness.Stacks.run_etob ~inputs setup impl);
+    ignore (run_etob ~sink:(Sink.counters_sink c) impl count);
     Sink.steps c
   in
   (* Repeat small sizes so every row covers a few hundred thousand steps. *)
@@ -1632,14 +1648,64 @@ let e25 () =
   let stacks =
     List.map stack [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
   in
+  (* CPU seconds of the fastest of three calls of [f], and its result. *)
+  let best_cpu f =
+    let cpu () =
+      let t0 = Sys.time () in
+      let x = f () in
+      (Sys.time () -. t0, x)
+    in
+    let t1, x = cpu () in
+    let t2, _ = cpu () in
+    let t3, _ = cpu () in
+    (Float.min t1 (Float.min t2 t3), x)
+  in
+  let count = 1_000 in
+  row "  digest at %d broadcasts, best of 3 (gate: digest <= %.0fx the run)" count
+    digest_bound;
+  row "  %-16s %-10s %-12s %-12s %-10s %-8s" "implementation" "text MB" "run ms"
+    "digest ms" "ratio" "verdict";
+  let digest_row impl =
+    let run_s, trace = best_cpu (fun () -> run_etob impl count) in
+    let digest_s, _ = best_cpu (fun () -> Trace.digest trace) in
+    let text_mb = float_of_int (String.length (Trace.text trace)) /. 1e6 in
+    let ratio = digest_s /. run_s in
+    let verdict = if ratio <= digest_bound then "pass" else "fail" in
+    row "  %-16s %-10.1f %-12.1f %-12.1f %-10.2f %-8s" (impl_name impl) text_mb
+      (run_s *. 1e3) (digest_s *. 1e3) ratio verdict;
+    (impl, text_mb, run_s, digest_s, ratio, verdict)
+  in
+  let digests =
+    List.map digest_row [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
+  in
   let json =
     Printf.sprintf
       "{\n  \"experiment\": \"E25\",\n  \"n\": %d,\n  \"flat_factor\": %.1f,\n  \
        \"wide_factor\": %.1f,\n  \"budget_bytes_per_step\": %.0f,\n  \
-       \"stacks\": [\n%s\n  ],\n  %s\n}\n"
-      n flat_factor wide_factor budget_bytes (String.concat ",\n" stacks) (gc_fields ())
+       \"stacks\": [\n%s\n  ],\n  \"digest\": [\n%s\n  ],\n  %s\n}\n"
+      n flat_factor wide_factor budget_bytes (String.concat ",\n" stacks)
+      (String.concat ",\n"
+         (List.map
+            (fun (impl, text_mb, run_s, digest_s, ratio, verdict) ->
+               Printf.sprintf
+                 "    {\"impl\": \"%s\", \"broadcasts\": %d, \"text_mb\": %.1f, \
+                  \"run_ms\": %.1f, \"digest_ms\": %.1f, \"digest_over_run\": %.2f, \
+                  \"bound\": %.1f, \"verdict\": \"%s\"}"
+                 (Harness.Builder.stack_name (Harness.Builder.Etob impl))
+                 count text_mb (run_s *. 1e3) (digest_s *. 1e3) ratio digest_bound
+                 verdict)
+            digests))
+      (gc_fields ())
   in
-  write_bench_json "scale" json
+  write_bench_json "scale" json;
+  List.iter
+    (fun (impl, _, _, _, ratio, _) ->
+       if ratio > digest_bound then
+         failwith
+           (Printf.sprintf "E25: %s digest costs %.2fx its run at 10^3 broadcasts \
+                            (gate %.1fx)"
+              (impl_name impl) ratio digest_bound))
+    digests
 
 (* ------------------------------------------------------------------ *)
 

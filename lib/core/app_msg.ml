@@ -33,13 +33,16 @@ let compare a b = compare_id (id a) (id b)
 let equal a b = compare a b = 0
 
 (* Printers.  A message prints as "p<origin>#<sn>", followed by
-   "{<-<dep>,<dep>...}" when it has dependencies, with a break hint
-   ([pp_print_space]) after each comma; a sequence is "[m;m...]" with no
-   hints of its own.  Trace digests print every revision of every d_i,
-   so the text between two hints is written into a buffer, digits
-   included, and handed to Format as one string: Format lays out a run of
-   strings by its total length alone, so the output is the one printing
-   each piece separately would give, at any margin and in any box. *)
+   "{<-<dep>,<dep>...}" when it has dependencies, with a break after each
+   comma; a sequence is "[m;m...]" with no breaks of its own.  One writer
+   puts a message's text into a buffer, digits included, and the caller
+   picks what a break does.  Under Format ([pp], [pp_seq]) the text
+   between two breaks goes to Format as one string and the break is
+   [pp_print_space]: Format lays out a run of strings by its total length
+   alone, so the output is the one printing each piece separately would
+   give, at any margin and in any box.  The trace text ([add_text]) is
+   one vertical box opened at column 0, where every break hint is a
+   newline, so there a break is ['\n'] and no Format is involved. *)
 
 let rec add_digits b n =
   if n >= 10 then add_digits b (n / 10);
@@ -54,11 +57,7 @@ let add_id b p sn =
   Buffer.add_char b '#';
   add_int b sn
 
-let flush ppf b =
-  Format.pp_print_string ppf (Buffer.contents b);
-  Buffer.clear b
-
-let add_msg ppf b m =
+let add_msg ~break b m =
   add_id b m.origin m.sn;
   match m.deps with
   | [] -> ()
@@ -68,11 +67,18 @@ let add_msg ppf b m =
     List.iter
       (fun (p, sn) ->
          Buffer.add_char b ',';
-         flush ppf b;
-         Format.pp_print_space ppf ();
+         break b;
          add_id b p sn)
       deps;
     Buffer.add_char b '}'
+
+let flush ppf b =
+  Format.pp_print_string ppf (Buffer.contents b);
+  Buffer.clear b
+
+let space ppf b =
+  flush ppf b;
+  Format.pp_print_space ppf ()
 
 let pp_id ppf (p, sn) =
   let b = Buffer.create 16 in
@@ -81,19 +87,28 @@ let pp_id ppf (p, sn) =
 
 let pp ppf m =
   let b = Buffer.create 32 in
-  add_msg ppf b m;
+  add_msg ~break:(space ppf) b m;
   flush ppf b
 
 let pp_seq ppf ms =
   let b = Buffer.create 256 in
+  let break = space ppf in
   Buffer.add_char b '[';
   List.iteri
     (fun i m ->
        if i > 0 then Buffer.add_char b ';';
-       add_msg ppf b m)
+       add_msg ~break b m)
     ms;
   Buffer.add_char b ']';
   flush ppf b
+
+let newline b = Buffer.add_char b '\n'
+
+let add_text b m = add_msg ~break:newline b m
+
+let same_text a b =
+  a.origin = b.origin && a.sn = b.sn
+  && List.equal (fun x y -> compare_id x y = 0) a.deps b.deps
 
 module Id_set = Set.Make (struct
     type nonrec t = id

@@ -2,7 +2,12 @@
 
     A message is identified by [(origin, sn)], realizing the paper's
     assumption that broadcast messages are distinct.  [deps] is the explicit
-    causal-dependency set [C(m)] of Section 5. *)
+    causal-dependency set [C(m)] of Section 5.
+
+    One writer gives a message its text.  The Format printers ({!pp},
+    {!pp_seq}) and the trace text ({!add_text}) differ only in what a
+    break after a dependency's comma does: a break hint under Format, a
+    newline in the trace. *)
 
 open Simulator.Types
 
@@ -25,7 +30,21 @@ val equal : t -> t -> bool
 
 val pp_id : Format.formatter -> id -> unit
 val pp : Format.formatter -> t -> unit
+(** ["p<origin>#<sn>"], then ["{<-<dep>,<dep>...}"] when [deps] is not
+    empty, with a break hint ([pp_print_space]) after each comma. *)
+
 val pp_seq : Format.formatter -> t list -> unit
+(** ["[m;m...]"], with no break hints of its own. *)
+
+val add_text : Buffer.t -> t -> unit
+(** Append the text {!pp} prints inside a vertical box opened at column
+    0, where every break hint is a newline: the message as it appears in
+    {!Simulator.Trace.text}. *)
+
+val same_text : t -> t -> bool
+(** Equal ids and equal [deps]: the two messages print the same text.
+    {!equal} compares ids alone, which a replica restarted without its
+    log can reuse for a message with other dependencies. *)
 
 module Id_set : Set.S with type elt = id
 module Id_map : Map.S with type key = id

@@ -113,4 +113,9 @@ let () =
     | _ -> false);
   Io.register_output_pp (fun ppf -> function
     | Committed seq -> Fmt.pf ppf "committed:%a" Dseq.pp seq; true
-    | _ -> false)
+    | _ -> false);
+  Io.register_output_text (fun () ->
+    let w = Dseq.writer () in
+    fun b proc -> function
+      | Committed seq -> Buffer.add_string b "committed:"; Dseq.write w b proc seq; true
+      | _ -> false)

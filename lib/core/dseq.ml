@@ -43,18 +43,62 @@ let prefix t k =
   else if k <= 0 then empty
   else { rev = drop (t.len - k) t.rev; len = k; ordered = None }
 
-(* Two last-message-first lists of one length hold the same messages.
-   Sharing is only a shortcut: cells that are not shared are compared by
-   id, so sequences built separately compare as their lists would. *)
-let rec same a b =
-  (* detlint: allow D5 sharing is only a shortcut: unshared cells are compared by id *)
+(* The messages past position [k], in order: the first [len - k] cells
+   of [rev], consed back to front. *)
+let after t k =
+  let rec take acc i rev =
+    if i <= 0 then acc else match rev with [] -> acc | m :: rev -> take (m :: acc) (i - 1) rev
+  in
+  take [] (t.len - k) t.rev
+
+(* Two last-message-first lists of one length hold the same messages
+   under [eq].  Sharing is only a shortcut: cells that are not shared are
+   compared with [eq], so sequences built separately compare as their
+   lists would. *)
+let rec same eq a b =
+  (* detlint: allow D5 sharing is only a shortcut: unshared cells are compared by [eq] *)
   a == b
   || (match a, b with
-      | x :: a, y :: b -> App_msg.equal x y && same a b
+      | x :: a, y :: b -> eq x y && same eq a b
       | _ -> false)
 
-let equal a b = a.len = b.len && same a.rev b.rev
+let equal a b = a.len = b.len && same App_msg.equal a.rev b.rev
 
-let is_prefix a b = a.len <= b.len && same a.rev (drop (b.len - a.len) b.rev)
+let starts_with eq a b = a.len <= b.len && same eq a.rev (drop (b.len - a.len) b.rev)
+
+let is_prefix a b = starts_with App_msg.equal a b
 
 let pp ppf t = App_msg.pp_seq ppf (to_list t)
+
+(* The trace text of each key's last sequence is kept without its
+   brackets.  A sequence that starts with exactly the messages that text
+   printed keeps it and appends the rest.  The test is [same_text] (id
+   and deps), not [equal]: ids alone can repeat with other deps. *)
+type slot = { mutable seq : t; text : Buffer.t }
+
+type writer = (int, slot) Hashtbl.t
+
+let writer () = Hashtbl.create 8
+
+let write w b key s =
+  let slot =
+    match Hashtbl.find_opt w key with
+    | Some slot -> slot
+    | None ->
+      let slot = { seq = empty; text = Buffer.create 256 } in
+      Hashtbl.add w key slot;
+      slot
+  in
+  let kept =
+    if starts_with App_msg.same_text slot.seq s then slot.seq.len
+    else (Buffer.clear slot.text; 0)
+  in
+  List.iteri
+    (fun i m ->
+       if kept + i > 0 then Buffer.add_char slot.text ';';
+       App_msg.add_text slot.text m)
+    (after s kept);
+  slot.seq <- s;
+  Buffer.add_char b '[';
+  Buffer.add_buffer b slot.text;
+  Buffer.add_char b ']'

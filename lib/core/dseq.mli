@@ -21,6 +21,10 @@ val append : t -> App_msg.t list -> t
 val prefix : t -> int -> t
 (** The first [min k (length s)] messages of [s], sharing them. *)
 
+val after : t -> int -> App_msg.t list
+(** [after s k]: the messages of [s] past its first [k], in order, in
+    O(length s - k). *)
+
 val is_prefix : t -> t -> bool
 (** [is_prefix a b]: [a] is a prefix of [b]. *)
 
@@ -28,3 +32,16 @@ val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** As {!App_msg.pp_seq} prints {!to_list}. *)
+
+type writer
+(** The sequence writer of one rendering of a trace: per key (a
+    process), the text of the sequence it last wrote. *)
+
+val writer : unit -> writer
+
+val write : writer -> Buffer.t -> int -> t -> unit
+(** [write w b key s] appends the text {!pp} prints for [s] inside a
+    vertical box opened at column 0 ({!App_msg.add_text}).  When [s]
+    starts with exactly the messages of the sequence last written under
+    [key] (physically shared, or {!App_msg.same_text}), that text is
+    reused and only the messages past it ({!after}) are written. *)

@@ -91,4 +91,9 @@ let () =
   Io.register_output_pp (fun ppf -> function
     | Etob_broadcast m -> Fmt.pf ppf "etob-bcast(%a)" App_msg.pp m; true
     | Etob_deliver seq -> Fmt.pf ppf "d_i:=%a" Dseq.pp seq; true
-    | _ -> false)
+    | _ -> false);
+  Io.register_output_text (fun () ->
+    let w = Dseq.writer () in
+    fun b proc -> function
+      | Etob_deliver seq -> Buffer.add_string b "d_i:="; Dseq.write w b proc seq; true
+      | _ -> false)

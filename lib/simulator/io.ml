@@ -37,3 +37,20 @@ let pp_input ppf = function
 let pp_output ppf = function
   | String_output s -> Fmt.pf ppf "out:%s" s
   | o -> pp_with !pp_output_hook "<output>" ppf o
+
+(* Direct text writers, for the outputs that carry a whole revision of a
+   sequence.  A library registers a maker; each rendering of a trace makes
+   its own writers, so a writer's state (the text it wrote last, per
+   process) lives only as long as the rendering, and renderings on
+   different domains share nothing. *)
+type text_writer = Buffer.t -> Types.proc_id -> output -> bool
+
+let text_writer_makers : (unit -> text_writer) list ref = ref []
+
+let register_output_text mk = text_writer_makers := mk :: !text_writer_makers
+
+let output_text_writer () =
+  let writers = List.map (fun mk -> mk ()) !text_writer_makers in
+  fun b proc o ->
+    let rec go = function [] -> false | w :: ws -> w b proc o || go ws in
+    go writers

@@ -47,7 +47,17 @@ val steps : t -> int
 val last_time : t -> time
 
 val pp_entry : Format.formatter -> entry -> unit
+
+val text : t -> string
+(** The trace as text: one line per entry, as {!pp_entry} prints it,
+    then the counters, laid out as one vertical box opened at column 0
+    (every break hint inside an entry is a newline).  Outputs with a
+    direct writer ({!Io.register_output_text}) are written without
+    Format. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!text}.  It assumes the formatter is at column 0, as it is
+    for every caller: the text does not follow an indentation. *)
 
 val digest : t -> string
-(** MD5 hex of the {!pp} text: the determinism digest of a run. *)
+(** MD5 hex of {!text}: the determinism digest of a run. *)

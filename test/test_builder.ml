@@ -178,6 +178,58 @@ let test_omega_clause_differential () =
   Alcotest.(check string) "omega clause digest" direct (run_digest decl)
 
 (* ------------------------------------------------------------------ *)
+(* Trace text against the Format oracle                                *)
+(* ------------------------------------------------------------------ *)
+
+(* [Trace.text] writes each revision of d_i as the previous revision's
+   text plus what is new; [Trace_pp_oracle] lays out every revision whole
+   through Format.  Every builder stack runs here, faithful or under any
+   seeded mutant of its layers (Algorithm 5, anti-entropy, recovery), over
+   unclamped plans; the recoverable stacks get recovery plans, under
+   which the skip-log-replay mutant reuses ids with other deps. *)
+let text_builder_gen =
+  let open QCheck.Gen in
+  let maybe all = oneofl (None :: List.map Option.some all) in
+  let* stack =
+    oneofl
+      [ Builder.Etob Stacks.Algorithm_5; Builder.Etob Stacks.Paxos_baseline;
+        Builder.Etob Stacks.Algorithm_1_over_4; Builder.Etob_ae;
+        Builder.Recoverable { ae = false }; Builder.Recoverable { ae = true };
+        Builder.Gossip ]
+  in
+  let alg5, ae, recovery =
+    match stack with
+    | Builder.Etob Stacks.Algorithm_5 -> (true, false, false)
+    | Builder.Etob_ae -> (true, true, false)
+    | Builder.Recoverable { ae } -> (true, ae, true)
+    | Builder.Etob _ | Builder.Gossip -> (false, false, false)
+  in
+  let* n = int_range 3 5 and* seed = int_range 0 10_000 in
+  let deadline = 240 in
+  let* plan =
+    if recovery then Builder.recovery_plan_gen ~n ~deadline
+    else Builder.plan_gen ~n ~deadline
+  in
+  let* mutation = if alg5 then maybe Ec_core.Etob_omega.all_mutations else return None in
+  let* ae_mutation = if ae then maybe Ec_core.Anti_entropy.all_mutations else return None in
+  let* rmutation = if recovery then maybe Ec_core.Recoverable.all_mutations else return None in
+  return
+    { (Builder.create ~seed ~n ~deadline
+         ~delay:(Builder.Uniform { min_d = 1; max_d = 3 }) stack)
+      with
+      Builder.workload = Builder.Auto_posts { count = 12; stretch = recovery };
+      plan; mutation; ae_mutation; rmutation }
+
+let prop_trace_text_matches_oracle =
+  QCheck.Test.make ~name:"trace: text equals the Format oracle on builder runs"
+    ~count:150
+    (QCheck.make ~print:Builder.to_string text_builder_gen)
+    (fun b ->
+       match (Builder.run ~catch:true b).Builder.trace with
+       | None -> QCheck.assume_fail ()
+       | Some trace -> String.equal (Trace.text trace) (Trace_pp_oracle.text trace))
+
+(* ------------------------------------------------------------------ *)
 (* Text form                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -440,7 +492,8 @@ let () =
          Alcotest.test_case "scenario facade" `Quick
            test_omega_clause_differential;
          Alcotest.test_case "caller sink keeps the outcome" `Quick
-           test_caller_sink_keeps_outcome ]);
+           test_caller_sink_keeps_outcome ]
+       @ qc [ prop_trace_text_matches_oracle ]);
       ("text form",
        [ Alcotest.test_case "finding fixture replays" `Quick
            test_finding_fixture_replays;

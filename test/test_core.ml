@@ -49,10 +49,13 @@ let test_app_msg_prefix () =
   Alcotest.(check bool) "longer" false (App_msg.is_prefix [ a; b ] [ a ])
 
 (* Printers against the Fmt-based oracle (App_msg_pp_oracle): same bytes
-   where the repository prints messages, which is inside Trace.pp's
-   vertical box after an entry prefix, and at top level (jsonl and binary
-   sink text, error messages), at a narrow, the default and a wide
-   margin, so that every break hint is exercised both taken and not. *)
+   where the repository prints messages, which is inside a vertical box
+   after an entry prefix, and at top level (jsonl and binary sink text,
+   error messages), at a narrow, the default and a wide margin, so that
+   every break hint is exercised both taken and not.  The trace text
+   writers ([App_msg.add_text], [Dseq.write]) are one more rendering:
+   they must give the oracle's bytes inside a vertical box opened at
+   column 0, as the trace lays out every entry. *)
 module Pp_oracle = App_msg_pp_oracle
 
 let render ~margin print =
@@ -85,14 +88,35 @@ let printer_input_arb =
     ~print:(fun (m, ms) -> Format.asprintf "%a %a" Pp_oracle.pp m Pp_oracle.pp_seq ms)
     QCheck.Gen.(pair printable_msg_gen (list_size (int_range 0 12) printable_msg_gen))
 
-let printers_agree (pp, pp_seq) (m, ms) =
-  List.equal String.equal (renderings pp m) (renderings Pp_oracle.pp m)
-  && List.equal String.equal (renderings pp_seq ms) (renderings Pp_oracle.pp_seq ms)
+let in_vbox pp v = render ~margin:78 (fun ppf -> Format.fprintf ppf "@[<v>%a@]" pp v)
+
+let printers_agree (pp, pp_seq, text, seq_text) (m, ms) =
+  List.equal String.equal (text m :: renderings pp m)
+    (in_vbox Pp_oracle.pp m :: renderings Pp_oracle.pp m)
+  && List.equal String.equal (seq_text ms :: renderings pp_seq ms)
+       (in_vbox Pp_oracle.pp_seq ms :: renderings Pp_oracle.pp_seq ms)
+
+let msg_text m =
+  let b = Buffer.create 64 in
+  App_msg.add_text b m;
+  Buffer.contents b
+
+(* The writer has just written the first half of the sequence under the
+   same key, so the second write reuses that text and appends the rest,
+   read with [Dseq.after]. *)
+let seq_text ms =
+  let all = Dseq.of_list ms in
+  let half = Dseq.prefix all (List.length ms / 2) in
+  let w = Dseq.writer () in
+  Dseq.write w (Buffer.create 64) 3 half;
+  let b = Buffer.create 256 in
+  Dseq.write w b 3 (Dseq.append half (Dseq.after all (Dseq.length half)));
+  Buffer.contents b
 
 let prop_printers_match_oracle =
   QCheck.Test.make ~name:"app_msg: printers match the Fmt oracle byte for byte"
     ~count:500 printer_input_arb
-    (printers_agree (App_msg.pp, App_msg.pp_seq))
+    (printers_agree (App_msg.pp, App_msg.pp_seq, msg_text, seq_text))
 
 (* Negative control: the oracle with the break hint moved before the comma
    of the dependency list.  The text is the same when no line wraps, so
@@ -110,7 +134,8 @@ let prop_planted_break_caught =
   QCheck.Test.make_neg
     ~name:"app_msg: a moved break hint fails the printer property" ~count:500
     printer_input_arb
-    (printers_agree (planted_pp, planted_pp_seq))
+    (printers_agree
+       (planted_pp, planted_pp_seq, in_vbox planted_pp, in_vbox planted_pp_seq))
 
 (* ------------------------------------------------------------------ *)
 (* Dseq against lists                                                  *)
@@ -1241,6 +1266,44 @@ let test_checker_commit_stability_message () =
     (Properties.check_commit_stability commits);
   Alcotest.(check int) "final committed" 2 (Properties.committed_count commits 0)
 
+(* --- Trace text against the Format oracle ---------------------------- *)
+
+(* [Trace.text] against [Trace_pp_oracle] on a hand-built trace: per
+   process, revisions that extend the last one (shared or rebuilt), one
+   that truncates, committed prefixes beside d_i, and a revision that
+   repeats an id with other deps, as a replica restarted without its log
+   does.  A writer that compared ids alone would reuse the old text of
+   that message. *)
+let test_trace_text_hand_built () =
+  let a = msg 0 0 and b = msg 1 0 ~deps:[ (0, 0) ] in
+  let c = msg 2 0 ~deps:[ (0, 0); (1, 0) ] in
+  let b' = msg 1 0 ~deps:[ (0, 0); (2, 0) ] in
+  let d0 = Dseq.of_list [ a ] in
+  let deliver t p seq = (t, p, Etob_intf.Etob_deliver seq) in
+  let trace =
+    outputs_trace ~n:3
+      [ deliver 1 0 d0;
+        deliver 2 1 (Dseq.of_list [ a; b ]);
+        deliver 3 0 (Dseq.append d0 [ b; c ]);
+        deliver 4 1 (Dseq.of_list [ a; b'; c ]);
+        deliver 5 1 (Dseq.of_list [ a; b' ]);
+        deliver 5 2 (Dseq.of_list [ c; a ]);
+        deliver 6 2 (Dseq.of_list [ c; a; b ]);
+        (7, 0, Commit_prefix.Committed d0);
+        (8, 0, Commit_prefix.Committed (Dseq.of_list [ a; b ]));
+        (9, 1, Etob_intf.Etob_broadcast c) ]
+  in
+  Trace.record_input trace ~time:9 ~proc:1 (Etob_intf.Broadcast_etob c);
+  Alcotest.(check string) "text" (Trace_pp_oracle.text trace) (Trace.text trace);
+  Alcotest.(check string) "pp prints the text" (Trace.text trace)
+    (Format.asprintf "%a" Trace.pp trace)
+
+let test_trace_text_empty () =
+  let trace = Trace.create ~n:2 in
+  Alcotest.(check string) "text"
+    "\n(sent=0 delivered=0 dropped=0 steps=0 end=0)" (Trace.text trace);
+  Alcotest.(check string) "oracle" (Trace_pp_oracle.text trace) (Trace.text trace)
+
 let test_checker_ec_report_messages () =
   let layer = Ec_intf.default_layer in
   let proposed t p instance v =
@@ -1340,6 +1403,9 @@ let () =
        @ List.map QCheck_alcotest.to_alcotest
            [ prop_printers_match_oracle; prop_planted_break_caught ]);
       ("dseq", [ QCheck_alcotest.to_alcotest prop_dseq_matches_lists ]);
+      ("trace text",
+       [ Alcotest.test_case "hand-built trace" `Quick test_trace_text_hand_built;
+         Alcotest.test_case "empty trace" `Quick test_trace_text_empty ]);
       ("value",
        [ Alcotest.test_case "tag roundtrip" `Quick test_value_tag_roundtrip;
          Alcotest.test_case "tag rejects seq" `Quick test_value_tag_rejects_seq;

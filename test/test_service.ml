@@ -280,6 +280,33 @@ let test_admission_control_sheds () =
   Alcotest.(check bool) "dedup holds under overload" true
     o.Service.Runner.dedup_ok
 
+(* [Runner.run]'s digest hashes [Trace.text], which writes each revision
+   of d_i and of the committed prefix as the previous one's text plus what
+   is new.  It must give the bytes of [Trace_pp_oracle], which lays out
+   every revision whole through Format: random client populations over
+   both implementations under random seeds, at E22's replica setup (a
+   lossy minority partition, a majority replica crash, a blockwise Omega
+   under which Paxos delivers little) or at a stable one.  No shrinking:
+   every step would rerun the service. *)
+let prop_trace_text_matches_oracle =
+  QCheck.Test.make ~count:16
+    ~name:"service runs: trace text equals the Format oracle"
+    (QCheck.make
+       ~print:(fun (spec, seed, paxos, e22) ->
+         Printf.sprintf "%s seed=%d paxos=%b e22=%b" (Spec.to_string spec) seed paxos e22)
+       QCheck.Gen.(quad Qgen.service_spec_gen (int_range 0 1000) bool bool))
+    (fun (spec, seed, paxos, e22) ->
+      let setup =
+        if e22 then
+          { (Service.Experiment.setup ~seed) with Harness.Stacks.deadline = 300 }
+        else ff_setup ~seed ~n:(3 + (seed mod 3)) ~deadline:200 ()
+      in
+      let impl =
+        if paxos then Harness.Stacks.Paxos_baseline else Harness.Stacks.Algorithm_5
+      in
+      let trace = (Service.Runner.run ~setup ~spec ~impl).Service.Runner.trace in
+      String.equal (Trace.text trace) (Trace_pp_oracle.text trace))
+
 let test_runner_rejects_alg_1_over_4 () =
   match
     Service.Runner.run ~setup:(ff_setup ()) ~spec:ff_spec
@@ -362,7 +389,8 @@ let () =
            test_admission_control_sheds;
          Alcotest.test_case "rejects alg 1/4" `Quick
            test_runner_rejects_alg_1_over_4;
-         Alcotest.test_case "runs from a spec file" `Quick test_run_builder ]);
+         Alcotest.test_case "runs from a spec file" `Quick test_run_builder;
+         QCheck_alcotest.to_alcotest prop_trace_text_matches_oracle ]);
       ("experiment",
        [ Alcotest.test_case "E22 gates pass" `Quick test_e22_gates_pass ]);
     ]
