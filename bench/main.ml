@@ -14,17 +14,13 @@ let section id title =
 
 let row fmt = Printf.printf (fmt ^^ "\n%!")
 
-(* Write an experiment's machine-readable record to bench/BENCH_<name>.json
-   (./BENCH_<name>.json when run from outside the repository root). *)
-let write_bench_json name json =
-  let file = "BENCH_" ^ name ^ ".json" in
-  let path =
-    if Sys.file_exists "bench" && Sys.is_directory "bench"
-    then Filename.concat "bench" file
-    else file
-  in
-  Out_channel.with_open_text path (fun oc -> Out_channel.output_string oc json);
-  row "  wrote %s" path
+module Record = Harness.Record
+
+(* Where experiments write their records (Harness.Record): bench/, or the
+   working directory when run from outside the repository root. *)
+let bench_dir =
+  if Sys.file_exists "bench" && Sys.is_directory "bench" then "bench"
+  else Filename.current_dir_name
 
 let oracle ?(pre = Detectors.Omega.Self_trust) stabilize_at =
   Harness.Stacks.Oracle { stabilize_at; pre }
@@ -54,19 +50,6 @@ let mean xs =
   match xs with
   | [] -> nan
   | _ -> float_of_int (List.fold_left ( + ) 0 xs) /. float_of_int (List.length xs)
-
-(* Every bench JSON records how much GC work its run cost (DESIGN.md
-   §17), so allocation regressions show up in the committed artifacts —
-   not only in E23's enforced budget.  [gc_mark] brackets the start of
-   an experiment body; [gc_fields] renders the deltas for its JSON. *)
-let gc_baseline = ref (Gc.quick_stat ())
-let gc_mark () = gc_baseline := Gc.quick_stat ()
-
-let gc_fields () =
-  let s1 = Gc.quick_stat () and s0 = !gc_baseline in
-  Printf.sprintf "\"gc_minor_words\": %.0f,\n  \"gc_major_words\": %.0f"
-    (s1.Gc.minor_words -. s0.Gc.minor_words)
-    (s1.Gc.major_words -. s0.Gc.major_words)
 
 (* ------------------------------------------------------------------ *)
 (* E1: delivery latency in communication steps (2 vs 3)                *)
@@ -664,7 +647,7 @@ let e14 () =
    machine-readable BENCH_sweep.json for tracking across revisions. *)
 let e15 () =
   section "E15" "multi-seed E1: probe latency, mean +/- stddev over 32 seeds";
-  gc_mark ();
+  let since = Gc.quick_stat () in
   let n = 3 and seeds = 32 in
   let domains = Harness.Sweep.default_domains () in
   row "  %d seeds per implementation, %d domains" seeds domains;
@@ -694,29 +677,20 @@ let e15 () =
     | None -> assert false
     | Some (m, sd) ->
       row "  %-16s %-18.2f %-14.2f %-10d" (impl_name impl) m sd (List.length means);
-      (impl_name impl, m, sd, List.length means)
+      Record.(
+        Obj
+          [ ("impl", String (impl_name impl)); ("mean_latency", Float m);
+            ("stddev", Float sd); ("runs", Int (List.length means)) ])
   in
   let rows =
     List.map sweep_impl
       [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
   in
   row "  expected: ETOB mean below TOB mean; stddev > 0 under jittered links";
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"E15\",\n  \"seeds\": %d,\n  \"domains\": %d,\n  \
-       \"results\": [\n%s\n  ],\n  %s\n}\n"
-      seeds domains
-      (String.concat ",\n"
-         (List.map
-            (fun (name, m, sd, runs) ->
-               Printf.sprintf
-                 "    {\"impl\": \"%s\", \"mean_latency\": %.4f, \
-                  \"stddev\": %.4f, \"runs\": %d}"
-                 name m sd runs)
-            rows))
-      (gc_fields ())
-  in
-  write_bench_json "sweep" json
+  Record.write bench_dir
+    (Record.make ~name:"sweep" ~experiment:"E15" ~since
+       ~params:[ ("seeds", Int seeds); ("domains", Int domains) ]
+       ~rows [])
 
 (* ------------------------------------------------------------------ *)
 (* E16: adversarial explorer — detection budget per seeded mutant      *)
@@ -726,9 +700,12 @@ let e15 () =
    seeded single-decision mutant of Algorithm 5 is caught?  Reported as
    the plan budget consumed at first detection, per mutant and per seed,
    plus the shrunk counterexample size.  The faithful protocol is run
-   under the full budget as the control row (it must stay clean). *)
+   under the full budget as the control row.  Gates: every mutant is
+   found within the budget at every seed, and the control stays clean.
+   Emits machine-readable BENCH_explore.json. *)
 let e16 () =
   section "E16" "adversarial explorer: plans-to-detection per Algorithm 5 mutant";
+  let since = Gc.quick_stat () in
   let budget = 500 and max_adversities = 4 in
   let seeds = [ 1; 7; 42 ] in
   row "  budget %d plans, <=%d adversities per plan, seeds %s" budget
@@ -740,30 +717,59 @@ let e16 () =
     { (B.template Harness.Stacks.Algorithm_5) with B.mutation }
   in
   let explore t ~seed = B.explore t ~seed ~budget ~max_adversities in
-  List.iter
-    (fun m ->
-       List.iter
-         (fun seed ->
-            let t = target (Some m) in
-            let e = explore t ~seed in
-            match e.B.found with
-            | None ->
-              row "  %-24s %-10d %-14s %-12s" (Etob_omega.mutation_name m)
-                seed "NOT FOUND" "-"
-            | Some o ->
-              let shrunk = B.shrink t o in
-              row "  %-24s %-10d %-14d %-12d" (Etob_omega.mutation_name m)
-                seed e.B.plans_run
-                (Harness.Adversity.size shrunk.B.builder.B.plan))
-         seeds)
-    Etob_omega.all_mutations;
-  let control = explore (target None) ~seed:(List.hd seeds) in
-  row "  %-24s %-10d %-14s %-12s" "(faithful control)" (List.hd seeds)
+  let found e = Option.is_some e.B.found in
+  let result name seed e shrunk =
+    Record.(
+      Obj
+        [ ("target", String name); ("seed", Int seed);
+          ("plans_run", Int e.B.plans_run); ("found", Bool (found e));
+          ("shrunk_size", shrunk) ])
+  in
+  let mutants =
+    List.concat_map
+      (fun m ->
+         List.map
+           (fun seed ->
+              let name = Etob_omega.mutation_name m in
+              let t = target (Some m) in
+              let e = explore t ~seed in
+              let shrunk =
+                match e.B.found with
+                | None ->
+                  row "  %-24s %-10d %-14s %-12s" name seed "NOT FOUND" "-";
+                  Record.Null
+                | Some o ->
+                  let size =
+                    Harness.Adversity.size (B.shrink t o).B.builder.B.plan
+                  in
+                  row "  %-24s %-10d %-14d %-12d" name seed e.B.plans_run size;
+                  Record.Int size
+              in
+              ( result name seed e shrunk,
+                Record.gate
+                  (Printf.sprintf "%s seed %d found" name seed)
+                  (Bool (found e)) Eq (Bool true) ))
+           seeds)
+      Etob_omega.all_mutations
+  in
+  let seed = List.hd seeds in
+  let control = explore (target None) ~seed in
+  row "  %-24s %-10d %-14s %-12s" "(faithful control)" seed
     (match control.B.found with
      | None -> Printf.sprintf "clean/%d" control.B.plans_run
      | Some _ -> "VIOLATION")
     "-";
-  row "  expected: every mutant found within budget; faithful row clean"
+  row "  expected: every mutant found within budget; faithful row clean";
+  Record.write bench_dir
+    (Record.make ~name:"explore" ~experiment:"E16" ~since
+       ~params:
+         [ ("budget", Int budget); ("max_adversities", Int max_adversities);
+           ("seeds", List (List.map (fun s -> Record.Int s) seeds)) ]
+       ~rows:(List.map fst mutants @ [ result "faithful" seed control Null ])
+       (List.map snd mutants
+        @ [ Record.gate
+              (Printf.sprintf "faithful seed %d found" seed)
+              (Bool (found control)) Eq (Bool false) ]))
 
 (* ------------------------------------------------------------------ *)
 (* E17: crash-recovery — catch-up time and disk-fault tolerance        *)
@@ -783,7 +789,7 @@ let e16 () =
    machine-readable BENCH_recovery.json. *)
 let e17 () =
   section "E17" "crash-recovery: replay catch-up, disk faults, post-recovery verdicts";
-  gc_mark ();
+  let since = Gc.quick_stat () in
   let n = 4 and deadline = 300 and proc = 1 and at = 60 in
   let rows_spec =
     [ ("short-window", 80, None, None);
@@ -797,8 +803,6 @@ let e17 () =
     deadline n;
   row "  %-16s %-9s %-9s %-9s %-7s %-6s %-8s %-8s %-6s" "scenario" "recover"
     "catchup" "replayed" "resent" "lost" "causal" "distinct" "tau";
-  let failures = ref [] in
-  let fail label msg = failures := (label ^ ": " ^ msg) :: !failures in
   let run_row (label, recover_at, fault, mutation) =
     let setup =
       { (Harness.Stacks.default ~n ~deadline) with
@@ -838,46 +842,43 @@ let e17 () =
     let causal = report.Properties.causal_order
     and distinct = report.Properties.distinct_broadcasts in
     let tau = Properties.etob_convergence_time report in
-    (match mutation, Properties.etob_violations report with
-     | None, (_ :: _ as vs) -> fail label (String.concat "; " vs)
-     | Some _, _ when distinct.Properties.ok ->
-       fail label "distinct-broadcasts not violated"
-     | _ -> ());
-    if Option.is_some fault && st.Persist.Store.records_lost = 0 then
-      fail label "the disk fault lost no record";
+    let lost = st.Persist.Store.records_lost in
+    let violations = List.length (Properties.etob_violations report) in
+    let gates =
+      (match mutation with
+       | None -> Record.gate (label ^ " ETOB violations") (Int violations) Eq (Int 0)
+       | Some _ ->
+         Record.gate (label ^ " distinct-broadcasts ok") (Bool distinct.ok) Eq
+           (Bool false))
+      :: (if Option.is_none fault then []
+          else [ Record.gate (label ^ " records lost") (Int lost) Ge (Int 1) ])
+    in
     row "  %-16s %-9d %-9d %-9d %-7d %-6d %-8s %-8s %-6d" label recover_at
       catchup
       (Recoverable.replayed_msgs handles.(proc))
-      resent st.Persist.Store.records_lost (verdict_mark causal)
-      (verdict_mark distinct) tau;
-    Printf.sprintf
-      "    {\"scenario\": \"%s\", \"recover_at\": %d, \"catchup_ticks\": %d, \
-       \"replayed_msgs\": %d, \"retransmitted\": %d, \"restarts\": %d, \
-       \"records_lost\": %d, \"corrupt_detected\": %d, \
-       \"causal_order_ok\": %b, \"distinct_broadcasts_ok\": %b, \
-       \"convergence_tau\": %d}"
-      label recover_at catchup
-      (Recoverable.replayed_msgs handles.(proc))
-      resent st.Persist.Store.restarts st.Persist.Store.records_lost
-      st.Persist.Store.corrupt_detected causal.Properties.ok
-      distinct.Properties.ok tau
+      resent lost (verdict_mark causal) (verdict_mark distinct) tau;
+    ( Record.(
+        Obj
+          [ ("scenario", String label); ("recover_at", Int recover_at);
+            ("catchup_ticks", Int catchup);
+            ("replayed_msgs", Int (Recoverable.replayed_msgs handles.(proc)));
+            ("retransmitted", Int resent);
+            ("restarts", Int st.Persist.Store.restarts); ("records_lost", Int lost);
+            ("corrupt_detected", Int st.Persist.Store.corrupt_detected);
+            ("causal_order_ok", Bool causal.Properties.ok);
+            ("distinct_broadcasts_ok", Bool distinct.Properties.ok);
+            ("convergence_tau", Int tau) ]),
+      gates )
   in
-  let json_rows = List.map run_row rows_spec in
+  let results = List.map run_row rows_spec in
   row "  expected: faithful rows all ok with bounded catch-up; the amnesia";
   row "  mutant's distinct column VIOLATED (sequence numbers reused)";
   row "  Enforced, with at least one record lost under each disk fault.";
-  (match List.rev !failures with
-   | [] -> ()
-   | fs -> failwith ("E17: " ^ String.concat "\n  " fs));
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"E17\",\n  \"n\": %d,\n  \"deadline\": %d,\n  \
-       \"crash_at\": %d,\n  \"results\": [\n%s\n  ],\n  %s\n}\n"
-      n deadline at
-      (String.concat ",\n" json_rows)
-      (gc_fields ())
-  in
-  write_bench_json "recovery" json
+  Record.write bench_dir
+    (Record.make ~name:"recovery" ~experiment:"E17" ~since
+       ~params:[ ("n", Int n); ("deadline", Int deadline); ("crash_at", Int at) ]
+       ~rows:(List.map fst results)
+       (List.concat_map snd results))
 
 (* ------------------------------------------------------------------ *)
 (* E18: lossy-partition heal — anti-entropy digest vs flood            *)
@@ -896,7 +897,7 @@ let e17 () =
    BENCH_partition.json. *)
 let e18 () =
   section "E18" "lossy-partition heal: anti-entropy digest vs flood repair traffic";
-  gc_mark ();
+  let since = Gc.quick_stat () in
   let n = 4 and deadline = 240 in
   let from_time = 40 and until_time = 120 in
   let spec = { Net.blocks = [ [ 0; 1; 2 ]; [ 3 ] ]; from_time; until_time } in
@@ -945,36 +946,31 @@ let e18 () =
     row "  %-8s %-10d %-9d %-9d %-8d %-8d %-9d %-8d %-6s" (mode_name mode)
       converged_at heal2cvg digests deltas floods payload learned
       (verdict_mark causal);
-    ( converged_at, payload,
-      Printf.sprintf
-        "    {\"mode\": \"%s\", \"converged_at\": %d, \
-         \"heal_to_convergence\": %d, \"digests_sent\": %d, \
-         \"deltas_sent\": %d, \"floods_sent\": %d, \"payload_msgs\": %d, \
-         \"learned\": %d, \"causal_order_ok\": %b}"
-        (mode_name mode) converged_at heal2cvg digests deltas floods payload
-        learned causal.Properties.ok )
+    ( Record.gate (mode_name mode ^ " converged_at") (Int converged_at) Ge (Int 0),
+      payload,
+      Record.(
+        Obj
+          [ ("mode", String (mode_name mode)); ("converged_at", Int converged_at);
+            ("heal_to_convergence", Int heal2cvg); ("digests_sent", Int digests);
+            ("deltas_sent", Int deltas); ("floods_sent", Int floods);
+            ("payload_msgs", Int payload); ("learned", Int learned);
+            ("causal_order_ok", Bool causal.Properties.ok) ]) )
   in
-  let d_at, d_payload, d_json = run_mode Anti_entropy.Digest in
-  let f_at, f_payload, f_json = run_mode Anti_entropy.Flood in
+  let d_converged, d_payload, d_row = run_mode Anti_entropy.Digest in
+  let f_converged, f_payload, f_row = run_mode Anti_entropy.Flood in
   row "  expected: both modes converge shortly after the heal; the digest run's";
   row "  repair payload is strictly smaller than the flood run's (enforced)";
-  if d_at < 0 || f_at < 0 then
-    failwith "E18: a mode failed to converge after the partition healed";
-  if d_payload >= f_payload then
-    failwith
-      (Printf.sprintf "E18: digest payload %d not < flood payload %d"
-         d_payload f_payload);
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"E18\",\n  \"n\": %d,\n  \"deadline\": %d,\n  \
-       \"partition\": {\"isolated\": 3, \"from\": %d, \"until\": %d, \
-       \"lossy\": true},\n  \"digest_payload_strictly_smaller\": true,\n  \
-       \"results\": [\n%s\n  ],\n  %s\n}\n"
-      n deadline from_time until_time
-      (String.concat ",\n" [ d_json; f_json ])
-      (gc_fields ())
-  in
-  write_bench_json "partition" json
+  Record.write bench_dir
+    (Record.make ~name:"partition" ~experiment:"E18" ~since
+       ~params:
+         [ ("n", Int n); ("deadline", Int deadline);
+           ( "partition",
+             Obj
+               [ ("isolated", Int 3); ("from", Int from_time);
+                 ("until", Int until_time); ("lossy", Bool true) ] ) ]
+       ~rows:[ d_row; f_row ]
+       [ d_converged; f_converged;
+         Record.gate "digest payload_msgs" (Int d_payload) Lt (Int f_payload) ])
 
 (* ------------------------------------------------------------------ *)
 (* E19: detlint hygiene gate — scan speed and cleanliness              *)
@@ -988,9 +984,9 @@ let e18 () =
    machine-readable BENCH_lint.json. *)
 let e19 () =
   section "E19" "detlint static-analysis gate: scan speed and cleanliness";
-  gc_mark ();
-  let roots = List.filter Sys.file_exists [ "lib"; "bin"; "test" ] in
-  if List.length roots < 3 then
+  let since = Gc.quick_stat () in
+  let roots = [ "lib"; "bin"; "test" ] in
+  if not (List.for_all Sys.file_exists roots) then
     row "  skipped: not run from the repository root (lib/ bin/ test/ missing)"
   else begin
     let budget = 5.0 in
@@ -1012,22 +1008,18 @@ let e19 () =
     List.iter
       (fun f -> row "  unexpected finding: %s" (Format.asprintf "%a" Lint.Finding.pp_human f))
       result.Lint.Driver.findings;
-    if findings > 0 then
-      failwith (Printf.sprintf "E19: detlint found %d findings" findings);
-    if elapsed >= budget then
-      failwith
-        (Printf.sprintf "E19: detlint scan took %.3f s (budget %.1f s)"
-           elapsed budget);
-    let json =
-      Printf.sprintf
-        "{\n  \"experiment\": \"E19\",\n  \"roots\": [\"lib\", \"bin\", \
-         \"test\"],\n  \"files_scanned\": %d,\n  \"findings\": %d,\n  \
-         \"allowlisted\": %d,\n  \"elapsed_seconds\": %.3f,\n  \
-         \"budget_seconds\": %.1f,\n  \"clean\": true,\n  \
-         \"within_budget\": true,\n  %s\n}\n"
-        result.Lint.Driver.files findings allowed elapsed budget (gc_fields ())
-    in
-    write_bench_json "lint" json
+    Record.write bench_dir
+      (Record.make ~name:"lint" ~experiment:"E19" ~since
+         ~params:[ ("roots", List (List.map (fun r -> Record.String r) roots)) ]
+         ~rows:
+           Record.
+             [ Obj
+                 [ ("files_scanned", Int result.Lint.Driver.files);
+                   ("findings", Int findings); ("allowlisted", Int allowed);
+                   ("elapsed_seconds", Float elapsed) ] ]
+         Record.
+           [ gate "findings" (Int findings) Eq (Int 0);
+             gate "elapsed_seconds" (Float elapsed) Lt (Float budget) ])
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1068,37 +1060,48 @@ let bechamel_suite () =
       Test.make ~name:"causal_graph linearize (100 msgs)" linearize;
       Test.make ~name:"cht extract (n=2)" cht_extract ]
 
+(* Besides the table, emits machine-readable BENCH_micro.json: the
+   estimates in benchmark-name order (null where Bechamel has none), no
+   gate (wall time varies with the machine). *)
 let e10 () =
   section "E10" "substrate micro-benchmarks (Bechamel, monotonic clock)";
+  let since = Gc.quick_stat () in
   let open Bechamel in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:(Some 1000) ()
-  in
+  let limit = 2000 and quota = 0.25 in
+  let cfg = Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:(Some 1000) () in
   let raw = Benchmark.all cfg instances (bechamel_suite ()) in
   let results =
     List.map (fun instance -> Analyze.all ols instance raw) instances
   in
   let results = Analyze.merge ols instances results in
+  let estimates =
+    Hashtbl.fold
+      (fun _measure tbl acc ->
+         Hashtbl.fold (fun name r acc -> (name, Analyze.OLS.estimates r) :: acc) tbl acc)
+      results []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
   row "  %-40s %-16s" "benchmark" "time per run";
-  Hashtbl.iter
-    (fun _measure tbl ->
-       Hashtbl.iter
-         (fun name ols_result ->
-            match Analyze.OLS.estimates ols_result with
-            | Some (t :: _) ->
-              let pretty =
-                if t > 1e6 then Printf.sprintf "%.2f ms" (t /. 1e6)
-                else if t > 1e3 then Printf.sprintf "%.2f us" (t /. 1e3)
-                else Printf.sprintf "%.0f ns" t
-              in
-              row "  %-40s %-16s" name pretty
-            | Some [] | None -> row "  %-40s %-16s" name "n/a")
-         tbl)
-    results
+  let rows =
+    List.map
+      (fun (name, estimates) ->
+         let t = match estimates with Some (t :: _) -> t | Some [] | None -> nan in
+         row "  %-40s %-16s" name
+           (if Float.is_nan t then "n/a"
+            else if t > 1e6 then Printf.sprintf "%.2f ms" (t /. 1e6)
+            else if t > 1e3 then Printf.sprintf "%.2f us" (t /. 1e3)
+            else Printf.sprintf "%.0f ns" t);
+         Record.(Obj [ ("benchmark", String name); ("ns_per_run", Float t) ]))
+      estimates
+  in
+  Record.write bench_dir
+    (Record.make ~name:"micro" ~experiment:"E10" ~since
+       ~params:[ ("limit", Int limit); ("quota_s", Float quota) ]
+       ~rows [])
 
 (* ------------------------------------------------------------------ *)
 (* E20a: framed binary trace + CRC32 WAL vs jsonl + MD5                *)
@@ -1122,7 +1125,7 @@ let e10 () =
    Besides the table, emits machine-readable BENCH_trace.json. *)
 let e20a () =
   section "E20a" "framed binary trace + CRC32 WAL vs jsonl + MD5";
-  gc_mark ();
+  let since = Gc.quick_stat () in
   let module Frame = Persist.Frame in
   let module Store = Persist.Store in
   let quota = 0.4 in
@@ -1175,12 +1178,8 @@ let e20a () =
     Array.iter (fun e -> Buffer.add_string b (Frame.event_record e)) events;
     Buffer.contents b
   in
-  let decode_rate =
-    timed (fun () ->
-        match Frame.decode file with
-        | Ok _ -> ()
-        | Error _ -> failwith "E20a: self-encoded trace failed to decode")
-  in
+  let decodes = Result.is_ok (Frame.decode file) in
+  let decode_rate = timed (fun () -> ignore (Frame.decode file)) in
   let ev_rate r = r *. float_of_int n_events in
   row "  trace serialization over %d events (send/deliver-heavy mix):" n_events;
   row "  %-8s %14s %12s" "format" "encode ev/s" "bytes";
@@ -1193,16 +1192,13 @@ let e20a () =
   let payloads =
     Array.init n_records (fun i -> Printf.sprintf "m %d %d payload-%d" (i * 37) i i)
   in
-  let replayed_all records =
-    if List.length records <> n_records then
-      failwith "E20a: WAL replay lost records without a fault"
-  in
+  (* Each cycle returns the number of records its replay recovered. *)
   let crc_wal () =
     let s = Store.create () in
     ignore (Store.open_ s);
     Array.iter (Store.append s) payloads;
     Store.sync s;
-    replayed_all (Store.open_ s).Store.records
+    List.length (Store.open_ s).Store.records
   in
   (* The baseline is the scheme the framed WAL replaced: each record kept
      raw beside its MD5, hashed on append and again on replay, which
@@ -1214,11 +1210,11 @@ let e20a () =
         verified (p :: acc) newer
       | _ -> List.rev acc
     in
-    replayed_all (verified [] (List.rev log))
+    List.length (verified [] (List.rev log))
   in
   let rec_rate r = r *. float_of_int n_records in
-  let md5_rate = timed md5_wal in
-  let crc_rate = timed crc_wal in
+  let md5_rate = timed (fun () -> ignore (md5_wal ())) in
+  let crc_rate = timed (fun () -> ignore (crc_wal ())) in
   row "  WAL append+sync+replay over %d protocol-sized records:" n_records;
   row "  %-8s %14s" "checksum" "records/s";
   row "  %-8s %14.0f" "md5" (rec_rate md5_rate);
@@ -1229,35 +1225,33 @@ let e20a () =
   row "  (x%.2f, %d vs %d bytes); CRC32 WAL strictly faster than MD5 (x%.2f)."
     ser_speedup bin_bytes jsonl_bytes wal_speedup;
   row "  All three inequalities are enforced.";
-  if bin_bytes >= jsonl_bytes then
-    failwith
-      (Printf.sprintf "E20a: binary trace %d bytes not < jsonl %d bytes"
-         bin_bytes jsonl_bytes);
-  if ser_speedup <= 1.0 then
-    failwith
-      (Printf.sprintf
-         "E20a: binary encode rate not > jsonl encode rate (x%.2f)" ser_speedup);
-  if wal_speedup <= 1.0 then
-    failwith
-      (Printf.sprintf "E20a: CRC32 WAL rate not > MD5 WAL rate (x%.2f)"
-         wal_speedup);
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"E20a\",\n  \"events\": %d,\n  \
-       \"jsonl_encode_events_per_s\": %.0f,\n  \
-       \"binary_encode_events_per_s\": %.0f,\n  \
-       \"binary_decode_events_per_s\": %.0f,\n  \"jsonl_bytes\": %d,\n  \
-       \"binary_bytes\": %d,\n  \"serialization_speedup\": %.3f,\n  \
-       \"wal_records\": %d,\n  \"md5_wal_records_per_s\": %.0f,\n  \
-       \"crc32_wal_records_per_s\": %.0f,\n  \"wal_speedup\": %.3f,\n  \
-       \"binary_strictly_smaller\": true,\n  \
-       \"binary_strictly_faster\": true,\n  \
-       \"crc32_strictly_faster\": true,\n  %s\n}\n"
-      n_events (ev_rate jsonl_rate) (ev_rate bin_rate) (ev_rate decode_rate)
-      jsonl_bytes bin_bytes ser_speedup n_records (rec_rate md5_rate)
-      (rec_rate crc_rate) wal_speedup (gc_fields ())
-  in
-  write_bench_json "trace" json
+  Record.write bench_dir
+    (Record.make ~name:"trace" ~experiment:"E20a" ~since
+       ~params:[ ("events", Int n_events); ("wal_records", Int n_records) ]
+       ~rows:
+         Record.
+           [ Obj
+               [ ("format", String "jsonl");
+                 ("encode_events_per_s", Float (ev_rate jsonl_rate));
+                 ("bytes", Int jsonl_bytes) ];
+             Obj
+               [ ("format", String "binary");
+                 ("encode_events_per_s", Float (ev_rate bin_rate));
+                 ("decode_events_per_s", Float (ev_rate decode_rate));
+                 ("bytes", Int bin_bytes) ];
+             Obj
+               [ ("checksum", String "md5");
+                 ("wal_records_per_s", Float (rec_rate md5_rate)) ];
+             Obj
+               [ ("checksum", String "crc32");
+                 ("wal_records_per_s", Float (rec_rate crc_rate)) ] ]
+       Record.
+         [ gate "binary trace decodes" (Bool decodes) Eq (Bool true);
+           gate "md5 WAL records replayed" (Int (md5_wal ())) Eq (Int n_records);
+           gate "crc32 WAL records replayed" (Int (crc_wal ())) Eq (Int n_records);
+           gate "binary_bytes" (Int bin_bytes) Lt (Int jsonl_bytes);
+           gate "serialization_speedup" (Float ser_speedup) Gt (Float 1.0);
+           gate "wal_speedup" (Float wal_speedup) Gt (Float 1.0) ])
 
 (* ------------------------------------------------------------------ *)
 (* E21: crash-safe soak campaign — journal overhead + resume speedup   *)
@@ -1278,7 +1272,7 @@ let e20a () =
    campaigns fan out over domains, so CPU time would double-count. *)
 let e21 () =
   section "E21" "crash-safe soak campaign: journal overhead + resume speedup";
-  gc_mark ();
+  let since = Gc.quick_stat () in
   let module Campaign = Soak.Campaign in
   let module Runner = Soak.Runner in
   let clock = Harness.Clock.monotonic () in
@@ -1355,29 +1349,26 @@ let e21 () =
     replay_ms replay_speedup;
   row "  expected: resume digests byte-identical; replay strictly faster";
   row "  than re-running.  Both are enforced.";
-  if resumed_digest <> digest then
-    failwith "E21: interrupted-and-resumed digest diverged from baseline";
-  if replayed_digest <> digest then
-    failwith "E21: completed-journal replay digest diverged from baseline";
-  if replay_ms >= run_ms then
-    failwith
-      (Printf.sprintf "E21: replay (%d ms) not faster than re-run (%d ms)"
-         replay_ms run_ms);
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"E21\",\n  \"jobs\": %d,\n  \
-       \"run_ms\": %d,\n  \"jobs_per_s\": %.1f,\n  \
-       \"journal_bytes\": %d,\n  \"bytes_per_job\": %.1f,\n  \
-       \"interrupted_resume_ms\": %d,\n  \"replay_ms\": %d,\n  \
-       \"replay_speedup\": %.1f,\n  \
-       \"interrupted_digest_identical\": true,\n  \
-       \"replay_digest_identical\": true,\n  %s\n}\n"
-      total run_ms jobs_per_s journal_bytes bytes_per_job resume_ms replay_ms
-      replay_speedup (gc_fields ())
-  in
-  write_bench_json "soak" json;
   Sys.remove journal;
-  Sys.remove half_journal
+  Sys.remove half_journal;
+  Record.write bench_dir
+    (Record.make ~name:"soak" ~experiment:"E21" ~since
+       ~params:[ ("jobs", Int total) ]
+       ~rows:
+         Record.
+           [ Obj
+               [ ("run_ms", Int run_ms); ("jobs_per_s", Float jobs_per_s);
+                 ("journal_bytes", Int journal_bytes);
+                 ("bytes_per_job", Float bytes_per_job);
+                 ("interrupted_resume_ms", Int resume_ms);
+                 ("replay_ms", Int replay_ms);
+                 ("replay_speedup", Float replay_speedup) ] ]
+       Record.
+         [ gate "interrupted-and-resumed digest" (String resumed_digest) Eq
+             (String digest);
+           gate "completed-journal replay digest" (String replayed_digest) Eq
+             (String digest);
+           gate "replay_ms" (Int replay_ms) Lt (Int run_ms) ])
 
 (* ------------------------------------------------------------------ *)
 (* E22: closed-loop service availability under a crash+partition       *)
@@ -1386,12 +1377,13 @@ let e21 () =
 (* The service layer of DESIGN.md §16: a closed-loop client population
    (retries, backoff, admission control, breaker degradation) driven
    against Algorithm 5 with the committed prefix and against the Paxos
-   baseline, under one lossy-partition + majority-crash schedule.  Four
-   gates are enforced, not just printed: a strict minority-partition
-   availability gap in ETOB's favour, retry amplification within budget,
-   zero duplicate applies through the replica-side dedup machine, and a
-   byte-identical replay digest.  Emits machine-readable
-   BENCH_service.json. *)
+   baseline, under one lossy-partition + majority-crash schedule.  Its
+   gates (Service.Experiment) are enforced, not just printed: a strict
+   minority-partition availability gap in ETOB's favour, retry
+   amplification within budget, zero duplicate applies through the
+   replica-side dedup machine, and a byte-identical replay digest.  Emits
+   machine-readable BENCH_service.json, the record `ecsim service`
+   writes. *)
 let e22 () =
   section "E22" "closed-loop service: availability under crash + lossy partition";
   let result = Service.Experiment.run () in
@@ -1420,17 +1412,9 @@ let e22 () =
   in
   side result.Service.Experiment.etob;
   side result.Service.Experiment.paxos;
-  List.iter
-    (fun (g : Service.Experiment.gate) ->
-      row "  gate %-20s %-4s %s" g.g_name
-        (if g.g_pass then "ok" else "FAIL")
-        g.g_detail)
-    result.Service.Experiment.gates;
   row "  expected: ETOB serves the minority through speculative degradation;";
   row "  Paxos writes die without a majority.  All four gates are enforced.";
-  write_bench_json "service" (Service.Experiment.to_json result);
-  if not result.Service.Experiment.pass then
-    failwith "E22: a service-layer gate failed (see the table above)"
+  Record.write bench_dir result.Service.Experiment.record
 
 (* ------------------------------------------------------------------ *)
 (* E23: per-event allocation on the engine hot path (budget enforced)  *)
@@ -1454,6 +1438,7 @@ let e22 () =
    BENCH_alloc.json. *)
 let e23 () =
   section "E23" "per-event allocation: minor-heap bytes per engine step";
+  let since = Gc.quick_stat () in
   let n = 3 and seeds = [ 2; 3; 4; 5 ] in
   (* Measured exactly (Gc.minor_words): ~93 B/step (Alg. 5), ~40 B/step
      (Paxos).  The budget gives the worst row ~11x headroom; a hot-path
@@ -1493,39 +1478,26 @@ let e23 () =
     let bytes_per_step = minor *. word_bytes /. float_of_int (max 1 steps) in
     row "  %-16s %-10d %-16.0f %-16.0f %-12.1f" (impl_name impl) steps minor
       major bytes_per_step;
-    (impl_name impl, steps, minor, major, bytes_per_step)
+    ( Record.(
+        Obj
+          [ ("impl", String (impl_name impl)); ("steps", Int steps);
+            ("gc_minor_words", Float minor); ("gc_major_words", Float major);
+            ("bytes_per_step", Float bytes_per_step) ]),
+      Record.gate
+        (impl_name impl ^ " bytes_per_step")
+        (Float bytes_per_step) Le (Float budget_bytes) )
   in
-  let rows =
+  let results =
     List.map measure
       [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
   in
   row "  expected: every implementation within the %.0f bytes/step budget"
     budget_bytes;
   row "  (enforced; the static half of the gate is `make lint`'s alloclint)";
-  List.iter
-    (fun (name, _, _, _, b) ->
-       if b > budget_bytes then
-         failwith
-           (Printf.sprintf "E23: %s allocates %.1f bytes/step (budget %.0f)"
-              name b budget_bytes))
-    rows;
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"E23\",\n  \"seeds\": %d,\n  \
-       \"budget_bytes_per_step\": %.0f,\n  \"word_bytes\": %.0f,\n  \
-       \"results\": [\n%s\n  ],\n  \"within_budget\": true\n}\n"
-      (List.length seeds) budget_bytes word_bytes
-      (String.concat ",\n"
-         (List.map
-            (fun (name, steps, minor, major, b) ->
-               Printf.sprintf
-                 "    {\"impl\": \"%s\", \"steps\": %d, \
-                  \"gc_minor_words\": %.0f, \"gc_major_words\": %.0f, \
-                  \"bytes_per_step\": %.1f}"
-                 name steps minor major b)
-            rows))
-  in
-  write_bench_json "alloc" json
+  Record.write bench_dir
+    (Record.make ~name:"alloc" ~experiment:"E23" ~since
+       ~params:[ ("seeds", Int (List.length seeds)); ("word_bytes", Float word_bytes) ]
+       ~rows:(List.map fst results) (List.map snd results))
 
 (* ------------------------------------------------------------------ *)
 (* E25: step cost against history length, per stack (gates enforced)   *)
@@ -1564,11 +1536,10 @@ let e23 () =
    52 MB (Algorithm 5) and 39 MB (Paxos) of text, and most of the rest
    is fresh memory for the buffer: the text still holds every revision
    whole until the digest stops printing revisions (ROADMAP item 3).
-   Emits machine-readable BENCH_scale.json, written before the digest
-   gate is enforced so that a failing verdict is recorded. *)
+   Emits machine-readable BENCH_scale.json. *)
 let e25 () =
   section "E25" "step cost vs history length, Algorithm 5 and Paxos (gates enforced)";
-  gc_mark ();
+  let since = Gc.quick_stat () in
   let n = 5 and flat_factor = 3.0 and wide_factor = 4.0 and budget_bytes = 1024.0 in
   let digest_bound = 15.0 in
   let word_bytes = float_of_int (Sys.word_size / 8) in
@@ -1604,43 +1575,28 @@ let e25 () =
       steps ns bytes;
     (count, repeats, steps, ns, bytes)
   in
-  let gate impl label factor growth bytes =
-    if growth > factor then
-      failwith
-        (Printf.sprintf
-           "E25: %s step cost grows %.2fx from 10^2 to %s broadcasts (gate %.1fx)"
-           (impl_name impl) growth label factor);
-    if bytes > budget_bytes then
-      failwith
-        (Printf.sprintf "E25: %s at %.0f bytes/step at %s broadcasts (budget %.0f)"
-           (impl_name impl) bytes label budget_bytes)
-  in
+  let stack_name impl = Harness.Builder.stack_name (Harness.Builder.Etob impl) in
   let stack impl =
     let rows = List.map (measure impl) [ (100, 100); (1_000, 10); (10_000, 1) ] in
     let at count = List.find (fun (c, _, _, _, _) -> c = count) rows in
-    let _, _, _, ns_small, _ = at 100 and _, _, _, ns_mid, bytes_mid = at 1_000 in
-    let _, _, _, ns_large, bytes_large = at 10_000 in
-    let growth = ns_mid /. ns_small and wide_growth = ns_large /. ns_small in
-    row "  %s: ns/step at 10^3 / 10^2: %.2f (gate <= %.1f); at 10^4 / 10^2: %.2f \
-         (gate <= %.1f)"
-      (impl_name impl) growth flat_factor wide_growth wide_factor;
-    row "  %s: bytes/step at 10^3: %.0f, at 10^4: %.0f (gate <= %.0f, E23's budget)"
-      (impl_name impl) bytes_mid bytes_large budget_bytes;
-    gate impl "10^3" flat_factor growth bytes_mid;
-    gate impl "10^4" wide_factor wide_growth bytes_large;
-    Printf.sprintf
-      "    {\"impl\": \"%s\",\n     \"rows\": [\n%s\n     ],\n     \
-       \"growth_1e3_over_1e2\": %.3f, \"growth_1e4_over_1e2\": %.3f}"
-      (Harness.Builder.stack_name (Harness.Builder.Etob impl))
-      (String.concat ",\n"
-         (List.map
-            (fun (count, repeats, steps, ns, bytes) ->
-               Printf.sprintf
-                 "       {\"broadcasts\": %d, \"runs\": %d, \"steps\": %d, \
-                  \"ns_per_step\": %.0f, \"bytes_per_step\": %.0f}"
-                 count repeats steps ns bytes)
-            rows))
-      growth wide_growth
+    let _, _, _, ns_small, _ = at 100 in
+    let gates (count, label) factor =
+      let _, _, _, ns, bytes = at count in
+      let name what = Printf.sprintf "%s %s at %s" (stack_name impl) what label in
+      Record.
+        [ gate (name "ns/step growth over 10^2") (Float (ns /. ns_small)) Le
+            (Float factor);
+          gate (name "bytes/step") (Float bytes) Le (Float budget_bytes) ]
+    in
+    ( List.map
+        (fun (count, repeats, steps, ns, bytes) ->
+           Record.(
+             Obj
+               [ ("impl", String (stack_name impl)); ("broadcasts", Int count);
+                 ("runs", Int repeats); ("steps", Int steps);
+                 ("ns_per_step", Float ns); ("bytes_per_step", Float bytes) ]))
+        rows,
+      gates (1_000, "10^3") flat_factor @ gates (10_000, "10^4") wide_factor )
   in
   row "  n=%d, uniform 1-4 tick links, timer period 2, one post per 4 ticks" n;
   row "  %-16s %-12s %-8s %-12s %-12s %-12s" "implementation" "broadcasts" "runs"
@@ -1673,39 +1629,23 @@ let e25 () =
     let verdict = if ratio <= digest_bound then "pass" else "fail" in
     row "  %-16s %-10.1f %-12.1f %-12.1f %-10.2f %-8s" (impl_name impl) text_mb
       (run_s *. 1e3) (digest_s *. 1e3) ratio verdict;
-    (impl, text_mb, run_s, digest_s, ratio, verdict)
+    ( Record.(
+        Obj
+          [ ("impl", String (stack_name impl)); ("broadcasts", Int count);
+            ("text_mb", Float text_mb); ("run_ms", Float (run_s *. 1e3));
+            ("digest_ms", Float (digest_s *. 1e3)) ]),
+      Record.gate
+        (Printf.sprintf "%s digest/run at 10^3" (stack_name impl))
+        (Float ratio) Le (Float digest_bound) )
   in
   let digests =
     List.map digest_row [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
   in
-  let json =
-    Printf.sprintf
-      "{\n  \"experiment\": \"E25\",\n  \"n\": %d,\n  \"flat_factor\": %.1f,\n  \
-       \"wide_factor\": %.1f,\n  \"budget_bytes_per_step\": %.0f,\n  \
-       \"stacks\": [\n%s\n  ],\n  \"digest\": [\n%s\n  ],\n  %s\n}\n"
-      n flat_factor wide_factor budget_bytes (String.concat ",\n" stacks)
-      (String.concat ",\n"
-         (List.map
-            (fun (impl, text_mb, run_s, digest_s, ratio, verdict) ->
-               Printf.sprintf
-                 "    {\"impl\": \"%s\", \"broadcasts\": %d, \"text_mb\": %.1f, \
-                  \"run_ms\": %.1f, \"digest_ms\": %.1f, \"digest_over_run\": %.2f, \
-                  \"bound\": %.1f, \"verdict\": \"%s\"}"
-                 (Harness.Builder.stack_name (Harness.Builder.Etob impl))
-                 count text_mb (run_s *. 1e3) (digest_s *. 1e3) ratio digest_bound
-                 verdict)
-            digests))
-      (gc_fields ())
-  in
-  write_bench_json "scale" json;
-  List.iter
-    (fun (impl, _, _, _, ratio, _) ->
-       if ratio > digest_bound then
-         failwith
-           (Printf.sprintf "E25: %s digest costs %.2fx its run at 10^3 broadcasts \
-                            (gate %.1fx)"
-              (impl_name impl) ratio digest_bound))
-    digests
+  Record.write bench_dir
+    (Record.make ~name:"scale" ~experiment:"E25" ~since
+       ~params:[ ("n", Int n) ]
+       ~rows:(List.concat_map fst stacks @ List.map fst digests)
+       (List.concat_map snd stacks @ List.map snd digests))
 
 (* ------------------------------------------------------------------ *)
 

@@ -940,12 +940,13 @@ let soak_cmd =
 
 (* The closed-loop client service layer (DESIGN.md §16).  Without [--spec]
    this runs experiment E22 — ETOB vs Paxos under the crash+partition
-   schedule — and enforces its four gates (availability gap, bounded retry
+   schedule — and enforces its gates (availability gap, bounded retry
    amplification, zero duplicate applies, replay determinism), writing
-   BENCH_service.json and the latency artifacts for CI to upload on
-   failure.  [--smoke] additionally replays QCheck-generated client
-   populations and demands byte-identical digests; [--spec FILE] runs the
-   [service ...] population of a builder spec file instead. *)
+   the latency artifacts and BENCH_service.json, with every verdict,
+   before a failing gate fails the command.  [--smoke] additionally
+   replays QCheck-generated client populations and demands byte-identical
+   digests; [--spec FILE] runs the [service ...] population of a builder
+   spec file instead. *)
 let service_cmd =
   let doc =
     "Run the closed-loop client service layer: the E22 availability gates, \
@@ -973,19 +974,16 @@ let service_cmd =
     Arg.(value & opt string "_artifacts/service"
          & info [ "artifacts" ] ~docv:"DIR" ~doc)
   in
-  let write_artifacts dir result =
+  let write_histograms dir result =
     mkdirs dir;
-    let write name contents =
-      let path = Filename.concat dir name in
-      Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc contents);
-      Format.printf "wrote %s@." path
-    in
-    write "BENCH_service.json" (Service.Experiment.to_json result);
-    write "latency_etob.json"
-      (Service.Experiment.histogram_json result.Service.Experiment.etob);
-    write "latency_paxos.json"
-      (Service.Experiment.histogram_json result.Service.Experiment.paxos)
+    List.iter
+      (fun (s : Service.Experiment.side) ->
+        let path = Filename.concat dir ("latency_" ^ s.s_name ^ ".json") in
+        Out_channel.with_open_text path (fun oc ->
+            Out_channel.output_string oc
+              (Harness.Record.render (Service.Experiment.histogram s) ^ "\n"));
+        Format.printf "wrote %s@." path)
+      [ result.Service.Experiment.etob; result.Service.Experiment.paxos ]
   in
   let run_spec_file path =
     let lines = In_channel.with_open_text path In_channel.input_lines in
@@ -1039,22 +1037,17 @@ let service_cmd =
     | Some path -> run_spec_file path
     | None ->
       let result = Service.Experiment.run ~seed () in
-      List.iter
-        (fun (g : Service.Experiment.gate) ->
-          Format.printf "gate %-20s %-4s %s@." g.g_name
-            (if g.g_pass then "ok" else "FAIL")
-            g.g_detail)
-        result.Service.Experiment.gates;
       let failures =
         if smoke then generated_failures ~seed else []
       in
       List.iter (fun f -> Format.printf "FAIL %s@." f) failures;
-      write_artifacts artifacts result;
-      if result.Service.Experiment.pass && failures = [] then begin
+      write_histograms artifacts result;
+      match Harness.Record.write artifacts result.Service.Experiment.record with
+      | exception Failure msg -> `Error (false, msg)
+      | () when failures = [] ->
         print_endline "SERVICE GATES PASSED";
         `Ok ()
-      end
-      else `Error (false, "service gates failed")
+      | () -> `Error (false, "service smoke failed")
   in
   Cmd.v (Cmd.info "service" ~doc)
     Term.(ret (const run $ smoke_arg $ seed_arg $ spec_arg $ artifacts_arg))

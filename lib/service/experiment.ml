@@ -19,8 +19,8 @@
    closed loop is deterministic (same spec + seed -> byte-identical trace
    digest on a rerun).
 
-   This module computes; the callers (bench E22, `ecsim service`) print
-   and write files. *)
+   This module computes the record; the callers (bench E22, `ecsim
+   service`) print their tables and write it. *)
 
 open Simulator
 open Harness
@@ -76,16 +76,7 @@ type side = {
   s_minority : int * int;
 }
 
-type gate = { g_name : string; g_pass : bool; g_detail : string }
-
-type t = {
-  etob : side;
-  paxos : side;
-  gates : gate list;
-  pass : bool;
-  gc_minor_words : float;
-  gc_major_words : float;
-}
+type t = { etob : side; paxos : side; record : Record.t }
 
 let side ~name ~seed impl =
   let outcome = Runner.run ~setup:(setup ~seed) ~spec ~impl in
@@ -97,134 +88,95 @@ let side ~name ~seed impl =
 
 let max_amplification = 2.0
 
-let run ?(seed = 42) () =
-  let gc0 = Gc.quick_stat () in
-  let etob = side ~name:"etob" ~seed Stacks.Algorithm_5 in
-  let paxos = side ~name:"paxos" ~seed Stacks.Paxos_baseline in
-  let replay = side ~name:"etob-replay" ~seed Stacks.Algorithm_5 in
-  let e_avail = Metrics.ratio etob.s_minority in
-  let p_avail = Metrics.ratio paxos.s_minority in
-  let e_started, e_ok = etob.s_minority in
-  let p_started, p_ok = paxos.s_minority in
-  let amp = Metrics.amplification etob.s_outcome.report in
-  let budget = 1 + spec.retries in
-  let max_tries =
-    max etob.s_outcome.report.max_attempts paxos.s_outcome.report.max_attempts
-  in
-  let gates =
-    [ { g_name = "availability-gap";
-        g_pass = e_started > 0 && p_started > 0 && e_avail > p_avail;
-        g_detail =
-          Printf.sprintf "minority etob %d/%d (%.2f) vs paxos %d/%d (%.2f)"
-            e_ok e_started e_avail p_ok p_started p_avail };
-      { g_name = "retry-amplification";
-        g_pass = amp <= max_amplification && max_tries <= budget;
-        g_detail =
-          Printf.sprintf "etob attempts/ok = %.2f (cap %.1f), max tries %d/%d"
-            amp max_amplification max_tries budget };
-      { g_name = "dedup";
-        g_pass = etob.s_outcome.dedup_ok && paxos.s_outcome.dedup_ok;
-        g_detail =
-          Printf.sprintf
-            "zero duplicate applies; %d+%d duplicate deliveries suppressed"
-            etob.s_outcome.suppressed paxos.s_outcome.suppressed };
-      { g_name = "determinism";
-        g_pass = String.equal etob.s_outcome.digest replay.s_outcome.digest;
-        g_detail =
-          Printf.sprintf "replay digest %s %s" replay.s_outcome.digest
-            (if String.equal etob.s_outcome.digest replay.s_outcome.digest then
-               "== first run"
-             else "!= " ^ etob.s_outcome.digest) } ]
-  in
-  let gc1 = Gc.quick_stat () in
-  { etob;
-    paxos;
-    gates;
-    pass = List.for_all (fun g -> g.g_pass) gates;
-    gc_minor_words = gc1.Gc.minor_words -. gc0.Gc.minor_words;
-    gc_major_words = gc1.Gc.major_words -. gc0.Gc.major_words }
-
-(* ------------------------------------------------------------------ *)
-(* JSON renderers (callers write the files)                            *)
-(* ------------------------------------------------------------------ *)
-
 let side_json s =
   let o = s.s_outcome in
   let r = o.report in
   let started, ok = s.s_minority in
   let lat =
     match r.latency with
-    | None -> "null"
+    | None -> Record.Null
     | Some l ->
-      Printf.sprintf
-        "{ \"count\": %d, \"p50\": %d, \"p95\": %d, \"p99\": %d, \"p999\": %d, \
-         \"max\": %d }"
-        l.count l.p50 l.p95 l.p99 l.p999 l.max
+      Record.(
+        Obj
+          [ ("count", Int l.count); ("p50", Int l.p50); ("p95", Int l.p95);
+            ("p99", Int l.p99); ("p999", Int l.p999); ("max", Int l.max) ])
   in
-  Printf.sprintf
-    "    { \"impl\": %S, \"requests\": %d, \"ok\": %d, \"failed\": %d,\n\
-    \      \"availability\": %.4f, \"minority_started\": %d, \
-     \"minority_ok\": %d, \"minority_availability\": %.4f,\n\
-    \      \"attempts\": %d, \"retries\": %d, \"amplification\": %.4f, \
-     \"max_attempts\": %d,\n\
-    \      \"goodput_per_kilotick\": %d, \"sheds\": %d, \
-     \"duplicate_submits\": %d, \"migrations\": %d,\n\
-    \      \"breaker_opens\": %d, \"strong_ok\": %d, \"weak_ok\": %d,\n\
-    \      \"duplicates_delivered\": %d, \"suppressed\": %d, \
-     \"dedup_ok\": %b, \"digest\": %S,\n\
-    \      \"latency\": %s }"
-    s.s_name r.requests r.ok r.failed
-    (Metrics.availability r)
-    started ok
-    (Metrics.ratio s.s_minority)
-    r.attempts r.retries
-    (Metrics.amplification r)
-    r.max_attempts
-    (Metrics.goodput_per_kilotick r ~horizon:o.horizon)
-    r.sheds r.duplicate_submits r.migrations r.breaker_opens r.strong_ok
-    r.weak_ok o.duplicates_delivered o.suppressed o.dedup_ok o.digest lat
+  Record.(
+    Obj
+      [ ("impl", String s.s_name); ("requests", Int r.requests); ("ok", Int r.ok);
+        ("failed", Int r.failed);
+        ("availability", Float (Metrics.availability r));
+        ("minority_started", Int started); ("minority_ok", Int ok);
+        ("minority_availability", Float (Metrics.ratio s.s_minority));
+        ("attempts", Int r.attempts); ("retries", Int r.retries);
+        ("amplification", Float (Metrics.amplification r));
+        ("max_attempts", Int r.max_attempts);
+        ( "goodput_per_kilotick",
+          Int (Metrics.goodput_per_kilotick r ~horizon:o.horizon) );
+        ("sheds", Int r.sheds); ("duplicate_submits", Int r.duplicate_submits);
+        ("migrations", Int r.migrations); ("breaker_opens", Int r.breaker_opens);
+        ("strong_ok", Int r.strong_ok); ("weak_ok", Int r.weak_ok);
+        ("duplicates_delivered", Int o.duplicates_delivered);
+        ("suppressed", Int o.suppressed); ("dedup_ok", Bool o.dedup_ok);
+        ("digest", String o.digest); ("latency", lat) ])
 
-let gate_json g =
-  Printf.sprintf "    { \"gate\": %S, \"pass\": %b, \"detail\": %S }" g.g_name
-    g.g_pass g.g_detail
-
-let to_json t =
-  Printf.sprintf
-    "{\n\
-    \  \"experiment\": \"E22\",\n\
-    \  \"replicas\": %d,\n\
-    \  \"clients\": %d,\n\
-    \  \"deadline\": %d,\n\
-    \  \"partition\": [%d, %d],\n\
-    \  \"crash\": { \"proc\": %d, \"at\": %d },\n\
-    \  \"spec\": %S,\n\
-    \  \"sides\": [\n%s\n  ],\n\
-    \  \"gates\": [\n%s\n  ],\n\
-    \  \"gc_minor_words\": %.0f,\n\
-    \  \"gc_major_words\": %.0f,\n\
-    \  \"pass\": %b\n\
-     }\n"
-    replicas spec.clients deadline partition_from partition_until crash_proc
-    crash_at_time
-    (Service_spec.to_string spec)
-    (String.concat ",\n" [ side_json t.etob; side_json t.paxos ])
-    (String.concat ",\n" (List.map gate_json t.gates))
-    t.gc_minor_words t.gc_major_words t.pass
+let run ?(seed = 42) () =
+  let since = Gc.quick_stat () in
+  let etob = side ~name:"etob" ~seed Stacks.Algorithm_5 in
+  let paxos = side ~name:"paxos" ~seed Stacks.Paxos_baseline in
+  let replay = side ~name:"etob-replay" ~seed Stacks.Algorithm_5 in
+  let e_started, _ = etob.s_minority and p_started, _ = paxos.s_minority in
+  let max_tries =
+    max etob.s_outcome.report.max_attempts paxos.s_outcome.report.max_attempts
+  in
+  let gates =
+    Record.
+      [ gate "availability-gap etob started" (Int e_started) Gt (Int 0);
+        gate "availability-gap paxos started" (Int p_started) Gt (Int 0);
+        gate "availability-gap"
+          (Float (Metrics.ratio etob.s_minority))
+          Gt
+          (Float (Metrics.ratio paxos.s_minority));
+        gate "retry-amplification"
+          (Float (Metrics.amplification etob.s_outcome.report))
+          Le (Float max_amplification);
+        gate "retry-amplification max attempts" (Int max_tries) Le
+          (Int (1 + spec.retries));
+        gate "dedup etob" (Bool etob.s_outcome.dedup_ok) Eq (Bool true);
+        gate "dedup paxos" (Bool paxos.s_outcome.dedup_ok) Eq (Bool true);
+        gate "determinism" (String replay.s_outcome.digest) Eq
+          (String etob.s_outcome.digest) ]
+  in
+  let params =
+    Record.
+      [ ("replicas", Int replicas); ("clients", Int spec.clients);
+        ("deadline", Int deadline);
+        ("partition", List [ Int partition_from; Int partition_until ]);
+        ("crash", Obj [ ("proc", Int crash_proc); ("at", Int crash_at_time) ]);
+        ("spec", String (Service_spec.to_string spec)) ]
+  in
+  { etob;
+    paxos;
+    record =
+      Record.make ~name:"service" ~experiment:"E22" ~since ~params
+        ~rows:[ side_json etob; side_json paxos ]
+        gates }
 
 (* The raw per-request latency series, for the CI failure artifact: enough
    to re-derive any histogram offline. *)
-let histogram_json s =
+let histogram s =
   let lats =
     List.filter_map
       (fun (_, _, output) ->
         match output with
-        | Wire.Completed { ok = true; latency; _ } -> Some (string_of_int latency)
+        | Wire.Completed { ok = true; latency; _ } -> Some (Record.Int latency)
         | _ -> None)
       (Trace.outputs s.s_outcome.trace)
   in
-  Printf.sprintf
-    "{ \"impl\": %S, \"count\": %d, \"latencies_ticks\": [%s] }\n" s.s_name
-    (List.length lats) (String.concat "," lats)
+  Record.(
+    Obj
+      [ ("impl", String s.s_name); ("count", Int (List.length lats));
+        ("latencies_ticks", List lats) ])
 
 (* Deterministic QCheck sampling of service specs, shared by the smoke
    gate and the generator tests. *)

@@ -2,12 +2,12 @@
 
     One crash+partition schedule, run over Algorithm 5 (with the
     committed/speculative split to degrade across) and over the Paxos
-    baseline, plus a replay of the first run.  Four gates: a strict
-    minority-partition availability gap in ETOB's favour, bounded retry
-    amplification, zero duplicate applies through the dedup machine, and a
-    byte-identical replay digest.  Shared by [bench E22] and
-    [ecsim service]; this module only computes and renders JSON — callers
-    write the files. *)
+    baseline, plus a replay of the first run.  Its {!Harness.Record}
+    gates: a strict minority-partition availability gap in ETOB's favour
+    (both sides started requests there), bounded retry amplification and
+    attempts, zero duplicate applies through the dedup machine on either
+    side, and a byte-identical replay digest.  Shared by [bench E22] and
+    [ecsim service], which write the same record. *)
 
 type side = {
   s_name : string;
@@ -15,15 +15,10 @@ type side = {
   s_minority : int * int;  (** (started, ok) in the partition probe window *)
 }
 
-type gate = { g_name : string; g_pass : bool; g_detail : string }
-
 type t = {
   etob : side;
   paxos : side;
-  gates : gate list;
-  pass : bool;
-  gc_minor_words : float;  (** minor-heap words allocated across the runs *)
-  gc_major_words : float;  (** major-heap words promoted/allocated *)
+  record : Harness.Record.t;  (** BENCH_service.json: both sides and the gates *)
 }
 
 val spec : Harness.Service_spec.t
@@ -37,10 +32,7 @@ val minority : Simulator.Types.proc_id list
 
 val run : ?seed:int -> unit -> t
 
-val to_json : t -> string
-(** The BENCH_service.json payload. *)
-
-val histogram_json : side -> string
+val histogram : side -> Harness.Record.json
 (** Raw successful-request latencies — the CI latency-histogram artifact. *)
 
 val sample_specs : seed:int -> count:int -> Harness.Service_spec.t list

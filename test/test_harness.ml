@@ -388,6 +388,89 @@ let test_recoverable_commits_restored () =
     (Properties.check_commit_consistent commits
        (Properties.etob_run_of_trace pattern trace)).Properties.violations
 
+(* ------------------------------------------------------------------ *)
+(* Record: the one BENCH_*.json writer                                 *)
+(* ------------------------------------------------------------------ *)
+
+let has_substring hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
+(* A quote, a backslash, a newline, a tab, a control byte and two bytes
+   >= 0x80. *)
+let awkward = "q\" b\\ n\n t\t c\001 h\128\255"
+
+let test_record_escapes () =
+  let open Harness.Record in
+  Alcotest.(check string) "as Frame.json_escape escapes it"
+    ("\"" ^ Persist.Frame.json_escape awkward ^ "\"")
+    (render (String awkward));
+  Alcotest.(check string) "the escaped text"
+    "\"q\\\" b\\\\ n\\n t\\t c\\u0001 h\128\255\""
+    (render (String awkward));
+  let dir = Filename.temp_dir "record" "" in
+  let r =
+    make ~name:"escape" ~experiment:awkward ~since:(Gc.quick_stat ())
+      ~params:[ (awkward, String awkward) ]
+      ~rows:[ Obj [ (awkward, List [ String awkward ]) ] ]
+      [ gate awkward (String awkward) Eq (String awkward) ]
+  in
+  write dir r;
+  let path = Filename.concat dir "BENCH_escape.json" in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  Sys.rmdir dir;
+  Alcotest.(check bool) "no raw control byte but the layout's newlines" true
+    (String.for_all (fun c -> c = '\n' || Char.code c >= 0x20) text);
+  Alcotest.(check int) "one line per field, row and gate" 13
+    (List.length (String.split_on_char '\n' (String.trim text)))
+
+let test_record_gate_verdicts () =
+  let open Harness.Record in
+  let holds g = g.pass in
+  Alcotest.(check bool) "ints and floats compare as numbers" true
+    (holds (gate "a" (Int 3) Eq (Float 3.0)));
+  Alcotest.(check bool) "strict bound" false (holds (gate "b" (Int 3) Lt (Int 3)));
+  Alcotest.(check bool) "ordered comparison on a string" false
+    (holds (gate "c" (String "1") Le (Int 2)));
+  Alcotest.(check bool) "string equality" false
+    (holds (gate "d" (String "x") Eq (String "y")));
+  Alcotest.(check bool) "bool equality" true
+    (holds (gate "e" (Bool false) Eq (Bool false)))
+
+let test_record_written_before_failing () =
+  let open Harness.Record in
+  let dir = Filename.temp_dir "record" "" in
+  let path = Filename.concat dir "BENCH_probe.json" in
+  let r =
+    make ~name:"probe" ~experiment:"EX" ~since:(Gc.quick_stat ()) ~params:[]
+      ~rows:[ Obj [ ("x", Int 1) ] ]
+      [ gate "holds" (Int 1) Le (Int 2); gate "breaks" (Float 3.5) Lt (Float 3.0) ]
+  in
+  (match write dir r with
+   | () -> Alcotest.fail "a failing gate did not fail the run"
+   | exception Failure msg ->
+     Alcotest.(check bool) "the record exists when the writer raises" true
+       (Sys.file_exists path);
+     Alcotest.(check bool) "the failure names the failing gate" true
+       (has_substring msg "breaks: 3.5000 < 3");
+     Alcotest.(check bool) "and no other" false (has_substring msg "holds"));
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  Sys.rmdir dir;
+  Alcotest.(check bool) "the record fails" true
+    (has_substring text "\n  \"pass\": false,\n");
+  let breaks =
+    {|{"gate": "breaks", "measured": 3.5000, "op": "<", "bound": 3, "pass": false}|}
+  in
+  Alcotest.(check bool) "with the gate's verdict" true (has_substring text breaks);
+  Alcotest.(check bool) "beside the gate that holds" true
+    (has_substring text
+       {|{"gate": "holds", "measured": 1, "op": "<=", "bound": 2, "pass": true}|})
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest [ prop_stats_bounds ] in
   Alcotest.run "harness"
@@ -430,4 +513,10 @@ let () =
            test_recoverable_no_window_clean;
          Alcotest.test_case "commitments restored on restart" `Quick
            test_recoverable_commits_restored ]);
+      ("record",
+       [ Alcotest.test_case "strings escape as Frame.json_escape" `Quick
+           test_record_escapes;
+         Alcotest.test_case "gate verdicts" `Quick test_record_gate_verdicts;
+         Alcotest.test_case "written before a failing gate raises" `Quick
+           test_record_written_before_failing ]);
     ]

@@ -336,12 +336,13 @@ let test_run_builder () =
 let test_e22_gates_pass () =
   let result = Service.Experiment.run () in
   List.iter
-    (fun (g : Service.Experiment.gate) ->
+    (fun (g : Harness.Record.gate) ->
       Alcotest.(check bool)
-        (Printf.sprintf "gate %s: %s" g.Service.Experiment.g_name
-           g.Service.Experiment.g_detail)
-        true g.Service.Experiment.g_pass)
-    result.Service.Experiment.gates;
+        (Printf.sprintf "gate %s: %s %s" g.gate
+           (Harness.Record.render g.measured)
+           (Harness.Record.render g.bound))
+        true g.pass)
+    result.Service.Experiment.record.Harness.Record.gates;
   (* The gap comes from degradation: the ETOB side actually downgraded to
      speculative service behind an open breaker. *)
   let er = result.Service.Experiment.etob.s_outcome.Service.Runner.report in
