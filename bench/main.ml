@@ -1270,6 +1270,16 @@ let e20a () =
 
    Wall time comes from Harness.Clock (the sanctioned monotonic shim) —
    campaigns fan out over domains, so CPU time would double-count. *)
+(* The campaigns' artifact directories are made by [Soak.Runner] and may
+   hold quarantined findings. *)
+let rec remove_tree path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
 let e21 () =
   section "E21" "crash-safe soak campaign: journal overhead + resume speedup";
   let since = Gc.quick_stat () in
@@ -1349,8 +1359,8 @@ let e21 () =
     replay_ms replay_speedup;
   row "  expected: resume digests byte-identical; replay strictly faster";
   row "  than re-running.  Both are enforced.";
-  Sys.remove journal;
-  Sys.remove half_journal;
+  List.iter remove_tree
+    [ journal; half_journal; config.Campaign.artifacts; config_half.Campaign.artifacts ];
   Record.write bench_dir
     (Record.make ~name:"soak" ~experiment:"E21" ~since
        ~params:[ ("jobs", Int total) ]

@@ -157,8 +157,3 @@ let agrees_with a b =
          Fd_value.equal info.vi_value info'.vi_value
          && info.vi_preds = info'.vi_preds)
     a.vertices
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Dag_gossip graph -> Fmt.pf ppf "dag-gossip(|%d|)" (List.length graph); true
-    | _ -> false)

@@ -253,14 +253,3 @@ let create (c : Engine.ctx) ~omega =
   (t, node)
 
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Req m -> Fmt.pf ppf "req(%a)" App_msg.pp m; true
-    | Prepare { ballot } -> Fmt.pf ppf "prepare(b%d)" ballot; true
-    | Promise { ballot; accepted } ->
-      Fmt.pf ppf "promise(b%d,|%d|)" ballot (List.length accepted); true
-    | Accept { ballot; slot; batch } ->
-      Fmt.pf ppf "accept(b%d,s%d,%a)" ballot slot App_msg.pp_seq batch; true
-    | Accepted { ballot; slot; _ } -> Fmt.pf ppf "accepted(b%d,s%d)" ballot slot; true
-    | _ -> false)

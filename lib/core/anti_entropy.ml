@@ -224,18 +224,3 @@ let create ?(config = default_config) ?mutation (ctx : Engine.ctx) ~graph
     { Engine.on_message; on_timer; on_input = (fun _ -> ()) }
   in
   (t, node)
-
-let pp_summary ppf summary =
-  Fmt.pf ppf "%a"
-    (Fmt.list ~sep:Fmt.comma (fun ppf (o, p, extras) ->
-         Fmt.pf ppf "%d<%d%a" o p
-           (Fmt.list ~sep:Fmt.nop (fun ppf sn -> Fmt.pf ppf "+%d" sn))
-           extras))
-    summary
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Ae_digest summary -> Fmt.pf ppf "ae-digest(%a)" pp_summary summary; true
-    | Ae_delta msgs -> Fmt.pf ppf "ae-delta(%a)" App_msg.pp_seq msgs; true
-    | Ae_full msgs -> Fmt.pf ppf "ae-full(%a)" App_msg.pp_seq msgs; true
-    | _ -> false)

@@ -40,9 +40,10 @@ let equal a b = compare a b = 0
    between two breaks goes to Format as one string and the break is
    [pp_print_space]: Format lays out a run of strings by its total length
    alone, so the output is the one printing each piece separately would
-   give, at any margin and in any box.  The trace text ([add_text]) is
-   one vertical box opened at column 0, where every break hint is a
-   newline, so there a break is ['\n'] and no Format is involved. *)
+   give, at any margin and in any box.  The trace text ([add_text],
+   [add_seq_text]) is one vertical box opened at column 0, where every
+   break hint is a newline, so there a break is ['\n'] and no Format is
+   involved. *)
 
 let rec add_digits b n =
   if n >= 10 then add_digits b (n / 10);
@@ -90,21 +91,24 @@ let pp ppf m =
   add_msg ~break:(space ppf) b m;
   flush ppf b
 
-let pp_seq ppf ms =
-  let b = Buffer.create 256 in
-  let break = space ppf in
+let add_seq ~break b ms =
   Buffer.add_char b '[';
   List.iteri
     (fun i m ->
        if i > 0 then Buffer.add_char b ';';
        add_msg ~break b m)
     ms;
-  Buffer.add_char b ']';
+  Buffer.add_char b ']'
+
+let pp_seq ppf ms =
+  let b = Buffer.create 256 in
+  add_seq ~break:(space ppf) b ms;
   flush ppf b
 
 let newline b = Buffer.add_char b '\n'
 
 let add_text b m = add_msg ~break:newline b m
+let add_seq_text b ms = add_seq ~break:newline b ms
 
 let same_text a b =
   a.origin = b.origin && a.sn = b.sn

@@ -41,6 +41,10 @@ val add_text : Buffer.t -> t -> unit
     0, where every break hint is a newline: the message as it appears in
     {!Simulator.Trace.text}. *)
 
+val add_seq_text : Buffer.t -> t list -> unit
+(** Append the text {!pp_seq} prints inside a vertical box opened at
+    column 0. *)
+
 val same_text : t -> t -> bool
 (** Equal ids and equal [deps]: the two messages print the same text.
     {!equal} compares ids alone, which a replica restarted without its

@@ -174,9 +174,3 @@ let create (c : Engine.ctx) ~binary =
   (t, { Engine.on_message; on_timer = (fun () -> ()); on_input })
 
 let service t = Ec_intf.service_of t.backend ~propose:(fun ~instance v -> propose t ~instance v)
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Candidate { instance; proposer; value } ->
-      Fmt.pf ppf "cand(%d,%a,%a)" instance pp_proc proposer Value.pp value; true
-    | _ -> false)

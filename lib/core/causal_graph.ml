@@ -318,7 +318,3 @@ let is_valid_linearization g ~prefix seq =
       (edges g)
   in
   extends && all_present && no_dup && edges_ok
-
-let pp ppf g =
-  let pp_node ppf (id, _) = App_msg.pp_id ppf id in
-  Fmt.pf ppf "CG{%a}" (Fmt.list ~sep:Fmt.comma pp_node) (Id_map.bindings g.nodes)

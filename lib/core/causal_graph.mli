@@ -70,5 +70,3 @@ val promote_fresh :
 
 val is_valid_linearization : t -> prefix:App_msg.t list -> App_msg.t list -> bool
 (** Checks the three UpdatePromote conditions; tie-break independent. *)
-
-val pp : Format.formatter -> t -> unit

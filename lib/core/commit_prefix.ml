@@ -107,13 +107,6 @@ let create (ctx : Engine.ctx) ~omega ~etob ~promotion =
 let restore t seq = if Dseq.length seq > 0 then record t seq
 
 let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Commit_ack { seq } -> Fmt.pf ppf "commit-ack(%a)" Dseq.pp seq; true
-    | Commit_mark { seq } -> Fmt.pf ppf "commit-mark(%a)" Dseq.pp seq; true
-    | _ -> false);
-  Io.register_output_pp (fun ppf -> function
-    | Committed seq -> Fmt.pf ppf "committed:%a" Dseq.pp seq; true
-    | _ -> false);
   Io.register_output_text (fun () ->
     let w = Dseq.writer () in
     fun b proc -> function

@@ -68,8 +68,6 @@ let starts_with eq a b = a.len <= b.len && same eq a.rev (drop (b.len - a.len) b
 
 let is_prefix a b = starts_with App_msg.equal a b
 
-let pp ppf t = App_msg.pp_seq ppf (to_list t)
-
 (* The trace text of each key's last sequence is kept without its
    brackets.  A sequence that starts with exactly the messages that text
    printed keeps it and appends the rest.  The test is [same_text] (id

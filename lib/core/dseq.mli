@@ -30,9 +30,6 @@ val is_prefix : t -> t -> bool
 
 val equal : t -> t -> bool
 
-val pp : Format.formatter -> t -> unit
-(** As {!App_msg.pp_seq} prints {!to_list}. *)
-
 type writer
 (** The sequence writer of one rendering of a trace: per key (a
     process), the text of the sequence it last wrote. *)
@@ -40,8 +37,8 @@ type writer
 val writer : unit -> writer
 
 val write : writer -> Buffer.t -> int -> t -> unit
-(** [write w b key s] appends the text {!pp} prints for [s] inside a
-    vertical box opened at column 0 ({!App_msg.add_text}).  When [s]
+(** [write w b key s] appends the text of [s] in the trace, as
+    {!App_msg.add_seq_text} writes {!to_list}.  When [s]
     starts with exactly the messages of the sequence last written under
     [key] (physically shared, or {!App_msg.same_text}), that text is
     reused and only the messages past it ({!after}) are written. *)

@@ -65,13 +65,13 @@ let service_of backend ~propose =
   { propose; on_decide = Listeners.register backend.listeners }
 
 let () =
-  Io.register_input_pp (fun ppf -> function
+  Io.register_input_text (fun b -> function
     | Propose_ec { instance; value } ->
-      Fmt.pf ppf "proposeEC_%d(%a)" instance Value.pp value; true
+      Printf.bprintf b "proposeEC_%d(%a)" instance Value.add_text value; true
     | _ -> false);
-  Io.register_output_pp (fun ppf -> function
+  Io.register_output_text (fun () b _ -> function
     | Proposed_ec { layer; instance; value } ->
-      Fmt.pf ppf "%s:proposedEC_%d(%a)" layer instance Value.pp value; true
+      Printf.bprintf b "%s:proposedEC_%d(%a)" layer instance Value.add_text value; true
     | Decide_ec { layer; instance; value } ->
-      Fmt.pf ppf "%s:decideEC_%d(%a)" layer instance Value.pp value; true
+      Printf.bprintf b "%s:decideEC_%d(%a)" layer instance Value.add_text value; true
     | _ -> false)

@@ -63,9 +63,3 @@ let create ?layer (ctx : Engine.ctx) ~omega =
   (t, node)
 
 let service t = Ec_intf.service_of t.backend ~propose:(fun ~instance v -> propose t ~instance v)
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Promote_ec { value; instance } ->
-      Fmt.pf ppf "promote(%a,%d)" Value.pp value instance; true
-    | _ -> false)

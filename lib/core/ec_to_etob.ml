@@ -61,8 +61,3 @@ let create (ctx : Engine.ctx) ~ec =
   (t, { Engine.on_message; on_timer; on_input })
 
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Push m -> Fmt.pf ppf "push(%a)" App_msg.pp m; true
-    | _ -> false)

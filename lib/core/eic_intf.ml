@@ -41,13 +41,13 @@ let service_of backend ~propose =
   { propose; on_decide = Listeners.register backend.listeners }
 
 let () =
-  Io.register_input_pp (fun ppf -> function
+  Io.register_input_text (fun b -> function
     | Propose_eic { instance; value } ->
-      Fmt.pf ppf "proposeEIC_%d(%a)" instance Value.pp value; true
+      Printf.bprintf b "proposeEIC_%d(%a)" instance Value.add_text value; true
     | _ -> false);
-  Io.register_output_pp (fun ppf -> function
+  Io.register_output_text (fun () b _ -> function
     | Proposed_eic { instance; value } ->
-      Fmt.pf ppf "proposedEIC_%d(%a)" instance Value.pp value; true
+      Printf.bprintf b "proposedEIC_%d(%a)" instance Value.add_text value; true
     | Decide_eic { instance; value } ->
-      Fmt.pf ppf "decideEIC_%d(%a)" instance Value.pp value; true
+      Printf.bprintf b "decideEIC_%d(%a)" instance Value.add_text value; true
     | _ -> false)

@@ -85,15 +85,12 @@ let service_of backend ~broadcast =
     fresh_msg = (fun ?tag () -> alloc_msg backend ?tag ()) }
 
 let () =
-  Io.register_input_pp (fun ppf -> function
-    | Broadcast_etob m -> Fmt.pf ppf "broadcastETOB(%a)" App_msg.pp m; true
-    | _ -> false);
-  Io.register_output_pp (fun ppf -> function
-    | Etob_broadcast m -> Fmt.pf ppf "etob-bcast(%a)" App_msg.pp m; true
-    | Etob_deliver seq -> Fmt.pf ppf "d_i:=%a" Dseq.pp seq; true
+  Io.register_input_text (fun b -> function
+    | Broadcast_etob m -> Printf.bprintf b "broadcastETOB(%a)" App_msg.add_text m; true
     | _ -> false);
   Io.register_output_text (fun () ->
     let w = Dseq.writer () in
     fun b proc -> function
+      | Etob_broadcast m -> Printf.bprintf b "etob-bcast(%a)" App_msg.add_text m; true
       | Etob_deliver seq -> Buffer.add_string b "d_i:="; Dseq.write w b proc seq; true
       | _ -> false)

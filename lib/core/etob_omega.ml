@@ -211,9 +211,3 @@ let restore t ~msgs ~delivered =
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
 
 let graph t = t.cg
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Update cg -> Fmt.pf ppf "update(%a)" Causal_graph.pp cg; true
-    | Promote_seq seq -> Fmt.pf ppf "promote(%a)" Dseq.pp seq; true
-    | _ -> false)

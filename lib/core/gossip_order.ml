@@ -59,8 +59,3 @@ let create ?(tie_break = Causal_graph.default_tie_break) (ctx : Engine.ctx) =
   (t, { Engine.on_message; on_timer; on_input })
 
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Gossip_graph cg -> Fmt.pf ppf "gossip(%a)" Causal_graph.pp cg; true
-    | _ -> false)

@@ -105,10 +105,3 @@ let admit t ~src ~epoch ~seq =
 
 let ack t ~src ~epoch ~seq =
   if epoch = t.epoch then t.unacked.(src) <- Int_map.remove seq t.unacked.(src)
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Rlink { epoch; seq; inner } ->
-      Fmt.pf ppf "rlink[%d.%d](%a)" epoch seq Msg.pp_payload inner; true
-    | Rlink_ack { epoch; seq } -> Fmt.pf ppf "rlink-ack[%d.%d]" epoch seq; true
-    | _ -> false)

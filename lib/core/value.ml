@@ -40,6 +40,21 @@ let rec pp ppf = function
   | Seq ms -> App_msg.pp_seq ppf ms
   | Vec vs -> Fmt.pf ppf "(%a)" (Fmt.list ~sep:Fmt.comma pp) vs
 
+(* The text [pp] prints inside a vertical box opened at column 0, where
+   the break after each comma of a [Vec] is a newline. *)
+let rec add_text b = function
+  | Flag x -> Buffer.add_string b (string_of_bool x)
+  | Num i -> Buffer.add_string b (string_of_int i)
+  | Seq ms -> App_msg.add_seq_text b ms
+  | Vec vs ->
+    Buffer.add_char b '(';
+    List.iteri
+      (fun i v ->
+         if i > 0 then Buffer.add_string b ",\n";
+         add_text b v)
+      vs;
+    Buffer.add_char b ')'
+
 (* Scalar values embed into message tags for the ETOB-to-EC transformation
    (Algorithm 2 encodes the pair (l, v) inside a broadcast message). *)
 let to_tag = function

@@ -12,6 +12,10 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
+val add_text : Buffer.t -> t -> unit
+(** Append the text {!pp} prints inside a vertical box opened at column
+    0: the value as it appears in {!Simulator.Trace.text}. *)
+
 val to_tag : t -> string
 (** Embed a scalar ([Flag]/[Num]) value into a message tag, as the
     ETOB-to-EC transformation requires.  Raises [Invalid_argument] on

@@ -72,8 +72,3 @@ let create (ctx : Engine.ctx) ~initial_timeout =
   in
   let node = { Engine.on_message; on_timer; on_input = (fun _ -> ()) } in
   (t, node)
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Heartbeat -> Fmt.string ppf "heartbeat"; true
-    | _ -> false)

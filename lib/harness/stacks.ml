@@ -291,6 +291,6 @@ let run_ec_via_eic ?(inputs = []) setup ~propose_value ~max_instance =
       (Eic_to_ec.service ec, [ ec0_node; eic_node; ec_node ]))
 
 let () =
-  Io.register_input_pp (fun ppf -> function
-    | Post tag -> Fmt.pf ppf "post(%s)" tag; true
+  Io.register_input_text (fun b -> function
+    | Post tag -> Printf.bprintf b "post(%s)" tag; true
     | _ -> false)

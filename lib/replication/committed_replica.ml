@@ -84,7 +84,7 @@ let committed_monotone trace =
        | _ -> None))
 
 let () =
-  Io.register_output_pp (fun ppf -> function
+  Io.register_output_text (fun () b _ -> function
     | Applied_committed { machine; count; digest } ->
-      Fmt.pf ppf "applied-committed[%s] %d cmds -> %s" machine count digest; true
+      Printf.bprintf b "applied-committed[%s] %d cmds -> %s" machine count digest; true
     | _ -> false)

@@ -127,10 +127,10 @@ module Make (M : Machines.MACHINE) = struct
 end
 
 let () =
-  Io.register_input_pp (fun ppf -> function
-    | Submit c -> Fmt.pf ppf "submit(%a)" Command.pp c; true
+  Io.register_input_text (fun b -> function
+    | Submit c -> Printf.bprintf b "submit(%s)" (Command.to_tag c); true
     | _ -> false);
-  Io.register_output_pp (fun ppf -> function
+  Io.register_output_text (fun () b _ -> function
     | Applied { machine; count; digest } ->
-      Fmt.pf ppf "applied[%s] %d cmds -> %s" machine count digest; true
+      Printf.bprintf b "applied[%s] %d cmds -> %s" machine count digest; true
     | _ -> false)

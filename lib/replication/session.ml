@@ -101,14 +101,15 @@ let pp_tally ppf t =
     t.mr_violations t.last_violation
 
 let () =
-  Io.register_input_pp (fun ppf -> function
-    | Session_step -> Fmt.string ppf "session-step"; true
-    | Session_step_for s -> Fmt.pf ppf "session-step(s%d)" s; true
+  Io.register_input_text (fun b -> function
+    | Session_step -> Buffer.add_string b "session-step"; true
+    | Session_step_for s -> Printf.bprintf b "session-step(s%d)" s; true
     | _ -> false);
-  Io.register_output_pp (fun ppf -> function
+  Io.register_output_text (fun () b _ -> function
     | Session_write { session; value } ->
-      Fmt.pf ppf "s%d writes %d" session value; true
+      Printf.bprintf b "s%d writes %d" session value; true
     | Session_read { session; view; value } ->
-      Fmt.pf ppf "s%d reads[%s] %a" session view Fmt.(option ~none:(any "-") int) value;
+      Printf.bprintf b "s%d reads[%s] %s" session view
+        (match value with Some v -> string_of_int v | None -> "-");
       true
     | _ -> false)

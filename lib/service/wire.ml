@@ -47,52 +47,32 @@ type Io.output +=
   | Migrated of { client : proc_id; from_endpoint : proc_id; to_endpoint : proc_id }
   | Breaker of { client : proc_id; opened : bool }
 
-let pp_op ppf = function
-  | Write { key; value } -> Fmt.pf ppf "put %s=%s" key value
-  | Read { key } -> Fmt.pf ppf "get %s" key
-
 let mode strong = if strong then "strong" else "weak"
 
 let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Request { client; rid; strong; op } ->
-      Fmt.pf ppf "req c%d#%d %s %a" client rid (mode strong) pp_op op;
-      true
-    | Ack { rid } ->
-      Fmt.pf ppf "ack #%d" rid;
-      true
-    | Reply { rid; ok; overloaded; strong; value } ->
-      Fmt.pf ppf "reply #%d %s%s %s%a" rid
-        (if ok then "ok" else "fail")
-        (if overloaded then "(overloaded)" else "")
-        (mode strong)
-        Fmt.(option (any "=" ++ string))
-        value;
-      true
-    | _ -> false);
-  Io.register_output_pp (fun ppf -> function
+  Io.register_output_text (fun () b _ -> function
     | Attempt { client; rid; attempt; endpoint; strong } ->
-      Fmt.pf ppf "c%d#%d attempt %d -> r%d %s" client rid attempt endpoint
+      Printf.bprintf b "c%d#%d attempt %d -> r%d %s" client rid attempt endpoint
         (mode strong);
       true
     | Completed { client; rid; ok; overloaded; write; strong; latency; attempts;
                   endpoint } ->
-      Fmt.pf ppf "c%d#%d %s%s %s %s lat=%d tries=%d r%d" client rid
+      Printf.bprintf b "c%d#%d %s%s %s %s lat=%d tries=%d r%d" client rid
         (if ok then "done" else "gave-up")
         (if overloaded then "(overloaded)" else "")
         (if write then "put" else "get")
         (mode strong) latency attempts endpoint;
       true
     | Shed { endpoint } ->
-      Fmt.pf ppf "r%d sheds" endpoint;
+      Printf.bprintf b "r%d sheds" endpoint;
       true
     | Duplicate_submit { endpoint; client; rid } ->
-      Fmt.pf ppf "r%d dup c%d#%d" endpoint client rid;
+      Printf.bprintf b "r%d dup c%d#%d" endpoint client rid;
       true
     | Migrated { client; from_endpoint; to_endpoint } ->
-      Fmt.pf ppf "c%d migrates r%d -> r%d" client from_endpoint to_endpoint;
+      Printf.bprintf b "c%d migrates r%d -> r%d" client from_endpoint to_endpoint;
       true
     | Breaker { client; opened } ->
-      Fmt.pf ppf "c%d breaker %s" client (if opened then "opens" else "closes");
+      Printf.bprintf b "c%d breaker %s" client (if opened then "opens" else "closes");
       true
     | _ -> false)

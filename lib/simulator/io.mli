@@ -11,30 +11,33 @@ type output = ..
 type input += Tick_input | String_input of string
 type output += String_output of string
 
-val register_input_pp : (Format.formatter -> input -> bool) -> unit
-(** Register a printer for an extension of {!input}.  The printer returns
-    [true] if it handled the value. *)
+(** {2 Text}
 
-val register_output_pp : (Format.formatter -> output -> bool) -> unit
+    Every constructor has one printer, a writer into a [Buffer.t]: the
+    text of the entry in {!Trace.text}, in {!Trace.pp_entry} and in the
+    [v] field of the streaming sinks.  A dependency break inside it is a
+    newline. *)
 
-val pp_input : Format.formatter -> input -> unit
-val pp_output : Format.formatter -> output -> unit
-(** Print with the printer registered for the constructor.  The trace
-    text ({!Trace.text}) prints an output that has no text writer this
-    way, inside a vertical box of its own at column 0, and a text writer
-    must give the bytes this printer gives there. *)
+val register_input_text : (Buffer.t -> input -> bool) -> unit
+(** Register the writer of some extensions of {!input}.  It appends the
+    text of an input it writes and returns [true], or returns [false],
+    writing nothing. *)
+
+val add_input : Buffer.t -> input -> unit
+(** Append [i]'s text: ["tick"], ["in:<s>"], the registered writer's
+    text, or ["<input>"] when no writer takes [i]. *)
 
 type text_writer = Buffer.t -> Types.proc_id -> output -> bool
-(** [w b proc o] appends the text {!pp_output} prints for [o], output by
-    process [proc], inside a vertical box opened at column 0, and returns
-    [true]; or it returns [false], writing nothing, when [o] is not an
-    output it writes. *)
+(** [w b proc o] appends the text of [o], output by process [proc], and
+    returns [true]; or it returns [false], writing nothing, when [o] is
+    not an output it writes. *)
 
 val register_output_text : (unit -> text_writer) -> unit
-(** Register a writer for an extension of {!output}.  The maker runs once
-    per rendering of a trace, so the writer may keep state across the
-    outputs of that rendering, and of that rendering only. *)
+(** Register a writer for some extensions of {!output}.  The maker runs
+    once per rendering, so the writer may keep state across the outputs
+    of that rendering, and of that rendering only. *)
 
-val output_text_writer : unit -> text_writer
-(** The writers of one rendering: each registered maker run once, tried
-    in turn. *)
+val output_text_writer : unit -> Buffer.t -> Types.proc_id -> output -> unit
+(** The output writer of one rendering: each registered maker run once,
+    tried in turn after ["out:<s>"]; ["<output>"] when none takes the
+    output. *)

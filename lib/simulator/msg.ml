@@ -17,14 +17,3 @@ type envelope = {
   sent_at : time;
   uid : int;  (* globally unique per run; preserves definability of traces *)
 }
-
-let pp_payload_hook : (Format.formatter -> payload -> bool) list ref = ref []
-
-let register_payload_pp f = pp_payload_hook := f :: !pp_payload_hook
-
-let pp_payload ppf p =
-  let rec try_hooks = function
-    | [] -> Fmt.string ppf "<payload>"
-    | h :: rest -> if h ppf p then () else try_hooks rest
-  in
-  try_hooks !pp_payload_hook

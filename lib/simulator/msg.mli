@@ -16,9 +16,3 @@ type envelope = {
   uid : int;
 }
 (** A message in transit. [uid] is unique within a run. *)
-
-val register_payload_pp : (Format.formatter -> payload -> bool) -> unit
-(** Register a printer for an extension of {!payload}; it returns [true] if
-    it handled the value. *)
-
-val pp_payload : Format.formatter -> payload -> unit

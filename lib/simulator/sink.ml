@@ -177,15 +177,23 @@ let pp_latency_summary ppf s =
 
 (* Both streaming sinks turn every event into one [Persist.Frame.event]
    and differ only in its rendering.  Message payloads stay opaque to the
-   simulator, so envelopes are identified by (uid, src, dst, times);
-   inputs and outputs are rendered through their registered printers. *)
+   simulator, so envelopes are identified by (uid, src, dst, times); an
+   input's or an output's [v] is its text in [Trace.text], written by the
+   sink's own [Io] writers. *)
 let frame_events ev =
+  let b = Buffer.create 256 in
+  let write = Io.output_text_writer () in
+  let text () =
+    let v = Buffer.contents b in
+    Buffer.clear b;
+    v
+  in
   { on_input = (fun ~at ~proc i ->
-        ev (Persist.Frame.Input
-              { t = at; proc; v = Format.asprintf "%a" Io.pp_input i }));
+        Io.add_input b i;
+        ev (Persist.Frame.Input { t = at; proc; v = text () }));
     on_output = (fun ~at ~proc o ->
-        ev (Persist.Frame.Output
-              { t = at; proc; v = Format.asprintf "%a" Io.pp_output o }));
+        write b proc o;
+        ev (Persist.Frame.Output { t = at; proc; v = text () }));
     on_send = (fun env ->
         ev (Persist.Frame.Send
               { t = env.Msg.sent_at; src = env.Msg.src; dst = env.Msg.dst;

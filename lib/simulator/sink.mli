@@ -81,8 +81,10 @@ val pp_latency_summary : Format.formatter -> latency_summary -> unit
 
 val jsonl : emit:(string -> unit) -> t
 (** One JSON object per event, passed to [emit] without a trailing newline.
-    Inputs and outputs are rendered through their registered printers;
-    message payloads stay opaque and are identified by uid/src/dst/times. *)
+    An input's or an output's [v] is its text in {!Trace.text}, after the
+    entry's ["[time] p <- "] or ["[time] p -> "] prefix, written by the
+    sink's own {!Io} writers; message payloads stay opaque and are
+    identified by uid/src/dst/times. *)
 
 val json_escape : string -> string
 

@@ -71,47 +71,37 @@ let series t keep =
     t.rev_entries;
   per_proc
 
-let pp_entry ppf = function
-  | In { t; proc; input } ->
-    Fmt.pf ppf "[%4d] %a <- %a" t pp_proc proc Io.pp_input input
-  | Out { t; proc; output } ->
-    Fmt.pf ppf "[%4d] %a -> %a" t pp_proc proc Io.pp_output output
+(* The text of an entry: its "[time] p <- " or "[time] p -> " prefix,
+   then what the input's or the output's writer ([Io]) writes. *)
+let add_entry write b e =
+  let prefix time proc arrow =
+    let t = string_of_int time in
+    Buffer.add_char b '[';
+    for _ = String.length t to 3 do Buffer.add_char b ' ' done;
+    Buffer.add_string b t;
+    Buffer.add_string b "] p";
+    Buffer.add_string b (string_of_int proc);
+    Buffer.add_string b arrow
+  in
+  match e with
+  | In { t; proc; input } -> prefix t proc " <- "; Io.add_input b input
+  | Out { t; proc; output } -> prefix t proc " -> "; write b proc output
 
-(* The trace text is one vertical box opened at column 0: entries one to
-   a line, then the counters, and every break hint inside an entry is a
-   newline.  An output with a direct writer ([Io.register_output_text])
-   is written into the buffer after its "[time] p -> " prefix.  Every
-   other entry goes through one formatter over the same buffer, in a
-   vertical box of its own at column 0, flushed before the next entry:
-   the layout it has in the whole box, as every entry starts a line. *)
-let add_out_prefix b time proc =
-  let t = string_of_int time in
-  Buffer.add_char b '[';
-  for _ = String.length t to 3 do Buffer.add_char b ' ' done;
-  Buffer.add_string b t;
-  Buffer.add_string b "] p";
-  Buffer.add_string b (string_of_int proc);
-  Buffer.add_string b " -> "
+let pp_entry ppf e =
+  let b = Buffer.create 64 in
+  add_entry (Io.output_text_writer ()) b e;
+  Format.pp_print_string ppf (Buffer.contents b)
 
+(* One rendering: one set of output writers for the whole trace, so a
+   revision of d_i is written as its predecessor's text plus what is new
+   ([Dseq.write]). *)
 let text t =
   let b = Buffer.create 1024 in
-  let ppf = Format.formatter_of_buffer b in
   let write = Io.output_text_writer () in
-  let entry e =
-    let direct =
-      match e with
-      | Out { t = time; proc; output } ->
-        let mark = Buffer.length b in
-        add_out_prefix b time proc;
-        write b proc output || (Buffer.truncate b mark; false)
-      | In _ -> false
-    in
-    if not direct then Format.fprintf ppf "@[<v>%a@]@?" pp_entry e
-  in
   List.iteri
     (fun i e ->
        if i > 0 then Buffer.add_char b '\n';
-       entry e)
+       add_entry write b e)
     (entries t);
   Printf.bprintf b "\n(sent=%d delivered=%d dropped=%d steps=%d end=%d)" t.sent
     t.delivered t.dropped t.steps t.last_time;

@@ -47,13 +47,15 @@ val steps : t -> int
 val last_time : t -> time
 
 val pp_entry : Format.formatter -> entry -> unit
+(** The entry's lines in {!text}: its ["[time] p <- "] or ["[time] p -> "]
+    prefix, then its input's or output's text ({!Io}), printed as one
+    string.  Each call writes a revision of a sequence whole. *)
 
 val text : t -> string
-(** The trace as text: one line per entry, as {!pp_entry} prints it,
-    then the counters, laid out as one vertical box opened at column 0
-    (every break hint inside an entry is a newline).  Outputs with a
-    direct writer ({!Io.register_output_text}) are written without
-    Format. *)
+(** The trace as text: one entry per line, as {!pp_entry} prints it, then
+    the counters.  One set of {!Io} output writers serves the whole
+    rendering, so a revision of a sequence is written as its
+    predecessor's text plus what is new. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints {!text}.  It assumes the formatter is at column 0, as it is

@@ -234,14 +234,3 @@ let create (c : Engine.ctx) ~omega =
   (t, node)
 
 let service t = Etob_intf.service_of t.backend ~broadcast:(fun m -> broadcast t m)
-
-let () =
-  Msg.register_payload_pp (fun ppf -> function
-    | Oracle_req m -> Fmt.pf ppf "req(%a)" App_msg.pp m; true
-    | Oracle_prepare { ballot } -> Fmt.pf ppf "prepare(b%d)" ballot; true
-    | Oracle_promise { ballot; accepted } ->
-      Fmt.pf ppf "promise(b%d,|%d|)" ballot (List.length accepted); true
-    | Oracle_accept { ballot; slot; batch } ->
-      Fmt.pf ppf "accept(b%d,s%d,%a)" ballot slot App_msg.pp_seq batch; true
-    | Oracle_accepted { ballot; slot; _ } -> Fmt.pf ppf "accepted(b%d,s%d)" ballot slot; true
-    | _ -> false)

@@ -229,6 +229,51 @@ let prop_trace_text_matches_oracle =
        | None -> QCheck.assume_fail ()
        | Some trace -> String.equal (Trace.text trace) (Trace_pp_oracle.text trace))
 
+(* One text per entry.  A jsonl and a binary sink teed in through
+   [Builder.sink] carry, for each input and output, the text its entry
+   has in [Trace.text] after the "[time] p <- " or " -> " prefix, and
+   [Trace.pp_entry] prints exactly that entry's lines. *)
+let prop_sink_text_is_trace_text =
+  QCheck.Test.make ~name:"trace: each sink event carries its entry's text"
+    ~count:40
+    (QCheck.make ~print:Builder.to_string text_builder_gen)
+    (fun b ->
+       let lines = ref [] and bin = Buffer.create 4096 in
+       Buffer.add_string bin Persist.Frame.header;
+       let sink =
+         Sink.tee
+           (Sink.jsonl ~emit:(fun l -> lines := l :: !lines))
+           (Sink.binary ~emit:(Buffer.add_string bin))
+       in
+       match (Builder.run ~catch:true { b with Builder.sink = Some sink }).Builder.trace with
+       | None -> QCheck.assume_fail ()
+       | Some trace ->
+         let events =
+           match Persist.Frame.decode (Buffer.contents bin) with
+           | Ok items -> Persist.Frame.events items
+           | Error _ -> QCheck.Test.fail_report "binary stream does not decode"
+         in
+         let texts =
+           List.filter_map
+             (function
+               | Persist.Frame.Input { t; proc; v } ->
+                 Some (Printf.sprintf "[%4d] p%d <- %s" t proc v)
+               | Persist.Frame.Output { t; proc; v } ->
+                 Some (Printf.sprintf "[%4d] p%d -> %s" t proc v)
+               | _ -> None)
+             events
+         in
+         let counters =
+           Printf.sprintf "\n(sent=%d delivered=%d dropped=%d steps=%d end=%d)"
+             (Trace.sent trace) (Trace.delivered trace) (Trace.dropped trace)
+             (Trace.steps trace) (Trace.last_time trace)
+         in
+         List.equal String.equal (List.rev !lines)
+           (List.map Persist.Frame.event_to_jsonl events)
+         && List.equal String.equal texts
+              (List.map (Format.asprintf "%a" Trace.pp_entry) (Trace.entries trace))
+         && String.equal (String.concat "\n" texts ^ counters) (Trace.text trace))
+
 (* ------------------------------------------------------------------ *)
 (* Text form                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -493,7 +538,7 @@ let () =
            test_omega_clause_differential;
          Alcotest.test_case "caller sink keeps the outcome" `Quick
            test_caller_sink_keeps_outcome ]
-       @ qc [ prop_trace_text_matches_oracle ]);
+       @ qc [ prop_trace_text_matches_oracle; prop_sink_text_is_trace_text ]);
       ("text form",
        [ Alcotest.test_case "finding fixture replays" `Quick
            test_finding_fixture_replays;

@@ -137,6 +137,34 @@ let prop_planted_break_caught =
     (printers_agree
        (planted_pp, planted_pp_seq, in_vbox planted_pp, in_vbox planted_pp_seq))
 
+(* [Value.add_text] is the trace's writer of the values [Value.pp] prints
+   in the checkers' messages: inside a vertical box at column 0 the two
+   give the same bytes, a newline after each comma of a [Vec]. *)
+let value_gen =
+  QCheck.Gen.(
+    fix
+      (fun self depth ->
+         let leaf =
+           oneof
+             [ map (fun b -> Value.Flag b) bool;
+               map (fun i -> Value.Num i) (int_range (-50) 5000);
+               map (fun ms -> Value.Seq ms) (list_size (int_range 0 4) printable_msg_gen) ]
+         in
+         if depth = 0 then leaf
+         else
+           frequency
+             [ (1, leaf);
+               (2, map (fun vs -> Value.Vec vs) (list_size (int_range 0 4) (self (depth - 1)))) ])
+      3)
+
+let prop_value_text_matches_pp =
+  QCheck.Test.make ~name:"value: text equals pp in a vertical box" ~count:300
+    (QCheck.make ~print:(Format.asprintf "%a" Value.pp) value_gen)
+    (fun v ->
+       let b = Buffer.create 64 in
+       Value.add_text b v;
+       String.equal (Buffer.contents b) (in_vbox Value.pp v))
+
 (* ------------------------------------------------------------------ *)
 (* Dseq against lists                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -1409,7 +1437,8 @@ let () =
       ("value",
        [ Alcotest.test_case "tag roundtrip" `Quick test_value_tag_roundtrip;
          Alcotest.test_case "tag rejects seq" `Quick test_value_tag_rejects_seq;
-         Alcotest.test_case "compare total" `Quick test_value_compare_total ]);
+         Alcotest.test_case "compare total" `Quick test_value_compare_total;
+         QCheck_alcotest.to_alcotest prop_value_text_matches_pp ]);
       ("causal_graph",
        [ Alcotest.test_case "respects deps" `Quick test_cg_linearize_respects_deps;
          Alcotest.test_case "prefix kept" `Quick test_cg_prefix_kept;

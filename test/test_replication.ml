@@ -670,6 +670,122 @@ let test_session_migration_naive_restart_flagged () =
     true
     (tally.Session.mr_violations > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Trace text against the Format oracle                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Each library's text writer against the Format printer it replaced,
+   kept in [Trace_pp_oracle], on the runs the builder and service
+   properties do not reach: the EC and EIC stacks and the commit
+   indication under a stable and a flapping oracle, E14's sessions, and
+   replicas fed [Submit] inputs. *)
+let check_text name trace =
+  Alcotest.(check string) name (Trace_pp_oracle.text trace) (Trace.text trace)
+
+let test_trace_text_stacks () =
+  let open Harness.Stacks in
+  let value p ~instance = Ec_core.Value.Num ((p * 100) + instance) in
+  List.iter
+    (fun (oracle_name, omega) ->
+       let setup =
+         { (default ~n:4 ~deadline:200) with
+           seed = 3; delay = Net.uniform ~min:1 ~max:3; omega }
+       in
+       let ec_via_etob (impl_name, impl) =
+         ( "alg2 over " ^ impl_name,
+           run_ec_via_etob setup impl ~propose_value:value ~max_instance:8 )
+       in
+       List.iter
+         (fun (name, trace) -> check_text (oracle_name ^ " " ^ name) trace)
+         ([ ("alg4", run_ec_omega setup ~propose_value:value ~max_instance:12);
+            ("binary lift", run_ec_lifted setup ~propose_value:value ~max_instance:6);
+            ("alg6 over alg4", run_eic_over_ec setup ~propose_value:value ~max_instance:12);
+            ("alg7 over alg6", run_ec_via_eic setup ~propose_value:value ~max_instance:12);
+            ( "commits",
+              run_etob_with_commits setup
+                ~inputs:(spread_posts ~n:4 ~count:10 ~from_time:5 ~every:6) ) ]
+          @ List.map ec_via_etob
+              [ ("alg5", Algorithm_5); ("paxos", Paxos_baseline);
+                ("alg1", Algorithm_1_over_4) ]))
+    [ ("stable", oracle 0);
+      ("flapping", oracle ~pre:(Detectors.Omega.Rotating 9) 120) ]
+
+let test_trace_text_sessions_and_replicas () =
+  let setup = { (partition_setup ~n:5 ~heal:120) with deadline = 320 } in
+  check_text "E14 sessions"
+    (run_sessions setup
+       ~inputs:(session_steps ~procs:[ 0; 3 ] ~from_time:20 ~until:300 ~every:12));
+  let inputs =
+    List.mapi (fun i c -> submit (10 + (3 * i)) (i mod 5) c)
+      [ Command.put "x" "left"; Command.put "y" "right"; Command.del "x";
+        Command.wput ~client:4 ~rid:17 "k" "v"; Command.put "z" "1" ]
+  in
+  let trace, _ =
+    run_replicas (module Machines.Kv) ~inputs (partition_setup ~n:5 ~heal:50)
+      Harness.Stacks.Algorithm_5
+  in
+  check_text "replica submits" trace
+
+type Io.input += Unknown_input
+type Io.output += Unknown_output
+
+(* One entry of every input and output constructor with a writer, the
+   built-ins, and a constructor with none. *)
+let test_trace_text_every_constructor () =
+  let open Ec_core in
+  let a = App_msg.make ~origin:0 ~sn:0 () in
+  let b = App_msg.make ~origin:1 ~sn:0 ~deps:[ (0, 0) ] () in
+  let c = App_msg.make ~origin:2 ~sn:1 ~tag:"t" ~deps:[ (0, 0); (1, 0) ] () in
+  let value =
+    Value.Vec [ Value.Num 1; Value.Seq [ a; c ]; Value.Flag true;
+                Value.Vec [ Value.Num (-2); Value.Seq [] ] ]
+  in
+  let completed ok overloaded write strong =
+    Service.Wire.Completed
+      { client = 5; rid = 3; ok; overloaded; write; strong; latency = 12;
+        attempts = 2; endpoint = 1 }
+  in
+  let inputs =
+    [ Io.Tick_input; Io.String_input "x"; Etob_intf.Broadcast_etob c;
+      Ec_intf.Propose_ec { instance = 1; value };
+      Eic_intf.Propose_eic { instance = 2; value = Value.Flag false };
+      Harness.Stacks.Post "hello"; Session.Session_step; Session.Session_step_for 4;
+      Replica.Submit (Command.put "k" "v"); Unknown_input ]
+  in
+  let outputs =
+    [ Io.String_output "y"; Etob_intf.Etob_broadcast c;
+      Etob_intf.Etob_deliver (Dseq.of_list [ a; b; c ]);
+      Commit_prefix.Committed (Dseq.of_list [ a; b ]);
+      Ec_intf.Proposed_ec { layer = "ec"; instance = 2; value };
+      Ec_intf.Decide_ec { layer = "ec-inner"; instance = 2; value = Value.Seq [ b ] };
+      Eic_intf.Proposed_eic { instance = 3; value };
+      Eic_intf.Decide_eic { instance = 3; value };
+      Session.Session_write { session = 1; value = 3 };
+      Session.Session_read { session = 1; view = "committed"; value = Some 2 };
+      Session.Session_read { session = 2; view = "speculative"; value = None };
+      Committed_replica.Applied_committed { machine = "kv"; count = 2; digest = "a=1" };
+      Replica.Applied { machine = "kv"; count = 3; digest = "a=1,b=2" };
+      Service.Wire.Attempt { client = 5; rid = 3; attempt = 1; endpoint = 2; strong = true };
+      completed true false true false; completed false true false true;
+      Service.Wire.Shed { endpoint = 2 };
+      Service.Wire.Duplicate_submit { endpoint = 1; client = 5; rid = 3 };
+      Service.Wire.Migrated { client = 5; from_endpoint = 2; to_endpoint = 0 };
+      Service.Wire.Breaker { client = 5; opened = true };
+      Service.Wire.Breaker { client = 5; opened = false }; Unknown_output ]
+  in
+  let trace = Trace.create ~n:3 in
+  List.iteri (fun i input -> Trace.record_input trace ~time:i ~proc:(i mod 3) input) inputs;
+  List.iteri
+    (fun i output -> Trace.record_output trace ~time:(100 + i) ~proc:(i mod 3) output)
+    outputs;
+  check_text "every constructor" trace;
+  let text = Trace.text trace in
+  List.iter
+    (fun line ->
+       Alcotest.(check bool) line true
+         (List.mem line (String.split_on_char '\n' text)))
+    [ "[   9] p0 <- <input>"; "[ 121] p0 -> <output>" ]
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest
       [ prop_machines_deterministic; prop_command_roundtrip ]
@@ -714,4 +830,10 @@ let () =
            test_session_migration_correct_handoff;
          Alcotest.test_case "migration: naive restart flagged" `Quick
            test_session_migration_naive_restart_flagged ]);
+      ("trace text",
+       [ Alcotest.test_case "EC, EIC and commit stacks" `Quick test_trace_text_stacks;
+         Alcotest.test_case "sessions and replicas" `Quick
+           test_trace_text_sessions_and_replicas;
+         Alcotest.test_case "every constructor" `Quick
+           test_trace_text_every_constructor ]);
     ]

@@ -831,8 +831,13 @@ let test_listeners_many_in_order () =
     (List.rev_map fst !log)
 
 let test_io_printers_roundtrip () =
-  let show_in i = Format.asprintf "%a" Io.pp_input i in
-  let show_out o = Format.asprintf "%a" Io.pp_output o in
+  let show add v =
+    let b = Buffer.create 16 in
+    add b v;
+    Buffer.contents b
+  in
+  let show_in = show Io.add_input in
+  let show_out = show (fun b -> Io.output_text_writer () b 0) in
   Alcotest.(check string) "tick" "tick" (show_in Io.Tick_input);
   Alcotest.(check string) "string in" "in:x" (show_in (Io.String_input "x"));
   Alcotest.(check string) "string out" "out:y" (show_out (Io.String_output "y"))
