@@ -123,34 +123,30 @@ let e3 () =
   section "E3" "ETOB convergence vs the bound tau_Omega + Delta_t + Delta_c (Lemma 3)";
   row "  %-10s %-8s %-8s %-12s %-8s %-8s" "tau_Omega" "Delta_t" "Delta_c"
     "measured tau" "bound" "within";
+  (* [count] posts, one every 3 ticks from 4; the deadline leaves the same
+     time after the last post as 10 posts had. *)
+  let cell ?(count = 10) tau_omega timer_period delta_c =
+    let setup = { (Harness.Stacks.default ~n:3
+                     ~deadline:(tau_omega * 3 + 100 + (3 * (count - 10)))) with
+                  timer_period;
+                  delay = Net.constant delta_c;
+                  omega = oracle ~pre:Detectors.Omega.Self_trust tau_omega } in
+    let inputs = Harness.Stacks.spread_posts ~n:3 ~count ~from_time:4 ~every:3 in
+    let trace = Harness.Stacks.run_etob ~inputs setup Harness.Stacks.Algorithm_5 in
+    let report = Harness.Stacks.etob_report setup trace in
+    let tau = Properties.etob_convergence_time report in
+    let bound = tau_omega + timer_period + delta_c in
+    row "  %-10d %-8d %-8d %-12d %-8d %-8s" tau_omega timer_period delta_c tau bound
+      (bool_mark (tau <= bound))
+  in
   List.iter
     (fun tau_omega ->
        List.iter
-         (fun timer_period ->
-            List.iter
-              (fun delta_c ->
-                 let setup = { (Harness.Stacks.default ~n:3
-                                  ~deadline:(tau_omega * 3 + 100)) with
-                               timer_period;
-                               delay = Net.constant delta_c;
-                               omega = oracle ~pre:Detectors.Omega.Self_trust
-                                   tau_omega } in
-                 let inputs =
-                   Harness.Stacks.spread_posts ~n:3 ~count:10 ~from_time:4
-                     ~every:3
-                 in
-                 let trace =
-                   Harness.Stacks.run_etob ~inputs setup
-                     Harness.Stacks.Algorithm_5
-                 in
-                 let report = Harness.Stacks.etob_report setup trace in
-                 let tau = Properties.etob_convergence_time report in
-                 let bound = tau_omega + timer_period + delta_c in
-                 row "  %-10d %-8d %-8d %-12d %-8d %-8s" tau_omega timer_period
-                   delta_c tau bound (bool_mark (tau <= bound)))
-              [ 1; 3; 5 ])
+         (fun timer_period -> List.iter (cell tau_omega timer_period) [ 1; 3; 5 ])
          [ 2; 4 ])
     [ 20; 40; 60 ];
+  row "  the last cell at 1000 posts (deadline moved with the last post):";
+  cell ~count:1000 60 4 5;
   row "  expected: measured tau <= bound in every row"
 
 (* ------------------------------------------------------------------ *)
@@ -197,26 +193,27 @@ let e5 () =
   section "E5" "with tau_Omega = 0, Algorithm 5 implements full TOB (claim P2)";
   row "  %-4s %-16s %-14s %-12s %-12s" "n" "implementation" "delays"
     "strong TOB" "base props";
+  (* [count] posts, one every 4 ticks from 5; the deadline leaves the same
+     time after the last post as 12 posts had. *)
+  let cell ?(count = 12) n impl =
+    let setup = { (Harness.Stacks.default ~n ~deadline:(400 + (4 * (count - 12)))) with
+                  delay = Net.uniform ~min:1 ~max:6; omega = oracle 0 } in
+    let inputs = Harness.Stacks.spread_posts ~n ~count ~from_time:5 ~every:4 in
+    let trace = Harness.Stacks.run_etob ~inputs setup impl in
+    let report = Harness.Stacks.etob_report setup trace in
+    row "  %-4d %-16s %-14s %-12s %-12s" n (impl_name impl) "uniform 1-6"
+      (bool_mark (Properties.is_strong_tob report))
+      (bool_mark (Properties.etob_base_ok report))
+  in
   List.iter
     (fun n ->
-       List.iter
-         (fun impl ->
-            List.iter
-              (fun (dname, delay) ->
-                 let setup = { (Harness.Stacks.default ~n ~deadline:400) with
-                               delay; omega = oracle 0 } in
-                 let inputs =
-                   Harness.Stacks.spread_posts ~n ~count:12 ~from_time:5 ~every:4
-                 in
-                 let trace = Harness.Stacks.run_etob ~inputs setup impl in
-                 let report = Harness.Stacks.etob_report setup trace in
-                 row "  %-4d %-16s %-14s %-12s %-12s" n (impl_name impl) dname
-                   (bool_mark (Properties.is_strong_tob report))
-                   (bool_mark (Properties.etob_base_ok report)))
-              [ ("uniform 1-6", Net.uniform ~min:1 ~max:6) ])
+       List.iter (cell n)
          [ Harness.Stacks.Algorithm_5; Harness.Stacks.Algorithm_1_over_4;
            Harness.Stacks.Paxos_baseline ])
     [ 3; 5 ];
+  row "  at 1000 posts (deadline moved with the last post):";
+  List.iter (cell ~count:1000 5)
+    [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ];
   row "  expected: strong TOB = yes everywhere"
 
 (* ------------------------------------------------------------------ *)
@@ -1546,12 +1543,21 @@ let e23 () =
    52 MB (Algorithm 5) and 39 MB (Paxos) of text, and most of the rest
    is fresh memory for the buffer: the text still holds every revision
    whole until the digest stops printing revisions (ROADMAP item 3).
+
+   Checker rows, one per stack at 10^3 broadcasts over the same run and
+   trace: [Properties.etob_report]'s CPU time over the run's, best of
+   three.  Gate: the ratio stays within [check_bound].  Reading each
+   revision of d_i as its delta (DESIGN.md §22) measured 0.24-0.32x for
+   Algorithm 5 and 0.14-0.33x for Paxos on a 2-vCPU host; a sweep that
+   rebuilds its tables from every revision whole measured 46x and 24x,
+   and the checkers that read every revision as a list cost over 800x
+   (check_causal_order alone took 21 s).
    Emits machine-readable BENCH_scale.json. *)
 let e25 () =
   section "E25" "step cost vs history length, Algorithm 5 and Paxos (gates enforced)";
   let since = Gc.quick_stat () in
   let n = 5 and flat_factor = 3.0 and wide_factor = 4.0 and budget_bytes = 1024.0 in
-  let digest_bound = 15.0 in
+  let digest_bound = 15.0 and check_bound = 2.0 in
   let word_bytes = float_of_int (Sys.word_size / 8) in
   let setup_for ?sink count =
     { (Harness.Stacks.default ~n ~deadline:((4 * count) + 205)) with
@@ -1627,35 +1633,72 @@ let e25 () =
     (Float.min t1 (Float.min t2 t3), x)
   in
   let count = 1_000 in
+  (* Each stack's run at 10^3 broadcasts, and the two readers of its
+     trace: the digest and the ETOB checkers. *)
+  let readers impl =
+    let run_s, trace = best_cpu (fun () -> run_etob impl count) in
+    let digest_s, _ = best_cpu (fun () -> Trace.digest trace) in
+    let check_s, _ =
+      best_cpu (fun () -> Harness.Stacks.etob_report (setup_for count) trace)
+    in
+    (impl, run_s, trace, digest_s, check_s)
+  in
+  let measured =
+    List.map readers [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
+  in
+  let ratio_gate ~what ~bound impl run_s reader_s =
+    let ratio = reader_s /. run_s in
+    ( ratio,
+      (if ratio <= bound then "pass" else "fail"),
+      Record.gate
+        (Printf.sprintf "%s %s/run at 10^3" (stack_name impl) what)
+        (Float ratio) Le (Float bound) )
+  in
   row "  digest at %d broadcasts, best of 3 (gate: digest <= %.0fx the run)" count
     digest_bound;
   row "  %-16s %-10s %-12s %-12s %-10s %-8s" "implementation" "text MB" "run ms"
     "digest ms" "ratio" "verdict";
-  let digest_row impl =
-    let run_s, trace = best_cpu (fun () -> run_etob impl count) in
-    let digest_s, _ = best_cpu (fun () -> Trace.digest trace) in
-    let text_mb = float_of_int (String.length (Trace.text trace)) /. 1e6 in
-    let ratio = digest_s /. run_s in
-    let verdict = if ratio <= digest_bound then "pass" else "fail" in
-    row "  %-16s %-10.1f %-12.1f %-12.1f %-10.2f %-8s" (impl_name impl) text_mb
-      (run_s *. 1e3) (digest_s *. 1e3) ratio verdict;
-    ( Record.(
-        Obj
-          [ ("impl", String (stack_name impl)); ("broadcasts", Int count);
-            ("text_mb", Float text_mb); ("run_ms", Float (run_s *. 1e3));
-            ("digest_ms", Float (digest_s *. 1e3)) ]),
-      Record.gate
-        (Printf.sprintf "%s digest/run at 10^3" (stack_name impl))
-        (Float ratio) Le (Float digest_bound) )
-  in
   let digests =
-    List.map digest_row [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
+    List.map
+      (fun (impl, run_s, trace, digest_s, _) ->
+         let text_mb = float_of_int (String.length (Trace.text trace)) /. 1e6 in
+         let ratio, verdict, gate =
+           ratio_gate ~what:"digest" ~bound:digest_bound impl run_s digest_s
+         in
+         row "  %-16s %-10.1f %-12.1f %-12.1f %-10.2f %-8s" (impl_name impl) text_mb
+           (run_s *. 1e3) (digest_s *. 1e3) ratio verdict;
+         ( Record.(
+             Obj
+               [ ("impl", String (stack_name impl)); ("broadcasts", Int count);
+                 ("text_mb", Float text_mb); ("run_ms", Float (run_s *. 1e3));
+                 ("digest_ms", Float (digest_s *. 1e3)) ]),
+           gate ))
+      measured
+  in
+  row "  etob_report at %d broadcasts, best of 3 (gate: check <= %.0fx the run)" count
+    check_bound;
+  row "  %-16s %-12s %-12s %-10s %-8s" "implementation" "run ms" "check ms" "ratio"
+    "verdict";
+  let checks =
+    List.map
+      (fun (impl, run_s, _, _, check_s) ->
+         let ratio, verdict, gate =
+           ratio_gate ~what:"etob_report" ~bound:check_bound impl run_s check_s
+         in
+         row "  %-16s %-12.1f %-12.1f %-10.2f %-8s" (impl_name impl) (run_s *. 1e3)
+           (check_s *. 1e3) ratio verdict;
+         ( Record.(
+             Obj
+               [ ("impl", String (stack_name impl)); ("broadcasts", Int count);
+                 ("run_ms", Float (run_s *. 1e3)); ("check_ms", Float (check_s *. 1e3)) ]),
+           gate ))
+      measured
   in
   Record.write bench_dir
     (Record.make ~name:"scale" ~experiment:"E25" ~since
        ~params:[ ("n", Int n) ]
-       ~rows:(List.concat_map fst stacks @ List.map fst digests)
-       (List.concat_map snd stacks @ List.map snd digests))
+       ~rows:(List.concat_map fst stacks @ List.map fst digests @ List.map fst checks)
+       (List.concat_map snd stacks @ List.map snd digests @ List.map snd checks))
 
 (* ------------------------------------------------------------------ *)
 

@@ -124,6 +124,12 @@ module Id_map = Map.Make (struct
     let compare = compare_id
   end)
 
+module Id_tbl = Hashtbl.Make (struct
+    type nonrec t = id
+    let equal a b = compare_id a b = 0
+    let hash (p, sn) = (p * 65_599) + sn
+  end)
+
 let ids_of_seq ms = List.fold_left (fun acc m -> Id_set.add (id m) acc) Id_set.empty ms
 
 (* [is_prefix a b]: sequence [a] is a prefix of sequence [b]. *)

@@ -53,6 +53,9 @@ val same_text : t -> t -> bool
 module Id_set : Set.S with type elt = id
 module Id_map : Map.S with type key = id
 
+module Id_tbl : Hashtbl.S with type key = id
+(** Hashed by the id's two integers. *)
+
 val ids_of_seq : t list -> Id_set.t
 
 val is_prefix : t list -> t list -> bool

@@ -68,6 +68,8 @@ let starts_with eq a b = a.len <= b.len && same eq a.rev (drop (b.len - a.len) b
 
 let is_prefix a b = starts_with App_msg.equal a b
 
+let is_text_prefix a b = starts_with App_msg.same_text a b
+
 (* The trace text of each key's last sequence is kept without its
    brackets.  A sequence that starts with exactly the messages that text
    printed keeps it and appends the rest.  The test is [same_text] (id
@@ -88,7 +90,7 @@ let write w b key s =
       slot
   in
   let kept =
-    if starts_with App_msg.same_text slot.seq s then slot.seq.len
+    if is_text_prefix slot.seq s then slot.seq.len
     else (Buffer.clear slot.text; 0)
   in
   List.iteri

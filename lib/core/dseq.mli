@@ -28,6 +28,11 @@ val after : t -> int -> App_msg.t list
 val is_prefix : t -> t -> bool
 (** [is_prefix a b]: [a] is a prefix of [b]. *)
 
+val is_text_prefix : t -> t -> bool
+(** [is_text_prefix a b]: [b] starts with exactly the messages of [a],
+    ids and deps ({!App_msg.same_text}).  In O(length b - length a) when
+    [b] was built by {!append} to [a], sharing its messages. *)
+
 val equal : t -> t -> bool
 
 type writer
@@ -38,7 +43,7 @@ val writer : unit -> writer
 
 val write : writer -> Buffer.t -> int -> t -> unit
 (** [write w b key s] appends the text of [s] in the trace, as
-    {!App_msg.add_seq_text} writes {!to_list}.  When [s]
-    starts with exactly the messages of the sequence last written under
-    [key] (physically shared, or {!App_msg.same_text}), that text is
-    reused and only the messages past it ({!after}) are written. *)
+    {!App_msg.add_seq_text} writes {!to_list}.  When the sequence last
+    written under [key] is a text prefix of [s] ({!is_text_prefix}),
+    that text is reused and only the messages past it ({!after}) are
+    written. *)

@@ -31,8 +31,9 @@ type seq_history = {
   (* Every broadcastETOB(m) event: (time, broadcaster, m).  Empty in a
      committed-prefix history. *)
   s_broadcasts : (time * proc_id * App_msg.t) list;
-  (* Per process, the chronological revisions: (time, sequence). *)
-  s_revisions : (time * App_msg.t list) list array;
+  (* Per process, the chronological revisions: (time, sequence), the
+     sequence as the trace holds it. *)
+  s_revisions : (time * Dseq.t) list array;
 }
 
 let etob_run_of_trace pattern trace =
@@ -45,7 +46,7 @@ let etob_run_of_trace pattern trace =
         (Trace.outputs trace);
     s_revisions =
       Trace.series trace (function
-        | Etob_intf.Etob_deliver seq -> Some (Dseq.to_list seq)
+        | Etob_intf.Etob_deliver seq -> Some seq
         | _ -> None) }
 
 let commit_run_of_trace pattern trace =
@@ -53,13 +54,13 @@ let commit_run_of_trace pattern trace =
     s_broadcasts = [];
     s_revisions =
       Trace.series trace (function
-        | Commit_prefix.Committed seq -> Some (Dseq.to_list seq)
+        | Commit_prefix.Committed seq -> Some seq
         | _ -> None) }
 
 (* The last revision (initially the empty sequence). *)
-let final run p = List.fold_left (fun _ (_, seq) -> seq) [] run.s_revisions.(p)
+let final run p = List.fold_left (fun _ (_, seq) -> seq) Dseq.empty run.s_revisions.(p)
 
-let final_d = final
+let final_d run p = Dseq.to_list (final run p)
 
 (* d_p(t): the last revision at or before t (initially the empty sequence). *)
 let d_at run p t =
@@ -67,27 +68,39 @@ let d_at run p t =
     | [] -> best
     | (t', seq) :: rest -> if t' <= t then scan seq rest else best
   in
-  scan [] run.s_revisions.(p)
+  Dseq.to_list (scan Dseq.empty run.s_revisions.(p))
 
 let correct_procs run = Failures.correct run.s_pattern
 
-let revisions run p = run.s_revisions.(p)
+let revisions run p = List.map (fun (t, seq) -> (t, Dseq.to_list seq)) run.s_revisions.(p)
 
 let broadcasts run = run.s_broadcasts
 
-let broadcast_time run m =
-  List.find_map
-    (fun (t, _, m') -> if App_msg.equal m m' then Some t else None)
-    run.s_broadcasts
+(* The delta reader.  A revision keeps its process's previous revision
+   when it starts with exactly its messages, ids and deps: a replica
+   restarted without its log reuses ids for messages with other deps, and
+   causal order must read each revision's own deps.  The kept length is
+   then the previous length, and the messages past it are read in
+   O(new).  Any other revision keeps nothing and is read whole. *)
+let kept_of prev seq = if Dseq.is_text_prefix prev seq then Dseq.length prev else 0
+
+let iter_deltas run p f =
+  ignore
+    (List.fold_left
+       (fun prev (t, seq) ->
+          let kept = kept_of prev seq in
+          f t kept (Dseq.after seq kept);
+          seq)
+       Dseq.empty run.s_revisions.(p))
 
 (* The times at which p's revision does not extend the one before it. *)
 let rollbacks run p =
   let rec scan prev acc = function
     | [] -> List.rev acc
     | (t, seq) :: rest ->
-      scan seq (if App_msg.is_prefix prev seq then acc else t :: acc) rest
+      scan seq (if Dseq.is_prefix prev seq then acc else t :: acc) rest
   in
-  scan [] [] run.s_revisions.(p)
+  scan Dseq.empty [] run.s_revisions.(p)
 
 (* The latest of [per_proc p] over the correct processes; None if some
    correct process has none. *)
@@ -96,58 +109,30 @@ let latest_over_correct run per_proc =
     (fun acc p -> Option.bind acc (fun a -> Option.map (max a) (per_proc p)))
     (Some 0) (correct_procs run)
 
-(* [check add p t seq] is called on every revision, by process and then
-   time, and [add]s its violations in order. *)
-let scan_revisions run check =
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  Array.iteri
-    (fun p revs -> List.iter (fun (t, seq) -> check add p t seq) revs)
-    run.s_revisions;
-  of_violations (List.rev !violations)
+(* Per process, the ids of its final revision, built on first use. *)
+let final_ids run =
+  Array.init (Array.length run.s_revisions) (fun p ->
+      lazy
+        (let ids = App_msg.Id_tbl.create 64 in
+         List.iter (fun m -> App_msg.Id_tbl.replace ids (App_msg.id m) ()) (final_d run p);
+         ids))
 
 (* TOB-Validity: a correct broadcaster eventually stably delivers its own
    message (finite-run form: it is in the broadcaster's final d). *)
-let check_validity run =
+let validity run finals =
   of_violations
     (List.filter_map
        (fun (t, p, m) ->
           if Failures.is_correct run.s_pattern p
-          && not (List.exists (App_msg.equal m) (final_d run p))
+          && not (App_msg.Id_tbl.mem (Lazy.force finals.(p)) (App_msg.id m))
           then Some (str "validity: %a broadcast by %a at %d missing from its final d"
                        App_msg.pp m pp_proc p t)
           else None)
        run.s_broadcasts)
 
-(* TOB-No-creation: every delivered message was broadcast no later than its
-   delivery.  (Same-tick is allowed: a broadcaster may output its own
-   message within the very step that broadcasts it, and the discrete clock
-   cannot order events inside one step.) *)
-let check_no_creation run =
-  scan_revisions run (fun add p t seq ->
-      List.iter
-        (fun m ->
-           match broadcast_time run m with
-           | Some tb when tb <= t -> ()
-           | Some tb ->
-             add (str "no-creation: %a in d_%a at %d but broadcast at %d"
-                    App_msg.pp m pp_proc p t tb)
-           | None ->
-             add (str "no-creation: %a in d_%a at %d was never broadcast"
-                    App_msg.pp m pp_proc p t))
-        seq)
-
-(* TOB-No-duplication: no message appears twice in any d_i(t). *)
-let check_no_duplication run =
-  scan_revisions run (fun add p t seq ->
-      let ids = List.map App_msg.id seq in
-      if List.length (List.sort_uniq App_msg.compare_id ids) <> List.length ids then
-        add (str "no-duplication: duplicate in d_%a at %d: %a" pp_proc p t
-               App_msg.pp_seq seq))
-
 (* TOB-Agreement (finite-run form): a message in the final d of one correct
    process is in the final d of every correct process. *)
-let check_agreement run =
+let agreement run finals =
   let correct = correct_procs run in
   let violations = ref [] in
   List.iter
@@ -156,14 +141,16 @@ let check_agreement run =
          (fun m ->
             List.iter
               (fun q ->
-                 if not (List.exists (App_msg.equal m) (final_d run q)) then
+                 if not (App_msg.Id_tbl.mem (Lazy.force finals.(q)) (App_msg.id m)) then
                    violations :=
                      str "agreement: %a in final d_%a but not in final d_%a"
                        App_msg.pp m pp_proc p pp_proc q :: !violations)
               correct)
          (final_d run p))
     correct;
-  of_violations (List.sort_uniq String.compare (List.rev !violations))
+  of_violations (List.sort_uniq String.compare !violations)
+
+let check_agreement run = agreement run (final_ids run)
 
 (* The measured ETOB-Stability time: the earliest tau such that for every
    correct process, every revision at time >= tau extends (has as a prefix)
@@ -173,61 +160,306 @@ let stability_time run =
     (fun tau p -> List.fold_left max tau (rollbacks run p))
     0 (correct_procs run)
 
-(* Relative order of the common messages of two sequences agrees. *)
+(* Relative order of the common messages of two sequences agrees: read in
+   [seq_a]'s order, the first positions in [seq_b] of the messages both
+   hold strictly increase.  So a repeated common id disagrees in [seq_a]
+   and is ignored in [seq_b]. *)
 let orders_agree seq_a seq_b =
-  let index seq = List.mapi (fun i m -> (App_msg.id m, i)) seq in
-  let ia = index seq_a and ib = index seq_b in
-  let common = List.filter (fun (id, _) -> List.mem_assoc id ib) ia in
-  let rec pairs = function
+  let first_b = App_msg.Id_tbl.create 64 in
+  List.iteri
+    (fun j m ->
+       let id = App_msg.id m in
+       if not (App_msg.Id_tbl.mem first_b id) then App_msg.Id_tbl.add first_b id j)
+    seq_b;
+  let rec increasing last = function
     | [] -> true
-    | (id1, i1) :: rest ->
-      List.for_all
-        (fun (id2, i2) ->
-           let j1 = List.assoc id1 ib and j2 = List.assoc id2 ib in
-           Int.compare i1 i2 = Int.compare j1 j2)
-        rest
-      && pairs rest
+    | m :: rest ->
+      (match App_msg.Id_tbl.find_opt first_b (App_msg.id m) with
+       | Some j -> j > last && increasing j rest
+       | None -> increasing last rest)
   in
-  pairs common
+  increasing (-1) seq_a
+
+(* No-creation, no-duplication, causal order and total order are read in
+   one sweep over every process's revisions in time order, each revision
+   as its delta.  The first three report once per revision, so a reader
+   keeps each process's current violations and reports them again at each
+   revision that keeps them. *)
+
+module Int_map = Map.Make (Int)
+
+type reader = {
+  mutable prev : Dseq.t;  (* the process's last revision *)
+  first : int App_msg.Id_tbl.t;  (* id -> its first position *)
+  twice : unit App_msg.Id_tbl.t;  (* ids held more than once *)
+  waiting : (int * int * App_msg.t) list App_msg.Id_tbl.t;
+      (* absent dep -> (position, dep index, message) of each message
+         that names it *)
+  mutable created : (App_msg.t * time option) list;
+      (* no-creation violations, last position first: the message and
+         its broadcast time, or None if never broadcast *)
+  mutable misordered : (int * App_msg.id * App_msg.t) list Int_map.t;
+      (* causal-order violations: position -> (dep index, dep, message),
+         by dep index *)
+  (* Each checker's messages about this process, last first. *)
+  mutable creation_out : string list;
+  mutable duplication_out : string list;
+  mutable causal_out : string list;
+}
+
+(* Total order of two correct processes a before b (in [correct_procs]
+   order), as [orders_agree] reads it: if they agree, [max_a] is the
+   position in a of the last common id in a's order and [max_b] its first
+   position in b. *)
+type pair = { mutable agree : bool; mutable max_a : int; mutable max_b : int }
+
+type state = {
+  readers : reader array;
+  broadcast_at : time App_msg.Id_tbl.t;  (* id -> first broadcast time *)
+  rank : int array;  (* process -> index in [correct], -1 if faulty *)
+  correct : proc_id array;
+  pairs : pair array array;  (* [pairs.(ra).(rb)] for ranks ra < rb *)
+  mutable disagreeing : int;
+}
+
+let new_reader () =
+  { prev = Dseq.empty;
+    first = App_msg.Id_tbl.create 64;
+    twice = App_msg.Id_tbl.create 4;
+    waiting = App_msg.Id_tbl.create 4;
+    created = [];
+    misordered = Int_map.empty;
+    creation_out = [];
+    duplication_out = [];
+    causal_out = [] }
+
+let disagree sw pr =
+  if pr.agree then begin
+    pr.agree <- false;
+    sw.disagreeing <- sw.disagreeing + 1
+  end
+
+(* p holds nothing: every pair of p agrees, with no common id. *)
+let reset sw p =
+  let r = sw.readers.(p) in
+  App_msg.Id_tbl.reset r.first;
+  App_msg.Id_tbl.reset r.twice;
+  App_msg.Id_tbl.reset r.waiting;
+  r.created <- [];
+  r.misordered <- Int_map.empty;
+  let rp = sw.rank.(p) in
+  if rp >= 0 then
+    for rq = 0 to Array.length sw.correct - 1 do
+      if rq <> rp then begin
+        let pr = sw.pairs.(Int.min rp rq).(Int.max rp rq) in
+        if not pr.agree then sw.disagreeing <- sw.disagreeing - 1;
+        pr.agree <- true;
+        pr.max_a <- -1;
+        pr.max_b <- -1
+      end
+    done
+
+(* Message [id] goes to position [i] of correct process p; [fresh] if p
+   did not hold it.  In a pair where p comes first, it is the last common
+   id in p's order if the other process holds it.  In a pair where p
+   comes second, a fresh id has the largest first position in p, so the
+   other process must hold it once, past its last common id. *)
+let order sw p i id ~fresh =
+  let rp = sw.rank.(p) in
+  Array.iteri
+    (fun rq q ->
+       let other = sw.readers.(q) in
+       if rq > rp then begin
+         let pr = sw.pairs.(rp).(rq) in
+         if pr.agree then
+           match App_msg.Id_tbl.find_opt other.first id with
+           | Some j ->
+             if j > pr.max_b then begin pr.max_a <- i; pr.max_b <- j end
+             else disagree sw pr
+           | None -> ()
+       end
+       else if rq < rp && fresh then begin
+         let pr = sw.pairs.(rq).(rp) in
+         if pr.agree then
+           match App_msg.Id_tbl.find_opt other.first id with
+           | Some j ->
+             if j > pr.max_a && not (App_msg.Id_tbl.mem other.twice id) then begin
+               pr.max_a <- j;
+               pr.max_b <- i
+             end
+             else disagree sw pr
+           | None -> ()
+       end)
+    sw.correct
+
+(* Add the causal-order violation of dep [k] of the message at [i]. *)
+let misorder r i k dep m =
+  let rec insert = function
+    | (k', _, _) as v :: rest when k' < k -> v :: insert rest
+    | rest -> (k, dep, m) :: rest
+  in
+  r.misordered <-
+    Int_map.add i
+      (insert (Option.value ~default:[] (Int_map.find_opt i r.misordered)))
+      r.misordered
+
+(* Message m goes to position [i] of p's revision at [t]. *)
+let append sw p t i m =
+  let r = sw.readers.(p) in
+  let id = App_msg.id m in
+  let fresh = not (App_msg.Id_tbl.mem r.first id) in
+  if fresh then App_msg.Id_tbl.add r.first id i
+  else App_msg.Id_tbl.replace r.twice id ();
+  if sw.rank.(p) >= 0 then order sw p i id ~fresh;
+  (match App_msg.Id_tbl.find_opt sw.broadcast_at id with
+   | Some tb when tb <= t -> ()
+   | tb -> r.created <- (m, tb) :: r.created);
+  (if fresh then
+     match App_msg.Id_tbl.find_opt r.waiting id with
+     | Some waiters ->
+       App_msg.Id_tbl.remove r.waiting id;
+       List.iter (fun (i', k, m') -> misorder r i' k id m') waiters
+     | None -> ());
+  List.iteri
+    (fun k dep ->
+       match App_msg.Id_tbl.find_opt r.first dep with
+       | Some j when j < i -> ()
+       | Some _ -> misorder r i k dep m
+       | None ->
+         App_msg.Id_tbl.replace r.waiting dep
+           ((i, k, m)
+            :: Option.value ~default:[] (App_msg.Id_tbl.find_opt r.waiting dep)))
+    m.App_msg.deps
+
+(* p's revision at [t], then the violations it holds. *)
+let revise sw p t seq =
+  let r = sw.readers.(p) in
+  let kept = kept_of r.prev seq in
+  if kept = 0 then reset sw p;
+  List.iteri (fun k m -> append sw p t (kept + k) m) (Dseq.after seq kept);
+  r.prev <- seq;
+  if App_msg.Id_tbl.length r.twice > 0 then
+    r.duplication_out <-
+      str "no-duplication: duplicate in d_%a at %d: %a" pp_proc p t
+        App_msg.pp_seq (Dseq.to_list seq)
+      :: r.duplication_out;
+  if r.created <> [] then begin
+    r.created <-
+      List.filter (function _, Some tb -> tb > t | _, None -> true) r.created;
+    r.creation_out <-
+      List.rev_append
+        (List.rev_map
+           (function
+             | m, Some tb ->
+               str "no-creation: %a in d_%a at %d but broadcast at %d"
+                 App_msg.pp m pp_proc p t tb
+             | m, None ->
+               str "no-creation: %a in d_%a at %d was never broadcast"
+                 App_msg.pp m pp_proc p t)
+           r.created)
+        r.creation_out
+  end;
+  r.causal_out <-
+    Int_map.fold
+      (fun _ deps out ->
+         List.fold_left
+           (fun out (_, dep, m) ->
+              str "causal-order: dep %a after %a in d_%a at %d"
+                App_msg.pp_id dep App_msg.pp m pp_proc p t
+              :: out)
+           out deps)
+      r.misordered r.causal_out
+
+type swept = {
+  creation : verdict;
+  duplication : verdict;
+  causal : verdict;
+  total_order : time;
+}
+
+(* Every revision time, of faulty processes too, is a time at which total
+   order is checked, after every revision at that time is read.  Each
+   process's revisions are chronological, as the trace records them. *)
+let sweep run =
+  let n = Array.length run.s_revisions in
+  let correct = Array.of_list (correct_procs run) in
+  let rank = Array.make n (-1) in
+  Array.iteri (fun i p -> rank.(p) <- i) correct;
+  let k = Array.length correct in
+  let sw =
+    { readers = Array.init n (fun _ -> new_reader ());
+      broadcast_at = App_msg.Id_tbl.create 64;
+      rank;
+      correct;
+      pairs =
+        Array.init k (fun _ ->
+            Array.init k (fun _ -> { agree = true; max_a = -1; max_b = -1 }));
+      disagreeing = 0 }
+  in
+  List.iter
+    (fun (t, _, m) ->
+       let id = App_msg.id m in
+       if not (App_msg.Id_tbl.mem sw.broadcast_at id) then
+         App_msg.Id_tbl.add sw.broadcast_at id t)
+    run.s_broadcasts;
+  let pending = Array.copy run.s_revisions in
+  let rec at_times tau =
+    let next =
+      Array.fold_left
+        (fun acc revs -> match revs with (t, _) :: _ -> Int.min acc t | [] -> acc)
+        max_int pending
+    in
+    if next = max_int then tau
+    else begin
+      Array.iteri
+        (fun p revs ->
+           let rec read = function
+             | (t, seq) :: rest when t = next -> revise sw p t seq; read rest
+             | rest -> pending.(p) <- rest
+           in
+           read revs)
+        pending;
+      at_times (if sw.disagreeing > 0 then next + 1 else tau)
+    end
+  in
+  let total_order = at_times 0 in
+  let verdict out =
+    of_violations (List.concat_map (fun r -> List.rev (out r)) (Array.to_list sw.readers))
+  in
+  { creation = verdict (fun r -> r.creation_out);
+    duplication = verdict (fun r -> r.duplication_out);
+    causal = verdict (fun r -> r.causal_out);
+    total_order }
+
+(* TOB-No-creation: every delivered message was broadcast no later than its
+   delivery.  (Same-tick is allowed: a broadcaster may output its own
+   message within the very step that broadcasts it, and the discrete clock
+   cannot order events inside one step.) *)
+let check_no_creation run = (sweep run).creation
+
+(* TOB-No-duplication: no message appears twice in any d_i(t). *)
+let check_no_duplication run = (sweep run).duplication
 
 (* The measured ETOB-Total-order time: the earliest tau such that at every
-   event time >= tau, all pairs of correct processes order their common
+   revision time >= tau, all pairs of correct processes order their common
    messages consistently. *)
-let total_order_time run =
-  let times =
-    List.sort_uniq Int.compare
-      (Array.to_list run.s_revisions |> List.concat_map (List.map fst))
-  in
-  let correct = correct_procs run in
-  let consistent_at t =
-    let rec check = function
-      | [] -> true
-      | p :: rest ->
-        List.for_all (fun q -> orders_agree (d_at run p t) (d_at run q t)) rest
-        && check rest
-    in
-    check correct
-  in
-  List.fold_left (fun tau t -> if consistent_at t then tau else max tau (t + 1)) 0 times
+let total_order_time run = (sweep run).total_order
 
 (* TOB-Causal-Order: in every d_i(t), every dependency of a message that is
    present appears earlier.  The paper requires this at ALL times for
    Algorithm 5 — no tau. *)
-let check_causal_order run =
-  scan_revisions run (fun add p t seq ->
-      let indexed = List.mapi (fun i m -> (App_msg.id m, i)) seq in
-      List.iteri
-        (fun i m ->
-           List.iter
-             (fun dep ->
-                match List.assoc_opt dep indexed with
-                | Some j when j < i -> ()
-                | Some _ ->
-                  add (str "causal-order: dep %a after %a in d_%a at %d"
-                         App_msg.pp_id dep App_msg.pp m pp_proc p t)
-                | None -> () (* dependency not delivered: order vacuous *))
-             m.App_msg.deps)
-        seq)
+let check_causal_order run = (sweep run).causal
+
+(* [check add p t seq] is called on every revision, by process and then
+   time, and [add]s its violations in order.  It reads every revision
+   whole. *)
+let scan_revisions run check =
+  let violations = ref [] in
+  let add v = violations := v :: !violations in
+  Array.iteri
+    (fun p revs -> List.iter (fun (t, seq) -> check add p t (Dseq.to_list seq)) revs)
+    run.s_revisions;
+  of_violations (List.rev !violations)
 
 (* Algorithm 5 additionally delivers dependencies before dependents; checking
    presence is a stronger, implementation-specific property. *)
@@ -279,14 +511,15 @@ type etob_report = {
 }
 
 let etob_report run =
-  { validity = check_validity run;
-    no_creation = check_no_creation run;
-    no_duplication = check_no_duplication run;
-    agreement = check_agreement run;
-    causal_order = check_causal_order run;
+  let swept = sweep run and finals = final_ids run in
+  { validity = validity run finals;
+    no_creation = swept.creation;
+    no_duplication = swept.duplication;
+    agreement = agreement run finals;
+    causal_order = swept.causal;
     distinct_broadcasts = check_distinct_broadcasts run;
     tau_stability = stability_time run;
-    tau_total_order = total_order_time run }
+    tau_total_order = swept.total_order }
 
 (* A report's six verdicts, each with the name it is printed under. *)
 let named_verdicts r =
@@ -349,6 +582,7 @@ let pp_etob_report ppf r =
    None if some correct process never (stably) delivers m. *)
 let stable_delivery_time run m =
   let per_proc p =
+    let revs = revisions run p in
     let rec last_absent best = function
       | [] -> best
       | (t, seq) :: rest ->
@@ -360,7 +594,7 @@ let stable_delivery_time run m =
       | (t, seq) :: rest ->
         if List.exists (App_msg.equal m) seq then Some t else first_present rest
     in
-    match first_present run.s_revisions.(p), last_absent None run.s_revisions.(p) with
+    match first_present revs, last_absent None revs with
     | None, _ -> None
     | Some tp, None -> Some tp
     | Some tp, Some ta ->
@@ -370,7 +604,7 @@ let stable_delivery_time run m =
         List.find_map
           (fun (t, seq) ->
              if t > ta && List.exists (App_msg.equal m) seq then Some t else None)
-          run.s_revisions.(p)
+          revs
   in
   latest_over_correct run per_proc
 
@@ -385,17 +619,17 @@ let check_commit_stability run =
             (rollbacks run p))
        (all_procs (Array.length run.s_revisions)))
 
-let final_committed = final
+let final_committed = final_d
 
 (* Committed prefixes must be prefixes of what is eventually delivered. *)
 let check_commit_consistent run etob =
   let violations = ref [] in
   List.iter
     (fun p ->
-       let committed = final_committed run p in
+       let committed = final run p in
        List.iter
          (fun q ->
-            if not (App_msg.is_prefix committed (final_d etob q)) then
+            if not (Dseq.is_prefix committed (final etob q)) then
               violations :=
                 str "commit-consistency: %a's committed prefix is not a prefix of \
                      final d_%a" pp_proc p pp_proc q :: !violations)
@@ -409,9 +643,9 @@ let commit_time run m =
   latest_over_correct run (fun p ->
       List.find_map
         (fun (t, seq) -> if List.exists (App_msg.equal m) seq then Some t else None)
-        run.s_revisions.(p))
+        (revisions run p))
 
-let committed_count run p = List.length (final_committed run p)
+let committed_count run p = Dseq.length (final run p)
 
 (* ------------------------------------------------------------------ *)
 (* Decision histories: EC, and EIC (Appendix A)                        *)

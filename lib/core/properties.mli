@@ -19,7 +19,9 @@ type verdict = { ok : bool; violations : string list }
 
 type seq_history
 (** Per process, the chronological revisions of one sequence output, with
-    the run's failure pattern and, for an ETOB run, its broadcasts. *)
+    the run's failure pattern and, for an ETOB run, its broadcasts.  The
+    revisions are the trace's own {!Dseq.t} values; the list readers
+    below convert what they return. *)
 
 val etob_run_of_trace : Failures.pattern -> Trace.t -> seq_history
 (** The revisions of [d_i] and every broadcastETOB event. *)
@@ -27,14 +29,40 @@ val etob_run_of_trace : Failures.pattern -> Trace.t -> seq_history
 val commit_run_of_trace : Failures.pattern -> Trace.t -> seq_history
 (** The revisions of the committed prefix (no broadcasts). *)
 
-(** {2 ETOB runs} *)
+(** {2 ETOB runs}
+
+    Costs, for a run of R revisions that add F messages in all (a
+    revision adds what is past its predecessor; one that does not start
+    with its predecessor adds all of itself) among k correct processes:
+    {!check_no_creation}, {!check_no_duplication}, {!check_causal_order}
+    and {!total_order_time} are one sweep of O(R + F k) table operations,
+    plus the length of every violation message they report;
+    {!stability_time} walks what each revision adds; validity and
+    {!check_agreement} read the final revisions once.  {!etob_report}
+    sweeps once for all of them.  At 10{^3} broadcasts under a stable
+    leader (4,711 revisions of Algorithm 5, 2.36M ids if each were read
+    whole) the report costs about a quarter of the run.  The list
+    readers ({!final_d}, {!d_at}, {!revisions}, {!stable_delivery_time},
+    {!commit_time}, {!final_committed}) and {!check_deps_present} convert
+    the revisions they read whole. *)
 
 val final_d : seq_history -> proc_id -> App_msg.t list
 val d_at : seq_history -> proc_id -> time -> App_msg.t list
 
 val revisions : seq_history -> proc_id -> (time * App_msg.t list) list
-(** The chronological revisions of [d_p] — what the liveness watchdog
-    ({!Harness.Watchdog}) scans for convergence progress. *)
+(** The chronological revisions of [d_p], each converted whole. *)
+
+val iter_deltas :
+  seq_history -> proc_id -> (time -> int -> App_msg.t list -> unit) -> unit
+(** [iter_deltas run p f] reads p's revisions in order, each as its delta
+    against p's previous revision: [f t kept fresh], where the revision at
+    [t] is the previous revision's first [kept] messages followed by
+    [fresh].  [kept] is the previous revision's whole length when the new
+    one starts with exactly its messages, ids and deps
+    ({!Dseq.is_text_prefix}), and [0] otherwise, when [fresh] is the
+    whole revision.  O(|fresh|) for a revision that shares its
+    predecessor.  The liveness watchdog ({!Harness.Watchdog}) reads its
+    convergence progress this way. *)
 
 val broadcasts : seq_history -> (time * proc_id * App_msg.t) list
 (** Every broadcastETOB event of the run, chronological. *)
@@ -59,7 +87,10 @@ val check_deps_present : seq_history -> verdict
     dependencies are themselves delivered. *)
 
 val orders_agree : App_msg.t list -> App_msg.t list -> bool
-(** Common messages of the two sequences appear in the same relative order. *)
+(** Common messages of the two sequences appear in the same relative
+    order: read in the first sequence's order, their first positions in
+    the second strictly increase.  So a repeated common message disagrees
+    in the first sequence and is ignored in the second.  O(|a| + |b|). *)
 
 type etob_report = {
   validity : verdict;

@@ -58,53 +58,59 @@ let target run =
        else acc)
     delivered (Properties.broadcasts run)
 
-(* The first revision time from which p's id-set covers [tgt] and keeps
-   covering it for the rest of the run; None if it never (stably) does. *)
-let reached run tgt p =
-  List.fold_left
-    (fun acc (t, seq) ->
-       if App_msg.Id_set.subset tgt (ids_of seq) then
-         match acc with None -> Some t | some -> some
-       else None)
-    None (Properties.revisions run p)
-
-(* The last revision that strictly grew p's id-set; -1 if none ever did. *)
-let last_progress run p =
-  let _, t =
-    List.fold_left
-      (fun (known, last) (t, seq) ->
-         let ids = ids_of seq in
-         if App_msg.Id_set.cardinal ids > known
-         then (App_msg.Id_set.cardinal ids, t)
-         else (known, last))
-      (0, -1) (Properties.revisions run p)
-  in
-  t
+(* One pass over p's deltas: the first revision time from which p's
+   id-set covers [tgt] and keeps covering it for the rest of the run (None
+   if it never stably does), the last revision that strictly grew p's
+   id-set (-1 if none ever did), and how many target ids p's final
+   revision misses.  The id-set is a table updated by each delta and
+   rebuilt when a revision keeps nothing of the one before. *)
+let progress run tgt p =
+  let ids = App_msg.Id_tbl.create 64 in
+  let size = App_msg.Id_set.cardinal tgt in
+  let covered = ref 0 and known = ref 0 and last = ref (-1) and reached = ref None in
+  Properties.iter_deltas run p (fun t kept fresh ->
+      if kept = 0 then begin
+        App_msg.Id_tbl.reset ids;
+        covered := 0
+      end;
+      List.iter
+        (fun m ->
+           let id = App_msg.id m in
+           if not (App_msg.Id_tbl.mem ids id) then begin
+             App_msg.Id_tbl.add ids id ();
+             if App_msg.Id_set.mem id tgt then incr covered
+           end)
+        fresh;
+      let distinct = App_msg.Id_tbl.length ids in
+      if distinct > !known then begin
+        known := distinct;
+        last := t
+      end;
+      reached :=
+        if !covered = size then (match !reached with None -> Some t | some -> some)
+        else None);
+  (!reached, !last, size - !covered)
 
 let check ~settle ~bound run =
   let deadline = settle + bound in
   let tgt = target run in
-  let correct = Properties.correct_procs run in
+  let per_proc =
+    List.map (fun p -> (p, progress run tgt p)) (Properties.correct_procs run)
+  in
   let late =
     List.filter_map
-      (fun p ->
-         match reached run tgt p with
+      (fun (p, (reached, last_progress, missing)) ->
+         match reached with
          | Some t when t <= deadline -> None
-         | _ ->
-           Some
-             { proc = p;
-               last_progress = last_progress run p;
-               missing =
-                 App_msg.Id_set.cardinal
-                   (App_msg.Id_set.diff tgt (ids_of (Properties.final_d run p))) })
-      correct
+         | _ -> Some { proc = p; last_progress; missing })
+      per_proc
   in
   if late = [] then
     let at =
       List.fold_left
-        (fun acc p ->
-           match reached run tgt p with Some t -> max acc t | None -> acc)
-        0 correct
+        (fun acc (_, (reached, _, _)) ->
+           match reached with Some t -> max acc t | None -> acc)
+        0 per_proc
     in
     Converged { at }
   else Stalled { deadline; laggards = late }

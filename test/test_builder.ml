@@ -187,7 +187,7 @@ let test_omega_clause_differential () =
    seeded mutant of its layers (Algorithm 5, anti-entropy, recovery), over
    unclamped plans; the recoverable stacks get recovery plans, under
    which the skip-log-replay mutant reuses ids with other deps. *)
-let text_builder_gen =
+let stack_run_gen =
   let open QCheck.Gen in
   let maybe all = oneofl (None :: List.map Option.some all) in
   let* stack =
@@ -223,11 +223,95 @@ let text_builder_gen =
 let prop_trace_text_matches_oracle =
   QCheck.Test.make ~name:"trace: text equals the Format oracle on builder runs"
     ~count:150
-    (QCheck.make ~print:Builder.to_string text_builder_gen)
+    (QCheck.make ~print:Builder.to_string stack_run_gen)
     (fun b ->
        match (Builder.run ~catch:true b).Builder.trace with
        | None -> QCheck.assume_fail ()
        | Some trace -> String.equal (Trace.text trace) (Trace_pp_oracle.text trace))
+
+(* The checkers read each revision of d_i as its delta; the oracle
+   (Properties_oracle) reads every revision whole.  On every builder
+   stack, faithful or under any Algorithm 5, anti-entropy and recovery
+   mutant, the ETOB report (every verdict's messages, both taus), the
+   list readers and the watchdog's verdicts must be equal.  The watchdog
+   is read at the builder's own bound and at bound 0 from time 0, where
+   every process that revised is a laggard. *)
+let prop_checkers_match_oracle =
+  QCheck.Test.make ~name:"checkers: delta reports equal the whole-revision oracle's"
+    ~count:300
+    (QCheck.make ~print:Builder.to_string stack_run_gen)
+    (fun b ->
+       match (Builder.run ~catch:true b).Builder.trace with
+       | None -> QCheck.assume_fail ()
+       | Some trace ->
+         let pattern = (Builder.setup_of b).Stacks.pattern in
+         let run = Ec_core.Properties.etob_run_of_trace pattern trace
+         and whole = Properties_oracle.etob_run_of_trace pattern trace in
+         let report = Ec_core.Properties.etob_report run
+         and expected = Properties_oracle.etob_report whole in
+         if report <> expected then
+           QCheck.Test.fail_reportf "report:@.%a@.oracle:@.%a"
+             Ec_core.Properties.pp_etob_report report
+             Ec_core.Properties.pp_etob_report expected;
+         let bounds = [ (Builder.watchdog_settle b, Builder.watchdog_bound b); (0, 0) ] in
+         let procs = Types.all_procs b.Builder.base.Builder.n in
+         let delivery_times run broadcasts stable_delivery_time =
+           List.map (fun (_, _, m) -> stable_delivery_time run m) broadcasts
+         in
+         List.map
+           (fun (settle, bound) -> Harness.Watchdog.check ~settle ~bound run)
+           bounds
+         = List.map
+             (fun (settle, bound) ->
+                Properties_oracle.Watchdog.check ~settle ~bound whole)
+             bounds
+         && List.for_all
+              (fun p ->
+                 Ec_core.Properties.revisions run p = Properties_oracle.revisions whole p)
+              procs
+         && delivery_times run (Ec_core.Properties.broadcasts run)
+              Ec_core.Properties.stable_delivery_time
+            = delivery_times whole (Properties_oracle.broadcasts whole)
+                Properties_oracle.stable_delivery_time)
+
+(* The commit-prefix checkers against the oracle on Algorithm 5 with the
+   Section 7 commit indication, under random plans. *)
+let prop_commit_checkers_match_oracle =
+  let deadline = 240 in
+  QCheck.Test.make ~name:"checkers: commit checkers equal the whole-revision oracle's"
+    ~count:60
+    (QCheck.make
+       ~print:(fun (seed, n, plan) ->
+           Format.asprintf "seed=%d n=%d plan=%a" seed n Adversity.pp plan)
+       QCheck.Gen.(
+         let* seed = int_range 0 10_000 in
+         let* n = int_range 3 5 in
+         let* plan = Builder.plan_gen ~n ~deadline in
+         return (seed, n, plan)))
+    (fun (seed, n, plan) ->
+       let setup =
+         Adversity.apply plan
+           { (Stacks.default ~n ~deadline) with seed; delay = Net.uniform ~min:1 ~max:3 }
+       in
+       let inputs = Stacks.spread_posts ~n ~count:12 ~from_time:5 ~every:3 in
+       let trace = Stacks.run_etob_with_commits ~inputs setup in
+       let pattern = setup.Stacks.pattern in
+       let module P = Ec_core.Properties in
+       let module O = Properties_oracle in
+       let commits = P.commit_run_of_trace pattern trace
+       and etob = P.etob_run_of_trace pattern trace in
+       let whole_commits = O.commit_run_of_trace pattern trace
+       and whole_etob = O.etob_run_of_trace pattern trace in
+       let msgs = List.map (fun (_, _, m) -> m) (P.broadcasts etob) in
+       P.check_commit_stability commits = O.check_commit_stability whole_commits
+       && P.check_commit_consistent commits etob
+          = O.check_commit_consistent whole_commits whole_etob
+       && List.map (P.commit_time commits) msgs = List.map (O.commit_time whole_commits) msgs
+       && List.for_all
+            (fun p ->
+               P.final_committed commits p = O.final_committed whole_commits p
+               && P.committed_count commits p = O.committed_count whole_commits p)
+            (Types.all_procs n))
 
 (* One text per entry.  A jsonl and a binary sink teed in through
    [Builder.sink] carry, for each input and output, the text its entry
@@ -236,7 +320,7 @@ let prop_trace_text_matches_oracle =
 let prop_sink_text_is_trace_text =
   QCheck.Test.make ~name:"trace: each sink event carries its entry's text"
     ~count:40
-    (QCheck.make ~print:Builder.to_string text_builder_gen)
+    (QCheck.make ~print:Builder.to_string stack_run_gen)
     (fun b ->
        let lines = ref [] and bin = Buffer.create 4096 in
        Buffer.add_string bin Persist.Frame.header;
@@ -539,6 +623,8 @@ let () =
          Alcotest.test_case "caller sink keeps the outcome" `Quick
            test_caller_sink_keeps_outcome ]
        @ qc [ prop_trace_text_matches_oracle; prop_sink_text_is_trace_text ]);
+      ("checkers",
+       qc [ prop_checkers_match_oracle; prop_commit_checkers_match_oracle ]);
       ("text form",
        [ Alcotest.test_case "finding fixture replays" `Quick
            test_finding_fixture_replays;

@@ -1279,6 +1279,205 @@ let test_checker_agreement_flags_missing () =
 let check_violations name expected (v : Properties.verdict) =
   Alcotest.(check (list string)) name expected v.Properties.violations
 
+(* The checkers read each revision as its delta against the process's
+   previous one; the oracle (Properties_oracle) reads every revision
+   whole.  Each hand-built trace below must give the oracle's report, as
+   [pp_etob_report] prints it (every message of every verdict, both
+   taus). *)
+let report_as_oracle ?pattern ~n trace =
+  let pattern = Option.value pattern ~default:(Failures.none ~n) in
+  let report = Properties.etob_report (Properties.etob_run_of_trace pattern trace) in
+  let expected =
+    Properties_oracle.etob_report (Properties_oracle.etob_run_of_trace pattern trace)
+  in
+  Alcotest.(check string) "report as the oracle's"
+    (Format.asprintf "%a" Properties.pp_etob_report expected)
+    (Format.asprintf "%a" Properties.pp_etob_report report);
+  report
+
+(* Revisions as Dseq values, so an extension can share its predecessor. *)
+let deliveries_trace ~n deliveries broadcasts =
+  outputs_trace ~n
+    (List.map (fun (t, p, m) -> (t, p, Etob_intf.Etob_broadcast m)) broadcasts
+     @ List.map (fun (t, p, seq) -> (t, p, Etob_intf.Etob_deliver seq)) deliveries)
+
+(* [orders_agree] reads the first sequence in order and the second by
+   first positions: a repeated common id disagrees in the first and is
+   ignored in the second.  Total order asks it of each pair of correct
+   processes, the earlier one first, whether the repeat comes in one
+   revision, as an extension, or before the other process holds the id. *)
+let test_checker_repeat_asymmetry () =
+  let x = msg 0 0 and y = msg 1 0 and z = msg 2 0 in
+  Alcotest.(check bool) "repeat in the first" false (Properties.orders_agree [ x; y; x ] [ x; y ]);
+  Alcotest.(check bool) "repeat in the second" true (Properties.orders_agree [ x; y ] [ x; y; x ]);
+  Alcotest.(check bool) "oracle: repeat in the first" false
+    (Properties_oracle.orders_agree [ x; y; x ] [ x; y ]);
+  Alcotest.(check bool) "oracle: repeat in the second" true
+    (Properties_oracle.orders_agree [ x; y ] [ x; y; x ]);
+  let tau deliveries =
+    let trace =
+      synthetic_trace deliveries [ (1, 0, x); (1, 1, y); (1, 0, z) ] ~n:2
+    in
+    (report_as_oracle ~n:2 trace).Properties.tau_total_order
+  in
+  Alcotest.(check int) "p0 repeats x" 11 (tau [ (10, 0, [ x; y; x ]); (10, 1, [ x; y ]) ]);
+  Alcotest.(check int) "p1 repeats x" 0 (tau [ (10, 0, [ x; y ]); (10, 1, [ x; y; x ]) ]);
+  Alcotest.(check int) "p0 repeats x by extension" 9
+    (tau [ (5, 0, [ x; y ]); (5, 1, [ x; y ]); (8, 0, [ x; y; x ]) ]);
+  Alcotest.(check int) "p1 repeats x by extension" 0
+    (tau [ (5, 0, [ x; y ]); (5, 1, [ x; y ]); (8, 1, [ x; y; x ]) ]);
+  Alcotest.(check int) "p1 gains the id p0 repeats" 9
+    (tau [ (5, 0, [ x; z; x ]); (5, 1, [ z ]); (8, 1, [ z; x ]) ]);
+  Alcotest.(check int) "p0 gains the id p1 repeats" 0
+    (tau [ (5, 0, [ z ]); (5, 1, [ z; x; x ]); (8, 0, [ z; x ]) ])
+
+(* Total order is checked at every revision time, a faulty process's
+   included: p2 (faulty) revises alone at 15 while p0 and p1 still
+   disagree, so tau is 16, not 11. *)
+let test_checker_faulty_tick () =
+  let a = msg 0 0 and b = msg 1 0 in
+  let trace =
+    synthetic_trace
+      [ (10, 0, [ a; b ]); (10, 1, [ b; a ]); (15, 2, [ a ]); (20, 1, [ a; b ]) ]
+      [ (1, 0, a); (1, 1, b) ] ~n:3
+  in
+  let pattern = Failures.crash_at (Failures.none ~n:3) 2 100 in
+  Alcotest.(check int) "tau" 16
+    (report_as_oracle ~pattern ~n:3 trace).Properties.tau_total_order
+
+(* Several revisions of one process in one tick: each is checked (c,
+   never broadcast, is held only by the middle one), but total order
+   reads the last one, which agrees again. *)
+let test_checker_revisions_in_one_tick () =
+  let a = msg 0 0 and b = msg 1 0 and c = msg 2 0 in
+  let first = Dseq.of_list [ b; a ] in
+  let trace =
+    deliveries_trace ~n:2
+      [ (5, 0, first); (5, 1, first);
+        (10, 0, Dseq.of_list [ a; b ]);
+        (10, 0, Dseq.of_list [ a; b; c ]);
+        (10, 0, first) ]
+      [ (1, 0, a); (1, 1, b) ]
+  in
+  let report = report_as_oracle ~n:2 trace in
+  Alcotest.(check int) "total order" 0 report.Properties.tau_total_order;
+  Alcotest.(check int) "stability" 10 report.Properties.tau_stability;
+  check_violations "no-creation"
+    [ "no-creation: p2#0 in d_p0 at 10 was never broadcast" ]
+    report.Properties.no_creation
+
+(* A revision that repeats an id with other deps keeps nothing of the one
+   before: b' reuses b's id and now depends on c, which follows it. *)
+let test_checker_id_reused_with_other_deps () =
+  let a = msg 0 0 and c = msg 2 0 in
+  let b = msg 1 0 ~deps:[ App_msg.id a ] and b' = msg 1 0 ~deps:[ App_msg.id c ] in
+  let first = Dseq.of_list [ a; b ] in
+  let trace =
+    deliveries_trace ~n:3
+      [ (5, 0, first); (8, 0, Dseq.of_list [ a; b'; c ]) ]
+      [ (1, 0, a); (2, 1, b); (3, 2, c) ]
+  in
+  check_violations "causal order"
+    [ "causal-order: dep p2#0 after p1#0{<-p2#0} in d_p0 at 8" ]
+    (report_as_oracle ~n:3 trace).Properties.causal_order
+
+(* A message delivered before its broadcast is flagged at each revision
+   before the broadcast time and not after it; one never broadcast at
+   every revision that holds it. *)
+let test_checker_delivery_before_broadcast () =
+  let a = msg 0 0 and b = msg 1 0 in
+  let first = Dseq.of_list [ a ] in
+  let second = Dseq.append first [ b ] in
+  let trace =
+    deliveries_trace ~n:2
+      [ (3, 1, first); (4, 1, second); (5, 0, first); (6, 1, second) ]
+      [ (5, 0, a) ]
+  in
+  check_violations "no-creation"
+    [ "no-creation: p0#0 in d_p1 at 3 but broadcast at 5";
+      "no-creation: p0#0 in d_p1 at 4 but broadcast at 5";
+      "no-creation: p1#0 in d_p1 at 4 was never broadcast";
+      "no-creation: p1#0 in d_p1 at 6 was never broadcast" ]
+    (report_as_oracle ~n:2 trace).Properties.no_creation
+
+(* A violation that a later revision keeps is reported again at that
+   revision, in position order; a dependency that arrives after its
+   dependant is a violation from that revision on. *)
+let test_checker_kept_violations () =
+  let a = msg 0 0 and c = msg 2 0 in
+  let b = msg 1 0 ~deps:[ App_msg.id a; App_msg.id c ] in
+  let p0_first = Dseq.of_list [ b; a ] in
+  let p0_second = Dseq.append p0_first [ c ] in
+  let p1_first = Dseq.of_list [ a; a ] in
+  let p2_first = Dseq.of_list [ b ] in
+  let p2_second = Dseq.append p2_first [ c ] in
+  let trace =
+    deliveries_trace ~n:3
+      [ (5, 0, p0_first); (5, 1, p1_first); (5, 2, p2_first);
+        (7, 0, p0_second); (7, 1, Dseq.append p1_first [ c ]);
+        (7, 2, p2_second); (9, 2, Dseq.append p2_second [ a ]) ]
+      [ (1, 0, a); (2, 1, b); (3, 2, c) ]
+  in
+  let report = report_as_oracle ~n:3 trace in
+  (* Format breaks the line after the comma of b's deps. *)
+  let b_text = "p1#0{<-p0#0,\np2#0}" in
+  check_violations "causal order"
+    [ "causal-order: dep p0#0 after " ^ b_text ^ " in d_p0 at 5";
+      "causal-order: dep p0#0 after " ^ b_text ^ " in d_p0 at 7";
+      "causal-order: dep p2#0 after " ^ b_text ^ " in d_p0 at 7";
+      "causal-order: dep p2#0 after " ^ b_text ^ " in d_p2 at 7";
+      "causal-order: dep p0#0 after " ^ b_text ^ " in d_p2 at 9";
+      "causal-order: dep p2#0 after " ^ b_text ^ " in d_p2 at 9" ]
+    report.Properties.causal_order;
+  check_violations "no-duplication"
+    [ "no-duplication: duplicate in d_p1 at 5: [p0#0;p0#0]";
+      "no-duplication: duplicate in d_p1 at 7: [p0#0;p0#0;p2#0]" ]
+    report.Properties.no_duplication
+
+(* Every verdict of the report fails, each as the oracle's, and so do
+   both commit checkers. *)
+let test_checker_every_verdict_fails () =
+  let a = msg 0 0 and b = msg 1 0 ~deps:[ (0, 0) ] and c = msg 2 0 in
+  let b_again = msg 1 0 ~tag:"again" and never_delivered = msg 0 1 in
+  let trace =
+    synthetic_trace
+      [ (5, 0, [ a ]); (5, 1, [ c ]); (6, 1, [ b; a; a ]); (8, 0, [ c; a ]);
+        (9, 1, [ a; c; b ]) ]
+      [ (1, 0, a); (2, 1, b); (3, 1, b_again); (4, 0, never_delivered) ] ~n:2
+  in
+  let report = report_as_oracle ~n:2 trace in
+  List.iter
+    (fun (name, (v : Properties.verdict)) ->
+       Alcotest.(check bool) (name ^ " fails") false v.Properties.ok)
+    [ ("validity", report.Properties.validity);
+      ("no-creation", report.Properties.no_creation);
+      ("no-duplication", report.Properties.no_duplication);
+      ("agreement", report.Properties.agreement);
+      ("causal-order", report.Properties.causal_order);
+      ("distinct-broadcasts", report.Properties.distinct_broadcasts) ];
+  Alcotest.(check int) "stability" 9 report.Properties.tau_stability;
+  Alcotest.(check int) "total order" 10 report.Properties.tau_total_order;
+  let committed t p seq = (t, p, Commit_prefix.Committed (Dseq.of_list seq)) in
+  let commits_trace =
+    outputs_trace ~n:2 [ committed 5 0 [ a ]; committed 7 1 [ c ]; committed 9 0 [ c ] ]
+  in
+  let commits = Properties.commit_run_of_trace (Failures.none ~n:2) commits_trace
+  and whole = Properties_oracle.commit_run_of_trace (Failures.none ~n:2) commits_trace in
+  let etob = Properties.etob_run_of_trace (Failures.none ~n:2) trace
+  and whole_etob = Properties_oracle.etob_run_of_trace (Failures.none ~n:2) trace in
+  let stability = Properties.check_commit_stability commits in
+  check_violations "commit stability"
+    [ "commit-stability: commitment at p0 revised at 9" ] stability;
+  Alcotest.(check (list string)) "commit stability as the oracle's"
+    (Properties_oracle.check_commit_stability whole).Properties.violations
+    stability.Properties.violations;
+  let consistency = Properties.check_commit_consistent commits etob in
+  Alcotest.(check bool) "commit consistency fails" false consistency.Properties.ok;
+  Alcotest.(check (list string)) "commit consistency as the oracle's"
+    (Properties_oracle.check_commit_consistent whole whole_etob).Properties.violations
+    consistency.Properties.violations
+
+
 let test_checker_commit_stability_message () =
   let a = msg 0 0 and b = msg 1 0 in
   let committed t p seq = (t, p, Commit_prefix.Committed (Dseq.of_list seq)) in
@@ -1515,6 +1714,17 @@ let () =
          Alcotest.test_case "ec report messages" `Quick
            test_checker_ec_report_messages;
          Alcotest.test_case "eic messages" `Quick test_checker_eic_messages;
-         Alcotest.test_case "report text" `Quick test_checker_report_text ]);
+         Alcotest.test_case "report text" `Quick test_checker_report_text;
+         Alcotest.test_case "repeat asymmetry" `Quick test_checker_repeat_asymmetry;
+         Alcotest.test_case "faulty process's tick" `Quick test_checker_faulty_tick;
+         Alcotest.test_case "revisions in one tick" `Quick
+           test_checker_revisions_in_one_tick;
+         Alcotest.test_case "id reused with other deps" `Quick
+           test_checker_id_reused_with_other_deps;
+         Alcotest.test_case "delivery before broadcast" `Quick
+           test_checker_delivery_before_broadcast;
+         Alcotest.test_case "kept violations" `Quick test_checker_kept_violations;
+         Alcotest.test_case "every verdict fails" `Quick
+           test_checker_every_verdict_fails ]);
       ("random runs", qc_runs);
     ]
