@@ -644,7 +644,7 @@ let e14 () =
    machine-readable BENCH_sweep.json for tracking across revisions. *)
 let e15 () =
   section "E15" "multi-seed E1: probe latency, mean +/- stddev over 32 seeds";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let n = 3 and seeds = 32 in
   let domains = Harness.Sweep.default_domains () in
   row "  %d seeds per implementation, %d domains" seeds domains;
@@ -702,7 +702,7 @@ let e15 () =
    Emits machine-readable BENCH_explore.json. *)
 let e16 () =
   section "E16" "adversarial explorer: plans-to-detection per Algorithm 5 mutant";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let budget = 500 and max_adversities = 4 in
   let seeds = [ 1; 7; 42 ] in
   row "  budget %d plans, <=%d adversities per plan, seeds %s" budget
@@ -786,7 +786,7 @@ let e16 () =
    machine-readable BENCH_recovery.json. *)
 let e17 () =
   section "E17" "crash-recovery: replay catch-up, disk faults, post-recovery verdicts";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let n = 4 and deadline = 300 and proc = 1 and at = 60 in
   let rows_spec =
     [ ("short-window", 80, None, None);
@@ -894,7 +894,7 @@ let e17 () =
    BENCH_partition.json. *)
 let e18 () =
   section "E18" "lossy-partition heal: anti-entropy digest vs flood repair traffic";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let n = 4 and deadline = 240 in
   let from_time = 40 and until_time = 120 in
   let spec = { Net.blocks = [ [ 0; 1; 2 ]; [ 3 ] ]; from_time; until_time } in
@@ -981,7 +981,7 @@ let e18 () =
    machine-readable BENCH_lint.json. *)
 let e19 () =
   section "E19" "detlint static-analysis gate: scan speed and cleanliness";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let roots = [ "lib"; "bin"; "test" ] in
   if not (List.for_all Sys.file_exists roots) then
     row "  skipped: not run from the repository root (lib/ bin/ test/ missing)"
@@ -1062,7 +1062,7 @@ let bechamel_suite () =
    gate (wall time varies with the machine). *)
 let e10 () =
   section "E10" "substrate micro-benchmarks (Bechamel, monotonic clock)";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let open Bechamel in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -1122,7 +1122,7 @@ let e10 () =
    Besides the table, emits machine-readable BENCH_trace.json. *)
 let e20a () =
   section "E20a" "framed binary trace + CRC32 WAL vs jsonl + MD5";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let module Frame = Persist.Frame in
   let module Store = Persist.Store in
   let quota = 0.4 in
@@ -1279,7 +1279,7 @@ let rec remove_tree path =
 
 let e21 () =
   section "E21" "crash-safe soak campaign: journal overhead + resume speedup";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let module Campaign = Soak.Campaign in
   let module Runner = Soak.Runner in
   let clock = Harness.Clock.monotonic () in
@@ -1445,7 +1445,7 @@ let e22 () =
    BENCH_alloc.json. *)
 let e23 () =
   section "E23" "per-event allocation: minor-heap bytes per engine step";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let n = 3 and seeds = [ 2; 3; 4; 5 ] in
   (* Measured exactly (Gc.minor_words): ~93 B/step (Alg. 5), ~40 B/step
      (Paxos).  The budget gives the worst row ~11x headroom; a hot-path
@@ -1472,15 +1472,15 @@ let e23 () =
     "minor words" "major words" "bytes/step";
   let measure impl =
     ignore (run_once impl 1);  (* warm-up: one-time init is not charged *)
-    (* Gc.minor_words is exact; quick_stat's minor count only moves in
-       whole minor heaps (256k words), too coarse for runs this short. *)
-    let w0 = Gc.minor_words () in
-    let s0 = Gc.quick_stat () in
+    (* Exact counters on both sides (Record.since), where quick_stat's
+       alone move only at minor collections, too coarse for runs this
+       short. *)
+    let s0 = Record.since () in
     let steps =
       List.fold_left (fun acc seed -> acc + run_once impl seed) 0 seeds
     in
-    let s1 = Gc.quick_stat () in
-    let minor = Gc.minor_words () -. w0 in
+    let s1 = Record.since () in
+    let minor = s1.Gc.minor_words -. s0.Gc.minor_words in
     let major = s1.Gc.major_words -. s0.Gc.major_words in
     let bytes_per_step = minor *. word_bytes /. float_of_int (max 1 steps) in
     row "  %-16s %-10d %-16.0f %-16.0f %-12.1f" (impl_name impl) steps minor
@@ -1532,17 +1532,23 @@ let e23 () =
    Paxos's chosen ids and filtering every request ever received on each
    leader timer cost 3.5x and 5,670 B/step at 10^3.
 
-   Digest rows, one per stack at 10^3 broadcasts: the run records its
-   trace, and [Trace.digest]'s CPU time is reported as a ratio to that
-   run's CPU time, each the best of three.  Gate: the ratio stays within
-   [digest_bound].  Writing each revision of d_i as its predecessor's
-   text plus what is new (DESIGN.md §21) measured 7.4-9.6x for Algorithm
-   5 and 5.0-8.8x for Paxos on a 2-vCPU host, the spread mostly the
-   run's (26-45 ms); laying out every revision whole through Format
-   measured 30-45x and 23-27x.  About half of the digest is MD5 over the
-   52 MB (Algorithm 5) and 39 MB (Paxos) of text, and most of the rest
-   is fresh memory for the buffer: the text still holds every revision
-   whole until the digest stops printing revisions (ROADMAP item 3).
+   Digest rows, two per stack at 10^3 broadcasts over a run that records
+   its trace: [Trace.digest], which hashes the text block by block as it
+   is written (DESIGN.md §21), and a control, MD5 of the whole
+   [Trace.text].  Each row gives the digest's CPU time as a ratio to the
+   run's, each the best of three, and the bytes one call allocates as a
+   ratio to the text's length.  Gates: [Trace.digest]'s time stays within
+   [digest_bound] of the run's and its bytes within [alloc_bound] of the
+   text's, and the control's bytes exceed [alloc_bound].  On a 2-vCPU
+   host [Trace.digest] measured 3.8-6.9x for Algorithm 5 and 2.2-3.4x
+   for Paxos, the spread mostly the run's (17-43 ms), and allocated 2.7
+   and 2.4 MB (0.051x and 0.061x of the 52 MB and 39 MB of text); MD5
+   over those bytes is nearly all of its time, and what is left of the
+   cost is that the text holds every revision whole (ROADMAP item 3).
+   The control measured 7.6-13.4x and 5.0-7.5x and allocated 189 and
+   175 MB (3.6x and 4.5x): the buffer's growth and the final copy, as
+   the digest cost before it streamed.  Laying out every revision whole
+   through Format measured 30-45x and 23-27x.
 
    Checker rows, one per stack at 10^3 broadcasts over the same run and
    trace: [Properties.etob_report]'s CPU time over the run's, best of
@@ -1555,9 +1561,9 @@ let e23 () =
    Emits machine-readable BENCH_scale.json. *)
 let e25 () =
   section "E25" "step cost vs history length, Algorithm 5 and Paxos (gates enforced)";
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let n = 5 and flat_factor = 3.0 and wide_factor = 4.0 and budget_bytes = 1024.0 in
-  let digest_bound = 15.0 and check_bound = 2.0 in
+  let digest_bound = 15.0 and alloc_bound = 0.1 and check_bound = 2.0 in
   let word_bytes = float_of_int (Sys.word_size / 8) in
   let setup_for ?sink count =
     { (Harness.Stacks.default ~n ~deadline:((4 * count) + 205)) with
@@ -1632,6 +1638,16 @@ let e25 () =
     let t3, _ = cpu () in
     (Float.min t1 (Float.min t2 t3), x)
   in
+  (* The bytes [f ()] allocates on this domain.  [Gc.allocated_bytes]
+     reads an eighth of the words the minor heap holds since its last
+     collection (OCaml 5.1), so each read follows a minor collection. *)
+  let allocated f =
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor ();
+    Gc.allocated_bytes () -. a0
+  in
   let count = 1_000 in
   (* Each stack's run at 10^3 broadcasts, and the two readers of its
      trace: the digest and the ETOB checkers. *)
@@ -1654,25 +1670,52 @@ let e25 () =
         (Printf.sprintf "%s %s/run at 10^3" (stack_name impl) what)
         (Float ratio) Le (Float bound) )
   in
-  row "  digest at %d broadcasts, best of 3 (gate: digest <= %.0fx the run)" count
-    digest_bound;
-  row "  %-16s %-10s %-12s %-12s %-10s %-8s" "implementation" "text MB" "run ms"
-    "digest ms" "ratio" "verdict";
+  row "  digest at %d broadcasts, best of 3 (gates: digest <= %.0fx the run, allocates \
+       <= %.1fx its text; control: MD5 of the whole text allocates more)"
+    count digest_bound alloc_bound;
+  row "  %-16s %-14s %-10s %-10s %-10s %-8s %-10s %-10s %-8s" "implementation" "digest"
+    "text MB" "run ms" "digest ms" "ratio" "alloc MB" "alloc/text" "verdict";
+  (* Per stack, [Trace.digest] and the control: MD5 of [Trace.text], the
+     whole text built first.  Each allocates what one call does. *)
   let digests =
-    List.map
+    List.concat_map
       (fun (impl, run_s, trace, digest_s, _) ->
-         let text_mb = float_of_int (String.length (Trace.text trace)) /. 1e6 in
-         let ratio, verdict, gate =
-           ratio_gate ~what:"digest" ~bound:digest_bound impl run_s digest_s
+         let text_bytes = float_of_int (String.length (Trace.text trace)) in
+         let digest_row ~name ~control digest_s f =
+           let bytes = allocated f in
+           let alloc = bytes /. text_bytes in
+           let ratio, _, time_gate =
+             ratio_gate ~what:"digest" ~bound:digest_bound impl run_s digest_s
+           in
+           let alloc_gate what op =
+             Record.gate
+               (Printf.sprintf "%s %s alloc/text at 10^3" (stack_name impl) what)
+               (Float alloc) op (Float alloc_bound)
+           in
+           let gates =
+             if control then [ alloc_gate "whole-text digest" Gt ]
+             else [ time_gate; alloc_gate "digest" Le ]
+           in
+           row "  %-16s %-14s %-10.1f %-10.1f %-10.1f %-8.2f %-10.1f %-10.3f %-8s"
+             (impl_name impl) name (text_bytes /. 1e6) (run_s *. 1e3) (digest_s *. 1e3)
+             ratio (bytes /. 1e6) alloc
+             (if List.for_all (fun g -> g.Record.pass) gates then "pass" else "fail");
+           ( Record.(
+               Obj
+                 [ ("impl", String (stack_name impl)); ("digest", String name);
+                   ("broadcasts", Int count); ("text_mb", Float (text_bytes /. 1e6));
+                   ("run_ms", Float (run_s *. 1e3)); ("digest_ms", Float (digest_s *. 1e3));
+                   ("alloc_mb", Float (bytes /. 1e6));
+                   ("alloc_per_text_byte", Float alloc) ]),
+             gates )
          in
-         row "  %-16s %-10.1f %-12.1f %-12.1f %-10.2f %-8s" (impl_name impl) text_mb
-           (run_s *. 1e3) (digest_s *. 1e3) ratio verdict;
-         ( Record.(
-             Obj
-               [ ("impl", String (stack_name impl)); ("broadcasts", Int count);
-                 ("text_mb", Float text_mb); ("run_ms", Float (run_s *. 1e3));
-                 ("digest_ms", Float (digest_s *. 1e3)) ]),
-           gate ))
+         let streamed =
+           digest_row ~name:"streamed" ~control:false digest_s (fun () ->
+               Trace.digest trace)
+         in
+         let whole () = Digest.to_hex (Digest.string (Trace.text trace)) in
+         let whole_s, _ = best_cpu whole in
+         [ streamed; digest_row ~name:"whole-text" ~control:true whole_s whole ])
       measured
   in
   row "  etob_report at %d broadcasts, best of 3 (gate: check <= %.0fx the run)" count
@@ -1698,7 +1741,7 @@ let e25 () =
     (Record.make ~name:"scale" ~experiment:"E25" ~since
        ~params:[ ("n", Int n) ]
        ~rows:(List.concat_map fst stacks @ List.map fst digests @ List.map fst checks)
-       (List.concat_map snd stacks @ List.map snd digests @ List.map snd checks))
+       (List.concat_map snd stacks @ List.concat_map snd digests @ List.map snd checks))
 
 (* ------------------------------------------------------------------ *)
 

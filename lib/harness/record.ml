@@ -48,8 +48,17 @@ type t = {
   gc_major_words : float;
 }
 
+(* [quick_stat]'s counters move only at minor collections, so collect
+   first: otherwise a delta counts whole minor heaps, missing what any
+   domain allocated since its last one. *)
+let gc_now () =
+  Gc.minor ();
+  Gc.quick_stat ()
+
+let since = gc_now
+
 let make ~name ~experiment ~since ~params ~rows gates =
-  let now = Gc.quick_stat () in
+  let now = gc_now () in
   { name; experiment; params; rows; gates;
     gc_minor_words = now.minor_words -. since.Gc.minor_words;
     gc_major_words = now.major_words -. since.major_words }

@@ -37,11 +37,18 @@ type t = {
   gc_major_words : float;
 }
 
+val since : unit -> Gc.stat
+(** The GC counters at the start of an experiment, exact: a minor
+    collection first, which in OCaml 5 stops every domain and counts
+    what each has allocated, then [Gc.quick_stat ()]. *)
+
 val make :
   name:string -> experiment:string -> since:Gc.stat ->
   params:(string * json) list -> rows:json list -> gate list -> t
-(** The record of an experiment that began when [Gc.quick_stat ()] read
-    [since]; its GC deltas run from there to this call. *)
+(** The record of an experiment that began when {!since} read [since];
+    its GC deltas run from there to this call, which reads the counters
+    the same way, so they count every word allocated in between, on any
+    domain. *)
 
 val write : string -> t -> unit
 (** [write dir t] prints each gate, writes [dir/BENCH_<name>.json] and

@@ -121,7 +121,7 @@ let side_json s =
         ("digest", String o.digest); ("latency", lat) ])
 
 let run ?(seed = 42) () =
-  let since = Gc.quick_stat () in
+  let since = Record.since () in
   let etob = side ~name:"etob" ~seed Stacks.Algorithm_5 in
   let paxos = side ~name:"paxos" ~seed Stacks.Paxos_baseline in
   let replay = side ~name:"etob-replay" ~seed Stacks.Algorithm_5 in

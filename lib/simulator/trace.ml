@@ -94,19 +94,53 @@ let pp_entry ppf e =
 
 (* One rendering: one set of output writers for the whole trace, so a
    revision of d_i is written as its predecessor's text plus what is new
-   ([Dseq.write]). *)
-let text t =
-  let b = Buffer.create 1024 in
+   ([Dseq.write]).  The text goes to [flush] in blocks: the buffer is
+   handed over and cleared once it holds [block] bytes or more after an
+   entry, and handed over once more at the end, so a rendering holds a
+   block and the entry that fills it, never the whole text. *)
+let block = 4096
+
+let render t flush =
+  let b = Buffer.create block in
   let write = Io.output_text_writer () in
   List.iteri
     (fun i e ->
        if i > 0 then Buffer.add_char b '\n';
-       add_entry write b e)
+       add_entry write b e;
+       if Buffer.length b >= block then (flush b; Buffer.clear b))
     (entries t);
   Printf.bprintf b "\n(sent=%d delivered=%d dropped=%d steps=%d end=%d)" t.sent
     t.delivered t.dropped t.steps t.last_time;
-  Buffer.contents b
+  flush b
+
+let text t =
+  let out = Buffer.create 1024 in
+  render t (Buffer.add_buffer out);
+  Buffer.contents out
 
 let pp ppf t = Format.pp_print_string ppf (text t)
 
-let digest t = Digest.to_hex (Digest.string (text t))
+(* The runtime's incremental MD5 (trace_md5.c): the context is opaque
+   bytes, and [md5_update ctx b len] hashes [b]'s first [len] bytes. *)
+external md5_init : unit -> Bytes.t = "ecsim_md5_init"
+external md5_update : Bytes.t -> Bytes.t -> int -> unit = "ecsim_md5_update" [@@noalloc]
+external md5_final : Bytes.t -> string = "ecsim_md5_final"
+
+(* Each flushed buffer is copied through one reused block into the hash,
+   so the digest is [Digest.string (text t)] without the text. *)
+let digest t =
+  let ctx = md5_init () and bytes = Bytes.create block in
+  let hash b =
+    let len = Buffer.length b in
+    let rec go off =
+      if off < len then begin
+        let k = Int.min block (len - off) in
+        Buffer.blit b off bytes 0 k;
+        md5_update ctx bytes k;
+        go (off + k)
+      end
+    in
+    go 0
+  in
+  render t hash;
+  Digest.to_hex (md5_final ctx)

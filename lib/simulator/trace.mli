@@ -62,4 +62,7 @@ val pp : Format.formatter -> t -> unit
     for every caller: the text does not follow an indentation. *)
 
 val digest : t -> string
-(** MD5 hex of {!text}: the determinism digest of a run. *)
+(** MD5 hex of {!text}: the determinism digest of a run.  The text is
+    rendered as {!text} renders it, in blocks of 4 KB and the entry that
+    fills one, each hashed as it is written, so the whole text is never
+    held. *)

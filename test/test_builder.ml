@@ -183,10 +183,12 @@ let test_omega_clause_differential () =
 
 (* [Trace.text] writes each revision of d_i as the previous revision's
    text plus what is new; [Trace_pp_oracle] lays out every revision whole
-   through Format.  Every builder stack runs here, faithful or under any
-   seeded mutant of its layers (Algorithm 5, anti-entropy, recovery), over
-   unclamped plans; the recoverable stacks get recovery plans, under
-   which the skip-log-replay mutant reuses ids with other deps. *)
+   through Format.  [Trace.digest], which hashes the text block by block
+   as it is written, must be the MD5 of the oracle's text.  Every builder
+   stack runs here, faithful or under any seeded mutant of its layers
+   (Algorithm 5, anti-entropy, recovery), over unclamped plans; the
+   recoverable stacks get recovery plans, under which the
+   skip-log-replay mutant reuses ids with other deps. *)
 let stack_run_gen =
   let open QCheck.Gen in
   let maybe all = oneofl (None :: List.map Option.some all) in
@@ -227,7 +229,10 @@ let prop_trace_text_matches_oracle =
     (fun b ->
        match (Builder.run ~catch:true b).Builder.trace with
        | None -> QCheck.assume_fail ()
-       | Some trace -> String.equal (Trace.text trace) (Trace_pp_oracle.text trace))
+       | Some trace ->
+         let oracle = Trace_pp_oracle.text trace in
+         String.equal (Trace.text trace) oracle
+         && String.equal (Trace.digest trace) (Digest.to_hex (Digest.string oracle)))
 
 (* The checkers read each revision of d_i as its delta; the oracle
    (Properties_oracle) reads every revision whole.  On every builder

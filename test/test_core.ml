@@ -1531,6 +1531,77 @@ let test_trace_text_empty () =
     "\n(sent=0 delivered=0 dropped=0 steps=0 end=0)" (Trace.text trace);
   Alcotest.(check string) "oracle" (Trace_pp_oracle.text trace) (Trace.text trace)
 
+(* --- Trace digest at the block edges -------------------------------- *)
+
+(* [Trace.digest] renders the text in blocks of 4,096 bytes (a block
+   flushes after the entry that fills it) and hashes each one as it goes.
+   It must be the MD5 of the whole text, whichever entry a block edge
+   falls in or after. *)
+let check_digest name trace =
+  let text = Trace.text trace in
+  Alcotest.(check string) (name ^ ": text") (Trace_pp_oracle.text trace) text;
+  Alcotest.(check string) (name ^ ": digest")
+    (Digest.to_hex (Digest.string text)) (Trace.digest trace)
+
+let test_trace_digest_empty () = check_digest "empty" (Trace.create ~n:2)
+
+(* One d_i revision of 1,500 messages, each with deps: its text is many
+   blocks long, and the writer's second revision reuses it. *)
+let long_revision_trace () =
+  let msgs =
+    List.init 1_500 (fun i ->
+        if i < 2 then msg 0 i else msg (i mod 3) i ~deps:[ (0, 0); (1, i - 1) ])
+  in
+  let d = Dseq.of_list msgs in
+  outputs_trace ~n:3
+    [ (1, 0, Etob_intf.Etob_deliver d);
+      (2, 1, Etob_intf.Etob_deliver (Dseq.append d [ msg 2 1_500 ])) ]
+
+let test_trace_digest_long_revision () =
+  let trace = long_revision_trace () in
+  Alcotest.(check bool) "spans blocks" true (String.length (Trace.text trace) > 8 * 4096);
+  check_digest "long revision" trace
+
+(* Traces of [String_output]s, the first [first] bytes long up to the end
+   of its entry, the whole text [len] bytes long: [first] and [len] land
+   on a block edge or one byte either side of it. *)
+let string_trace strings =
+  outputs_trace ~n:1 (List.mapi (fun t s -> (t, 0, Io.String_output s)) strings)
+
+let sized_trace ?first len =
+  let pad k = String.make k 'x' in
+  let entry_len = String.length "[   0] p0 -> out:" in
+  let strings =
+    match first with
+    | None -> [ "" ]
+    | Some first -> [ pad (first - entry_len); "" ]
+  in
+  let base = String.length (Trace.text (string_trace strings)) in
+  let last = List.length strings - 1 in
+  string_trace (List.mapi (fun i s -> if i = last then pad (len - base) else s) strings)
+
+let test_trace_digest_block_edges () =
+  List.iter
+    (fun k ->
+       List.iter
+         (fun d ->
+            let edge = (k * 4096) + d in
+            let whole = sized_trace edge in
+            Alcotest.(check int) "text length" edge (String.length (Trace.text whole));
+            check_digest (Printf.sprintf "text of %d bytes" edge) whole;
+            let split = sized_trace ~first:edge (edge + 100) in
+            Alcotest.(check int) "first entry's length" edge
+              (String.index (Trace.text split) '\n');
+            check_digest (Printf.sprintf "first entry ends at %d" edge) split)
+         [ -1; 0; 1 ])
+    [ 1; 2; 3 ]
+
+(* The digest of a fixed trace, pinned: it would move if the runtime's MD5
+   entry points hashed other bytes than [Digest.string] does. *)
+let test_trace_digest_pinned () =
+  Alcotest.(check string) "digest" "c90f9d9f6d4501112c29ee240261f485"
+    (Trace.digest (long_revision_trace ()))
+
 let test_checker_ec_report_messages () =
   let layer = Ec_intf.default_layer in
   let proposed t p instance v =
@@ -1633,6 +1704,12 @@ let () =
       ("trace text",
        [ Alcotest.test_case "hand-built trace" `Quick test_trace_text_hand_built;
          Alcotest.test_case "empty trace" `Quick test_trace_text_empty ]);
+      ("trace digest",
+       [ Alcotest.test_case "empty trace" `Quick test_trace_digest_empty;
+         Alcotest.test_case "revision over several blocks" `Quick
+           test_trace_digest_long_revision;
+         Alcotest.test_case "texts at block edges" `Quick test_trace_digest_block_edges;
+         Alcotest.test_case "pinned digest" `Quick test_trace_digest_pinned ]);
       ("value",
        [ Alcotest.test_case "tag roundtrip" `Quick test_value_tag_roundtrip;
          Alcotest.test_case "tag rejects seq" `Quick test_value_tag_rejects_seq;

@@ -413,7 +413,7 @@ let test_record_escapes () =
     (render (String awkward));
   let dir = Filename.temp_dir "record" "" in
   let r =
-    make ~name:"escape" ~experiment:awkward ~since:(Gc.quick_stat ())
+    make ~name:"escape" ~experiment:awkward ~since:(since ())
       ~params:[ (awkward, String awkward) ]
       ~rows:[ Obj [ (awkward, List [ String awkward ]) ] ]
       [ gate awkward (String awkward) Eq (String awkward) ]
@@ -446,7 +446,7 @@ let test_record_written_before_failing () =
   let dir = Filename.temp_dir "record" "" in
   let path = Filename.concat dir "BENCH_probe.json" in
   let r =
-    make ~name:"probe" ~experiment:"EX" ~since:(Gc.quick_stat ()) ~params:[]
+    make ~name:"probe" ~experiment:"EX" ~since:(since ()) ~params:[]
       ~rows:[ Obj [ ("x", Int 1) ] ]
       [ gate "holds" (Int 1) Le (Int 2); gate "breaks" (Float 3.5) Lt (Float 3.0) ]
   in
@@ -470,6 +470,29 @@ let test_record_written_before_failing () =
   Alcotest.(check bool) "beside the gate that holds" true
     (has_substring text
        {|{"gate": "holds", "measured": 1, "op": "<=", "bound": 2, "pass": true}|})
+
+(* A record's GC deltas count every word allocated between [since] and
+   [make]: 1,000 list cells on this domain (3 words each), and 100,000 on
+   a worker domain joined before [make].  Read through [Gc.quick_stat]
+   alone, they would move only when a minor heap is collected. *)
+let test_record_gc_deltas_exact () =
+  let open Harness.Record in
+  let minor_words s0 =
+    (make ~name:"gc" ~experiment:"EX" ~since:s0 ~params:[] ~rows:[] []).gc_minor_words
+  in
+  let s0 = since () in
+  ignore (Sys.opaque_identity (List.init 1_000 Fun.id));
+  let words = minor_words s0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 3,000 on this domain" words)
+    true (words >= 3_000. && words < 3_500.);
+  let s0 = since () in
+  let worker = Domain.spawn (fun () -> List.length (List.init 100_000 Fun.id)) in
+  Alcotest.(check int) "the worker's cells" 100_000 (Domain.join worker);
+  let words = minor_words s0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for 300,000 on a worker" words)
+    true (words >= 300_000.)
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest [ prop_stats_bounds ] in
@@ -518,5 +541,7 @@ let () =
            test_record_escapes;
          Alcotest.test_case "gate verdicts" `Quick test_record_gate_verdicts;
          Alcotest.test_case "written before a failing gate raises" `Quick
-           test_record_written_before_failing ]);
+           test_record_written_before_failing;
+         Alcotest.test_case "GC deltas exact across domains" `Quick
+           test_record_gc_deltas_exact ]);
     ]

@@ -280,14 +280,16 @@ let test_admission_control_sheds () =
   Alcotest.(check bool) "dedup holds under overload" true
     o.Service.Runner.dedup_ok
 
-(* [Runner.run]'s digest hashes [Trace.text], which writes each revision
-   of d_i and of the committed prefix as the previous one's text plus what
-   is new.  It must give the bytes of [Trace_pp_oracle], which lays out
-   every revision whole through Format: random client populations over
-   both implementations under random seeds, at E22's replica setup (a
-   lossy minority partition, a majority replica crash, a blockwise Omega
-   under which Paxos delivers little) or at a stable one.  No shrinking:
-   every step would rerun the service. *)
+(* [Runner.run]'s digest is [Trace.digest], which hashes the text of
+   [Trace.text] block by block as it is written; that text writes each
+   revision of d_i and of the committed prefix as the previous one's text
+   plus what is new.  The text must be the bytes of [Trace_pp_oracle],
+   which lays out every revision whole through Format, and the digest
+   their MD5: random client populations over both implementations under
+   random seeds, at E22's replica setup (a lossy minority partition, a
+   majority replica crash, a blockwise Omega under which Paxos delivers
+   little) or at a stable one.  No shrinking: every step would rerun the
+   service. *)
 let prop_trace_text_matches_oracle =
   QCheck.Test.make ~count:16
     ~name:"service runs: trace text equals the Format oracle"
@@ -304,8 +306,10 @@ let prop_trace_text_matches_oracle =
       let impl =
         if paxos then Harness.Stacks.Paxos_baseline else Harness.Stacks.Algorithm_5
       in
-      let trace = (Service.Runner.run ~setup ~spec ~impl).Service.Runner.trace in
-      String.equal (Trace.text trace) (Trace_pp_oracle.text trace))
+      let o = Service.Runner.run ~setup ~spec ~impl in
+      let oracle = Trace_pp_oracle.text o.Service.Runner.trace in
+      String.equal (Trace.text o.trace) oracle
+      && String.equal o.digest (Digest.to_hex (Digest.string oracle)))
 
 let test_runner_rejects_alg_1_over_4 () =
   match
