@@ -1512,25 +1512,37 @@ let e23 () =
 
 (* Each stack under a stable leader, the E24 alg5-long spec (n=5,
    uniform 1-4 tick links, timer period 2, one post every 4 ticks) at
-   10^2, 10^3 and 10^4 broadcasts.  Algorithm 5 merges and promotes only
-   what is new (Causal_graph), and a revision of promote_i or d_i shares
-   the one before it (Dseq).  The Paxos baseline keeps its chosen ids
-   incrementally and prunes its pending requests, votes and delivered
-   slots at choice (DESIGN.md §20).  So the CPU time and the minor-heap
-   bytes per automaton step should not grow with the history.  The run
-   uses the counters sink, so memory does not hold the trace.  Gates, per
-   stack: the cost per step at 10^3 is within [flat_factor] of the cost
-   at 10^2 and at 10^4 within [wide_factor], and the bytes per step at
-   10^3 and 10^4 stay within E23's budget.  The factors leave room for
-   the log factor of the persistent maps, for cache misses over a heap
-   ten and a hundred times larger and for run-to-run noise (on a 2-vCPU
-   host, 1.6-2.1x at 10^3 and 2.0-2.4x at 10^4 for Algorithm 5, 1.4-1.8x
-   and 1.7-2.2x for Paxos), while work that grows with the history fails
-   them: merging whole graphs on every update grows 15x over the first
-   decade; copying d_i into an in-order list on every change of the
-   leader's promotion cost 8.5-8.9x and 4,866 B/step at 10^4; rebuilding
-   Paxos's chosen ids and filtering every request ever received on each
-   leader timer cost 3.5x and 5,670 B/step at 10^3.
+   10^2, 10^3 and 10^4 broadcasts: Algorithm 5, the Paxos baseline,
+   Algorithm 5 with anti-entropy (alg5+ae) and Algorithm 5 under the
+   crash-recovery wrapper with commit indications (recoverable+commits).
+   Algorithm 5 merges and promotes only what is new (Causal_graph), and a
+   revision of promote_i or d_i shares the one before it (Dseq).  The
+   Paxos baseline keeps its chosen ids incrementally and prunes its
+   pending requests, votes and delivered slots at choice (DESIGN.md §20).
+   Anti-entropy builds its digests from the graph's per-origin spans and
+   answers with the messages above the peer's prefix; the recovery
+   wrapper logs the nodes new since its last event, each revision of d_i
+   and of the committed prefix as a delta, seals its log at a checkpoint
+   instead of re-serializing the state, and its links skip their retry
+   walk until a frame is due and dedup below a watermark (DESIGN.md §23).
+   So the CPU time and the minor-heap bytes per automaton step should
+   not grow with the history.  The run uses the counters sink, so memory
+   does not hold the trace.  Gates, per stack: the cost per step at 10^3
+   is within [flat_factor] of the cost at 10^2 and at 10^4 within
+   [wide_factor], and the bytes per step at 10^3 and 10^4 stay within
+   E23's budget.  The factors leave room for the log factor of the
+   persistent maps, for cache misses over a heap ten and a hundred times
+   larger and for run-to-run noise (on a 2-vCPU host, 1.1-2.1x at 10^3
+   and 1.2-2.4x at 10^4 across the four stacks), while work that grows
+   with the history fails them: merging whole graphs on every update
+   grows 15x over the first decade; copying d_i into an in-order list on
+   every change of the leader's promotion cost 8.5-8.9x and 4,866 B/step
+   at 10^4; rebuilding Paxos's chosen ids and filtering every request
+   ever received on each leader timer cost 3.5x and 5,670 B/step at
+   10^3; summarizing and diffing the whole graph at every digest cost
+   alg5+ae 5.2x and 20.7 KB/step at 10^3, and logging every revision
+   whole with whole-state snapshots cost recoverable+commits 20.9x and
+   266 KB/step.
 
    Digest rows, two per stack at 10^3 broadcasts over a run that records
    its trace: [Trace.digest], which hashes the text block by block as it
@@ -1560,7 +1572,8 @@ let e23 () =
    (check_causal_order alone took 21 s).
    Emits machine-readable BENCH_scale.json. *)
 let e25 () =
-  section "E25" "step cost vs history length, Algorithm 5 and Paxos (gates enforced)";
+  section "E25"
+    "step cost vs history length: Algorithm 5, Paxos, anti-entropy, recovery (gates enforced)";
   let since = Record.since () in
   let n = 5 and flat_factor = 3.0 and wide_factor = 4.0 and budget_bytes = 1024.0 in
   let digest_bound = 15.0 and alloc_bound = 0.1 and check_bound = 2.0 in
@@ -1569,63 +1582,80 @@ let e25 () =
     { (Harness.Stacks.default ~n ~deadline:((4 * count) + 205)) with
       delay = Net.uniform ~min:1 ~max:4; timer_period = 2; omega = oracle 0; sink }
   in
+  let inputs count = Harness.Stacks.spread_posts ~n ~count ~from_time:5 ~every:4 in
   let run_etob ?sink impl count =
-    let inputs = Harness.Stacks.spread_posts ~n ~count ~from_time:5 ~every:4 in
-    Harness.Stacks.run_etob ~inputs (setup_for ?sink count) impl
+    Harness.Stacks.run_etob ~inputs:(inputs count) (setup_for ?sink count) impl
   in
-  let run_once impl count =
+  let stack_name impl = Harness.Builder.stack_name (Harness.Builder.Etob impl) in
+  (* The stacks whose step cost is measured: name, table label, and one
+     run at [count] broadcasts into a sink. *)
+  let etob impl =
+    (stack_name impl, impl_name impl, fun sink count -> ignore (run_etob ~sink impl count))
+  in
+  let stacks_measured =
+    [ etob Harness.Stacks.Algorithm_5;
+      etob Harness.Stacks.Paxos_baseline;
+      ( Harness.Builder.stack_name Harness.Builder.Etob_ae,
+        "ETOB (Alg. 5)+AE",
+        fun sink count ->
+          ignore
+            (Harness.Stacks.run_etob_ae ~inputs:(inputs count) (setup_for ~sink count)) );
+      ( "recoverable+commits",
+        "Recoverable+commits",
+        fun sink count ->
+          ignore
+            (Harness.Stacks.run_recoverable ~inputs:(inputs count) ~commits:true
+               (setup_for ~sink count)) ) ]
+  in
+  let run_once run count =
     let c = Sink.counters ~n in
-    ignore (run_etob ~sink:(Sink.counters_sink c) impl count);
+    run (Sink.counters_sink c) count;
     Sink.steps c
   in
   (* Repeat small sizes so every row covers a few hundred thousand steps. *)
-  let measure impl (count, repeats) =
-    ignore (run_once impl count);
+  let measure (_, label, run) (count, repeats) =
+    ignore (run_once run count);
     (* Gc.minor_words is exact; quick_stat's count moves in whole minor heaps. *)
     let w0 = Gc.minor_words () in
     let t0 = Sys.time () in
     let steps = ref 0 in
     for _ = 1 to repeats do
-      steps := !steps + run_once impl count
+      steps := !steps + run_once run count
     done;
     let cpu = Sys.time () -. t0 in
     let words = Gc.minor_words () -. w0 in
     let steps = !steps in
     let ns = cpu *. 1e9 /. float_of_int steps in
     let bytes = words *. word_bytes /. float_of_int steps in
-    row "  %-16s %-12d %-8d %-12d %-12.0f %-12.0f" (impl_name impl) count repeats
-      steps ns bytes;
+    row "  %-20s %-12d %-8d %-12d %-12.0f %-12.0f" label count repeats steps ns bytes;
     (count, repeats, steps, ns, bytes)
   in
-  let stack_name impl = Harness.Builder.stack_name (Harness.Builder.Etob impl) in
-  let stack impl =
-    let rows = List.map (measure impl) [ (100, 100); (1_000, 10); (10_000, 1) ] in
+  let stack ((name, _, _) as measured) =
+    let rows = List.map (measure measured) [ (100, 100); (1_000, 10); (10_000, 1) ] in
     let at count = List.find (fun (c, _, _, _, _) -> c = count) rows in
     let _, _, _, ns_small, _ = at 100 in
     let gates (count, label) factor =
       let _, _, _, ns, bytes = at count in
-      let name what = Printf.sprintf "%s %s at %s" (stack_name impl) what label in
+      let gate_name what = Printf.sprintf "%s %s at %s" name what label in
       Record.
-        [ gate (name "ns/step growth over 10^2") (Float (ns /. ns_small)) Le
+        [ gate (gate_name "ns/step growth over 10^2") (Float (ns /. ns_small)) Le
             (Float factor);
-          gate (name "bytes/step") (Float bytes) Le (Float budget_bytes) ]
+          gate (gate_name "bytes/step") (Float bytes) Le (Float budget_bytes) ]
     in
     ( List.map
         (fun (count, repeats, steps, ns, bytes) ->
            Record.(
              Obj
-               [ ("impl", String (stack_name impl)); ("broadcasts", Int count);
+               [ ("impl", String name); ("broadcasts", Int count);
                  ("runs", Int repeats); ("steps", Int steps);
                  ("ns_per_step", Float ns); ("bytes_per_step", Float bytes) ]))
         rows,
       gates (1_000, "10^3") flat_factor @ gates (10_000, "10^4") wide_factor )
   in
   row "  n=%d, uniform 1-4 tick links, timer period 2, one post per 4 ticks" n;
-  row "  %-16s %-12s %-8s %-12s %-12s %-12s" "implementation" "broadcasts" "runs"
+  row "  %-20s %-12s %-8s %-12s %-12s %-12s" "stack" "broadcasts" "runs"
     "steps" "ns/step" "bytes/step";
-  let stacks =
-    List.map stack [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
-  in
+  let stacks = List.map stack stacks_measured in
   (* CPU seconds of the fastest of three calls of [f], and its result. *)
   let best_cpu f =
     let cpu () =

@@ -6,8 +6,9 @@
 
     Every [every] timer rounds each process broadcasts a constant-size
     digest (per origin: longest contiguous sequence-number prefix plus
-    out-of-order extras); a peer answers with exactly the messages the
-    digest does not cover.  Per-peer exponential backoff (reset on
+    out-of-order extras, read off {!Causal_graph.spans}); a peer answers
+    with exactly the messages the digest does not cover, in id order.
+    Both cost the origins plus what is missing, not the history.  Per-peer exponential backoff (reset on
     progress) stops identical deltas from being re-sent every round, and
     the receiver filters already-known messages before integrating, so
     repeated deltas are deduplicated and integration is idempotent.

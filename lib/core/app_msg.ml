@@ -114,6 +114,8 @@ let same_text a b =
   a.origin = b.origin && a.sn = b.sn
   && List.equal (fun x y -> compare_id x y = 0) a.deps b.deps
 
+let same_wire a b = same_text a b && String.equal a.tag b.tag
+
 module Id_set = Set.Make (struct
     type nonrec t = id
     let compare = compare_id
@@ -149,9 +151,42 @@ let rec is_prefix a b =
    record is always one line of space-separated fields regardless of
    application content. *)
 
-let hex_of_string s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
+(* The wire form is written straight into a buffer: digits through
+   [add_int], each tag byte as two lowercase hex digits. *)
+let hex_digits = "0123456789abcdef"
+
+let add_wire b m =
+  add_int b m.origin;
+  Buffer.add_char b ' ';
+  add_int b m.sn;
+  Buffer.add_char b ' ';
+  String.iter
+    (fun c ->
+       Buffer.add_char b hex_digits.[Char.code c lsr 4];
+       Buffer.add_char b hex_digits.[Char.code c land 15])
+    m.tag;
+  Buffer.add_char b ' ';
+  match m.deps with
+  | [] -> Buffer.add_char b '-'
+  | deps ->
+    List.iteri
+      (fun i (p, sn) ->
+         if i > 0 then Buffer.add_char b ',';
+         add_int b p;
+         Buffer.add_char b '.';
+         add_int b sn)
+      deps
+
+let add_seq_wire b ms =
+  List.iteri
+    (fun i m ->
+       if i > 0 then Buffer.add_char b '|';
+       add_wire b m)
+    ms
+
+let to_wire m =
+  let b = Buffer.create 32 in
+  add_wire b m;
   Buffer.contents b
 
 let string_of_hex h =
@@ -162,16 +197,6 @@ let string_of_hex h =
         (String.init (String.length h / 2) (fun i ->
              Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2))))
     with Failure _ -> None
-
-let to_wire m =
-  let deps =
-    match m.deps with
-    | [] -> "-"
-    | deps ->
-      String.concat ","
-        (List.map (fun (p, sn) -> Printf.sprintf "%d.%d" p sn) deps)
-  in
-  Printf.sprintf "%d %d %s %s" m.origin m.sn (hex_of_string m.tag) deps
 
 let dep_of_string s =
   match String.split_on_char '.' s with
@@ -199,7 +224,10 @@ let of_wire line =
      | _ -> None)
   | _ -> None
 
-let seq_to_wire ms = String.concat "|" (List.map to_wire ms)
+let seq_to_wire ms =
+  let b = Buffer.create 64 in
+  add_seq_wire b ms;
+  Buffer.contents b
 
 let seq_of_wire line =
   if line = "" then Some []

@@ -50,6 +50,10 @@ val same_text : t -> t -> bool
     {!equal} compares ids alone, which a replica restarted without its
     log can reuse for a message with other dependencies. *)
 
+val same_wire : t -> t -> bool
+(** Equal ids, tags and [deps]: the two messages have the same wire form
+    ({!to_wire}). *)
+
 module Id_set : Set.S with type elt = id
 module Id_map : Map.S with type key = id
 
@@ -68,7 +72,16 @@ val is_prefix : t list -> t list -> bool
     is one line of space-separated fields and a sequence joins messages
     with ['|']. *)
 
+val add_wire : Buffer.t -> t -> unit
+(** Append the message's wire form, ["origin sn hex(tag) deps"] with
+    [deps] ["-"] or comma-separated ["origin.sn"] pairs. *)
+
+val add_seq_wire : Buffer.t -> t list -> unit
+(** Append the messages' wire forms joined with ['|']. *)
+
 val to_wire : t -> string
+(** {!add_wire} into a fresh string. *)
+
 val of_wire : string -> t option
 (** [None] on any malformed field (decode never raises). *)
 

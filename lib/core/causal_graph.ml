@@ -67,6 +67,9 @@ let empty =
 let size g = g.size
 let mem g id = Id_map.mem id g.nodes
 let messages g = List.map snd (Id_map.bindings g.nodes)
+let messages_from g id = Seq.map snd (Id_map.to_seq_from id g.nodes)
+let fold_spans f g acc = Int_map.fold f g.per_origin acc
+let blocked g = List.map snd (Id_map.bindings g.blocked)
 
 let is_ready g id = mem g id && not (Id_map.mem id g.blocked)
 
@@ -292,6 +295,13 @@ let promote_fresh ?(tie_break = default_tie_break) g ~since ~placed =
     | _ -> acc
   in
   order ~tie_break (take (g.ready_count - since) [] g.ready_log)
+
+let fresh_ready g ~since =
+  let rec take n acc = function
+    | m :: rest when n > 0 -> take (n - 1) (m :: acc) rest
+    | _ -> acc
+  in
+  take (g.ready_count - since) [] g.ready_log
 
 (* A linearization is valid for g and prefix iff it extends the prefix,
    enumerates the graph's messages exactly once and respects all edges among

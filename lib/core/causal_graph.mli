@@ -13,6 +13,21 @@ val mem : t -> App_msg.id -> bool
 val messages : t -> App_msg.t list
 (** All nodes, in id order. *)
 
+val messages_from : t -> App_msg.id -> App_msg.t Seq.t
+(** The nodes from id [id] on, in id order. *)
+
+type span = { count : int; top : int }
+(** One origin's nodes: how many, and the highest sequence number.  The
+    graph holds exactly that origin's messages [0..top] iff
+    [count = top + 1]. *)
+
+val fold_spans : (Simulator.Types.proc_id -> span -> 'a -> 'a) -> t -> 'a -> 'a
+(** Fold over each origin with at least one node and its span, in
+    increasing origin order. *)
+
+val blocked : t -> App_msg.t list
+(** The nodes outside {!ready}, in id order. *)
+
 val add : t -> App_msg.t -> t
 (** [UpdateCG(m, C(m))]: add node [m] and edges from each of its
     dependencies.  Idempotent.  O(log size) plus, when [m] completes the
@@ -67,6 +82,11 @@ val promote_fresh :
     Then [prefix @ promote_fresh g ~since ~placed] equals
     [linearize (ready g) ~prefix], for the cost of ordering the nodes that
     became ready since. *)
+
+val fresh_ready : t -> since:int -> App_msg.t list
+(** The ready nodes beyond the first [since] of [g]'s history (see
+    {!promote_fresh}), in the order they became ready.  Costs what they
+    are. *)
 
 val is_valid_linearization : t -> prefix:App_msg.t list -> App_msg.t list -> bool
 (** Checks the three UpdatePromote conditions; tie-break independent. *)

@@ -70,6 +70,8 @@ let is_prefix a b = starts_with App_msg.equal a b
 
 let is_text_prefix a b = starts_with App_msg.same_text a b
 
+let is_wire_prefix a b = starts_with App_msg.same_wire a b
+
 (* The trace text of each key's last sequence is kept without its
    brackets.  A sequence that starts with exactly the messages that text
    printed keeps it and appends the rest.  The test is [same_text] (id

@@ -33,6 +33,11 @@ val is_text_prefix : t -> t -> bool
     ids and deps ({!App_msg.same_text}).  In O(length b - length a) when
     [b] was built by {!append} to [a], sharing its messages. *)
 
+val is_wire_prefix : t -> t -> bool
+(** [is_wire_prefix a b]: [b] starts with exactly the messages of [a],
+    ids, tags and deps ({!App_msg.same_wire}), at {!is_text_prefix}'s
+    cost. *)
+
 val equal : t -> t -> bool
 
 type writer

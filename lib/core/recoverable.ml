@@ -8,7 +8,8 @@
    loses its state, and every message addressed to it during a downtime
    window is gone.  This wrapper restores both invariants:
 
-   Durability.  The wrapper owns a [Persist.Store] write-ahead log:
+   Durability.  The wrapper owns a [Persist.Store] write-ahead log, one
+   record per line in App_msg wire forms:
 
    - "m <msg>"  — a message known to the process (graph node).  Own
      broadcasts are logged and synced *before* the send, so the allocation
@@ -18,20 +19,41 @@
      [Skip_log_replay] mutant, which the explorer must catch).  Messages
      learnt from update(CG_j) are logged and synced before the link-layer
      acknowledgment, the classic log-before-ack rule: once a peer stops
-     retransmitting, the message must be recoverable locally.
-   - "d <seq>"  — a revision of the output d_i.  Logged without a sync
+     retransmitting, the message must be recoverable locally.  The nodes
+     to log are the ones new since the last event: those that became
+     ready since (Causal_graph's ready log, read from a cursor) and the
+     blocked ones not yet logged, in id order.
+   - "d <seq>" or "d+ <k> <seq>"  — a revision of the output d_i, whole,
+     or as a delta: the first k messages of the revision before it, then
+     <seq>.  A revision that extends the one a replay would hold (ids,
+     tags and deps) is written as a delta, any other (a leader change
+     truncating d_i) whole.  An empty whole revision is skipped at
+     replay, leaving the revision before it.  Logged without a sync
      barrier: a lost suffix of d-revisions only sets the process back to
      an older adopted promotion, which the leader's periodic promote
      broadcast re-teaches — so this is where injected disk faults get to
-     bite without breaking any guarantee.
-   - "c <seq>"  — a committed-prefix announcement (when [commits] is on).
-     Synced: a commitment is an externally visible promise that must not
-     roll back across a restart.
+     bite without breaking any guarantee.  Faults only ever remove a
+     suffix, so every delta that survives replays onto its own base.
+   - "c <seq>" or "c+ <k> <seq>"  — a committed-prefix announcement
+     (when [commits] is on), whole or as a delta like d_i's.  Synced: a
+     commitment is an externally visible promise that must not roll back
+     across a restart.
+   - "x <origin> <sn>"  — forget a node.  Written only by a checkpoint of
+     a protocol that replaces CG_i instead of growing it (the
+     drop-graph-union mutant), so a replay restores the graph it held.
 
-   Every [snapshot_every] appends the whole state is checkpointed with
-   [install_snapshot] (atomic, truncates the log) so replay stays short.
+   Every [snapshot_every] appends the wrapper checkpoints: the store
+   seals the records logged since the last checkpoint into its durable
+   image ([Persist.Store.checkpoint]), which no disk fault reaches, so
+   the cadence decides what the dirty tail holds at a crash.  A
+   checkpoint re-serializes nothing and no longer bounds replay: a
+   restart replays the whole image and then the log, inside the restart
+   hook, off the event path and at no simulated-time cost.  The image
+   then replays to the state a whole snapshot would have held: the graph,
+   the current d_i (an empty one written as "d+ 0 "), the committed
+   prefix.
 
-   Restore.  On a post-crash open, the wrapper parses snapshot-then-log,
+   Restore.  On a post-crash open, the wrapper parses image-then-log,
    hands the surviving state to [Etob_omega.restore] (which recomputes
    promote_i and the allocation state, and announces the restored d_i),
    re-announces the committed prefix, and rebroadcasts update(CG_i) so
@@ -49,7 +71,9 @@
 open Simulator
 
 type config = {
-  snapshot_every : int;  (** checkpoint after this many log appends *)
+  snapshot_every : int;
+      (** checkpoint after this many log appends: the cadence decides what
+          the dirty tail holds at a crash *)
   ack_timeout : int;  (** initial retransmission timeout, in ticks *)
   max_backoff : int;  (** retransmission backoff cap, in ticks *)
 }
@@ -65,10 +89,9 @@ let mutation_name = function Skip_log_replay -> "skip-log-replay"
 let mutation_of_string s =
   List.find_opt (fun m -> mutation_name m = s) all_mutations
 
-(* The reliable-link layer lives in {!Retransmit} (factored out in PR 4 so
-   the anti-entropy component and future subsystems reuse it); this
-   wrapper owns one link per incarnation and keeps its historical framing
-   behaviour — [Rlink]/[Rlink_ack] payloads, backoff, dedup — unchanged. *)
+(* The reliable-link layer lives in {!Retransmit}, which the anti-entropy
+   component and other subsystems reuse; this wrapper owns one link per
+   incarnation: [Rlink]/[Rlink_ack] payloads, backoff, dedup. *)
 let link_config config =
   { Retransmit.ack_timeout = config.ack_timeout;
     max_backoff = config.max_backoff }
@@ -77,54 +100,64 @@ let link_config config =
 (* Write-ahead-log records                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* One record per line: "m <msg>", "d <seq>", "c <seq>" (App_msg wire
-   forms).  A snapshot is the same records joined with newlines, replayed
-   before the log. *)
-
 type replayed = {
-  mutable r_msgs : App_msg.t list;  (* reversed arrival order *)
-  mutable r_ids : App_msg.Id_set.t;
-  mutable r_delivered : App_msg.t list;
-  mutable r_committed : App_msg.t list;
+  mutable r_msgs : App_msg.t App_msg.Id_map.t;
+  mutable r_delivered : Dseq.t;
+  mutable r_committed : Dseq.t;
 }
 
+(* "<k> <seq>" applied to [base]: its first [k] messages, then [seq]. *)
+let revise base body =
+  match String.index_opt body ' ' with
+  | None -> None
+  | Some i ->
+    (match
+       ( int_of_string_opt (String.sub body 0 i),
+         App_msg.seq_of_wire (String.sub body (i + 1) (String.length body - i - 1)) )
+     with
+     | Some k, Some seq when k >= 0 && k <= Dseq.length base ->
+       Some (Dseq.append (Dseq.prefix base k) seq)
+     | _ -> None)
+
 let replay_record acc line =
-  let payload tag =
-    let k = String.length tag in
-    if String.length line > k && String.sub line 0 k = tag
-    then Some (String.sub line k (String.length line - k))
-    else None
+  let n = String.length line in
+  let body k = String.sub line k (n - k) in
+  let whole set =
+    match App_msg.seq_of_wire (body 2) with
+    | Some seq -> set (Dseq.of_list seq)
+    | None -> ()
   in
-  match payload "m " with
-  | Some wire ->
-    (match App_msg.of_wire wire with
-     | Some m when not (App_msg.Id_set.mem (App_msg.id m) acc.r_ids) ->
-       acc.r_msgs <- m :: acc.r_msgs;
-       acc.r_ids <- App_msg.Id_set.add (App_msg.id m) acc.r_ids
-     | _ -> ())
-  | None ->
-    (match payload "d " with
-     | Some wire ->
-       (match App_msg.seq_of_wire wire with
-        | Some seq -> acc.r_delivered <- seq
-        | None -> ())
-     | None ->
-       (match payload "c " with
-        | Some wire ->
-          (match App_msg.seq_of_wire wire with
-           | Some seq -> acc.r_committed <- seq
-           | None -> ())
-        | None -> ()))
+  let delta base set =
+    if n > 2 && line.[2] = ' ' then
+      match revise base (body 3) with Some seq -> set seq | None -> ()
+  in
+  if n > 2 then
+    match line.[0], line.[1] with
+    | 'm', ' ' ->
+      (match App_msg.of_wire (body 2) with
+       | Some m when not (App_msg.Id_map.mem (App_msg.id m) acc.r_msgs) ->
+         acc.r_msgs <- App_msg.Id_map.add (App_msg.id m) m acc.r_msgs
+       | _ -> ())
+    | 'd', ' ' -> whole (fun seq -> acc.r_delivered <- seq)
+    | 'd', '+' -> delta acc.r_delivered (fun seq -> acc.r_delivered <- seq)
+    | 'c', ' ' -> whole (fun seq -> acc.r_committed <- seq)
+    | 'c', '+' -> delta acc.r_committed (fun seq -> acc.r_committed <- seq)
+    | 'x', ' ' ->
+      (match String.split_on_char ' ' (body 2) with
+       | [ origin; sn ] ->
+         (match int_of_string_opt origin, int_of_string_opt sn with
+          | Some origin, Some sn ->
+            acc.r_msgs <- App_msg.Id_map.remove (origin, sn) acc.r_msgs
+          | _ -> ())
+       | _ -> ())
+    | _ -> ()
 
 let replay (opening : Persist.Store.opening) =
   let acc =
-    { r_msgs = []; r_ids = App_msg.Id_set.empty; r_delivered = [];
-      r_committed = [] }
+    { r_msgs = App_msg.Id_map.empty; r_delivered = Dseq.empty;
+      r_committed = Dseq.empty }
   in
-  (match opening.Persist.Store.snapshot with
-   | None -> ()
-   | Some snap ->
-     List.iter (replay_record acc) (String.split_on_char '\n' snap));
+  List.iter (replay_record acc) opening.Persist.Store.durable;
   List.iter (replay_record acc) opening.Persist.Store.records;
   acc
 
@@ -171,16 +204,14 @@ let create ?(config = default_config) ?mutation ?etob_mutation
            ~graph:(fun () -> Etob_omega.graph etob_t)
            ~learn:(Etob_omega.learn etob_t))
   in
-  let logged = ref App_msg.Id_set.empty in
-  let appends = ref 0 in
-  (* Replay snapshot-then-log into the protocol; the amnesia mutant skips
+  (* Replay image-then-log into the protocol; the amnesia mutant skips
      exactly this step and restarts from scratch. *)
   let restored =
     if opening.Persist.Store.restarted && not amnesia then begin
       let acc = replay opening in
-      let msgs = List.rev acc.r_msgs in
-      Etob_omega.restore etob_t ~msgs ~delivered:acc.r_delivered;
-      logged := acc.r_ids;
+      Etob_omega.restore etob_t
+        ~msgs:(List.map snd (App_msg.Id_map.bindings acc.r_msgs))
+        ~delivered:(Dseq.to_list acc.r_delivered);
       Some acc
     end
     else None
@@ -191,7 +222,7 @@ let create ?(config = default_config) ?mutation ?etob_mutation
       replayed_msgs =
         (match restored with
          | None -> 0
-         | Some acc -> App_msg.Id_set.cardinal acc.r_ids) }
+         | Some acc -> App_msg.Id_map.cardinal acc.r_msgs) }
   in
   let commit_parts =
     if not commits then None
@@ -201,67 +232,151 @@ let create ?(config = default_config) ?mutation ?etob_mutation
           ~promotion:(fun () -> Etob_omega.promotion etob_t)
       in
       (match restored with
-       | Some acc -> Commit_prefix.restore ct (Dseq.of_list acc.r_committed)
+       | Some acc -> Commit_prefix.restore ct acc.r_committed
        | None -> ());
       Some (ct, cnode)
     end
   in
-  let log_append line =
-    Persist.Store.append store line;
+  let replayed_ids =
+    match restored with
+    | None -> App_msg.Id_set.empty
+    | Some acc ->
+      App_msg.Id_map.fold (fun id _ ids -> App_msg.Id_set.add id ids) acc.r_msgs
+        App_msg.Id_set.empty
+  in
+  (* The ids logged by this incarnation or replayed into it. *)
+  let logged = ref replayed_ids in
+  (* Every graph node is logged by the end of the event that adds it, so
+     the nodes to log are the ready ones beyond [cursor] and the blocked
+     ones.  That needs a CG_i that only grows; the drop-graph-union
+     mutant replaces it, so it lists the whole graph instead, and its
+     checkpoints reconcile the image with the graph ([imaged] is the set
+     a replay would restore). *)
+  let replaces_graph =
+    match etob_mutation with Some Etob_omega.Drop_graph_union -> true | _ -> false
+  in
+  let cursor = ref (Causal_graph.ready_count (Etob_omega.graph etob_t)) in
+  let imaged = ref replayed_ids in
+  (* The d_i and committed prefix a replay would hold: the base of the
+     next delta. *)
+  let last_d =
+    ref (match restored with Some acc -> acc.r_delivered | None -> Dseq.empty)
+  in
+  let last_c =
+    ref (match restored with Some acc -> acc.r_committed | None -> Dseq.empty)
+  in
+  let appends = ref 0 in
+  let buf = Buffer.create 256 in
+  let write () = Persist.Store.append store (Buffer.contents buf) in
+  let log_append () =
+    write ();
     incr appends
+  in
+  let msg_record m =
+    Buffer.clear buf;
+    Buffer.add_string buf "m ";
+    App_msg.add_wire buf m
+  in
+  let log_msg m =
+    let id = App_msg.id m in
+    if not (App_msg.Id_set.mem id !logged) then begin
+      logged := App_msg.Id_set.add id !logged;
+      if replaces_graph then imaged := App_msg.Id_set.add id !imaged;
+      msg_record m;
+      log_append ()
+    end
+  in
+  (* A revision of d_i ([kind] 'd') or of the committed prefix ('c'). *)
+  let log_revision kind last seq =
+    let kept = Dseq.length !last in
+    Buffer.clear buf;
+    Buffer.add_char buf kind;
+    if kept > 0 && Dseq.is_wire_prefix !last seq then begin
+      Buffer.add_string buf "+ ";
+      Buffer.add_string buf (string_of_int kept);
+      Buffer.add_char buf ' ';
+      App_msg.add_seq_wire buf (Dseq.after seq kept)
+    end
+    else begin
+      Buffer.add_char buf ' ';
+      App_msg.add_seq_wire buf (Dseq.to_list seq)
+    end;
+    if Dseq.length seq > 0 then last := seq;
+    log_append ()
   in
   (* d-revisions: logged on every delivery, deliberately without a sync
      barrier (see the header comment).  Registered after the restore so
      the replayed revision is not immediately re-appended. *)
-  inner_service.Etob_intf.on_deliver
-    (fun seq -> log_append ("d " ^ App_msg.seq_to_wire (Dseq.to_list seq)));
-  let log_msg m =
-    if not (App_msg.Id_set.mem (App_msg.id m) !logged) then begin
-      logged := App_msg.Id_set.add (App_msg.id m) !logged;
-      log_append ("m " ^ App_msg.to_wire m)
-    end
-  in
-  (* Log (and sync) every graph node not yet on disk; returns whether any
-     record was written, i.e. whether a barrier was taken. *)
+  inner_service.Etob_intf.on_deliver (log_revision 'd' last_d);
+  (* Log (and sync) every graph node not yet on disk. *)
   let log_new_msgs () =
     let before = !appends in
-    List.iter log_msg (Causal_graph.messages (Etob_omega.graph etob_t));
+    let g = Etob_omega.graph etob_t in
+    if replaces_graph then List.iter log_msg (Causal_graph.messages g)
+    else begin
+      let fresh = Causal_graph.fresh_ready g ~since:!cursor in
+      cursor := Causal_graph.ready_count g;
+      match fresh, Causal_graph.blocked g with
+      | [], [] -> ()
+      | fresh, blocked ->
+        List.iter log_msg (List.sort App_msg.compare (List.rev_append fresh blocked))
+    end;
     if !appends > before then Persist.Store.sync store
-  in
-  let last_committed_len =
-    ref (match restored with None -> 0 | Some acc -> List.length acc.r_committed)
   in
   let log_commit_growth () =
     match commit_parts with
     | None -> ()
     | Some (ct, _) ->
       let c = Commit_prefix.committed ct in
-      if Dseq.length c > !last_committed_len then begin
-        last_committed_len := Dseq.length c;
-        log_append ("c " ^ App_msg.seq_to_wire (Dseq.to_list c));
+      if Dseq.length c > Dseq.length !last_c then begin
+        log_revision 'c' last_c c;
         Persist.Store.sync store
       end
   in
-  let maybe_snapshot () =
+  (* Records sealed with a checkpoint so the image replays to the current
+     state, as a whole snapshot of it did: the graph, for a protocol that
+     replaced CG_i, and an empty d_i, which an empty whole record cannot
+     restore. *)
+  let reconcile () =
+    if replaces_graph then begin
+      let g = Etob_omega.graph etob_t in
+      App_msg.Id_set.iter
+        (fun ((origin, sn) as id) ->
+           if not (Causal_graph.mem g id) then begin
+             Buffer.clear buf;
+             Printf.bprintf buf "x %d %d" origin sn;
+             write ()
+           end)
+        !imaged;
+      let msgs = Causal_graph.messages g in
+      List.iter
+        (fun m ->
+           if not (App_msg.Id_set.mem (App_msg.id m) !imaged) then begin
+             msg_record m;
+             write ()
+           end)
+        msgs;
+      imaged := App_msg.ids_of_seq msgs
+    end;
+    if Dseq.length (inner_service.Etob_intf.current ()) = 0
+    && Dseq.length !last_d > 0 then begin
+      Buffer.clear buf;
+      Buffer.add_string buf "d+ 0 ";
+      write ();
+      last_d := Dseq.empty
+    end
+  in
+  let maybe_checkpoint () =
     if !appends >= config.snapshot_every then begin
       appends := 0;
-      let lines =
-        List.map (fun m -> "m " ^ App_msg.to_wire m)
-          (Causal_graph.messages (Etob_omega.graph etob_t))
-        @ [ "d "
-            ^ App_msg.seq_to_wire (Dseq.to_list (inner_service.Etob_intf.current ())) ]
-        @ (match commit_parts with
-           | Some (ct, _) ->
-             [ "c " ^ App_msg.seq_to_wire (Dseq.to_list (Commit_prefix.committed ct)) ]
-           | None -> [])
-      in
-      Persist.Store.install_snapshot store (String.concat "\n" lines)
+      reconcile ();
+      Persist.Store.checkpoint store
     end
   in
   let after_event () =
     log_new_msgs ();
     log_commit_growth ();
-    maybe_snapshot ()
+    maybe_checkpoint ()
   in
   (* Peers may have progressed while this process was down (and its own
      unacknowledged sends died with the old incarnation): rebroadcast the

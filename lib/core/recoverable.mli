@@ -11,7 +11,19 @@
     acknowledged messages survive); revisions of [d_i] are logged without
     a barrier (a lost suffix only rewinds to an older adopted promotion,
     which the leader re-teaches); committed prefixes are logged with a
-    barrier (externally visible promises). *)
+    barrier (externally visible promises).
+
+    Records, in App_msg wire forms: ["m <msg>"] per graph node;
+    ["d <seq>"] for a whole revision of [d_i] and ["d+ <k> <seq>"] for
+    one that extends the revision before it (its first [k] messages,
+    then [seq]); ["c <seq>"] and ["c+ <k> <seq>"] likewise for the
+    committed prefix; ["x <origin> <sn>"] forgets a node (only a
+    protocol that replaces [CG_i], the drop-graph-union mutant, writes
+    it).  Each step logs what it adds: the nodes new since the last
+    event and each revision's new messages.  Every [snapshot_every]
+    appends the log is checkpointed ({!Persist.Store.checkpoint}), which
+    seals it and re-serializes nothing; a restart replays the whole
+    durable image, then the log, inside the restart hook. *)
 
 open Simulator.Types
 
@@ -19,7 +31,9 @@ open Simulator.Types
     the reusable link layer this wrapper drives. *)
 
 type config = {
-  snapshot_every : int;  (** checkpoint after this many log appends *)
+  snapshot_every : int;
+      (** checkpoint after this many log appends: the cadence decides what
+          the dirty tail holds at a crash *)
   ack_timeout : int;  (** initial retransmission timeout, in ticks *)
   max_backoff : int;  (** retransmission backoff cap, in ticks *)
 }
@@ -51,7 +65,7 @@ val create :
   Simulator.Engine.ctx ->
   t * Simulator.Engine.node * Etob_intf.service
 (** Build one process of the recoverable stack: open (or re-open) [store],
-    replay snapshot-then-log into a fresh Algorithm-5 instance, and wrap
+    replay image-then-log into a fresh Algorithm-5 instance, and wrap
     its node and service so every send is framed and retransmitted until
     acknowledged and every state change hits the log per the durability
     policy.  Meant to be called from the engine's restart hook

@@ -43,14 +43,16 @@ val broadcast : t -> Msg.payload -> unit
 
 val retry : t -> unit
 (** Retransmit every overdue unacknowledged frame, doubling its backoff
-    up to the cap.  Drive this from the owner's local timer. *)
+    up to the cap.  Drive this from the owner's local timer.  Returns at
+    once until the earliest unacknowledged frame is due. *)
 
 val admit : t -> src:proc_id -> epoch:int -> seq:int -> [ `Stale | `Duplicate | `Deliver ]
 (** Receiver-side dedup for an incoming [Rlink] frame.  [`Deliver]: first
     time seen, deliver the inner payload and acknowledge. [`Duplicate]:
     already delivered (the ack was lost) — re-acknowledge without
     re-delivering.  [`Stale]: a dead incarnation's in-flight frame —
-    ignore. *)
+    ignore.  Per source it keeps a watermark below which every frame was
+    delivered and the frames delivered above it, not every seq seen. *)
 
 val ack : t -> src:proc_id -> epoch:int -> seq:int -> unit
 (** Process an incoming [Rlink_ack]: stop retransmitting that frame.

@@ -1,20 +1,23 @@
 (** Deterministic simulated stable storage: append-only write-ahead log
-    plus an atomically installed snapshot, per process.
+    plus a checkpointed durable image, per process.
 
     A store outlives the automaton that writes to it: the harness creates
     one per process per run, and a recoverable protocol re-opens it from
     the engine's restart hook (see [Engine.run]'s crash-recovery
     contract).
 
-    Durability model: everything appended before the last {!sync} barrier
-    survives any crash undamaged.  Records appended after the barrier form
-    the dirty tail, which injected disk faults can tear, lose or corrupt.
+    Durability model: everything checkpointed, and everything appended
+    before the last {!sync} barrier, survives any crash undamaged.
+    Records appended after the barrier and not yet checkpointed form the
+    dirty tail, which injected disk faults can tear, lose or corrupt.
     Every record is stored as its [Frame.frame] encoding
     ([len][crc32][payload]), verified on {!open_} by a whole-frame parse,
     and replay stops at the first record that fails verification.
-    {!install_snapshot} models write-then-rename: atomic, durable,
-    truncates the log; the snapshot is framed like any record and verified
-    on every open. *)
+    {!checkpoint} seals the log into the durable image: atomic and
+    durable, it moves every record logged since the last checkpoint into
+    the image and starts an empty log, so the dirty tail is empty until
+    the next append.  Nothing is re-serialized: a checkpoint costs the
+    records it seals. *)
 
 type t
 
@@ -32,7 +35,7 @@ val fault_to_string : fault -> string
 val fault_of_string : string -> fault option
 
 val create : unit -> t
-(** An empty store: no snapshot, empty log, nothing armed. *)
+(** An empty store: empty image, empty log, nothing armed. *)
 
 val pool : n:int -> t array
 (** One store per process. *)
@@ -44,9 +47,9 @@ val sync : t -> unit
 (** Durability barrier: every record appended so far survives any later
     crash undamaged. *)
 
-val install_snapshot : t -> string -> unit
-(** Atomically replace the snapshot and truncate the log (implies
-    durability of the snapshot). *)
+val checkpoint : t -> unit
+(** Atomically seal every record logged since the last checkpoint into
+    the durable image (synced or not) and start an empty log. *)
 
 val arm_fault : t -> fault -> unit
 (** Queue a disk fault; one armed fault is applied per crash, in arming
@@ -54,9 +57,11 @@ val arm_fault : t -> fault -> unit
     no-op. *)
 
 type opening = {
-  snapshot : string option;
+  durable : string list;
+      (** the checkpointed records, oldest first: always whole *)
   records : string list;
-      (** log records, oldest first: the checksum-verified prefix *)
+      (** the log records since the last checkpoint, oldest first: the
+          checksum-verified prefix *)
   restarted : bool;
       (** true iff a previous incarnation opened this store and then
           crashed without closing — i.e. this open is a post-crash
@@ -65,16 +70,17 @@ type opening = {
 
 val open_ : t -> opening
 (** Open the store for a (re)starting process and replay its durable
-    state.  On a post-crash open, the next armed fault is applied first,
-    then checksums are verified and the log is truncated to the verified
-    prefix. *)
+    state: the image, then the log.  On a post-crash open, the next armed
+    fault is applied to the log first, then checksums are verified and
+    the log is truncated to the verified prefix. *)
 
 val log_length : t -> int
+(** Records logged since the last checkpoint. *)
 
 type stats = {
   appends : int;
   syncs : int;
-  snapshots : int;
+  checkpoints : int;
   restarts : int;
   records_lost : int;  (** dropped by faults or discarded after damage *)
   corrupt_detected : int;  (** records that failed checksum verification *)

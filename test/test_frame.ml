@@ -290,44 +290,47 @@ let test_fixture_bad_version () =
 
 let wal_case_arb =
   QCheck.make
-    ~print:(fun (payloads, snapshot, sync_at, fault) ->
-        Printf.sprintf "payloads=%s snapshot=%s sync_at=%d fault=%s"
+    ~print:(fun (payloads, checkpoint_at, sync_at, fault) ->
+        Printf.sprintf "payloads=%s checkpoint_at=%s sync_at=%d fault=%s"
           (QCheck.Print.(list string) payloads)
-          (QCheck.Print.(option string) snapshot)
+          (QCheck.Print.(option int) checkpoint_at)
           sync_at
           (Store.fault_to_string fault))
     QCheck.Gen.(
       let* payloads = Qgen.wal_payloads_gen in
-      let* snapshot = option Qgen.wal_payload_gen in
-      let* sync_at = int_range 0 (List.length payloads - 1) in
+      let last = List.length payloads - 1 in
+      let* checkpoint_at = option (int_range 0 last) in
+      let* sync_at = int_range 0 last in
       let* fault =
         oneofl
           [ Store.Torn_tail; Store.Lost_suffix 1; Store.Lost_suffix 2;
             Store.Corrupt_record ]
       in
-      return (payloads, snapshot, sync_at, fault))
+      return (payloads, checkpoint_at, sync_at, fault))
 
-let replay (payloads, snapshot, sync_at, fault) =
+let replay (payloads, checkpoint_at, sync_at, fault) =
   let s = Store.create () in
   ignore (Store.open_ s);
-  Option.iter (Store.install_snapshot s) snapshot;
   List.iteri
     (fun i p ->
        Store.append s p;
-       if i = sync_at then Store.sync s)
+       if i = sync_at then Store.sync s;
+       if Some i = checkpoint_at then Store.checkpoint s)
     payloads;
   Store.arm_fault s fault;
   let o = Store.open_ s in
   let st = Store.stats s in
-  ( o.Store.snapshot, o.Store.records,
+  ( o.Store.durable, o.Store.records,
     st.Store.records_lost, st.Store.corrupt_detected )
 
 (* What the contract says survives one crash with one armed fault: the
-   snapshot and the synced records always; of the dirty tail, a torn
-   write costs its newest record, a lost suffix its newest k, and a
-   corrupt record (the oldest dirty one) hides the whole tail. *)
-let durable_model (payloads, snapshot, sync_at, fault) =
-  let dirty = List.length payloads - (sync_at + 1) in
+   checkpointed and the synced records always; of the dirty tail (the
+   records after both), a torn write costs its newest record, a lost
+   suffix its newest k, and a corrupt record (the oldest dirty one)
+   hides the whole tail. *)
+let durable_model (payloads, checkpoint_at, sync_at, fault) =
+  let sealed = match checkpoint_at with None -> 0 | Some i -> i + 1 in
+  let dirty = List.length payloads - max (sync_at + 1) sealed in
   let lost, detected =
     if dirty = 0 then (0, 0)
     else
@@ -337,7 +340,9 @@ let durable_model (payloads, snapshot, sync_at, fault) =
       | Store.Corrupt_record -> (dirty, 1)
   in
   let kept = List.length payloads - lost in
-  (snapshot, List.filteri (fun i _ -> i < kept) payloads, lost, detected)
+  ( List.filteri (fun i _ -> i < sealed) payloads,
+    List.filteri (fun i _ -> i >= sealed && i < kept) payloads,
+    lost, detected )
 
 let wal_model_test =
   QCheck.Test.make ~count:500
@@ -359,12 +364,13 @@ let wal_roundtrip_test =
 let test_snapshot_checksummed () =
   let s = Store.create () in
   ignore (Store.open_ s);
-  Store.install_snapshot s "state \x00\xff bytes";
+  Store.append s "state \x00\xff bytes";
+  Store.checkpoint s;
   Store.append s "after";
   Store.arm_fault s Store.Torn_tail;
   let o = Store.open_ s in
-  Alcotest.(check (option string)) "snapshot survives intact"
-    (Some "state \x00\xff bytes") o.Store.snapshot;
+  Alcotest.(check (list string)) "checkpointed record survives intact"
+    [ "state \x00\xff bytes" ] o.Store.durable;
   Alcotest.(check (list string)) "torn dirty record discarded" []
     o.Store.records;
   Alcotest.(check int) "tear detected" 1 (Store.stats s).Store.corrupt_detected

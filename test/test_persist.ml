@@ -1,6 +1,7 @@
 (* Tests for the simulated stable storage: WAL append/sync semantics,
-   atomic snapshots, checksum verification on replay, and the injected
-   disk faults that damage the dirty tail (and nothing else). *)
+   checkpoints sealing the log into the durable image, checksum
+   verification on replay, and the injected disk faults that damage the
+   dirty tail (and nothing else). *)
 
 open Persist
 
@@ -12,7 +13,7 @@ let test_fresh_open_is_empty () =
   let s = Store.create () in
   let o = Store.open_ s in
   Alcotest.(check bool) "not restarted" false o.Store.restarted;
-  Alcotest.(check (option string)) "no snapshot" None o.Store.snapshot;
+  Alcotest.(check (list string)) "empty image" [] o.Store.durable;
   Alcotest.(check (list string)) "no records" [] o.Store.records
 
 let test_append_replays_in_order () =
@@ -38,16 +39,46 @@ let test_unsynced_tail_survives_clean_crash () =
   Alcotest.(check (list string)) "dirty record survives" [ "a"; "b" ]
     o.Store.records
 
+(* A checkpoint seals the log, synced or not, into the image and starts
+   an empty log: the next open returns the image, then the new records. *)
 let test_snapshot_truncates_log () =
   let s = Store.create () in
   ignore (Store.open_ s);
-  List.iter (Store.append s) [ "a"; "b" ];
-  Store.install_snapshot s "SNAP";
+  Store.append s "a";
+  Store.sync s;
+  Store.append s "b";
+  Store.checkpoint s;
+  Alcotest.(check int) "log emptied" 0 (Store.log_length s);
   Store.append s "c";
+  Store.checkpoint s;
+  Store.append s "d";
   let o = Store.open_ s in
-  Alcotest.(check (option string)) "snapshot" (Some "SNAP") o.Store.snapshot;
-  Alcotest.(check (list string)) "only post-snapshot records" [ "c" ]
+  Alcotest.(check (list string)) "image, oldest first" [ "a"; "b"; "c" ]
+    o.Store.durable;
+  Alcotest.(check (list string)) "only post-checkpoint records" [ "d" ]
     o.Store.records
+
+(* Faults bite only the dirty tail: a checkpoint leaves none, so the
+   sealed records survive every fault, dirty when sealed or not. *)
+let test_checkpoint_immune_to_faults () =
+  List.iter
+    (fun fault ->
+       let s = Store.create () in
+       ignore (Store.open_ s);
+       List.iter (Store.append s) [ "a"; "b" ];
+       Store.checkpoint s;
+       Store.arm_fault s fault;
+       let o = Store.open_ s in
+       Alcotest.(check (list string)) "sealed records whole" [ "a"; "b" ]
+         o.Store.durable;
+       Alcotest.(check int) "nothing lost" 0 (Store.stats s).Store.records_lost;
+       Store.append s "c";
+       Store.arm_fault s fault;
+       let o = Store.open_ s in
+       Alcotest.(check (list string)) "image kept" [ "a"; "b" ] o.Store.durable;
+       Alcotest.(check (list string)) "new dirty record damaged" []
+         o.Store.records)
+    [ Store.Torn_tail; Store.Lost_suffix 3; Store.Corrupt_record ]
 
 (* ------------------------------------------------------------------ *)
 (* Faults                                                              *)
@@ -174,11 +205,11 @@ let test_stats_count_operations () =
   Store.append s "a";
   Store.append s "b";
   Store.sync s;
-  Store.install_snapshot s "S";
+  Store.checkpoint s;
   let st = Store.stats s in
   Alcotest.(check int) "appends" 2 st.Store.appends;
   Alcotest.(check int) "syncs" 1 st.Store.syncs;
-  Alcotest.(check int) "snapshots" 1 st.Store.snapshots;
+  Alcotest.(check int) "checkpoints" 1 st.Store.checkpoints;
   Alcotest.(check int) "restarts" 0 st.Store.restarts
 
 let test_pool_is_independent () =
@@ -199,7 +230,9 @@ let () =
          Alcotest.test_case "clean crash loses nothing" `Quick
            test_unsynced_tail_survives_clean_crash;
          Alcotest.test_case "snapshot truncates" `Quick
-           test_snapshot_truncates_log ]);
+           test_snapshot_truncates_log;
+         Alcotest.test_case "checkpoint immune to faults" `Quick
+           test_checkpoint_immune_to_faults ]);
       ("faults",
        [ Alcotest.test_case "torn tail" `Quick test_torn_tail_loses_newest;
          Alcotest.test_case "lost suffix" `Quick test_lost_suffix_drops_k;
