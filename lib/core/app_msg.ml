@@ -32,6 +32,12 @@ let id m = (m.origin, m.sn)
 let compare a b = compare_id (id a) (id b)
 let equal a b = compare a b = 0
 
+(* The same message in every field: equal ids are not enough where a
+   replica restarted without its log reuses an id for other content. *)
+let same a b =
+  a.origin = b.origin && a.sn = b.sn && String.equal a.tag b.tag
+  && List.equal (fun x y -> compare_id x y = 0) a.deps b.deps
+
 (* Printers.  A message prints as "p<origin>#<sn>", followed by
    "{<-<dep>,<dep>...}" when it has dependencies, with a break after each
    comma; a sequence is "[m;m...]" with no breaks of its own.  One writer
@@ -109,12 +115,6 @@ let newline b = Buffer.add_char b '\n'
 
 let add_text b m = add_msg ~break:newline b m
 let add_seq_text b ms = add_seq ~break:newline b ms
-
-let same_text a b =
-  a.origin = b.origin && a.sn = b.sn
-  && List.equal (fun x y -> compare_id x y = 0) a.deps b.deps
-
-let same_wire a b = same_text a b && String.equal a.tag b.tag
 
 module Id_set = Set.Make (struct
     type nonrec t = id

@@ -26,7 +26,15 @@ val make :
 val id : t -> id
 val compare_id : id -> id -> int
 val compare : t -> t -> int
+
 val equal : t -> t -> bool
+(** Equal ids. *)
+
+val same : t -> t -> bool
+(** Equal ids, tags and [deps]: the same text and wire form ({!to_wire}).
+    {!equal} compares ids alone, which a replica restarted without its
+    log can reuse for a message with another tag or other
+    dependencies. *)
 
 val pp_id : Format.formatter -> id -> unit
 val pp : Format.formatter -> t -> unit
@@ -44,15 +52,6 @@ val add_text : Buffer.t -> t -> unit
 val add_seq_text : Buffer.t -> t list -> unit
 (** Append the text {!pp_seq} prints inside a vertical box opened at
     column 0. *)
-
-val same_text : t -> t -> bool
-(** Equal ids and equal [deps]: the two messages print the same text.
-    {!equal} compares ids alone, which a replica restarted without its
-    log can reuse for a message with other dependencies. *)
-
-val same_wire : t -> t -> bool
-(** Equal ids, tags and [deps]: the two messages have the same wire form
-    ({!to_wire}). *)
 
 module Id_set : Set.S with type elt = id
 module Id_map : Map.S with type key = id

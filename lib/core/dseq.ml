@@ -8,20 +8,13 @@
 type t = {
   rev : App_msg.t list;  (* last message first *)
   len : int;
-  mutable ordered : App_msg.t list option;  (* [List.rev rev], once read *)
 }
 
-let empty = { rev = []; len = 0; ordered = Some [] }
+let empty = { rev = []; len = 0 }
 
-let of_list l = { rev = List.rev l; len = List.length l; ordered = Some l }
+let of_list l = { rev = List.rev l; len = List.length l }
 
-let to_list t =
-  match t.ordered with
-  | Some l -> l
-  | None ->
-    let l = List.rev t.rev in
-    t.ordered <- Some l;
-    l
+let to_list t = List.rev t.rev
 
 let length t = t.len
 
@@ -31,7 +24,7 @@ let append t = function
   | [] -> t
   | ms ->
     let rec push rev len = function
-      | [] -> { rev; len; ordered = None }
+      | [] -> { rev; len }
       | m :: ms -> push (m :: rev) (len + 1) ms
     in
     push t.rev t.len ms
@@ -41,7 +34,7 @@ let rec drop k l = if k <= 0 then l else match l with [] -> [] | _ :: l -> drop 
 let prefix t k =
   if k >= t.len then t
   else if k <= 0 then empty
-  else { rev = drop (t.len - k) t.rev; len = k; ordered = None }
+  else { rev = drop (t.len - k) t.rev; len = k }
 
 (* The messages past position [k], in order: the first [len - k] cells
    of [rev], consed back to front. *)
@@ -68,14 +61,16 @@ let starts_with eq a b = a.len <= b.len && same eq a.rev (drop (b.len - a.len) b
 
 let is_prefix a b = starts_with App_msg.equal a b
 
-let is_text_prefix a b = starts_with App_msg.same_text a b
-
-let is_wire_prefix a b = starts_with App_msg.same_wire a b
+(* What [s] adds to [prev]: the one test of what a revision keeps.  It
+   compares whole messages ([App_msg.same]), not ids: a replica
+   restarted without its log reuses ids for other content. *)
+let delta prev s =
+  let kept = if prev.len > 0 && starts_with App_msg.same prev s then prev.len else 0 in
+  (kept, after s kept)
 
 (* The trace text of each key's last sequence is kept without its
-   brackets.  A sequence that starts with exactly the messages that text
-   printed keeps it and appends the rest.  The test is [same_text] (id
-   and deps), not [equal]: ids alone can repeat with other deps. *)
+   brackets.  A sequence that keeps that sequence ([delta]) keeps the
+   text and appends the rest. *)
 type slot = { mutable seq : t; text : Buffer.t }
 
 type writer = (int, slot) Hashtbl.t
@@ -91,15 +86,13 @@ let write w b key s =
       Hashtbl.add w key slot;
       slot
   in
-  let kept =
-    if is_text_prefix slot.seq s then slot.seq.len
-    else (Buffer.clear slot.text; 0)
-  in
+  let kept, fresh = delta slot.seq s in
+  if kept = 0 then Buffer.clear slot.text;
   List.iteri
     (fun i m ->
        if kept + i > 0 then Buffer.add_char slot.text ';';
        App_msg.add_text slot.text m)
-    (after s kept);
+    fresh;
   slot.seq <- s;
   Buffer.add_char b '[';
   Buffer.add_buffer b slot.text;

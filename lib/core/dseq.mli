@@ -1,8 +1,8 @@
-(** The type of [d_i] and [promote_i]: a persistent sequence of messages
-    that carries its length.  Appending shares the old sequence, so
-    revisions that extend one another share their prefix physically.  The
-    in-order list is built on first read and kept.  Equality and the
-    prefix test compare messages by id ({!App_msg.equal}). *)
+(** The type of [d_i] and [promote_i]: a persistent, immutable sequence
+    of messages that carries its length.  Appending shares the old
+    sequence, so revisions that extend one another share their prefix
+    physically.  Equality and the prefix test compare messages by id
+    ({!App_msg.equal}); {!delta} compares whole messages. *)
 
 type t
 
@@ -10,7 +10,7 @@ val empty : t
 val of_list : App_msg.t list -> t
 
 val to_list : t -> App_msg.t list
-(** O(length) on the first read, then free. *)
+(** A fresh list, in O(length), on every call. *)
 
 val length : t -> int
 val last : t -> App_msg.t option
@@ -21,22 +21,17 @@ val append : t -> App_msg.t list -> t
 val prefix : t -> int -> t
 (** The first [min k (length s)] messages of [s], sharing them. *)
 
-val after : t -> int -> App_msg.t list
-(** [after s k]: the messages of [s] past its first [k], in order, in
-    O(length s - k). *)
-
 val is_prefix : t -> t -> bool
 (** [is_prefix a b]: [a] is a prefix of [b]. *)
 
-val is_text_prefix : t -> t -> bool
-(** [is_text_prefix a b]: [b] starts with exactly the messages of [a],
-    ids and deps ({!App_msg.same_text}).  In O(length b - length a) when
-    [b] was built by {!append} to [a], sharing its messages. *)
-
-val is_wire_prefix : t -> t -> bool
-(** [is_wire_prefix a b]: [b] starts with exactly the messages of [a],
-    ids, tags and deps ({!App_msg.same_wire}), at {!is_text_prefix}'s
-    cost. *)
+val delta : t -> t -> int * App_msg.t list
+(** [delta prev s]: what the revision [s] adds to [prev].  When [prev]
+    is not empty and [s] starts with exactly its messages, ids, tags and
+    deps ({!App_msg.same}), [(length prev, the messages of s past it)];
+    otherwise [(0, to_list s)].  In O(length s - length prev) when [s]
+    was built by {!append} to [prev], sharing its messages.  Every
+    reader of revisions as deltas (the trace text, the checkers, the
+    write-ahead log, the replica fold) keeps what this keeps. *)
 
 val equal : t -> t -> bool
 
@@ -48,7 +43,6 @@ val writer : unit -> writer
 
 val write : writer -> Buffer.t -> int -> t -> unit
 (** [write w b key s] appends the text of [s] in the trace, as
-    {!App_msg.add_seq_text} writes {!to_list}.  When the sequence last
-    written under [key] is a text prefix of [s] ({!is_text_prefix}),
-    that text is reused and only the messages past it ({!after}) are
-    written. *)
+    {!App_msg.add_seq_text} writes {!to_list}.  When [s] keeps the
+    sequence last written under [key] ({!delta}), that text is reused
+    and only the messages past it are written. *)

@@ -76,20 +76,14 @@ let revisions run p = List.map (fun (t, seq) -> (t, Dseq.to_list seq)) run.s_rev
 
 let broadcasts run = run.s_broadcasts
 
-(* The delta reader.  A revision keeps its process's previous revision
-   when it starts with exactly its messages, ids and deps: a replica
-   restarted without its log reuses ids for messages with other deps, and
-   causal order must read each revision's own deps.  The kept length is
-   then the previous length, and the messages past it are read in
-   O(new).  Any other revision keeps nothing and is read whole. *)
-let kept_of prev seq = if Dseq.is_text_prefix prev seq then Dseq.length prev else 0
-
+(* The delta reader: each revision against its process's previous one
+   ([Dseq.delta]), so causal order reads each revision's own deps. *)
 let iter_deltas run p f =
   ignore
     (List.fold_left
        (fun prev (t, seq) ->
-          let kept = kept_of prev seq in
-          f t kept (Dseq.after seq kept);
+          let kept, fresh = Dseq.delta prev seq in
+          f t kept fresh;
           seq)
        Dseq.empty run.s_revisions.(p))
 
@@ -334,9 +328,9 @@ let append sw p t i m =
 (* p's revision at [t], then the violations it holds. *)
 let revise sw p t seq =
   let r = sw.readers.(p) in
-  let kept = kept_of r.prev seq in
+  let kept, fresh = Dseq.delta r.prev seq in
   if kept = 0 then reset sw p;
-  List.iteri (fun k m -> append sw p t (kept + k) m) (Dseq.after seq kept);
+  List.iteri (fun k m -> append sw p t (kept + k) m) fresh;
   r.prev <- seq;
   if App_msg.Id_tbl.length r.twice > 0 then
     r.duplication_out <-

@@ -57,12 +57,12 @@ val iter_deltas :
 (** [iter_deltas run p f] reads p's revisions in order, each as its delta
     against p's previous revision: [f t kept fresh], where the revision at
     [t] is the previous revision's first [kept] messages followed by
-    [fresh].  [kept] is the previous revision's whole length when the new
-    one starts with exactly its messages, ids and deps
-    ({!Dseq.is_text_prefix}), and [0] otherwise, when [fresh] is the
-    whole revision.  O(|fresh|) for a revision that shares its
-    predecessor.  The liveness watchdog ({!Harness.Watchdog}) reads its
-    convergence progress this way. *)
+    [fresh], as {!Dseq.delta} reads it: [kept] is the previous
+    revision's whole length when the new one starts with exactly its
+    messages, and [0] otherwise, when [fresh] is the whole revision.
+    O(|fresh|) for a revision that shares its predecessor.  The liveness
+    watchdog ({!Harness.Watchdog}) reads its convergence progress this
+    way. *)
 
 val broadcasts : seq_history -> (time * proc_id * App_msg.t) list
 (** Every broadcastETOB event of the run, chronological. *)

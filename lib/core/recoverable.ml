@@ -25,10 +25,10 @@
      blocked ones not yet logged, in id order.
    - "d <seq>" or "d+ <k> <seq>"  — a revision of the output d_i, whole,
      or as a delta: the first k messages of the revision before it, then
-     <seq>.  A revision that extends the one a replay would hold (ids,
-     tags and deps) is written as a delta, any other (a leader change
-     truncating d_i) whole.  An empty whole revision is skipped at
-     replay, leaving the revision before it.  Logged without a sync
+     <seq>.  A revision that keeps the one a replay would hold
+     ([Dseq.delta]: ids, tags and deps) is written as a delta, any other
+     (a leader change truncating d_i) whole.  An empty whole revision is
+     skipped at replay, leaving the revision before it.  Logged without a sync
      barrier: a lost suffix of d-revisions only sets the process back to
      an older adopted promotion, which the leader's periodic promote
      broadcast re-teaches — so this is where injected disk faults get to
@@ -288,19 +288,15 @@ let create ?(config = default_config) ?mutation ?etob_mutation
   in
   (* A revision of d_i ([kind] 'd') or of the committed prefix ('c'). *)
   let log_revision kind last seq =
-    let kept = Dseq.length !last in
+    let kept, fresh = Dseq.delta !last seq in
     Buffer.clear buf;
     Buffer.add_char buf kind;
-    if kept > 0 && Dseq.is_wire_prefix !last seq then begin
+    if kept > 0 then begin
       Buffer.add_string buf "+ ";
-      Buffer.add_string buf (string_of_int kept);
-      Buffer.add_char buf ' ';
-      App_msg.add_seq_wire buf (Dseq.after seq kept)
-    end
-    else begin
-      Buffer.add_char buf ' ';
-      App_msg.add_seq_wire buf (Dseq.to_list seq)
+      Buffer.add_string buf (string_of_int kept)
     end;
+    Buffer.add_char buf ' ';
+    App_msg.add_seq_wire buf fresh;
     if Dseq.length seq > 0 then last := seq;
     log_append ()
   in

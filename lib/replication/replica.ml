@@ -17,20 +17,16 @@ type Io.input += Submit of Command.t
 type Io.output += Applied of { machine : string; count : int; digest : string }
 
 (* The fold of a delivered sequence, kept position by position so that a
-   revision pays only for what it changed.  Position [i < len] holds the
-   tag at [i] of the last folded sequence, its decoded command ([None]
-   when it does not decode) and the state and command count after
-   positions [0..i].  The tags are all the fold reads, so a revision skips
-   the positions whose tag is unchanged, then decodes and applies the rest
-   from the state before the first change: from [M.init] when nothing is
-   shared.  Within a run a message id determines its tag (see
-   {!Ec_core.App_msg}), so this re-applies nothing before the first
-   changed id; comparing tags also keeps the fold exact where an id comes
-   back with another tag, as from a replica restarted without durable
-   state. *)
+   revision pays only for what it adds.  Position [i < len] holds the
+   decoded command at [i] of the last folded sequence ([None] when its
+   tag does not decode) and the state and command count after positions
+   [0..i].  A revision that keeps the last sequence ([Ec_core.Dseq.delta]:
+   the same messages, tags included) decodes and applies only the
+   messages past it; any other is refolded from [M.init].  Comparing
+   whole messages keeps the fold exact where an id comes back with
+   another tag, as from a replica restarted without durable state. *)
 module Fold (M : Machines.MACHINE) = struct
   type step = {
-    tag : string;
     cmd : Command.t option;
     state : M.state;
     count : int;
@@ -39,10 +35,11 @@ module Fold (M : Machines.MACHINE) = struct
   type t = {
     mutable steps : step array;  (* capacity; [0, len) is the fold *)
     mutable len : int;
+    mutable last : Ec_core.Dseq.t;  (* the sequence folded *)
     mutable log : Command.t list option;  (* decoded commands, built on demand *)
   }
 
-  let create () = { steps = [||]; len = 0; log = None }
+  let create () = { steps = [||]; len = 0; last = Ec_core.Dseq.empty; log = None }
 
   let state t = if t.len = 0 then M.init else t.steps.(t.len - 1).state
   let count t = if t.len = 0 then 0 else t.steps.(t.len - 1).count
@@ -54,7 +51,7 @@ module Fold (M : Machines.MACHINE) = struct
       | None -> (state t, count t)
       | Some c -> (M.apply (state t) c, count t + 1)
     in
-    let step = { tag = m.tag; cmd; state; count } in
+    let step = { cmd; state; count } in
     if t.len = Array.length t.steps then begin
       let steps = Array.make (max 16 (2 * t.len)) step in
       Array.blit t.steps 0 steps 0 t.len;
@@ -64,15 +61,11 @@ module Fold (M : Machines.MACHINE) = struct
     t.len <- t.len + 1
 
   let update t seq =
-    let rec shared i = function
-      | (m : Ec_core.App_msg.t) :: rest
-        when i < t.len && String.equal m.tag t.steps.(i).tag ->
-        shared (i + 1) rest
-      | rest -> (i, rest)
-    in
-    match shared 0 (Ec_core.Dseq.to_list seq) with
-    | kept, [] when kept = t.len -> ()  (* the same sequence again *)
-    | kept, fresh ->
+    let kept, fresh = Ec_core.Dseq.delta t.last seq in
+    t.last <- seq;
+    match fresh with
+    | [] when kept = t.len -> ()  (* the same sequence again *)
+    | _ ->
       t.len <- kept;
       t.log <- None;
       List.iter (push t) fresh

@@ -11,10 +11,10 @@ type Io.output += Applied of { machine : string; count : int; digest : string }
 (** Recorded on every revision of the delivered sequence. *)
 
 (** The machine's fold of a delivered sequence, revised incrementally:
-    {!update} re-decodes and re-applies only from the first position whose
-    tag differs from the last folded sequence's (from the start when none
-    is shared).  Within a run that is never before the first changed
-    message id. *)
+    when a new value keeps the last folded sequence
+    ({!Ec_core.Dseq.delta}), {!update} decodes and applies only the
+    messages past it, and otherwise refolds from the machine's initial
+    state. *)
 module Fold (M : Machines.MACHINE) : sig
   type t
 

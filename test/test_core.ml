@@ -103,14 +103,14 @@ let msg_text m =
 
 (* The writer has just written the first half of the sequence under the
    same key, so the second write reuses that text and appends the rest,
-   read with [Dseq.after]. *)
+   read with [Dseq.delta]. *)
 let seq_text ms =
   let all = Dseq.of_list ms in
   let half = Dseq.prefix all (List.length ms / 2) in
   let w = Dseq.writer () in
   Dseq.write w (Buffer.create 64) 3 half;
   let b = Buffer.create 256 in
-  Dseq.write w b 3 (Dseq.append half (Dseq.after all (Dseq.length half)));
+  Dseq.write w b 3 (Dseq.append half (snd (Dseq.delta half all)));
   Buffer.contents b
 
 let prop_printers_match_oracle =
@@ -173,14 +173,29 @@ let prop_value_text_matches_pp =
    messages, taking prefixes, rebuilding from the list, reading — so some
    pairs share their tails and some were built separately.  Each
    sequence must agree with its list model, and each pair must compare
-   as the two lists do. *)
+   as the two lists do.  The pool holds twins of two ids, one with
+   another tag and one with other deps, which [Dseq.delta] must tell
+   from the originals. *)
 type dseq_op =
   | Append of int * int list
   | Prefix of int * int
   | Rebuild of int
   | Read of int
 
-let dseq_pool = Array.init 5 (fun i -> msg (i mod 2) (i / 2))
+let dseq_pool =
+  Array.append
+    (Array.init 5 (fun i -> msg (i mod 2) (i / 2)))
+    [| msg ~tag:"twin" 0 0; msg ~deps:[ (0, 0) ] 1 0 |]
+
+(* [Dseq.delta]'s list model: [a]'s length and what [b] adds past it
+   when [a] is not empty and [b] starts with exactly its messages, and
+   all of [b] otherwise. *)
+let delta_model la lb =
+  let k = List.length la in
+  if k > 0 && List.length lb >= k
+     && List.equal App_msg.same la (List.filteri (fun j _ -> j < k) lb)
+  then (k, List.filteri (fun j _ -> j >= k) lb)
+  else (0, lb)
 
 let pp_dseq_op ppf = function
   | Append (i, picks) -> Fmt.pf ppf "append %d %a" i Fmt.(Dump.list int) picks
@@ -240,7 +255,10 @@ let prop_dseq_matches_lists =
          List.for_all
            (fun (b, lb) ->
               Bool.equal (Dseq.is_prefix a b) (App_msg.is_prefix la lb)
-              && Bool.equal (Dseq.equal a b) (same_list la lb))
+              && Bool.equal (Dseq.equal a b) (same_list la lb)
+              &&
+              let kept, fresh = Dseq.delta a b and kept', fresh' = delta_model la lb in
+              kept = kept' && List.equal App_msg.same fresh fresh')
            !slots
        in
        (* Pairs first, so some sequences are compared before any read. *)

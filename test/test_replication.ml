@@ -307,8 +307,8 @@ let test_replica_ignores_foreign_traffic () =
 (* Incremental fold vs the whole refold                                *)
 (* ------------------------------------------------------------------ *)
 
-(* [Replica] and [Committed_replica] re-apply only what a revision
-   changed; the oracle (Replica_fold_oracle) re-decodes and re-folds the
+(* [Replica] and [Committed_replica] apply only what a revision adds;
+   the oracle (Replica_fold_oracle) re-decodes and re-folds the
    whole sequence.  Random revision scripts drive both views of a
    committed replica and a plain replica through a fake ETOB backend:
    delivered sequences go to the speculative views, and the same
@@ -460,9 +460,15 @@ let fold_matches_refold (type s) (module M : Machines.MACHINE with type state = 
     | Replica.Applied { count; digest; _ } -> Some (count, digest)
     | _ -> None
   in
-  let step seq revision =
+  (* An extension is appended onto the previous revision, sharing it as
+     a real run's revisions do; any other revision is built anew. *)
+  let step (seq, prev) revision =
     let seq = revise pools seq revision in
-    let d = Ec_core.Dseq.of_list seq in
+    let d =
+      match revision with
+      | Extend is -> Ec_core.Dseq.append prev (List.map (fun i -> (fst pools).(i)) is)
+      | _ -> Ec_core.Dseq.of_list seq
+    in
     Ec_core.Etob_intf.set_delivered plain_backend d;
     Ec_core.Etob_intf.set_delivered dual_backend d;
     dual_node.Engine.on_message ~src:leader
@@ -490,15 +496,15 @@ let fold_matches_refold (type s) (module M : Machines.MACHINE with type state = 
                   | _ -> None)
                 dual_out)
     in
-    (seq, ok)
+    ((seq, d), ok)
   in
-  let rec go seq = function
+  let rec go prev = function
     | [] -> true
     | revision :: rest ->
-      let seq, ok = step seq revision in
-      ok && go seq rest
+      let prev, ok = step prev revision in
+      ok && go prev rest
   in
-  go [] script
+  go ([], Ec_core.Dseq.empty) script
 
 let prop_fold_dedup_kv =
   QCheck.Test.make
