@@ -51,11 +51,7 @@ let same a b =
    break hint is a newline, so there a break is ['\n'] and no Format is
    involved. *)
 
-let rec add_digits b n =
-  if n >= 10 then add_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
-
-let add_int b n = if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n
+let add_int = Simulator.Io.add_int
 
 (* Same text as [pp_proc p] then "#<sn>". *)
 let add_id b p sn =

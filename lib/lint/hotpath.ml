@@ -28,7 +28,9 @@ let default_registry =
     "Simulator.Pqueue.min_prio";
     "Simulator.Pqueue.min_value";
     "Simulator.Pqueue.remove_min";
-    (* the engine's per-event dispatch step *)
+    (* the engine's event loop (the choice between the pre-run schedule
+       and the heap, the deadline check) and its per-event dispatch step *)
+    "Simulator.Engine.event_loop";
     "Simulator.Engine.dispatch";
     (* observer fan-out: fired on every protocol-visible event *)
     "Simulator.Listeners.fire";

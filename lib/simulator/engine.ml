@@ -13,9 +13,18 @@
    forever at every alive process, and every send is assigned a finite
    delay, so only the configured deadline truncates the run.
 
-   Runtime notes.  The event queue is a mutable binary heap ([Pqueue])
-   driven in place; determinism rests on its stable (prio, seq) order,
-   which is differentially tested against the original persistent heap.
+   Runtime notes.  A run takes its steps from two sources.  Everything
+   known before the first step (each process's first timer fire, the
+   Crash/Recover pair of every downtime window, every input) is the
+   pre-run schedule: two arrays sorted stably by time, read by a cursor.
+   What the run schedules itself, deliveries and timer chains, goes into
+   a mutable binary heap ([Pqueue]) driven in place, so the heap holds
+   about what is in flight, not the whole input history.  [event_loop]
+   gives a tie to the schedule, which makes the order exactly the stable
+   (time, seq) order of one queue holding both (DESIGN.md §24).
+   test/engine_oracle.ml keeps that one queue, and test_simulator
+   compares the two engines step by step; the heap's own order is
+   differentially tested against the original persistent heap.
    Observability goes through exactly one [Sink.t]: by default a [Sink.
    recorder] over the returned trace (the historical behaviour), or the
    caller's sink from [config.sink] — in which case the returned trace
@@ -130,7 +139,7 @@ let make_ctx state p =
     n = state.config.n;
     now = (fun () -> state.clock);
     send;
-    broadcast = (fun payload -> List.iter (fun q -> send q payload) (all_procs state.config.n));
+    broadcast = (fun payload -> for q = 0 to state.config.n - 1 do send q payload done);
     output = (fun o -> state.sink.Sink.on_output ~at:state.clock ~proc:p o);
     rng = Rng.create (state.config.seed lxor (0x5157 * (p + 1)));
   }
@@ -210,6 +219,76 @@ let dispatch state nodes pairs timer_running timer_events ~revive ~at event =
       end
     end
 
+(* The event loop: one [dispatch] per event, until the next event lies
+   past the deadline (it is never taken, which is observably identical to
+   taking and discarding it).  Two sources feed it.  The pre-run schedule
+   ([times]/[events], read from index [next] on) holds every event known
+   before the first step; the heap holds what the run itself schedules,
+   deliveries and the timer chains.  A tie goes to the schedule: in one
+   (time, seq) queue each of its events would carry a smaller seq than
+   any event scheduled while running, so taking it first is exactly that
+   queue's pop order.  The head is read with min_prio/min_value and
+   discarded with remove_min, so the loop builds no option or pair. *)
+let rec event_loop state nodes pairs timer_running timer_events ~revive times
+    events next =
+  let queue = state.queue in
+  if next < Array.length times
+  && (Pqueue.is_empty queue || times.(next) <= Pqueue.min_prio queue)
+  then begin
+    let at = times.(next) in
+    if at <= state.config.deadline then begin
+      state.clock <- at;
+      dispatch state nodes pairs timer_running timer_events ~revive ~at
+        events.(next);
+      event_loop state nodes pairs timer_running timer_events ~revive times
+        events (next + 1)
+    end
+  end
+  else if not (Pqueue.is_empty queue) then begin
+    let at = Pqueue.min_prio queue in
+    if at <= state.config.deadline then begin
+      let event = Pqueue.min_value queue in
+      Pqueue.remove_min queue;
+      state.clock <- at;
+      dispatch state nodes pairs timer_running timer_events ~revive ~at event;
+      event_loop state nodes pairs timer_running timer_events ~revive times
+        events next
+    end
+  end
+
+(* The pre-run schedule as two arrays, sorted stably by time.  Events are
+   listed in scheduling order: each process's first timer fire, staggered
+   so processes are not in lockstep; the Crash/Recover pair of every
+   downtime window of the pattern; then the inputs, in list order.
+   Stability keeps that order among equal times, the order one (time,
+   seq) queue would pop them in.  With the loop's tie rule, a process
+   restarted at t sees the deliveries of t, and an input at a first
+   timer's tick follows the timer. *)
+let pre_run_schedule config timer_events ~inputs =
+  let windows = Failures.recovery_events config.pattern in
+  let size = config.n + (2 * List.length windows) + List.length inputs in
+  let times = Array.make size 0 and events = Array.make size timer_events.(0) in
+  let k = ref 0 in
+  let add at event =
+    times.(!k) <- at;
+    events.(!k) <- event;
+    incr k
+  in
+  for p = 0 to config.n - 1 do
+    add (1 + (p mod config.timer_period)) timer_events.(p)
+  done;
+  List.iter
+    (fun (p, at, recover_at) -> add at (Crash p); add recover_at (Recover p))
+    windows;
+  List.iter
+    (fun (t, p, input) ->
+       if t < 0 then invalid_arg "Engine.run: negative input time";
+       add t (External_input (p, input)))
+    inputs;
+  let order = Array.init size Fun.id in
+  Array.stable_sort (fun i j -> Int.compare times.(i) times.(j)) order;
+  (Array.map (fun i -> times.(i)) order, Array.map (fun i -> events.(i)) order)
+
 let run_with config ~make_node ~inputs =
   check_config config;
   let trace = Trace.create ~n:config.n in
@@ -240,44 +319,9 @@ let run_with config ~make_node ~inputs =
      starts a fresh chain only if the old one is gone, so a short downtime
      window never doubles the timer rate. *)
   let timer_running = Array.make config.n true in
-  (* Stagger first timer fires so processes are not in lockstep. *)
-  List.iter
-    (fun p ->
-       schedule state ~at:(1 + (p mod config.timer_period)) timer_events.(p))
-    (all_procs config.n);
-  (* Crash/restart schedule from the pattern's downtime windows.  These
-     are scheduled before the run starts, so at equal times they order
-     before any same-time Deliver/Timer inserted while running: a freshly
-     restarted process sees the deliveries of its recovery instant. *)
-  List.iter
-    (fun (p, at, recover_at) ->
-       schedule state ~at (Crash p);
-       schedule state ~at:recover_at (Recover p))
-    (Failures.recovery_events config.pattern);
-  List.iter
-    (fun (t, p, input) ->
-       if t < 0 then invalid_arg "Engine.run: negative input time";
-       schedule state ~at:t (External_input (p, input)))
-    inputs;
-  (* The event loop proper: peek, deadline-check, remove, dispatch.
-     Reading the head with min_prio/min_value + remove_min keeps the
-     steady state free of option/pair allocation; an event beyond the
-     deadline simply stays queued, which is observably identical to
-     popping and discarding it. *)
-  let rec loop () =
-    if not (Pqueue.is_empty state.queue) then begin
-      let at = Pqueue.min_prio state.queue in
-      if at <= config.deadline then begin
-        let event = Pqueue.min_value state.queue in
-        Pqueue.remove_min state.queue;
-        state.clock <- at;
-        dispatch state nodes pairs timer_running timer_events ~revive ~at
-          event;
-        loop ()
-      end
-    end
-  in
-  loop ();
+  let times, events = pre_run_schedule config timer_events ~inputs in
+  event_loop state nodes pairs timer_running timer_events ~revive times events
+    0;
   (trace, Array.map snd pairs)
 
 let run config ~make_node ~inputs =

@@ -14,6 +14,20 @@ type output = ..
 type input += Tick_input | String_input of string
 type output += String_output of string
 
+(* Decimal text of an int, as [string_of_int] writes it.  A non-negative
+   int, which is every time, process id and sequence number a run makes,
+   is written digit by digit into the buffer: [string_of_int] goes
+   through the C formatter and a fresh string for each number. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n = if n < 0 then Buffer.add_string b (string_of_int n) else add_digits b n
+
+let int_width n =
+  let rec go n w = if n > -10 && n < 10 then w else go (n / 10) (w + 1) in
+  go n (if n < 0 then 2 else 1)
+
 (* Text writers: the one printer of each constructor.  A library registers
    a writer for its own inputs, and a maker of a writer for its own
    outputs.  Each rendering runs every maker once, so an output writer's

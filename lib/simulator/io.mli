@@ -18,6 +18,14 @@ type output += String_output of string
     [v] field of the streaming sinks.  A dependency break inside it is a
     newline. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Append [n] in decimal, the text of [string_of_int n].  A non-negative
+    [n] is written digit by digit, without the C formatter or a fresh
+    string. *)
+
+val int_width : int -> int
+(** The length of [n]'s decimal text, sign included. *)
+
 val register_input_text : (Buffer.t -> input -> bool) -> unit
 (** Register the writer of some extensions of {!input}.  It appends the
     text of an input it writes and returns [true], or returns [false],

@@ -13,7 +13,13 @@
    path in the system, and the persistent leftist heap allocated a node per
    insert plus O(log n) nodes per merge.  Here inserts and pops allocate
    nothing beyond the amortized array growth.  Priorities and sequence
-   numbers live in unboxed int arrays. *)
+   numbers live in unboxed int arrays.  A sift moves a hole, not an
+   element: each level writes each array once, so one write per level
+   goes through the write barrier ([values]).
+   The engine keeps only what a run schedules while running here; the
+   events known before the run wait in a sorted schedule beside the heap
+   (Engine, DESIGN.md §24), so the heap stays about as large as the
+   number of events in flight. *)
 
 type 'a t = {
   mutable prios : int array;
@@ -28,16 +34,6 @@ let create () =
 
 let is_empty t = t.size = 0
 let size t = t.size
-
-(* Lexicographic (prio, seq) order; seq values are unique so this is total. *)
-let leq t i j =
-  t.prios.(i) < t.prios.(j)
-  || (t.prios.(i) = t.prios.(j) && t.seqs.(i) <= t.seqs.(j))
-
-let swap t i j =
-  let p = t.prios.(i) in t.prios.(i) <- t.prios.(j); t.prios.(j) <- p;
-  let s = t.seqs.(i) in t.seqs.(i) <- t.seqs.(j); t.seqs.(j) <- s;
-  let v = t.values.(i) in t.values.(i) <- t.values.(j); t.values.(j) <- v
 
 let grow t filler =
   let cap =
@@ -54,27 +50,61 @@ let grow t filler =
   Array.blit t.values 0 values 0 t.size;
   t.prios <- prios; t.seqs <- seqs; t.values <- values
 
-let rec sift_up t i =
-  if i > 0 then begin
+(* Both sifts move a hole, not an element: each level copies one slot
+   (one write to each of [prios], [seqs] and [values]) into the hole, and
+   the element being placed is written once, where the hole stops.
+
+   [hole_up] returns where an element of priority [prio] that is newer
+   than every element in the heap comes to rest, starting from the hole
+   at [i].  Being newest, it stays below a parent of equal priority, so
+   the priority alone decides. *)
+let rec hole_up (prios : int array) (seqs : int array) values (prio : int) i =
+  if i = 0 then 0
+  else begin
     let parent = (i - 1) / 2 in
-    if leq t i parent then begin swap t i parent; sift_up t parent end
+    if prio < prios.(parent) then begin
+      prios.(i) <- prios.(parent);
+      seqs.(i) <- seqs.(parent);
+      values.(i) <- values.(parent);
+      hole_up prios seqs values prio parent
+    end
+    else i
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < t.size && leq t l i then l else i in
-  let smallest = if r < t.size && leq t r smallest then r else smallest in
-  if smallest <> i then begin swap t i smallest; sift_down t smallest end
+(* [hole_down] returns where an element keyed (prio, seq) comes to rest,
+   starting from the hole at [i] in a heap of [size] slots: the smaller
+   child under (prio, seq) order moves up while it precedes the element.
+   Sequence numbers are unique, so the order is total. *)
+let rec hole_down (prios : int array) (seqs : int array) values size
+    (prio : int) (seq : int) i =
+  let l = (2 * i) + 1 in
+  if l >= size then i
+  else begin
+    let r = l + 1 in
+    let c =
+      if r < size
+      && (prios.(r) < prios.(l) || (prios.(r) = prios.(l) && seqs.(r) < seqs.(l)))
+      then r
+      else l
+    in
+    if prios.(c) < prio || (prios.(c) = prio && seqs.(c) < seq) then begin
+      prios.(i) <- prios.(c);
+      seqs.(i) <- seqs.(c);
+      values.(i) <- values.(c);
+      hole_down prios seqs values size prio seq c
+    end
+    else i
+  end
 
 let insert t ~prio value =
   if t.size = Array.length t.values then grow t value;
-  let i = t.size in
+  let seq = t.next_seq in
+  let i = hole_up t.prios t.seqs t.values prio t.size in
   t.prios.(i) <- prio;
-  t.seqs.(i) <- t.next_seq;
+  t.seqs.(i) <- seq;
   t.values.(i) <- value;
-  t.next_seq <- t.next_seq + 1;
-  t.size <- t.size + 1;
-  sift_up t i
+  t.next_seq <- seq + 1;
+  t.size <- t.size + 1
 
 (* Zero-allocation min access, the one pop path: the engine's event loop
    reads the head with [min_prio]/[min_value] and discards it with
@@ -95,12 +125,18 @@ let[@alloc.zero] remove_min t =
   if t.size = 0 then invalid_arg "Pqueue.remove_min: empty queue"
   else begin
     let last = t.size - 1 in
-    swap t 0 last;
     t.size <- last;
-    (* Drop the popped value's reference so the heap never pins dead
-       events; slot [last] still holds a live value when size > 0. *)
-    if last > 0 then t.values.(last) <- t.values.(0);
-    sift_down t 0
+    (* The last element fills the hole the head leaves at the root.  Its
+       old slot keeps a reference to it, a live value, so while the heap
+       holds an element it pins no dead one. *)
+    if last > 0 then begin
+      let prio = t.prios.(last) and seq = t.seqs.(last) in
+      let value = t.values.(last) in
+      let i = hole_down t.prios t.seqs t.values last prio seq 0 in
+      t.prios.(i) <- prio;
+      t.seqs.(i) <- seq;
+      t.values.(i) <- value
+    end
   end
 
 (* Non-destructive: drains a structural copy. *)

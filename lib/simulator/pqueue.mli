@@ -1,5 +1,6 @@
 (** A stable priority queue (mutable array-based binary heap) used for the
-    event queue.
+    event queue: the engine keeps in it what a run schedules while it
+    runs, beside a sorted schedule of the events known before the run.
 
     Elements with equal priorities are returned in insertion (FIFO) order,
     which makes simulation runs fully deterministic.  The pop order is

@@ -75,12 +75,11 @@ let series t keep =
    then what the input's or the output's writer ([Io]) writes. *)
 let add_entry write b e =
   let prefix time proc arrow =
-    let t = string_of_int time in
     Buffer.add_char b '[';
-    for _ = String.length t to 3 do Buffer.add_char b ' ' done;
-    Buffer.add_string b t;
+    for _ = Io.int_width time to 3 do Buffer.add_char b ' ' done;
+    Io.add_int b time;
     Buffer.add_string b "] p";
-    Buffer.add_string b (string_of_int proc);
+    Io.add_int b proc;
     Buffer.add_string b arrow
   in
   match e with

@@ -842,6 +842,16 @@ let test_io_printers_roundtrip () =
   Alcotest.(check string) "string in" "in:x" (show_in (Io.String_input "x"));
   Alcotest.(check string) "string out" "out:y" (show_out (Io.String_output "y"))
 
+let test_io_decimal_writer () =
+  List.iter
+    (fun n ->
+       let b = Buffer.create 8 in
+       Io.add_int b n;
+       let text = string_of_int n in
+       Alcotest.(check string) "text" text (Buffer.contents b);
+       Alcotest.(check int) ("width of " ^ text) (String.length text) (Io.int_width n))
+    [ 0; 1; 9; 10; 99; 100; 1234; 10_000; max_int; -1; -9; -10; -12345; min_int ]
+
 let test_run_with_returns_handles () =
   let config = Engine.default_config ~n:3 ~deadline:20 in
   let _, handles =
@@ -862,11 +872,255 @@ let prop_engine_reliable_links =
        let trace = Engine.run config ~make_node:ping_node ~inputs:[] in
        List.length (got_events trace) = 9)
 
+(* ------------------------------------------------------------------ *)
+(* Engine order against the single-queue oracle                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine reads the pre-run schedule (first timers, downtime windows,
+   inputs) from a sorted cursor and keeps only what the run schedules in
+   its heap; [Engine_oracle] puts everything into one (time, seq) queue
+   before the first step.  The two must take every step in the same
+   order. *)
+
+type Msg.payload += Hop of int
+
+(* A node whose every step depends on the order it sees events in: it
+   writes each event as an output, and its sends are drawn from its own
+   rng, so one step taken out of order changes every later one.  Its
+   handle counts the events the incarnation saw. *)
+let chatty_node (ctx : Engine.ctx) =
+  let seen = ref 0 in
+  let note s =
+    incr seen;
+    ctx.Engine.output (Io.String_output s)
+  in
+  let rng = ctx.Engine.rng in
+  ( { Engine.on_message =
+        (fun ~src payload ->
+           match payload with
+           | Hop k ->
+             note (Printf.sprintf "got %d from p%d" k src);
+             if k > 0 && Rng.int rng 3 = 0 then
+               ctx.Engine.send (Rng.int rng ctx.Engine.n) (Hop (k - 1))
+           | _ -> ());
+      on_timer =
+        (fun () ->
+           note "timer";
+           if Rng.int rng 2 = 0 then ctx.Engine.broadcast (Hop 2));
+      on_input =
+        (fun i ->
+           (match i with
+            | Io.String_input s -> note ("input " ^ s)
+            | _ -> note "input");
+           ctx.Engine.broadcast (Hop 1)) },
+    seen )
+
+(* Every sink event as (kind, time, process, uid): the sender of a send,
+   the addressee of a delivery or a drop, and -1 as the uid of an event
+   that carries no message.  It sees the timer and delivery order that
+   leaves no text in the trace. *)
+let event_log () =
+  let log = ref [] in
+  let add kind at proc uid = log := (kind, at, proc, uid) :: !log in
+  let msg kind at (env : Msg.envelope) = add kind at env.Msg.dst env.Msg.uid in
+  ( { Sink.on_input = (fun ~at ~proc _ -> add "input" at proc (-1));
+      on_output = (fun ~at ~proc _ -> add "output" at proc (-1));
+      on_send = (fun env -> add "send" env.Msg.sent_at env.Msg.src env.Msg.uid);
+      on_deliver = (fun ~at env -> msg "deliver" at env);
+      on_drop = (fun ~at env -> msg "drop" at env);
+      on_step = (fun ~at ~proc -> add "step" at proc (-1));
+      on_crash = (fun ~at ~proc -> add "crash" at proc (-1));
+      on_recover = (fun ~at ~proc -> add "recover" at proc (-1)) },
+    fun () -> List.rev !log )
+
+type order_case = {
+  n : int;
+  period : int;
+  seed : int;
+  deadline : int;
+  lo : int;
+  hi : int option;  (* uniform delay in [lo, hi]; None: constant [lo] *)
+  drops : (int * int * int) list;  (* from, until, pct *)
+  dups : (int * int * int) list;  (* from, until, extra copies *)
+  crashes : (int * int) list;  (* process, time *)
+  windows : (int * int * int) list;  (* process, at, recover_at *)
+  inputs : (int * int) list;  (* time, process *)
+}
+
+let show_order_case c =
+  let triples l =
+    String.concat ";" (List.map (fun (a, b, c) -> Printf.sprintf "%d,%d,%d" a b c) l)
+  and pairs l = String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) l) in
+  Printf.sprintf
+    "n=%d period=%d seed=%d deadline=%d delay=%s drops=[%s] dups=[%s] \
+     crashes=[%s] windows=[%s] inputs=[%s]"
+    c.n c.period c.seed c.deadline
+    (match c.hi with
+     | None -> Printf.sprintf "constant %d" c.lo
+     | Some hi -> Printf.sprintf "uniform %d-%d" c.lo hi)
+    (triples c.drops) (triples c.dups) (pairs c.crashes) (triples c.windows)
+    (pairs c.inputs)
+
+(* Inputs land on colliding ticks: tick 0, a first timer fire's tick, a
+   Recover tick, several at one tick, and some past the deadline. *)
+let gen_order_case =
+  let open QCheck.Gen in
+  let* n = int_range 2 5 in
+  let* period = int_range 1 3 in
+  let* seed = int_bound 100_000 in
+  let* deadline = int_range 1 40 in
+  let* lo = int_range 1 3 in
+  let* hi = oneof [ return None; map (fun span -> Some (lo + span)) (int_range 1 4) ] in
+  let span k =
+    let* from = int_bound deadline in
+    let* len = int_range 1 12 in
+    let* x = k in
+    return (from, from + len, x)
+  in
+  let* drops = list_size (int_bound 2) (span (int_range 1 100)) in
+  let* dups = list_size (int_bound 2) (span (int_range 1 2)) in
+  let* crashes = list_size (int_bound 2) (pair (int_bound (n - 1)) (int_bound (deadline + 2))) in
+  let* windows =
+    list_size (int_bound 3)
+      (let* p = int_bound (n - 1) in
+       let* at = int_bound deadline in
+       let* len = int_range 1 8 in
+       return (p, at, at + len))
+  in
+  let ticks =
+    [ return 0;
+      map (fun p -> 1 + (p mod period)) (int_bound (n - 1));
+      int_bound (deadline + 5) ]
+    @ (match windows with
+        | [] -> []
+        | _ -> [ map (fun (_, _, r) -> r) (oneofl windows) ])
+  in
+  let input =
+    let* t = oneof ticks in
+    let* copies = int_range 1 3 in
+    let* p = int_bound (n - 1) in
+    return (List.init copies (fun i -> (t, (p + i) mod n)))
+  in
+  let* inputs = map List.concat (list_size (int_bound 6) input) in
+  return { n; period; seed; deadline; lo; hi; drops; dups; crashes; windows; inputs }
+
+let order_config c sink =
+  let pattern =
+    List.fold_left (fun f (p, t) -> Failures.crash_at f p t) (Failures.none ~n:c.n) c.crashes
+  in
+  let pattern =
+    List.fold_left
+      (fun f (p, at, recover_at) -> Failures.crash_recover_at f p ~at ~recover_at)
+      pattern c.windows
+  in
+  let faults =
+    List.map (fun (from_time, until_time, pct) -> Net.drop_window ~from_time ~until_time pct) c.drops
+    @ List.map
+      (fun (from_time, until_time, copies) -> Net.duplicate_window ~from_time ~until_time copies)
+      c.dups
+  in
+  { (Engine.default_config ~n:c.n ~deadline:c.deadline) with
+    pattern;
+    delay =
+      (match c.hi with
+       | None -> Net.constant c.lo
+       | Some max -> Net.uniform ~min:c.lo ~max);
+    faults = (match faults with [] -> Net.no_faults | fs -> Net.compose_faults fs);
+    timer_period = c.period;
+    seed = c.seed;
+    sink = Some sink }
+
+(* What a run shows: the trace text (its counters included), the sink's
+   event log and each latest incarnation's event count. *)
+let order_run run c =
+  let trace = Trace.create ~n:c.n in
+  let sink, log = event_log () in
+  let inputs =
+    List.mapi (fun i (t, p) -> (t, p, Io.String_input (string_of_int i))) c.inputs
+  in
+  let _, seen =
+    run (order_config c (Sink.tee (Sink.recorder trace) sink)) ~make_node:chatty_node ~inputs
+  in
+  (Trace.text trace, log (), Array.map ( ! ) seen)
+
+let prop_engine_matches_oracle =
+  QCheck.Test.make ~name:"engine: same steps as the single-queue oracle" ~count:400
+    (QCheck.make ~print:show_order_case gen_order_case)
+    (fun c ->
+       let text, log, seen = order_run Engine.run_with c in
+       let text', log', seen' = order_run Engine_oracle.run_with c in
+       String.equal text text' && log = log' && seen = seen')
+
+(* The outputs of process [p] at tick [t], in step order. *)
+let outputs_at trace t p =
+  List.filter_map
+    (fun (t', p', o) ->
+       match o with Io.String_output s when t' = t && p' = p -> Some s | _ -> None)
+    (Trace.outputs trace)
+
+(* p0's first timer fires at tick 1; an input to p0 at tick 1 was
+   scheduled after it, so it is taken after it. *)
+let test_engine_input_at_first_timer_tick () =
+  let c =
+    { n = 2; period = 2; seed = 5; deadline = 4; lo = 1; hi = None; drops = [];
+      dups = []; crashes = []; windows = []; inputs = [ (1, 0); (1, 0) ] }
+  in
+  let text, log, seen = order_run Engine.run_with c in
+  let text', log', seen' = order_run Engine_oracle.run_with c in
+  Alcotest.(check string) "trace text" text' text;
+  Alcotest.(check bool) "event log" true (log = log');
+  Alcotest.(check (array int)) "events seen" seen' seen;
+  let trace = Trace.create ~n:2 in
+  let inputs = [ (1, 0, Io.String_input "a"); (1, 0, Io.String_input "b") ] in
+  ignore
+    (Engine.run_with (order_config c (Sink.recorder trace)) ~make_node:chatty_node ~inputs);
+  Alcotest.(check (list string)) "timer, then the inputs in list order"
+    [ "timer"; "input a"; "input b" ] (outputs_at trace 1 0)
+
+(* p1 is down over [2, 5).  p0's timer broadcasts at tick 3 and the
+   link takes 2 ticks, so a delivery to p1 lands at tick 5, the tick of
+   its Recover.  The Recover was scheduled before the run, the delivery
+   during it: p1 restarts first and its new incarnation takes the
+   delivery. *)
+let test_engine_recover_at_delivery_tick () =
+  let make_node (ctx : Engine.ctx) =
+    ( { Engine.on_message =
+          (fun ~src payload ->
+             match payload with
+             | Hop k -> ctx.Engine.output (Io.String_output (Printf.sprintf "got %d from p%d" k src))
+             | _ -> ());
+        on_timer =
+          (fun () -> if ctx.Engine.self = 0 then ctx.Engine.broadcast (Hop (ctx.Engine.now ())));
+        on_input = (fun _ -> ()) },
+      () )
+  in
+  let pattern = Failures.crash_recover_at (Failures.none ~n:2) 1 ~at:2 ~recover_at:5 in
+  let run run_with =
+    let trace = Trace.create ~n:2 in
+    let sink, log = event_log () in
+    let config =
+      { (Engine.default_config ~n:2 ~deadline:6) with
+        pattern; delay = Net.constant 2; sink = Some (Sink.tee (Sink.recorder trace) sink) }
+    in
+    ignore (run_with config ~make_node ~inputs:[]);
+    (trace, log ())
+  in
+  let trace, log = run Engine.run_with and trace', log' = run Engine_oracle.run_with in
+  Alcotest.(check string) "trace text" (Trace.text trace') (Trace.text trace);
+  Alcotest.(check bool) "event log" true (log = log');
+  let at_5 = List.filter (fun (_, t, p, _) -> t = 5 && p = 1) log in
+  Alcotest.(check (list string)) "recover, then the delivery"
+    [ "recover"; "deliver"; "step"; "output" ]
+    (List.map (fun (kind, _, _, _) -> kind) at_5);
+  Alcotest.(check (list string)) "the new incarnation takes it" [ "got 3 from p0" ]
+    (outputs_at trace 5 1)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest
       [ prop_pqueue_sorts; prop_pqueue_differential; prop_pqueue_vs_model;
         prop_random_pattern_has_correct; prop_random_pattern_t_resilient;
-        prop_random_admitted_env; prop_engine_reliable_links ]
+        prop_random_admitted_env; prop_engine_reliable_links;
+        prop_engine_matches_oracle ]
   in
   Alcotest.run "simulator"
     [ ("pqueue",
@@ -922,7 +1176,11 @@ let () =
          Alcotest.test_case "rejects bad config" `Quick test_engine_rejects_bad_config;
          Alcotest.test_case "run_with handles" `Quick test_run_with_returns_handles;
          Alcotest.test_case "fifo model fresh per run" `Quick
-           test_engine_fifo_model_fresh_per_run ]);
+           test_engine_fifo_model_fresh_per_run;
+         Alcotest.test_case "input at a first timer's tick" `Quick
+           test_engine_input_at_first_timer_tick;
+         Alcotest.test_case "recover at a delivery's tick" `Quick
+           test_engine_recover_at_delivery_tick ]);
       ("sink",
        [ Alcotest.test_case "counters matches recorder" `Quick
            test_sink_counters_matches_recorder;
@@ -942,6 +1200,7 @@ let () =
        [ Alcotest.test_case "fire in order" `Quick test_listeners_fire_in_order;
          Alcotest.test_case "many in order" `Quick test_listeners_many_in_order ]);
       ("io",
-       [ Alcotest.test_case "printers" `Quick test_io_printers_roundtrip ]);
+       [ Alcotest.test_case "printers" `Quick test_io_printers_roundtrip;
+         Alcotest.test_case "decimal writer" `Quick test_io_decimal_writer ]);
       ("properties", qc);
     ]
