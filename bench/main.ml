@@ -1429,9 +1429,10 @@ let e22 () =
 
 (* alloclint (DESIGN.md §17) proves the engine's hot path free of
    unjustified allocation sites statically; this leg prices what the
-   static gate deliberately allows — the RNG's Int64 boxing and the
-   protocol/observer callbacks behind the justified A2 allows — and
-   enforces a hard budget in bytes per simulated event.  The two gates
+   static gate deliberately allows — the protocol/observer callbacks
+   behind the justified A2 allows (the RNG's Int64 allows cost nothing:
+   the compiler keeps that arithmetic unboxed) — and enforces a hard
+   budget in bytes per simulated event.  The two gates
    cover each other: an allocation smuggled past alloclint through a
    newly allowed callback trips the budget here, and a budget-friendly
    but unjustified site trips alloclint.
@@ -1447,8 +1448,8 @@ let e23 () =
   section "E23" "per-event allocation: minor-heap bytes per engine step";
   let since = Record.since () in
   let n = 3 and seeds = [ 2; 3; 4; 5 ] in
-  (* Measured exactly (Gc.minor_words): ~93 B/step (Alg. 5), ~40 B/step
-     (Paxos).  The budget gives the worst row ~11x headroom; a hot-path
+  (* Measured exactly (Gc.minor_words): ~50 B/step (Alg. 5), ~25 B/step
+     (Paxos).  The budget gives the worst row ~20x headroom; a hot-path
      allocation regression multiplies the rate. *)
   let budget_bytes = 1024.0 in
   let word_bytes = float_of_int (Sys.word_size / 8) in
@@ -1518,7 +1519,9 @@ let e23 () =
    Algorithm 5 merges and promotes only what is new (Causal_graph), and a
    revision of promote_i or d_i shares the one before it (Dseq).  The
    Paxos baseline keeps its chosen ids incrementally and prunes its
-   pending requests, votes and delivered slots at choice (DESIGN.md §20).
+   pending requests, votes and delivered slots at choice (DESIGN.md §20),
+   and a request, vote or delivery costs O(1): per-origin id bitsets,
+   voter lists and int-keyed slot tables (DESIGN.md §25).
    Anti-entropy builds its digests from the graph's per-origin spans and
    answers with the messages above the peer's prefix; the recovery
    wrapper logs the nodes new since its last event, each revision of d_i
@@ -1553,7 +1556,9 @@ let e23 () =
    [digest_bound] of the run's and its bytes within [alloc_bound] of the
    text's, and the control's bytes exceed [alloc_bound].  On a 2-vCPU
    host [Trace.digest] measured 3.8-6.9x for Algorithm 5 and 2.2-3.4x
-   for Paxos, the spread mostly the run's (17-43 ms), and allocated 2.7
+   for Paxos, the spread mostly the run's (17-43 ms); since the Paxos
+   learner pays O(1) per vote (DESIGN.md §25) its run takes 11-16 ms
+   and its digest 5.3-7.8x.  The digest allocated 2.7
    and 2.4 MB (0.051x and 0.061x of the 52 MB and 39 MB of text); MD5
    over those bytes is nearly all of its time, and what is left of the
    cost is that the text holds every revision whole (ROADMAP item 3).

@@ -26,7 +26,25 @@ type Msg.payload +=
   | Accepted of { ballot : int; slot : int; batch : App_msg.t list }
 
 module Msg_set = Set.Make (App_msg)
-module Int_set = Set.Make (Int)
+
+(* Slot-keyed tables hash a slot by its value: slots are small, dense
+   and non-negative, so the identity spreads them over the buckets, and
+   a lookup pays neither polymorphic [Hashtbl.hash] nor [compare]. *)
+module Int_tbl = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash x = x
+  end)
+
+(* One ballot's votes for an undecided slot: the distinct processes
+   whose [Accepted] arrived, how many they are, and the batch the first
+   of them carried. *)
+type tally = {
+  ballot : int;
+  batch : App_msg.t list;
+  mutable voters : proc_id list;
+  mutable count : int;
+}
 
 type t = {
   backend : Etob_intf.backend;
@@ -34,7 +52,7 @@ type t = {
   majority : int;
   (* Acceptor state. *)
   mutable promised : int;
-  acceptor_log : (int, int * App_msg.t list) Hashtbl.t;  (* slot -> ballot, batch *)
+  acceptor_log : (int * App_msg.t list) Int_tbl.t;  (* slot -> ballot, batch *)
   (* Leader state. *)
   mutable ballot : int;          (* my current ballot (when campaigning/leading) *)
   mutable leading : bool;
@@ -44,12 +62,11 @@ type t = {
   mutable in_flight : int option;
   mutable pending : Msg_set.t;  (* received, not yet chosen *)
   (* Learner state. *)
-  votes : (int, (int * (Int_set.t * App_msg.t list)) list) Hashtbl.t;
-      (* undecided slot -> ballot -> voters, batch *)
-  chosen : (int, App_msg.t list) Hashtbl.t;  (* chosen, not yet delivered *)
-  mutable chosen_ids : App_msg.Id_set.t;  (* ids of every chosen batch *)
+  votes : tally list Int_tbl.t;  (* undecided slot -> one tally per ballot *)
+  chosen : App_msg.t list Int_tbl.t;  (* chosen, not yet delivered *)
+  chosen_ids : Id_bits.t;  (* ids of every chosen batch *)
   mutable delivered_upto : int;  (* next slot to deliver *)
-  mutable delivered_ids : App_msg.Id_set.t;
+  delivered_ids : Id_bits.t;
 }
 
 let ctx t = Etob_intf.ctx_of t.backend
@@ -66,58 +83,71 @@ let next_ballot t above =
    wire-visible order never depends on hash order. *)
 let sorted_bindings tbl =
   (* detlint: sorted — accumulation order is discarded by the slot sort below *)
-  Hashtbl.fold (fun slot v acc -> (slot, v) :: acc) tbl []
+  Int_tbl.fold (fun slot v acc -> (slot, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let is_chosen t slot = slot < t.delivered_upto || Hashtbl.mem t.chosen slot
+let is_chosen t slot = slot < t.delivered_upto || Int_tbl.mem t.chosen slot
+
+let mem_id ids (m : App_msg.t) = Id_bits.mem ids ~origin:m.origin ~sn:m.sn
+let add_id ids (m : App_msg.t) = Id_bits.add ids ~origin:m.origin ~sn:m.sn
 
 (* Deliver every contiguously chosen slot, skipping messages already
    delivered through an earlier slot (a message can be re-proposed across a
    leader change and appear in two batches). *)
 let rec try_deliver t =
-  match Hashtbl.find_opt t.chosen t.delivered_upto with
+  match Int_tbl.find_opt t.chosen t.delivered_upto with
   | None -> ()
   | Some batch ->
-    Hashtbl.remove t.chosen t.delivered_upto;
+    Int_tbl.remove t.chosen t.delivered_upto;
     t.delivered_upto <- t.delivered_upto + 1;
-    let fresh =
-      List.filter (fun m -> not (App_msg.Id_set.mem (App_msg.id m) t.delivered_ids)) batch
-    in
+    let fresh = List.filter (fun m -> not (mem_id t.delivered_ids m)) batch in
     if fresh <> [] then begin
-      t.delivered_ids <-
-        List.fold_left (fun acc m -> App_msg.Id_set.add (App_msg.id m) acc)
-          t.delivered_ids fresh;
+      List.iter (add_id t.delivered_ids) fresh;
       Etob_intf.set_delivered t.backend
         (Dseq.append (Etob_intf.current_of t.backend) fresh)
     end;
     try_deliver t
 
-(* Votes for a chosen slot change nothing, so they are not kept.  At
-   choice the slot's votes go, its ids join [chosen_ids] and its messages
-   leave [pending]. *)
+(* At choice the slot's votes go, its ids join [chosen_ids] and its
+   messages leave [pending]. *)
+let choose t ~slot ~batch =
+  Int_tbl.remove t.votes slot;
+  Int_tbl.replace t.chosen slot batch;
+  List.iter
+    (fun m ->
+       add_id t.chosen_ids m;
+       t.pending <- Msg_set.remove m t.pending)
+    batch;
+  if Option.equal Int.equal t.in_flight (Some slot) then t.in_flight <- None;
+  try_deliver t
+
+let rec tally_of ballot = function
+  | [] -> None
+  | (v : tally) :: rest -> if v.ballot = ballot then Some v else tally_of ballot rest
+
+let rec has_voter voter = function
+  | [] -> false
+  | p :: rest -> p = voter || has_voter voter rest
+
+(* Votes for a chosen slot change nothing, so they are not kept.  A
+   voter counts once per ballot however often its [Accepted] arrives
+   (links may duplicate), so a slot is chosen by a majority of distinct
+   acceptors. *)
 let record_vote t ~voter ~ballot ~slot ~batch =
   if not (is_chosen t slot) then begin
-    let mine, others =
-      List.partition (fun (b, _) -> Int.equal b ballot)
-        (Option.value (Hashtbl.find_opt t.votes slot) ~default:[])
+    let tallies = Option.value (Int_tbl.find_opt t.votes slot) ~default:[] in
+    let tally =
+      match tally_of ballot tallies with
+      | Some v -> v
+      | None ->
+        let v = { ballot; batch; voters = []; count = 0 } in
+        Int_tbl.replace t.votes slot (v :: tallies);
+        v
     in
-    let voters, batch =
-      match mine with
-      | [] -> (Int_set.singleton voter, batch)
-      | (_, (vs, b)) :: _ -> (Int_set.add voter vs, b)
-    in
-    if Int_set.cardinal voters < t.majority then
-      Hashtbl.replace t.votes slot ((ballot, (voters, batch)) :: others)
-    else begin
-      Hashtbl.remove t.votes slot;
-      Hashtbl.replace t.chosen slot batch;
-      List.iter
-        (fun m ->
-           t.chosen_ids <- App_msg.Id_set.add (App_msg.id m) t.chosen_ids;
-           t.pending <- Msg_set.remove m t.pending)
-        batch;
-      if Option.equal Int.equal t.in_flight (Some slot) then t.in_flight <- None;
-      try_deliver t
+    if not (has_voter voter tally.voters) then begin
+      tally.voters <- voter :: tally.voters;
+      tally.count <- tally.count + 1;
+      if tally.count >= t.majority then choose t ~slot ~batch:tally.batch
     end
   end
 
@@ -130,11 +160,11 @@ let send_accept t ~slot ~batch =
 let become_leader t =
   t.leading <- true;
   t.campaigning <- false;
-  let merged = Hashtbl.create 16 in
+  let merged = Int_tbl.create 16 in
   let consider (slot, ballot, batch) =
-    match Hashtbl.find_opt merged slot with
+    match Int_tbl.find_opt merged slot with
     | Some (b, _) when b >= ballot -> ()
-    | Some _ | None -> Hashtbl.replace merged slot (ballot, batch)
+    | Some _ | None -> Int_tbl.replace merged slot (ballot, batch)
   in
   List.iter (fun (_, acc) -> List.iter consider acc) t.promises;
   List.iter
@@ -189,7 +219,7 @@ let broadcast t m =
 let on_message t ~src payload =
   match payload with
   | Req m ->
-    if not (App_msg.Id_set.mem (App_msg.id m) t.chosen_ids) then
+    if not (mem_id t.chosen_ids m) then
       t.pending <- Msg_set.add m t.pending
   | Prepare { ballot } ->
     if ballot > t.promised then begin
@@ -216,7 +246,7 @@ let on_message t ~src payload =
     if ballot >= t.promised then begin
       t.promised <- ballot;
       if t.leading && ballot > t.ballot then step_down t;
-      Hashtbl.replace t.acceptor_log slot (ballot, batch);
+      Int_tbl.replace t.acceptor_log slot (ballot, batch);
       (ctx t).Engine.broadcast (Accepted { ballot; slot; batch })
     end
   | Accepted { ballot; slot; batch } ->
@@ -229,7 +259,7 @@ let create (c : Engine.ctx) ~omega =
       omega;
       majority = (c.Engine.n / 2) + 1;
       promised = -1;
-      acceptor_log = Hashtbl.create 32;
+      acceptor_log = Int_tbl.create 32;
       ballot = -1;
       leading = false;
       campaigning = false;
@@ -237,11 +267,11 @@ let create (c : Engine.ctx) ~omega =
       next_slot = 0;
       in_flight = None;
       pending = Msg_set.empty;
-      votes = Hashtbl.create 8;
-      chosen = Hashtbl.create 8;
-      chosen_ids = App_msg.Id_set.empty;
+      votes = Int_tbl.create 8;
+      chosen = Int_tbl.create 8;
+      chosen_ids = Id_bits.create ();
       delivered_upto = 0;
-      delivered_ids = App_msg.Id_set.empty }
+      delivered_ids = Id_bits.create () }
   in
   let node =
     { Engine.on_message = (fun ~src payload -> on_message t ~src payload);

@@ -19,7 +19,11 @@
 
     Each step costs what is new (DESIGN.md §20): the chosen ids are kept
     as slots are chosen, and a slot's votes, its batch's pending requests
-    and, once delivered, the slot itself are dropped. *)
+    and, once delivered, the slot itself are dropped.  Each request, vote
+    and delivery costs O(1) (DESIGN.md §25): the id sets are per-origin
+    bitsets ({!Id_bits}), a ballot's votes a list of distinct voters, and
+    the slot tables are keyed by int with the identity hash.  A voter
+    counts once per ballot, however often its [Accepted] arrives. *)
 
 open Simulator
 open Simulator.Types

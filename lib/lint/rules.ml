@@ -18,6 +18,7 @@ type ctx = {
   segs : string list;  (* normalized path segments, for scope tests *)
   strict : bool;  (* fixture mode: every path-scoped rule applies *)
   defines_compare : bool;  (* file let-binds [compare] itself *)
+  hashtbl_modules : string list;  (* modules the file binds to Hashtbl.Make *)
   emit : Finding.rule -> Location.t -> string -> unit;
 }
 
@@ -116,7 +117,20 @@ let check_ident ctx lid loc =
          "`%s` outside lib/persist — serialization goes through the \
           checksummed Store layer"
          (dotted lid))
-  | _ -> ()
+  | path ->
+    (* D3 through a functor table: [M.f] or [....M.f], with [M] a module
+       the file binds to [Hashtbl.Make]/[MakeSeeded] (see
+       [hashtbl_functor_modules]). *)
+    (match List.rev path with
+     | f :: m :: _
+       when List.mem f hashtbl_iterators && List.mem m ctx.hashtbl_modules ->
+       emit ctx Finding.D3 loc
+         (Printf.sprintf
+            "unordered iteration: `%s.%s` visits bindings in hash order (`%s` \
+             is a Hashtbl.Make table) — sort the result (and say so with a \
+             `detlint: sorted` comment) or iterate over sorted keys"
+            m f m)
+     | _ -> ())
 
 (* D4's equality heuristic: [=]/[<>] is flagged only when an operand is a
    *parameterized* construction — a constructor with an argument, tuple,
@@ -159,6 +173,43 @@ let binds_compare (str : Parsetree.structure) =
   it.structure it str;
   !found
 
+(* Pre-pass for D3: the names of the modules the file binds to a
+   [Hashtbl.Make] or [Hashtbl.MakeSeeded] application, at any depth and
+   with [let module] too.  Their [iter], [fold] and [to_seq*] visit
+   bindings in hash order as [Hashtbl]'s do.  A table module bound in
+   another file, or reached through an alias or an [open], is not seen:
+   the residual false negative is documented in DESIGN.md §12. *)
+let hashtbl_functor_modules (str : Parsetree.structure) =
+  let found = ref [] in
+  let rec is_functor_app (me : Parsetree.module_expr) =
+    match me.pmod_desc with
+    | Pmod_constraint (me, _) -> is_functor_app me
+    | Pmod_apply ({ pmod_desc = Pmod_ident { txt; _ }; _ }, _) ->
+      (match Longident.flatten txt with
+       | [ "Hashtbl"; ("Make" | "MakeSeeded") ]
+       | [ "Stdlib"; "Hashtbl"; ("Make" | "MakeSeeded") ] -> true
+       | _ -> false)
+    | _ -> false
+  in
+  let note (name : string option Location.loc) me =
+    match name.txt with
+    | Some m when is_functor_app me -> found := m :: !found
+    | _ -> ()
+  in
+  let module_binding it (mb : Parsetree.module_binding) =
+    note mb.pmb_name mb.pmb_expr;
+    Ast_iterator.default_iterator.module_binding it mb
+  in
+  let expr it (e : Parsetree.expression) =
+    (match e.pexp_desc with
+     | Pexp_letmodule (name, me, _) -> note name me
+     | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with module_binding; expr } in
+  it.structure it str;
+  !found
+
 let check_structure ctx (str : Parsetree.structure) =
   let expr (it : Ast_iterator.iterator) (e : Parsetree.expression) =
     (match e.pexp_desc with
@@ -177,6 +228,7 @@ let run ~file ~strict ~emit (str : Parsetree.structure) =
     { segs = norm_segs file;
       strict;
       defines_compare = binds_compare str;
+      hashtbl_modules = hashtbl_functor_modules str;
       emit }
   in
   check_structure ctx str
@@ -184,7 +236,7 @@ let run ~file ~strict ~emit (str : Parsetree.structure) =
 let missing_mli ~file ~strict =
   let ctx =
     { segs = norm_segs file; strict; defines_compare = false;
-      emit = (fun _ _ _ -> ()) }
+      hashtbl_modules = []; emit = (fun _ _ _ -> ()) }
   in
   if wants_mli ctx && Filename.check_suffix file ".ml"
      && not (Sys.file_exists (file ^ "i"))

@@ -121,6 +121,67 @@ let test_paxos_leader_change_no_duplication () =
   Alcotest.(check bool) "total order never violated (safety)" true
     (report.Properties.tau_total_order = 0)
 
+(* A repeated [Accepted] from one acceptor counts once.  At n = 5 the
+   majority is three: p1's vote for slot 0 arrives twice and p2's once,
+   which is two distinct voters, so nothing is chosen until p3's
+   arrives. *)
+let test_paxos_duplicate_accepted_counts_once () =
+  let ctx =
+    { Engine.self = 0; n = 5; now = (fun () -> 0);
+      send = (fun _ _ -> ()); broadcast = (fun _ -> ());
+      output = (fun _ -> ()); rng = Rng.create 1 }
+  in
+  let t, node = Consensus.Paxos_tob.create ctx ~omega:(fun () -> 1) in
+  let service = Consensus.Paxos_tob.service t in
+  let m = App_msg.make ~origin:2 ~sn:0 ~tag:"x" () in
+  let accepted src =
+    node.Engine.on_message ~src
+      (Consensus.Paxos_tob.Accepted { ballot = 6; slot = 0; batch = [ m ] })
+  in
+  let delivered () = Dseq.length (service.Etob_intf.current ()) in
+  accepted 1;
+  accepted 1;
+  Alcotest.(check int) "one voter, twice" 0 (delivered ());
+  accepted 2;
+  Alcotest.(check int) "two distinct voters of three needed" 0 (delivered ());
+  accepted 3;
+  Alcotest.(check int) "a third distinct voter chooses the slot" 1 (delivered ());
+  accepted 4;
+  accepted 3;
+  Alcotest.(check int) "votes for a chosen slot deliver nothing more" 1
+    (delivered ())
+
+(* The learner's per-origin bitsets answer [mem] as an [App_msg.Id_set]
+   built from the same adds: origins 0-6 in any order, sequence numbers
+   up to 300 (past a row's first size, so rows grow), and [mem] on
+   origin 7, which is never added. *)
+let prop_id_bits_match_id_set =
+  let op = QCheck.Gen.(triple bool (int_range 0 7) (int_range 0 300)) in
+  QCheck.Test.make ~name:"id bits: same membership as App_msg.Id_set"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list (triple bool int int))
+       QCheck.Gen.(list_size (int_range 0 400) op))
+    (fun ops ->
+       let bits = Consensus.Id_bits.create () in
+       let set = ref App_msg.Id_set.empty in
+       let agrees (origin, sn) =
+         Bool.equal
+           (Consensus.Id_bits.mem bits ~origin ~sn)
+           (App_msg.Id_set.mem (origin, sn) !set)
+       in
+       List.for_all
+         (fun (add, origin, sn) ->
+            if add && origin < 7 then begin
+              Consensus.Id_bits.add bits ~origin ~sn;
+              set := App_msg.Id_set.add (origin, sn) !set
+            end;
+            agrees (origin, sn))
+         ops
+       && List.for_all
+         (fun origin -> List.for_all (fun sn -> agrees (origin, sn)) (List.init 302 Fun.id))
+         (List.init 9 Fun.id))
+
 (* Safety is unconditional: under random delays, random crashes and a noisy
    Omega prefix, delivered sequences never diverge, are never revised, and
    never duplicate or invent messages.  (Liveness may be lost: that is the
@@ -192,7 +253,8 @@ let prop_paxos_matches_oracle =
 let () =
   let qc =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_paxos_safety_random_runs; prop_paxos_matches_oracle ]
+      [ prop_paxos_safety_random_runs; prop_paxos_matches_oracle;
+        prop_id_bits_match_id_set ]
   in
   Alcotest.run "consensus"
     [ ("paxos_tob",
@@ -206,6 +268,8 @@ let () =
            test_paxos_majority_side_live_under_partition;
          Alcotest.test_case "three-step latency" `Quick test_paxos_three_step_latency;
          Alcotest.test_case "leader change, no duplication" `Quick
-           test_paxos_leader_change_no_duplication ]);
+           test_paxos_leader_change_no_duplication;
+         Alcotest.test_case "duplicate Accepted counts once" `Quick
+           test_paxos_duplicate_accepted_counts_once ]);
       ("safety", qc);
     ]

@@ -24,6 +24,7 @@ let fixture_expectations =
   [ ("lint_fixtures/d1_random.ml", "D1");
     ("lint_fixtures/d2_wallclock.ml", "D2");
     ("lint_fixtures/d3_hashtbl.ml", "D3");
+    ("lint_fixtures/d3_hashtbl_functor.ml", "D3");
     ("lint_fixtures/d4_poly_compare.ml", "D4");
     ("lint_fixtures/d5_marshal.ml", "D5");
     ("lint_fixtures/d6_unsealed.ml", "D6") ]
@@ -177,6 +178,32 @@ let test_directive_edge_cases () =
   Alcotest.(check string) "last-line directive" "folded into a sum"
     (reason_of last Finding.D3 ~line:2)
 
+(* D3 follows the table modules a file binds with the Hashtbl functors:
+   under a signature constraint, through [Stdlib.], as a [let module],
+   and not a module bound to another functor. *)
+let test_d3_functor_bindings () =
+  let d3_lines source =
+    let lines = ref [] in
+    let emit rule (loc : Location.t) _ =
+      if rule = Finding.D3 then lines := loc.loc_start.pos_lnum :: !lines
+    in
+    Rules.run ~file:"inline.ml" ~strict:true ~emit
+      (Parse.implementation (Lexing.from_string source));
+    List.rev !lines
+  in
+  Alcotest.(check (list int)) "constrained Stdlib.Hashtbl.Make" [ 3 ]
+    (d3_lines
+       "module K = struct type t = int let equal = Int.equal let hash x = x end\n\
+        module T : Hashtbl.S with type key = int = Stdlib.Hashtbl.Make (K)\n\
+        let keys t = T.to_seq_keys t\n");
+  Alcotest.(check (list int)) "let module MakeSeeded" [ 3 ]
+    (d3_lines
+       "let total k t =\n\
+       \  let module T = Hashtbl.MakeSeeded (val k) in\n\
+       \  T.fold (fun _ v acc -> v + acc) t 0\n");
+  Alcotest.(check (list int)) "Map.Make is ordered" []
+    (d3_lines "module M = Map.Make (Int)\nlet total m = M.fold (fun _ v a -> v + a) m 0\n")
+
 let test_rule_ids_roundtrip () =
   List.iter
     (fun r ->
@@ -207,6 +234,8 @@ let () =
            test_wellformed_directives_parse;
          Alcotest.test_case "scanner edge cases" `Quick
            test_directive_edge_cases;
+         Alcotest.test_case "D3 sees functor table bindings" `Quick
+           test_d3_functor_bindings;
          Alcotest.test_case "rule ids roundtrip" `Quick
            test_rule_ids_roundtrip ]);
     ]
