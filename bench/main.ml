@@ -1554,11 +1554,15 @@ let e23 () =
    run's, each the best of three, and the bytes one call allocates as a
    ratio to the text's length.  Gates: [Trace.digest]'s time stays within
    [digest_bound] of the run's and its bytes within [alloc_bound] of the
-   text's, and the control's bytes exceed [alloc_bound].  On a 2-vCPU
-   host [Trace.digest] measured 3.8-6.9x for Algorithm 5 and 2.2-3.4x
-   for Paxos, the spread mostly the run's (17-43 ms); since the Paxos
+   text's, the control's bytes exceed [alloc_bound], and the two give
+   the same digest.  On a 2-vCPU host [Trace.digest] measured 3.8-6.9x
+   for Algorithm 5 and 2.2-3.4x for Paxos, the spread mostly the run's
+   (17-43 ms); since the Paxos
    learner pays O(1) per vote (DESIGN.md §25) its run takes 11-16 ms
-   and its digest 5.3-7.8x.  The digest allocated 2.7
+   and its digest 5.3-7.8x.  Since the event queue costs O(1) per event
+   (DESIGN.md §26) the runs take 9-16 ms and 7-13 ms, the digests
+   107-125 ms and 81-92 ms, and the ratios read 7.6-11.7x and
+   7.3-11.8x over six runs.  The digest allocated 2.7
    and 2.4 MB (0.051x and 0.061x of the 52 MB and 39 MB of text); MD5
    over those bytes is nearly all of its time, and what is left of the
    cost is that the text holds every revision whole (ROADMAP item 3).
@@ -1688,11 +1692,11 @@ let e25 () =
      trace: the digest and the ETOB checkers. *)
   let readers impl =
     let run_s, trace = best_cpu (fun () -> run_etob impl count) in
-    let digest_s, _ = best_cpu (fun () -> Trace.digest trace) in
+    let digest_s, digest = best_cpu (fun () -> Trace.digest trace) in
     let check_s, _ =
       best_cpu (fun () -> Harness.Stacks.etob_report (setup_for count) trace)
     in
-    (impl, run_s, trace, digest_s, check_s)
+    (impl, run_s, trace, (digest_s, digest), check_s)
   in
   let measured =
     List.map readers [ Harness.Stacks.Algorithm_5; Harness.Stacks.Paxos_baseline ]
@@ -1711,10 +1715,11 @@ let e25 () =
   row "  %-16s %-14s %-10s %-10s %-10s %-8s %-10s %-10s %-8s" "implementation" "digest"
     "text MB" "run ms" "digest ms" "ratio" "alloc MB" "alloc/text" "verdict";
   (* Per stack, [Trace.digest] and the control: MD5 of [Trace.text], the
-     whole text built first.  Each allocates what one call does. *)
+     whole text built first.  Each allocates what one call does, and the
+     two must agree. *)
   let digests =
     List.concat_map
-      (fun (impl, run_s, trace, digest_s, _) ->
+      (fun (impl, run_s, trace, (digest_s, digest), _) ->
          let text_bytes = float_of_int (String.length (Trace.text trace)) in
          let digest_row ~name ~control digest_s f =
            let bytes = allocated f in
@@ -1749,8 +1754,15 @@ let e25 () =
                Trace.digest trace)
          in
          let whole () = Digest.to_hex (Digest.string (Trace.text trace)) in
-         let whole_s, _ = best_cpu whole in
-         [ streamed; digest_row ~name:"whole-text" ~control:true whole_s whole ])
+         let whole_s, whole_digest = best_cpu whole in
+         let control = digest_row ~name:"whole-text" ~control:true whole_s whole in
+         let same =
+           Record.gate
+             (Printf.sprintf "%s streamed digest = whole-text digest at 10^3"
+                (stack_name impl))
+             (String digest) Eq (String whole_digest)
+         in
+         [ streamed; (fst control, snd control @ [ same ]) ])
       measured
   in
   row "  etob_report at %d broadcasts, best of 3 (gate: check <= %.0fx the run)" count

@@ -29,7 +29,7 @@ let default_registry =
     "Simulator.Pqueue.min_value";
     "Simulator.Pqueue.remove_min";
     (* the engine's event loop (the choice between the pre-run schedule
-       and the heap, the deadline check) and its per-event dispatch step *)
+       and the queue, the deadline check) and its per-event dispatch step *)
     "Simulator.Engine.event_loop";
     "Simulator.Engine.dispatch";
     (* observer fan-out: fired on every protocol-visible event *)

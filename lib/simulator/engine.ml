@@ -18,13 +18,13 @@
    Crash/Recover pair of every downtime window, every input) is the
    pre-run schedule: two arrays sorted stably by time, read by a cursor.
    What the run schedules itself, deliveries and timer chains, goes into
-   a mutable binary heap ([Pqueue]) driven in place, so the heap holds
-   about what is in flight, not the whole input history.  [event_loop]
-   gives a tie to the schedule, which makes the order exactly the stable
-   (time, seq) order of one queue holding both (DESIGN.md §24).
-   test/engine_oracle.ml keeps that one queue, and test_simulator
-   compares the two engines step by step; the heap's own order is
-   differentially tested against the original persistent heap.
+   a mutable bucket queue ([Pqueue]: a FIFO list per tick) driven in
+   place, so the queue holds about what is in flight, not the whole input
+   history.  [event_loop] gives a tie to the schedule, which makes the
+   order exactly the stable (time, seq) order of one queue holding both
+   (DESIGN.md §24, §26).  test/engine_oracle.ml keeps that one queue, and
+   test_simulator compares the two engines step by step; the queue's own
+   order is differentially tested against the original persistent heap.
    Observability goes through exactly one [Sink.t]: by default a [Sink.
    recorder] over the returned trace (the historical behaviour), or the
    caller's sink from [config.sink] — in which case the returned trace
@@ -106,7 +106,13 @@ type state = {
   mutable next_uid : int;
 }
 
-let schedule state ~at event = Pqueue.insert state.queue ~prio:at event
+(* An event past the deadline is never taken ([event_loop] stops at the
+   first one), so it is not queued: the queued priorities then lie
+   between the clock and the deadline, which bounds the queue's ring
+   however long a delay, timer period or partition is (DESIGN.md §26).
+   Its delay was drawn already, so [net_rng]'s stream is unchanged. *)
+let schedule state ~at event =
+  if at <= state.config.deadline then Pqueue.insert state.queue ~prio:at event
 
 let alive state p = Failures.is_alive state.config.pattern p state.clock
 
@@ -223,8 +229,8 @@ let dispatch state nodes pairs timer_running timer_events ~revive ~at event =
    past the deadline (it is never taken, which is observably identical to
    taking and discarding it).  Two sources feed it.  The pre-run schedule
    ([times]/[events], read from index [next] on) holds every event known
-   before the first step; the heap holds what the run itself schedules,
-   deliveries and the timer chains.  A tie goes to the schedule: in one
+   before the first step; the queue holds what the run itself schedules
+   up to the deadline, deliveries and the timer chains.  A tie goes to the schedule: in one
    (time, seq) queue each of its events would carry a smaller seq than
    any event scheduled while running, so taking it first is exactly that
    queue's pop order.  The head is read with min_prio/min_value and

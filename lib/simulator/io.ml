@@ -41,17 +41,24 @@ let text_writer_makers : (unit -> text_writer) list ref = ref []
 let register_input_text w = input_writers := w :: !input_writers
 let register_output_text mk = text_writer_makers := mk :: !text_writer_makers
 
+(* Whether one of [writers] wrote the value.  A top-level walk, so that
+   rendering an entry allocates no closure over the buffer and value. *)
+let rec write_input b i = function
+  | [] -> false
+  | w :: writers -> w b i || write_input b i writers
+
+let rec write_output b proc o = function
+  | [] -> false
+  | w :: writers -> w b proc o || write_output b proc o writers
+
 let add_input b = function
   | Tick_input -> Buffer.add_string b "tick"
   | String_input s -> Buffer.add_string b "in:"; Buffer.add_string b s
-  | i ->
-    if not (List.exists (fun w -> w b i) !input_writers) then
-      Buffer.add_string b "<input>"
+  | i -> if not (write_input b i !input_writers) then Buffer.add_string b "<input>"
 
 let output_text_writer () =
   let writers = List.map (fun mk -> mk ()) !text_writer_makers in
   fun b proc -> function
     | String_output s -> Buffer.add_string b "out:"; Buffer.add_string b s
     | o ->
-      if not (List.exists (fun w -> w b proc o) writers) then
-        Buffer.add_string b "<output>"
+      if not (write_output b proc o writers) then Buffer.add_string b "<output>"

@@ -1,11 +1,22 @@
-(** A stable priority queue (mutable array-based binary heap) used for the
-    event queue: the engine keeps in it what a run schedules while it
-    runs, beside a sorted schedule of the events known before the run.
+(** A stable priority queue over integer priorities (a bucket queue: a
+    ring of per-priority FIFO lists) used for the event queue: the engine
+    keeps in it what a run schedules while it runs, beside a sorted
+    schedule of the events known before the run.
 
     Elements with equal priorities are returned in insertion (FIFO) order,
     which makes simulation runs fully deterministic.  The pop order is
     identical to the original persistent leftist heap, retained as a test
-    oracle ([test/pqueue_persistent.ml]) for differential testing. *)
+    oracle ([test/pqueue_persistent.ml]) for differential testing, for any
+    interleaving of inserts and pops, inserts below the current minimum
+    included.  Insert and pop cost O(1), plus a scan over the empty
+    priorities between one minimum and the next.
+
+    Memory: O(s + p) words, where s is the largest span (maximum minus
+    minimum) of the priorities queued at one time and p the peak number
+    of elements.  The engine queues no event past its deadline, so
+    there s is at most the deadline.  A popped element stays referenced
+    by its free node until an insert reuses the node, so the queue pins
+    at most (p - size) elements it no longer holds. *)
 
 type 'a t
 

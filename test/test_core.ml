@@ -1582,7 +1582,10 @@ let test_trace_digest_long_revision () =
 
 (* Traces of [String_output]s, the first [first] bytes long up to the end
    of its entry, the whole text [len] bytes long: [first] and [len] land
-   on a block edge or one byte either side of it. *)
+   one byte before a block edge or 0-64 bytes past it.  The first flush
+   ends with the first entry, so it ends at every offset 0-63 into an
+   MD5 block, and the hash carries every length of unfinished block into
+   the next update. *)
 let string_trace strings =
   outputs_trace ~n:1 (List.mapi (fun t s -> (t, 0, Io.String_output s)) strings)
 
@@ -1611,8 +1614,21 @@ let test_trace_digest_block_edges () =
             Alcotest.(check int) "first entry's length" edge
               (String.index (Trace.text split) '\n');
             check_digest (Printf.sprintf "first entry ends at %d" edge) split)
-         [ -1; 0; 1 ])
+         (List.init 66 (fun d -> d - 1)))
     [ 1; 2; 3 ]
+
+(* Any trace of [String_output]s, 0-9,000 bytes each, digests to the MD5
+   of its text. *)
+let prop_trace_digest_random_lengths =
+  QCheck.Test.make ~name:"trace digest: MD5 of the text for any output lengths"
+    ~count:200
+    QCheck.(
+      make
+        ~print:(fun strings -> Print.(list int) (List.map String.length strings))
+        Gen.(list_size (int_bound 12) (string_size ~gen:printable (int_bound 9_000))))
+    (fun strings ->
+       let trace = string_trace strings in
+       Trace.digest trace = Digest.to_hex (Digest.string (Trace.text trace)))
 
 (* The digest of a fixed trace, pinned: it would move if the runtime's MD5
    entry points hashed other bytes than [Digest.string] does. *)
@@ -1727,7 +1743,8 @@ let () =
          Alcotest.test_case "revision over several blocks" `Quick
            test_trace_digest_long_revision;
          Alcotest.test_case "texts at block edges" `Quick test_trace_digest_block_edges;
-         Alcotest.test_case "pinned digest" `Quick test_trace_digest_pinned ]);
+         Alcotest.test_case "pinned digest" `Quick test_trace_digest_pinned;
+         QCheck_alcotest.to_alcotest prop_trace_digest_random_lengths ]);
       ("value",
        [ Alcotest.test_case "tag roundtrip" `Quick test_value_tag_roundtrip;
          Alcotest.test_case "tag rejects seq" `Quick test_value_tag_rejects_seq;

@@ -38,7 +38,7 @@ let test_pqueue_size_and_peek () =
    (prio, pop_now) commands: insert prio, then pop whenever pop_now. *)
 let interleave_gen = QCheck.(list (pair (int_bound 50) bool))
 
-(* Drive the mutable heap through an interleaving, popping the way the
+(* Drive the mutable queue through an interleaving, popping the way the
    engine loop does (min_prio, min_value, remove_min); values carry the
    insertion sequence number so stability is observable. *)
 let run_mutable cmds =
@@ -76,8 +76,8 @@ let prop_pqueue_sorts =
        popped = expected)
 
 (* Differential test: on random insert/pop interleavings, the mutable
-   binary heap and the retained persistent leftist heap pop exactly the
-   same (prio, seq) sequence — the heap swap is order-preserving. *)
+   bucket queue and the retained persistent leftist heap pop exactly the
+   same (prio, seq) sequence — the queue swap is order-preserving. *)
 let prop_pqueue_differential =
   QCheck.Test.make ~name:"pqueue: binary heap = persistent heap" ~count:500
     interleave_gen
@@ -104,6 +104,108 @@ let prop_pqueue_vs_model =
     (fun cmds ->
        let model = sorted_model cmds in
        run_mutable cmds = model && run_persistent cmds = model)
+
+(* Wide, sparse and wrapping spans, which priorities 0-50 do not reach.
+   [Push p] inserts at p, [Pop] pops the minimum, and [Hop k] pops the
+   minimum m and inserts at m + k: a step taken at tick m schedules the
+   next one a delay later, the engine's shape.  Values are insertion
+   sequence numbers. *)
+type span_cmd = Push of int | Pop | Hop of int
+
+(* The pops in order, then what is left in pop order, for a queue given
+   by its insert, its pop (None when empty) and its contents. *)
+let run_spans ~insert ~pop ~rest cmds =
+  let seq = ref 0 and pops = ref [] in
+  let push prio = insert prio !seq; incr seq in
+  let pop () =
+    Option.map (fun (prio, v) -> pops := (prio, v) :: !pops; prio) (pop ())
+  in
+  List.iter
+    (function
+      | Push prio -> push prio
+      | Pop -> ignore (pop ())
+      | Hop k -> Option.iter (fun m -> push (m + k)) (pop ()))
+    cmds;
+  List.rev_append !pops (rest ())
+
+let spans_mutable cmds =
+  let q = Pqueue.create () in
+  run_spans cmds
+    ~insert:(fun prio v -> Pqueue.insert q ~prio v)
+    ~pop:(fun () ->
+        if Pqueue.is_empty q then None
+        else begin
+          let head = (Pqueue.min_prio q, Pqueue.min_value q) in
+          Pqueue.remove_min q;
+          Some head
+        end)
+    ~rest:(fun () -> Pqueue.to_sorted_list q)
+
+let spans_persistent cmds =
+  let q = ref Pqueue_persistent.empty in
+  run_spans cmds
+    ~insert:(fun prio v -> q := Pqueue_persistent.insert !q ~prio v)
+    ~pop:(fun () ->
+        Option.map (fun (head, rest) -> q := rest; head) (Pqueue_persistent.pop !q))
+    ~rest:(fun () -> Pqueue_persistent.to_sorted_list !q)
+
+(* The sorted-list model: an insert goes after every element of its
+   priority or less. *)
+let spans_model cmds =
+  let xs = ref [] in
+  let rec insert prio v = function
+    | (p, _) as x :: rest when p <= prio -> x :: insert prio v rest
+    | rest -> (prio, v) :: rest
+  in
+  run_spans cmds
+    ~insert:(fun prio v -> xs := insert prio v !xs)
+    ~pop:(fun () ->
+        match !xs with [] -> None | head :: rest -> xs := rest; Some head)
+    ~rest:(fun () -> !xs)
+
+(* Priorities 0-100,000, runs on a few adjacent ticks, pops between
+   inserts, and priorities 0-50 that often land below the minimum. *)
+let gen_wide_spans =
+  let open QCheck.Gen in
+  let run =
+    let* base = int_bound 100_000 in
+    let* len = int_range 1 8 in
+    list_repeat len (map (fun d -> Push (base + d)) (int_bound 3))
+  in
+  map List.concat
+    (list_size (int_range 1 40)
+       (frequency
+          [ (3, map (fun p -> [ Push p ]) (int_bound 100_000));
+            (2, run);
+            (2, map (fun p -> [ Push p ]) (int_bound 50));
+            (3, map (fun k -> List.init k (fun _ -> Pop)) (int_range 1 4)) ]))
+
+(* 2-20 events at ticks 0-9, then 10^4 hops of 1-9 ticks: the minimum
+   advances thousands of ticks, so the ring index wraps many times, and
+   the span grows past the first ring lengths mid-run. *)
+let gen_engine_spans =
+  let open QCheck.Gen in
+  let* first = list_size (int_range 2 20) (map (fun p -> Push p) (int_bound 9)) in
+  let* hops = list_repeat 10_000 (map (fun k -> Hop k) (int_range 1 9)) in
+  return (first @ hops)
+
+let print_spans cmds =
+  let cmd = function
+    | Push p -> Printf.sprintf "push %d" p
+    | Pop -> "pop"
+    | Hop k -> Printf.sprintf "hop %d" k
+  in
+  Printf.sprintf "%d commands: %s ..." (List.length cmds)
+    (String.concat "; " (List.map cmd (List.filteri (fun i _ -> i < 40) cmds)))
+
+let prop_pqueue_spans =
+  QCheck.Test.make
+    ~name:"pqueue: wide, sparse and wrapping spans match both references" ~count:200
+    (QCheck.make ~print:print_spans
+       (QCheck.Gen.frequency [ (2, gen_wide_spans); (1, gen_engine_spans) ]))
+    (fun cmds ->
+       let model = spans_model cmds in
+       spans_mutable cmds = model && spans_persistent cmds = model)
 
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                 *)
@@ -538,6 +640,28 @@ let test_engine_deadline_truncates () =
   let trace = Engine.run config ~make_node:ping_node ~inputs:[] in
   Alcotest.(check bool) "no event after deadline" true (Trace.last_time trace <= 10)
 
+(* A delay, then a timer period, far past the deadline, beside near
+   events (the timer chain, then the deliveries): the far events are
+   never taken, and they are not queued either, so the queue's ring,
+   which covers the span of queued priorities (DESIGN.md §26), stays
+   within the deadline.  A ring spanning 10^6 ticks would be two arrays
+   of 2^20 ints, 16 MB; each run must allocate under 1 MB. *)
+let test_engine_far_events_bounded () =
+  let base = Engine.default_config ~n:3 ~deadline:300 in
+  List.iter
+    (fun (name, config, steps) ->
+       Gc.minor ();
+       let before = Gc.allocated_bytes () in
+       let trace = Engine.run config ~make_node:ping_node ~inputs:[] in
+       Gc.minor ();
+       let bytes = Gc.allocated_bytes () -. before in
+       Alcotest.(check int) (name ^ ": steps") steps (Trace.steps trace);
+       Alcotest.(check bool)
+         (Printf.sprintf "%s: run allocated %.0f bytes, under 1 MB" name bytes)
+         true (bytes < 1e6))
+    [ ("delay 10^6", { base with delay = Net.constant 1_000_000 }, 450);
+      ("timer period 10^6", { base with timer_period = 1_000_000 }, 12) ]
+
 let test_engine_rejects_bad_config () =
   (* n = 1 is rejected at pattern construction already. *)
   Alcotest.check_raises "n too small" (Invalid_argument "Failures.none: need n >= 2")
@@ -878,7 +1002,7 @@ let prop_engine_reliable_links =
 
 (* The engine reads the pre-run schedule (first timers, downtime windows,
    inputs) from a sorted cursor and keeps only what the run schedules in
-   its heap; [Engine_oracle] puts everything into one (time, seq) queue
+   its queue; [Engine_oracle] puts everything into one (time, seq) queue
    before the first step.  The two must take every step in the same
    order. *)
 
@@ -1118,6 +1242,7 @@ let test_engine_recover_at_delivery_tick () =
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest
       [ prop_pqueue_sorts; prop_pqueue_differential; prop_pqueue_vs_model;
+        prop_pqueue_spans;
         prop_random_pattern_has_correct; prop_random_pattern_t_resilient;
         prop_random_admitted_env; prop_engine_reliable_links;
         prop_engine_matches_oracle ]
@@ -1173,6 +1298,8 @@ let () =
            test_engine_inputs_to_crashed_are_dropped;
          Alcotest.test_case "combine" `Quick test_engine_combine_both_components_see_events;
          Alcotest.test_case "deadline" `Quick test_engine_deadline_truncates;
+         Alcotest.test_case "delays past the deadline in bounded memory" `Quick
+           test_engine_far_events_bounded;
          Alcotest.test_case "rejects bad config" `Quick test_engine_rejects_bad_config;
          Alcotest.test_case "run_with handles" `Quick test_run_with_returns_handles;
          Alcotest.test_case "fifo model fresh per run" `Quick
